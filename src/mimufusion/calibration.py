@@ -26,6 +26,7 @@ from .errors import (
     DegenerateMotion,
     LengthMismatch,
     NotConverged,
+    RateMismatch,
     SingularNormalEquations,
 )
 from .geometry import (
@@ -65,7 +66,7 @@ class CalibrationInput:
 
     def __post_init__(self):
         if abs(self.series_a.freq - self.series_b.freq) > 1e-9 * self.series_a.freq:
-            raise LengthMismatch(
+            raise RateMismatch(
                 f"sample rates differ: {self.series_a.freq} vs {self.series_b.freq}")
         if len(self.series_a) != len(self.series_b):
             raise LengthMismatch(

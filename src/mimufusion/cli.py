@@ -29,11 +29,10 @@ from .harness import (
     ingest_csv,
     run_experiment,
 )
-from .preintegration import VimuState, preintegrate
+from .preintegration import VimuState, preintegrate_windows
 from .simulation import simulate_imu
 from .types import Extrinsic
-from .vimu import VirtualSeries, build_fusion, fuse_series, midpoint_frame, \
-    virtual_covariances
+from .vimu import build_fusion, fuse_series, midpoint_frame, virtual_covariances
 
 log = logging.getLogger(__name__)
 
@@ -130,30 +129,22 @@ def cmd_preintegrate(args) -> int:
     step = int(round(args.interval * series.freq))
     if step < 1:
         raise ValueError("interval below one sample period")
-    n_windows = len(series) // step
-    if n_windows < 1:
+    deltas = preintegrate_windows(series, VimuState.identity(), cfg, fm, step,
+                                  noise)
+    if not deltas:
         raise ValueError("series shorter than one keyframe interval")
-    state = VimuState.identity()
-    lines = []
-    for j in range(n_windows):
-        window = VirtualSeries(
-            freq=series.freq, start_ns=0,
-            gyro=series.gyro[j * step:(j + 1) * step],
-            accel=series.accel[j * step:(j + 1) * step],
-            gyro_rate=series.gyro_rate[j * step:(j + 1) * step])
-        delta = preintegrate(window, state, cfg, fm, noise)
-        lines.append(json.dumps({
-            "window": j,
-            "t_start_s": j * step / series.freq,
-            "duration_s": delta.duration,
-            "count": delta.count,
-            "dR": delta.rotation.tolist(),
-            "dv": delta.velocity.tolist(),
-            "dp": delta.position.tolist(),
-            "cov_diag": np.diag(delta.covariance).tolist(),
-        }))
+    lines = [json.dumps({
+        "window": j,
+        "t_start_s": j * step / series.freq,
+        "duration_s": delta.duration,
+        "count": delta.count,
+        "dR": delta.rotation.tolist(),
+        "dv": delta.velocity.tolist(),
+        "dp": delta.position.tolist(),
+        "cov_diag": np.diag(delta.covariance).tolist(),
+    }) for j, delta in enumerate(deltas)]
     csvio.atomic_write_text(args.out, "".join(f"{ln}\n" for ln in lines))
-    print(f"preintegrated {n_windows} window(s) of {args.interval:g} s "
+    print(f"preintegrated {len(deltas)} window(s) of {args.interval:g} s "
           f"-> {args.out}")
     return 0
 

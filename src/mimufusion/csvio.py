@@ -5,6 +5,7 @@ invocation never leaves partial output behind.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -105,7 +106,22 @@ def _parse_csv(path):
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
     if len(times) < 2:
         raise FormatError(f"{path}: need at least 2 samples to derive a rate")
-    return np.asarray(times, dtype=np.int64), np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        lineno = _line_of_row(path, int(np.argmin(finite)))
+        raise FormatError(f"{path}:{lineno}: non-finite sample value")
+    return np.asarray(times, dtype=np.int64), values
+
+
+def _line_of_row(path, row: int) -> int:
+    """File line number of data row ``row`` (0-based, blank lines
+    skipped). Only the error path calls this, so the parse loop need
+    not track line numbers."""
+    with open(path) as fh:
+        data_lines = (n for n, line in enumerate(fh, start=1)
+                      if n > 1 and line.strip())
+        return next(itertools.islice(data_lines, row, None))
 
 
 def read_imu_csv(path) -> ImuSeries:

@@ -28,7 +28,7 @@ from . import csvio
 from .calibration import CalibrationInput, calibrate
 from .errors import EmptyOverlap, LengthMismatch, MimuError, RateMismatch
 from .geometry import geodesic_angle, rotation_from_quat
-from .preintegration import VimuState, predict_state, preintegrate
+from .preintegration import VimuState, predict_state, preintegrate_windows
 from .simulation import (
     SimConfig,
     TrajectoryParams,
@@ -40,13 +40,11 @@ from .simulation import (
 )
 from .types import NoiseSpec
 from .vimu import (
-    VirtualSeries,
     array_frame,
     build_fusion,
     fuse_series,
     midpoint_frame,
     single_frame,
-    virtual_covariances,
 )
 
 log = logging.getLogger(__name__)
@@ -251,7 +249,6 @@ class _VariantSetup:
     indices: tuple
     cfg: object
     fm: object
-    noise_v: object
     frame_rotation: np.ndarray
     frame_position: np.ndarray
 
@@ -272,7 +269,6 @@ def _setup_variant(name: str, plan: ExperimentPlan, mounts, believed):
         raise ValueError(f"unknown variant {name}")
     fm = build_fusion(cfg)
     return _VariantSetup(indices=idx, cfg=cfg, fm=fm,
-                         noise_v=virtual_covariances(cfg),
                          frame_rotation=frame_rot, frame_position=frame_pos)
 
 
@@ -289,26 +285,19 @@ def _setup_calibrated(plan: ExperimentPlan, mounts, series_by_idx):
     R_ba_body = rotation_from_quat(mounts[ia].q).T
     frame_pos = mounts[ia].p + R_ba_body @ (0.5 * ext.p)
     return _VariantSetup(indices=_PAIR, cfg=cfg, fm=fm,
-                         noise_v=virtual_covariances(cfg),
                          frame_rotation=R_ba_body, frame_position=frame_pos)
 
 
 def _score_variant(setup: _VariantSetup, series_by_idx, truth_samples,
-                   plan: ExperimentPlan, n_windows: int, step: int):
+                   plan: ExperimentPlan, step: int):
     fused = fuse_series(setup.cfg, [series_by_idx[i] for i in setup.indices],
                         fm=setup.fm)
     truth = [true_vimu_state(ts, setup.frame_rotation, setup.frame_position)
              for ts in truth_samples]
     state = truth[0]
     predicted = []
-    for j in range(n_windows):
-        window = VirtualSeries(
-            freq=fused.freq, start_ns=0,
-            gyro=fused.gyro[j * step:(j + 1) * step],
-            accel=fused.accel[j * step:(j + 1) * step],
-            gyro_rate=fused.gyro_rate[j * step:(j + 1) * step])
-        delta = preintegrate(window, state, setup.cfg, setup.fm, setup.noise_v,
-                             with_covariance=False)
+    for delta in preintegrate_windows(fused, state, setup.cfg, setup.fm, step,
+                                      with_covariance=False):
         state = predict_state(state, delta, plan.sim.gravity)
         predicted.append(state)
     return rmse_metrics(predicted, truth[1:])
@@ -373,8 +362,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                         else:
                             setup = static_setups[v]
                         pos, rot, vel = _score_variant(
-                            setup, series_by_idx, truth_samples, plan,
-                            n_windows, step)
+                            setup, series_by_idx, truth_samples, plan, step)
                     except MimuError as exc:
                         failures.append(
                             f"sample={s} seq={r} variant={v}: "

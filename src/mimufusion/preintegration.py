@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import exp_so3, exp_so3_many, right_jacobian, right_jacobian_many, skew
+from .geometry import (
+    exp_so3,
+    exp_so3_many,
+    right_jacobian,
+    right_jacobian_many,
+    skew,
+    skew_many,
+)
 from .vimu import (
     FusionMatrices,
     VimuConfig,
@@ -174,62 +181,108 @@ def propagate_step(prev: PreintDelta, w_hat, a_hat, cfg: VimuConfig,
 def preintegrate(series: VirtualSeries, state: VimuState, cfg: VimuConfig,
                  fm: FusionMatrices, noise: VimuNoise | None = None,
                  with_covariance: bool = True) -> PreintDelta:
-    """Integrate a whole virtual series into one PreintDelta.
+    """Integrate a whole virtual series into one PreintDelta: the
+    one-window case of preintegrate_windows. An empty series gives the
+    identity delta."""
+    deltas = preintegrate_windows(series, state, cfg, fm, max(len(series), 1),
+                                  noise, with_covariance)
+    return deltas[0] if deltas else PreintDelta.identity()
 
-    Equivalent to folding the samples through propagate_step one by one;
-    the loop is unrolled here with batched rotation/Jacobian evaluation.
+
+def preintegrate_windows(series: VirtualSeries, state: VimuState,
+                         cfg: VimuConfig, fm: FusionMatrices, step: int,
+                         noise: VimuNoise | None = None,
+                         with_covariance: bool = True) -> list:
+    """Integrate consecutive keyframe windows of ``step`` samples into one
+    PreintDelta each; trailing samples that fill no whole window are
+    dropped.
+
+    Every window starts from the same ``state``. A delta depends on its
+    start state only through the biases (see bias_correct), so this is
+    exact whenever the biases stay fixed across windows: predict_state
+    copies them from window to window, and a run from
+    VimuState.identity() has none.
+
+    Each delta equals folding its window through propagate_step sample by
+    sample, to round-off. One loop over the sample positions advances
+    every window's rotation (and covariance) together; the covariance
+    transition and noise-input blocks are built for the current sample
+    position only, so the working set holds no per-sample 3x3 or 9x9
+    blocks beyond the rotation increments. The velocity and position
+    sums follow from the accumulated rotations without a loop.
     ``with_covariance=False`` skips the covariance recursion (useful in
     Monte-Carlo loops that only need the increments) and then ``noise``
     may be omitted.
     """
-    k = len(series)
     if with_covariance and noise is None:
         raise ValueError("covariance propagation needs the virtual noise model")
-    if k == 0:
-        return PreintDelta.identity()
+    if step < 1:
+        raise ValueError("keyframe window must hold at least one sample")
+    n_windows = len(series) // step
+    if n_windows == 0:
+        return []
+    k = n_windows * step
     dt = 1.0 / series.freq
     w_hat, a_hat = bias_correct(series, state, cfg, fm)
-    steps = exp_so3_many(w_hat * dt)
+    # rot[:, t] holds Exp(w_t dt) until pass t overwrites it with the
+    # rotation accumulated through sample t.
+    rot = exp_so3_many(w_hat[:k] * dt).reshape(n_windows, step, 3, 3)
+    w_hat = w_hat[:k].reshape(n_windows, step, 3)
+    a_hat = a_hat[:k].reshape(n_windows, step, 3)
 
+    dR = np.tile(np.eye(3), (n_windows, 1, 1))
+    cov = np.zeros((n_windows, 9, 9))
     if with_covariance:
-        jr_dt = right_jacobian_many(w_hat * dt) * dt
         s_eta = _noise_input_covariance(noise, series.freq)
-        t_psi = np.einsum("ij,tjk->tik",
-                          fm.accel_solve, _psi_batch(cfg, w_hat))
-
-    dR = np.eye(3)
-    dv = np.zeros(3)
-    dp = np.zeros(3)
-    cov = np.zeros((9, 9))
-    for t in range(k):
+    for t in range(step):
         if with_covariance:
-            sa = skew(a_hat[t])
-            A = np.zeros((9, 9))
-            A[0:3, 0:3] = steps[t].T
-            A[3:6, 0:3] = -dR @ sa * dt
-            A[3:6, 3:6] = np.eye(3)
-            A[6:9, 0:3] = -0.5 * dR @ sa * dt**2
-            A[6:9, 3:6] = dt * np.eye(3)
-            A[6:9, 6:9] = np.eye(3)
-            B = np.zeros((9, 6))
-            B[0:3, 0:3] = jr_dt[t]
-            B[6:9, 0:3] = -0.5 * dR @ t_psi[t] * dt**2
-            B[3:6, 3:6] = dR * dt
-            B[6:9, 3:6] = 0.5 * dR * dt**2
-            cov = A @ cov @ A.T + B @ s_eta @ B.T
-            cov = 0.5 * (cov + cov.T)
-        accel_world = dR @ a_hat[t]
-        dp = dp + dv * dt + 0.5 * accel_world * dt**2
-        dv = dv + accel_world * dt
-        dR = dR @ steps[t]
-    return PreintDelta(rotation=dR, velocity=dv, position=dp, covariance=cov,
-                       duration=k * dt, count=k)
+            A, B = _step_matrices_many(dR, rot[:, t], w_hat[:, t], a_hat[:, t],
+                                       cfg, fm, dt)
+            cov = (A @ cov @ A.transpose(0, 2, 1)
+                   + B @ s_eta @ B.transpose(0, 2, 1))
+            cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+        dR = dR @ rot[:, t]
+        rot[:, t] = dR
+
+    # Sample t is rotated by the accumulation before it: I for t = 0.
+    accel_world = a_hat.copy()
+    accel_world[:, 1:] = (rot[:, :-1] @ a_hat[:, 1:, :, None])[..., 0]
+    velocity = np.cumsum(accel_world * dt, axis=1)
+    dv = velocity[:, -1]
+    dp = (velocity[:, :-1].sum(axis=1) * dt
+          + accel_world.sum(axis=1) * (0.5 * dt**2))
+    return [PreintDelta(rotation=dR[j], velocity=dv[j], position=dp[j],
+                        covariance=cov[j], duration=step * dt, count=step)
+            for j in range(n_windows)]
+
+
+def _step_matrices_many(accum_rotation, step_rotation, w_hat, a_hat,
+                        cfg: VimuConfig, fm: FusionMatrices, dt: float) -> tuple:
+    """step_matrices for one sample position of n windows at once: the
+    arguments are (n, 3, 3) or (n, 3) rows; returns A (n, 9, 9) and
+    B (n, 9, 6)."""
+    n = len(accum_rotation)
+    eye = np.eye(3)
+    R_sa = accum_rotation @ skew_many(a_hat)
+    A = np.zeros((n, 9, 9))
+    A[:, 0:3, 0:3] = step_rotation.transpose(0, 2, 1)
+    A[:, 3:6, 0:3] = -R_sa * dt
+    A[:, 3:6, 3:6] = eye
+    A[:, 6:9, 0:3] = -0.5 * R_sa * dt**2
+    A[:, 6:9, 3:6] = dt * eye
+    A[:, 6:9, 6:9] = eye
+
+    B = np.zeros((n, 9, 6))
+    B[:, 0:3, 0:3] = right_jacobian_many(w_hat * dt) * dt
+    t_psi = fm.accel_solve @ _psi_batch(cfg, w_hat)
+    B[:, 6:9, 0:3] = -0.5 * accum_rotation @ t_psi * dt**2
+    B[:, 3:6, 3:6] = accum_rotation * dt
+    B[:, 6:9, 3:6] = 0.5 * accum_rotation * dt**2
+    return A, B
 
 
 def _psi_batch(cfg: VimuConfig, w_hat: np.ndarray) -> np.ndarray:
     """psi_matrix over (k, 3) rates, returns (k, 3n, 3)."""
-    from .geometry import skew_many
-
     sigmas = _effective_sigmas([ns.sigma_a for ns in cfg.noises])
     sw = skew_many(w_hat)
     blocks = []

@@ -20,6 +20,7 @@ from mimufusion.errors import (
     DegenerateMotion,
     LengthMismatch,
     NotConverged,
+    RateMismatch,
 )
 from mimufusion.geometry import (
     geodesic_angle,
@@ -397,7 +398,7 @@ def test_input_validation():
     cfg = SimConfig(freq=200.0, duration=1.0)
     s = simulate_imu(cfg, Extrinsic.identity(), NoiseSpec.zero())
     other = ImuSeries(freq=100.0, start_ns=0, gyro=s.gyro, accel=s.accel)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(RateMismatch):
         CalibrationInput(series_a=s, series_b=other,
                          noise_a=NoiseSpec(), noise_b=NoiseSpec())
     short = ImuSeries(freq=200.0, start_ns=0, gyro=s.gyro[:2],
@@ -410,6 +411,19 @@ def test_input_validation():
     with pytest.raises(LengthMismatch):
         CalibrationInput(series_a=s, series_b=trimmed,
                          noise_a=NoiseSpec(), noise_b=NoiseSpec())
+
+
+def test_input_rate_mismatch_is_rate_error():
+    """Equal-length series at different rates are a rate problem, not a
+    length problem; the check precedes the length checks."""
+    cfg = SimConfig(freq=200.0, duration=1.0)
+    s = simulate_imu(cfg, Extrinsic.identity(), NoiseSpec.zero())
+    for freq in (100.0, 200.0 * (1 + 1e-6)):
+        other = ImuSeries(freq=freq, start_ns=0, gyro=s.gyro[:-5],
+                          accel=s.accel[:-5])
+        with pytest.raises(RateMismatch, match="sample rates differ"):
+            CalibrationInput(series_a=s, series_b=other,
+                             noise_a=NoiseSpec(), noise_b=NoiseSpec())
 
 
 def test_result_dict_round_trip():

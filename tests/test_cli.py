@@ -209,6 +209,57 @@ def test_preintegrate_interval_flag(workspace, fused, tmp_path):
     assert len(lines) == (2000 - 2) // 200
 
 
+def test_preintegrate_matches_per_window_loop(workspace, fused, tmp_path):
+    """The JSONL equals a window-by-window preintegrate loop over the
+    same inputs; an interval that leaves remainder samples drops them."""
+    from mimufusion.csvio import read_vimu_sidecar, read_virtual_csv
+    from mimufusion.preintegration import VimuState, preintegrate
+    from mimufusion.vimu import VirtualSeries, build_fusion
+
+    out = tmp_path / "deltas.jsonl"
+    code = main(["preintegrate",
+                 "--vimu", str(fused),
+                 "--vimu-config", str(fused.with_suffix(".json")),
+                 "--interval", "0.35",
+                 "--out", str(out)])
+    assert code == 0
+    got = [json.loads(l) for l in out.read_text().strip().split("\n")]
+
+    series = read_virtual_csv(fused)
+    cfg, noise, _ = read_vimu_sidecar(fused.with_suffix(".json"))
+    fm = build_fusion(cfg)
+    step = int(round(0.35 * series.freq))
+    assert len(series) % step != 0
+    want = []
+    for j in range(len(series) // step):
+        window = VirtualSeries(
+            freq=series.freq, start_ns=0,
+            gyro=series.gyro[j * step:(j + 1) * step],
+            accel=series.accel[j * step:(j + 1) * step],
+            gyro_rate=series.gyro_rate[j * step:(j + 1) * step])
+        delta = preintegrate(window, VimuState.identity(), cfg, fm, noise)
+        want.append({
+            "window": j,
+            "t_start_s": j * step / series.freq,
+            "duration_s": delta.duration,
+            "count": delta.count,
+            "dR": delta.rotation.tolist(),
+            "dv": delta.velocity.tolist(),
+            "dp": delta.position.tolist(),
+            "cov_diag": np.diag(delta.covariance).tolist(),
+        })
+
+    assert len(got) == len(want) == (2000 - 2) // step
+    for g, w in zip(got, want):
+        assert set(g) == set(w)
+        for key in ("window", "t_start_s", "duration_s", "count"):
+            assert g[key] == w[key]
+        for key in ("dR", "dv", "dp"):
+            np.testing.assert_allclose(g[key], w[key], atol=1e-12)
+        np.testing.assert_allclose(g["cov_diag"], w["cov_diag"], rtol=1e-10,
+                                   atol=1e-25)
+
+
 def test_evaluate_tiny_plan(tmp_path, capsys):
     (tmp_path / "plan.yaml").write_text(PLAN_YAML)
     out = tmp_path / "report"

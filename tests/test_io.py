@@ -99,6 +99,37 @@ def test_imu_csv_rejects_non_monotonic(tmp_path):
         read_imu_csv(path)
 
 
+@pytest.mark.parametrize("column, value", [
+    (1, "nan"), (2, "inf"), (3, "-inf"),      # gyro
+    (4, "nan"), (5, "-inf"), (6, "inf"),      # accel
+])
+def test_imu_csv_rejects_non_finite(tmp_path, column, value):
+    series = noisy_series(duration=0.1)
+    path = tmp_path / "imu.csv"
+    write_imu_csv(path, series)
+    lines = path.read_text().splitlines()
+    # a blank line before the bad row: the error names the file line,
+    # not the data row
+    bad = 7
+    parts = lines[bad].split(",")
+    parts[column] = value
+    lines[bad] = ",".join(parts)
+    lines.insert(3, "")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=rf"imu\.csv:{bad + 2}: non-finite"):
+        read_imu_csv(path)
+
+
+def test_virtual_csv_rejects_non_finite(tmp_path):
+    path = tmp_path / "virtual.csv"
+    path.write_text(IMU_CSV_HEADER + "\n"
+                    "0,0,0,0,0,0,9.81\n"
+                    "5000000,0,0,0,0,0,9.81\n"
+                    "10000000,0,NaN,0,0,0,9.81\n")
+    with pytest.raises(FormatError, match=r"virtual\.csv:4: non-finite"):
+        read_virtual_csv(path)
+
+
 def test_virtual_csv_round_trip(tmp_path):
     cfg = SimConfig(freq=200.0, duration=1.0)
     ext = Extrinsic(p=np.array([0.1, 0.0, 0.0]))
