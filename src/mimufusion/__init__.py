@@ -11,7 +11,6 @@ from .calibration import (
     estimate_translation,
 )
 from .errors import (
-    BoundaryIndex,
     DegenerateMotion,
     EmptyOverlap,
     FormatError,
@@ -29,7 +28,6 @@ from .preintegration import (
     predict_state,
     preintegrate,
     preintegrate_windows,
-    propagate_step,
 )
 from .simulation import (
     SimConfig,
@@ -46,8 +44,6 @@ from .vimu import (
     VimuNoise,
     VirtualSeries,
     build_fusion,
-    fuse_accel,
-    fuse_gyro,
     fuse_series,
     midpoint_frame,
     virtual_covariances,
@@ -56,7 +52,6 @@ from .vimu import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryIndex",
     "CalibrationInput",
     "CalibrationResult",
     "DegenerateMotion",
@@ -87,8 +82,6 @@ __all__ = [
     "estimate_angular_accel",
     "estimate_rotation",
     "estimate_translation",
-    "fuse_accel",
-    "fuse_gyro",
     "fuse_series",
     "grid_mounts",
     "ingest_csv",
@@ -97,7 +90,6 @@ __all__ = [
     "predict_state",
     "preintegrate",
     "preintegrate_windows",
-    "propagate_step",
     "run_experiment",
     "sample_trajectory",
     "simulate_imu",

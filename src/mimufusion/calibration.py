@@ -3,7 +3,7 @@
 Stage one estimates the relative orientation from paired angular-rate
 measurements by weighted nonlinear least squares on the rotation
 manifold (closed-form orthogonal-Procrustes initialization, damped
-Gauss-Newton refinement). Stage two holds the orientation fixed and
+Gauss-Newton iterations). Stage two holds the orientation fixed and
 solves a weighted linear least-squares problem for the lever arm using
 rigid-body accelerometer residuals, with angular accelerations estimated
 from the two gyros by a central difference.
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BoundaryIndex,
     DegenerateMotion,
     LengthMismatch,
     NotConverged,
@@ -35,7 +34,7 @@ from .geometry import (
     quat_multiply,
     quat_rotate,
     rotation_from_quat,
-    skew_many,
+    skew,
 )
 from .types import Extrinsic, ImuSeries, NoiseSpec
 
@@ -79,7 +78,6 @@ class CalibrationInput:
 class StageDiagnostics:
     iterations: int
     final_cost: float
-    converged: bool
 
 
 @dataclass
@@ -220,7 +218,7 @@ def estimate_rotation(inp: CalibrationInput, max_iterations: int = MAX_ITERATION
 
     Returns (q, StageDiagnostics) where q rotates A-frame vectors into
     the B frame. Initialization is the weighted SVD Procrustes solution;
-    refinement is damped Gauss-Newton with a 3-parameter tangent update
+    iterations are damped Gauss-Newton with a 3-parameter tangent update
     (right multiplication) and a Levenberg lambda schedule.
 
     Raises DegenerateMotion when the trajectory does not excite enough
@@ -276,38 +274,25 @@ def estimate_rotation(inp: CalibrationInput, max_iterations: int = MAX_ITERATION
         raise NotConverged(
             f"rotation stage did not converge in {max_iterations} iterations")
     log.debug("rotation stage: %d iterations, cost %.6e", iterations, cost)
-    return q, StageDiagnostics(iterations=iterations, final_cost=cost,
-                               converged=True)
+    return q, StageDiagnostics(iterations=iterations, final_cost=cost)
 
 
-def estimate_angular_accel(q, series_a: ImuSeries, series_b: ImuSeries,
-                           t: int) -> np.ndarray:
-    """Angular acceleration of frame A at sample t, averaging central
-    differences of both gyros (B's rotated into A by q^-1):
+def estimate_angular_accel(q, series_a: ImuSeries,
+                           series_b: ImuSeries) -> np.ndarray:
+    """Angular acceleration of frame A at every interior sample,
+    averaging central differences of both gyros (B's rotated into A by
+    q^-1):
 
         wdot_A(t) = freq/4 * (q^-1 wB(t+1) q - q^-1 wB(t-1) q
                               + wA(t+1) - wA(t-1))
 
-    t is a 0-based index; the first and last samples have no two-sided
-    neighborhood and raise BoundaryIndex.
+    Row j of the (n - 2, 3) result is sample t = j + 1; the first and
+    last samples have no two-sided neighborhood.
     """
-    n = len(series_a)
-    if len(series_b) != n:
+    if len(series_b) != len(series_a):
         raise LengthMismatch("series lengths differ")
-    if not 1 <= t <= n - 2:
-        raise BoundaryIndex(
-            f"sample {t} has no two-sided neighborhood in a series of {n}")
     R = rotation_from_quat(q)
-    wb_in_a = series_b.gyro[[t - 1, t + 1]] @ R
-    diff = (wb_in_a[1] - wb_in_a[0]) + (series_a.gyro[t + 1] - series_a.gyro[t - 1])
-    return (series_a.freq / 4.0) * diff
-
-
-def _angular_accels(q, series_a: ImuSeries, series_b: ImuSeries) -> np.ndarray:
-    """Vectorized estimate_angular_accel over all interior samples."""
-    R = rotation_from_quat(q)
-    wb_in_a = series_b.gyro @ R
-    total = wb_in_a + series_a.gyro
+    total = series_b.gyro @ R + series_a.gyro
     return (series_a.freq / 4.0) * (total[2:] - total[:-2])
 
 
@@ -323,11 +308,11 @@ def estimate_translation(inp: CalibrationInput, q):
     wa = inp.series_a.gyro[1:-1]
     aa = inp.series_a.accel[1:-1]
     ab = inp.series_b.accel[1:-1]
-    wdot = _angular_accels(q, inp.series_a, inp.series_b)
+    wdot = estimate_angular_accel(q, inp.series_a, inp.series_b)
 
     # design blocks M_t = [w]x^2 + [wdot]x, residual b_t - R M_t p
-    sw = skew_many(wa)
-    M = sw @ sw + skew_many(wdot)
+    sw = skew(wa)
+    M = sw @ sw + skew(wdot)
     mean_MtM = np.einsum("tki,tkj->ij", M, M) / M.shape[0]
     smallest = float(np.linalg.eigvalsh(mean_MtM)[0])
     if smallest < TRANSLATION_EXCITATION_MIN:
@@ -355,23 +340,16 @@ def estimate_translation(inp: CalibrationInput, q):
     r = b - np.einsum("tij,j->ti", M, p) @ R.T
     cost = float(np.einsum("t,ti,ti->", weights, r, r))
     log.debug("translation stage: cost %.6e", cost)
-    return p, StageDiagnostics(iterations=1, final_cost=cost, converged=True)
+    return p, StageDiagnostics(iterations=1, final_cost=cost)
 
 
-def calibrate(inp: CalibrationInput, refine: bool = False) -> CalibrationResult:
-    """Run both stages and assemble the result.
-
-    ``refine=True`` re-runs the translation solve once with angular
-    accelerations recomputed from the final orientation; in this
-    decoupled pipeline the orientation never depends on p, so the second
-    pass is a cheap idempotence check rather than a joint iteration.
-    """
+def calibrate(inp: CalibrationInput) -> CalibrationResult:
+    """Run both stages and assemble the result. The orientation never
+    depends on p, so one pass of each stage is the whole solve."""
     t0 = time.perf_counter()
     q, rot_diag = estimate_rotation(inp)
     t1 = time.perf_counter()
     p, trans_diag = estimate_translation(inp, q)
-    if refine:
-        p, trans_diag = estimate_translation(inp, q)
     t2 = time.perf_counter()
     return CalibrationResult(
         extrinsic=Extrinsic(q=q, p=p),

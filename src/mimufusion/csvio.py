@@ -15,7 +15,7 @@ import numpy as np
 import yaml
 
 from .errors import FormatError, RateMismatch
-from .types import Extrinsic, ImuSeries, NoiseSpec
+from .types import Extrinsic, ImuSeries, NoiseSpec, _check_keys
 from .vimu import VimuConfig, VimuNoise, VirtualSeries
 
 IMU_CSV_HEADER = "t_ns,wx,wy,wz,ax,ay,az"
@@ -77,8 +77,7 @@ def write_imu_csv(path, series: ImuSeries):
 
 
 def write_virtual_csv(path, series: VirtualSeries):
-    """Virtual series share the raw-IMU column layout; the angular
-    acceleration channel is re-derivable and not stored."""
+    """Virtual series share the raw-IMU column layout."""
     k = np.arange(len(series), dtype=float)
     times = series.start_ns + np.rint(k * 1e9 / series.freq).astype(np.int64)
     atomic_write_text(path, _format_rows(times, series.gyro, series.accel))
@@ -141,19 +140,10 @@ def read_imu_csv(path) -> ImuSeries:
 
 
 def read_virtual_csv(path) -> VirtualSeries:
-    """Load a fused series written by write_virtual_csv.
-
-    The angular-acceleration channel is rebuilt from the stored gyro by
-    central differences (one-sided at the endpoints).
-    """
+    """Load a fused series written by write_virtual_csv."""
     base = read_imu_csv(path)
-    wdot = np.empty_like(base.gyro)
-    if len(base) >= 3:
-        wdot[1:-1] = 0.5 * base.freq * (base.gyro[2:] - base.gyro[:-2])
-    wdot[0] = base.freq * (base.gyro[1] - base.gyro[0])
-    wdot[-1] = base.freq * (base.gyro[-1] - base.gyro[-2])
     return VirtualSeries(freq=base.freq, start_ns=base.start_ns,
-                         gyro=base.gyro, accel=base.accel, gyro_rate=wdot)
+                         gyro=base.gyro, accel=base.accel)
 
 
 def write_vimu_sidecar(path, cfg: VimuConfig, noise: VimuNoise, freq: float):
@@ -196,6 +186,8 @@ def sim_setup_from_dict(d: dict):
     from .simulation import SimConfig, TrajectoryParams
 
     try:
+        _check_keys(d, ("freq", "duration", "gravity", "seed", "trajectory",
+                        "imus"), "simulation")
         cfg = SimConfig(
             freq=float(d.get("freq", 200.0)),
             duration=float(d.get("duration", 60.0)),
@@ -205,6 +197,8 @@ def sim_setup_from_dict(d: dict):
         )
         imus = []
         for i, entry in enumerate(d.get("imus", [])):
+            _check_keys(entry, ("name", "rotation_wxyz", "position_m", "noise"),
+                        f"imus[{i}]")
             name = str(entry.get("name", f"imu_{i:02d}"))
             mount = Extrinsic(
                 q=np.asarray(entry.get("rotation_wxyz", [1, 0, 0, 0]), dtype=float),

@@ -21,10 +21,6 @@ class NotConverged(MimuError):
     """Iterative solver hit its iteration limit without meeting tolerances."""
 
 
-class BoundaryIndex(MimuError):
-    """Sample index has no two-sided neighborhood (first or last sample)."""
-
-
 class SingularFusion(MimuError):
     """Fusion design matrices cannot be inverted with the given geometry/noise."""
 

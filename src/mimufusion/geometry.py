@@ -17,26 +17,16 @@ SMALL_ANGLE = 1e-8
 
 
 def skew(v) -> np.ndarray:
-    """Cross-product matrix: skew(v) @ u == cross(v, u)."""
+    """Cross-product matrix: skew(v) @ u == cross(v, u). A (3,) vector
+    gives (3, 3); an (n, 3) stack gives (n, 3, 3)."""
     v = np.asarray(v, dtype=float)
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
-
-
-def skew_many(v) -> np.ndarray:
-    """Stacked skew matrices for an (n, 3) array, returns (n, 3, 3)."""
-    v = np.asarray(v, dtype=float)
-    n = v.shape[0]
-    out = np.zeros((n, 3, 3))
-    out[:, 0, 1] = -v[:, 2]
-    out[:, 0, 2] = v[:, 1]
-    out[:, 1, 0] = v[:, 2]
-    out[:, 1, 2] = -v[:, 0]
-    out[:, 2, 0] = -v[:, 1]
-    out[:, 2, 1] = v[:, 0]
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
     return out
 
 
@@ -46,40 +36,27 @@ def vee(m) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
+def _angles(phi):
+    """Rotation angles of a (3,) or (n, 3) phi, shaped to scale 3x3
+    blocks, plus the rows below SMALL_ANGLE. Those rows get angle 1 so
+    a closed form evaluated on every row never divides zero by zero."""
+    angles = np.linalg.norm(phi, axis=-1)[..., None, None]
+    small = angles < SMALL_ANGLE
+    return np.where(small, 1.0, angles), small
+
+
 def exp_so3(phi) -> np.ndarray:
-    """Rodrigues exponential of a rotation vector.
+    """Rodrigues exponential of a rotation vector (3,) or a stack (n, 3).
 
     Falls back to the second-order Taylor expansion below SMALL_ANGLE so
     the map stays exact to machine precision near zero.
     """
     phi = np.asarray(phi, dtype=float)
-    angle = float(np.linalg.norm(phi))
+    th, small = _angles(phi)
+    a = np.where(small, 1.0, np.sin(th) / th)
+    b = np.where(small, 0.5, (1.0 - np.cos(th)) / th**2)
     s = skew(phi)
-    if angle < SMALL_ANGLE:
-        return np.eye(3) + s + 0.5 * (s @ s)
-    return (
-        np.eye(3)
-        + (np.sin(angle) / angle) * s
-        + ((1.0 - np.cos(angle)) / angle**2) * (s @ s)
-    )
-
-
-def exp_so3_many(phi) -> np.ndarray:
-    """Vectorized exp_so3 for an (n, 3) array of rotation vectors."""
-    phi = np.asarray(phi, dtype=float)
-    angles = np.linalg.norm(phi, axis=1)
-    s = skew_many(phi)
-    ss = s @ s
-    small = angles < SMALL_ANGLE
-    a = np.empty_like(angles)
-    b = np.empty_like(angles)
-    a[small] = 1.0
-    b[small] = 0.5
-    big = ~small
-    th = angles[big]
-    a[big] = np.sin(th) / th
-    b[big] = (1.0 - np.cos(th)) / th**2
-    return np.eye(3)[None, :, :] + a[:, None, None] * s + b[:, None, None] * ss
+    return np.eye(3) + a * s + b * (s @ s)
 
 
 def log_so3(R) -> np.ndarray:
@@ -112,35 +89,14 @@ def log_so3(R) -> np.ndarray:
 
 
 def right_jacobian(phi) -> np.ndarray:
-    """Right Jacobian of SO(3): exp(phi + d) ~ exp(phi) exp(Jr(phi) d)."""
+    """Right Jacobian of SO(3): exp(phi + d) ~ exp(phi) exp(Jr(phi) d).
+    Takes a (3,) vector or an (n, 3) stack, like exp_so3."""
     phi = np.asarray(phi, dtype=float)
-    angle = float(np.linalg.norm(phi))
+    th, small = _angles(phi)
+    a = np.where(small, 0.5, (1.0 - np.cos(th)) / th**2)
+    b = np.where(small, 1.0 / 6.0, (th - np.sin(th)) / th**3)
     s = skew(phi)
-    if angle < SMALL_ANGLE:
-        return np.eye(3) - 0.5 * s + (1.0 / 6.0) * (s @ s)
-    return (
-        np.eye(3)
-        - ((1.0 - np.cos(angle)) / angle**2) * s
-        + ((angle - np.sin(angle)) / angle**3) * (s @ s)
-    )
-
-
-def right_jacobian_many(phi) -> np.ndarray:
-    """Vectorized right_jacobian for an (n, 3) array."""
-    phi = np.asarray(phi, dtype=float)
-    angles = np.linalg.norm(phi, axis=1)
-    s = skew_many(phi)
-    ss = s @ s
-    small = angles < SMALL_ANGLE
-    a = np.empty_like(angles)
-    b = np.empty_like(angles)
-    a[small] = 0.5
-    b[small] = 1.0 / 6.0
-    big = ~small
-    th = angles[big]
-    a[big] = (1.0 - np.cos(th)) / th**2
-    b[big] = (th - np.sin(th)) / th**3
-    return np.eye(3)[None, :, :] - a[:, None, None] * s + b[:, None, None] * ss
+    return np.eye(3) - a * s + b * (s @ s)
 
 
 def _canonical(q: np.ndarray) -> np.ndarray:

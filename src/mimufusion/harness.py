@@ -38,7 +38,7 @@ from .simulation import (
     perturb_extrinsics,
     trajectory_samples,
 )
-from .types import NoiseSpec
+from .types import ImuSeries, NoiseSpec, _check_keys
 from .vimu import (
     array_frame,
     build_fusion,
@@ -112,7 +112,12 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
+        _check_keys(d, ("variants", "extrinsic_samples", "sequences_per_sample",
+                        "sigma_rot_rad", "sigma_trans_m", "keyframe_interval_s",
+                        "grid_pitch_m", "master_seed", "sim", "noise"), "plan")
         sim_d = d.get("sim", {})
+        _check_keys(sim_d, ("freq", "duration", "gravity", "trajectory"),
+                    "plan sim")
         sim = SimConfig(
             freq=float(sim_d.get("freq", 200.0)),
             duration=float(sim_d.get("duration", 3.0)),
@@ -203,8 +208,10 @@ def ingest_csv(paths, expected_freq: float | None = None) -> list:
 
     All files must share a sample rate (1% tolerance) and their sample
     grids must align within the same tolerance; no resampling is done.
-    The returned series are trimmed to the overlap and stamped with the
-    common window start.
+    Samples are paired by index at the first file's rate, so a rate
+    difference that drifts by more than half a period across the common
+    window is rejected too. The returned series are trimmed to the
+    overlap and stamped with the common window start.
     """
     series = [csvio.read_imu_csv(p) for p in paths]
     if not series:
@@ -220,6 +227,7 @@ def ingest_csv(paths, expected_freq: float | None = None) -> list:
     t_end = min(s.start_ns + int(np.rint((len(s) - 1) * period)) for s in series)
     if t0 > t_end:
         raise EmptyOverlap("series share no common time window")
+    count = int(np.floor((t_end - t0) / period + 1e-9)) + 1
     out = []
     for p, s in zip(paths, series):
         k0 = int(np.rint((t0 - s.start_ns) / period))
@@ -228,7 +236,11 @@ def ingest_csv(paths, expected_freq: float | None = None) -> list:
             raise RateMismatch(
                 f"{p}: sample grid offset {misalign:.0f} ns does not align "
                 "with the common window")
-        count = int(np.floor((t_end - t0) / period + 1e-9)) + 1
+        drift = (count - 1) * abs(s.period_ns - period)
+        if drift > 0.5 * period:
+            raise RateMismatch(
+                f"{p}: rate {s.freq:.3f} Hz vs {f0:.3f} Hz drifts "
+                f"{drift * 1e-9:.4f} s over the common window")
         out.append(type(s)(freq=f0, start_ns=t0,
                            gyro=s.gyro[k0:k0 + count].copy(),
                            accel=s.accel[k0:k0 + count].copy()))
@@ -244,6 +256,18 @@ def _keyframe_layout(n_samples: int, freq: float, interval: float):
     return n_samples // step, step
 
 
+def _variant_indices(name: str) -> tuple:
+    if name == "1-imu-true":
+        return (_CENTER,)
+    if name == "2-imu-perturbed" or name == "2-imu-calibrated":
+        return _PAIR
+    if name == "4-imu-perturbed":
+        return _QUAD
+    if name == "9-imu-perturbed":
+        return tuple(range(9))
+    raise ValueError(f"unknown variant {name}")
+
+
 @dataclass
 class _VariantSetup:
     indices: tuple
@@ -254,17 +278,15 @@ class _VariantSetup:
 
 
 def _setup_variant(name: str, plan: ExperimentPlan, mounts, believed):
-    noises = [plan.noise] * 9
+    idx = _variant_indices(name)
     if name == "1-imu-true":
-        idx = (_CENTER,)
         m = mounts[_CENTER]
         cfg = single_frame(plan.noise)
         frame_rot = rotation_from_quat(m.q).T
         frame_pos = m.p
     elif name.endswith("-perturbed"):
-        idx = {"2": _PAIR, "4": _QUAD, "9": tuple(range(9))}[name[0]]
         cfg, frame_rot, frame_pos = array_frame(
-            [believed[i] for i in idx], [noises[i] for i in idx])
+            [believed[i] for i in idx], [plan.noise] * len(idx))
     else:
         raise ValueError(f"unknown variant {name}")
     fm = build_fusion(cfg)
@@ -354,7 +376,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                     rng = np.random.default_rng(imu_seqs[i])
                     w, a = apply_measurement_noise(
                         ideal[i][0], ideal[i][1], plan.noise, plan.sim.freq, rng)
-                    series_by_idx[i] = _Series(plan.sim.freq, 0, w, a)
+                    series_by_idx[i] = ImuSeries(plan.sim.freq, 0, w, a)
                 for v in plan.variants:
                     try:
                         if v == "2-imu-calibrated":
@@ -402,36 +424,6 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
             }
     return RmseReport(plan=plan.to_dict(), metrics=metrics,
                       completed=completed, failures=failures)
-
-
-def _variant_indices(name: str) -> tuple:
-    if name == "1-imu-true":
-        return (_CENTER,)
-    if name == "2-imu-perturbed" or name == "2-imu-calibrated":
-        return _PAIR
-    if name == "4-imu-perturbed":
-        return _QUAD
-    if name == "9-imu-perturbed":
-        return tuple(range(9))
-    raise ValueError(f"unknown variant {name}")
-
-
-@dataclass
-class _Series:
-    """Minimal fixed-rate series for in-memory pipelines (duck-typed to
-    ImuSeries where the harness needs it)."""
-
-    freq: float
-    start_ns: int
-    gyro: np.ndarray
-    accel: np.ndarray
-
-    def __len__(self) -> int:
-        return self.gyro.shape[0]
-
-    @property
-    def period_ns(self) -> float:
-        return 1e9 / self.freq
 
 
 def paired_bootstrap_prob(a, b, n_boot: int = 2000, seed: int = 0) -> float:

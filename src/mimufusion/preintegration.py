@@ -23,21 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    exp_so3,
-    exp_so3_many,
-    right_jacobian,
-    right_jacobian_many,
-    skew,
-    skew_many,
-)
+from .geometry import exp_so3, right_jacobian, skew
 from .vimu import (
     FusionMatrices,
     VimuConfig,
     VimuNoise,
     VirtualSeries,
     _effective_sigmas,
-    _lever_batch,
+    lever_arm_stack,
 )
 
 
@@ -76,33 +69,26 @@ class PreintDelta:
                    covariance=np.zeros((9, 9)), duration=0.0, count=0)
 
 
-@dataclass
-class StepMatrices:
-    """One-step error-state transition (9x9) and noise input (9x6)."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-
 def bias_correct(series: VirtualSeries, state: VimuState, cfg: VimuConfig,
                  fm: FusionMatrices) -> tuple:
     """Remove the virtual biases from fused samples.
 
     The accelerometer additionally gets back the lever-arm prediction
     error that fusion introduced by subtracting lever terms computed
-    from biased rates: corr = T (S(w_meas) - S(w_meas - b_g)), evaluated
-    with the measured angular acceleration (whose central difference is
-    insensitive to a constant gyro bias). With zero gyro bias the
-    correction vanishes.
+    from biased rates: corr = T (S(w_meas) - S(w_meas - b_g)). The
+    angular-acceleration term of S is the same on both sides (a
+    constant gyro bias does not change a central difference), so it
+    cancels and is passed as zero. With zero gyro bias the correction
+    vanishes.
 
     Returns (w_hat, a_hat) arrays of shape (k, 3).
     """
     w_hat = series.gyro - state.bias_gyro
     a_hat = series.accel - state.bias_accel
     if np.any(state.bias_gyro != 0.0):
-        sigmas = _effective_sigmas([ns.sigma_a for ns in cfg.noises])
-        stack_meas = _lever_batch(cfg, sigmas, series.gyro, series.gyro_rate)
-        stack_hat = _lever_batch(cfg, sigmas, w_hat, series.gyro_rate)
+        no_wdot = np.zeros(3)
+        stack_meas = lever_arm_stack(cfg, series.gyro, no_wdot)
+        stack_hat = lever_arm_stack(cfg, w_hat, no_wdot)
         a_hat = a_hat + (stack_meas - stack_hat) @ fm.accel_solve.T
     return w_hat, a_hat
 
@@ -110,14 +96,16 @@ def bias_correct(series: VirtualSeries, state: VimuState, cfg: VimuConfig,
 def psi_matrix(cfg: VimuConfig, w_hat) -> np.ndarray:
     """Jacobian of the whitened lever-arm stack with respect to the
     angular rate, at rate w_hat: blocks R_i (-[w]x [p_i]x - [[w]x p_i]x)
-    / sigma_a_i, stacked to (3n, 3)."""
+    / sigma_a_i, stacked to (3n, 3). Rows of shape (k, 3) give
+    (k, 3n, 3)."""
     w_hat = np.asarray(w_hat, dtype=float)
     sigmas = _effective_sigmas([ns.sigma_a for ns in cfg.noises])
     sw = skew(w_hat)
     blocks = []
     for r, p, s in zip(cfg.rotations, cfg.positions, sigmas):
-        blocks.append(r @ (-sw @ skew(p) - skew(sw @ p)) / s)
-    return np.vstack(blocks)
+        swp = skew(np.cross(w_hat, p))
+        blocks.append(np.einsum("ij,...jk->...ik", r, -sw @ skew(p) - swp) / s)
+    return np.concatenate(blocks, axis=-2)
 
 
 def _noise_input_covariance(noise: VimuNoise, freq: float) -> np.ndarray:
@@ -129,53 +117,35 @@ def _noise_input_covariance(noise: VimuNoise, freq: float) -> np.ndarray:
 
 
 def step_matrices(accum_rotation, step_rotation, w_hat, a_hat,
-                  cfg: VimuConfig, fm: FusionMatrices, dt: float) -> StepMatrices:
-    """Error-state transition and noise-input matrices for one sample.
+                  cfg: VimuConfig, fm: FusionMatrices, dt: float) -> tuple:
+    """Error-state transition A (9x9) and noise input B (9x6) for one
+    sample, or for one sample position of n windows at once when the
+    arguments are (n, 3, 3) and (n, 3) stacks (A is then (n, 9, 9)).
 
     ``accum_rotation`` is the delta rotation accumulated before this
     sample; ``step_rotation`` is Exp(w_hat dt) for this sample.
     """
-    sa = skew(a_hat)
-    A = np.zeros((9, 9))
-    A[0:3, 0:3] = step_rotation.T
-    A[3:6, 0:3] = -accum_rotation @ sa * dt
-    A[3:6, 3:6] = np.eye(3)
-    A[6:9, 0:3] = -0.5 * accum_rotation @ sa * dt**2
-    A[6:9, 3:6] = dt * np.eye(3)
-    A[6:9, 6:9] = np.eye(3)
+    lead = np.shape(w_hat)[:-1]
+    eye = np.eye(3)
+    R_sa = accum_rotation @ skew(a_hat)
+    A = np.zeros(lead + (9, 9))
+    A[..., 0:3, 0:3] = np.swapaxes(step_rotation, -1, -2)
+    A[..., 3:6, 0:3] = -R_sa * dt
+    A[..., 3:6, 3:6] = eye
+    A[..., 6:9, 0:3] = -0.5 * R_sa * dt**2
+    A[..., 6:9, 3:6] = dt * eye
+    A[..., 6:9, 6:9] = eye
 
-    B = np.zeros((9, 6))
-    B[0:3, 0:3] = right_jacobian(np.asarray(w_hat) * dt) * dt
+    B = np.zeros(lead + (9, 6))
+    B[..., 0:3, 0:3] = right_jacobian(np.asarray(w_hat) * dt) * dt
     # Gyro noise leaks into position through the fused accelerometer's
     # lever-arm sensitivity; the corresponding velocity block carries a
     # noise-dependent factor and vanishes at the expectation.
     t_psi = fm.accel_solve @ psi_matrix(cfg, w_hat)
-    B[6:9, 0:3] = -0.5 * accum_rotation @ t_psi * dt**2
-    B[3:6, 3:6] = accum_rotation * dt
-    B[6:9, 3:6] = 0.5 * accum_rotation * dt**2
-    return StepMatrices(a=A, b=B)
-
-
-def propagate_step(prev: PreintDelta, w_hat, a_hat, cfg: VimuConfig,
-                   fm: FusionMatrices, noise: VimuNoise, freq: float) -> PreintDelta:
-    """Fold one bias-corrected sample into the running delta."""
-    dt = 1.0 / freq
-    w_hat = np.asarray(w_hat, dtype=float)
-    a_hat = np.asarray(a_hat, dtype=float)
-    step_rot = exp_so3(w_hat * dt)
-    sm = step_matrices(prev.rotation, step_rot, w_hat, a_hat, cfg, fm, dt)
-    s_eta = _noise_input_covariance(noise, freq)
-    cov = sm.a @ prev.covariance @ sm.a.T + sm.b @ s_eta @ sm.b.T
-    cov = 0.5 * (cov + cov.T)
-    accel_world = prev.rotation @ a_hat
-    return PreintDelta(
-        rotation=prev.rotation @ step_rot,
-        velocity=prev.velocity + accel_world * dt,
-        position=prev.position + prev.velocity * dt + 0.5 * accel_world * dt**2,
-        covariance=cov,
-        duration=prev.duration + dt,
-        count=prev.count + 1,
-    )
+    B[..., 6:9, 0:3] = -0.5 * accum_rotation @ t_psi * dt**2
+    B[..., 3:6, 3:6] = accum_rotation * dt
+    B[..., 6:9, 3:6] = 0.5 * accum_rotation * dt**2
+    return A, B
 
 
 def preintegrate(series: VirtualSeries, state: VimuState, cfg: VimuConfig,
@@ -203,7 +173,7 @@ def preintegrate_windows(series: VirtualSeries, state: VimuState,
     copies them from window to window, and a run from
     VimuState.identity() has none.
 
-    Each delta equals folding its window through propagate_step sample by
+    Each delta equals folding its window through step_matrices sample by
     sample, to round-off. One loop over the sample positions advances
     every window's rotation (and covariance) together; the covariance
     transition and noise-input blocks are built for the current sample
@@ -226,7 +196,7 @@ def preintegrate_windows(series: VirtualSeries, state: VimuState,
     w_hat, a_hat = bias_correct(series, state, cfg, fm)
     # rot[:, t] holds Exp(w_t dt) until pass t overwrites it with the
     # rotation accumulated through sample t.
-    rot = exp_so3_many(w_hat[:k] * dt).reshape(n_windows, step, 3, 3)
+    rot = exp_so3(w_hat[:k] * dt).reshape(n_windows, step, 3, 3)
     w_hat = w_hat[:k].reshape(n_windows, step, 3)
     a_hat = a_hat[:k].reshape(n_windows, step, 3)
 
@@ -236,8 +206,8 @@ def preintegrate_windows(series: VirtualSeries, state: VimuState,
         s_eta = _noise_input_covariance(noise, series.freq)
     for t in range(step):
         if with_covariance:
-            A, B = _step_matrices_many(dR, rot[:, t], w_hat[:, t], a_hat[:, t],
-                                       cfg, fm, dt)
+            A, B = step_matrices(dR, rot[:, t], w_hat[:, t], a_hat[:, t],
+                                 cfg, fm, dt)
             cov = (A @ cov @ A.transpose(0, 2, 1)
                    + B @ s_eta @ B.transpose(0, 2, 1))
             cov = 0.5 * (cov + cov.transpose(0, 2, 1))
@@ -254,42 +224,6 @@ def preintegrate_windows(series: VirtualSeries, state: VimuState,
     return [PreintDelta(rotation=dR[j], velocity=dv[j], position=dp[j],
                         covariance=cov[j], duration=step * dt, count=step)
             for j in range(n_windows)]
-
-
-def _step_matrices_many(accum_rotation, step_rotation, w_hat, a_hat,
-                        cfg: VimuConfig, fm: FusionMatrices, dt: float) -> tuple:
-    """step_matrices for one sample position of n windows at once: the
-    arguments are (n, 3, 3) or (n, 3) rows; returns A (n, 9, 9) and
-    B (n, 9, 6)."""
-    n = len(accum_rotation)
-    eye = np.eye(3)
-    R_sa = accum_rotation @ skew_many(a_hat)
-    A = np.zeros((n, 9, 9))
-    A[:, 0:3, 0:3] = step_rotation.transpose(0, 2, 1)
-    A[:, 3:6, 0:3] = -R_sa * dt
-    A[:, 3:6, 3:6] = eye
-    A[:, 6:9, 0:3] = -0.5 * R_sa * dt**2
-    A[:, 6:9, 3:6] = dt * eye
-    A[:, 6:9, 6:9] = eye
-
-    B = np.zeros((n, 9, 6))
-    B[:, 0:3, 0:3] = right_jacobian_many(w_hat * dt) * dt
-    t_psi = fm.accel_solve @ _psi_batch(cfg, w_hat)
-    B[:, 6:9, 0:3] = -0.5 * accum_rotation @ t_psi * dt**2
-    B[:, 3:6, 3:6] = accum_rotation * dt
-    B[:, 6:9, 3:6] = 0.5 * accum_rotation * dt**2
-    return A, B
-
-
-def _psi_batch(cfg: VimuConfig, w_hat: np.ndarray) -> np.ndarray:
-    """psi_matrix over (k, 3) rates, returns (k, 3n, 3)."""
-    sigmas = _effective_sigmas([ns.sigma_a for ns in cfg.noises])
-    sw = skew_many(w_hat)
-    blocks = []
-    for r, p, s in zip(cfg.rotations, cfg.positions, sigmas):
-        swp = skew_many(np.cross(w_hat, np.broadcast_to(p, w_hat.shape)))
-        blocks.append(np.einsum("ij,tjk->tik", r, -sw @ skew(p) - swp) / s)
-    return np.concatenate(blocks, axis=1)
 
 
 def predict_state(start: VimuState, delta: PreintDelta, gravity) -> VimuState:

@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import quat_from_rotvec, quat_multiply
-from .types import Extrinsic, ImuSeries, NoiseSpec
-
-
-def _vec3(x) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected 3-vector, got shape {v.shape}")
-    return v
+from .types import Extrinsic, ImuSeries, NoiseSpec, _check_keys, _vec3
 
 
 @dataclass(frozen=True)
@@ -67,9 +60,7 @@ class TrajectoryParams:
             "euler_frequency_hz": "euler_frequency",
             "euler_phase_rad": "euler_phase",
         }
-        unknown = set(d) - set(mapping)
-        if unknown:
-            raise ValueError(f"unknown trajectory keys: {sorted(unknown)}")
+        _check_keys(d, mapping, "trajectory")
         return cls(**{mapping[k]: v for k, v in d.items()})
 
     @classmethod
@@ -191,21 +182,16 @@ def _trajectory_arrays(cfg: SimConfig, ts: np.ndarray):
 
 
 def sample_trajectory(cfg: SimConfig, t: float) -> TrajectorySample:
-    """Ground-truth state at time t in [0, duration]."""
-    t = float(t)
-    if not 0.0 <= t <= cfg.duration:
-        raise ValueError(f"t={t} outside [0, {cfg.duration}]")
-    ts = np.array([t])
-    R, p, v, a, w, wd = _trajectory_arrays(cfg, ts)
-    return TrajectorySample(t=t, rotation=R[0], position=p[0], velocity=v[0],
-                            acceleration=a[0], omega=w[0], omega_dot=wd[0])
+    """Ground-truth state at time t in [0, duration]: the one-time case
+    of trajectory_samples."""
+    return trajectory_samples(cfg, [float(t)])[0]
 
 
 def trajectory_samples(cfg: SimConfig, ts) -> list[TrajectorySample]:
-    """Batch version of sample_trajectory for an array of times."""
+    """Ground-truth states at an array of times in [0, duration]."""
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0.0) or np.any(ts > cfg.duration):
-        raise ValueError("times outside [0, duration]")
+    if not np.all((ts >= 0.0) & (ts <= cfg.duration)):
+        raise ValueError(f"times outside [0, {cfg.duration}]")
     R, p, v, a, w, wd = _trajectory_arrays(cfg, ts)
     return [
         TrajectorySample(t=float(ts[i]), rotation=R[i], position=p[i],

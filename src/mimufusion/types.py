@@ -16,6 +16,14 @@ def _vec3(x) -> np.ndarray:
     return v
 
 
+def _check_keys(d: dict, known, what: str):
+    """Reject config mappings with keys outside ``known``, so that a
+    misspelt key fails instead of silently taking its default."""
+    unknown = set(d) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Continuous-time IMU noise densities (SI units per sqrt(Hz)) plus
@@ -57,16 +65,9 @@ class NoiseSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseSpec":
-        kwargs = {}
-        for key in ("sigma_g", "sigma_a", "sigma_bg", "sigma_ba",
-                    "initial_bias_g", "initial_bias_a"):
-            if key in d:
-                kwargs[key] = d[key]
-        unknown = set(d) - {"sigma_g", "sigma_a", "sigma_bg", "sigma_ba",
-                            "initial_bias_g", "initial_bias_a"}
-        if unknown:
-            raise ValueError(f"unknown noise keys: {sorted(unknown)}")
-        return cls(**kwargs)
+        _check_keys(d, ("sigma_g", "sigma_a", "sigma_bg", "sigma_ba",
+                        "initial_bias_g", "initial_bias_a"), "noise")
+        return cls(**d)
 
 
 @dataclass(frozen=True)

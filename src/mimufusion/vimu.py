@@ -149,34 +149,18 @@ def build_fusion(cfg: VimuConfig) -> FusionMatrices:
     )
 
 
-def fuse_gyro(fm: FusionMatrices, omegas) -> np.ndarray:
-    """Fused angular rate at the virtual frame from per-sensor readings
-    (n, 3)."""
-    omegas = np.asarray(omegas, dtype=float)
-    stacked = (omegas / fm.gyro_sigmas[:, None]).reshape(-1)
-    return fm.gyro_solve @ stacked
-
-
 def lever_arm_stack(cfg: VimuConfig, omega, omega_dot) -> np.ndarray:
     """Whitened stack of predicted lever-arm accelerations, one 3-block
-    per sensor: R_i ([w]x^2 p_i + [wdot]x p_i) / sigma_a_i."""
+    per sensor: R_i ([w]x^2 p_i + [wdot]x p_i) / sigma_a_i. Rates of
+    shape (3,) give (3n,); rows of shape (k, 3) give (k, 3n)."""
     sigmas = _effective_sigmas([ns.sigma_a for ns in cfg.noises])
     omega = np.asarray(omega, dtype=float)
     omega_dot = np.asarray(omega_dot, dtype=float)
     blocks = []
     for r, p, s in zip(cfg.rotations, cfg.positions, sigmas):
         lever = np.cross(omega, np.cross(omega, p)) + np.cross(omega_dot, p)
-        blocks.append((r @ lever) / s)
-    return np.concatenate(blocks)
-
-
-def fuse_accel(fm: FusionMatrices, cfg: VimuConfig, accels, omega,
-               omega_dot) -> np.ndarray:
-    """Fused specific force at the virtual frame: whiten, subtract the
-    lever-arm predictions, and solve."""
-    accels = np.asarray(accels, dtype=float)
-    stacked = (accels / fm.accel_sigmas[:, None]).reshape(-1)
-    return fm.accel_solve @ (stacked - lever_arm_stack(cfg, omega, omega_dot))
+        blocks.append((lever @ r.T) / s)
+    return np.concatenate(blocks, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -249,17 +233,16 @@ def virtual_bias(fm: FusionMatrices, gyro_biases, accel_biases) -> tuple:
 class VirtualSeries:
     """Fused fixed-rate virtual-IMU samples.
 
-    gyro/accel are the fused measurements; gyro_rate is the central
-    -difference angular acceleration used during fusion. The series
-    covers the interior samples of its sources (endpoints dropped by the
-    differencing), so start_ns is shifted by one period.
+    gyro/accel are the fused measurements. The series covers the
+    interior samples of its sources (endpoints dropped by the
+    central-difference angular acceleration that fusion uses), so
+    start_ns is shifted by one period.
     """
 
     freq: float
     start_ns: int
     gyro: np.ndarray
     accel: np.ndarray
-    gyro_rate: np.ndarray
 
     def __len__(self) -> int:
         return self.gyro.shape[0]
@@ -267,17 +250,6 @@ class VirtualSeries:
     @property
     def duration(self) -> float:
         return len(self) / self.freq
-
-
-def _lever_batch(cfg: VimuConfig, sigmas, omega: np.ndarray,
-                 omega_dot: np.ndarray) -> np.ndarray:
-    """lever_arm_stack over (k, 3) inputs, returns (k, 3n)."""
-    blocks = []
-    for r, p, s in zip(cfg.rotations, cfg.positions, sigmas):
-        lever = np.cross(omega, np.cross(omega, np.broadcast_to(p, omega.shape))) \
-            + np.cross(omega_dot, np.broadcast_to(p, omega.shape))
-        blocks.append((lever @ r.T) / s)
-    return np.hstack(blocks)
 
 
 def fuse_series(cfg: VimuConfig, series: list, fm: FusionMatrices | None = None
@@ -309,7 +281,7 @@ def fuse_series(cfg: VimuConfig, series: list, fm: FusionMatrices | None = None
 
     accel_stack = np.hstack(
         [s.accel[1:-1] / sa for s, sa in zip(series, fm.accel_sigmas)])
-    lever = _lever_batch(cfg, fm.accel_sigmas, fused_w, wdot)
+    lever = lever_arm_stack(cfg, fused_w, wdot)
     fused_a = (accel_stack - lever) @ fm.accel_solve.T
 
     return VirtualSeries(
@@ -317,7 +289,6 @@ def fuse_series(cfg: VimuConfig, series: list, fm: FusionMatrices | None = None
         start_ns=base.start_ns + int(np.rint(base.period_ns)),
         gyro=fused_w,
         accel=fused_a,
-        gyro_rate=wdot,
     )
 
 

@@ -235,8 +235,7 @@ def test_preintegrate_matches_per_window_loop(workspace, fused, tmp_path):
         window = VirtualSeries(
             freq=series.freq, start_ns=0,
             gyro=series.gyro[j * step:(j + 1) * step],
-            accel=series.accel[j * step:(j + 1) * step],
-            gyro_rate=series.gyro_rate[j * step:(j + 1) * step])
+            accel=series.accel[j * step:(j + 1) * step])
         delta = preintegrate(window, VimuState.identity(), cfg, fm, noise)
         want.append({
             "window": j,

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from mimufusion.geometry import (
+    SMALL_ANGLE,
     exp_so3,
-    exp_so3_many,
     geodesic_angle,
     is_rotation,
     log_so3,
@@ -14,10 +16,8 @@ from mimufusion.geometry import (
     quat_multiply,
     quat_rotate,
     right_jacobian,
-    right_jacobian_many,
     rotation_from_quat,
     skew,
-    skew_many,
     vee,
 )
 
@@ -63,9 +63,11 @@ def test_vee_inverts_skew():
 
 
 def test_skew_many_matches_scalar():
+    """A stacked (n, 3) call equals the per-row (3,) calls."""
     rng = np.random.default_rng(6)
     vs = rng.normal(size=(17, 3))
-    many = skew_many(vs)
+    many = skew(vs)
+    assert many.shape == (17, 3, 3)
     for i, v in enumerate(vs):
         np.testing.assert_array_equal(many[i], skew(v))
 
@@ -93,9 +95,11 @@ def test_exp_tiny_angle_stable():
 
 
 def test_exp_many_matches_scalar():
+    """A stacked (n, 3) call equals the per-row (3,) calls."""
     rng = np.random.default_rng(7)
     phis = rng.normal(size=(25, 3))
-    many = exp_so3_many(phis)
+    many = exp_so3(phis)
+    assert many.shape == (25, 3, 3)
     for i, phi in enumerate(phis):
         np.testing.assert_allclose(many[i], exp_so3(phi), atol=1e-14)
 
@@ -161,9 +165,11 @@ def test_right_jacobian_retraction():
 
 
 def test_right_jacobian_many_matches_scalar():
+    """A stacked (n, 3) call equals the per-row (3,) calls."""
     rng = np.random.default_rng(13)
     phis = rng.normal(size=(19, 3))
-    many = right_jacobian_many(phis)
+    many = right_jacobian(phis)
+    assert many.shape == (19, 3, 3)
     for i, phi in enumerate(phis):
         np.testing.assert_allclose(many[i], right_jacobian(phi), atol=1e-14)
 
@@ -252,3 +258,56 @@ def test_is_rotation():
     assert is_rotation(exp_so3([0.2, -0.1, 0.4]))
     assert not is_rotation(np.diag([1.0, 1.0, -1.0]))  # reflection
     assert not is_rotation(np.eye(3) * 1.001)
+
+
+# --- properties of the merged (3,) / (n, 3) forms ----------------------
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
+AXES = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(
+    lambda v: np.array(v) / np.linalg.norm(v))
+# Rows of ordinary size mixed with rows below SMALL_ANGLE, so one stack
+# takes both branches.
+ROWS = st.one_of(
+    st.tuples(*[st.floats(-4.0, 4.0)] * 3),
+    st.tuples(*[st.floats(-1e-9, 1e-9)] * 3),
+).map(np.array)
+STACKS = st.lists(ROWS, min_size=1, max_size=8).map(np.array)
+
+
+@PROPERTY_SETTINGS
+@given(axis=AXES, angle=st.one_of(st.floats(0.0, SMALL_ANGLE),
+                                  st.floats(SMALL_ANGLE, 1e-6,
+                                            exclude_max=True)))
+def test_property_log_exp_round_trip_near_zero(axis, angle):
+    phi = angle * axis
+    back = log_so3(exp_so3(phi))
+    assert np.linalg.norm(back - phi) <= 1e-9 * angle + 1e-300
+
+
+@PROPERTY_SETTINGS
+@given(axis=AXES, gap=st.floats(0.0, 1e-3))
+def test_property_log_exp_round_trip_near_pi(axis, gap):
+    phi = (np.pi - gap) * axis
+    R = exp_so3(phi)
+    back = log_so3(R)
+    assert np.linalg.norm(back) <= np.pi + 1e-12
+    np.testing.assert_allclose(exp_so3(back), R, atol=1e-9)
+    # At pi itself +phi and -phi are the same rotation; short of it the
+    # sign must come back too.
+    if gap > 1e-9:
+        np.testing.assert_allclose(back, phi, atol=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(phis=STACKS)
+def test_property_stacked_calls_match_rows(phis):
+    stacked_skew = skew(phis)
+    stacked_exp = exp_so3(phis)
+    stacked_jr = right_jacobian(phis)
+    assert stacked_skew.shape == stacked_exp.shape == (len(phis), 3, 3)
+    for i, phi in enumerate(phis):
+        np.testing.assert_array_equal(stacked_skew[i], skew(phi))
+        np.testing.assert_allclose(stacked_exp[i], exp_so3(phi), atol=1e-14)
+        np.testing.assert_allclose(stacked_jr[i], right_jacobian(phi),
+                                   atol=1e-14)

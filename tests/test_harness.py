@@ -133,6 +133,15 @@ def test_ingest_rejects_rate_mismatch(tmp_path):
         ingest_csv([tmp_path / "a.csv", tmp_path / "b.csv"])
 
 
+def test_ingest_rejects_rate_drift(tmp_path):
+    """201.5 Hz is within the 1% rate tolerance of 200 Hz, but pairing
+    by index over 60 s would drift by 89 periods."""
+    write_series(tmp_path / "a.csv", 0, 60.0, freq=200.0)
+    write_series(tmp_path / "b.csv", 0, 60.0, freq=201.5)
+    with pytest.raises(RateMismatch, match="drifts"):
+        ingest_csv([tmp_path / "a.csv", tmp_path / "b.csv"])
+
+
 def test_ingest_rejects_expected_freq(tmp_path):
     write_series(tmp_path / "a.csv", 0, 1.0, freq=200.0)
     with pytest.raises(RateMismatch):
@@ -199,6 +208,16 @@ def test_plan_dict_round_trip():
     assert back.sim.freq == 100.0
     assert back.sim.duration == 2.0
     assert back.variants == plan.variants
+
+
+def test_plan_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="sequences_per_samples"):
+        ExperimentPlan.from_dict({"sequences_per_samples": 5})
+
+
+def test_plan_rejects_unknown_sim_keys():
+    with pytest.raises(ValueError, match="durration"):
+        ExperimentPlan.from_dict({"sim": {"durration": 9}})
 
 
 TINY_PLAN = ExperimentPlan(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from oracle import propagate_step
+from oracle import step_matrices as scalar_step_matrices
 
 from mimufusion.geometry import (
     exp_so3,
@@ -16,7 +18,6 @@ from mimufusion.preintegration import (
     predict_state,
     preintegrate,
     preintegrate_windows,
-    propagate_step,
     psi_matrix,
     step_matrices,
 )
@@ -78,19 +79,26 @@ def test_bias_correct_removes_full_rate():
                       bias_accel=np.zeros(3))
     biased = VirtualSeries(freq=series.freq, start_ns=series.start_ns,
                            gyro=series.gyro + state.bias_gyro,
-                           accel=series.accel, gyro_rate=series.gyro_rate)
+                           accel=series.accel)
     w, _ = bias_correct(biased, state, vcfg, fm)
     np.testing.assert_allclose(w, series.gyro, atol=1e-15)
 
 
-def test_bias_correct_restores_lever_consistency():
+def check_bias_correct_restores_lever_consistency(shift):
     """A constant gyro bias consistently injected into every sensor skews
     the fused accel through the lever subtraction; correcting with the
-    matching virtual bias must recover the unbiased fusion exactly."""
+    matching virtual bias must recover the unbiased fusion exactly.
+
+    ``shift`` moves both sensors off the symmetric midpoint pair; at the
+    midpoint the lever-arm correction is exactly zero. Returns the
+    largest correction applied to the accelerometer."""
     cfg_sim = SimConfig(freq=200.0, duration=1.0)
     ext = Extrinsic(q=quat_from_rotvec([0.0, np.deg2rad(5.0), 0.0]),
                     p=np.array([0.12, 0.0, 0.0]))
-    vcfg = midpoint_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
+    mid = midpoint_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
+    vcfg = VimuConfig(rotations=mid.rotations,
+                      positions=tuple(p + shift for p in mid.positions),
+                      noises=mid.noises)
     fm = build_fusion(vcfg)
     b_v = np.array([0.03, -0.02, 0.04])
 
@@ -114,6 +122,18 @@ def test_bias_correct_restores_lever_consistency():
     w_hat, a_hat = bias_correct(fused_biased, state, vcfg, fm)
     np.testing.assert_allclose(w_hat, fused_clean.gyro, atol=1e-12)
     np.testing.assert_allclose(a_hat, fused_clean.accel, atol=1e-12)
+    return np.abs(a_hat - fused_biased.accel).max()
+
+
+def test_bias_correct_restores_lever_consistency():
+    check_bias_correct_restores_lever_consistency(np.zeros(3))
+
+
+def test_bias_correct_restores_lever_consistency_off_centroid():
+    correction = check_bias_correct_restores_lever_consistency(
+        np.array([0.03, -0.02, 0.01]))
+    # the correction is really applied, far above the 1e-12 tolerance
+    assert correction > 1e-3
 
 
 def test_preintegrate_static():
@@ -135,8 +155,7 @@ def test_preintegrate_constant_rate_exact_rotation():
     k = 200
     w = np.tile([0.0, 0.0, 1.0], (k, 1))
     series = VirtualSeries(freq=freq, start_ns=0, gyro=w,
-                           accel=np.zeros((k, 3)),
-                           gyro_rate=np.zeros((k, 3)))
+                           accel=np.zeros((k, 3)))
     vcfg = single_frame(NoiseSpec.zero())
     fm = build_fusion(vcfg)
     delta = preintegrate(series, VimuState.identity(), vcfg, fm,
@@ -149,7 +168,7 @@ def test_preintegrate_constant_rate_exact_rotation():
 
 def test_preintegrate_empty_series_is_identity():
     series = VirtualSeries(freq=200.0, start_ns=0, gyro=np.zeros((0, 3)),
-                           accel=np.zeros((0, 3)), gyro_rate=np.zeros((0, 3)))
+                           accel=np.zeros((0, 3)))
     vcfg = single_frame(NoiseSpec.zero())
     fm = build_fusion(vcfg)
     delta = preintegrate(series, VimuState.identity(), vcfg, fm,
@@ -216,11 +235,11 @@ def test_covariance_single_step_is_input_mapping():
     a = np.array([0.5, 0.1, 9.6])
     delta = propagate_step(PreintDelta.identity(), w, a, vcfg, fm, noise_v,
                            freq)
-    sm = step_matrices(np.eye(3), exp_so3(w * dt), w, a, vcfg, fm, dt)
+    _, B = step_matrices(np.eye(3), exp_so3(w * dt), w, a, vcfg, fm, dt)
     s_eta = np.zeros((6, 6))
     s_eta[:3, :3] = noise_v.gyro * freq
     s_eta[3:, 3:] = noise_v.accel * freq
-    expected = sm.b @ s_eta @ sm.b.T
+    expected = B @ s_eta @ B.T
     np.testing.assert_allclose(delta.covariance, expected, atol=1e-25)
 
 
@@ -266,8 +285,7 @@ def test_covariance_matches_hand_rolled_single_imu():
     k = 50
     w = rng.normal(size=(k, 3)) * 0.5
     a = rng.normal(size=(k, 3)) * 2.0
-    series = VirtualSeries(freq=freq, start_ns=0, gyro=w, accel=a,
-                           gyro_rate=np.zeros((k, 3)))
+    series = VirtualSeries(freq=freq, start_ns=0, gyro=w, accel=a)
     delta = preintegrate(series, VimuState.identity(), vcfg, fm, noise_v)
 
     q_g = 0.5 * MEMS.sigma_g**2 * freq
@@ -342,6 +360,29 @@ def test_midpoint_psi_coupling_cancels():
         np.testing.assert_allclose(coupled, np.zeros((3, 3)), atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["1-sensor", "2-sensor", "4-sensor"])
+def test_step_matrices_stack_matches_scalar_oracle(name):
+    """One stacked step_matrices call over n windows equals the scalar
+    oracle's per-row matrices, psi blocks included."""
+    cfg = window_configs()[name]
+    fm = build_fusion(cfg)
+    dt = 1.0 / 200.0
+    rng = np.random.default_rng(54)
+    n = 7
+    accum = exp_so3(rng.normal(size=(n, 3)))
+    w = rng.normal(scale=0.6, size=(n, 3))
+    a = GRAVITY + rng.normal(scale=1.5, size=(n, 3))
+    step = exp_so3(w * dt)
+    A, B = step_matrices(accum, step, w, a, cfg, fm, dt)
+    assert A.shape == (n, 9, 9) and B.shape == (n, 9, 6)
+    psi = psi_matrix(cfg, w)
+    for i in range(n):
+        want = scalar_step_matrices(accum[i], step[i], w[i], a[i], cfg, fm, dt)
+        np.testing.assert_allclose(A[i], want.a, atol=1e-15)
+        np.testing.assert_allclose(B[i], want.b, atol=1e-15)
+        np.testing.assert_allclose(psi[i], psi_matrix(cfg, w[i]), atol=1e-12)
+
+
 def test_predict_state_identity_delta():
     rng = np.random.default_rng(53)
     start = VimuState(rotation=exp_so3(rng.normal(size=3)),
@@ -388,8 +429,7 @@ def test_predict_state_composes_chain():
     k = len(series)
     half = k // 2
     first = VirtualSeries(freq=series.freq, start_ns=series.start_ns,
-                          gyro=series.gyro[:half], accel=series.accel[:half],
-                          gyro_rate=series.gyro_rate[:half])
+                          gyro=series.gyro[:half], accel=series.accel[:half])
     t0 = series.start_ns * 1e-9
     start_true = sample_trajectory(cfg_sim, t0)
     start = VimuState(rotation=start_true.rotation,
@@ -404,8 +444,7 @@ def test_predict_state_composes_chain():
     second = VirtualSeries(
         freq=series.freq,
         start_ns=series.start_ns + round(half * 1e9 / series.freq),
-        gyro=series.gyro[half:], accel=series.accel[half:],
-        gyro_rate=series.gyro_rate[half:])
+        gyro=series.gyro[half:], accel=series.accel[half:])
     d2 = preintegrate(second, mid, vcfg, fm, with_covariance=False)
     end_chained = predict_state(mid, d2, cfg_sim.gravity)
 
@@ -448,14 +487,13 @@ def random_virtual_series(k, seed, freq=200.0):
     return VirtualSeries(
         freq=freq, start_ns=0,
         gyro=rng.normal(scale=0.6, size=(k, 3)),
-        accel=GRAVITY + rng.normal(scale=1.5, size=(k, 3)),
-        gyro_rate=rng.normal(scale=3.0, size=(k, 3)))
+        accel=GRAVITY + rng.normal(scale=1.5, size=(k, 3)))
 
 
 def window_of(series, j, step):
     sl = slice(j * step, (j + 1) * step)
     return VirtualSeries(freq=series.freq, start_ns=0, gyro=series.gyro[sl],
-                         accel=series.accel[sl], gyro_rate=series.gyro_rate[sl])
+                         accel=series.accel[sl])
 
 
 def fold_window(window, state, cfg, fm, noise):
@@ -521,8 +559,7 @@ def test_windows_ignore_remainder_samples():
     padded = VirtualSeries(
         freq=whole.freq, start_ns=0,
         gyro=np.vstack([whole.gyro, pad]),
-        accel=np.vstack([whole.accel, pad]),
-        gyro_rate=np.vstack([whole.gyro_rate, pad]))
+        accel=np.vstack([whole.accel, pad]))
     got = preintegrate_windows(padded, BIASED, cfg, fm, step, noise_v)
     want = preintegrate_windows(whole, BIASED, cfg, fm, step, noise_v)
     assert len(got) == len(want) == n_windows

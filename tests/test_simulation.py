@@ -300,3 +300,7 @@ def test_trajectory_range_check():
         sample_trajectory(cfg, -0.1)
     with pytest.raises(ValueError):
         sample_trajectory(cfg, 2.5)
+    with pytest.raises(ValueError):
+        sample_trajectory(cfg, float("nan"))
+    with pytest.raises(ValueError):
+        trajectory_samples(cfg, [0.5, float("nan")])
