@@ -42,7 +42,6 @@ from .vimu import (
     FusionMatrices,
     VimuConfig,
     VimuNoise,
-    VirtualSeries,
     build_fusion,
     fuse_series,
     midpoint_frame,
@@ -75,7 +74,6 @@ __all__ = [
     "VimuConfig",
     "VimuNoise",
     "VimuState",
-    "VirtualSeries",
     "WeightSchedule",
     "build_fusion",
     "calibrate",
@@ -94,5 +92,4 @@ __all__ = [
     "sample_trajectory",
     "simulate_imu",
     "virtual_covariances",
-    "__version__",
 ]

@@ -29,12 +29,12 @@ from .errors import (
     SingularNormalEquations,
 )
 from .geometry import (
+    lever_matrix,
     quat_from_rotation,
     quat_from_rotvec,
     quat_multiply,
     quat_rotate,
     rotation_from_quat,
-    skew,
 )
 from .types import Extrinsic, ImuSeries, NoiseSpec
 
@@ -186,16 +186,6 @@ def residual_omega(q, omega_a, omega_b) -> np.ndarray:
     return np.asarray(omega_b, dtype=float) - quat_rotate(q, omega_a)
 
 
-def residual_accel(ext: Extrinsic, omega_a, omega_dot_a, accel_a, accel_b) -> np.ndarray:
-    """Accelerometer rigid-body residual:
-    a_B - R_BA (a_A + [w]x^2 p + [wdot]x p)."""
-    omega_a = np.asarray(omega_a, dtype=float)
-    lever = (np.cross(omega_a, np.cross(omega_a, ext.p))
-             + np.cross(np.asarray(omega_dot_a, dtype=float), ext.p))
-    predicted = (np.asarray(accel_a, dtype=float) + lever) @ ext.rotation().T
-    return np.asarray(accel_b, dtype=float) - predicted
-
-
 def _check_gyro_excitation(gyro: np.ndarray):
     moment = (gyro.T @ gyro) / gyro.shape[0]
     smallest = float(np.linalg.eigvalsh(moment)[0])
@@ -311,8 +301,7 @@ def estimate_translation(inp: CalibrationInput, q):
     wdot = estimate_angular_accel(q, inp.series_a, inp.series_b)
 
     # design blocks M_t = [w]x^2 + [wdot]x, residual b_t - R M_t p
-    sw = skew(wa)
-    M = sw @ sw + skew(wdot)
+    M = lever_matrix(wa, wdot)
     mean_MtM = np.einsum("tki,tkj->ij", M, M) / M.shape[0]
     smallest = float(np.linalg.eigvalsh(mean_MtM)[0])
     if smallest < TRANSLATION_EXCITATION_MIN:

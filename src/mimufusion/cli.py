@@ -110,7 +110,7 @@ def cmd_fuse(args) -> int:
     cfg = midpoint_frame(ext, noise_a, noise_b)
     fused = fuse_series(cfg, series)
     out = Path(args.out)
-    csvio.write_virtual_csv(out, fused)
+    csvio.write_imu_csv(out, fused)
     sidecar = out.with_suffix(".json")
     csvio.write_vimu_sidecar(sidecar, cfg, virtual_covariances(cfg), fused.freq)
     print(f"fused {len(fused)} samples at {fused.freq:g} Hz -> {out} "
@@ -119,7 +119,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_preintegrate(args) -> int:
-    series = csvio.read_virtual_csv(args.vimu)
+    series = csvio.read_imu_csv(args.vimu)
     cfg, noise, freq = csvio.read_vimu_sidecar(args.vimu_config)
     if abs(series.freq - freq) > 0.01 * freq:
         raise RateMismatch(

@@ -1,4 +1,5 @@
-"""File formats: IMU/virtual CSV, JSON results, YAML configs.
+"""File formats: IMU CSV (raw and fused streams alike), JSON results,
+YAML configs.
 
 All writers go through an atomic temp-file + rename so a failing
 invocation never leaves partial output behind.
@@ -16,7 +17,7 @@ import yaml
 
 from .errors import FormatError, RateMismatch
 from .types import Extrinsic, ImuSeries, NoiseSpec, _check_keys
-from .vimu import VimuConfig, VimuNoise, VirtualSeries
+from .vimu import VimuConfig, VimuNoise
 
 IMU_CSV_HEADER = "t_ns,wx,wy,wz,ax,ay,az"
 # fraction of the nominal period that timestamps may deviate on ingest
@@ -63,24 +64,14 @@ def load_yaml(path) -> dict:
     return data
 
 
-def _format_rows(times_ns: np.ndarray, gyro: np.ndarray, accel: np.ndarray) -> str:
+def write_imu_csv(path, series: ImuSeries):
+    """Write a raw or fused series, one row per sample at its implicit
+    timestamp."""
     lines = [IMU_CSV_HEADER]
-    for t, w, a in zip(times_ns, gyro, accel):
+    for t, w, a in zip(series.times_ns(), series.gyro, series.accel):
         vals = ",".join(f"{x:.17g}" for x in (*w, *a))
         lines.append(f"{int(t)},{vals}")
-    return "\n".join(lines) + "\n"
-
-
-def write_imu_csv(path, series: ImuSeries):
-    atomic_write_text(path, _format_rows(series.times_ns(), series.gyro,
-                                         series.accel))
-
-
-def write_virtual_csv(path, series: VirtualSeries):
-    """Virtual series share the raw-IMU column layout."""
-    k = np.arange(len(series), dtype=float)
-    times = series.start_ns + np.rint(k * 1e9 / series.freq).astype(np.int64)
-    atomic_write_text(path, _format_rows(times, series.gyro, series.accel))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _parse_csv(path):
@@ -139,13 +130,6 @@ def read_imu_csv(path) -> ImuSeries:
                      gyro=values[:, :3], accel=values[:, 3:])
 
 
-def read_virtual_csv(path) -> VirtualSeries:
-    """Load a fused series written by write_virtual_csv."""
-    base = read_imu_csv(path)
-    return VirtualSeries(freq=base.freq, start_ns=base.start_ns,
-                         gyro=base.gyro, accel=base.accel)
-
-
 def write_vimu_sidecar(path, cfg: VimuConfig, noise: VimuNoise, freq: float):
     write_json(path, {
         "freq": freq,
@@ -166,14 +150,15 @@ def read_vimu_sidecar(path):
 
 def load_noise_pair(path) -> tuple:
     """Noise config for a calibration pair: either separate ``a``/``b``
-    mappings or one flat spec applied to both."""
+    mappings (and no other key) or one flat spec applied to both."""
     d = load_yaml(path)
     try:
         if "a" in d or "b" in d:
+            _check_keys(d, ("a", "b"), "noise pair")
             return NoiseSpec.from_dict(d["a"]), NoiseSpec.from_dict(d["b"])
         spec = NoiseSpec.from_dict(d)
         return spec, spec
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

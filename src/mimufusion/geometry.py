@@ -30,6 +30,15 @@ def skew(v) -> np.ndarray:
     return out
 
 
+def lever_matrix(omega, omega_dot) -> np.ndarray:
+    """Rigid-body lever operator [w]x^2 + [wdot]x: applied to a lever
+    arm p it gives the extra acceleration of a point p away from the
+    reference point, w x (w x p) + wdot x p. (3,) rates give (3, 3);
+    (n, 3) rows give (n, 3, 3)."""
+    sw = skew(omega)
+    return sw @ sw + skew(omega_dot)
+
+
 def vee(m) -> np.ndarray:
     """Inverse of skew for an exactly antisymmetric matrix."""
     m = np.asarray(m, dtype=float)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import csvio
 from .calibration import CalibrationInput, calibrate
-from .errors import EmptyOverlap, LengthMismatch, MimuError, RateMismatch
+from .errors import EmptyOverlap, FormatError, LengthMismatch, MimuError, RateMismatch
 from .geometry import geodesic_angle, rotation_from_quat
 from .preintegration import VimuState, predict_state, preintegrate_windows
 from .simulation import (
@@ -112,30 +112,34 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
-        _check_keys(d, ("variants", "extrinsic_samples", "sequences_per_sample",
-                        "sigma_rot_rad", "sigma_trans_m", "keyframe_interval_s",
-                        "grid_pitch_m", "master_seed", "sim", "noise"), "plan")
-        sim_d = d.get("sim", {})
-        _check_keys(sim_d, ("freq", "duration", "gravity", "trajectory"),
-                    "plan sim")
-        sim = SimConfig(
-            freq=float(sim_d.get("freq", 200.0)),
-            duration=float(sim_d.get("duration", 3.0)),
-            gravity=np.asarray(sim_d.get("gravity", [0.0, 0.0, -9.81]), dtype=float),
-            trajectory=TrajectoryParams.from_dict(sim_d.get("trajectory", {})),
-        )
-        return cls(
-            variants=tuple(d.get("variants", VARIANTS)),
-            extrinsic_samples=int(d.get("extrinsic_samples", 20)),
-            sequences_per_sample=int(d.get("sequences_per_sample", 100)),
-            sigma_rot=float(d.get("sigma_rot_rad", 0.01)),
-            sigma_trans=float(d.get("sigma_trans_m", 0.001)),
-            keyframe_interval=float(d.get("keyframe_interval_s", 0.5)),
-            grid_pitch=float(d.get("grid_pitch_m", 0.05)),
-            master_seed=int(d.get("master_seed", 0)),
-            sim=sim,
-            noise=NoiseSpec.from_dict(d.get("noise", {})),
-        )
+        """Parse a plan mapping; a block or value of the wrong type (such
+        as a null ``sim:``) raises FormatError."""
+        try:
+            _check_keys(d, ("variants", "extrinsic_samples", "sequences_per_sample",
+                            "sigma_rot_rad", "sigma_trans_m", "keyframe_interval_s",
+                            "grid_pitch_m", "master_seed", "sim", "noise"), "plan")
+            sim_d = d.get("sim", {})
+            _check_keys(sim_d, ("freq", "duration", "gravity", "trajectory"), "sim")
+            sim = SimConfig(
+                freq=float(sim_d.get("freq", 200.0)),
+                duration=float(sim_d.get("duration", 3.0)),
+                gravity=np.asarray(sim_d.get("gravity", [0.0, 0.0, -9.81]), dtype=float),
+                trajectory=TrajectoryParams.from_dict(sim_d.get("trajectory", {})),
+            )
+            return cls(
+                variants=tuple(d.get("variants", VARIANTS)),
+                extrinsic_samples=int(d.get("extrinsic_samples", 20)),
+                sequences_per_sample=int(d.get("sequences_per_sample", 100)),
+                sigma_rot=float(d.get("sigma_rot_rad", 0.01)),
+                sigma_trans=float(d.get("sigma_trans_m", 0.001)),
+                keyframe_interval=float(d.get("keyframe_interval_s", 0.5)),
+                grid_pitch=float(d.get("grid_pitch_m", 0.05)),
+                master_seed=int(d.get("master_seed", 0)),
+                sim=sim,
+                noise=NoiseSpec.from_dict(d.get("noise", {})),
+            )
+        except TypeError as exc:
+            raise FormatError(f"plan: {exc}") from exc
 
 
 @dataclass
@@ -273,11 +277,11 @@ class _VariantSetup:
     indices: tuple
     cfg: object
     fm: object
-    frame_rotation: np.ndarray
-    frame_position: np.ndarray
+    truth: list  # true states of the virtual frame at every keyframe
 
 
-def _setup_variant(name: str, plan: ExperimentPlan, mounts, believed):
+def _setup_variant(name: str, plan: ExperimentPlan, mounts, believed,
+                   truth_samples):
     idx = _variant_indices(name)
     if name == "1-imu-true":
         m = mounts[_CENTER]
@@ -289,12 +293,12 @@ def _setup_variant(name: str, plan: ExperimentPlan, mounts, believed):
             [believed[i] for i in idx], [plan.noise] * len(idx))
     else:
         raise ValueError(f"unknown variant {name}")
-    fm = build_fusion(cfg)
-    return _VariantSetup(indices=idx, cfg=cfg, fm=fm,
-                         frame_rotation=frame_rot, frame_position=frame_pos)
+    truth = [true_vimu_state(ts, frame_rot, frame_pos) for ts in truth_samples]
+    return _VariantSetup(indices=idx, cfg=cfg, fm=build_fusion(cfg), truth=truth)
 
 
-def _setup_calibrated(plan: ExperimentPlan, mounts, series_by_idx):
+def _setup_calibrated(plan: ExperimentPlan, mounts, series_by_idx,
+                      truth_samples):
     """Calibrate the sensor pair from the trial data and anchor the
     resulting midpoint frame at sensor A's true mount."""
     ia, ib = _PAIR
@@ -303,26 +307,23 @@ def _setup_calibrated(plan: ExperimentPlan, mounts, series_by_idx):
         noise_a=plan.noise, noise_b=plan.noise))
     ext = result.extrinsic
     cfg = midpoint_frame(ext, plan.noise, plan.noise)
-    fm = build_fusion(cfg)
     R_ba_body = rotation_from_quat(mounts[ia].q).T
     frame_pos = mounts[ia].p + R_ba_body @ (0.5 * ext.p)
-    return _VariantSetup(indices=_PAIR, cfg=cfg, fm=fm,
-                         frame_rotation=R_ba_body, frame_position=frame_pos)
+    truth = [true_vimu_state(ts, R_ba_body, frame_pos) for ts in truth_samples]
+    return _VariantSetup(indices=_PAIR, cfg=cfg, fm=build_fusion(cfg), truth=truth)
 
 
-def _score_variant(setup: _VariantSetup, series_by_idx, truth_samples,
-                   plan: ExperimentPlan, step: int):
+def _score_variant(setup: _VariantSetup, series_by_idx, plan: ExperimentPlan,
+                   step: int):
     fused = fuse_series(setup.cfg, [series_by_idx[i] for i in setup.indices],
                         fm=setup.fm)
-    truth = [true_vimu_state(ts, setup.frame_rotation, setup.frame_position)
-             for ts in truth_samples]
-    state = truth[0]
+    state = setup.truth[0]
     predicted = []
     for delta in preintegrate_windows(fused, state, setup.cfg, setup.fm, step,
                                       with_covariance=False):
         state = predict_state(state, delta, plan.sim.gravity)
         predicted.append(state)
-    return rmse_metrics(predicted, truth[1:])
+    return rmse_metrics(predicted, setup.truth[1:])
 
 
 def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
@@ -366,7 +367,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
             believed = [perturb_extrinsics(m, plan.sigma_rot, plan.sigma_trans,
                                            perturb_rng) for m in mounts]
             static_setups = {
-                v: _setup_variant(v, plan, mounts, believed)
+                v: _setup_variant(v, plan, mounts, believed, truth_samples)
                 for v in plan.variants if v != "2-imu-calibrated"
             }
             for r in range(plan.sequences_per_sample):
@@ -380,11 +381,12 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                 for v in plan.variants:
                     try:
                         if v == "2-imu-calibrated":
-                            setup = _setup_calibrated(plan, mounts, series_by_idx)
+                            setup = _setup_calibrated(plan, mounts, series_by_idx,
+                                                      truth_samples)
                         else:
                             setup = static_setups[v]
-                        pos, rot, vel = _score_variant(
-                            setup, series_by_idx, truth_samples, plan, step)
+                        pos, rot, vel = _score_variant(setup, series_by_idx,
+                                                       plan, step)
                     except MimuError as exc:
                         failures.append(
                             f"sample={s} seq={r} variant={v}: "

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import exp_so3, right_jacobian, skew
+from .types import ImuSeries
 from .vimu import (
     FusionMatrices,
     VimuConfig,
     VimuNoise,
-    VirtualSeries,
     _effective_sigmas,
     lever_arm_stack,
 )
@@ -69,7 +69,7 @@ class PreintDelta:
                    covariance=np.zeros((9, 9)), duration=0.0, count=0)
 
 
-def bias_correct(series: VirtualSeries, state: VimuState, cfg: VimuConfig,
+def bias_correct(series: ImuSeries, state: VimuState, cfg: VimuConfig,
                  fm: FusionMatrices) -> tuple:
     """Remove the virtual biases from fused samples.
 
@@ -148,7 +148,7 @@ def step_matrices(accum_rotation, step_rotation, w_hat, a_hat,
     return A, B
 
 
-def preintegrate(series: VirtualSeries, state: VimuState, cfg: VimuConfig,
+def preintegrate(series: ImuSeries, state: VimuState, cfg: VimuConfig,
                  fm: FusionMatrices, noise: VimuNoise | None = None,
                  with_covariance: bool = True) -> PreintDelta:
     """Integrate a whole virtual series into one PreintDelta: the
@@ -159,7 +159,7 @@ def preintegrate(series: VirtualSeries, state: VimuState, cfg: VimuConfig,
     return deltas[0] if deltas else PreintDelta.identity()
 
 
-def preintegrate_windows(series: VirtualSeries, state: VimuState,
+def preintegrate_windows(series: ImuSeries, state: VimuState,
                          cfg: VimuConfig, fm: FusionMatrices, step: int,
                          noise: VimuNoise | None = None,
                          with_covariance: bool = True) -> list:

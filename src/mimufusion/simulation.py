@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import quat_from_rotvec, quat_multiply
+from .geometry import lever_matrix, quat_from_rotvec, quat_multiply
 from .types import Extrinsic, ImuSeries, NoiseSpec, _check_keys, _vec3
 
 
@@ -225,10 +225,8 @@ def transfer_measurement(omega, omega_dot, accel, ext: Extrinsic) -> tuple:
     """
     R = ext.rotation()
     omega = np.asarray(omega, dtype=float)
-    omega_dot = np.asarray(omega_dot, dtype=float)
-    accel = np.asarray(accel, dtype=float)
-    lever = np.cross(omega, np.cross(omega, ext.p)) + np.cross(omega_dot, ext.p)
-    return omega @ R.T, (accel + lever) @ R.T
+    lever = lever_matrix(omega, omega_dot) @ ext.p
+    return omega @ R.T, (np.asarray(accel, dtype=float) + lever) @ R.T
 
 
 def ideal_imu_series(cfg: SimConfig, mount: Extrinsic) -> tuple:

@@ -17,8 +17,11 @@ def _vec3(x) -> np.ndarray:
 
 
 def _check_keys(d: dict, known, what: str):
-    """Reject config mappings with keys outside ``known``, so that a
-    misspelt key fails instead of silently taking its default."""
+    """Reject a config block that is not a mapping (TypeError), or that
+    has keys outside ``known`` (ValueError), so that a misspelt key fails
+    instead of silently taking its default."""
+    if not isinstance(d, dict):
+        raise TypeError(f"{what} block must be a mapping, got {type(d).__name__}")
     unknown = set(d) - set(known)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")

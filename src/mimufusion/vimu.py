@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, RateMismatch, SingularFusion
-from .geometry import is_rotation, rotation_from_quat
+from .geometry import is_rotation, lever_matrix, rotation_from_quat
 from .types import Extrinsic, ImuSeries, NoiseSpec
 
 
@@ -154,13 +154,9 @@ def lever_arm_stack(cfg: VimuConfig, omega, omega_dot) -> np.ndarray:
     per sensor: R_i ([w]x^2 p_i + [wdot]x p_i) / sigma_a_i. Rates of
     shape (3,) give (3n,); rows of shape (k, 3) give (k, 3n)."""
     sigmas = _effective_sigmas([ns.sigma_a for ns in cfg.noises])
-    omega = np.asarray(omega, dtype=float)
-    omega_dot = np.asarray(omega_dot, dtype=float)
-    blocks = []
-    for r, p, s in zip(cfg.rotations, cfg.positions, sigmas):
-        lever = np.cross(omega, np.cross(omega, p)) + np.cross(omega_dot, p)
-        blocks.append((lever @ r.T) / s)
-    return np.concatenate(blocks, axis=-1)
+    M = lever_matrix(omega, omega_dot)
+    return np.concatenate([((M @ p) @ r.T) / s for r, p, s in
+                           zip(cfg.rotations, cfg.positions, sigmas)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -229,37 +225,15 @@ def virtual_bias(fm: FusionMatrices, gyro_biases, accel_biases) -> tuple:
     )
 
 
-@dataclass
-class VirtualSeries:
-    """Fused fixed-rate virtual-IMU samples.
-
-    gyro/accel are the fused measurements. The series covers the
-    interior samples of its sources (endpoints dropped by the
-    central-difference angular acceleration that fusion uses), so
-    start_ns is shifted by one period.
-    """
-
-    freq: float
-    start_ns: int
-    gyro: np.ndarray
-    accel: np.ndarray
-
-    def __len__(self) -> int:
-        return self.gyro.shape[0]
-
-    @property
-    def duration(self) -> float:
-        return len(self) / self.freq
-
-
 def fuse_series(cfg: VimuConfig, series: list, fm: FusionMatrices | None = None
-                ) -> VirtualSeries:
-    """Fuse synchronized per-sensor series into one virtual series.
+                ) -> ImuSeries:
+    """Fuse synchronized per-sensor series into one virtual IMU series.
 
     All inputs must share rate, start time, and length. The fused gyro is
     computed first; its central difference provides the angular
     acceleration for the accelerometer lever-arm subtraction, which costs
-    the first and last samples.
+    the first and last samples: the result covers the interior samples,
+    so its start_ns is shifted by one period.
     """
     if len(series) != cfg.n:
         raise LengthMismatch(f"expected {cfg.n} series, got {len(series)}")
@@ -284,7 +258,7 @@ def fuse_series(cfg: VimuConfig, series: list, fm: FusionMatrices | None = None
     lever = lever_arm_stack(cfg, fused_w, wdot)
     fused_a = (accel_stack - lever) @ fm.accel_solve.T
 
-    return VirtualSeries(
+    return ImuSeries(
         freq=base.freq,
         start_ns=base.start_ns + int(np.rint(base.period_ns)),
         gyro=fused_w,

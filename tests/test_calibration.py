@@ -10,7 +10,6 @@ from mimufusion.calibration import (
     estimate_angular_accel,
     estimate_rotation,
     estimate_translation,
-    residual_accel,
     residual_omega,
     sigma_accel,
     sigma_omega,
@@ -27,7 +26,12 @@ from mimufusion.geometry import (
     rotation_from_quat,
     skew,
 )
-from mimufusion.simulation import SimConfig, TrajectoryParams, simulate_imu
+from mimufusion.simulation import (
+    SimConfig,
+    TrajectoryParams,
+    simulate_imu,
+    transfer_measurement,
+)
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 
 
@@ -148,8 +152,8 @@ def test_weight_schedule_rejects_nonpositive():
 
 def test_residual_accel_colocated_zero():
     a = np.array([0.1, 9.7, -0.3])
-    out = residual_accel(Extrinsic.identity(), np.array([0.2, 0.0, 0.1]),
-                         np.zeros(3), a, a)
+    out = a - transfer_measurement(np.array([0.2, 0.0, 0.1]), np.zeros(3), a,
+                                   Extrinsic.identity())[1]
     np.testing.assert_allclose(out, np.zeros(3), atol=1e-15)
 
 
@@ -157,8 +161,8 @@ def test_residual_accel_centripetal():
     # B on the x axis, body spinning about z, both accels read zero:
     # the residual is minus the predicted centripetal acceleration.
     ext = Extrinsic(p=np.array([1.0, 0.0, 0.0]))
-    out = residual_accel(ext, np.array([0.0, 0.0, 1.0]), np.zeros(3),
-                         np.zeros(3), np.zeros(3))
+    out = np.zeros(3) - transfer_measurement(np.array([0.0, 0.0, 1.0]),
+                                             np.zeros(3), np.zeros(3), ext)[1]
     np.testing.assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-15)
 
 
@@ -172,7 +176,7 @@ def test_residual_accel_vanishes_on_rigid_pair():
     aa = rng.normal(size=(60, 3))
     lever = np.cross(w, np.cross(w, ext.p)) + np.cross(wd, ext.p)
     ab = (aa + lever) @ R.T
-    out = residual_accel(ext, w, wd, aa, ab)
+    out = ab - transfer_measurement(w, wd, aa, ext)[1]
     np.testing.assert_allclose(out, np.zeros((60, 3)), atol=1e-10)
 
 
@@ -370,8 +374,8 @@ def test_whitened_residual_variances_near_unity():
     R = res.extrinsic.rotation()
     total = inp.series_b.gyro @ R.T + inp.series_a.gyro
     wd = (inp.series_a.freq / 4.0) * (total[2:] - total[:-2])
-    r_a = residual_accel(res.extrinsic, inp.series_a.gyro[1:-1], wd,
-                         inp.series_a.accel[1:-1], inp.series_b.accel[1:-1])
+    r_a = inp.series_b.accel[1:-1] - transfer_measurement(
+        inp.series_a.gyro[1:-1], wd, inp.series_a.accel[1:-1], res.extrinsic)[1]
     var_a = sigma_accel(np.arange(2, n), sigma, sigma, dt)
     white_a = r_a / np.sqrt(var_a)[:, None]
     np.testing.assert_allclose(white_a.var(axis=0), 1.0, rtol=0.2)

@@ -212,9 +212,10 @@ def test_preintegrate_interval_flag(workspace, fused, tmp_path):
 def test_preintegrate_matches_per_window_loop(workspace, fused, tmp_path):
     """The JSONL equals a window-by-window preintegrate loop over the
     same inputs; an interval that leaves remainder samples drops them."""
-    from mimufusion.csvio import read_vimu_sidecar, read_virtual_csv
+    from mimufusion.csvio import read_imu_csv, read_vimu_sidecar
     from mimufusion.preintegration import VimuState, preintegrate
-    from mimufusion.vimu import VirtualSeries, build_fusion
+    from mimufusion.types import ImuSeries
+    from mimufusion.vimu import build_fusion
 
     out = tmp_path / "deltas.jsonl"
     code = main(["preintegrate",
@@ -225,14 +226,14 @@ def test_preintegrate_matches_per_window_loop(workspace, fused, tmp_path):
     assert code == 0
     got = [json.loads(l) for l in out.read_text().strip().split("\n")]
 
-    series = read_virtual_csv(fused)
+    series = read_imu_csv(fused)
     cfg, noise, _ = read_vimu_sidecar(fused.with_suffix(".json"))
     fm = build_fusion(cfg)
     step = int(round(0.35 * series.freq))
     assert len(series) % step != 0
     want = []
     for j in range(len(series) // step):
-        window = VirtualSeries(
+        window = ImuSeries(
             freq=series.freq, start_ns=0,
             gyro=series.gyro[j * step:(j + 1) * step],
             accel=series.accel[j * step:(j + 1) * step])
@@ -292,6 +293,22 @@ def test_evaluate_rejects_unknown_variant(tmp_path, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("block", ["sim", "noise", "trajectory"])
+def test_evaluate_rejects_null_plan_block(tmp_path, capsys, block):
+    """A plan block that is present but null (``sim:``, ``noise:`` or
+    ``sim.trajectory:``) fails with a FormatError naming it."""
+    plan = {"sim": PLAN_YAML.split("sim:")[0] + "sim:\n",
+            "noise": PLAN_YAML + "noise:\n",
+            "trajectory": PLAN_YAML + "  trajectory:\n"}[block]
+    (tmp_path / "plan.yaml").write_text(plan)
+    code = main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
+                 "--out", str(tmp_path / "report")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "FormatError"
+    assert f"{block} block must be a mapping" in payload["message"]
 
 
 def test_usage_error_exit_code():

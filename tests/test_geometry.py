@@ -9,6 +9,7 @@ from mimufusion.geometry import (
     exp_so3,
     geodesic_angle,
     is_rotation,
+    lever_matrix,
     log_so3,
     quat_conjugate,
     quat_from_rotation,
@@ -311,3 +312,20 @@ def test_property_stacked_calls_match_rows(phis):
         np.testing.assert_allclose(stacked_exp[i], exp_so3(phi), atol=1e-14)
         np.testing.assert_allclose(stacked_jr[i], right_jacobian(phi),
                                    atol=1e-14)
+
+
+@PROPERTY_SETTINGS
+@given(omegas=STACKS, data=st.data())
+def test_property_lever_matrix_is_rigid_body_lever(omegas, data):
+    """lever_matrix(w, wdot) @ p is w x (w x p) + wdot x p, row by row
+    and for a single (3,) rate."""
+    omega_dots = data.draw(st.lists(ROWS, min_size=len(omegas),
+                                    max_size=len(omegas)).map(np.array))
+    p = np.array([0.05, -0.12, 0.3])
+    want = np.cross(omegas, np.cross(omegas, p)) + np.cross(omega_dots, p)
+    stacked = lever_matrix(omegas, omega_dots)
+    assert stacked.shape == (len(omegas), 3, 3)
+    np.testing.assert_allclose(stacked @ p, want, rtol=1e-12, atol=1e-12)
+    for i in range(len(omegas)):
+        np.testing.assert_array_equal(lever_matrix(omegas[i], omega_dots[i]),
+                                      stacked[i])

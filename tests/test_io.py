@@ -1,8 +1,13 @@
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mimufusion.csvio import (
     IMU_CSV_HEADER,
@@ -12,17 +17,16 @@ from mimufusion.csvio import (
     load_yaml,
     read_imu_csv,
     read_json,
-    read_virtual_csv,
     read_vimu_sidecar,
     sim_setup_from_dict,
     write_imu_csv,
     write_json,
-    write_virtual_csv,
     write_vimu_sidecar,
 )
 from mimufusion.errors import FormatError, RateMismatch
+from mimufusion.geometry import quat_from_rotvec
 from mimufusion.simulation import SimConfig, simulate_imu
-from mimufusion.types import Extrinsic, NoiseSpec
+from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
     build_fusion,
     fuse_series,
@@ -127,7 +131,7 @@ def test_virtual_csv_rejects_non_finite(tmp_path):
                     "5000000,0,0,0,0,0,9.81\n"
                     "10000000,0,NaN,0,0,0,9.81\n")
     with pytest.raises(FormatError, match=r"virtual\.csv:4: non-finite"):
-        read_virtual_csv(path)
+        read_imu_csv(path)
 
 
 def test_virtual_csv_round_trip(tmp_path):
@@ -142,11 +146,57 @@ def test_virtual_csv_round_trip(tmp_path):
         for r, p in zip(vcfg.rotations, vcfg.positions)
     ])
     path = tmp_path / "virtual.csv"
-    write_virtual_csv(path, series)
-    back = read_virtual_csv(path)
+    write_imu_csv(path, series)
+    back = read_imu_csv(path)
     np.testing.assert_array_equal(back.gyro, series.gyro)
     np.testing.assert_array_equal(back.accel, series.accel)
     assert back.start_ns == series.start_ns
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
+
+
+def imu_series(elements):
+    """Series of 2 to 20 samples with any rate from 1 Hz to 10 kHz and
+    any start time."""
+    values = st.integers(2, 20).flatmap(
+        lambda n: arrays(np.float64, (n, 6), elements=elements))
+    return st.builds(lambda freq, start, v: ImuSeries(freq, start, v[:, :3], v[:, 3:]),
+                     st.floats(1.0, 1e4), st.integers(0, 2**53), values)
+
+
+def csv_round_trip(series):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "imu.csv"
+        write_imu_csv(path, series)
+        return read_imu_csv(path)
+
+
+def assert_same_series(back, series):
+    np.testing.assert_array_equal(back.gyro, series.gyro)
+    np.testing.assert_array_equal(back.accel, series.accel)
+    assert back.start_ns == series.start_ns
+    assert abs(back.period_ns - series.period_ns) <= 1.0
+
+
+@PROPERTY_SETTINGS
+@given(series=imu_series(st.floats(allow_nan=False, allow_infinity=False)))
+def test_property_imu_csv_round_trip(series):
+    assert_same_series(csv_round_trip(series), series)
+
+
+@PROPERTY_SETTINGS
+@given(series=imu_series(st.floats(-50.0, 50.0)).filter(lambda s: len(s) >= 3))
+def test_property_fused_csv_round_trip(series):
+    """A fused stream goes through the same writer and reader as a raw
+    one."""
+    cfg = midpoint_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.1, 0.0]),
+                                   p=np.array([0.1, 0.02, 0.0])),
+                         NoiseSpec(), NoiseSpec(sigma_a=4e-3))
+    other = ImuSeries(series.freq, series.start_ns, series.gyro[::-1],
+                      series.accel[::-1])
+    fused = fuse_series(cfg, [series, other])
+    assert_same_series(csv_round_trip(fused), fused)
 
 
 def test_sidecar_round_trip(tmp_path):
@@ -197,6 +247,17 @@ def test_load_noise_pair_one_side_only_fails(tmp_path):
     path = tmp_path / "noise.yaml"
     path.write_text("a: {sigma_g: 1.0e-4}\n")
     with pytest.raises(FormatError):
+        load_noise_pair(path)
+
+
+def test_load_noise_pair_rejects_stray_keys(tmp_path):
+    path = tmp_path / "noise.yaml"
+    path.write_text(
+        "a: {sigma_g: 1.0e-4}\n"
+        "b: {sigma_g: 2.0e-4}\n"
+        "c: {sigma_g: 3.0e-4}\n"
+        "sigma_a: 5\n")
+    with pytest.raises(FormatError, match=r"\['c', 'sigma_a'\]"):
         load_noise_pair(path)
 
 

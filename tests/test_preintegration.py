@@ -27,10 +27,9 @@ from mimufusion.simulation import (
     sample_trajectory,
     simulate_imu,
 )
-from mimufusion.types import Extrinsic, NoiseSpec
+from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
     VimuConfig,
-    VirtualSeries,
     build_fusion,
     fuse_series,
     midpoint_frame,
@@ -77,9 +76,9 @@ def test_bias_correct_removes_full_rate():
                       velocity=np.zeros(3),
                       bias_gyro=np.array([0.02, -0.01, 0.005]),
                       bias_accel=np.zeros(3))
-    biased = VirtualSeries(freq=series.freq, start_ns=series.start_ns,
-                           gyro=series.gyro + state.bias_gyro,
-                           accel=series.accel)
+    biased = ImuSeries(freq=series.freq, start_ns=series.start_ns,
+                       gyro=series.gyro + state.bias_gyro,
+                       accel=series.accel)
     w, _ = bias_correct(biased, state, vcfg, fm)
     np.testing.assert_allclose(w, series.gyro, atol=1e-15)
 
@@ -154,8 +153,8 @@ def test_preintegrate_constant_rate_exact_rotation():
     freq = 200.0
     k = 200
     w = np.tile([0.0, 0.0, 1.0], (k, 1))
-    series = VirtualSeries(freq=freq, start_ns=0, gyro=w,
-                           accel=np.zeros((k, 3)))
+    series = ImuSeries(freq=freq, start_ns=0, gyro=w,
+                       accel=np.zeros((k, 3)))
     vcfg = single_frame(NoiseSpec.zero())
     fm = build_fusion(vcfg)
     delta = preintegrate(series, VimuState.identity(), vcfg, fm,
@@ -167,8 +166,8 @@ def test_preintegrate_constant_rate_exact_rotation():
 
 
 def test_preintegrate_empty_series_is_identity():
-    series = VirtualSeries(freq=200.0, start_ns=0, gyro=np.zeros((0, 3)),
-                           accel=np.zeros((0, 3)))
+    series = ImuSeries(freq=200.0, start_ns=0, gyro=np.zeros((0, 3)),
+                       accel=np.zeros((0, 3)))
     vcfg = single_frame(NoiseSpec.zero())
     fm = build_fusion(vcfg)
     delta = preintegrate(series, VimuState.identity(), vcfg, fm,
@@ -285,7 +284,7 @@ def test_covariance_matches_hand_rolled_single_imu():
     k = 50
     w = rng.normal(size=(k, 3)) * 0.5
     a = rng.normal(size=(k, 3)) * 2.0
-    series = VirtualSeries(freq=freq, start_ns=0, gyro=w, accel=a)
+    series = ImuSeries(freq=freq, start_ns=0, gyro=w, accel=a)
     delta = preintegrate(series, VimuState.identity(), vcfg, fm, noise_v)
 
     q_g = 0.5 * MEMS.sigma_g**2 * freq
@@ -428,8 +427,8 @@ def test_predict_state_composes_chain():
     series, vcfg, fm = virtual_from_body(cfg_sim)
     k = len(series)
     half = k // 2
-    first = VirtualSeries(freq=series.freq, start_ns=series.start_ns,
-                          gyro=series.gyro[:half], accel=series.accel[:half])
+    first = ImuSeries(freq=series.freq, start_ns=series.start_ns,
+                      gyro=series.gyro[:half], accel=series.accel[:half])
     t0 = series.start_ns * 1e-9
     start_true = sample_trajectory(cfg_sim, t0)
     start = VimuState(rotation=start_true.rotation,
@@ -441,7 +440,7 @@ def test_predict_state_composes_chain():
 
     d1 = preintegrate(first, start, vcfg, fm, with_covariance=False)
     mid = predict_state(start, d1, cfg_sim.gravity)
-    second = VirtualSeries(
+    second = ImuSeries(
         freq=series.freq,
         start_ns=series.start_ns + round(half * 1e9 / series.freq),
         gyro=series.gyro[half:], accel=series.accel[half:])
@@ -484,7 +483,7 @@ def window_configs():
 
 def random_virtual_series(k, seed, freq=200.0):
     rng = np.random.default_rng(seed)
-    return VirtualSeries(
+    return ImuSeries(
         freq=freq, start_ns=0,
         gyro=rng.normal(scale=0.6, size=(k, 3)),
         accel=GRAVITY + rng.normal(scale=1.5, size=(k, 3)))
@@ -492,8 +491,8 @@ def random_virtual_series(k, seed, freq=200.0):
 
 def window_of(series, j, step):
     sl = slice(j * step, (j + 1) * step)
-    return VirtualSeries(freq=series.freq, start_ns=0, gyro=series.gyro[sl],
-                         accel=series.accel[sl])
+    return ImuSeries(freq=series.freq, start_ns=0, gyro=series.gyro[sl],
+                     accel=series.accel[sl])
 
 
 def fold_window(window, state, cfg, fm, noise):
@@ -556,7 +555,7 @@ def test_windows_ignore_remainder_samples():
     step, n_windows = 25, 5
     whole = random_virtual_series(n_windows * step, seed=61)
     pad = np.full((step - 1, 3), np.nan)
-    padded = VirtualSeries(
+    padded = ImuSeries(
         freq=whole.freq, start_ns=0,
         gyro=np.vstack([whole.gyro, pad]),
         accel=np.vstack([whole.accel, pad]))

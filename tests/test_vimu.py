@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimufusion.errors import LengthMismatch, RateMismatch, SingularFusion
 from mimufusion.geometry import exp_so3, quat_from_rotvec, rotation_from_quat
@@ -387,3 +389,29 @@ def test_vimu_noise_dict_round_trip():
     back = VimuNoise.from_dict(noise.to_dict())
     np.testing.assert_allclose(back.gyro, noise.gyro)
     np.testing.assert_allclose(back.accel_bias, noise.accel_bias)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_property_fusion_invariant_to_sensor_order(data, n, seed):
+    """Permuting the sensors together with their VimuConfig entries
+    leaves the fused series unchanged."""
+    perm = data.draw(st.permutations(range(n)))
+    rng = np.random.default_rng(seed)
+    rotations = [exp_so3(rng.normal(size=3)) for _ in range(n)]
+    positions = [rng.normal(scale=0.05, size=3) for _ in range(n)]
+    noises = [NoiseSpec(sigma_g=rng.uniform(1e-4, 1e-3),
+                        sigma_a=rng.uniform(1e-3, 1e-2)) for _ in range(n)]
+    series = [ImuSeries(FREQ, 1000, rng.normal(size=(12, 3)),
+                        rng.normal(scale=5.0, size=(12, 3))) for _ in range(n)]
+
+    def fuse(order):
+        cfg = VimuConfig(rotations=tuple(rotations[i] for i in order),
+                         positions=tuple(positions[i] for i in order),
+                         noises=tuple(noises[i] for i in order))
+        return fuse_series(cfg, [series[i] for i in order])
+
+    want, got = fuse(range(n)), fuse(perm)
+    assert (got.freq, got.start_ns) == (want.freq, want.start_ns)
+    np.testing.assert_allclose(got.gyro, want.gyro, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.accel, want.accel, rtol=0, atol=1e-12)
