@@ -6,10 +6,11 @@ invocation never leaves partial output behind.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import os
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,12 @@ from .types import Extrinsic, ImuSeries, NoiseSpec, _check_keys
 from .vimu import VimuConfig, VimuNoise
 
 IMU_CSV_HEADER = "t_ns,wx,wy,wz,ax,ay,az"
+# one CSV row: an exact integer timestamp, then 6 values that round-trip
+_ROW_FORMAT = "%d," + ",".join(["%.17g"] * 6) + "\n"
+_ROW_DTYPE = np.dtype([("t_ns", np.int64), ("values", np.float64, (6,))])
+# a line that str.strip() would empty, with the newline before it (so
+# never the first line, the header)
+_WHITESPACE_LINE = re.compile(r"\n[^\S\n]+(?=\n|\Z)")
 # fraction of the nominal period that timestamps may deviate on ingest
 RATE_JITTER_TOL = 0.01
 
@@ -66,52 +73,73 @@ def load_yaml(path) -> dict:
 
 def write_imu_csv(path, series: ImuSeries):
     """Write a raw or fused series, one row per sample at its implicit
-    timestamp."""
-    lines = [IMU_CSV_HEADER]
-    for t, w, a in zip(series.times_ns(), series.gyro, series.accel):
-        vals = ",".join(f"{x:.17g}" for x in (*w, *a))
-        lines.append(f"{int(t)},{vals}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    timestamp, every value to 17 significant digits so that it reads
+    back bit for bit. A non-finite sample, which read_imu_csv would
+    reject, raises FormatError before any file is created."""
+    finite = (np.isfinite(series.gyro).all(axis=1)
+              & np.isfinite(series.accel).all(axis=1))
+    if not finite.all():
+        raise FormatError(
+            f"{path}: sample {int(np.argmin(finite))} is not finite")
+    rows = np.empty((len(series), 7), dtype=object)
+    rows[:, 0] = series.times_ns().tolist()
+    rows[:, 1:4] = series.gyro
+    rows[:, 4:] = series.accel
+    atomic_write_text(path, f"{IMU_CSV_HEADER}\n"
+                      + (_ROW_FORMAT * len(series)) % tuple(rows.ravel()))
+
+
+def _load_rows(lines) -> np.ndarray:
+    """Parse CSV data lines into _ROW_DTYPE records; empty lines are
+    skipped, any other line that is not an integer and 6 numbers raises
+    ValueError."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",",
+                          comments=None, ndmin=1)
+
+
+def _first_bad_line(lines) -> int:
+    """Index of the first of ``lines`` that _load_rows rejects, found by
+    bisection. Only the error path calls this, so the parse itself need
+    not go line by line."""
+    lo, hi = 0, len(lines)  # lines[:lo] parse; lines[lo:hi] hold a bad one
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _load_rows(lines[lo:mid])
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
 
 
 def _parse_csv(path):
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != IMU_CSV_HEADER:
-            raise FormatError(
-                f"{path}: bad header {header!r}, expected {IMU_CSV_HEADER!r}")
-        times = []
-        values = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise FormatError(f"{path}:{lineno}: expected 7 columns")
-            try:
-                times.append(int(parts[0]))
-                values.append([float(x) for x in parts[1:]])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-    if len(times) < 2:
+    with open(path) as fh:  # universal newlines: CRLF reads as LF
+        text = fh.read()
+    # Emptied whitespace-only lines are blank lines, which np.loadtxt
+    # skips. lines[k] is line k + 1 of the file.
+    lines = _WHITESPACE_LINE.sub("\n", text).split("\n")
+    if lines[0] != IMU_CSV_HEADER:
+        raise FormatError(
+            f"{path}: bad header {lines[0]!r}, expected {IMU_CSV_HEADER!r}")
+    lines[0] = ""
+    try:
+        rows = _load_rows(lines)
+    except ValueError:
+        bad = _first_bad_line(lines)
+        reason = ("expected 7 columns" if lines[bad].count(",") != 6 else
+                  f"expected an integer and 6 numbers, got {lines[bad]!r}")
+        raise FormatError(f"{path}:{bad + 1}: {reason}") from None
+    if len(rows) < 2:
         raise FormatError(f"{path}: need at least 2 samples to derive a rate")
-    values = np.asarray(values, dtype=float)
+    values = rows["values"]
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        lineno = _line_of_row(path, int(np.argmin(finite)))
+        data_lines = [k for k, line in enumerate(lines) if line]
+        lineno = data_lines[int(np.argmin(finite))] + 1
         raise FormatError(f"{path}:{lineno}: non-finite sample value")
-    return np.asarray(times, dtype=np.int64), values
-
-
-def _line_of_row(path, row: int) -> int:
-    """File line number of data row ``row`` (0-based, blank lines
-    skipped). Only the error path calls this, so the parse loop need
-    not track line numbers."""
-    with open(path) as fh:
-        data_lines = (n for n, line in enumerate(fh, start=1)
-                      if n > 1 and line.strip())
-        return next(itertools.islice(data_lines, row, None))
+    return rows["t_ns"], values
 
 
 def read_imu_csv(path) -> ImuSeries:
@@ -180,8 +208,12 @@ def sim_setup_from_dict(d: dict):
             seed=int(d.get("seed", 0)),
             trajectory=TrajectoryParams.from_dict(d.get("trajectory", {})),
         )
+        entries = d.get("imus", [])
+        if not isinstance(entries, list):
+            raise TypeError(
+                f"imus block must be a list, got {type(entries).__name__}")
         imus = []
-        for i, entry in enumerate(d.get("imus", [])):
+        for i, entry in enumerate(entries):
             _check_keys(entry, ("name", "rotation_wxyz", "position_m", "noise"),
                         f"imus[{i}]")
             name = str(entry.get("name", f"imu_{i:02d}"))

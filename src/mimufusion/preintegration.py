@@ -116,32 +116,40 @@ def _noise_input_covariance(noise: VimuNoise, freq: float) -> np.ndarray:
     return out
 
 
-def step_matrices(accum_rotation, step_rotation, w_hat, a_hat,
-                  cfg: VimuConfig, fm: FusionMatrices, dt: float) -> tuple:
+def step_matrices(accum_rotation, step_rotation, a_hat, jr_dt, t_psi,
+                  dt: float, out=None) -> tuple:
     """Error-state transition A (9x9) and noise input B (9x6) for one
     sample, or for one sample position of n windows at once when the
     arguments are (n, 3, 3) and (n, 3) stacks (A is then (n, 9, 9)).
 
     ``accum_rotation`` is the delta rotation accumulated before this
-    sample; ``step_rotation`` is Exp(w_hat dt) for this sample.
+    sample; ``step_rotation`` is Exp(w_hat dt) for this sample. The
+    rate-only blocks come precomputed, so that a series can evaluate
+    them for all its samples at once: ``jr_dt`` is
+    right_jacobian(w_hat dt) dt and ``t_psi`` is
+    fm.accel_solve @ psi_matrix(cfg, w_hat). ``out`` takes the (A, B)
+    of an earlier call with the same shapes and refills only its
+    sample-dependent blocks, in place.
     """
-    lead = np.shape(w_hat)[:-1]
-    eye = np.eye(3)
+    if out is None:
+        lead = np.shape(a_hat)[:-1]
+        eye = np.eye(3)
+        A = np.zeros(lead + (9, 9))
+        A[..., 3:6, 3:6] = eye
+        A[..., 6:9, 3:6] = dt * eye
+        A[..., 6:9, 6:9] = eye
+        B = np.zeros(lead + (9, 6))
+    else:
+        A, B = out
     R_sa = accum_rotation @ skew(a_hat)
-    A = np.zeros(lead + (9, 9))
     A[..., 0:3, 0:3] = np.swapaxes(step_rotation, -1, -2)
     A[..., 3:6, 0:3] = -R_sa * dt
-    A[..., 3:6, 3:6] = eye
     A[..., 6:9, 0:3] = -0.5 * R_sa * dt**2
-    A[..., 6:9, 3:6] = dt * eye
-    A[..., 6:9, 6:9] = eye
 
-    B = np.zeros(lead + (9, 6))
-    B[..., 0:3, 0:3] = right_jacobian(np.asarray(w_hat) * dt) * dt
+    B[..., 0:3, 0:3] = jr_dt
     # Gyro noise leaks into position through the fused accelerometer's
     # lever-arm sensitivity; the corresponding velocity block carries a
     # noise-dependent factor and vanishes at the expectation.
-    t_psi = fm.accel_solve @ psi_matrix(cfg, w_hat)
     B[..., 6:9, 0:3] = -0.5 * accum_rotation @ t_psi * dt**2
     B[..., 3:6, 3:6] = accum_rotation * dt
     B[..., 6:9, 3:6] = 0.5 * accum_rotation * dt**2
@@ -175,10 +183,11 @@ def preintegrate_windows(series: ImuSeries, state: VimuState,
 
     Each delta equals folding its window through step_matrices sample by
     sample, to round-off. One loop over the sample positions advances
-    every window's rotation (and covariance) together; the covariance
-    transition and noise-input blocks are built for the current sample
-    position only, so the working set holds no per-sample 3x3 or 9x9
-    blocks beyond the rotation increments. The velocity and position
+    every window's rotation (and covariance) together. With covariance,
+    the two rate-only 3x3 blocks of B are evaluated once for every
+    sample, and one A and one B buffer, their constant blocks set once,
+    are refilled for the current sample position only; the working set
+    holds no per-sample 9x9 blocks. The velocity and position
     sums follow from the accumulated rotations without a loop.
     ``with_covariance=False`` skips the covariance recursion (useful in
     Monte-Carlo loops that only need the increments) and then ``noise``
@@ -196,18 +205,24 @@ def preintegrate_windows(series: ImuSeries, state: VimuState,
     w_hat, a_hat = bias_correct(series, state, cfg, fm)
     # rot[:, t] holds Exp(w_t dt) until pass t overwrites it with the
     # rotation accumulated through sample t.
-    rot = exp_so3(w_hat[:k] * dt).reshape(n_windows, step, 3, 3)
-    w_hat = w_hat[:k].reshape(n_windows, step, 3)
+    w_hat = w_hat[:k]
+    rot = exp_so3(w_hat * dt).reshape(n_windows, step, 3, 3)
     a_hat = a_hat[:k].reshape(n_windows, step, 3)
 
     dR = np.tile(np.eye(3), (n_windows, 1, 1))
     cov = np.zeros((n_windows, 9, 9))
     if with_covariance:
         s_eta = _noise_input_covariance(noise, series.freq)
+        # The rate-only blocks of B do not depend on the accumulated
+        # rotation: evaluate them once for the whole series.
+        shape = (n_windows, step, 3, 3)
+        jr_dt = (right_jacobian(w_hat * dt) * dt).reshape(shape)
+        t_psi = (fm.accel_solve @ psi_matrix(cfg, w_hat)).reshape(shape)
+        AB = None
     for t in range(step):
         if with_covariance:
-            A, B = step_matrices(dR, rot[:, t], w_hat[:, t], a_hat[:, t],
-                                 cfg, fm, dt)
+            A, B = AB = step_matrices(dR, rot[:, t], a_hat[:, t], jr_dt[:, t],
+                                      t_psi[:, t], dt, out=AB)
             cov = (A @ cov @ A.transpose(0, 2, 1)
                    + B @ s_eta @ B.transpose(0, 2, 1))
             cov = 0.5 * (cov + cov.transpose(0, 2, 1))

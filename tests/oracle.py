@@ -1,17 +1,25 @@
-"""Scalar preintegration step: the tests' independent oracle.
+"""The tests' independent oracles.
 
 ``propagate_step`` folds one bias-corrected sample into a running
 ``PreintDelta`` with per-sample 3x3 and 9x9 algebra. The library's
 kernel (``preintegrate_windows``) advances many windows at once instead;
-the tests compare the two, so this module must not call the kernel or
-its batched step builders.
+the tests compare the two, so this code must not call the kernel or its
+batched step builders.
+
+``write_imu_csv`` and ``parse_csv`` are the per-value IMU CSV writer
+and per-line reader that the library's bulk codec replaced: one
+f-string per value, one ``int()``/``float()`` per field.
 """
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from mimufusion.csvio import IMU_CSV_HEADER, atomic_write_text
+from mimufusion.errors import FormatError
 from mimufusion.geometry import exp_so3, right_jacobian, skew
 from mimufusion.preintegration import PreintDelta, _noise_input_covariance
+from mimufusion.types import ImuSeries
 from mimufusion.vimu import (
     FusionMatrices,
     VimuConfig,
@@ -89,3 +97,53 @@ def propagate_step(prev: PreintDelta, w_hat, a_hat, cfg: VimuConfig,
         duration=prev.duration + dt,
         count=prev.count + 1,
     )
+
+
+def write_imu_csv(path, series: ImuSeries):
+    """Write a raw or fused series, one row per sample at its implicit
+    timestamp."""
+    lines = [IMU_CSV_HEADER]
+    for t, w, a in zip(series.times_ns(), series.gyro, series.accel):
+        vals = ",".join(f"{x:.17g}" for x in (*w, *a))
+        lines.append(f"{int(t)},{vals}")
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def parse_csv(path):
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        if header != IMU_CSV_HEADER:
+            raise FormatError(
+                f"{path}: bad header {header!r}, expected {IMU_CSV_HEADER!r}")
+        times = []
+        values = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 7:
+                raise FormatError(f"{path}:{lineno}: expected 7 columns")
+            try:
+                times.append(int(parts[0]))
+                values.append([float(x) for x in parts[1:]])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+    if len(times) < 2:
+        raise FormatError(f"{path}: need at least 2 samples to derive a rate")
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        lineno = _line_of_row(path, int(np.argmin(finite)))
+        raise FormatError(f"{path}:{lineno}: non-finite sample value")
+    return np.asarray(times, dtype=np.int64), values
+
+
+def _line_of_row(path, row: int) -> int:
+    """File line number of data row ``row`` (0-based, blank lines
+    skipped). Only the error path calls this, so the parse loop need
+    not track line numbers."""
+    with open(path) as fh:
+        data_lines = (n for n, line in enumerate(fh, start=1)
+                      if n > 1 and line.strip())
+        return next(itertools.islice(data_lines, row, None))

@@ -177,6 +177,18 @@ def test_fuse_outputs(workspace, fused):
     assert len(text) == 1 + 2000 - 2  # endpoints spent on differencing
 
 
+def test_cli_csvs_round_trip_bytes(workspace, fused, tmp_path):
+    """Every CSV that simulate and fuse write reads back into a series
+    that writes the same bytes again."""
+    from mimufusion.csvio import read_imu_csv, write_imu_csv
+
+    data = workspace / "data"
+    for path in (data / "imu_a.csv", data / "imu_b.csv", fused):
+        again = tmp_path / path.name
+        write_imu_csv(again, read_imu_csv(path))
+        assert again.read_bytes() == path.read_bytes()
+
+
 def test_preintegrate_outputs(workspace, fused, tmp_path):
     out = tmp_path / "deltas.jsonl"
     code = main(["preintegrate",

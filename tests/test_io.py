@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracle import parse_csv as oracle_parse_csv
+from oracle import write_imu_csv as oracle_write_imu_csv
 
 from mimufusion.csvio import (
     IMU_CSV_HEADER,
+    _parse_csv,
     atomic_write_text,
     load_noise_pair,
     load_sim_setup,
@@ -199,6 +203,144 @@ def test_property_fused_csv_round_trip(series):
     assert_same_series(csv_round_trip(fused), fused)
 
 
+def codec_series(seed, n=40, start_ns=1_700_000_000_123_456_789):
+    """Random series spanning 620 decades, subnormals included, with
+    signed zeros and +-1e300 in its first row and an epoch-scale start."""
+    rng = np.random.default_rng(seed)
+    values = (rng.uniform(-1.0, 1.0, size=(n, 6))
+              * 10.0 ** rng.integers(-320, 300, size=(n, 6)))
+    values[0] = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300]
+    return ImuSeries(rng.uniform(1.0, 1e4), start_ns, values[:, :3],
+                     values[:, 3:])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_imu_csv_writer_matches_oracle_bytes(tmp_path, seed):
+    series = codec_series(seed)
+    write_imu_csv(tmp_path / "bulk.csv", series)
+    oracle_write_imu_csv(tmp_path / "oracle.csv", series)
+    assert ((tmp_path / "bulk.csv").read_bytes()
+            == (tmp_path / "oracle.csv").read_bytes())
+
+
+@PROPERTY_SETTINGS
+@given(series=imu_series(st.floats(allow_nan=False, allow_infinity=False)))
+def test_property_imu_csv_writer_matches_oracle(series):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_imu_csv(Path(tmp) / "bulk.csv", series)
+        oracle_write_imu_csv(Path(tmp) / "oracle.csv", series)
+        assert ((Path(tmp) / "bulk.csv").read_bytes()
+                == (Path(tmp) / "oracle.csv").read_bytes())
+
+
+SPELLINGS = ("{!r}", "{:.17g}", "{:.3e}", "{:+.6f}", " {:.9G} ", "{:.0f}.")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_imu_csv_reader_matches_oracle_bits(tmp_path, seed):
+    """Both readers give bit-identical timestamps and values, also for
+    number spellings the writer never produces."""
+    series = codec_series(seed)
+    rng = np.random.default_rng(seed)
+    rows = [IMU_CSV_HEADER]
+    values = np.hstack([series.gyro, series.accel]).tolist()
+    for t, v in zip(series.times_ns(), values):
+        fields = [rng.choice(SPELLINGS).format(x) for x in v]
+        rows.append(f"{t}," + ",".join(fields))
+    path = tmp_path / "imu.csv"
+    path.write_text("\n".join(rows) + "\n")
+    times, values = _parse_csv(path)
+    want_times, want_values = oracle_parse_csv(path)
+    assert times.dtype == np.int64 and values.dtype == np.float64
+    np.testing.assert_array_equal(times, want_times)
+    assert values.tobytes() == want_values.tobytes()  # -0.0 included
+
+
+GOOD_ROWS = ["1700000000000000000,0.5,-0.25,0,1e-3,2,9.81",
+             "1700000000005000000,0.5,-0.25,0,1e-3,2,9.81",
+             "1700000000010000000,0.5,-0.25,0,1e-3,2,9.81"]
+
+
+def with_row(bad, at=2):
+    """GOOD_ROWS with ``bad`` at data row ``at``, after a blank line, so
+    that the bad row sits on file line ``at + 3``."""
+    rows = GOOD_ROWS[:at] + ["", bad] + GOOD_ROWS[at:]
+    return "\n".join([IMU_CSV_HEADER] + rows) + "\n"
+
+
+def non_finite(column, value):
+    parts = GOOD_ROWS[1].split(",")
+    parts[column] = value
+    return with_row(",".join(parts))
+
+
+MALFORMED = {
+    "short-row": with_row("1700000000015000000,1,2,3,4,5"),
+    "long-row": with_row("1700000000015000000,1,2,3,4,5,6,7"),
+    "trailing-comma": with_row("1700000000015000000,1,2,3,4,5,6,"),
+    "empty-field": with_row("1700000000015000000,1,,3,4,5,6"),
+    "non-numeric": with_row("1700000000015000000,1,2,x,4,5,6"),
+    "float-timestamp": with_row("1.0,1,2,3,4,5,6", at=0),
+    "comment-line": with_row("# a comment"),
+    "whitespace-only-line": with_row(" \t "),
+    "whitespace-first-and-last-line": (IMU_CSV_HEADER + "\n  \n"
+                                       + "\n".join(GOOD_ROWS) + "\n\t"),
+    "crlf": "\r\n".join([IMU_CSV_HEADER] + GOOD_ROWS) + "\r\n",
+    "no-final-newline": "\n".join([IMU_CSV_HEADER] + GOOD_ROWS),
+    "header-only": IMU_CSV_HEADER + "\n",
+    "one-row": IMU_CSV_HEADER + "\n" + GOOD_ROWS[0] + "\n",
+    "blank-rows-only": IMU_CSV_HEADER + "\n\n \n\n",
+    "bad-header": "t,wx,wy,wz,ax,ay,az\n" + "\n".join(GOOD_ROWS) + "\n",
+    **{f"{value}-column-{column}": non_finite(column, value)
+       for column in range(7) for value in ("nan", "inf", "-inf")},
+}
+
+
+def parse_outcome(parse, path):
+    """(times, values) when ``parse`` accepts the file, else the error
+    class and the ``file[:line]:`` prefix its message starts with."""
+    try:
+        return parse(path)
+    except Exception as exc:
+        where = re.match(rf"{re.escape(str(path))}(:\d+)?:", str(exc))
+        return type(exc), where and where.group(0)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_imu_csv_reader_matches_oracle_on_malformed(tmp_path, case):
+    path = tmp_path / "imu.csv"
+    path.write_bytes(MALFORMED[case].encode())
+    got = parse_outcome(_parse_csv, path)
+    want = parse_outcome(oracle_parse_csv, path)
+    if isinstance(want[0], type):
+        assert want[1] is not None
+        assert got == want
+    else:
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_imu_csv_reader_rejects_python_literal_underscores(tmp_path):
+    """The one intended difference from the oracle: int() and float()
+    accept digit separators such as 1_000, the bulk parser does not."""
+    path = tmp_path / "imu.csv"
+    path.write_text(with_row("1700000000015000000,1_000,2,3,4,5,6"))
+    oracle_parse_csv(path)
+    with pytest.raises(FormatError, match=r"imu\.csv:5: "):
+        _parse_csv(path)
+
+
+@pytest.mark.parametrize("row, column", [(0, 0), (3, 2), (9, 5)])
+def test_imu_csv_writer_refuses_non_finite(tmp_path, row, column):
+    series = noisy_series(duration=0.05)
+    values = np.hstack([series.gyro, series.accel])
+    values[row, column] = np.nan if column % 2 else -np.inf
+    bad = ImuSeries(series.freq, series.start_ns, values[:, :3], values[:, 3:])
+    with pytest.raises(FormatError, match=rf"sample {row} is not finite"):
+        write_imu_csv(tmp_path / "imu.csv", bad)
+    assert os.listdir(tmp_path) == []
+
+
 def test_sidecar_round_trip(tmp_path):
     ext = Extrinsic(p=np.array([0.12, 0.0, 0.0]))
     cfg = midpoint_frame(ext, NoiseSpec(), NoiseSpec(sigma_g=3e-4))
@@ -290,6 +432,14 @@ def test_sim_setup_parses(tmp_path):
 def test_sim_setup_requires_imus():
     with pytest.raises(FormatError):
         sim_setup_from_dict({"freq": 200.0})
+
+
+@pytest.mark.parametrize("imus, kind", [(None, "NoneType"),
+                                        ({"a": 1}, "dict"), (5, "int")])
+def test_sim_setup_rejects_non_list_imus(imus, kind):
+    with pytest.raises(FormatError,
+                       match=f"imus block must be a list, got {kind}"):
+        sim_setup_from_dict({"imus": imus})
 
 
 def test_sim_setup_rejects_bad_noise_key():

@@ -234,7 +234,9 @@ def test_covariance_single_step_is_input_mapping():
     a = np.array([0.5, 0.1, 9.6])
     delta = propagate_step(PreintDelta.identity(), w, a, vcfg, fm, noise_v,
                            freq)
-    _, B = step_matrices(np.eye(3), exp_so3(w * dt), w, a, vcfg, fm, dt)
+    _, B = step_matrices(np.eye(3), exp_so3(w * dt), a,
+                         right_jacobian(w * dt) * dt,
+                         fm.accel_solve @ psi_matrix(vcfg, w), dt)
     s_eta = np.zeros((6, 6))
     s_eta[:3, :3] = noise_v.gyro * freq
     s_eta[3:, 3:] = noise_v.accel * freq
@@ -372,7 +374,8 @@ def test_step_matrices_stack_matches_scalar_oracle(name):
     w = rng.normal(scale=0.6, size=(n, 3))
     a = GRAVITY + rng.normal(scale=1.5, size=(n, 3))
     step = exp_so3(w * dt)
-    A, B = step_matrices(accum, step, w, a, cfg, fm, dt)
+    A, B = step_matrices(accum, step, a, right_jacobian(w * dt) * dt,
+                         fm.accel_solve @ psi_matrix(cfg, w), dt)
     assert A.shape == (n, 9, 9) and B.shape == (n, 9, 6)
     psi = psi_matrix(cfg, w)
     for i in range(n):
@@ -380,6 +383,32 @@ def test_step_matrices_stack_matches_scalar_oracle(name):
         np.testing.assert_allclose(A[i], want.a, atol=1e-15)
         np.testing.assert_allclose(B[i], want.b, atol=1e-15)
         np.testing.assert_allclose(psi[i], psi_matrix(cfg, w[i]), atol=1e-12)
+
+
+def test_step_matrices_refill_matches_fresh_build():
+    """Refilling the (A, B) of an earlier call in place, as the kernel
+    does from one sample position to the next, gives the matrices of a
+    fresh call: every block that the constant set-up leaves alone is
+    overwritten."""
+    cfg = window_configs()["4-sensor"]
+    fm = build_fusion(cfg)
+    dt = 1.0 / 200.0
+    rng = np.random.default_rng(55)
+
+    def inputs(n=5):
+        w = rng.normal(scale=0.6, size=(n, 3))
+        return (exp_so3(rng.normal(size=(n, 3))), exp_so3(w * dt),
+                GRAVITY + rng.normal(scale=1.5, size=(n, 3)),
+                right_jacobian(w * dt) * dt,
+                fm.accel_solve @ psi_matrix(cfg, w), dt)
+
+    out = step_matrices(*inputs())
+    second = inputs()
+    A, B = step_matrices(*second, out=out)
+    assert A is out[0] and B is out[1]
+    fresh_A, fresh_B = step_matrices(*second)
+    np.testing.assert_array_equal(A, fresh_A)
+    np.testing.assert_array_equal(B, fresh_B)
 
 
 def test_predict_state_identity_delta():
