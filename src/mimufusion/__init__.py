@@ -16,7 +16,6 @@ from .errors import (
     FormatError,
     LengthMismatch,
     MimuError,
-    NotConverged,
     RateMismatch,
     SingularFusion,
     SingularNormalEquations,
@@ -63,7 +62,6 @@ __all__ = [
     "LengthMismatch",
     "MimuError",
     "NoiseSpec",
-    "NotConverged",
     "PreintDelta",
     "RateMismatch",
     "RmseReport",

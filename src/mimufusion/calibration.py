@@ -1,12 +1,16 @@
 """Two-stage gyro-pair extrinsic calibration.
 
 Stage one estimates the relative orientation from paired angular-rate
-measurements by weighted nonlinear least squares on the rotation
-manifold (closed-form orthogonal-Procrustes initialization, damped
-Gauss-Newton iterations). Stage two holds the orientation fixed and
-solves a weighted linear least-squares problem for the lever arm using
-rigid-body accelerometer residuals, with angular accelerations estimated
-from the two gyros by a central difference.
+measurements by weighted least squares on the rotation manifold. The
+weights are scalars per sample, so this is Wahba's problem and the
+weighted orthogonal-Procrustes (SVD) fit is its exact minimizer
+(Markley, "Attitude determination using vector observations and the
+singular value decomposition", J. Astronaut. Sci. 1988). Stage two holds
+the orientation fixed and solves a weighted linear least-squares problem
+for the lever arm using rigid-body accelerometer residuals, with angular
+accelerations estimated from the two gyros by a central difference.
+Both stage kernels (fit_rotation, fit_translation) take any leading
+trial axes and report a failure per trial instead of raising.
 
 Per-sample weights follow the inverse of isotropic variance schedules
 that grow linearly with the sample index, modeling bias random walk
@@ -24,18 +28,10 @@ import numpy as np
 from .errors import (
     DegenerateMotion,
     LengthMismatch,
-    NotConverged,
     RateMismatch,
     SingularNormalEquations,
 )
-from .geometry import (
-    lever_matrix,
-    quat_from_rotation,
-    quat_from_rotvec,
-    quat_multiply,
-    quat_rotate,
-    rotation_from_quat,
-)
+from .geometry import lever_matrix, quat_from_rotation, rotation_from_quat
 from .types import Extrinsic, ImuSeries, NoiseSpec
 
 log = logging.getLogger(__name__)
@@ -47,11 +43,6 @@ GYRO_EXCITATION_MIN = 1e-4
 # stage; units are mixed ((rad/s)^4 and (rad/s^2)^2), the guard only has
 # to reject near-singular geometry.
 TRANSLATION_EXCITATION_MIN = 1e-6
-
-MAX_ITERATIONS = 100
-LAMBDA_INIT = 1e-4
-COST_REL_TOL = 1e-12
-STEP_NORM_TOL = 1e-10
 
 
 @dataclass
@@ -181,90 +172,45 @@ class WeightSchedule:
         )
 
 
-def residual_omega(q, omega_a, omega_b) -> np.ndarray:
-    """Gyro pairing residual: w_B - q * w_A * q^-1. Broadcasts over rows."""
-    return np.asarray(omega_b, dtype=float) - quat_rotate(q, omega_a)
+def fit_rotation(gyro_a, gyro_b, weights) -> tuple:
+    """Stage-one kernel: the weighted Procrustes rotation R minimizing
+    sum_t w_t |wB_t - R wA_t|^2, for gyro rows (..., n, 3) and weights
+    (n,). Returns (R (..., 3, 3), cost (...), errors): errors holds a
+    DegenerateMotion or None per trial, row-major over the leading axes.
+    """
+    wa = np.asarray(gyro_a, dtype=float)
+    wb = np.asarray(gyro_b, dtype=float)
+    moment = np.swapaxes(wa, -1, -2) @ wa / wa.shape[-2]
+    smallest = np.linalg.eigvalsh(moment)[..., 0]
+    U, _, VT = np.linalg.svd(np.einsum("t,...ti,...tj->...ij", weights, wb, wa))
+    U[..., 2] *= np.sign(np.linalg.det(U) * np.linalg.det(VT))[..., None]
+    R = U @ VT
+    r = wb - wa @ np.swapaxes(R, -1, -2)
+    errors = [None if e >= GYRO_EXCITATION_MIN else DegenerateMotion(
+        "gyro second moment too weak for orientation estimation "
+        f"(smallest eigenvalue {e:.3e} < {GYRO_EXCITATION_MIN:.0e})")
+        for e in np.ravel(smallest)]
+    return R, np.einsum("t,...ti,...ti->...", weights, r, r), errors
 
 
-def _check_gyro_excitation(gyro: np.ndarray):
-    moment = (gyro.T @ gyro) / gyro.shape[0]
-    smallest = float(np.linalg.eigvalsh(moment)[0])
-    if smallest < GYRO_EXCITATION_MIN:
-        raise DegenerateMotion(
-            "gyro second moment too weak for orientation estimation "
-            f"(smallest eigenvalue {smallest:.3e} < {GYRO_EXCITATION_MIN:.0e})")
-
-
-def _procrustes(wa: np.ndarray, wb: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Closed-form weighted orthogonal Procrustes fit of R: wb ~ R wa."""
-    B = np.einsum("t,ti,tj->ij", weights, wb, wa)
-    U, _, VT = np.linalg.svd(B)
-    d = np.sign(np.linalg.det(U) * np.linalg.det(VT))
-    return U @ np.diag([1.0, 1.0, d]) @ VT
-
-
-def estimate_rotation(inp: CalibrationInput, max_iterations: int = MAX_ITERATIONS):
-    """Stage one: relative orientation from the gyro pair.
+def estimate_rotation(inp: CalibrationInput):
+    """Stage one: relative orientation from the gyro pair, the one-pair
+    case of fit_rotation.
 
     Returns (q, StageDiagnostics) where q rotates A-frame vectors into
-    the B frame. Initialization is the weighted SVD Procrustes solution;
-    iterations are damped Gauss-Newton with a 3-parameter tangent update
-    (right multiplication) and a Levenberg lambda schedule.
+    the B frame; the closed-form fit is the one iteration.
 
     Raises DegenerateMotion when the trajectory does not excite enough
-    rotation, NotConverged when the iteration limit is hit.
+    rotation.
     """
-    wa = inp.series_a.gyro
-    wb = inp.series_b.gyro
-    _check_gyro_excitation(wa)
-    dt = 1.0 / inp.series_a.freq
-    weights = WeightSchedule.build(len(inp.series_a), inp.noise_a,
-                                   inp.noise_b, dt).w_omega
-
-    q = quat_from_rotation(_procrustes(wa, wb, weights))
-
-    # Gauss-Newton pieces. With residual r_t = wb_t - R wa_t and the
-    # update R <- R Exp(delta), the Jacobian is J_t = R [wa_t]x, so
-    # J^T J = [wa]x^T [wa]x independently of R: H is constant.
-    norms2 = np.einsum("ti,ti->t", wa, wa)
-    H = (np.einsum("t,t->", weights, norms2) * np.eye(3)
-         - np.einsum("t,ti,tj->ij", weights, wa, wa))
-
-    def cost_of(q):
-        r = residual_omega(q, wa, wb)
-        return float(np.einsum("t,ti,ti->", weights, r, r))
-
-    cost = cost_of(q)
-    lam = LAMBDA_INIT
-    iterations = 0
-    converged = False
-    while iterations < max_iterations:
-        iterations += 1
-        R = rotation_from_quat(q)
-        r = residual_omega(q, wa, wb)
-        # g = sum w J^T r with J^T r = -wa x (R^T r)
-        g = -np.einsum("t,ti->i", weights, np.cross(wa, r @ R))
-        try:
-            delta = np.linalg.solve(H + lam * np.eye(3), -g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularNormalEquations(str(exc)) from exc
-        q_new = quat_multiply(q, quat_from_rotvec(delta))
-        new_cost = cost_of(q_new)
-        if new_cost <= cost:
-            step = float(np.linalg.norm(delta))
-            rel = abs(cost - new_cost) / max(cost, 1e-300)
-            q, cost = q_new, new_cost
-            lam = max(lam / 10.0, 1e-15)
-            if rel < COST_REL_TOL or step < STEP_NORM_TOL:
-                converged = True
-                break
-        else:
-            lam *= 10.0
-    if not converged:
-        raise NotConverged(
-            f"rotation stage did not converge in {max_iterations} iterations")
-    log.debug("rotation stage: %d iterations, cost %.6e", iterations, cost)
-    return q, StageDiagnostics(iterations=iterations, final_cost=cost)
+    weights = WeightSchedule.build(len(inp.series_a), inp.noise_a, inp.noise_b,
+                                   1.0 / inp.series_a.freq).w_omega
+    R, cost, (error,) = fit_rotation(inp.series_a.gyro, inp.series_b.gyro, weights)
+    if error is not None:
+        raise error
+    log.debug("rotation stage: cost %.6e", cost)
+    return quat_from_rotation(R), StageDiagnostics(iterations=1,
+                                                   final_cost=float(cost))
 
 
 def estimate_angular_accel(q, series_a: ImuSeries,
@@ -281,55 +227,63 @@ def estimate_angular_accel(q, series_a: ImuSeries,
     """
     if len(series_b) != len(series_a):
         raise LengthMismatch("series lengths differ")
-    R = rotation_from_quat(q)
-    total = series_b.gyro @ R + series_a.gyro
-    return (series_a.freq / 4.0) * (total[2:] - total[:-2])
+    return _angular_accel(rotation_from_quat(q), series_a.gyro, series_b.gyro,
+                          series_a.freq)
+
+
+def _angular_accel(R, gyro_a, gyro_b, freq: float) -> np.ndarray:
+    total = gyro_b @ R + gyro_a
+    return (freq / 4.0) * (total[..., 2:, :] - total[..., :-2, :])
+
+
+def fit_translation(R, gyro_a, accel_a, gyro_b, accel_b, freq: float,
+                    weights) -> tuple:
+    """Stage-two kernel: the lever arm p minimizing
+    sum_t w_t |b_t - R M_t p|^2 over the interior samples, with
+    b_t = aB_t - R aA_t and M_t = [w]x^2 + [wdot]x, for sample rows
+    (..., n, 3), rotations R (..., 3, 3) and weights (n - 2,). The
+    residual is affine in p, so the weighted normal equations are solved
+    directly. Returns (p (..., 3), cost (...), errors): errors holds a
+    DegenerateMotion, SingularNormalEquations or None per trial,
+    row-major over the leading axes.
+    """
+    R = np.asarray(R, dtype=float)
+    wa = gyro_a[..., 1:-1, :]
+    wdot = _angular_accel(R, gyro_a, gyro_b, freq)
+    M = lever_matrix(wa, wdot)  # (..., n - 2, 3, 3)
+    mean_MtM = np.einsum("...tki,...tkj->...ij", M, M) / M.shape[-3]
+    smallest = np.linalg.eigvalsh(mean_MtM)[..., 0]
+
+    b = accel_b[..., 1:-1, :] - accel_a[..., 1:-1, :] @ np.swapaxes(R, -1, -2)
+    bR = b @ R  # R^T b, row-wise
+    H = np.einsum("t,...tki,...tkj->...ij", weights, M, M)
+    g = np.einsum("t,...tki,...tk->...i", weights, M, bR)
+    cond = np.linalg.cond(H)
+    solvable = np.isfinite(cond) & (cond <= 1e12)
+    p = np.linalg.solve(np.where(solvable[..., None, None], H, np.eye(3)),
+                        g[..., None])[..., 0]
+    r = b - (M @ p[..., None, :, None])[..., 0] @ np.swapaxes(R, -1, -2)
+    errors = [
+        DegenerateMotion("rotational excitation too weak for lever-arm "
+                         f"estimation (smallest design eigenvalue {e:.3e})")
+        if e < TRANSLATION_EXCITATION_MIN else None if ok else
+        SingularNormalEquations(f"normal equations ill-conditioned (cond {c:.3e})")
+        for e, c, ok in zip(np.ravel(smallest), np.ravel(cond), np.ravel(solvable))]
+    return p, np.einsum("t,...ti,...ti->...", weights, r, r), errors
 
 
 def estimate_translation(inp: CalibrationInput, q):
-    """Stage two: lever arm with the orientation held fixed.
-
-    The residual is affine in p, so the weighted normal equations are
-    solved directly. Returns (p, StageDiagnostics).
-    """
-    n = len(inp.series_a)
-    dt = 1.0 / inp.series_a.freq
-    R = rotation_from_quat(q)
-    wa = inp.series_a.gyro[1:-1]
-    aa = inp.series_a.accel[1:-1]
-    ab = inp.series_b.accel[1:-1]
-    wdot = estimate_angular_accel(q, inp.series_a, inp.series_b)
-
-    # design blocks M_t = [w]x^2 + [wdot]x, residual b_t - R M_t p
-    M = lever_matrix(wa, wdot)
-    mean_MtM = np.einsum("tki,tkj->ij", M, M) / M.shape[0]
-    smallest = float(np.linalg.eigvalsh(mean_MtM)[0])
-    if smallest < TRANSLATION_EXCITATION_MIN:
-        raise DegenerateMotion(
-            "rotational excitation too weak for lever-arm estimation "
-            f"(smallest design eigenvalue {smallest:.3e})")
-
-    t_idx = np.arange(2, n, dtype=float)  # 1-based index of interior samples
-    weights = _weights_from_variance(
-        sigma_accel(t_idx, inp.noise_a, inp.noise_b, dt))
-
-    b = ab - aa @ R.T
-    bR = b @ R  # R^T b, row-wise
-    H = np.einsum("t,tki,tkj->ij", weights, M, M)
-    g = np.einsum("t,tki,tk->i", weights, M, bR)
-    try:
-        cond = np.linalg.cond(H)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SingularNormalEquations(
-                f"normal equations ill-conditioned (cond {cond:.3e})")
-        p = np.linalg.solve(H, g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularNormalEquations(str(exc)) from exc
-
-    r = b - np.einsum("tij,j->ti", M, p) @ R.T
-    cost = float(np.einsum("t,ti,ti->", weights, r, r))
+    """Stage two: lever arm with the orientation held fixed, the
+    one-pair case of fit_translation. Returns (p, StageDiagnostics)."""
+    weights = WeightSchedule.build(len(inp.series_a), inp.noise_a, inp.noise_b,
+                                   1.0 / inp.series_a.freq).w_accel[1:-1]
+    p, cost, (error,) = fit_translation(
+        rotation_from_quat(q), inp.series_a.gyro, inp.series_a.accel,
+        inp.series_b.gyro, inp.series_b.accel, inp.series_a.freq, weights)
+    if error is not None:
+        raise error
     log.debug("translation stage: cost %.6e", cost)
-    return p, StageDiagnostics(iterations=1, final_cost=cost)
+    return p, StageDiagnostics(iterations=1, final_cost=float(cost))
 
 
 def calibrate(inp: CalibrationInput) -> CalibrationResult:

@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .errors import FormatError, RateMismatch
-from .types import Extrinsic, ImuSeries, NoiseSpec, _check_keys
+from .types import Extrinsic, ImuSeries, NoiseSpec, _check_keys, non_finite_sample
 from .vimu import VimuConfig, VimuNoise
 
 IMU_CSV_HEADER = "t_ns,wx,wy,wz,ax,ay,az"
@@ -76,11 +76,9 @@ def write_imu_csv(path, series: ImuSeries):
     timestamp, every value to 17 significant digits so that it reads
     back bit for bit. A non-finite sample, which read_imu_csv would
     reject, raises FormatError before any file is created."""
-    finite = (np.isfinite(series.gyro).all(axis=1)
-              & np.isfinite(series.accel).all(axis=1))
-    if not finite.all():
-        raise FormatError(
-            f"{path}: sample {int(np.argmin(finite))} is not finite")
+    bad = non_finite_sample(series.gyro, series.accel)
+    if bad is not None:
+        raise FormatError(f"{path}: sample {bad} is not finite")
     rows = np.empty((len(series), 7), dtype=object)
     rows[:, 0] = series.times_ns().tolist()
     rows[:, 1:4] = series.gyro
@@ -115,8 +113,12 @@ def _first_bad_line(lines) -> int:
 
 
 def _parse_csv(path):
-    with open(path) as fh:  # universal newlines: CRLF reads as LF
-        text = fh.read()
+    try:  # universal newlines: CRLF reads as LF
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
     # Emptied whitespace-only lines are blank lines, which np.loadtxt
     # skips. lines[k] is line k + 1 of the file.
     lines = _WHITESPACE_LINE.sub("\n", text).split("\n")

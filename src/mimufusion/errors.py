@@ -17,10 +17,6 @@ class DegenerateMotion(MimuError):
     """Motion does not excite the quantity being estimated."""
 
 
-class NotConverged(MimuError):
-    """Iterative solver hit its iteration limit without meeting tolerances."""
-
-
 class SingularFusion(MimuError):
     """Fusion design matrices cannot be inverted with the given geometry/noise."""
 

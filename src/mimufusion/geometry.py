@@ -36,13 +36,16 @@ def lever_matrix(omega, omega_dot) -> np.ndarray:
     reference point, w x (w x p) + wdot x p. (3,) rates give (3, 3);
     (n, 3) rows give (n, 3, 3)."""
     sw = skew(omega)
-    return sw @ sw + skew(omega_dot)
+    out = sw @ sw
+    out += skew(omega_dot)
+    return out
 
 
 def vee(m) -> np.ndarray:
-    """Inverse of skew for an exactly antisymmetric matrix."""
+    """Inverse of skew for an exactly antisymmetric matrix or a stack of
+    them."""
     m = np.asarray(m, dtype=float)
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
+    return np.stack([m[..., 2, 1], m[..., 0, 2], m[..., 1, 0]], axis=-1)
 
 
 def _angles(phi):
@@ -65,36 +68,43 @@ def exp_so3(phi) -> np.ndarray:
     a = np.where(small, 1.0, np.sin(th) / th)
     b = np.where(small, 0.5, (1.0 - np.cos(th)) / th**2)
     s = skew(phi)
-    return np.eye(3) + a * s + b * (s @ s)
+    s2 = s @ s  # I + a s + b s^2, summed in that order, in place
+    s2 *= b
+    s *= a
+    s += np.eye(3)
+    s += s2
+    return s
 
 
 def log_so3(R) -> np.ndarray:
-    """Rotation vector of a rotation matrix, with norm <= pi.
+    """Rotation vector of a rotation matrix (3, 3), or of each matrix of
+    a stack (n, 3, 3), with norm <= pi.
 
     Near pi the dominant-axis extraction is used because the
-    antisymmetric part of R degenerates there.
+    antisymmetric part of R degenerates there; each row takes its own
+    branch.
     """
     R = np.asarray(R, dtype=float)
-    w = 0.5 * vee(R - R.T)  # sin(angle) * axis
-    sin_angle = float(np.linalg.norm(w))
-    cos_angle = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
+    w = 0.5 * vee(R - np.swapaxes(R, -1, -2))  # sin(angle) * axis
+    sin_angle = np.linalg.norm(w, axis=-1)
+    cos_angle = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0,
+                        -1.0, 1.0)
     # atan2 keeps the angle well conditioned where arccos alone degrades
     # (cos near +-1); the measured sine also cancels out of angle/sin * w.
-    angle = float(np.arctan2(sin_angle, cos_angle))
-    if angle < SMALL_ANGLE:
-        return w
-    if np.pi - angle < 1e-6:
-        # R ~ 2 a a^T - I: pick the axis from the strongest column of the
-        # symmetrized R + I (symmetrizing drops the sin(angle) [a]x term).
-        m = 0.5 * (R + R.T) + np.eye(3)
-        k = int(np.argmax(np.diag(m)))
-        axis = m[:, k] / np.linalg.norm(m[:, k])
-        # sin(angle) >= 0, so the antisymmetric part fixes the sign when
-        # it has not fully collapsed.
-        if np.dot(w, axis) < 0.0:
-            axis = -axis
-        return angle * axis
-    return (angle / sin_angle) * w
+    angle = np.arctan2(sin_angle, cos_angle)
+    small = angle < SMALL_ANGLE
+    scale = np.where(small, 1.0, angle / np.where(small, 1.0, sin_angle))
+    # R ~ 2 a a^T - I near pi: pick the axis from the strongest column of
+    # the symmetrized R + I (symmetrizing drops the sin(angle) [a]x term);
+    # sin(angle) >= 0, so the antisymmetric part fixes the sign when it
+    # has not fully collapsed.
+    m = 0.5 * (R + np.swapaxes(R, -1, -2)) + np.eye(3)
+    k = np.argmax(np.diagonal(m, axis1=-2, axis2=-1), axis=-1)
+    axis = np.take_along_axis(m, k[..., None, None], axis=-1)[..., 0]
+    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+    axis *= np.where(np.sum(w * axis, axis=-1) < 0.0, -1.0, 1.0)[..., None]
+    return np.where((np.pi - angle < 1e-6)[..., None], angle[..., None] * axis,
+                    scale[..., None] * w)
 
 
 def right_jacobian(phi) -> np.ndarray:
@@ -215,9 +225,12 @@ def quat_from_rotvec(phi) -> np.ndarray:
     return _canonical(q)
 
 
-def geodesic_angle(Ra, Rb) -> float:
-    """Angle (rad) of the relative rotation between two matrices."""
-    return float(np.linalg.norm(log_so3(np.asarray(Ra).T @ np.asarray(Rb))))
+def geodesic_angle(Ra, Rb):
+    """Angle (rad) of the relative rotation between two matrices, or
+    between the paired matrices of two (n, 3, 3) stacks."""
+    Ra = np.asarray(Ra, dtype=float)
+    rel = np.swapaxes(Ra, -1, -2) @ np.asarray(Rb, dtype=float)
+    return np.linalg.norm(log_so3(rel), axis=-1)
 
 
 def is_rotation(R, tol: float = 1e-9) -> bool:

@@ -14,35 +14,41 @@ Variant naming (grid indices are row-major on the 3x3 array):
 Every variant is evaluated against the true world motion of the body
 -fixed frame it believes it estimates, so extrinsic error enters through
 measurement fusion rather than through the scoring frame.
+
+The sequences of one extrinsic sample run in chunks of trials, one call
+per stage and chunk; every trial keeps its own random streams and its
+own failures, so the report does not depend on the chunk size.
 """
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import csvio
-from .calibration import CalibrationInput, calibrate
+from .calibration import WeightSchedule, fit_rotation, fit_translation
 from .errors import EmptyOverlap, FormatError, LengthMismatch, MimuError, RateMismatch
-from .geometry import geodesic_angle, rotation_from_quat
-from .preintegration import VimuState, predict_state, preintegrate_windows
+from .geometry import geodesic_angle, quat_from_rotation, rotation_from_quat
+from .preintegration import PreintDelta, VimuState, predict_state, preintegrate_windows
 from .simulation import (
     SimConfig,
     TrajectoryParams,
+    TrajectorySample,
+    _trajectory_arrays,
     apply_measurement_noise,
     grid_mounts,
     ideal_imu_series,
     perturb_extrinsics,
-    trajectory_samples,
 )
-from .types import ImuSeries, NoiseSpec, _check_keys
+from .types import Extrinsic, ImuSeries, NoiseSpec, _check_keys
 from .vimu import (
+    FusionMatrices,
     array_frame,
     build_fusion,
-    fuse_series,
+    fuse_stack,
     midpoint_frame,
     single_frame,
 )
@@ -64,6 +70,9 @@ _CENTER = 4
 # comparisons then isolate the marginal benefit of adding sensors.
 _PAIR = (0, 2)
 _QUAD = (0, 2, 6, 8)
+# Raw-sample bytes one chunk of trials may hold: 1 MB is 4 desk trials
+# of 9 sensors; batching pays from a few trials on, more only adds memory.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -170,24 +179,32 @@ class RmseReport:
                           dtype=float)
 
 
+def _stack_states(states, axis=0) -> VimuState:
+    """A VimuState whose rotation, position and velocity stack those of
+    ``states`` along a new axis."""
+    return VimuState(*(np.stack([getattr(s, f) for s in states], axis=axis)
+                       for f in ("rotation", "position", "velocity")))
+
+
 def rmse_metrics(predicted, truth) -> tuple:
     """Root-mean-square position (m), orientation angle (rad), and
     velocity (m/s) errors over paired state sequences.
 
-    Both sequences must expose rotation/position/velocity attributes.
+    A sequence is a list of states, or a VimuState whose arrays carry
+    the sequence axis first, then any trial axes, then the vector axes;
+    the three results then carry the trial axes.
     """
-    if len(predicted) != len(truth):
-        raise LengthMismatch(
-            f"{len(predicted)} predicted states vs {len(truth)} truth states")
-    if not predicted:
-        raise LengthMismatch("empty state sequences")
-    pos = np.mean([np.sum((p.position - t.position) ** 2)
-                   for p, t in zip(predicted, truth)])
-    rot = np.mean([geodesic_angle(t.rotation, p.rotation) ** 2
-                   for p, t in zip(predicted, truth)])
-    vel = np.mean([np.sum((p.velocity - t.velocity) ** 2)
-                   for p, t in zip(predicted, truth)])
-    return float(np.sqrt(pos)), float(np.sqrt(rot)), float(np.sqrt(vel))
+    if not isinstance(predicted, VimuState):
+        if len(predicted) != len(truth):
+            raise LengthMismatch(
+                f"{len(predicted)} predicted states vs {len(truth)} truth states")
+        if not predicted:
+            raise LengthMismatch("empty state sequences")
+        predicted, truth = _stack_states(predicted), _stack_states(truth)
+    pos = np.mean(np.sum((predicted.position - truth.position) ** 2, axis=-1), axis=0)
+    rot = np.mean(geodesic_angle(truth.rotation, predicted.rotation) ** 2, axis=0)
+    vel = np.mean(np.sum((predicted.velocity - truth.velocity) ** 2, axis=-1), axis=0)
+    return np.sqrt(pos), np.sqrt(rot), np.sqrt(vel)
 
 
 def true_vimu_state(sample, frame_rotation, frame_position) -> VimuState:
@@ -195,14 +212,16 @@ def true_vimu_state(sample, frame_rotation, frame_position) -> VimuState:
 
     ``frame_rotation``/``frame_position`` place the frame on the body
     (rotation body-from-frame, position in body coords). The frame is
-    rigid, so its velocity picks up the angular-rate term.
+    rigid, so its velocity picks up the angular-rate term. Arrays with
+    a leading axis of instants give states with that axis.
     """
     R_wb = sample.rotation
     p = np.asarray(frame_position, dtype=float)
     return VimuState(
         rotation=R_wb @ np.asarray(frame_rotation, dtype=float),
         position=sample.position + R_wb @ p,
-        velocity=sample.velocity + R_wb @ np.cross(sample.omega, p),
+        velocity=(sample.velocity
+                  + (R_wb @ np.cross(sample.omega, p)[..., None])[..., 0]),
     )
 
 
@@ -274,14 +293,12 @@ def _variant_indices(name: str) -> tuple:
 
 @dataclass
 class _VariantSetup:
-    indices: tuple
-    cfg: object
-    fm: object
-    truth: list  # true states of the virtual frame at every keyframe
+    fm: FusionMatrices
+    truth: VimuState  # true states of the virtual frame at every keyframe
 
 
 def _setup_variant(name: str, plan: ExperimentPlan, mounts, believed,
-                   truth_samples):
+                   keyframes):
     idx = _variant_indices(name)
     if name == "1-imu-true":
         m = mounts[_CENTER]
@@ -293,37 +310,97 @@ def _setup_variant(name: str, plan: ExperimentPlan, mounts, believed,
             [believed[i] for i in idx], [plan.noise] * len(idx))
     else:
         raise ValueError(f"unknown variant {name}")
-    truth = [true_vimu_state(ts, frame_rot, frame_pos) for ts in truth_samples]
-    return _VariantSetup(indices=idx, cfg=cfg, fm=build_fusion(cfg), truth=truth)
+    return _VariantSetup(build_fusion(cfg),
+                         true_vimu_state(keyframes, frame_rot, frame_pos))
 
 
-def _setup_calibrated(plan: ExperimentPlan, mounts, series_by_idx,
-                      truth_samples):
-    """Calibrate the sensor pair from the trial data and anchor the
-    resulting midpoint frame at sensor A's true mount."""
-    ia, ib = _PAIR
-    result = calibrate(CalibrationInput(
-        series_a=series_by_idx[ia], series_b=series_by_idx[ib],
-        noise_a=plan.noise, noise_b=plan.noise))
-    ext = result.extrinsic
-    cfg = midpoint_frame(ext, plan.noise, plan.noise)
+def _setup_calibrated(plan: ExperimentPlan, mounts, gyro, accel, cols,
+                      keyframes) -> list:
+    """Calibrate each trial's sensor pair, in columns cols of the chunk's
+    samples (S, n, m, 3), and anchor the resulting midpoint frame at
+    sensor A's true mount; returns a _VariantSetup or the MimuError per
+    trial."""
+    ia, _ = _PAIR
+    weights = WeightSchedule.build(gyro.shape[1], plan.noise, plan.noise,
+                                   1.0 / plan.sim.freq)
+    (ga, gb), (aa, ab) = ([x[:, :, c] for c in cols] for x in (gyro, accel))
+    R, _, rot_errors = fit_rotation(ga, gb, weights.w_omega)
+    qs = [quat_from_rotation(r) for r in R]
+    ps, _, trans_errors = fit_translation(
+        np.array([rotation_from_quat(q) for q in qs]), ga, aa, gb, ab,
+        plan.sim.freq, weights.w_accel[1:-1])
     R_ba_body = rotation_from_quat(mounts[ia].q).T
-    frame_pos = mounts[ia].p + R_ba_body @ (0.5 * ext.p)
-    truth = [true_vimu_state(ts, R_ba_body, frame_pos) for ts in truth_samples]
-    return _VariantSetup(indices=_PAIR, cfg=cfg, fm=build_fusion(cfg), truth=truth)
+    setups = []
+    for q, p, rot_error, trans_error in zip(qs, ps, rot_errors, trans_errors):
+        try:
+            if rot_error or trans_error:
+                raise rot_error or trans_error
+            ext = Extrinsic(q=q, p=p)
+            cfg = midpoint_frame(ext, plan.noise, plan.noise)
+            frame_pos = mounts[ia].p + R_ba_body @ (0.5 * ext.p)
+            setups.append(_VariantSetup(
+                build_fusion(cfg), true_vimu_state(keyframes, R_ba_body, frame_pos)))
+        except MimuError as exc:
+            setups.append(exc)
+    return setups
 
 
-def _score_variant(setup: _VariantSetup, series_by_idx, plan: ExperimentPlan,
-                   step: int):
-    fused = fuse_series(setup.cfg, [series_by_idx[i] for i in setup.indices],
-                        fm=setup.fm)
-    state = setup.truth[0]
-    predicted = []
-    for delta in preintegrate_windows(fused, state, setup.cfg, setup.fm, step,
-                                      with_covariance=False):
-        state = predict_state(state, delta, plan.sim.gravity)
-        predicted.append(state)
-    return rmse_metrics(predicted, setup.truth[1:])
+def _dead_reckon(plan: ExperimentPlan, truth: VimuState, gyro, accel,
+                 n_windows: int, step: int) -> tuple:
+    """Per-trial RMSE of fused rows (N, n, 3) dead-reckoned from the
+    first truth state; the truth's arrays carry keyframe, then trial."""
+    k = n_windows * step
+    # Every trial's windows in one call: the truth start states carry no
+    # bias, so the deltas do not depend on them.
+    deltas = preintegrate_windows(
+        ImuSeries(plan.sim.freq, 0, gyro[:, :k].reshape(-1, 3),
+                  accel[:, :k].reshape(-1, 3)),
+        VimuState.identity(), None, None, step, with_covariance=False)
+    d = _stack_states(deltas)
+    d_rot, d_pos, d_vel = (x.reshape((len(gyro), n_windows) + x.shape[1:])
+                           for x in (d.rotation, d.position, d.velocity))
+    states = [VimuState(truth.rotation[0], truth.position[0], truth.velocity[0])]
+    for j in range(n_windows):
+        states.append(predict_state(states[-1], PreintDelta(
+            d_rot[:, j], d_vel[:, j], d_pos[:, j], None, deltas[j].duration, step),
+            plan.sim.gravity))
+    return rmse_metrics(_stack_states(states[1:]), VimuState(
+        truth.rotation[1:], truth.position[1:], truth.velocity[1:]))
+
+
+def _score_chunk(plan: ExperimentPlan, static_setups, mounts, slot, gyro,
+                 accel, keyframes, n_windows: int, step: int) -> dict:
+    """Per variant, the (position, orientation, velocity) RMSE or the
+    MimuError of each trial of a chunk of raw samples (S, n, m, 3),
+    sensor i in column slot[i]."""
+    results = {}
+    for v in plan.variants:
+        cols = [slot[i] for i in _variant_indices(v)]
+        if v == "2-imu-calibrated":
+            setups = _setup_calibrated(plan, mounts, gyro, accel, cols, keyframes)
+        else:
+            setups = [static_setups[v]] * gyro.shape[0]
+        results[v] = [st if isinstance(st, MimuError) else None for st in setups]
+        trials = [c for c, err in enumerate(results[v]) if err is None]
+        if not trials:
+            continue
+        rows = slice(None) if len(trials) == len(setups) else trials
+        fm = FusionMatrices(*(np.stack([getattr(setups[c].fm, f.name) for c in trials])
+                              for f in fields(FusionMatrices)))
+        w, a = fuse_stack(fm, gyro[rows], accel[rows], plan.sim.freq, cols)
+        if not (np.isfinite(w).all() and np.isfinite(a).all()):
+            for k, c in enumerate(trials):
+                try:  # what an ImuSeries of the trial's fused samples raises
+                    ImuSeries(plan.sim.freq, 0, w[k], a[k])
+                except MimuError as exc:
+                    results[v][c] = exc
+        done = [k for k, c in enumerate(trials) if results[v][c] is None]
+        if done:
+            truth = _stack_states([setups[trials[k]].truth for k in done], axis=1)
+            metrics = _dead_reckon(plan, truth, w[done], a[done], n_windows, step)
+            for j, k in enumerate(done):
+                results[v][trials[k]] = tuple(float(m[j]) for m in metrics)
+    return results
 
 
 def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
@@ -335,7 +412,8 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     mounts = grid_mounts(pitch=plan.grid_pitch)
     needed = sorted({i for v in plan.variants
                      for i in _variant_indices(v)})
-    ideal = {i: ideal_imu_series(plan.sim, mounts[i]) for i in needed}
+    slot = {i: j for j, i in enumerate(needed)}
+    ideal = [ideal_imu_series(plan.sim, mounts[i]) for i in needed]
 
     n_total = plan.sim.sample_count
     n_windows, step = _keyframe_layout(n_total - 2, plan.sim.freq,
@@ -343,13 +421,17 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     if n_windows < 1:
         raise ValueError("duration too short for one keyframe window")
     kf_times = (1 + step * np.arange(n_windows + 1)) / plan.sim.freq
-    truth_samples = trajectory_samples(plan.sim, kf_times)
+    keyframes = TrajectorySample(kf_times, *_trajectory_arrays(plan.sim, kf_times))
 
     acc = {v: {m: np.zeros((plan.extrinsic_samples, plan.sequences_per_sample))
                for m in METRICS} for v in plan.variants}
     ok = {v: np.zeros((plan.extrinsic_samples, plan.sequences_per_sample),
                       dtype=bool) for v in plan.variants}
     failures: list[str] = []
+    chunk = min(plan.sequences_per_sample,
+                max(1, _CHUNK_BYTES // (len(needed) * n_total * 6 * 8)))
+    gyro_buf = np.empty((chunk, n_total, len(needed), 3))
+    accel_buf = np.empty_like(gyro_buf)
 
     stream = None
     if out_dir is not None:
@@ -367,40 +449,41 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
             believed = [perturb_extrinsics(m, plan.sigma_rot, plan.sigma_trans,
                                            perturb_rng) for m in mounts]
             static_setups = {
-                v: _setup_variant(v, plan, mounts, believed, truth_samples)
+                v: _setup_variant(v, plan, mounts, believed, keyframes)
                 for v in plan.variants if v != "2-imu-calibrated"
             }
-            for r in range(plan.sequences_per_sample):
-                imu_seqs = trial_seqs[r].spawn(9)
-                series_by_idx = {}
-                for i in needed:
-                    rng = np.random.default_rng(imu_seqs[i])
-                    w, a = apply_measurement_noise(
-                        ideal[i][0], ideal[i][1], plan.noise, plan.sim.freq, rng)
-                    series_by_idx[i] = ImuSeries(plan.sim.freq, 0, w, a)
-                for v in plan.variants:
-                    try:
-                        if v == "2-imu-calibrated":
-                            setup = _setup_calibrated(plan, mounts, series_by_idx,
-                                                      truth_samples)
-                        else:
-                            setup = static_setups[v]
-                        pos, rot, vel = _score_variant(setup, series_by_idx,
-                                                       plan, step)
-                    except MimuError as exc:
-                        failures.append(
-                            f"sample={s} seq={r} variant={v}: "
-                            f"{type(exc).__name__}: {exc}")
-                        continue
-                    acc[v]["position"][s, r] = pos
-                    acc[v]["orientation"][s, r] = rot
-                    acc[v]["velocity"][s, r] = vel
-                    ok[v][s, r] = True
-                    if stream is not None:
-                        stream.write(json.dumps({
-                            "sample": s, "seq": r, "variant": v,
-                            "position": pos, "orientation": rot,
-                            "velocity": vel}) + "\n")
+            for r0 in range(0, plan.sequences_per_sample, chunk):
+                seqs = range(r0, min(r0 + chunk, plan.sequences_per_sample))
+                gyro, accel = gyro_buf[:len(seqs)], accel_buf[:len(seqs)]
+                for c, r in enumerate(seqs):
+                    imu_seqs = trial_seqs[r].spawn(9)
+                    for j, (i, (w, a)) in enumerate(zip(needed, ideal)):
+                        gyro[c, :, j], accel[c, :, j] = apply_measurement_noise(
+                            w, a, plan.noise, plan.sim.freq,
+                            np.random.default_rng(imu_seqs[i]))
+                if not (np.isfinite(gyro).all() and np.isfinite(accel).all()):
+                    for c, j in np.ndindex(len(seqs), len(needed)):
+                        ImuSeries(plan.sim.freq, 0, gyro[c, :, j], accel[c, :, j])
+                results = _score_chunk(plan, static_setups, mounts, slot, gyro,
+                                       accel, keyframes, n_windows, step)
+                for c, r in enumerate(seqs):
+                    for v in plan.variants:
+                        res = results[v][c]
+                        if isinstance(res, MimuError):
+                            failures.append(
+                                f"sample={s} seq={r} variant={v}: "
+                                f"{type(res).__name__}: {res}")
+                            continue
+                        pos, rot, vel = res
+                        acc[v]["position"][s, r] = pos
+                        acc[v]["orientation"][s, r] = rot
+                        acc[v]["velocity"][s, r] = vel
+                        ok[v][s, r] = True
+                        if stream is not None:
+                            stream.write(json.dumps({
+                                "sample": s, "seq": r, "variant": v,
+                                "position": pos, "orientation": rot,
+                                "velocity": vel}) + "\n")
                 if stream is not None:
                     stream.flush()
             log.info("extrinsic sample %d/%d done", s + 1,

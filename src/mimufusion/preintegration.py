@@ -11,8 +11,8 @@ independent of the start state. The 9x9 covariance over the error state
 (phi, v, p) propagates per step as A S A^T + B S_eta B^T, where B routes
 the virtual gyro noise into orientation through the right Jacobian and
 into position through the fused accelerometer's lever-arm sensitivity
-(the psi stack); the noise-dependent blocks of B are evaluated at the
-zero-noise expectation.
+(vimu.lever_jacobian); the noise-dependent blocks of B are evaluated at
+the zero-noise expectation.
 
 Error-state conventions (matching A/B): dR_meas = dR Exp(e_phi),
 e_v = dv_meas - dv, e_p = dp_meas - dp.
@@ -25,13 +25,7 @@ import numpy as np
 
 from .geometry import exp_so3, right_jacobian, skew
 from .types import ImuSeries
-from .vimu import (
-    FusionMatrices,
-    VimuConfig,
-    VimuNoise,
-    _effective_sigmas,
-    lever_arm_stack,
-)
+from .vimu import FusionMatrices, VimuConfig, VimuNoise, lever_jacobian, lever_term
 
 
 @dataclass
@@ -75,37 +69,23 @@ def bias_correct(series: ImuSeries, state: VimuState, cfg: VimuConfig,
 
     The accelerometer additionally gets back the lever-arm prediction
     error that fusion introduced by subtracting lever terms computed
-    from biased rates: corr = T (S(w_meas) - S(w_meas - b_g)). The
-    angular-acceleration term of S is the same on both sides (a
-    constant gyro bias does not change a central difference), so it
-    cancels and is passed as zero. With zero gyro bias the correction
-    vanishes.
+    from biased rates: corr = L(w_meas) - L(w_meas - b_g) with L the
+    fused lever term (vimu.lever_term). The angular-acceleration term
+    of L is the same on both sides (a constant gyro bias does not change
+    a central difference), so it cancels and is left out. With zero
+    gyro bias the correction vanishes and ``fm`` is not read; ``cfg``
+    is never read.
 
-    Returns (w_hat, a_hat) arrays of shape (k, 3).
+    Returns (w_hat, a_hat) arrays of shape (k, 3): the series' own
+    arrays when the state carries no bias.
     """
+    if not (np.any(state.bias_gyro) or np.any(state.bias_accel)):
+        return series.gyro, series.accel
     w_hat = series.gyro - state.bias_gyro
     a_hat = series.accel - state.bias_accel
     if np.any(state.bias_gyro != 0.0):
-        no_wdot = np.zeros(3)
-        stack_meas = lever_arm_stack(cfg, series.gyro, no_wdot)
-        stack_hat = lever_arm_stack(cfg, w_hat, no_wdot)
-        a_hat = a_hat + (stack_meas - stack_hat) @ fm.accel_solve.T
+        a_hat = a_hat + (lever_term(fm, series.gyro) - lever_term(fm, w_hat))
     return w_hat, a_hat
-
-
-def psi_matrix(cfg: VimuConfig, w_hat) -> np.ndarray:
-    """Jacobian of the whitened lever-arm stack with respect to the
-    angular rate, at rate w_hat: blocks R_i (-[w]x [p_i]x - [[w]x p_i]x)
-    / sigma_a_i, stacked to (3n, 3). Rows of shape (k, 3) give
-    (k, 3n, 3)."""
-    w_hat = np.asarray(w_hat, dtype=float)
-    sigmas = _effective_sigmas([ns.sigma_a for ns in cfg.noises])
-    sw = skew(w_hat)
-    blocks = []
-    for r, p, s in zip(cfg.rotations, cfg.positions, sigmas):
-        swp = skew(np.cross(w_hat, p))
-        blocks.append(np.einsum("ij,...jk->...ik", r, -sw @ skew(p) - swp) / s)
-    return np.concatenate(blocks, axis=-2)
 
 
 def _noise_input_covariance(noise: VimuNoise, freq: float) -> np.ndarray:
@@ -127,7 +107,7 @@ def step_matrices(accum_rotation, step_rotation, a_hat, jr_dt, t_psi,
     rate-only blocks come precomputed, so that a series can evaluate
     them for all its samples at once: ``jr_dt`` is
     right_jacobian(w_hat dt) dt and ``t_psi`` is
-    fm.accel_solve @ psi_matrix(cfg, w_hat). ``out`` takes the (A, B)
+    vimu.lever_jacobian(fm, w_hat). ``out`` takes the (A, B)
     of an earlier call with the same shapes and refills only its
     sample-dependent blocks, in place.
     """
@@ -191,7 +171,8 @@ def preintegrate_windows(series: ImuSeries, state: VimuState,
     sums follow from the accumulated rotations without a loop.
     ``with_covariance=False`` skips the covariance recursion (useful in
     Monte-Carlo loops that only need the increments) and then ``noise``
-    may be omitted.
+    may be omitted; without a gyro bias in ``state`` either, ``fm`` is
+    then not read (see bias_correct) and may be None.
     """
     if with_covariance and noise is None:
         raise ValueError("covariance propagation needs the virtual noise model")
@@ -217,7 +198,7 @@ def preintegrate_windows(series: ImuSeries, state: VimuState,
         # rotation: evaluate them once for the whole series.
         shape = (n_windows, step, 3, 3)
         jr_dt = (right_jacobian(w_hat * dt) * dt).reshape(shape)
-        t_psi = (fm.accel_solve @ psi_matrix(cfg, w_hat)).reshape(shape)
+        t_psi = lever_jacobian(fm, w_hat).reshape(shape)
         AB = None
     for t in range(step):
         if with_covariance:
@@ -242,14 +223,17 @@ def preintegrate_windows(series: ImuSeries, state: VimuState,
 
 
 def predict_state(start: VimuState, delta: PreintDelta, gravity) -> VimuState:
-    """Apply a PreintDelta to a start state under constant gravity."""
+    """Apply a PreintDelta to a start state under constant gravity. The
+    arrays of both may carry the same leading trial axes, one state and
+    delta per trial."""
     g = np.asarray(gravity, dtype=float)
     T = delta.duration
+    R = start.rotation
     return VimuState(
-        rotation=start.rotation @ delta.rotation,
-        velocity=start.velocity + g * T + start.rotation @ delta.velocity,
+        rotation=R @ delta.rotation,
+        velocity=start.velocity + g * T + (R @ delta.velocity[..., None])[..., 0],
         position=(start.position + start.velocity * T + 0.5 * g * T**2
-                  + start.rotation @ delta.position),
+                  + (R @ delta.position[..., None])[..., 0]),
         bias_gyro=start.bias_gyro.copy(),
         bias_accel=start.bias_accel.copy(),
     )

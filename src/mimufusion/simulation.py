@@ -201,17 +201,6 @@ def trajectory_samples(cfg: SimConfig, ts) -> list[TrajectorySample]:
     ]
 
 
-def ideal_body_measurements(sample: TrajectorySample, gravity) -> tuple:
-    """Noise-free gyro and specific-force measurement at the body origin.
-
-    Specific force is R_wb^T (a_world - g): a stationary, level body reads
-    (0, 0, +9.81) with gravity (0, 0, -9.81).
-    """
-    g = _vec3(gravity)
-    f = sample.rotation.T @ (sample.acceleration - g)
-    return sample.omega.copy(), f
-
-
 def transfer_measurement(omega, omega_dot, accel, ext: Extrinsic) -> tuple:
     """Rigid-body transfer of gyro/specific-force readings between frames.
 

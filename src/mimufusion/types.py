@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import quat_conjugate, quat_rotate, rotation_from_quat
+from .errors import FormatError
+from .geometry import quat_conjugate, rotation_from_quat
 
 
 def _vec3(x) -> np.ndarray:
@@ -14,6 +15,12 @@ def _vec3(x) -> np.ndarray:
     if v.shape != (3,):
         raise ValueError(f"expected 3-vector, got shape {v.shape}")
     return v
+
+
+def non_finite_sample(gyro, accel):
+    """Index of the first NaN or infinite sample (row), or None."""
+    finite = np.isfinite(gyro).all(axis=-1) & np.isfinite(accel).all(axis=-1)
+    return None if finite.all() else int(np.argmin(finite))
 
 
 def _check_keys(d: dict, known, what: str):
@@ -125,7 +132,8 @@ class ImuSeries:
     """Fixed-rate gyro + accelerometer samples.
 
     Timestamps are implicit: sample k is at ``start_ns + round(k * 1e9 / freq)``.
-    Gyro in rad/s, specific force in m/s^2, both (n, 3).
+    Gyro in rad/s, specific force in m/s^2, both (n, 3) and finite: a NaN
+    or infinite sample raises FormatError.
     """
 
     freq: float
@@ -144,6 +152,9 @@ class ImuSeries:
             raise ValueError(f"gyro must be (n, 3), got {self.gyro.shape}")
         if self.accel.shape != self.gyro.shape:
             raise ValueError("gyro and accel must have matching shapes")
+        bad = non_finite_sample(self.gyro, self.accel)
+        if bad is not None:
+            raise FormatError(f"sample {bad} is not finite")
 
     def __len__(self) -> int:
         return self.gyro.shape[0]

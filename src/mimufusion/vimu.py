@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, RateMismatch, SingularFusion
-from .geometry import is_rotation, lever_matrix, rotation_from_quat
+from .geometry import is_rotation, rotation_from_quat, skew
 from .types import Extrinsic, ImuSeries, NoiseSpec
 
 
@@ -111,7 +111,9 @@ class FusionMatrices:
     gyro_design (3n, 3) stacks rotations[i]/sigma_g_i; gyro_solve (3, 3n)
     is its pseudo-inverse; likewise accel_design/accel_solve with the
     accelerometer sigmas. The sigma arrays record the whitening actually
-    applied (see _effective_sigmas).
+    applied (see _effective_sigmas). lever_T (3, 3, 3), lever_c (3,) and
+    lever_D (3, 3) define the fused lever terms (see lever_term). Every
+    field may carry leading trial axes, one fusion per trial.
     """
 
     gyro_design: np.ndarray
@@ -120,6 +122,9 @@ class FusionMatrices:
     accel_solve: np.ndarray
     gyro_sigmas: np.ndarray
     accel_sigmas: np.ndarray
+    lever_T: np.ndarray
+    lever_c: np.ndarray
+    lever_D: np.ndarray
 
 
 def _design_and_solve(rotations, sigmas):
@@ -132,6 +137,12 @@ def _design_and_solve(rotations, sigmas):
     return design, solve
 
 
+def _whitened_blocks(solve, sigmas) -> np.ndarray:
+    """solve (..., 3, 3n) with each 3-column block divided by its
+    sensor's sigma, so that it acts on raw (unwhitened) samples."""
+    return solve / np.repeat(sigmas, 3, axis=-1)[..., None, :]
+
+
 def build_fusion(cfg: VimuConfig) -> FusionMatrices:
     """Assemble the fusion matrices; raises SingularFusion when the
     geometry/noise combination admits no stable solve."""
@@ -139,6 +150,9 @@ def build_fusion(cfg: VimuConfig) -> FusionMatrices:
     accel_sigmas = _effective_sigmas([ns.sigma_a for ns in cfg.noises])
     gyro_design, gyro_solve = _design_and_solve(cfg.rotations, gyro_sigmas)
     accel_design, accel_solve = _design_and_solve(cfg.rotations, accel_sigmas)
+    C = (_whitened_blocks(accel_solve, accel_sigmas).reshape(3, cfg.n, 3)
+         .transpose(1, 0, 2) @ np.array(cfg.rotations))
+    P = np.array(cfg.positions)
     return FusionMatrices(
         gyro_design=gyro_design,
         gyro_solve=gyro_solve,
@@ -146,17 +160,38 @@ def build_fusion(cfg: VimuConfig) -> FusionMatrices:
         accel_solve=accel_solve,
         gyro_sigmas=gyro_sigmas,
         accel_sigmas=accel_sigmas,
+        lever_T=np.einsum("iaj,ik->ajk", C, P),
+        lever_c=np.einsum("iaj,ij->a", C, P),
+        lever_D=np.einsum("iaj,ijk->ak", C, skew(P)),
     )
 
 
-def lever_arm_stack(cfg: VimuConfig, omega, omega_dot) -> np.ndarray:
-    """Whitened stack of predicted lever-arm accelerations, one 3-block
-    per sensor: R_i ([w]x^2 p_i + [wdot]x p_i) / sigma_a_i. Rates of
-    shape (3,) give (3n,); rows of shape (k, 3) give (k, 3n)."""
-    sigmas = _effective_sigmas([ns.sigma_a for ns in cfg.noises])
-    M = lever_matrix(omega, omega_dot)
-    return np.concatenate([((M @ p) @ r.T) / s for r, p, s in
-                           zip(cfg.rotations, cfg.positions, sigmas)], axis=-1)
+def lever_term(fm: FusionMatrices, omega, omega_dot=None) -> np.ndarray:
+    """accel_solve applied to the whitened stack of the sensors' lever
+    accelerations R_i (w x (w x p_i) + wdot x p_i) / sigma_a_i, for rate
+    rows omega (..., k, 3): T:(w w^T) - |w|^2 c - D wdot, where with
+    C_i = accel_solve[:, 3i:3i+3] R_i / sigma_a_i, T = sum_i C_i (x) p_i,
+    c = sum_i C_i p_i and D = sum_i C_i [p_i]x. omega_dot=None drops
+    the D term."""
+    omega = np.asarray(omega, dtype=float)
+    T = fm.lever_T
+    out = sum(omega[..., j, None] * (omega @ np.swapaxes(T[..., j, :], -1, -2))
+              for j in range(3))
+    out -= np.sum(omega**2, axis=-1)[..., None] * fm.lever_c[..., None, :]
+    if omega_dot is not None:
+        out -= omega_dot @ np.swapaxes(fm.lever_D, -1, -2)
+    return out
+
+
+def lever_jacobian(fm: FusionMatrices, omega) -> np.ndarray:
+    """Jacobian of lever_term in the rate, (T + T^T_jk) w - 2 c w^T, at
+    rate rows omega (..., k, 3); shape (..., k, 3, 3)."""
+    omega = np.asarray(omega, dtype=float)
+    T = fm.lever_T
+    T_sym = (T + np.swapaxes(T, -1, -2)).reshape(T.shape[:-3] + (9, 3))
+    out = (omega @ np.swapaxes(T_sym, -1, -2)).reshape(omega.shape[:-1] + (3, 3))
+    out -= 2.0 * fm.lever_c[..., None, :, None] * omega[..., None, :]
+    return out
 
 
 @dataclass(frozen=True)
@@ -215,16 +250,6 @@ def virtual_covariances(cfg: VimuConfig) -> VimuNoise:
     )
 
 
-def virtual_bias(fm: FusionMatrices, gyro_biases, accel_biases) -> tuple:
-    """Virtual-frame biases equivalent to the given per-sensor biases."""
-    bg = np.asarray(gyro_biases, dtype=float)
-    ba = np.asarray(accel_biases, dtype=float)
-    return (
-        fm.gyro_solve @ (bg / fm.gyro_sigmas[:, None]).reshape(-1),
-        fm.accel_solve @ (ba / fm.accel_sigmas[:, None]).reshape(-1),
-    )
-
-
 def fuse_series(cfg: VimuConfig, series: list, fm: FusionMatrices | None = None
                 ) -> ImuSeries:
     """Fuse synchronized per-sensor series into one virtual IMU series.
@@ -233,7 +258,8 @@ def fuse_series(cfg: VimuConfig, series: list, fm: FusionMatrices | None = None
     computed first; its central difference provides the angular
     acceleration for the accelerometer lever-arm subtraction, which costs
     the first and last samples: the result covers the interior samples,
-    so its start_ns is shifted by one period.
+    so its start_ns is shifted by one period. This is the one-trial case
+    of fuse_stack.
     """
     if len(series) != cfg.n:
         raise LengthMismatch(f"expected {cfg.n} series, got {len(series)}")
@@ -247,23 +273,44 @@ def fuse_series(cfg: VimuConfig, series: list, fm: FusionMatrices | None = None
         raise LengthMismatch("need at least 3 samples to fuse")
     if fm is None:
         fm = build_fusion(cfg)
-
-    gyro_stack = np.hstack([s.gyro / sg for s, sg in zip(series, fm.gyro_sigmas)])
-    fused_w = gyro_stack @ fm.gyro_solve.T
-    wdot = 0.5 * base.freq * (fused_w[2:] - fused_w[:-2])
-    fused_w = fused_w[1:-1]
-
-    accel_stack = np.hstack(
-        [s.accel[1:-1] / sa for s, sa in zip(series, fm.accel_sigmas)])
-    lever = lever_arm_stack(cfg, fused_w, wdot)
-    fused_a = (accel_stack - lever) @ fm.accel_solve.T
-
+    fused_w, fused_a = fuse_stack(fm, np.stack([s.gyro for s in series], axis=1),
+                                  np.stack([s.accel for s in series], axis=1),
+                                  base.freq)
     return ImuSeries(
         freq=base.freq,
         start_ns=base.start_ns + int(np.rint(base.period_ns)),
         gyro=fused_w,
         accel=fused_a,
     )
+
+
+def fuse_stack(fm: FusionMatrices, gyro, accel, freq: float,
+               columns=None) -> tuple:
+    """Fuse per-sensor samples laid out (..., n, m, 3), sample t of the
+    sensor in column c at [..., t, c, :], into the virtual gyro and
+    accel of the interior samples, (..., n - 2, 3) each. ``columns``
+    lists the column of each of fm's sensors (default: column i holds
+    sensor i, and there are no others), so that a fusion can read its
+    sensors out of a wider array without copying them. Leading axes are
+    trials; fm's fields carry either the same leading axes, one fusion
+    per trial, or none, one fusion for all."""
+    m = np.shape(gyro)[-2]
+    columns = range(m) if columns is None else columns
+
+    def solve_t(solve, sigmas):  # (..., 3m, 3), zero rows for other columns
+        blocks = _whitened_blocks(solve, sigmas)
+        full = np.zeros(blocks.shape[:-1] + (m, 3))
+        full[..., columns, :] = blocks.reshape(blocks.shape[:-1] + (-1, 3))
+        return np.swapaxes(full.reshape(blocks.shape[:-1] + (3 * m,)), -1, -2)
+
+    shape = np.shape(gyro)[:-2] + (3 * m,)
+    fused_w = np.reshape(gyro, shape) @ solve_t(fm.gyro_solve, fm.gyro_sigmas)
+    wdot = 0.5 * freq * (fused_w[..., 2:, :] - fused_w[..., :-2, :])
+    fused_w = fused_w[..., 1:-1, :]
+    fused_a = np.reshape(accel, shape)[..., 1:-1, :] @ solve_t(fm.accel_solve,
+                                                               fm.accel_sigmas)
+    fused_a -= lever_term(fm, fused_w, wdot)
+    return fused_w, fused_a
 
 
 def array_frame(mounts: list, noises: list) -> tuple:

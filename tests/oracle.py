@@ -9,23 +9,79 @@ batched step builders.
 ``write_imu_csv`` and ``parse_csv`` are the per-value IMU CSV writer
 and per-line reader that the library's bulk codec replaced: one
 f-string per value, one ``int()``/``float()`` per field.
+
+``lever_arm_stack`` and ``psi_matrix`` build the whitened lever-arm
+stack and its rate Jacobian sensor by sensor; the library keeps only
+their contraction with ``accel_solve``, as a quadratic form
+(``vimu.lever_term``, ``vimu.lever_jacobian``).
+
+``run_experiment`` is the Monte-Carlo harness with one trial at a time:
+per trial it calibrates, fuses, preintegrates, predicts and scores
+through the library's one-trial calls (``calibrate``, ``fuse_series``,
+``preintegrate_windows``, ``predict_state``), where the library's
+harness runs each stage once per chunk of trials.
+
+``ideal_body_measurements``, ``virtual_bias`` and ``residual_omega``
+have no caller in the library; the tests keep them as references.
 """
 import itertools
+import json
+import logging
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from mimufusion.calibration import CalibrationInput, calibrate
 from mimufusion.csvio import IMU_CSV_HEADER, atomic_write_text
-from mimufusion.errors import FormatError
-from mimufusion.geometry import exp_so3, right_jacobian, skew
-from mimufusion.preintegration import PreintDelta, _noise_input_covariance
-from mimufusion.types import ImuSeries
+from mimufusion.errors import FormatError, MimuError
+from mimufusion.geometry import (
+    exp_so3,
+    lever_matrix,
+    quat_rotate,
+    right_jacobian,
+    rotation_from_quat,
+    skew,
+)
+from mimufusion.harness import (
+    _CENTER,
+    _PAIR,
+    METRICS,
+    ExperimentPlan,
+    RmseReport,
+    _keyframe_layout,
+    _variant_indices,
+    rmse_metrics,
+    true_vimu_state,
+)
+from mimufusion.preintegration import (
+    PreintDelta,
+    _noise_input_covariance,
+    predict_state,
+    preintegrate_windows,
+)
+from mimufusion.simulation import (
+    TrajectorySample,
+    apply_measurement_noise,
+    grid_mounts,
+    ideal_imu_series,
+    perturb_extrinsics,
+    trajectory_samples,
+)
+from mimufusion.types import ImuSeries, _vec3
 from mimufusion.vimu import (
     FusionMatrices,
     VimuConfig,
     VimuNoise,
     _effective_sigmas,
+    array_frame,
+    build_fusion,
+    fuse_series,
+    midpoint_frame,
+    single_frame,
 )
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -39,14 +95,26 @@ class StepMatrices:
 def psi_matrix(cfg: VimuConfig, w_hat) -> np.ndarray:
     """Jacobian of the whitened lever-arm stack with respect to the
     angular rate, at rate w_hat: blocks R_i (-[w]x [p_i]x - [[w]x p_i]x)
-    / sigma_a_i, stacked to (3n, 3)."""
+    / sigma_a_i, stacked to (3n, 3). Rows of shape (k, 3) give
+    (k, 3n, 3)."""
     w_hat = np.asarray(w_hat, dtype=float)
     sigmas = _effective_sigmas([ns.sigma_a for ns in cfg.noises])
     sw = skew(w_hat)
     blocks = []
     for r, p, s in zip(cfg.rotations, cfg.positions, sigmas):
-        blocks.append(r @ (-sw @ skew(p) - skew(sw @ p)) / s)
-    return np.vstack(blocks)
+        swp = skew(np.cross(w_hat, p))
+        blocks.append(np.einsum("ij,...jk->...ik", r, -sw @ skew(p) - swp) / s)
+    return np.concatenate(blocks, axis=-2)
+
+
+def lever_arm_stack(cfg: VimuConfig, omega, omega_dot) -> np.ndarray:
+    """Whitened stack of predicted lever-arm accelerations, one 3-block
+    per sensor: R_i ([w]x^2 p_i + [wdot]x p_i) / sigma_a_i. Rates of
+    shape (3,) give (3n,); rows of shape (k, 3) give (k, 3n)."""
+    sigmas = _effective_sigmas([ns.sigma_a for ns in cfg.noises])
+    M = lever_matrix(omega, omega_dot)
+    return np.concatenate([((M @ p) @ r.T) / s for r, p, s in
+                           zip(cfg.rotations, cfg.positions, sigmas)], axis=-1)
 
 
 def step_matrices(accum_rotation, step_rotation, w_hat, a_hat,
@@ -147,3 +215,185 @@ def _line_of_row(path, row: int) -> int:
         data_lines = (n for n, line in enumerate(fh, start=1)
                       if n > 1 and line.strip())
         return next(itertools.islice(data_lines, row, None))
+
+
+def ideal_body_measurements(sample: TrajectorySample, gravity) -> tuple:
+    """Noise-free gyro and specific-force measurement at the body origin.
+
+    Specific force is R_wb^T (a_world - g): a stationary, level body reads
+    (0, 0, +9.81) with gravity (0, 0, -9.81).
+    """
+    g = _vec3(gravity)
+    f = sample.rotation.T @ (sample.acceleration - g)
+    return sample.omega.copy(), f
+
+
+def virtual_bias(fm: FusionMatrices, gyro_biases, accel_biases) -> tuple:
+    """Virtual-frame biases equivalent to the given per-sensor biases."""
+    bg = np.asarray(gyro_biases, dtype=float)
+    ba = np.asarray(accel_biases, dtype=float)
+    return (
+        fm.gyro_solve @ (bg / fm.gyro_sigmas[:, None]).reshape(-1),
+        fm.accel_solve @ (ba / fm.accel_sigmas[:, None]).reshape(-1),
+    )
+
+
+@dataclass
+class _VariantSetup:
+    indices: tuple
+    cfg: object
+    fm: object
+    truth: list  # true states of the virtual frame at every keyframe
+
+
+def _setup_variant(name: str, plan: ExperimentPlan, mounts, believed,
+                   truth_samples):
+    idx = _variant_indices(name)
+    if name == "1-imu-true":
+        m = mounts[_CENTER]
+        cfg = single_frame(plan.noise)
+        frame_rot = rotation_from_quat(m.q).T
+        frame_pos = m.p
+    elif name.endswith("-perturbed"):
+        cfg, frame_rot, frame_pos = array_frame(
+            [believed[i] for i in idx], [plan.noise] * len(idx))
+    else:
+        raise ValueError(f"unknown variant {name}")
+    truth = [true_vimu_state(ts, frame_rot, frame_pos) for ts in truth_samples]
+    return _VariantSetup(indices=idx, cfg=cfg, fm=build_fusion(cfg), truth=truth)
+
+
+def _setup_calibrated(plan: ExperimentPlan, mounts, series_by_idx,
+                      truth_samples):
+    """Calibrate the sensor pair from the trial data and anchor the
+    resulting midpoint frame at sensor A's true mount."""
+    ia, ib = _PAIR
+    result = calibrate(CalibrationInput(
+        series_a=series_by_idx[ia], series_b=series_by_idx[ib],
+        noise_a=plan.noise, noise_b=plan.noise))
+    ext = result.extrinsic
+    cfg = midpoint_frame(ext, plan.noise, plan.noise)
+    R_ba_body = rotation_from_quat(mounts[ia].q).T
+    frame_pos = mounts[ia].p + R_ba_body @ (0.5 * ext.p)
+    truth = [true_vimu_state(ts, R_ba_body, frame_pos) for ts in truth_samples]
+    return _VariantSetup(indices=_PAIR, cfg=cfg, fm=build_fusion(cfg), truth=truth)
+
+
+def _score_variant(setup: _VariantSetup, series_by_idx, plan: ExperimentPlan,
+                   step: int):
+    fused = fuse_series(setup.cfg, [series_by_idx[i] for i in setup.indices],
+                        fm=setup.fm)
+    state = setup.truth[0]
+    predicted = []
+    for delta in preintegrate_windows(fused, state, setup.cfg, setup.fm, step,
+                                      with_covariance=False):
+        state = predict_state(state, delta, plan.sim.gravity)
+        predicted.append(state)
+    return rmse_metrics(predicted, setup.truth[1:])
+
+
+def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
+    """Execute the plan; deterministic for a fixed master seed.
+
+    When ``out_dir`` is given, per-trial metrics are appended to
+    ``trials.jsonl`` as they complete, so long runs stream to disk.
+    """
+    mounts = grid_mounts(pitch=plan.grid_pitch)
+    needed = sorted({i for v in plan.variants
+                     for i in _variant_indices(v)})
+    ideal = {i: ideal_imu_series(plan.sim, mounts[i]) for i in needed}
+
+    n_total = plan.sim.sample_count
+    n_windows, step = _keyframe_layout(n_total - 2, plan.sim.freq,
+                                       plan.keyframe_interval)
+    if n_windows < 1:
+        raise ValueError("duration too short for one keyframe window")
+    kf_times = (1 + step * np.arange(n_windows + 1)) / plan.sim.freq
+    truth_samples = trajectory_samples(plan.sim, kf_times)
+
+    acc = {v: {m: np.zeros((plan.extrinsic_samples, plan.sequences_per_sample))
+               for m in METRICS} for v in plan.variants}
+    ok = {v: np.zeros((plan.extrinsic_samples, plan.sequences_per_sample),
+                      dtype=bool) for v in plan.variants}
+    failures: list[str] = []
+
+    stream = None
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        stream = open(out_dir / "trials.jsonl", "w")
+
+    try:
+        root = np.random.SeedSequence(plan.master_seed)
+        sample_seqs = root.spawn(plan.extrinsic_samples)
+        for s in range(plan.extrinsic_samples):
+            perturb_seq, *trial_seqs = sample_seqs[s].spawn(
+                1 + plan.sequences_per_sample)
+            perturb_rng = np.random.default_rng(perturb_seq)
+            believed = [perturb_extrinsics(m, plan.sigma_rot, plan.sigma_trans,
+                                           perturb_rng) for m in mounts]
+            static_setups = {
+                v: _setup_variant(v, plan, mounts, believed, truth_samples)
+                for v in plan.variants if v != "2-imu-calibrated"
+            }
+            for r in range(plan.sequences_per_sample):
+                imu_seqs = trial_seqs[r].spawn(9)
+                series_by_idx = {}
+                for i in needed:
+                    rng = np.random.default_rng(imu_seqs[i])
+                    w, a = apply_measurement_noise(
+                        ideal[i][0], ideal[i][1], plan.noise, plan.sim.freq, rng)
+                    series_by_idx[i] = ImuSeries(plan.sim.freq, 0, w, a)
+                for v in plan.variants:
+                    try:
+                        if v == "2-imu-calibrated":
+                            setup = _setup_calibrated(plan, mounts, series_by_idx,
+                                                      truth_samples)
+                        else:
+                            setup = static_setups[v]
+                        pos, rot, vel = _score_variant(setup, series_by_idx,
+                                                       plan, step)
+                    except MimuError as exc:
+                        failures.append(
+                            f"sample={s} seq={r} variant={v}: "
+                            f"{type(exc).__name__}: {exc}")
+                        continue
+                    acc[v]["position"][s, r] = pos
+                    acc[v]["orientation"][s, r] = rot
+                    acc[v]["velocity"][s, r] = vel
+                    ok[v][s, r] = True
+                    if stream is not None:
+                        stream.write(json.dumps({
+                            "sample": s, "seq": r, "variant": v,
+                            "position": pos, "orientation": rot,
+                            "velocity": vel}) + "\n")
+                if stream is not None:
+                    stream.flush()
+            log.info("extrinsic sample %d/%d done", s + 1,
+                     plan.extrinsic_samples)
+    finally:
+        if stream is not None:
+            stream.close()
+
+    metrics = {}
+    completed = {}
+    for v in plan.variants:
+        completed[v] = int(ok[v].sum())
+        metrics[v] = {}
+        for m in METRICS:
+            means = np.array([
+                acc[v][m][s][ok[v][s]].mean() if ok[v][s].any() else np.nan
+                for s in range(plan.extrinsic_samples)])
+            std = float(np.std(means, ddof=1)) if len(means) > 1 else 0.0
+            metrics[v][m] = {
+                "mean": float(np.mean(means)),
+                "std": std,
+                "per_sample_means": means.tolist(),
+            }
+    return RmseReport(plan=plan.to_dict(), metrics=metrics,
+                      completed=completed, failures=failures)
+
+
+def residual_omega(q, omega_a, omega_b) -> np.ndarray:
+    """Gyro pairing residual: w_B - q * w_A * q^-1. Broadcasts over rows."""
+    return np.asarray(omega_b, dtype=float) - quat_rotate(q, omega_a)

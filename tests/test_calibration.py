@@ -1,7 +1,9 @@
+import re
 import time
 
 import numpy as np
 import pytest
+from oracle import residual_omega
 
 from mimufusion.calibration import (
     CalibrationInput,
@@ -10,18 +12,19 @@ from mimufusion.calibration import (
     estimate_angular_accel,
     estimate_rotation,
     estimate_translation,
-    residual_omega,
+    fit_rotation,
+    fit_translation,
     sigma_accel,
     sigma_omega,
 )
 from mimufusion.errors import (
     DegenerateMotion,
     LengthMismatch,
-    NotConverged,
     RateMismatch,
 )
 from mimufusion.geometry import (
     geodesic_angle,
+    quat_from_rotation,
     quat_from_rotvec,
     rotation_from_quat,
     skew,
@@ -36,6 +39,7 @@ from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 
 
 Q_5DEG_Y = quat_from_rotvec(np.array([0.0, np.deg2rad(5.0), 0.0]))
+MEMS_NOISE = NoiseSpec()
 
 
 def make_pair(ext, duration=10.0, freq=200.0, noise_a=None, noise_b=None,
@@ -188,8 +192,8 @@ def test_estimate_rotation_noiseless():
 
 
 def test_estimate_rotation_matches_procrustes_oracle():
-    """With constant weights the two routes must agree: iterative NLLS vs
-    closed-form SVD fit built here from scratch."""
+    """With constant weights the library's weighted fit must agree with
+    a closed-form SVD fit built here from scratch."""
     na = nb = NoiseSpec(sigma_bg=0.0)  # constant weight schedule
     inp = make_pair(Extrinsic(q=Q_5DEG_Y, p=np.zeros(3)),
                     noise_a=na, noise_b=nb)
@@ -208,12 +212,6 @@ def test_estimate_rotation_degenerate_on_static():
                     trajectory=TrajectoryParams.still(), duration=2.0)
     with pytest.raises(DegenerateMotion):
         estimate_rotation(inp)
-
-
-def test_estimate_rotation_iteration_budget():
-    inp = make_pair(Extrinsic(q=Q_5DEG_Y, p=np.zeros(3)), duration=2.0)
-    with pytest.raises(NotConverged):
-        estimate_rotation(inp, max_iterations=0)
 
 
 def constant_rate_series(freq, n, omega):
@@ -425,3 +423,38 @@ def test_result_dict_round_trip():
     np.testing.assert_allclose(back.extrinsic.q, res.extrinsic.q)
     np.testing.assert_allclose(back.extrinsic.p, res.extrinsic.p)
     assert back.rot_iterations == res.rot_iterations
+
+
+def test_stage_kernels_over_trials_match_per_pair_calls():
+    """fit_rotation and fit_translation over a trial axis give each
+    trial what estimate_rotation and estimate_translation give it alone,
+    and a trial that fails masks only itself."""
+    ext = Extrinsic(q=Q_5DEG_Y, p=np.array([0.1, 0.02, -0.03]))
+    inps = [make_pair(ext, duration=2.0, noise_a=MEMS_NOISE, noise_b=MEMS_NOISE,
+                      seed=seed) for seed in (3, 4)]
+    inps.insert(1, make_pair(ext, duration=2.0, noise_a=MEMS_NOISE,
+                             noise_b=MEMS_NOISE, seed=5,
+                             trajectory=TrajectoryParams.still()))
+    stack = {k: np.stack([getattr(getattr(inp, f"series_{k[-1]}"), k[:-2])
+                          for inp in inps])
+             for k in ("gyro_a", "gyro_b", "accel_a", "accel_b")}
+    weights = WeightSchedule.build(len(inps[0].series_a), MEMS_NOISE, MEMS_NOISE,
+                                   1.0 / 200.0)
+    R, rot_cost, rot_errors = fit_rotation(stack["gyro_a"], stack["gyro_b"],
+                                           weights.w_omega)
+    Rq = np.array([rotation_from_quat(quat_from_rotation(r)) for r in R])
+    p, trans_cost, trans_errors = fit_translation(
+        Rq, stack["gyro_a"], stack["accel_a"], stack["gyro_b"], stack["accel_b"],
+        200.0, weights.w_accel[1:-1])
+    assert isinstance(rot_errors[1], DegenerateMotion)
+    with pytest.raises(DegenerateMotion, match=re.escape(str(rot_errors[1]))):
+        estimate_rotation(inps[1])
+    for k in (0, 2):
+        assert rot_errors[k] is None and trans_errors[k] is None
+        q, rot_diag = estimate_rotation(inps[k])
+        np.testing.assert_allclose(quat_from_rotation(R[k]), q, rtol=0, atol=1e-15)
+        assert rot_diag.iterations == 1
+        assert rot_cost[k] == pytest.approx(rot_diag.final_cost, rel=1e-12)
+        p_k, trans_diag = estimate_translation(inps[k], q)
+        np.testing.assert_allclose(p[k], p_k, rtol=1e-12, atol=1e-15)
+        assert trans_cost[k] == pytest.approx(trans_diag.final_cost, rel=1e-12)

@@ -329,3 +329,27 @@ def test_property_lever_matrix_is_rigid_body_lever(omegas, data):
     for i in range(len(omegas)):
         np.testing.assert_array_equal(lever_matrix(omegas[i], omega_dots[i]),
                                       stacked[i])
+
+
+# Angles below SMALL_ANGLE, within 1e-6 of pi (the dominant-axis
+# branch), and in between, so one stack can take every branch of log_so3.
+LOG_ROTATIONS = st.tuples(AXES, st.one_of(
+    st.floats(0.0, SMALL_ANGLE, exclude_max=True),
+    st.floats(np.pi - 1e-6, np.pi, exclude_min=True),
+    st.floats(SMALL_ANGLE, np.pi - 1e-6),
+)).map(lambda t: exp_so3(t[1] * t[0]))
+
+
+@PROPERTY_SETTINGS
+@given(Ra=st.lists(LOG_ROTATIONS, min_size=1, max_size=8).map(np.array),
+       data=st.data())
+def test_property_stacked_log_and_geodesic_match_rows(Ra, data):
+    Rb = data.draw(st.lists(LOG_ROTATIONS, min_size=len(Ra),
+                            max_size=len(Ra)).map(np.array))
+    stacked_log = log_so3(Ra)
+    stacked_angle = geodesic_angle(Ra, Rb)
+    assert stacked_log.shape == (len(Ra), 3)
+    assert stacked_angle.shape == (len(Ra),)
+    for i in range(len(Ra)):
+        np.testing.assert_array_equal(stacked_log[i], log_so3(Ra[i]))
+        assert stacked_angle[i] == geodesic_angle(Ra[i], Rb[i])

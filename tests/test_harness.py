@@ -301,3 +301,89 @@ def test_perturbed_variants_degrade_with_fewer_sensors():
            for v in TINY_PLAN.variants}
     assert pos["1-imu-true"] <= pos["2-imu-perturbed"]
     assert pos["1-imu-true"] <= pos["9-imu-perturbed"]
+
+
+# --- chunked harness against the per-trial oracle ------------------------
+
+DIFF_PLANS = {
+    # every variant, two extrinsic samples
+    "all-variants": ExperimentPlan(extrinsic_samples=2, sequences_per_sample=5,
+                                   master_seed=11,
+                                   sim=SimConfig(freq=200.0, duration=1.5)),
+    # 11 sequences: the default chunk (8 trials of 1.5 s) leaves 3 over
+    "ragged-chunks": ExperimentPlan(variants=("1-imu-true", "9-imu-perturbed",
+                                              "2-imu-calibrated"),
+                                    extrinsic_samples=1, sequences_per_sample=11,
+                                    master_seed=12,
+                                    sim=SimConfig(freq=200.0, duration=1.5)),
+}
+# the raw-sample bytes of one trial of every plan above (9 sensors, 300
+# samples), a cap that gives chunks of one trial
+ONE_TRIAL = 9 * 300 * 6 * 8
+CHUNK_CAPS = {"one-trial": ONE_TRIAL, "default": None, "whole-sample": 1 << 40}
+
+
+def smallest_gyro_eigenvalues(plan):
+    """Smallest eigenvalue of the mean gyro second moment of sensor A of
+    the calibrated pair, per (sample, sequence), drawn from the trial's
+    own random stream as the harness draws it."""
+    from mimufusion.harness import _PAIR
+    from mimufusion.simulation import (
+        apply_measurement_noise,
+        grid_mounts,
+        ideal_imu_series,
+    )
+
+    ideal = ideal_imu_series(plan.sim, grid_mounts(pitch=plan.grid_pitch)[_PAIR[0]])
+    out = []
+    for sample_seq in np.random.SeedSequence(plan.master_seed).spawn(
+            plan.extrinsic_samples):
+        for trial_seq in sample_seq.spawn(1 + plan.sequences_per_sample)[1:]:
+            rng = np.random.default_rng(trial_seq.spawn(9)[_PAIR[0]])
+            w, _ = apply_measurement_noise(*ideal, plan.noise, plan.sim.freq, rng)
+            out.append(np.linalg.eigvalsh(w.T @ w / len(w))[0])
+    return np.array(out)
+
+
+def assert_reports_agree(got, want, got_dir, want_dir):
+    assert got.completed == want.completed
+    assert got.failures == want.failures
+    assert got.metrics.keys() == want.metrics.keys()
+    for v, per_metric in want.metrics.items():
+        for m, stats in per_metric.items():
+            for key in ("mean", "std", "per_sample_means"):
+                np.testing.assert_allclose(got.metrics[v][m][key], stats[key],
+                                           rtol=1e-12, atol=0)
+    got_lines = [json.loads(l) for l in (got_dir / "trials.jsonl").open()]
+    want_lines = [json.loads(l) for l in (want_dir / "trials.jsonl").open()]
+    assert len(got_lines) == len(want_lines) == sum(want.completed.values())
+    for g, w in zip(got_lines, want_lines):
+        assert g.keys() == w.keys()
+        assert (g["sample"], g["seq"], g["variant"]) == (w["sample"], w["seq"],
+                                                          w["variant"])
+        for m in ("position", "orientation", "velocity"):
+            assert g[m] == pytest.approx(w[m], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("cap", sorted(CHUNK_CAPS))
+@pytest.mark.parametrize("name", sorted(DIFF_PLANS) + ["mixed-failures"])
+def test_chunked_run_matches_per_trial_oracle(tmp_path, monkeypatch, name, cap):
+    import oracle
+    from mimufusion import calibration, harness
+
+    if CHUNK_CAPS[cap] is not None:
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", CHUNK_CAPS[cap])
+    if name == "mixed-failures":
+        plan = DIFF_PLANS["all-variants"]
+        eig = np.sort(smallest_gyro_eigenvalues(plan))
+        # half of the trials fail calibration; chunks mix both kinds
+        monkeypatch.setattr(calibration, "GYRO_EXCITATION_MIN",
+                            0.5 * (eig[4] + eig[5]))
+    else:
+        plan = DIFF_PLANS[name]
+    want = oracle.run_experiment(plan, out_dir=tmp_path / "oracle")
+    got = run_experiment(plan, out_dir=tmp_path / "chunked")
+    assert_reports_agree(got, want, tmp_path / "chunked", tmp_path / "oracle")
+    if name == "mixed-failures":
+        assert len(got.failures) == 5
+        assert all("DegenerateMotion" in f for f in got.failures)

@@ -333,12 +333,38 @@ def test_imu_csv_reader_rejects_python_literal_underscores(tmp_path):
 @pytest.mark.parametrize("row, column", [(0, 0), (3, 2), (9, 5)])
 def test_imu_csv_writer_refuses_non_finite(tmp_path, row, column):
     series = noisy_series(duration=0.05)
-    values = np.hstack([series.gyro, series.accel])
-    values[row, column] = np.nan if column % 2 else -np.inf
-    bad = ImuSeries(series.freq, series.start_ns, values[:, :3], values[:, 3:])
+    # an ImuSeries refuses non-finite samples, so poison the built one
+    bad = ImuSeries(series.freq, series.start_ns, series.gyro.copy(),
+                    series.accel.copy())
+    values = bad.gyro if column < 3 else bad.accel
+    values[row, column % 3] = np.nan if column % 2 else -np.inf
     with pytest.raises(FormatError, match=rf"sample {row} is not finite"):
         write_imu_csv(tmp_path / "imu.csv", bad)
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("row", ["first", "last"])
+def test_imu_csv_rejects_invalid_utf8_with_its_line(tmp_path, row):
+    """Byte 0xff, which is never valid UTF-8, at the end of the first or
+    the last data row fails as FormatError naming that row's line."""
+    path = tmp_path / "imu.csv"
+    write_imu_csv(path, noisy_series(duration=0.05))
+    lines = path.read_bytes().split(b"\n")  # header, 10 rows, ""
+    at = 1 if row == "first" else len(lines) - 2
+    lines[at] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(FormatError, match=rf"imu\.csv:{at + 1}: not valid UTF-8"):
+        read_imu_csv(path)
+
+
+@pytest.mark.parametrize("field", ["gyro", "accel"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_imu_series_rejects_non_finite(field, value):
+    series = noisy_series(duration=0.05)
+    samples = {"gyro": series.gyro.copy(), "accel": series.accel.copy()}
+    samples[field][4, 1] = value
+    with pytest.raises(FormatError, match=r"^sample 4 is not finite$"):
+        ImuSeries(series.freq, series.start_ns, **samples)
 
 
 def test_sidecar_round_trip(tmp_path):

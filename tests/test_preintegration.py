@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracle import propagate_step
+from oracle import propagate_step, psi_matrix
 from oracle import step_matrices as scalar_step_matrices
 
 from mimufusion.geometry import (
@@ -18,7 +18,6 @@ from mimufusion.preintegration import (
     predict_state,
     preintegrate,
     preintegrate_windows,
-    psi_matrix,
     step_matrices,
 )
 from mimufusion.simulation import (
@@ -32,6 +31,7 @@ from mimufusion.vimu import (
     VimuConfig,
     build_fusion,
     fuse_series,
+    lever_jacobian,
     midpoint_frame,
     single_frame,
     virtual_covariances,
@@ -329,7 +329,7 @@ def test_psi_zero_rate():
 
 def test_psi_is_lever_stack_jacobian():
     """Finite-difference check of d(lever stack)/d(omega)."""
-    from mimufusion.vimu import lever_arm_stack
+    from oracle import lever_arm_stack
 
     ext = Extrinsic(q=quat_from_rotvec([0.1, 0.2, -0.1]),
                     p=np.array([0.08, -0.03, 0.05]))
@@ -359,6 +359,8 @@ def test_midpoint_psi_coupling_cancels():
         w = rng.normal(size=3)
         coupled = fm.accel_solve @ psi_matrix(vcfg, w)
         np.testing.assert_allclose(coupled, np.zeros((3, 3)), atol=1e-12)
+    np.testing.assert_allclose(lever_jacobian(fm, rng.normal(size=(10, 3))),
+                               np.zeros((10, 3, 3)), atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["1-sensor", "2-sensor", "4-sensor"])
@@ -374,15 +376,15 @@ def test_step_matrices_stack_matches_scalar_oracle(name):
     w = rng.normal(scale=0.6, size=(n, 3))
     a = GRAVITY + rng.normal(scale=1.5, size=(n, 3))
     step = exp_so3(w * dt)
-    A, B = step_matrices(accum, step, a, right_jacobian(w * dt) * dt,
-                         fm.accel_solve @ psi_matrix(cfg, w), dt)
+    t_psi = lever_jacobian(fm, w)
+    A, B = step_matrices(accum, step, a, right_jacobian(w * dt) * dt, t_psi, dt)
     assert A.shape == (n, 9, 9) and B.shape == (n, 9, 6)
-    psi = psi_matrix(cfg, w)
     for i in range(n):
         want = scalar_step_matrices(accum[i], step[i], w[i], a[i], cfg, fm, dt)
         np.testing.assert_allclose(A[i], want.a, atol=1e-15)
         np.testing.assert_allclose(B[i], want.b, atol=1e-15)
-        np.testing.assert_allclose(psi[i], psi_matrix(cfg, w[i]), atol=1e-12)
+        np.testing.assert_allclose(t_psi[i], fm.accel_solve @ psi_matrix(cfg, w[i]),
+                                   atol=1e-12)
 
 
 def test_step_matrices_refill_matches_fresh_build():
@@ -399,8 +401,7 @@ def test_step_matrices_refill_matches_fresh_build():
         w = rng.normal(scale=0.6, size=(n, 3))
         return (exp_so3(rng.normal(size=(n, 3))), exp_so3(w * dt),
                 GRAVITY + rng.normal(scale=1.5, size=(n, 3)),
-                right_jacobian(w * dt) * dt,
-                fm.accel_solve @ psi_matrix(cfg, w), dt)
+                right_jacobian(w * dt) * dt, lever_jacobian(fm, w), dt)
 
     out = step_matrices(*inputs())
     second = inputs()
@@ -583,11 +584,14 @@ def test_windows_ignore_remainder_samples():
     noise_v = virtual_covariances(cfg)
     step, n_windows = 25, 5
     whole = random_virtual_series(n_windows * step, seed=61)
-    pad = np.full((step - 1, 3), np.nan)
+    pad = np.zeros((step - 1, 3))
     padded = ImuSeries(
         freq=whole.freq, start_ns=0,
         gyro=np.vstack([whole.gyro, pad]),
         accel=np.vstack([whole.accel, pad]))
+    # an ImuSeries refuses NaN samples, so poison the built one
+    padded.gyro[-(step - 1):] = np.nan
+    padded.accel[-(step - 1):] = np.nan
     got = preintegrate_windows(padded, BIASED, cfg, fm, step, noise_v)
     want = preintegrate_windows(whole, BIASED, cfg, fm, step, noise_v)
     assert len(got) == len(want) == n_windows

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracle import ideal_body_measurements
 
 from mimufusion.geometry import (
     exp_so3,
@@ -14,7 +15,6 @@ from mimufusion.simulation import (
     TrajectoryParams,
     apply_measurement_noise,
     grid_mounts,
-    ideal_body_measurements,
     ideal_imu_series,
     perturb_extrinsics,
     sample_trajectory,

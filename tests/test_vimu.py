@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import ideal_body_measurements, lever_arm_stack, virtual_bias
 
 from mimufusion.errors import LengthMismatch, RateMismatch, SingularFusion
 from mimufusion.geometry import exp_so3, quat_from_rotvec, rotation_from_quat
 from mimufusion.simulation import (
     SimConfig,
-    ideal_body_measurements,
     sample_trajectory,
     simulate_imu,
     transfer_measurement,
@@ -19,10 +19,11 @@ from mimufusion.vimu import (
     array_frame,
     build_fusion,
     fuse_series,
-    lever_arm_stack,
+    fuse_stack,
+    lever_jacobian,
+    lever_term,
     midpoint_frame,
     single_frame,
-    virtual_bias,
     virtual_covariances,
 )
 
@@ -415,3 +416,89 @@ def test_property_fusion_invariant_to_sensor_order(data, n, seed):
     assert (got.freq, got.start_ns) == (want.freq, want.start_ns)
     np.testing.assert_allclose(got.gyro, want.gyro, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.accel, want.accel, rtol=0, atol=1e-12)
+
+
+def perturbed_grid(seed=70):
+    """Nine sensors of a 3x3 grid with tilted axes, unequal sigma_a and
+    the virtual frame moved off the centroid: nothing in the lever terms
+    cancels."""
+    rng = np.random.default_rng(seed)
+    return VimuConfig(
+        rotations=tuple(exp_so3(rng.normal(scale=0.05, size=3)) for _ in range(9)),
+        positions=tuple(np.array([0.05 * (i % 3 - 1), 0.05 * (i // 3 - 1), 0.0])
+                        + np.array([0.013, -0.021, 0.007]) for i in range(9)),
+        noises=tuple(NoiseSpec(sigma_a=s) for s in rng.uniform(1e-3, 8e-3, 9)),
+    )
+
+
+LEVER_CONFIGS = {
+    "1-sensor": lambda: single_frame(MEMS, rotation=exp_so3([0.1, -0.2, 0.05]),
+                                     position=np.array([0.03, -0.02, 0.01])),
+    "2-sensor": lambda: midpoint_frame(
+        Extrinsic(q=quat_from_rotvec([0.0, 0.1, 0.05]),
+                  p=np.array([0.1, 0.02, -0.01])),
+        MEMS, NoiseSpec(sigma_a=4e-3)),
+    "9-sensor": perturbed_grid,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVER_CONFIGS))
+def test_lever_term_and_jacobian_match_per_sensor_oracle(name):
+    """The quadratic form built once per fusion equals accel_solve
+    applied to the per-sensor lever stack, and its Jacobian equals
+    accel_solve applied to the per-sensor psi blocks."""
+    from oracle import psi_matrix
+
+    cfg = LEVER_CONFIGS[name]()
+    fm = build_fusion(cfg)
+    rng = np.random.default_rng(71)
+    w = rng.normal(scale=1.5, size=(50, 3))
+    wd = rng.normal(scale=3.0, size=(50, 3))
+    want = lever_arm_stack(cfg, w, wd) @ fm.accel_solve.T
+    scale = np.abs(want).max()
+    np.testing.assert_allclose(lever_term(fm, w, wd), want, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(lever_term(fm, w),
+                               lever_arm_stack(cfg, w, np.zeros(3)) @ fm.accel_solve.T,
+                               rtol=0, atol=1e-13 * scale)
+    want_jac = fm.accel_solve @ psi_matrix(cfg, w)
+    np.testing.assert_allclose(lever_jacobian(fm, w), want_jac, rtol=0,
+                               atol=1e-13 * np.abs(want_jac).max())
+
+
+def test_lever_jacobian_is_lever_term_derivative():
+    fm = build_fusion(perturbed_grid())
+    w = np.array([[0.4, -0.7, 0.2]])
+    wd = np.array([[1.0, 0.5, -0.3]])
+    eps = 1e-6
+    fd = np.stack([(lever_term(fm, w + dw, wd) - lever_term(fm, w - dw, wd))[0]
+                   for dw in eps * np.eye(3)[:, None, :]], axis=-1) / (2 * eps)
+    np.testing.assert_allclose(lever_jacobian(fm, w)[0], fd, atol=1e-6)
+
+
+def test_fuse_stack_trials_match_fuse_series():
+    """One fuse_stack call over a trial axis, with one fusion per trial
+    or one shared fusion, and reading its sensors in place out of a
+    wider array, equals a fuse_series call per trial."""
+    cfgs = [midpoint_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.02 * k, 0.05]),
+                                     p=np.array([0.1, 0.01 * k, -0.01])),
+                           MEMS, NoiseSpec(sigma_a=4e-3)) for k in range(3)]
+    fms = [build_fusion(c) for c in cfgs]
+    stacked = type(fms[0])(*(np.stack([getattr(fm, f) for fm in fms])
+                             for f in fms[0].__dataclass_fields__))
+    rng = np.random.default_rng(72)
+    gyro = rng.normal(scale=0.5, size=(3, 40, 2, 3))
+    accel = rng.normal(scale=5.0, size=(3, 40, 2, 3))
+    wide = rng.normal(size=(2, 3, 40, 4, 3))  # sensors in columns 3 and 1
+    wide[:, :, :, [3, 1]] = gyro, accel
+    for fm, per_trial, columns in ((stacked, fms, None), (fms[1], [fms[1]] * 3, None),
+                                   (stacked, fms, [3, 1])):
+        if columns is None:
+            w, a = fuse_stack(fm, gyro, accel, FREQ)
+        else:
+            w, a = fuse_stack(fm, wide[0], wide[1], FREQ, columns)
+        assert w.shape == a.shape == (3, 38, 3)
+        for k, (cfg, one) in enumerate(zip(cfgs, per_trial)):
+            fused = fuse_series(cfg, [ImuSeries(FREQ, 0, gyro[k, :, i], accel[k, :, i])
+                                      for i in range(2)], one)
+            np.testing.assert_allclose(w[k], fused.gyro, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(a[k], fused.accel, rtol=1e-13, atol=1e-12)
