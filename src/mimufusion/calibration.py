@@ -182,7 +182,8 @@ def fit_rotation(gyro_a, gyro_b, weights) -> tuple:
     wb = np.asarray(gyro_b, dtype=float)
     moment = np.swapaxes(wa, -1, -2) @ wa / wa.shape[-2]
     smallest = np.linalg.eigvalsh(moment)[..., 0]
-    U, _, VT = np.linalg.svd(np.einsum("t,...ti,...tj->...ij", weights, wb, wa))
+    # sum_t w_t wB_t wA_t^T as one matrix product
+    U, _, VT = np.linalg.svd(np.swapaxes(wb, -1, -2) * weights @ wa)
     U[..., 2] *= np.sign(np.linalg.det(U) * np.linalg.det(VT))[..., None]
     R = U @ VT
     r = wb - wa @ np.swapaxes(R, -1, -2)
@@ -251,13 +252,17 @@ def fit_translation(R, gyro_a, accel_a, gyro_b, accel_b, freq: float,
     wa = gyro_a[..., 1:-1, :]
     wdot = _angular_accel(R, gyro_a, gyro_b, freq)
     M = lever_matrix(wa, wdot)  # (..., n - 2, 3, 3)
-    mean_MtM = np.einsum("...tki,...tkj->...ij", M, M) / M.shape[-3]
-    smallest = np.linalg.eigvalsh(mean_MtM)[..., 0]
+    # The Grams as matrix products over the stacked (..., 3(n - 2), 3)
+    # design, row 3t + k holding row k of M_t.
+    stacked = M.reshape(M.shape[:-3] + (-1, 3))
+    stacked_T = np.swapaxes(stacked, -1, -2)
+    smallest = np.linalg.eigvalsh(stacked_T @ stacked / M.shape[-3])[..., 0]
 
     b = accel_b[..., 1:-1, :] - accel_a[..., 1:-1, :] @ np.swapaxes(R, -1, -2)
     bR = b @ R  # R^T b, row-wise
-    H = np.einsum("t,...tki,...tkj->...ij", weights, M, M)
-    g = np.einsum("t,...tki,...tk->...i", weights, M, bR)
+    weighted_T = stacked_T * np.repeat(weights, 3)
+    H = weighted_T @ stacked
+    g = (weighted_T @ bR.reshape(bR.shape[:-2] + (-1, 1)))[..., 0]
     cond = np.linalg.cond(H)
     solvable = np.isfinite(cond) & (cond <= 1e12)
     p = np.linalg.solve(np.where(solvable[..., None, None], H, np.eye(3)),

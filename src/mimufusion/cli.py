@@ -21,7 +21,7 @@ import numpy as np
 from . import csvio
 from .calibration import CalibrationInput, calibrate
 from .errors import FormatError, MimuError, RateMismatch
-from .geometry import geodesic_angle, rotation_from_quat
+from .geometry import geodesic_angle
 from .harness import (
     VARIANTS,
     ExperimentPlan,
@@ -99,7 +99,7 @@ def _load_extrinsic(path) -> Extrinsic:
     try:
         return Extrinsic(q=np.asarray(d["q_BA"], dtype=float),
                          p=np.asarray(d["p_AB_m"], dtype=float))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

@@ -174,7 +174,7 @@ def read_vimu_sidecar(path):
         return (VimuConfig.from_dict(d["config"]),
                 VimuNoise.from_dict(d["covariances"]),
                 float(d["freq"]))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

@@ -1,5 +1,5 @@
-"""Rotation algebra: skew operators, SO(3) exp/log, the right Jacobian,
-and Hamilton quaternion conversions.
+"""Rotation algebra: skew operators, the SO(3) exponential, geodesic
+angles, the right Jacobian, and Hamilton quaternion conversions.
 
 Conventions used throughout the package:
 
@@ -49,62 +49,43 @@ def vee(m) -> np.ndarray:
 
 
 def _angles(phi):
-    """Rotation angles of a (3,) or (n, 3) phi, shaped to scale 3x3
-    blocks, plus the rows below SMALL_ANGLE. Those rows get angle 1 so
-    a closed form evaluated on every row never divides zero by zero."""
-    angles = np.linalg.norm(phi, axis=-1)[..., None, None]
+    """Rotation angles of rotation vectors (..., 3), shape (...), plus
+    the rows below SMALL_ANGLE. Those rows get angle 1 so a closed form
+    evaluated on every row never divides zero by zero."""
+    angles = np.sqrt(phi[..., 0]**2 + phi[..., 1]**2 + phi[..., 2]**2)
     small = angles < SMALL_ANGLE
     return np.where(small, 1.0, angles), small
 
 
+def _identity_plus(phi, a, b) -> np.ndarray:
+    """I + a [phi]x + b [phi]x^2 for rotation vectors phi (..., 3) and
+    coefficients a, b (...), entry by entry with [phi]x^2 = phi phi^T -
+    |phi|^2 I: one (..., 3, 3) array and no 3x3 products."""
+    x, y, z = phi[..., 0], phi[..., 1], phi[..., 2]
+    bx, by, bz = b * x, b * y, b * z
+    ax, ay, az = a * x, a * y, a * z
+    out = np.empty(phi.shape + (3,))
+    out[..., 0, 0] = 1.0 - (by * y + bz * z)
+    out[..., 1, 1] = 1.0 - (bx * x + bz * z)
+    out[..., 2, 2] = 1.0 - (bx * x + by * y)
+    for i, j, cross in ((0, 1, az), (0, 2, -ay), (1, 2, ax)):
+        sym = (bx, by, bz)[i] * phi[..., j]
+        out[..., i, j] = sym - cross
+        out[..., j, i] = sym + cross
+    return out
+
+
 def exp_so3(phi) -> np.ndarray:
-    """Rodrigues exponential of a rotation vector (3,) or a stack (n, 3).
+    """Rodrigues exponential of a rotation vector (3,) or of each row of
+    a stack (..., 3).
 
     Falls back to the second-order Taylor expansion below SMALL_ANGLE so
     the map stays exact to machine precision near zero.
     """
     phi = np.asarray(phi, dtype=float)
     th, small = _angles(phi)
-    a = np.where(small, 1.0, np.sin(th) / th)
-    b = np.where(small, 0.5, (1.0 - np.cos(th)) / th**2)
-    s = skew(phi)
-    s2 = s @ s  # I + a s + b s^2, summed in that order, in place
-    s2 *= b
-    s *= a
-    s += np.eye(3)
-    s += s2
-    return s
-
-
-def log_so3(R) -> np.ndarray:
-    """Rotation vector of a rotation matrix (3, 3), or of each matrix of
-    a stack (n, 3, 3), with norm <= pi.
-
-    Near pi the dominant-axis extraction is used because the
-    antisymmetric part of R degenerates there; each row takes its own
-    branch.
-    """
-    R = np.asarray(R, dtype=float)
-    w = 0.5 * vee(R - np.swapaxes(R, -1, -2))  # sin(angle) * axis
-    sin_angle = np.linalg.norm(w, axis=-1)
-    cos_angle = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0,
-                        -1.0, 1.0)
-    # atan2 keeps the angle well conditioned where arccos alone degrades
-    # (cos near +-1); the measured sine also cancels out of angle/sin * w.
-    angle = np.arctan2(sin_angle, cos_angle)
-    small = angle < SMALL_ANGLE
-    scale = np.where(small, 1.0, angle / np.where(small, 1.0, sin_angle))
-    # R ~ 2 a a^T - I near pi: pick the axis from the strongest column of
-    # the symmetrized R + I (symmetrizing drops the sin(angle) [a]x term);
-    # sin(angle) >= 0, so the antisymmetric part fixes the sign when it
-    # has not fully collapsed.
-    m = 0.5 * (R + np.swapaxes(R, -1, -2)) + np.eye(3)
-    k = np.argmax(np.diagonal(m, axis1=-2, axis2=-1), axis=-1)
-    axis = np.take_along_axis(m, k[..., None, None], axis=-1)[..., 0]
-    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
-    axis *= np.where(np.sum(w * axis, axis=-1) < 0.0, -1.0, 1.0)[..., None]
-    return np.where((np.pi - angle < 1e-6)[..., None], angle[..., None] * axis,
-                    scale[..., None] * w)
+    return _identity_plus(phi, np.where(small, 1.0, np.sin(th) / th),
+                          np.where(small, 0.5, (1.0 - np.cos(th)) / th**2))
 
 
 def right_jacobian(phi) -> np.ndarray:
@@ -112,72 +93,50 @@ def right_jacobian(phi) -> np.ndarray:
     Takes a (3,) vector or an (n, 3) stack, like exp_so3."""
     phi = np.asarray(phi, dtype=float)
     th, small = _angles(phi)
-    a = np.where(small, 0.5, (1.0 - np.cos(th)) / th**2)
-    b = np.where(small, 1.0 / 6.0, (th - np.sin(th)) / th**3)
-    s = skew(phi)
-    return np.eye(3) - a * s + b * (s @ s)
+    return _identity_plus(phi, np.where(small, -0.5, (np.cos(th) - 1.0) / th**2),
+                          np.where(small, 1.0 / 6.0, (th - np.sin(th)) / th**3))
 
 
 def _canonical(q: np.ndarray) -> np.ndarray:
-    q = q / np.linalg.norm(q)
-    if q[0] < 0.0:
-        q = -q
-    return q
+    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    return np.where(q[..., :1] < 0.0, -q, q)
 
 
 def quat_from_rotation(R) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) of a rotation matrix, w >= 0.
+    """Unit quaternion (w, x, y, z) of a rotation matrix, w >= 0; a stack
+    (..., 3, 3) gives (..., 4).
 
-    Shepperd's method: branch on the largest of trace and diagonal
-    entries for numerical stability.
+    Shepperd's method: per matrix, branch on the largest of trace and
+    diagonal entries for numerical stability. Branch k solves for
+    component k (0 = w) from its square and reads the others off row k
+    of the symmetric matrix of antisymmetric and symmetric parts of R.
     """
     R = np.asarray(R, dtype=float)
-    tr = np.trace(R)
-    if tr > 0.0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array([
-            0.25 * s,
-            (R[2, 1] - R[1, 2]) / s,
-            (R[0, 2] - R[2, 0]) / s,
-            (R[1, 0] - R[0, 1]) / s,
-        ])
-    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array([
-            (R[2, 1] - R[1, 2]) / s,
-            0.25 * s,
-            (R[0, 1] + R[1, 0]) / s,
-            (R[0, 2] + R[2, 0]) / s,
-        ])
-    elif R[1, 1] > R[2, 2]:
-        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array([
-            (R[0, 2] - R[2, 0]) / s,
-            (R[0, 1] + R[1, 0]) / s,
-            0.25 * s,
-            (R[1, 2] + R[2, 1]) / s,
-        ])
-    else:
-        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array([
-            (R[1, 0] - R[0, 1]) / s,
-            (R[0, 2] + R[2, 0]) / s,
-            (R[1, 2] + R[2, 1]) / s,
-            0.25 * s,
-        ])
+    d0, d1, d2 = (R[..., i, i] for i in range(3))
+    tr = np.trace(R, axis1=-2, axis2=-1)
+    branch = np.where(tr > 0.0, 0, np.where((d0 > d1) & (d0 > d2), 1,
+                                            np.where(d1 > d2, 2, 3)))
+    s = np.sqrt(np.choose(branch, [tr + 1.0, 1.0 + d0 - d1 - d2,
+                                   1.0 + d1 - d0 - d2, 1.0 + d2 - d0 - d1])) * 2.0
+    parts = np.empty(R.shape[:-2] + (4, 4))
+    parts[..., 1:, 1:] = R + np.swapaxes(R, -1, -2)
+    parts[..., 0, 1:] = parts[..., 1:, 0] = vee(R - np.swapaxes(R, -1, -2))
+    q = np.take_along_axis(parts, branch[..., None, None], axis=-2)[..., 0, :]
+    q /= s[..., None]
+    np.put_along_axis(q, branch[..., None], 0.25 * s[..., None], axis=-1)
     return _canonical(q)
 
 
 def rotation_from_quat(q) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (w, x, y, z)."""
+    """Rotation matrix of a unit quaternion (w, x, y, z); a stack (..., 4)
+    gives (..., 3, 3)."""
     q = np.asarray(q, dtype=float)
-    q = q / np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    w, x, y, z = np.moveaxis(q / np.linalg.norm(q, axis=-1, keepdims=True), -1, 0)
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
 def quat_multiply(a, b) -> np.ndarray:
@@ -199,16 +158,6 @@ def quat_conjugate(q) -> np.ndarray:
     return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
-def quat_rotate(q, v) -> np.ndarray:
-    """Rotate vector(s) v by quaternion q; v may be (3,) or (n, 3)."""
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u = q[1:]
-    w = q[0]
-    t = 2.0 * np.cross(u, v)
-    return v + w * t + np.cross(u, t)
-
-
 def quat_from_rotvec(phi) -> np.ndarray:
     """Unit quaternion for a rotation vector (canonical sign)."""
     phi = np.asarray(phi, dtype=float)
@@ -226,11 +175,17 @@ def quat_from_rotvec(phi) -> np.ndarray:
 
 
 def geodesic_angle(Ra, Rb):
-    """Angle (rad) of the relative rotation between two matrices, or
-    between the paired matrices of two (n, 3, 3) stacks."""
+    """Angle (rad) of the relative rotation rel between two matrices, or
+    between the paired matrices of two (n, 3, 3) stacks: the norm of its
+    rotation vector, atan2(|vee(rel - rel^T)| / 2, (tr rel - 1) / 2),
+    without extracting the axis. atan2 keeps the angle well conditioned
+    where arccos alone degrades (cos near +-1)."""
     Ra = np.asarray(Ra, dtype=float)
     rel = np.swapaxes(Ra, -1, -2) @ np.asarray(Rb, dtype=float)
-    return np.linalg.norm(log_so3(rel), axis=-1)
+    sin_angle = np.linalg.norm(0.5 * vee(rel - np.swapaxes(rel, -1, -2)), axis=-1)
+    cos_angle = np.clip((np.trace(rel, axis1=-2, axis2=-1) - 1.0) / 2.0,
+                        -1.0, 1.0)
+    return np.arctan2(sin_angle, cos_angle)
 
 
 def is_rotation(R, tol: float = 1e-9) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from . import csvio
 from .calibration import WeightSchedule, fit_rotation, fit_translation
 from .errors import EmptyOverlap, FormatError, LengthMismatch, MimuError, RateMismatch
 from .geometry import geodesic_angle, quat_from_rotation, rotation_from_quat
-from .preintegration import PreintDelta, VimuState, predict_state, preintegrate_windows
+from .preintegration import PreintDelta, VimuState, predict_state, preintegrate_stack
 from .simulation import (
     SimConfig,
     TrajectoryParams,
@@ -43,13 +43,13 @@ from .simulation import (
     ideal_imu_series,
     perturb_extrinsics,
 )
-from .types import Extrinsic, ImuSeries, NoiseSpec, _check_keys
+from .types import ImuSeries, NoiseSpec, _check_keys
 from .vimu import (
     FusionMatrices,
     array_frame,
     build_fusion,
+    build_fusion_stack,
     fuse_stack,
-    midpoint_frame,
     single_frame,
 )
 
@@ -70,9 +70,11 @@ _CENTER = 4
 # comparisons then isolate the marginal benefit of adding sensors.
 _PAIR = (0, 2)
 _QUAD = (0, 2, 6, 8)
-# Raw-sample bytes one chunk of trials may hold: 1 MB is 4 desk trials
-# of 9 sensors; batching pays from a few trials on, more only adds memory.
-_CHUNK_BYTES = 1 << 20
+# Bytes the working set of one chunk of trials may hold: per trial its
+# raw samples, and per variant its fused rows and the rotation of every
+# integrated sample. 2 MiB is 3 desk trials of 9 sensors and 5 variants;
+# batching pays from a few trials on, more only adds memory.
+_CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -179,10 +181,10 @@ class RmseReport:
                           dtype=float)
 
 
-def _stack_states(states, axis=0) -> VimuState:
+def _stack_states(states) -> VimuState:
     """A VimuState whose rotation, position and velocity stack those of
-    ``states`` along a new axis."""
-    return VimuState(*(np.stack([getattr(s, f) for s in states], axis=axis)
+    ``states`` along a new first axis."""
+    return VimuState(*(np.stack([getattr(s, f) for s in states])
                        for f in ("rotation", "position", "velocity")))
 
 
@@ -213,15 +215,21 @@ def true_vimu_state(sample, frame_rotation, frame_position) -> VimuState:
     ``frame_rotation``/``frame_position`` place the frame on the body
     (rotation body-from-frame, position in body coords). The frame is
     rigid, so its velocity picks up the angular-rate term. Arrays with
-    a leading axis of instants give states with that axis.
+    a leading axis of instants give states with that axis; positions
+    (..., 3) with trial axes give states that carry them after it (the
+    rotation with axes of length 1, as it does not depend on the
+    position).
     """
-    R_wb = sample.rotation
     p = np.asarray(frame_position, dtype=float)
+    trials = (1,) * (p.ndim - 1)
+    R_wb, pos, vel, omega = (
+        x.reshape(x.shape[:x.ndim - tail] + trials + x.shape[x.ndim - tail:])
+        for x, tail in ((sample.rotation, 2), (sample.position, 1),
+                        (sample.velocity, 1), (sample.omega, 1)))
     return VimuState(
         rotation=R_wb @ np.asarray(frame_rotation, dtype=float),
-        position=sample.position + R_wb @ p,
-        velocity=(sample.velocity
-                  + (R_wb @ np.cross(sample.omega, p)[..., None])[..., 0]),
+        position=pos + (R_wb @ p[..., None])[..., 0],
+        velocity=vel + (R_wb @ np.cross(omega, p)[..., None])[..., 0],
     )
 
 
@@ -293,8 +301,8 @@ def _variant_indices(name: str) -> tuple:
 
 @dataclass
 class _VariantSetup:
-    fm: FusionMatrices
-    truth: VimuState  # true states of the virtual frame at every keyframe
+    fm: FusionMatrices  # with a trial axis, or none when shared
+    truth: VimuState  # true states of the virtual frame: (keyframe, trial)
 
 
 def _setup_variant(name: str, plan: ExperimentPlan, mounts, believed,
@@ -310,97 +318,87 @@ def _setup_variant(name: str, plan: ExperimentPlan, mounts, believed,
             [believed[i] for i in idx], [plan.noise] * len(idx))
     else:
         raise ValueError(f"unknown variant {name}")
-    return _VariantSetup(build_fusion(cfg),
-                         true_vimu_state(keyframes, frame_rot, frame_pos))
+    # a trial axis of length 1: every trial shares the frame
+    return _VariantSetup(build_fusion(cfg), true_vimu_state(
+        keyframes, frame_rot, np.reshape(frame_pos, (1, 3))))
 
 
 def _setup_calibrated(plan: ExperimentPlan, mounts, gyro, accel, cols,
-                      keyframes) -> list:
+                      keyframes) -> tuple:
     """Calibrate each trial's sensor pair, in columns cols of the chunk's
     samples (S, n, m, 3), and anchor the resulting midpoint frame at
-    sensor A's true mount; returns a _VariantSetup or the MimuError per
-    trial."""
+    sensor A's true mount. Returns the _VariantSetup of every trial and
+    a MimuError or None per trial."""
     ia, _ = _PAIR
     weights = WeightSchedule.build(gyro.shape[1], plan.noise, plan.noise,
                                    1.0 / plan.sim.freq)
     (ga, gb), (aa, ab) = ([x[:, :, c] for c in cols] for x in (gyro, accel))
     R, _, rot_errors = fit_rotation(ga, gb, weights.w_omega)
-    qs = [quat_from_rotation(r) for r in R]
-    ps, _, trans_errors = fit_translation(
-        np.array([rotation_from_quat(q) for q in qs]), ga, aa, gb, ab,
-        plan.sim.freq, weights.w_accel[1:-1])
+    # through the unit quaternion that calibrate reports, as in calib.json
+    R = rotation_from_quat(quat_from_rotation(R))
+    p, _, trans_errors = fit_translation(R, ga, aa, gb, ab, plan.sim.freq,
+                                         weights.w_accel[1:-1])
+    # midpoint_frame of every trial: axes of sensor A, origin halfway
+    fm, fusion_errors = build_fusion_stack(
+        np.stack([np.broadcast_to(np.eye(3), R.shape), R], axis=-3),
+        np.stack([-0.5 * p, 0.5 * p], axis=-2), (plan.noise, plan.noise))
     R_ba_body = rotation_from_quat(mounts[ia].q).T
-    setups = []
-    for q, p, rot_error, trans_error in zip(qs, ps, rot_errors, trans_errors):
-        try:
-            if rot_error or trans_error:
-                raise rot_error or trans_error
-            ext = Extrinsic(q=q, p=p)
-            cfg = midpoint_frame(ext, plan.noise, plan.noise)
-            frame_pos = mounts[ia].p + R_ba_body @ (0.5 * ext.p)
-            setups.append(_VariantSetup(
-                build_fusion(cfg), true_vimu_state(keyframes, R_ba_body, frame_pos)))
-        except MimuError as exc:
-            setups.append(exc)
-    return setups
-
-
-def _dead_reckon(plan: ExperimentPlan, truth: VimuState, gyro, accel,
-                 n_windows: int, step: int) -> tuple:
-    """Per-trial RMSE of fused rows (N, n, 3) dead-reckoned from the
-    first truth state; the truth's arrays carry keyframe, then trial."""
-    k = n_windows * step
-    # Every trial's windows in one call: the truth start states carry no
-    # bias, so the deltas do not depend on them.
-    deltas = preintegrate_windows(
-        ImuSeries(plan.sim.freq, 0, gyro[:, :k].reshape(-1, 3),
-                  accel[:, :k].reshape(-1, 3)),
-        VimuState.identity(), None, None, step, with_covariance=False)
-    d = _stack_states(deltas)
-    d_rot, d_pos, d_vel = (x.reshape((len(gyro), n_windows) + x.shape[1:])
-                           for x in (d.rotation, d.position, d.velocity))
-    states = [VimuState(truth.rotation[0], truth.position[0], truth.velocity[0])]
-    for j in range(n_windows):
-        states.append(predict_state(states[-1], PreintDelta(
-            d_rot[:, j], d_vel[:, j], d_pos[:, j], None, deltas[j].duration, step),
-            plan.sim.gravity))
-    return rmse_metrics(_stack_states(states[1:]), VimuState(
-        truth.rotation[1:], truth.position[1:], truth.velocity[1:]))
+    truth = true_vimu_state(keyframes, R_ba_body,
+                            mounts[ia].p + (0.5 * p) @ R_ba_body.T)
+    errors = [r or t or f for r, t, f in zip(rot_errors, trans_errors, fusion_errors)]
+    return _VariantSetup(fm, truth), errors
 
 
 def _score_chunk(plan: ExperimentPlan, static_setups, mounts, slot, gyro,
                  accel, keyframes, n_windows: int, step: int) -> dict:
     """Per variant, the (position, orientation, velocity) RMSE or the
     MimuError of each trial of a chunk of raw samples (S, n, m, 3),
-    sensor i in column slot[i]."""
-    results = {}
-    for v in plan.variants:
+    sensor i in column slot[i]. The fused rows of every variant and
+    trial, variant-major, are dead-reckoned from their first truth state
+    and scored in one pass."""
+    S, n = gyro.shape[:2]
+    rows_all = len(plan.variants) * S
+    fused_w = np.empty((rows_all, n - 2, 3))
+    fused_a = np.empty_like(fused_w)
+    truth = VimuState(*(np.empty((n_windows + 1, rows_all) + shape)
+                        for shape in ((3, 3), (3,), (3,))))
+    errors = []
+    for j, v in enumerate(plan.variants):
         cols = [slot[i] for i in _variant_indices(v)]
         if v == "2-imu-calibrated":
-            setups = _setup_calibrated(plan, mounts, gyro, accel, cols, keyframes)
+            setup, errs = _setup_calibrated(plan, mounts, gyro, accel, cols,
+                                            keyframes)
         else:
-            setups = [static_setups[v]] * gyro.shape[0]
-        results[v] = [st if isinstance(st, MimuError) else None for st in setups]
-        trials = [c for c, err in enumerate(results[v]) if err is None]
-        if not trials:
-            continue
-        rows = slice(None) if len(trials) == len(setups) else trials
-        fm = FusionMatrices(*(np.stack([getattr(setups[c].fm, f.name) for c in trials])
-                              for f in fields(FusionMatrices)))
-        w, a = fuse_stack(fm, gyro[rows], accel[rows], plan.sim.freq, cols)
-        if not (np.isfinite(w).all() and np.isfinite(a).all()):
-            for k, c in enumerate(trials):
-                try:  # what an ImuSeries of the trial's fused samples raises
-                    ImuSeries(plan.sim.freq, 0, w[k], a[k])
-                except MimuError as exc:
-                    results[v][c] = exc
-        done = [k for k, c in enumerate(trials) if results[v][c] is None]
-        if done:
-            truth = _stack_states([setups[trials[k]].truth for k in done], axis=1)
-            metrics = _dead_reckon(plan, truth, w[done], a[done], n_windows, step)
-            for j, k in enumerate(done):
-                results[v][trials[k]] = tuple(float(m[j]) for m in metrics)
-    return results
+            setup, errs = static_setups[v], [None] * S
+        rows = slice(j * S, (j + 1) * S)
+        fused_w[rows], fused_a[rows] = fuse_stack(setup.fm, gyro, accel,
+                                                  plan.sim.freq, cols)
+        errors += errs
+        for f in ("rotation", "position", "velocity"):
+            getattr(truth, f)[:, rows] = getattr(setup.truth, f)
+    finite = (np.isfinite(fused_w) & np.isfinite(fused_a)).all(axis=(1, 2))
+    for r in np.flatnonzero(~finite):
+        try:  # what an ImuSeries of the trial's fused samples raises
+            ImuSeries(plan.sim.freq, 0, fused_w[r], fused_a[r])
+        except MimuError as exc:
+            errors[r] = errors[r] or exc
+    failed = [r for r, err in enumerate(errors) if err is not None]
+    fused_w[failed] = fused_a[failed] = 0.0  # keeps the pass free of inf and NaN
+    # The truth start states carry no bias, so the deltas do not depend
+    # on them: the rows go to the kernel as they are, viewed as windows.
+    k, shape = n_windows * step, (rows_all, n_windows, step, 3)
+    dR, dv, dp, _ = preintegrate_stack(fused_w[:, :k].reshape(shape),
+                                       fused_a[:, :k].reshape(shape), plan.sim.freq)
+    duration = step * (1.0 / plan.sim.freq)
+    states = [VimuState(truth.rotation[0], truth.position[0], truth.velocity[0])]
+    for w in range(n_windows):
+        states.append(predict_state(states[-1], PreintDelta(
+            dR[:, w], dv[:, w], dp[:, w], None, duration, step), plan.sim.gravity))
+    metrics = rmse_metrics(_stack_states(states[1:]), VimuState(
+        truth.rotation[1:], truth.position[1:], truth.velocity[1:]))
+    return {v: [errors[r] or tuple(float(m[r]) for m in metrics)
+                for r in range(j * S, (j + 1) * S)]
+            for j, v in enumerate(plan.variants)}
 
 
 def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
@@ -428,8 +426,9 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     ok = {v: np.zeros((plan.extrinsic_samples, plan.sequences_per_sample),
                       dtype=bool) for v in plan.variants}
     failures: list[str] = []
-    chunk = min(plan.sequences_per_sample,
-                max(1, _CHUNK_BYTES // (len(needed) * n_total * 6 * 8)))
+    trial_bytes = 8 * (6 * len(needed) * n_total + len(plan.variants)
+                       * (6 * (n_total - 2) + 9 * n_windows * step))
+    chunk = min(plan.sequences_per_sample, max(1, _CHUNK_BYTES // trial_bytes))
     gyro_buf = np.empty((chunk, n_total, len(needed), 3))
     accel_buf = np.empty_like(gyro_buf)
 

@@ -152,8 +152,8 @@ def preintegrate_windows(series: ImuSeries, state: VimuState,
                          noise: VimuNoise | None = None,
                          with_covariance: bool = True) -> list:
     """Integrate consecutive keyframe windows of ``step`` samples into one
-    PreintDelta each; trailing samples that fill no whole window are
-    dropped.
+    PreintDelta each, the list form of preintegrate_stack; trailing
+    samples that fill no whole window are dropped.
 
     Every window starts from the same ``state``. A delta depends on its
     start state only through the biases (see bias_correct), so this is
@@ -161,18 +161,9 @@ def preintegrate_windows(series: ImuSeries, state: VimuState,
     copies them from window to window, and a run from
     VimuState.identity() has none.
 
-    Each delta equals folding its window through step_matrices sample by
-    sample, to round-off. One loop over the sample positions advances
-    every window's rotation (and covariance) together. With covariance,
-    the two rate-only 3x3 blocks of B are evaluated once for every
-    sample, and one A and one B buffer, their constant blocks set once,
-    are refilled for the current sample position only; the working set
-    holds no per-sample 9x9 blocks. The velocity and position
-    sums follow from the accumulated rotations without a loop.
-    ``with_covariance=False`` skips the covariance recursion (useful in
-    Monte-Carlo loops that only need the increments) and then ``noise``
-    may be omitted; without a gyro bias in ``state`` either, ``fm`` is
-    then not read (see bias_correct) and may be None.
+    ``with_covariance=False`` skips the covariance recursion (the deltas
+    then carry a zero covariance) and ``noise`` may be omitted; without
+    a gyro bias in ``state`` either, ``fm`` is not read and may be None.
     """
     if with_covariance and noise is None:
         raise ValueError("covariance propagation needs the virtual noise model")
@@ -181,45 +172,71 @@ def preintegrate_windows(series: ImuSeries, state: VimuState,
     n_windows = len(series) // step
     if n_windows == 0:
         return []
-    k = n_windows * step
-    dt = 1.0 / series.freq
-    w_hat, a_hat = bias_correct(series, state, cfg, fm)
-    # rot[:, t] holds Exp(w_t dt) until pass t overwrites it with the
-    # rotation accumulated through sample t.
-    w_hat = w_hat[:k]
-    rot = exp_so3(w_hat * dt).reshape(n_windows, step, 3, 3)
-    a_hat = a_hat[:k].reshape(n_windows, step, 3)
+    w_hat, a_hat = (x[:n_windows * step].reshape(n_windows, step, 3)
+                    for x in bias_correct(series, state, cfg, fm))
+    dR, dv, dp, cov = preintegrate_stack(w_hat, a_hat, series.freq, fm,
+                                         noise if with_covariance else None)
+    cov = np.zeros((n_windows, 9, 9)) if cov is None else cov
+    return [PreintDelta(rotation=dR[j], velocity=dv[j], position=dp[j],
+                        covariance=cov[j], duration=step * (1.0 / series.freq),
+                        count=step) for j in range(n_windows)]
 
-    dR = np.tile(np.eye(3), (n_windows, 1, 1))
-    cov = np.zeros((n_windows, 9, 9))
-    if with_covariance:
-        s_eta = _noise_input_covariance(noise, series.freq)
+
+def preintegrate_stack(gyro, accel, freq: float, fm: FusionMatrices | None = None,
+                       noise: VimuNoise | None = None) -> tuple:
+    """Integrate bias-corrected rate and specific-force rows laid out
+    (..., windows, step, 3), any leading axes being trials, into every
+    window's (dR (..., windows, 3, 3), dv, dp (..., windows, 3), cov).
+    With the virtual noise model ``noise``, cov (..., windows, 9, 9) is
+    propagated and ``fm`` (fields with or without the trial axes) gives
+    the lever Jacobian; without it, cov is None and ``fm`` is not read.
+
+    Each delta equals folding its window through step_matrices sample by
+    sample, to round-off. One loop over the sample positions advances
+    every window's rotation (and covariance) together; the rate-only
+    blocks of B are evaluated once for every sample, and one A and one
+    B buffer are refilled in place. The velocity and position sums
+    follow from the accumulated rotations without a loop.
+    """
+    w_hat = np.asarray(gyro, dtype=float)
+    a_hat = np.asarray(accel, dtype=float)
+    dt = 1.0 / freq
+    lead = w_hat.shape[:-2]
+    # rot[..., t, :, :] holds Exp(w_t dt) until pass t overwrites it with
+    # the rotation accumulated through sample t.
+    rot = exp_so3(w_hat * dt)
+    dR = np.tile(np.eye(3), lead + (1, 1))
+    cov = None
+    if noise is not None:
+        s_eta = _noise_input_covariance(noise, freq)
         # The rate-only blocks of B do not depend on the accumulated
-        # rotation: evaluate them once for the whole series.
-        shape = (n_windows, step, 3, 3)
-        jr_dt = (right_jacobian(w_hat * dt) * dt).reshape(shape)
-        t_psi = lever_jacobian(fm, w_hat).reshape(shape)
+        # rotation: evaluate them once for every sample.
+        jr_dt = right_jacobian(w_hat * dt) * dt
+        # one row axis for every window's samples, as fm's trial axes expect
+        t_psi = lever_jacobian(fm, w_hat.reshape(lead[:-1] + (-1, 3)))
+        t_psi = t_psi.reshape(w_hat.shape + (3,))
+        cov = np.zeros(lead + (9, 9))
         AB = None
-    for t in range(step):
-        if with_covariance:
-            A, B = AB = step_matrices(dR, rot[:, t], a_hat[:, t], jr_dt[:, t],
-                                      t_psi[:, t], dt, out=AB)
-            cov = (A @ cov @ A.transpose(0, 2, 1)
-                   + B @ s_eta @ B.transpose(0, 2, 1))
-            cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-        dR = dR @ rot[:, t]
-        rot[:, t] = dR
+    for t in range(w_hat.shape[-2]):
+        if cov is not None:
+            A, B = AB = step_matrices(dR, rot[..., t, :, :], a_hat[..., t, :],
+                                      jr_dt[..., t, :, :], t_psi[..., t, :, :],
+                                      dt, out=AB)
+            cov = (A @ cov @ np.swapaxes(A, -1, -2)
+                   + B @ s_eta @ np.swapaxes(B, -1, -2))
+            cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+        dR = dR @ rot[..., t, :, :]
+        rot[..., t, :, :] = dR
 
     # Sample t is rotated by the accumulation before it: I for t = 0.
     accel_world = a_hat.copy()
-    accel_world[:, 1:] = (rot[:, :-1] @ a_hat[:, 1:, :, None])[..., 0]
-    velocity = np.cumsum(accel_world * dt, axis=1)
-    dv = velocity[:, -1]
-    dp = (velocity[:, :-1].sum(axis=1) * dt
-          + accel_world.sum(axis=1) * (0.5 * dt**2))
-    return [PreintDelta(rotation=dR[j], velocity=dv[j], position=dp[j],
-                        covariance=cov[j], duration=step * dt, count=step)
-            for j in range(n_windows)]
+    np.matmul(rot[..., :-1, :, :], a_hat[..., 1:, :, None],
+              out=accel_world[..., 1:, :, None])
+    del rot  # the largest array of the pass; the sums below need none of it
+    velocity = np.cumsum(accel_world * dt, axis=-2)
+    dp = (velocity[..., :-1, :].sum(axis=-2) * dt
+          + accel_world.sum(axis=-2) * (0.5 * dt**2))
+    return dR, velocity[..., -1, :], dp, cov
 
 
 def predict_state(start: VimuState, delta: PreintDelta, gravity) -> VimuState:

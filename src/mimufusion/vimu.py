@@ -113,7 +113,8 @@ class FusionMatrices:
     accelerometer sigmas. The sigma arrays record the whitening actually
     applied (see _effective_sigmas). lever_T (3, 3, 3), lever_c (3,) and
     lever_D (3, 3) define the fused lever terms (see lever_term). Every
-    field may carry leading trial axes, one fusion per trial.
+    field may carry leading trial axes, one fusion per trial
+    (build_fusion_stack).
     """
 
     gyro_design: np.ndarray
@@ -128,13 +129,19 @@ class FusionMatrices:
 
 
 def _design_and_solve(rotations, sigmas):
-    design = np.vstack([r / s for r, s in zip(rotations, sigmas)])
-    gram = design.T @ design
+    """Whitened design (..., 3n, 3) of rotations (..., n, 3, 3), its left
+    inverse, and a SingularFusion or None per trial; an ill-conditioned
+    Gram is solved as I, so that its trial's left inverse is finite."""
+    design = (rotations / sigmas[:, None, None]).reshape(rotations.shape[:-3] + (-1, 3))
+    design_T = np.swapaxes(design, -1, -2)
+    gram = design_T @ design
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularFusion(f"fusion gram matrix ill-conditioned (cond {cond:.3e})")
-    solve = np.linalg.solve(gram, design.T)
-    return design, solve
+    ok = np.isfinite(cond) & (cond <= 1e12)
+    solve = np.linalg.solve(np.where(ok[..., None, None], gram, np.eye(3)), design_T)
+    errors = [None if good else SingularFusion(
+        f"fusion gram matrix ill-conditioned (cond {c:.3e})")
+        for c, good in zip(np.ravel(cond), np.ravel(ok))]
+    return design, solve, errors
 
 
 def _whitened_blocks(solve, sigmas) -> np.ndarray:
@@ -143,16 +150,22 @@ def _whitened_blocks(solve, sigmas) -> np.ndarray:
     return solve / np.repeat(sigmas, 3, axis=-1)[..., None, :]
 
 
-def build_fusion(cfg: VimuConfig) -> FusionMatrices:
-    """Assemble the fusion matrices; raises SingularFusion when the
-    geometry/noise combination admits no stable solve."""
-    gyro_sigmas = _effective_sigmas([ns.sigma_g for ns in cfg.noises])
-    accel_sigmas = _effective_sigmas([ns.sigma_a for ns in cfg.noises])
-    gyro_design, gyro_solve = _design_and_solve(cfg.rotations, gyro_sigmas)
-    accel_design, accel_solve = _design_and_solve(cfg.rotations, accel_sigmas)
-    C = (_whitened_blocks(accel_solve, accel_sigmas).reshape(3, cfg.n, 3)
-         .transpose(1, 0, 2) @ np.array(cfg.rotations))
-    P = np.array(cfg.positions)
+def build_fusion_stack(rotations, positions, noises) -> tuple:
+    """Fusion matrices of arrays that share their sensors' noise models:
+    rotations (..., n, 3, 3) and positions (..., n, 3) as in VimuConfig,
+    any leading axes being trials. Returns (FusionMatrices, errors):
+    every field but the sigmas carries the trial axes, and errors holds
+    a SingularFusion or None per trial, row-major (a failed trial's
+    matrices are finite placeholders). Noises that admit no whitening
+    (see _effective_sigmas) raise SingularFusion."""
+    rotations = np.asarray(rotations, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    gyro_sigmas = _effective_sigmas([ns.sigma_g for ns in noises])
+    accel_sigmas = _effective_sigmas([ns.sigma_a for ns in noises])
+    gyro_design, gyro_solve, gyro_errors = _design_and_solve(rotations, gyro_sigmas)
+    accel_design, accel_solve, accel_errors = _design_and_solve(rotations, accel_sigmas)
+    blocks = _whitened_blocks(accel_solve, accel_sigmas)
+    C = np.swapaxes(blocks.reshape(blocks.shape[:-1] + (-1, 3)), -3, -2) @ rotations
     return FusionMatrices(
         gyro_design=gyro_design,
         gyro_solve=gyro_solve,
@@ -160,10 +173,20 @@ def build_fusion(cfg: VimuConfig) -> FusionMatrices:
         accel_solve=accel_solve,
         gyro_sigmas=gyro_sigmas,
         accel_sigmas=accel_sigmas,
-        lever_T=np.einsum("iaj,ik->ajk", C, P),
-        lever_c=np.einsum("iaj,ij->a", C, P),
-        lever_D=np.einsum("iaj,ijk->ak", C, skew(P)),
-    )
+        lever_T=np.einsum("...iaj,...ik->...ajk", C, positions),
+        lever_c=np.einsum("...iaj,...ij->...a", C, positions),
+        lever_D=np.einsum("...iaj,...ijk->...ak", C, skew(positions)),
+    ), [g or a for g, a in zip(gyro_errors, accel_errors)]
+
+
+def build_fusion(cfg: VimuConfig) -> FusionMatrices:
+    """Assemble the fusion matrices of one array, the one-config case of
+    build_fusion_stack; raises SingularFusion when the geometry/noise
+    combination admits no stable solve."""
+    fm, (error,) = build_fusion_stack(cfg.rotations, cfg.positions, cfg.noises)
+    if error is not None:
+        raise error
+    return fm
 
 
 def lever_term(fm: FusionMatrices, omega, omega_dot=None) -> np.ndarray:

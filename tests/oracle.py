@@ -21,8 +21,17 @@ through the library's one-trial calls (``calibrate``, ``fuse_series``,
 ``preintegrate_windows``, ``predict_state``), where the library's
 harness runs each stage once per chunk of trials.
 
-``ideal_body_measurements``, ``virtual_bias`` and ``residual_omega``
-have no caller in the library; the tests keep them as references.
+``fit_rotation`` and ``fit_translation`` form the calibration Grams with
+three-operand ``einsum`` contractions over the samples; the library
+forms them as matrix products over the stacked design.
+
+``log_so3`` extracts the rotation vector, axis included; the library
+reads only the angle (``geometry.geodesic_angle``), and the tests use
+the full logarithm as a reference.
+
+``ideal_body_measurements``, ``virtual_bias``, ``residual_omega`` and
+``quat_rotate`` have no caller in the library; the tests keep them as
+references.
 """
 import itertools
 import json
@@ -32,16 +41,28 @@ from pathlib import Path
 
 import numpy as np
 
-from mimufusion.calibration import CalibrationInput, calibrate
+from mimufusion.calibration import (
+    GYRO_EXCITATION_MIN,
+    TRANSLATION_EXCITATION_MIN,
+    CalibrationInput,
+    _angular_accel,
+    calibrate,
+)
 from mimufusion.csvio import IMU_CSV_HEADER, atomic_write_text
-from mimufusion.errors import FormatError, MimuError
+from mimufusion.errors import (
+    DegenerateMotion,
+    FormatError,
+    MimuError,
+    SingularNormalEquations,
+)
 from mimufusion.geometry import (
+    SMALL_ANGLE,
     exp_so3,
     lever_matrix,
-    quat_rotate,
     right_jacobian,
     rotation_from_quat,
     skew,
+    vee,
 )
 from mimufusion.harness import (
     _CENTER,
@@ -394,6 +415,104 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                       completed=completed, failures=failures)
 
 
+def log_so3(R) -> np.ndarray:
+    """Rotation vector of a rotation matrix (3, 3), or of each matrix of
+    a stack (n, 3, 3), with norm <= pi.
+
+    Near pi the dominant-axis extraction is used because the
+    antisymmetric part of R degenerates there; each row takes its own
+    branch.
+    """
+    R = np.asarray(R, dtype=float)
+    w = 0.5 * vee(R - np.swapaxes(R, -1, -2))  # sin(angle) * axis
+    sin_angle = np.linalg.norm(w, axis=-1)
+    cos_angle = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0,
+                        -1.0, 1.0)
+    # atan2 keeps the angle well conditioned where arccos alone degrades
+    # (cos near +-1); the measured sine also cancels out of angle/sin * w.
+    angle = np.arctan2(sin_angle, cos_angle)
+    small = angle < SMALL_ANGLE
+    scale = np.where(small, 1.0, angle / np.where(small, 1.0, sin_angle))
+    # R ~ 2 a a^T - I near pi: pick the axis from the strongest column of
+    # the symmetrized R + I (symmetrizing drops the sin(angle) [a]x term);
+    # sin(angle) >= 0, so the antisymmetric part fixes the sign when it
+    # has not fully collapsed.
+    m = 0.5 * (R + np.swapaxes(R, -1, -2)) + np.eye(3)
+    k = np.argmax(np.diagonal(m, axis1=-2, axis2=-1), axis=-1)
+    axis = np.take_along_axis(m, k[..., None, None], axis=-1)[..., 0]
+    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+    axis *= np.where(np.sum(w * axis, axis=-1) < 0.0, -1.0, 1.0)[..., None]
+    return np.where((np.pi - angle < 1e-6)[..., None], angle[..., None] * axis,
+                    scale[..., None] * w)
+
+
+def quat_rotate(q, v) -> np.ndarray:
+    """Rotate vector(s) v by quaternion q; v may be (3,) or (n, 3)."""
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(v, dtype=float)
+    u = q[1:]
+    w = q[0]
+    t = 2.0 * np.cross(u, v)
+    return v + w * t + np.cross(u, t)
+
+
 def residual_omega(q, omega_a, omega_b) -> np.ndarray:
     """Gyro pairing residual: w_B - q * w_A * q^-1. Broadcasts over rows."""
     return np.asarray(omega_b, dtype=float) - quat_rotate(q, omega_a)
+
+
+def fit_rotation(gyro_a, gyro_b, weights) -> tuple:
+    """Stage-one kernel: the weighted Procrustes rotation R minimizing
+    sum_t w_t |wB_t - R wA_t|^2, for gyro rows (..., n, 3) and weights
+    (n,). Returns (R (..., 3, 3), cost (...), errors): errors holds a
+    DegenerateMotion or None per trial, row-major over the leading axes.
+    """
+    wa = np.asarray(gyro_a, dtype=float)
+    wb = np.asarray(gyro_b, dtype=float)
+    moment = np.swapaxes(wa, -1, -2) @ wa / wa.shape[-2]
+    smallest = np.linalg.eigvalsh(moment)[..., 0]
+    U, _, VT = np.linalg.svd(np.einsum("t,...ti,...tj->...ij", weights, wb, wa))
+    U[..., 2] *= np.sign(np.linalg.det(U) * np.linalg.det(VT))[..., None]
+    R = U @ VT
+    r = wb - wa @ np.swapaxes(R, -1, -2)
+    errors = [None if e >= GYRO_EXCITATION_MIN else DegenerateMotion(
+        "gyro second moment too weak for orientation estimation "
+        f"(smallest eigenvalue {e:.3e} < {GYRO_EXCITATION_MIN:.0e})")
+        for e in np.ravel(smallest)]
+    return R, np.einsum("t,...ti,...ti->...", weights, r, r), errors
+
+
+def fit_translation(R, gyro_a, accel_a, gyro_b, accel_b, freq: float,
+                    weights) -> tuple:
+    """Stage-two kernel: the lever arm p minimizing
+    sum_t w_t |b_t - R M_t p|^2 over the interior samples, with
+    b_t = aB_t - R aA_t and M_t = [w]x^2 + [wdot]x, for sample rows
+    (..., n, 3), rotations R (..., 3, 3) and weights (n - 2,). The
+    residual is affine in p, so the weighted normal equations are solved
+    directly. Returns (p (..., 3), cost (...), errors): errors holds a
+    DegenerateMotion, SingularNormalEquations or None per trial,
+    row-major over the leading axes.
+    """
+    R = np.asarray(R, dtype=float)
+    wa = gyro_a[..., 1:-1, :]
+    wdot = _angular_accel(R, gyro_a, gyro_b, freq)
+    M = lever_matrix(wa, wdot)  # (..., n - 2, 3, 3)
+    mean_MtM = np.einsum("...tki,...tkj->...ij", M, M) / M.shape[-3]
+    smallest = np.linalg.eigvalsh(mean_MtM)[..., 0]
+
+    b = accel_b[..., 1:-1, :] - accel_a[..., 1:-1, :] @ np.swapaxes(R, -1, -2)
+    bR = b @ R  # R^T b, row-wise
+    H = np.einsum("t,...tki,...tkj->...ij", weights, M, M)
+    g = np.einsum("t,...tki,...tk->...i", weights, M, bR)
+    cond = np.linalg.cond(H)
+    solvable = np.isfinite(cond) & (cond <= 1e12)
+    p = np.linalg.solve(np.where(solvable[..., None, None], H, np.eye(3)),
+                        g[..., None])[..., 0]
+    r = b - (M @ p[..., None, :, None])[..., 0] @ np.swapaxes(R, -1, -2)
+    errors = [
+        DegenerateMotion("rotational excitation too weak for lever-arm "
+                         f"estimation (smallest design eigenvalue {e:.3e})")
+        if e < TRANSLATION_EXCITATION_MIN else None if ok else
+        SingularNormalEquations(f"normal equations ill-conditioned (cond {c:.3e})")
+        for e, c, ok in zip(np.ravel(smallest), np.ravel(cond), np.ravel(solvable))]
+    return p, np.einsum("t,...ti,...ti->...", weights, r, r), errors

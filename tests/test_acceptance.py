@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from oracle import log_so3
 
 from mimufusion.calibration import (
     CalibrationInput, calibrate, estimate_angular_accel, estimate_rotation,
@@ -21,7 +22,7 @@ from mimufusion.calibration import (
 )
 from mimufusion.csvio import load_yaml
 from mimufusion.geometry import (
-    exp_so3, geodesic_angle, log_so3, quat_from_rotvec, rotation_from_quat,
+    exp_so3, geodesic_angle, quat_from_rotvec, rotation_from_quat,
     skew,
 )
 from mimufusion.harness import (

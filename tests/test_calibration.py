@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+import oracle
 from oracle import residual_omega
 
 from mimufusion.calibration import (
@@ -458,3 +459,37 @@ def test_stage_kernels_over_trials_match_per_pair_calls():
         p_k, trans_diag = estimate_translation(inps[k], q)
         np.testing.assert_allclose(p[k], p_k, rtol=1e-12, atol=1e-15)
         assert trans_cost[k] == pytest.approx(trans_diag.final_cost, rel=1e-12)
+
+
+def test_stage_kernels_match_einsum_oracle():
+    """The Grams formed as matrix products over the stacked design give
+    the stage kernels' einsum forms, within 1e-12 relative, over two
+    leading trial axes, a trial that fails the rotation stage among
+    them."""
+    ext = Extrinsic(q=Q_5DEG_Y, p=np.array([0.1, 0.02, -0.03]))
+    inps = [make_pair(ext, duration=2.0, noise_a=MEMS_NOISE, noise_b=MEMS_NOISE,
+                      seed=seed) for seed in (6, 7, 8)]
+    inps.insert(1, make_pair(ext, duration=2.0, noise_a=MEMS_NOISE,
+                             noise_b=MEMS_NOISE, seed=9,
+                             trajectory=TrajectoryParams.still()))
+    stack = {k: np.stack([getattr(getattr(inp, f"series_{k[-1]}"), k[:-2])
+                          for inp in inps]).reshape(2, 2, -1, 3)
+             for k in ("gyro_a", "gyro_b", "accel_a", "accel_b")}
+    weights = WeightSchedule.build(len(inps[0].series_a), MEMS_NOISE, MEMS_NOISE,
+                                   1.0 / 200.0)
+    got = fit_rotation(stack["gyro_a"], stack["gyro_b"], weights.w_omega)
+    want = oracle.fit_rotation(stack["gyro_a"], stack["gyro_b"], weights.w_omega)
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0)
+    assert [type(e) for e in got[2]] == [type(e) for e in want[2]]
+    assert isinstance(got[2][1], DegenerateMotion)
+    args = (stack["gyro_a"], stack["accel_a"], stack["gyro_b"], stack["accel_b"],
+            200.0, weights.w_accel[1:-1])
+    got = fit_translation(want[0], *args)
+    want = oracle.fit_translation(want[0], *args)
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-12,
+                               atol=1e-12 * np.abs(want[0]).max())
+    np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0)
+    assert [type(e) for e in got[2]] == [type(e) for e in want[2]]
+    assert got[2][0] is None
+

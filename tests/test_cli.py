@@ -323,6 +323,45 @@ def test_evaluate_rejects_null_plan_block(tmp_path, capsys, block):
     assert f"{block} block must be a mapping" in payload["message"]
 
 
+@pytest.mark.parametrize("top", ["[1, 2]", "null", "\"q\""])
+def test_fuse_rejects_calibration_that_is_not_a_mapping(workspace, tmp_path,
+                                                       capsys, top):
+    calib = tmp_path / "calib.json"
+    calib.write_text(top)
+    code = main(["fuse",
+                 "--imu-a", str(workspace / "data" / "imu_a.csv"),
+                 "--imu-b", str(workspace / "data" / "imu_b.csv"),
+                 "--calib", str(calib),
+                 "--noise", str(workspace / "noise.yaml"),
+                 "--out", str(tmp_path / "virtual.csv")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "FormatError"
+    assert str(calib) in payload["message"]
+    assert not (tmp_path / "virtual.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["config", "noise-entry", "covariances"])
+def test_preintegrate_rejects_sidecar_with_wrong_types(workspace, fused,
+                                                       tmp_path, capsys, field):
+    """A sidecar block that is null, or a noises entry that is not a
+    mapping, fails with a FormatError naming the sidecar."""
+    sidecar = read_json(fused.with_suffix(".json"))
+    if field == "noise-entry":
+        sidecar["config"]["noises"][1] = 5
+    else:
+        sidecar[field] = None
+    path = tmp_path / "virtual.json"
+    path.write_text(json.dumps(sidecar))
+    code = main(["preintegrate", "--vimu", str(fused), "--vimu-config", str(path),
+                 "--out", str(tmp_path / "deltas.jsonl")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "FormatError"
+    assert str(path) in payload["message"]
+    assert not (tmp_path / "deltas.jsonl").exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main([])

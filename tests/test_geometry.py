@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import log_so3, quat_rotate
 from scipy.spatial.transform import Rotation
 
 from mimufusion.geometry import (
@@ -10,12 +11,10 @@ from mimufusion.geometry import (
     geodesic_angle,
     is_rotation,
     lever_matrix,
-    log_so3,
     quat_conjugate,
     quat_from_rotation,
     quat_from_rotvec,
     quat_multiply,
-    quat_rotate,
     right_jacobian,
     rotation_from_quat,
     skew,
@@ -353,3 +352,43 @@ def test_property_stacked_log_and_geodesic_match_rows(Ra, data):
     for i in range(len(Ra)):
         np.testing.assert_array_equal(stacked_log[i], log_so3(Ra[i]))
         assert stacked_angle[i] == geodesic_angle(Ra[i], Rb[i])
+
+
+@PROPERTY_SETTINGS
+@given(Ra=st.lists(LOG_ROTATIONS, min_size=1, max_size=8).map(np.array),
+       data=st.data())
+def test_property_geodesic_angle_is_norm_of_log(Ra, data):
+    """The angle read off directly is the norm of log_so3 of the
+    relative rotation, below SMALL_ANGLE, within 1e-6 of pi and in
+    between."""
+    rel = data.draw(st.lists(LOG_ROTATIONS, min_size=len(Ra),
+                             max_size=len(Ra)).map(np.array))
+    Rb = Ra @ rel
+    angle = geodesic_angle(Ra, Rb)
+    want = np.linalg.norm(log_so3(np.swapaxes(Ra, -1, -2) @ Rb), axis=-1)
+    np.testing.assert_allclose(angle, want, rtol=1e-14, atol=1e-300)
+
+
+# Rotations whose largest of trace and diagonal entries picks each of
+# Shepperd's four branches: small angles (trace), and near half turns
+# about axes close to x, y and z (the diagonal entry of that axis).
+QUAT_ROTATIONS = st.one_of(
+    LOG_ROTATIONS,
+    st.tuples(st.sampled_from(tuple(np.eye(3))), AXES, st.floats(0.0, 0.3)).map(
+        lambda t: exp_so3((np.pi - 0.2 * t[2]) * (t[0] + 0.2 * t[1])
+                          / np.linalg.norm(t[0] + 0.2 * t[1]))),
+)
+
+
+@PROPERTY_SETTINGS
+@given(Rs=st.lists(QUAT_ROTATIONS, min_size=1, max_size=8).map(np.array))
+def test_property_stacked_quaternions_match_rows(Rs):
+    q = quat_from_rotation(Rs)
+    back = rotation_from_quat(q)
+    assert q.shape == (len(Rs), 4) and back.shape == (len(Rs), 3, 3)
+    for i in range(len(Rs)):
+        np.testing.assert_array_equal(q[i], quat_from_rotation(Rs[i]))
+        np.testing.assert_array_equal(back[i], rotation_from_quat(q[i]))
+        assert q[i, 0] >= 0.0
+        np.testing.assert_allclose(back[i], Rs[i], atol=1e-14)
+

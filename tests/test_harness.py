@@ -310,13 +310,25 @@ DIFF_PLANS = {
     "all-variants": ExperimentPlan(extrinsic_samples=2, sequences_per_sample=5,
                                    master_seed=11,
                                    sim=SimConfig(freq=200.0, duration=1.5)),
-    # 11 sequences: the default chunk (8 trials of 1.5 s) leaves 3 over
+    # 11 sequences: the default chunk (9 trials of 1.5 s and three
+    # variants) leaves 2 over
     "ragged-chunks": ExperimentPlan(variants=("1-imu-true", "9-imu-perturbed",
                                               "2-imu-calibrated"),
                                     extrinsic_samples=1, sequences_per_sample=11,
                                     master_seed=12,
                                     sim=SimConfig(freq=200.0, duration=1.5)),
+    # a subset in non-default order: every variant's rows of the shared
+    # dead-reckoning pass must come back to that variant and trial
+    "reordered-subset": ExperimentPlan(variants=("2-imu-calibrated", "1-imu-true",
+                                                 "9-imu-perturbed"),
+                                       extrinsic_samples=2, sequences_per_sample=4,
+                                       master_seed=13,
+                                       sim=SimConfig(freq=200.0, duration=1.5)),
 }
+# Plans run with GYRO_EXCITATION_MIN between the trials' eigenvalues, so
+# that half of the trials fail calibration and chunks mix both kinds.
+MIXED_FAILURES = {"mixed-failures": "all-variants",
+                  "reordered-mixed-failures": "reordered-subset"}
 # the raw-sample bytes of one trial of every plan above (9 sensors, 300
 # samples), a cap that gives chunks of one trial
 ONE_TRIAL = 9 * 300 * 6 * 8
@@ -366,24 +378,24 @@ def assert_reports_agree(got, want, got_dir, want_dir):
 
 
 @pytest.mark.parametrize("cap", sorted(CHUNK_CAPS))
-@pytest.mark.parametrize("name", sorted(DIFF_PLANS) + ["mixed-failures"])
+@pytest.mark.parametrize("name", sorted(DIFF_PLANS) + sorted(MIXED_FAILURES))
 def test_chunked_run_matches_per_trial_oracle(tmp_path, monkeypatch, name, cap):
     import oracle
     from mimufusion import calibration, harness
 
     if CHUNK_CAPS[cap] is not None:
         monkeypatch.setattr(harness, "_CHUNK_BYTES", CHUNK_CAPS[cap])
-    if name == "mixed-failures":
-        plan = DIFF_PLANS["all-variants"]
+    if name in MIXED_FAILURES:
+        plan = DIFF_PLANS[MIXED_FAILURES[name]]
         eig = np.sort(smallest_gyro_eigenvalues(plan))
-        # half of the trials fail calibration; chunks mix both kinds
+        half = len(eig) // 2
         monkeypatch.setattr(calibration, "GYRO_EXCITATION_MIN",
-                            0.5 * (eig[4] + eig[5]))
+                            0.5 * (eig[half - 1] + eig[half]))
     else:
         plan = DIFF_PLANS[name]
     want = oracle.run_experiment(plan, out_dir=tmp_path / "oracle")
     got = run_experiment(plan, out_dir=tmp_path / "chunked")
     assert_reports_agree(got, want, tmp_path / "chunked", tmp_path / "oracle")
-    if name == "mixed-failures":
-        assert len(got.failures) == 5
+    if name in MIXED_FAILURES:
+        assert len(got.failures) == half
         assert all("DegenerateMotion" in f for f in got.failures)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from oracle import propagate_step, psi_matrix
+from oracle import log_so3, propagate_step, psi_matrix
 from oracle import step_matrices as scalar_step_matrices
 
 from mimufusion.geometry import (
     exp_so3,
     geodesic_angle,
-    log_so3,
     quat_from_rotvec,
     right_jacobian,
     skew,
@@ -17,6 +16,7 @@ from mimufusion.preintegration import (
     bias_correct,
     predict_state,
     preintegrate,
+    preintegrate_stack,
     preintegrate_windows,
     step_matrices,
 )
@@ -30,6 +30,7 @@ from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
     VimuConfig,
     build_fusion,
+    build_fusion_stack,
     fuse_series,
     lever_jacobian,
     midpoint_frame,
@@ -620,3 +621,39 @@ def test_windows_argument_checks():
     with pytest.raises(ValueError):
         preintegrate_windows(series, BIASED, cfg, fm, 0,
                              with_covariance=False)
+
+
+def test_stack_over_trials_matches_windows_per_series():
+    """One preintegrate_stack call over a trial axis, each trial with
+    its own fusion (for the lever Jacobian of the covariance), equals
+    a preintegrate_windows call per series: the list wrapper is the
+    kernel's one-series case."""
+    cfgs = [window_configs()["2-sensor"], midpoint_frame(
+        Extrinsic(q=quat_from_rotvec([0.02, -0.1, 0.0]), p=np.array([-0.05, 0.1, 0.02])),
+        MEMS, NoiseSpec(sigma_a=4e-3))]
+    fm, errors = build_fusion_stack([c.rotations for c in cfgs],
+                                    [c.positions for c in cfgs], cfgs[0].noises)
+    assert errors == [None, None]
+    noise_v = virtual_covariances(cfgs[0])
+    step, n_windows = 30, 4
+    series = [random_virtual_series(n_windows * step, seed=64 + k) for k in range(2)]
+    shape = (2, n_windows, step, 3)
+    dR, dv, dp, cov = preintegrate_stack(
+        np.stack([s.gyro for s in series]).reshape(shape),
+        np.stack([s.accel for s in series]).reshape(shape), 200.0, fm, noise_v)
+    assert dR.shape == (2, n_windows, 3, 3) and cov.shape == (2, n_windows, 9, 9)
+    plain = preintegrate_stack(np.stack([s.gyro for s in series]).reshape(shape),
+                               np.stack([s.accel for s in series]).reshape(shape), 200.0)
+    assert plain[3] is None
+    for k, (cfg, one) in enumerate(zip(cfgs, series)):
+        deltas = preintegrate_windows(one, VimuState.identity(), cfg, build_fusion(cfg),
+                                      step, noise_v)
+        for j, want in enumerate(deltas):
+            np.testing.assert_allclose(dR[k, j], want.rotation, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(dv[k, j], want.velocity, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(dp[k, j], want.position, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(cov[k, j], want.covariance, rtol=1e-13,
+                                       atol=1e-13 * np.abs(want.covariance).max())
+    for got, want in zip(plain[:3], (dR, dv, dp)):
+        np.testing.assert_array_equal(got, want)
+

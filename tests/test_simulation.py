@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from oracle import ideal_body_measurements
+from oracle import ideal_body_measurements, log_so3, quat_rotate
 
 from mimufusion.geometry import (
     exp_so3,
-    log_so3,
     quat_conjugate,
     quat_multiply,
-    quat_rotate,
     rotation_from_quat,
 )
 from mimufusion.simulation import (

@@ -18,6 +18,7 @@ from mimufusion.vimu import (
     VimuNoise,
     array_frame,
     build_fusion,
+    build_fusion_stack,
     fuse_series,
     fuse_stack,
     lever_jacobian,
@@ -502,3 +503,46 @@ def test_fuse_stack_trials_match_fuse_series():
                                       for i in range(2)], one)
             np.testing.assert_allclose(w[k], fused.gyro, rtol=1e-13, atol=1e-15)
             np.testing.assert_allclose(a[k], fused.accel, rtol=1e-13, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_build_fusion_stack_matches_per_config_builds(n):
+    """One build_fusion_stack call over two trial axes gives every trial
+    what build_fusion gives its config alone, and a trial whose Gram is
+    singular reports SingularFusion with finite placeholders while the
+    others build."""
+    rng = np.random.default_rng(80 + n)
+    noises = tuple(NoiseSpec(sigma_g=1.7e-4 * (1 + 0.2 * i), sigma_a=2e-3 * (1 + 0.3 * i))
+                   for i in range(n))
+    cfgs = [VimuConfig(rotations=tuple(exp_so3(rng.normal(scale=0.3, size=3))
+                                       for _ in range(n)),
+                       positions=tuple(rng.normal(scale=0.05, size=3) for _ in range(n)),
+                       noises=noises) for _ in range(3)]
+    rotations = [c.rotations for c in cfgs]
+    positions = [c.positions for c in cfgs]
+    # every sensor blind along z: the Gram of both designs is singular
+    rotations.insert(2, np.tile(np.diag([1.0, 1.0, 0.0]), (n, 1, 1)))
+    positions.insert(2, np.zeros((n, 3)))
+    fm, errors = build_fusion_stack(np.reshape(rotations, (2, 2, n, 3, 3)),
+                                    np.reshape(positions, (2, 2, n, 3)), noises)
+    assert [type(e) for e in errors] == [type(None)] * 2 + [SingularFusion, type(None)]
+    assert "ill-conditioned" in str(errors[2])
+    _, (alone,) = build_fusion_stack(rotations[2], positions[2], noises)
+    assert isinstance(alone, SingularFusion)
+    assert fm.gyro_solve.shape == (2, 2, 3, 3 * n) and fm.lever_T.shape == (2, 2, 3, 3, 3)
+    for name in fm.__dataclass_fields__:
+        assert np.all(np.isfinite(getattr(fm, name)))
+    for (a, b), cfg in zip([(0, 0), (0, 1), (1, 1)], cfgs):
+        want = build_fusion(cfg)
+        for name in fm.__dataclass_fields__:
+            got = getattr(fm, name)
+            got = got if name.endswith("sigmas") else got[a, b]
+            w = getattr(want, name)
+            np.testing.assert_allclose(got, w, rtol=1e-13, atol=1e-13 * np.abs(w).max())
+
+
+def test_build_fusion_stack_rejects_mixed_exact_and_noisy_sensors():
+    with pytest.raises(SingularFusion):
+        build_fusion_stack(np.tile(np.eye(3), (3, 2, 1, 1)), np.zeros((3, 2, 3)),
+                           (MEMS, NoiseSpec.zero()))
+
