@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .simulation import (
     TrajectoryParams,
     TrajectorySample,
     _trajectory_arrays,
-    apply_measurement_noise,
+    apply_measurement_noise_stack,
     grid_mounts,
     ideal_imu_series,
     perturb_extrinsics,
@@ -164,12 +164,7 @@ class RmseReport:
     failures: list
 
     def to_dict(self) -> dict:
-        return {
-            "plan": self.plan,
-            "metrics": self.metrics,
-            "completed": self.completed,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RmseReport":
@@ -194,7 +189,8 @@ def rmse_metrics(predicted, truth) -> tuple:
 
     A sequence is a list of states, or a VimuState whose arrays carry
     the sequence axis first, then any trial axes, then the vector axes;
-    the three results then carry the trial axes.
+    the three results then carry the trial axes. Sequences of different
+    lengths or stacks of different shapes raise LengthMismatch.
     """
     if not isinstance(predicted, VimuState):
         if len(predicted) != len(truth):
@@ -203,6 +199,9 @@ def rmse_metrics(predicted, truth) -> tuple:
         if not predicted:
             raise LengthMismatch("empty state sequences")
         predicted, truth = _stack_states(predicted), _stack_states(truth)
+    for f in ("position", "rotation", "velocity"):
+        if np.shape(getattr(predicted, f)) != np.shape(getattr(truth, f)):
+            raise LengthMismatch(f"predicted and truth {f} stacks differ in shape")
     pos = np.mean(np.sum((predicted.position - truth.position) ** 2, axis=-1), axis=0)
     rot = np.mean(geodesic_angle(truth.rotation, predicted.rotation) ** 2, axis=0)
     vel = np.mean(np.sum((predicted.velocity - truth.velocity) ** 2, axis=-1), axis=0)
@@ -288,15 +287,11 @@ def _keyframe_layout(n_samples: int, freq: float, interval: float):
 
 
 def _variant_indices(name: str) -> tuple:
-    if name == "1-imu-true":
-        return (_CENTER,)
-    if name == "2-imu-perturbed" or name == "2-imu-calibrated":
-        return _PAIR
-    if name == "4-imu-perturbed":
-        return _QUAD
-    if name == "9-imu-perturbed":
-        return tuple(range(9))
-    raise ValueError(f"unknown variant {name}")
+    indices = {"1-imu-true": (_CENTER,), "2-imu-perturbed": _PAIR, "2-imu-calibrated": _PAIR,
+               "4-imu-perturbed": _QUAD, "9-imu-perturbed": tuple(range(9))}
+    if name not in indices:
+        raise ValueError(f"unknown variant {name}")
+    return indices[name]
 
 
 @dataclass
@@ -353,12 +348,13 @@ def _score_chunk(plan: ExperimentPlan, static_setups, mounts, slot, gyro,
                  accel, keyframes, n_windows: int, step: int) -> dict:
     """Per variant, the (position, orientation, velocity) RMSE or the
     MimuError of each trial of a chunk of raw samples (S, n, m, 3),
-    sensor i in column slot[i]. The fused rows of every variant and
-    trial, variant-major, are dead-reckoned from their first truth state
-    and scored in one pass."""
-    S, n = gyro.shape[:2]
-    rows_all = len(plan.variants) * S
-    fused_w = np.empty((rows_all, n - 2, 3))
+    sensor i in column slot[i]. Calibration reads every sample; only the
+    n_windows * step rows that the windows integrate are fused. The fused
+    rows of every variant and trial, variant-major, are dead-reckoned
+    from their first truth state and scored in one pass."""
+    S = gyro.shape[0]
+    rows_all, k = len(plan.variants) * S, n_windows * step
+    fused_w = np.empty((rows_all, k, 3))
     fused_a = np.empty_like(fused_w)
     truth = VimuState(*(np.empty((n_windows + 1, rows_all) + shape)
                         for shape in ((3, 3), (3,), (3,))))
@@ -371,8 +367,9 @@ def _score_chunk(plan: ExperimentPlan, static_setups, mounts, slot, gyro,
         else:
             setup, errs = static_setups[v], [None] * S
         rows = slice(j * S, (j + 1) * S)
-        fused_w[rows], fused_a[rows] = fuse_stack(setup.fm, gyro, accel,
-                                                  plan.sim.freq, cols)
+        # fused row t is raw row t + 1, and it needs rows t and t + 2
+        fused_w[rows], fused_a[rows] = fuse_stack(
+            setup.fm, gyro[:, :k + 2], accel[:, :k + 2], plan.sim.freq, cols)
         errors += errs
         for f in ("rotation", "position", "velocity"):
             getattr(truth, f)[:, rows] = getattr(setup.truth, f)
@@ -386,9 +383,9 @@ def _score_chunk(plan: ExperimentPlan, static_setups, mounts, slot, gyro,
     fused_w[failed] = fused_a[failed] = 0.0  # keeps the pass free of inf and NaN
     # The truth start states carry no bias, so the deltas do not depend
     # on them: the rows go to the kernel as they are, viewed as windows.
-    k, shape = n_windows * step, (rows_all, n_windows, step, 3)
-    dR, dv, dp, _ = preintegrate_stack(fused_w[:, :k].reshape(shape),
-                                       fused_a[:, :k].reshape(shape), plan.sim.freq)
+    shape = (rows_all, n_windows, step, 3)
+    dR, dv, dp, _ = preintegrate_stack(fused_w.reshape(shape),
+                                       fused_a.reshape(shape), plan.sim.freq)
     duration = step * (1.0 / plan.sim.freq)
     states = [VimuState(truth.rotation[0], truth.position[0], truth.velocity[0])]
     for w in range(n_windows):
@@ -411,7 +408,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     needed = sorted({i for v in plan.variants
                      for i in _variant_indices(v)})
     slot = {i: j for j, i in enumerate(needed)}
-    ideal = [ideal_imu_series(plan.sim, mounts[i]) for i in needed]
+    ideal = np.array([ideal_imu_series(plan.sim, mounts[i]) for i in needed])
 
     n_total = plan.sim.sample_count
     n_windows, step = _keyframe_layout(n_total - 2, plan.sim.freq,
@@ -426,11 +423,12 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     ok = {v: np.zeros((plan.extrinsic_samples, plan.sequences_per_sample),
                       dtype=bool) for v in plan.variants}
     failures: list[str] = []
-    trial_bytes = 8 * (6 * len(needed) * n_total + len(plan.variants)
-                       * (6 * (n_total - 2) + 9 * n_windows * step))
+    trial_bytes = 8 * (6 * len(needed) * n_total
+                       + len(plan.variants) * 15 * n_windows * step)
     chunk = min(plan.sequences_per_sample, max(1, _CHUNK_BYTES // trial_bytes))
-    gyro_buf = np.empty((chunk, n_total, len(needed), 3))
-    accel_buf = np.empty_like(gyro_buf)
+    # (trial, gyro/accel, sample, sensor, axis), and a per-trial scratch
+    raw = np.empty((chunk, 2, n_total, len(needed), 3))
+    scratch = np.empty((len(needed), 4, n_total, 3))
 
     stream = None
     if out_dir is not None:
@@ -453,13 +451,13 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
             }
             for r0 in range(0, plan.sequences_per_sample, chunk):
                 seqs = range(r0, min(r0 + chunk, plan.sequences_per_sample))
-                gyro, accel = gyro_buf[:len(seqs)], accel_buf[:len(seqs)]
                 for c, r in enumerate(seqs):
                     imu_seqs = trial_seqs[r].spawn(9)
-                    for j, (i, (w, a)) in enumerate(zip(needed, ideal)):
-                        gyro[c, :, j], accel[c, :, j] = apply_measurement_noise(
-                            w, a, plan.noise, plan.sim.freq,
-                            np.random.default_rng(imu_seqs[i]))
+                    raw[c] = apply_measurement_noise_stack(
+                        ideal, plan.noise, plan.sim.freq,
+                        [np.random.default_rng(imu_seqs[i]) for i in needed],
+                        out=scratch).transpose(1, 2, 0, 3)
+                gyro, accel = raw[:len(seqs), 0], raw[:len(seqs), 1]
                 if not (np.isfinite(gyro).all() and np.isfinite(accel).all()):
                     for c, j in np.ndindex(len(seqs), len(needed)):
                         ImuSeries(plan.sim.freq, 0, gyro[c, :, j], accel[c, :, j])
@@ -473,16 +471,12 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                                 f"sample={s} seq={r} variant={v}: "
                                 f"{type(res).__name__}: {res}")
                             continue
-                        pos, rot, vel = res
-                        acc[v]["position"][s, r] = pos
-                        acc[v]["orientation"][s, r] = rot
-                        acc[v]["velocity"][s, r] = vel
+                        for m, x in zip(METRICS, res):
+                            acc[v][m][s, r] = x
                         ok[v][s, r] = True
                         if stream is not None:
-                            stream.write(json.dumps({
-                                "sample": s, "seq": r, "variant": v,
-                                "position": pos, "orientation": rot,
-                                "velocity": vel}) + "\n")
+                            stream.write(json.dumps({"sample": s, "seq": r, "variant": v,
+                                                     **dict(zip(METRICS, res))}) + "\n")
                 if stream is not None:
                     stream.flush()
             log.info("extrinsic sample %d/%d done", s + 1,
@@ -501,11 +495,8 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                 acc[v][m][s][ok[v][s]].mean() if ok[v][s].any() else np.nan
                 for s in range(plan.extrinsic_samples)])
             std = float(np.std(means, ddof=1)) if len(means) > 1 else 0.0
-            metrics[v][m] = {
-                "mean": float(np.mean(means)),
-                "std": std,
-                "per_sample_means": means.tolist(),
-            }
+            metrics[v][m] = {"mean": float(np.mean(means)), "std": std,
+                             "per_sample_means": means.tolist()}
     return RmseReport(plan=plan.to_dict(), metrics=metrics,
                       completed=completed, failures=failures)
 

@@ -196,7 +196,7 @@ def preintegrate_stack(gyro, accel, freq: float, fm: FusionMatrices | None = Non
     every window's rotation (and covariance) together; the rate-only
     blocks of B are evaluated once for every sample, and one A and one
     B buffer are refilled in place. The velocity and position sums
-    follow from the accumulated rotations without a loop.
+    are weighted sums of the rotated samples, without a loop.
     """
     w_hat = np.asarray(gyro, dtype=float)
     a_hat = np.asarray(accel, dtype=float)
@@ -233,10 +233,11 @@ def preintegrate_stack(gyro, accel, freq: float, fm: FusionMatrices | None = Non
     np.matmul(rot[..., :-1, :, :], a_hat[..., 1:, :, None],
               out=accel_world[..., 1:, :, None])
     del rot  # the largest array of the pass; the sums below need none of it
-    velocity = np.cumsum(accel_world * dt, axis=-2)
-    dp = (velocity[..., :-1, :].sum(axis=-2) * dt
-          + accel_world.sum(axis=-2) * (0.5 * dt**2))
-    return dR, velocity[..., -1, :], dp, cov
+    # dv = sum_t a_t dt; dp = sum_t (v_t dt + a_t dt^2 / 2), v_t the velocity
+    # before sample t, is sum_t (k - 1/2 - t) a_t dt^2: one product gives both
+    k = a_hat.shape[-2]
+    dv_dp = np.array([np.full(k, dt), (k - 0.5 - np.arange(k)) * dt**2]) @ accel_world
+    return dR, dv_dp[..., 0, :], dv_dp[..., 1, :], cov
 
 
 def predict_state(start: VimuState, delta: PreintDelta, gravity) -> VimuState:

@@ -233,25 +233,38 @@ def ideal_imu_series(cfg: SimConfig, mount: Extrinsic) -> tuple:
 
 
 def apply_measurement_noise(gyro, accel, noise: NoiseSpec, freq: float, rng):
-    """Add white noise plus a bias random walk to ideal measurements.
+    """Add white noise plus a bias random walk to ideal measurements:
+    the one-sensor case of apply_measurement_noise_stack."""
+    ideal = np.array([[gyro, accel]], dtype=float)
+    return tuple(apply_measurement_noise_stack(ideal, noise, freq, [rng])[0].copy())
 
-    Discrete white noise has std sigma * sqrt(freq) per axis; the bias
-    walk steps by sigma_b / sqrt(freq) per sample starting from the
-    spec's initial bias (the step after sample k perturbs sample k+1).
+
+def apply_measurement_noise_stack(ideal, noise: NoiseSpec, freq: float, rngs,
+                                  out=None) -> np.ndarray:
+    """Noisy copies of the ideal (gyro, accel) rows of m sensors, ideal
+    (m, 2, n, 3). Sensor i's stream, the Generator rngs[i], is drawn as
+    one standard-normal block (4, n, 3) into ``out``, an (m, 4, n, 3)
+    scratch of which the result (m, 2, n, 3) is a view: gyro and accel
+    white noise of std sigma * sqrt(freq), then gyro and accel bias-walk
+    steps of sigma_b / sqrt(freq) from the spec's initial bias (the step
+    after sample k perturbs sample k+1). Each sample is (ideal + walk) +
+    white, summed in that order.
     """
-    gyro = np.asarray(gyro, dtype=float)
-    accel = np.asarray(accel, dtype=float)
-    n = gyro.shape[0]
+    z = np.empty((len(rngs), 4) + np.shape(ideal)[-2:]) if out is None else out
+    for rng, draws in zip(rngs, z):
+        rng.standard_normal(out=draws)
     sqf = np.sqrt(freq)
-    eta_g = rng.standard_normal((n, 3)) * (noise.sigma_g * sqf)
-    eta_a = rng.standard_normal((n, 3)) * (noise.sigma_a * sqf)
-    steps_g = rng.standard_normal((n, 3)) * (noise.sigma_bg / sqf)
-    steps_a = rng.standard_normal((n, 3)) * (noise.sigma_ba / sqf)
-    walk_g = noise.initial_bias_g + np.vstack(
-        [np.zeros(3), np.cumsum(steps_g[:-1], axis=0)])
-    walk_a = noise.initial_bias_a + np.vstack(
-        [np.zeros(3), np.cumsum(steps_a[:-1], axis=0)])
-    return gyro + walk_g + eta_g, accel + walk_a + eta_a
+    z *= np.array([noise.sigma_g * sqf, noise.sigma_a * sqf,
+                   noise.sigma_bg / sqf, noise.sigma_ba / sqf])[:, None, None]
+    white, walk = z[:, :2], z[:, 2:]
+    # a row per sample: a (2, 1, 3) broadcast adds 3 values per inner loop
+    bias = np.repeat([[noise.initial_bias_g], [noise.initial_bias_a]], z.shape[-2], axis=1)
+    np.cumsum(walk, axis=-2, out=walk)  # row t becomes the walk of sample t + 1
+    walk += bias
+    walk[..., :-1, :] += ideal[..., 1:, :]
+    white[..., 1:, :] += walk[..., :-1, :]
+    white[..., :1, :] += ideal[..., :1, :] + (bias[:, :1] + 0.0)
+    return white
 
 
 def simulate_imu(cfg: SimConfig, mount: Extrinsic, noise: NoiseSpec,
@@ -280,13 +293,6 @@ def perturb_extrinsics(ext: Extrinsic, sigma_rot: float, sigma_trans: float,
 def grid_mounts(rows: int = 3, cols: int = 3, pitch: float = 0.05) -> list[Extrinsic]:
     """Planar IMU array on the body: rows x cols grid, identity
     orientations, centered on the body origin, row-major order."""
-    mounts = []
-    for r in range(rows):
-        for c in range(cols):
-            p = np.array([
-                (c - (cols - 1) / 2.0) * pitch,
-                (r - (rows - 1) / 2.0) * pitch,
-                0.0,
-            ])
-            mounts.append(Extrinsic(p=p))
-    return mounts
+    return [Extrinsic(p=np.array([(c - (cols - 1) / 2.0) * pitch,
+                                  (r - (rows - 1) / 2.0) * pitch, 0.0]))
+            for r in range(rows) for c in range(cols)]

@@ -194,13 +194,15 @@ def lever_term(fm: FusionMatrices, omega, omega_dot=None) -> np.ndarray:
     accelerations R_i (w x (w x p_i) + wdot x p_i) / sigma_a_i, for rate
     rows omega (..., k, 3): T:(w w^T) - |w|^2 c - D wdot, where with
     C_i = accel_solve[:, 3i:3i+3] R_i / sigma_a_i, T = sum_i C_i (x) p_i,
-    c = sum_i C_i p_i and D = sum_i C_i [p_i]x. omega_dot=None drops
-    the D term."""
+    c = sum_i C_i p_i and D = sum_i C_i [p_i]x. The first two terms are
+    one quadratic form Q:(w w^T) with Q = T - c (x) I, evaluated as one
+    product of the rate rows with Q's (9, 3) rows, then one contraction
+    with w. omega_dot=None drops the D term."""
     omega = np.asarray(omega, dtype=float)
     T = fm.lever_T
-    out = sum(omega[..., j, None] * (omega @ np.swapaxes(T[..., j, :], -1, -2))
-              for j in range(3))
-    out -= np.sum(omega**2, axis=-1)[..., None] * fm.lever_c[..., None, :]
+    Q = (T - fm.lever_c[..., None, None] * np.eye(3)).reshape(T.shape[:-3] + (9, 3))
+    Qw = (omega @ np.swapaxes(Q, -1, -2)).reshape(omega.shape + (3,))
+    out = np.einsum("...aj,...j->...a", Qw, omega)
     if omega_dot is not None:
         out -= omega_dot @ np.swapaxes(fm.lever_D, -1, -2)
     return out

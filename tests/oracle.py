@@ -19,7 +19,10 @@ their contraction with ``accel_solve``, as a quadratic form
 per trial it calibrates, fuses, preintegrates, predicts and scores
 through the library's one-trial calls (``calibrate``, ``fuse_series``,
 ``preintegrate_windows``, ``predict_state``), where the library's
-harness runs each stage once per chunk of trials.
+harness runs each stage once per chunk of trials. It adds each sensor's
+noise with the four-draw ``apply_measurement_noise`` below and fuses
+every interior sample, where the library fuses only the rows that the
+keyframe windows integrate.
 
 ``fit_rotation`` and ``fit_translation`` form the calibration Grams with
 three-operand ``einsum`` contractions over the samples; the library
@@ -28,6 +31,13 @@ forms them as matrix products over the stacked design.
 ``log_so3`` extracts the rotation vector, axis included; the library
 reads only the angle (``geometry.geodesic_angle``), and the tests use
 the full logarithm as a reference.
+
+``apply_measurement_noise`` draws the four noise blocks of one sensor
+with four calls and sums them with per-sensor ``vstack``/``cumsum``;
+the library draws each sensor's stream as one block and adds the noise
+of every sensor of a trial in one pass
+(``simulation.apply_measurement_noise_stack``). The two must agree bit
+for bit.
 
 ``ideal_body_measurements``, ``virtual_bias``, ``residual_omega`` and
 ``quat_rotate`` have no caller in the library; the tests keep them as
@@ -83,13 +93,12 @@ from mimufusion.preintegration import (
 )
 from mimufusion.simulation import (
     TrajectorySample,
-    apply_measurement_noise,
     grid_mounts,
     ideal_imu_series,
     perturb_extrinsics,
     trajectory_samples,
 )
-from mimufusion.types import ImuSeries, _vec3
+from mimufusion.types import ImuSeries, NoiseSpec, _vec3
 from mimufusion.vimu import (
     FusionMatrices,
     VimuConfig,
@@ -186,6 +195,28 @@ def propagate_step(prev: PreintDelta, w_hat, a_hat, cfg: VimuConfig,
         duration=prev.duration + dt,
         count=prev.count + 1,
     )
+
+
+def apply_measurement_noise(gyro, accel, noise: NoiseSpec, freq: float, rng):
+    """Add white noise plus a bias random walk to ideal measurements.
+
+    Discrete white noise has std sigma * sqrt(freq) per axis; the bias
+    walk steps by sigma_b / sqrt(freq) per sample starting from the
+    spec's initial bias (the step after sample k perturbs sample k+1).
+    """
+    gyro = np.asarray(gyro, dtype=float)
+    accel = np.asarray(accel, dtype=float)
+    n = gyro.shape[0]
+    sqf = np.sqrt(freq)
+    eta_g = rng.standard_normal((n, 3)) * (noise.sigma_g * sqf)
+    eta_a = rng.standard_normal((n, 3)) * (noise.sigma_a * sqf)
+    steps_g = rng.standard_normal((n, 3)) * (noise.sigma_bg / sqf)
+    steps_a = rng.standard_normal((n, 3)) * (noise.sigma_ba / sqf)
+    walk_g = noise.initial_bias_g + np.vstack(
+        [np.zeros(3), np.cumsum(steps_g[:-1], axis=0)])
+    walk_a = noise.initial_bias_a + np.vstack(
+        [np.zeros(3), np.cumsum(steps_a[:-1], axis=0)])
+    return gyro + walk_g + eta_g, accel + walk_a + eta_a
 
 
 def write_imu_csv(path, series: ImuSeries):

@@ -80,6 +80,21 @@ def test_rmse_length_mismatch():
         rmse_metrics([], [])
 
 
+@pytest.mark.parametrize("field", ["position", "rotation", "velocity"])
+def test_rmse_stacked_shape_mismatch(field):
+    """A stacked truth whose trial axis is 1 must not broadcast against
+    the predictions' trial axis of 4."""
+    rng = np.random.default_rng(64)
+    pred = VimuState(exp_so3(rng.normal(size=(5, 4, 3))),
+                     rng.normal(size=(5, 4, 3)), rng.normal(size=(5, 4, 3)))
+    truth = VimuState(pred.rotation.copy(), pred.position.copy(),
+                      pred.velocity.copy())
+    assert all(np.shape(m) == (4,) for m in rmse_metrics(pred, truth))
+    setattr(truth, field, getattr(truth, field)[:, :1])
+    with pytest.raises(LengthMismatch):
+        rmse_metrics(pred, truth)
+
+
 def test_true_vimu_state_velocity_lever():
     """A body-fixed frame away from the origin moves faster than the
     origin when the body spins; check against a numerical derivative."""
@@ -310,8 +325,8 @@ DIFF_PLANS = {
     "all-variants": ExperimentPlan(extrinsic_samples=2, sequences_per_sample=5,
                                    master_seed=11,
                                    sim=SimConfig(freq=200.0, duration=1.5)),
-    # 11 sequences: the default chunk (9 trials of 1.5 s and three
-    # variants) leaves 2 over
+    # 11 sequences: the default chunk (10 trials of 1.5 s and three
+    # variants) leaves 1 over
     "ragged-chunks": ExperimentPlan(variants=("1-imu-true", "9-imu-perturbed",
                                               "2-imu-calibrated"),
                                     extrinsic_samples=1, sequences_per_sample=11,
@@ -324,13 +339,22 @@ DIFF_PLANS = {
                                        extrinsic_samples=2, sequences_per_sample=4,
                                        master_seed=13,
                                        sim=SimConfig(freq=200.0, duration=1.5)),
+    # 200 interior samples fill exactly two keyframe windows: fusion reads
+    # up to the last raw sample
+    "exact-windows": ExperimentPlan(extrinsic_samples=1, sequences_per_sample=3,
+                                    master_seed=14,
+                                    sim=SimConfig(freq=200.0, duration=1.01)),
+    # 218 interior samples: the 18 past the second window are never fused
+    "trailing-samples": ExperimentPlan(extrinsic_samples=1, sequences_per_sample=3,
+                                       master_seed=15,
+                                       sim=SimConfig(freq=200.0, duration=1.1)),
 }
 # Plans run with GYRO_EXCITATION_MIN between the trials' eigenvalues, so
 # that half of the trials fail calibration and chunks mix both kinds.
 MIXED_FAILURES = {"mixed-failures": "all-variants",
                   "reordered-mixed-failures": "reordered-subset"}
-# the raw-sample bytes of one trial of every plan above (9 sensors, 300
-# samples), a cap that gives chunks of one trial
+# the raw-sample bytes of one 1.5 s trial (9 sensors, 300 samples), less
+# than one trial's working set in every plan above: chunks of one trial
 ONE_TRIAL = 9 * 300 * 6 * 8
 CHUNK_CAPS = {"one-trial": ONE_TRIAL, "default": None, "whole-sample": 1 << 40}
 

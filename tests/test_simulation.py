@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import oracle
 from oracle import ideal_body_measurements, log_so3, quat_rotate
 
 from mimufusion.geometry import (
@@ -12,6 +13,7 @@ from mimufusion.simulation import (
     SimConfig,
     TrajectoryParams,
     apply_measurement_noise,
+    apply_measurement_noise_stack,
     grid_mounts,
     ideal_imu_series,
     perturb_extrinsics,
@@ -225,6 +227,57 @@ def test_initial_bias_offsets_first_sample():
                                    noise, 200.0, rng)
     np.testing.assert_allclose(g, np.tile([0.01, -0.02, 0.03], (5, 1)))
     np.testing.assert_allclose(a, np.tile([0.1, 0.0, -0.1], (5, 1)))
+
+
+NOISE_CASES = {
+    "zero": NoiseSpec.zero(),
+    "default": NoiseSpec(),
+    "biased": NoiseSpec(sigma_g=3e-3, sigma_a=2e-2, sigma_bg=1e-3, sigma_ba=4e-3,
+                        initial_bias_g=(0.01, -0.02, -0.0),
+                        initial_bias_a=(0.1, 0.0, -0.3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOISE_CASES))
+@pytest.mark.parametrize("n", [2, 3, 600])
+def test_noise_pass_matches_four_draw_oracle(n, case):
+    """One (4, n, 3) draw per sensor and one pass over a trial's sensors
+    give the four-draw, per-sensor oracle's samples bit for bit."""
+    noise = NOISE_CASES[case]
+    ideal = np.random.default_rng(n).normal(size=(9, 2, n, 3))
+    seqs = np.random.SeedSequence(n).spawn(9)
+    want = np.array([oracle.apply_measurement_noise(
+        w, a, noise, 200.0, np.random.default_rng(s)) for (w, a), s in zip(ideal, seqs)])
+    scratch = np.full((9, 4, n, 3), np.nan)  # reused scratch: nothing may leak
+    got = apply_measurement_noise_stack(ideal, noise, 200.0,
+                                        [np.random.default_rng(s) for s in seqs],
+                                        out=scratch)
+    assert np.array_equal(got, want)
+    g, a = apply_measurement_noise(*ideal[0], noise, 200.0,
+                                   np.random.default_rng(seqs[0]))
+    assert np.array_equal(g, want[0, 0]) and np.array_equal(a, want[0, 1])
+
+
+def test_one_sensor_noise_consumes_the_stream_like_the_oracle():
+    """Calls sharing one Generator (as criterion 6 makes them) read the
+    same stream as the oracle's four draws per call."""
+    ideal = np.random.default_rng(5).normal(size=(2, 50, 3))
+    rngs = np.random.default_rng(6), np.random.default_rng(6)
+    for _ in range(3):
+        want = oracle.apply_measurement_noise(*ideal, NoiseSpec(), 200.0, rngs[0])
+        got = apply_measurement_noise(*ideal, NoiseSpec(), 200.0, rngs[1])
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("case", sorted(NOISE_CASES))
+def test_simulate_imu_unchanged_by_noise_pass(case):
+    cfg = SimConfig(freq=200.0, duration=1.0, seed=17)
+    mount = Extrinsic(p=np.array([0.05, -0.02, 0.01]))
+    series = simulate_imu(cfg, mount, NOISE_CASES[case])
+    g, a = oracle.apply_measurement_noise(*ideal_imu_series(cfg, mount),
+                                          NOISE_CASES[case], cfg.freq,
+                                          np.random.default_rng(17))
+    assert np.array_equal(series.gyro, g) and np.array_equal(series.accel, a)
 
 
 def test_simulate_seed_reproducible():
