@@ -267,7 +267,7 @@ def fit_translation(R, gyro_a, accel_a, gyro_b, accel_b, freq: float,
     solvable = np.isfinite(cond) & (cond <= 1e12)
     p = np.linalg.solve(np.where(solvable[..., None, None], H, np.eye(3)),
                         g[..., None])[..., 0]
-    r = b - (M @ p[..., None, :, None])[..., 0] @ np.swapaxes(R, -1, -2)
+    r = bR - (stacked @ p[..., None])[..., 0].reshape(bR.shape)  # R^T (b - R M p)
     errors = [
         DegenerateMotion("rotational excitation too weak for lever-arm "
                          f"estimation (smallest design eigenvalue {e:.3e})")

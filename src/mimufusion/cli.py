@@ -30,8 +30,8 @@ from .harness import (
     run_experiment,
 )
 from .preintegration import VimuState, preintegrate_windows
-from .simulation import simulate_imu
-from .types import Extrinsic
+from .simulation import apply_measurement_noise, ideal_imu_series_stack
+from .types import Extrinsic, ImuSeries
 from .vimu import build_fusion, fuse_series, midpoint_frame, virtual_covariances
 
 log = logging.getLogger(__name__)
@@ -61,9 +61,11 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     streams = np.random.SeedSequence(cfg.seed).spawn(len(imus))
+    ideal = ideal_imu_series_stack(cfg, [mount for _, mount, _ in imus])
     names = []
-    for (name, mount, noise), seq in zip(imus, streams):
-        series = simulate_imu(cfg, mount, noise, seed=seq)
+    for (name, _, noise), (w, a), seq in zip(imus, ideal, streams):
+        series = ImuSeries(cfg.freq, 0, *apply_measurement_noise(
+            w, a, noise, cfg.freq, np.random.default_rng(seq)))
         csvio.write_imu_csv(out / f"{name}.csv", series)
         names.append(name)
         log.info("wrote %s.csv (%d samples)", name, len(series))

@@ -34,10 +34,16 @@ def lever_matrix(omega, omega_dot) -> np.ndarray:
     """Rigid-body lever operator [w]x^2 + [wdot]x: applied to a lever
     arm p it gives the extra acceleration of a point p away from the
     reference point, w x (w x p) + wdot x p. (3,) rates give (3, 3);
-    (n, 3) rows give (n, 3, 3)."""
-    sw = skew(omega)
-    out = sw @ sw
-    out += skew(omega_dot)
+    (n, 3) rows give (n, 3, 3). Entry by entry, [w]x^2 = w w^T - |w|^2 I."""
+    w, wd = (np.asarray(v, dtype=float) for v in (omega, omega_dot))
+    sq = w * w
+    out = np.empty(np.broadcast_shapes(w.shape, wd.shape) + (3,))
+    for i, j, k, cross in ((0, 1, 2, wd[..., 2]), (0, 2, 1, -wd[..., 1]),
+                           (1, 2, 0, wd[..., 0])):
+        out[..., k, k] = -(sq[..., i] + sq[..., j])
+        sym = w[..., i] * w[..., j]
+        out[..., i, j] = sym - cross
+        out[..., j, i] = sym + cross
     return out
 
 
@@ -188,12 +194,15 @@ def geodesic_angle(Ra, Rb):
     return np.arctan2(sin_angle, cos_angle)
 
 
-def is_rotation(R, tol: float = 1e-9) -> bool:
-    """True when R is orthogonal with determinant +1 within tol."""
+def is_rotation(R, tol: float = 1e-9):
+    """True when R is orthogonal with determinant +1 within tol; a stack
+    (..., 3, 3) gives a bool per matrix. Orthogonality is checked entry
+    by entry as np.allclose(R^T R, I, atol=tol) does, with its default
+    rtol of 1e-5."""
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
+    if R.shape[-2:] != (3, 3):
         return False
-    return (
-        np.allclose(R.T @ R, np.eye(3), atol=tol)
-        and abs(float(np.linalg.det(R)) - 1.0) < tol
-    )
+    eye = np.eye(3)
+    ok = (np.abs(np.swapaxes(R, -1, -2) @ R - eye) <= tol + 1e-5 * eye).all(axis=(-2, -1))
+    ok &= np.abs(np.linalg.det(R) - 1.0) < tol
+    return bool(ok) if ok.ndim == 0 else ok

@@ -40,7 +40,7 @@ from .simulation import (
     _trajectory_arrays,
     apply_measurement_noise_stack,
     grid_mounts,
-    ideal_imu_series,
+    ideal_imu_series_stack,
     perturb_extrinsics,
 )
 from .types import ImuSeries, NoiseSpec, _check_keys
@@ -99,8 +99,8 @@ class ExperimentPlan:
             raise ValueError(f"unknown or empty variants: {sorted(unknown)}")
         if self.extrinsic_samples < 1 or self.sequences_per_sample < 1:
             raise ValueError("sample and sequence counts must be >= 1")
-        if self.keyframe_interval <= 0:
-            raise ValueError("keyframe_interval must be positive")
+        if not (np.isfinite(self.keyframe_interval) and self.keyframe_interval > 0):
+            raise ValueError("keyframe_interval must be finite and positive")
 
     def to_dict(self) -> dict:
         return {
@@ -300,33 +300,31 @@ class _VariantSetup:
     truth: VimuState  # true states of the virtual frame: (keyframe, trial)
 
 
-def _setup_variant(name: str, plan: ExperimentPlan, mounts, believed,
-                   keyframes):
+def _setup_variant(name: str, plan: ExperimentPlan, mounts, keyframes):
+    """Fusion and truth of a variant whose frame no trial changes: the
+    true center mount for 1-imu-true, the centroid of the mounts (the
+    believed ones) for the perturbed arrays."""
     idx = _variant_indices(name)
     if name == "1-imu-true":
         m = mounts[_CENTER]
         cfg = single_frame(plan.noise)
         frame_rot = rotation_from_quat(m.q).T
         frame_pos = m.p
-    elif name.endswith("-perturbed"):
-        cfg, frame_rot, frame_pos = array_frame(
-            [believed[i] for i in idx], [plan.noise] * len(idx))
     else:
-        raise ValueError(f"unknown variant {name}")
+        cfg, frame_rot, frame_pos = array_frame(
+            [mounts[i] for i in idx], [plan.noise] * len(idx))
     # a trial axis of length 1: every trial shares the frame
     return _VariantSetup(build_fusion(cfg), true_vimu_state(
         keyframes, frame_rot, np.reshape(frame_pos, (1, 3))))
 
 
-def _setup_calibrated(plan: ExperimentPlan, mounts, gyro, accel, cols,
-                      keyframes) -> tuple:
+def _setup_calibrated(plan: ExperimentPlan, mounts, weights: WeightSchedule,
+                      gyro, accel, cols, keyframes) -> tuple:
     """Calibrate each trial's sensor pair, in columns cols of the chunk's
     samples (S, n, m, 3), and anchor the resulting midpoint frame at
     sensor A's true mount. Returns the _VariantSetup of every trial and
     a MimuError or None per trial."""
     ia, _ = _PAIR
-    weights = WeightSchedule.build(gyro.shape[1], plan.noise, plan.noise,
-                                   1.0 / plan.sim.freq)
     (ga, gb), (aa, ab) = ([x[:, :, c] for c in cols] for x in (gyro, accel))
     R, _, rot_errors = fit_rotation(ga, gb, weights.w_omega)
     # through the unit quaternion that calibrate reports, as in calib.json
@@ -344,8 +342,8 @@ def _setup_calibrated(plan: ExperimentPlan, mounts, gyro, accel, cols,
     return _VariantSetup(fm, truth), errors
 
 
-def _score_chunk(plan: ExperimentPlan, static_setups, mounts, slot, gyro,
-                 accel, keyframes, n_windows: int, step: int) -> dict:
+def _score_chunk(plan: ExperimentPlan, static_setups, mounts, weights, slot,
+                 gyro, accel, keyframes, n_windows: int, step: int) -> dict:
     """Per variant, the (position, orientation, velocity) RMSE or the
     MimuError of each trial of a chunk of raw samples (S, n, m, 3),
     sensor i in column slot[i]. Calibration reads every sample; only the
@@ -362,8 +360,8 @@ def _score_chunk(plan: ExperimentPlan, static_setups, mounts, slot, gyro,
     for j, v in enumerate(plan.variants):
         cols = [slot[i] for i in _variant_indices(v)]
         if v == "2-imu-calibrated":
-            setup, errs = _setup_calibrated(plan, mounts, gyro, accel, cols,
-                                            keyframes)
+            setup, errs = _setup_calibrated(plan, mounts, weights, gyro, accel,
+                                            cols, keyframes)
         else:
             setup, errs = static_setups[v], [None] * S
         rows = slice(j * S, (j + 1) * S)
@@ -408,7 +406,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     needed = sorted({i for v in plan.variants
                      for i in _variant_indices(v)})
     slot = {i: j for j, i in enumerate(needed)}
-    ideal = np.array([ideal_imu_series(plan.sim, mounts[i]) for i in needed])
+    ideal = ideal_imu_series_stack(plan.sim, [mounts[i] for i in needed])
 
     n_total = plan.sim.sample_count
     n_windows, step = _keyframe_layout(n_total - 2, plan.sim.freq,
@@ -417,6 +415,11 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
         raise ValueError("duration too short for one keyframe window")
     kf_times = (1 + step * np.arange(n_windows + 1)) / plan.sim.freq
     keyframes = TrajectorySample(kf_times, *_trajectory_arrays(plan.sim, kf_times))
+    # once per run: the calibration weights and the variant on true mounts
+    weights = (WeightSchedule.build(n_total, plan.noise, plan.noise, 1.0 / plan.sim.freq)
+               if "2-imu-calibrated" in plan.variants else None)
+    static_setups = {v: _setup_variant(v, plan, mounts, keyframes)
+                     for v in plan.variants if v == "1-imu-true"}
 
     acc = {v: {m: np.zeros((plan.extrinsic_samples, plan.sequences_per_sample))
                for m in METRICS} for v in plan.variants}
@@ -445,10 +448,8 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
             perturb_rng = np.random.default_rng(perturb_seq)
             believed = [perturb_extrinsics(m, plan.sigma_rot, plan.sigma_trans,
                                            perturb_rng) for m in mounts]
-            static_setups = {
-                v: _setup_variant(v, plan, mounts, believed, keyframes)
-                for v in plan.variants if v != "2-imu-calibrated"
-            }
+            static_setups.update({v: _setup_variant(v, plan, believed, keyframes)
+                                  for v in plan.variants if v.endswith("-perturbed")})
             for r0 in range(0, plan.sequences_per_sample, chunk):
                 seqs = range(r0, min(r0 + chunk, plan.sequences_per_sample))
                 for c, r in enumerate(seqs):
@@ -461,8 +462,8 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                 if not (np.isfinite(gyro).all() and np.isfinite(accel).all()):
                     for c, j in np.ndindex(len(seqs), len(needed)):
                         ImuSeries(plan.sim.freq, 0, gyro[c, :, j], accel[c, :, j])
-                results = _score_chunk(plan, static_setups, mounts, slot, gyro,
-                                       accel, keyframes, n_windows, step)
+                results = _score_chunk(plan, static_setups, mounts, weights, slot,
+                                       gyro, accel, keyframes, n_windows, step)
                 for c, r in enumerate(seqs):
                     for v in plan.variants:
                         res = results[v][c]

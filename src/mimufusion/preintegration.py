@@ -230,9 +230,11 @@ def preintegrate_stack(gyro, accel, freq: float, fm: FusionMatrices | None = Non
 
     # Sample t is rotated by the accumulation before it: I for t = 0.
     accel_world = a_hat.copy()
-    np.matmul(rot[..., :-1, :, :], a_hat[..., 1:, :, None],
-              out=accel_world[..., 1:, :, None])
-    del rot  # the largest array of the pass; the sums below need none of it
+    R, a, out = rot[..., :-1, :, :], a_hat[..., 1:, :], accel_world[..., 1:, :]
+    np.multiply(R[..., 0], a[..., :1], out=out)  # R a, column by column
+    out += R[..., 1] * a[..., 1:2]
+    out += R[..., 2] * a[..., 2:]
+    del rot, R  # the largest array of the pass; the sums below need none of it
     # dv = sum_t a_t dt; dp = sum_t (v_t dt + a_t dt^2 / 2), v_t the velocity
     # before sample t, is sum_t (k - 1/2 - t) a_t dt^2: one product gives both
     k = a_hat.shape[-2]

@@ -80,8 +80,9 @@ class SimConfig:
     trajectory: TrajectoryParams = field(default_factory=TrajectoryParams)
 
     def __post_init__(self):
-        if self.freq <= 0 or self.duration <= 0:
-            raise ValueError("freq and duration must be positive")
+        for name, v in (("freq", self.freq), ("duration", self.duration)):
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v}")
         object.__setattr__(self, "gravity", _vec3(self.gravity))
 
     @property
@@ -219,17 +220,22 @@ def transfer_measurement(omega, omega_dot, accel, ext: Extrinsic) -> tuple:
 
 
 def ideal_imu_series(cfg: SimConfig, mount: Extrinsic) -> tuple:
-    """Noise-free gyro/accel arrays for an IMU rigidly mounted on the body.
+    """Noise-free gyro/accel arrays for an IMU rigidly mounted on the
+    body: the one-mount case of ideal_imu_series_stack."""
+    return tuple(ideal_imu_series_stack(cfg, [mount])[0])
 
-    ``mount`` follows the Extrinsic convention with the body as source:
+
+def ideal_imu_series_stack(cfg: SimConfig, mounts) -> np.ndarray:
+    """Noise-free (gyro, accel) rows of IMUs rigidly mounted on the body,
+    (m, 2, n, 3) for m mounts, from one evaluation of the trajectory.
+    Each mount follows the Extrinsic convention with the body as source:
     q rotates body coords into the sensor frame, p is the sensor origin
     in body coordinates.
     """
-    ts = cfg.times()
-    R, pos, vel, acc, w, wd = _trajectory_arrays(cfg, ts)
+    R, pos, vel, acc, w, wd = _trajectory_arrays(cfg, cfg.times())
     # specific force at the body origin, in body coords
     f = np.einsum("nij,nj->ni", R.transpose(0, 2, 1), acc - cfg.gravity)
-    return transfer_measurement(w, wd, f, mount)
+    return np.array([transfer_measurement(w, wd, f, m) for m in mounts])
 
 
 def apply_measurement_noise(gyro, accel, noise: NoiseSpec, freq: float, rng):

@@ -36,9 +36,9 @@ class VimuConfig:
         noises = tuple(self.noises)
         if not (len(rotations) == len(positions) == len(noises)) or not rotations:
             raise ValueError("need matching, non-empty geometry and noise lists")
-        for r in rotations:
-            if not is_rotation(r, tol=1e-8):
-                raise ValueError("rotations must be valid rotation matrices")
+        if not (all(r.shape == (3, 3) for r in rotations)
+                and np.all(is_rotation(np.stack(rotations), tol=1e-8))):
+            raise ValueError("rotations must be valid rotation matrices")
         for p in positions:
             if p.shape != (3,):
                 raise ValueError("positions must be 3-vectors")
@@ -196,13 +196,13 @@ def lever_term(fm: FusionMatrices, omega, omega_dot=None) -> np.ndarray:
     C_i = accel_solve[:, 3i:3i+3] R_i / sigma_a_i, T = sum_i C_i (x) p_i,
     c = sum_i C_i p_i and D = sum_i C_i [p_i]x. The first two terms are
     one quadratic form Q:(w w^T) with Q = T - c (x) I, evaluated as one
-    product of the rate rows with Q's (9, 3) rows, then one contraction
-    with w. omega_dot=None drops the D term."""
+    product of the (..., k, 9) rows of w (x) w with Q's (9, 3) block.
+    omega_dot=None drops the D term."""
     omega = np.asarray(omega, dtype=float)
     T = fm.lever_T
-    Q = (T - fm.lever_c[..., None, None] * np.eye(3)).reshape(T.shape[:-3] + (9, 3))
-    Qw = (omega @ np.swapaxes(Q, -1, -2)).reshape(omega.shape + (3,))
-    out = np.einsum("...aj,...j->...a", Qw, omega)
+    Q = (T - fm.lever_c[..., None, None] * np.eye(3)).reshape(T.shape[:-3] + (3, 9))
+    ww = omega[..., [0, 0, 0, 1, 1, 1, 2, 2, 2]] * omega[..., [0, 1, 2] * 3]
+    out = ww @ np.swapaxes(Q, -1, -2)
     if omega_dot is not None:
         out -= omega_dot @ np.swapaxes(fm.lever_D, -1, -2)
     return out
@@ -350,7 +350,7 @@ def array_frame(mounts: list, noises: list) -> tuple:
         raise ValueError("need matching, non-empty mount and noise lists")
     centroid = np.mean([m.p for m in mounts], axis=0)
     cfg = VimuConfig(
-        rotations=tuple(rotation_from_quat(m.q) for m in mounts),
+        rotations=tuple(rotation_from_quat([m.q for m in mounts])),
         positions=tuple(m.p - centroid for m in mounts),
         noises=tuple(noises),
     )

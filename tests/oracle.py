@@ -39,6 +39,19 @@ of every sensor of a trial in one pass
 (``simulation.apply_measurement_noise_stack``). The two must agree bit
 for bit.
 
+``skew_lever_matrix``, ``is_rotation``, ``lever_term``,
+``preintegrate_stack`` and ``translation_cost`` are the forms the
+library replaced: the lever operator as skew-matrix products, a
+per-matrix rotation check with ``np.allclose``, the fused lever term as
+a product followed by an ``einsum`` contraction, the kernel's specific
+force rotated by a stacked (3, 3) @ (3, 1) ``matmul``, and the
+translation cost with its residual formed in the B frame by a stacked
+3x3 product per sample. The library builds the lever operator entry by
+entry, checks every rotation of a stack in one pass, evaluates the
+lever term as one product of the rows of w (x) w, rotates the specific
+force by broadcast multiply-adds over the rotation's columns, and forms
+the residual in the R^T frame from the stacked design.
+
 ``ideal_body_measurements``, ``virtual_bias``, ``residual_omega`` and
 ``quat_rotate`` have no caller in the library; the tests keep them as
 references.
@@ -547,3 +560,68 @@ def fit_translation(R, gyro_a, accel_a, gyro_b, accel_b, freq: float,
         SingularNormalEquations(f"normal equations ill-conditioned (cond {c:.3e})")
         for e, c, ok in zip(np.ravel(smallest), np.ravel(cond), np.ravel(solvable))]
     return p, np.einsum("t,...ti,...ti->...", weights, r, r), errors
+
+
+def skew_lever_matrix(omega, omega_dot) -> np.ndarray:
+    """Rigid-body lever operator [w]x^2 + [wdot]x as a product of skew
+    matrices plus a skew matrix."""
+    sw = skew(omega)
+    return sw @ sw + skew(omega_dot)
+
+
+def is_rotation(R, tol: float = 1e-9) -> bool:
+    """True when the one matrix R is orthogonal with determinant +1
+    within tol."""
+    R = np.asarray(R, dtype=float)
+    if R.shape != (3, 3):
+        return False
+    return (
+        np.allclose(R.T @ R, np.eye(3), atol=tol)
+        and abs(float(np.linalg.det(R)) - 1.0) < tol
+    )
+
+
+def lever_term(fm: FusionMatrices, omega, omega_dot=None) -> np.ndarray:
+    """The fused lever term Q:(w w^T) - D wdot, Q = T - c (x) I, as one
+    product of the rate rows with Q's (9, 3) rows, then an einsum
+    contraction with w."""
+    omega = np.asarray(omega, dtype=float)
+    T = fm.lever_T
+    Q = (T - fm.lever_c[..., None, None] * np.eye(3)).reshape(T.shape[:-3] + (9, 3))
+    Qw = (omega @ np.swapaxes(Q, -1, -2)).reshape(omega.shape + (3,))
+    out = np.einsum("...aj,...j->...a", Qw, omega)
+    if omega_dot is not None:
+        out -= omega_dot @ np.swapaxes(fm.lever_D, -1, -2)
+    return out
+
+
+def preintegrate_stack(gyro, accel, freq: float) -> tuple:
+    """Every window's (dR, dv, dp) of rows (..., windows, step, 3), with
+    the specific force rotated by a stacked (3, 3) @ (3, 1) matmul per
+    sample; no covariance."""
+    w_hat = np.asarray(gyro, dtype=float)
+    a_hat = np.asarray(accel, dtype=float)
+    dt = 1.0 / freq
+    rot = exp_so3(w_hat * dt)
+    dR = np.tile(np.eye(3), w_hat.shape[:-2] + (1, 1))
+    for t in range(w_hat.shape[-2]):
+        dR = dR @ rot[..., t, :, :]
+        rot[..., t, :, :] = dR
+    accel_world = a_hat.copy()
+    np.matmul(rot[..., :-1, :, :], a_hat[..., 1:, :, None],
+              out=accel_world[..., 1:, :, None])
+    k = a_hat.shape[-2]
+    dv_dp = np.array([np.full(k, dt), (k - 0.5 - np.arange(k)) * dt**2]) @ accel_world
+    return dR, dv_dp[..., 0, :], dv_dp[..., 1, :]
+
+
+def translation_cost(R, gyro_a, accel_a, gyro_b, accel_b, freq: float, weights,
+                     p) -> np.ndarray:
+    """fit_translation's cost sum_t w_t |b_t - R M_t p|^2 at a given lever
+    arm p, with the residual formed in the B frame: a stacked 3x3
+    product M_t p per sample, rotated by R."""
+    R = np.asarray(R, dtype=float)
+    M = lever_matrix(gyro_a[..., 1:-1, :], _angular_accel(R, gyro_a, gyro_b, freq))
+    b = accel_b[..., 1:-1, :] - accel_a[..., 1:-1, :] @ np.swapaxes(R, -1, -2)
+    r = b - (M @ p[..., None, :, None])[..., 0] @ np.swapaxes(R, -1, -2)
+    return np.einsum("t,...ti,...ti->...", weights, r, r)

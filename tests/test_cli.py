@@ -99,6 +99,52 @@ def test_simulate_outputs(workspace):
     assert manifest["seed"] == 11
 
 
+def test_simulate_matches_per_imu_simulation(workspace):
+    """simulate evaluates the trajectory once for all IMUs and gives each
+    the samples simulate_imu gives it alone with the same stream."""
+    from mimufusion.csvio import load_sim_setup, read_imu_csv
+    from mimufusion.simulation import simulate_imu
+
+    cfg, imus = load_sim_setup(workspace / "sim.yaml")
+    streams = np.random.SeedSequence(cfg.seed).spawn(len(imus))
+    for (name, mount, noise), seq in zip(imus, streams):
+        want = simulate_imu(cfg, mount, noise, seed=seq)
+        got = read_imu_csv(workspace / "data" / f"{name}.csv")
+        assert np.array_equal(got.gyro, want.gyro)
+        assert np.array_equal(got.accel, want.accel)
+
+
+NON_FINITE = [".inf", ".nan", "1e400"]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["freq", "duration"])
+def test_simulate_rejects_non_finite_config_value(tmp_path, capsys, field, value):
+    sim = SIM_YAML.replace({"freq": "freq: 200\n", "duration": "duration: 10\n"}[field],
+                           f"{field}: {value}\n")
+    assert sim != SIM_YAML
+    (tmp_path / "sim.yaml").write_text(sim)
+    code = main(["simulate", "--config", str(tmp_path / "sim.yaml"),
+                 "--out", str(tmp_path / "data")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "FormatError"
+    assert f"{field} must be finite and positive" in payload["message"]
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+@pytest.mark.parametrize("flag", ["--freq", "--duration"])
+def test_simulate_rejects_non_finite_override(workspace, tmp_path, capsys, flag, value):
+    code = main(["simulate", "--config", str(workspace / "sim.yaml"),
+                 "--out", str(tmp_path / "data"), flag, value])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ValueError"
+    assert f"{flag[2:]} must be finite and positive" in payload["message"]
+    assert not (tmp_path / "data").exists()
+
+
 def test_simulate_seed_reproducible(workspace, tmp_path):
     code = main(["simulate", "--config", str(workspace / "sim.yaml"),
                  "--out", str(tmp_path / "rerun"), "--seed", "11"])
@@ -305,6 +351,32 @@ def test_evaluate_rejects_unknown_variant(tmp_path, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["freq", "duration"])
+def test_evaluate_rejects_non_finite_sim_value(tmp_path, capsys, field, value):
+    plan = PLAN_YAML.replace({"freq": "  freq: 200\n", "duration": "  duration: 1.5\n"}[field],
+                             f"  {field}: {value}\n")
+    assert plan != PLAN_YAML
+    (tmp_path / "plan.yaml").write_text(plan)
+    code = main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
+                 "--out", str(tmp_path / "report")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ValueError"
+    assert f"{field} must be finite and positive" in payload["message"]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_evaluate_rejects_non_finite_keyframe_interval(tmp_path, capsys, value):
+    (tmp_path / "plan.yaml").write_text(PLAN_YAML + f"keyframe_interval_s: {value}\n")
+    code = main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
+                 "--out", str(tmp_path / "report")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ValueError"
+    assert "keyframe_interval must be finite and positive" in payload["message"]
 
 
 @pytest.mark.parametrize("block", ["sim", "noise", "trajectory"])

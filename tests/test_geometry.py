@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracle
 from oracle import log_so3, quat_rotate
 from scipy.spatial.transform import Rotation
 
@@ -258,6 +259,46 @@ def test_is_rotation():
     assert is_rotation(exp_so3([0.2, -0.1, 0.4]))
     assert not is_rotation(np.diag([1.0, 1.0, -1.0]))  # reflection
     assert not is_rotation(np.eye(3) * 1.001)
+
+
+def _rotation_check_cases():
+    """Identity, a rotation, a reflection, a scaled identity, a diagonal
+    whose R^T R is off by 5e-6 (inside np.allclose's default rtol, with
+    det 1) and an off-diagonal entry of 5e-8 (outside atol)."""
+    off_diagonal = np.eye(3)
+    off_diagonal[0, 1] = 5e-8
+    s = 1.0 + 2.5e-6
+    return [np.eye(3), exp_so3([0.2, -0.1, 0.4]), np.diag([1.0, 1.0, -1.0]),
+            1.001 * np.eye(3), np.diag([s, 1.0 / s, 1.0]), off_diagonal]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-9])
+def test_is_rotation_stack_matches_per_matrix_check(tol):
+    """One stacked pass accepts and rejects what the per-matrix
+    np.allclose check does, and a single matrix still gives a bool."""
+    cases = _rotation_check_cases()
+    want = [oracle.is_rotation(R, tol=tol) for R in cases]
+    assert want == [True, True, False, False, True, False]
+    assert is_rotation(np.array(cases), tol=tol).tolist() == want
+    assert is_rotation(np.array(cases).reshape(2, 3, 3, 3), tol=tol).ravel().tolist() == want
+    assert [is_rotation(R, tol=tol) for R in cases] == want
+    assert all(type(is_rotation(R, tol=tol)) is bool for R in cases)
+    assert is_rotation(np.eye(2)) is False
+
+
+def test_lever_matrix_matches_cross_products_and_skew_products():
+    """On 12,000 rate rows the entry-by-entry operator applied to lever
+    arms gives np.cross's w x (w x p) + wdot x p, and equals the product
+    form [w]x [w]x + [wdot]x to round-off."""
+    rng = np.random.default_rng(12)
+    w = rng.normal(scale=2.0, size=(12000, 3))
+    wd = rng.normal(scale=5.0, size=(12000, 3))
+    M = lever_matrix(w, wd)
+    for p in ([0.05, -0.12, 0.3], [-0.05, 0.0, 0.0], [0.0, 0.0, 1.0]):
+        want = np.cross(w, np.cross(w, p)) + np.cross(wd, p)
+        np.testing.assert_allclose(M @ p, want, rtol=0, atol=1e-14 * np.abs(want).max())
+    want = oracle.skew_lever_matrix(w, wd)
+    np.testing.assert_allclose(M, want, rtol=0, atol=1e-15 * np.abs(want).max())
 
 
 # --- properties of the merged (3,) / (n, 3) forms ----------------------

@@ -16,6 +16,7 @@ from mimufusion.simulation import (
     apply_measurement_noise_stack,
     grid_mounts,
     ideal_imu_series,
+    ideal_imu_series_stack,
     perturb_extrinsics,
     sample_trajectory,
     simulate_imu,
@@ -177,6 +178,25 @@ def test_sample_count():
     cfg = SimConfig(freq=200.0, duration=60.0)
     assert cfg.sample_count == 12000
     assert len(cfg.times()) == 12000
+
+
+@pytest.mark.parametrize("field", ["freq", "duration"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_sim_config_rejects_non_finite_or_non_positive(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        SimConfig(**{field: value})
+
+
+def test_ideal_stack_matches_per_mount_series():
+    """The mount stack evaluates the trajectory once and gives every
+    mount the same bits as its own ideal_imu_series call."""
+    cfg = SimConfig(freq=200.0, duration=3.0)
+    rng = np.random.default_rng(5)
+    mounts = grid_mounts() + [Extrinsic(q=quat_from_random(rng), p=rng.normal(size=3))]
+    stack = ideal_imu_series_stack(cfg, mounts)
+    assert stack.shape == (len(mounts), 2, cfg.sample_count, 3)
+    for i, mount in enumerate(mounts):
+        assert np.array_equal(stack[i], np.array(ideal_imu_series(cfg, mount)))
 
 
 def test_static_noiseless_series():

@@ -466,6 +466,26 @@ def test_lever_term_and_jacobian_match_per_sensor_oracle(name):
                                atol=1e-13 * np.abs(want_jac).max())
 
 
+def test_lever_term_matches_einsum_oracle():
+    """One product of the w (x) w rows with Q's (9, 3) block gives the
+    product-then-einsum form within 1e-15 of the largest term, for a
+    shared fusion and for one fusion per trial."""
+    import oracle
+
+    rng = np.random.default_rng(72)
+    w = rng.normal(scale=1.5, size=(3, 200, 3))
+    wd = rng.normal(scale=3.0, size=(3, 200, 3))
+    shared = build_fusion(perturbed_grid())
+    per_trial, _ = build_fusion_stack(
+        np.stack([np.eye(3)[None].repeat(2, 0)] * 3),
+        rng.normal(scale=0.05, size=(3, 2, 3)), (MEMS, NoiseSpec(sigma_a=4e-3)))
+    for fm in (shared, per_trial):
+        for args in ((w, wd), (w,)):
+            want = oracle.lever_term(fm, *args)
+            np.testing.assert_allclose(lever_term(fm, *args), want, rtol=0,
+                                       atol=1e-15 * np.abs(want).max())
+
+
 def test_lever_jacobian_is_lever_term_derivative():
     fm = build_fusion(perturbed_grid())
     w = np.array([[0.4, -0.7, 0.2]])
