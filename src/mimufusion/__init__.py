@@ -25,7 +25,6 @@ from .preintegration import (
     PreintDelta,
     VimuState,
     predict_state,
-    preintegrate,
     preintegrate_windows,
 )
 from .simulation import (
@@ -84,7 +83,6 @@ __all__ = [
     "midpoint_frame",
     "perturb_extrinsics",
     "predict_state",
-    "preintegrate",
     "preintegrate_windows",
     "run_experiment",
     "sample_trajectory",

@@ -84,8 +84,11 @@ def cmd_calibrate(args) -> int:
     noise_a, noise_b = csvio.load_noise_pair(args.noise)
     series_a, series_b = ingest_csv([args.imu_a, args.imu_b])
     if args.window_secs is not None:
-        series_a = series_a.window(0.0, args.window_secs)
-        series_b = series_b.window(0.0, args.window_secs)
+        try:
+            series_a = series_a.window(0.0, args.window_secs)
+            series_b = series_b.window(0.0, args.window_secs)
+        except ValueError as exc:
+            raise ValueError(f"--window-secs: {exc}") from exc
     result = calibrate(CalibrationInput(series_a=series_a, series_b=series_b,
                                         noise_a=noise_a, noise_b=noise_b))
     csvio.write_json(args.out, result.to_dict())
@@ -127,12 +130,15 @@ def cmd_preintegrate(args) -> int:
         raise RateMismatch(
             f"{args.vimu}: rate {series.freq:.3f} Hz does not match the "
             f"sidecar's {freq:.3f} Hz")
+    if not (np.isfinite(args.interval) and args.interval > 0):
+        raise ValueError(
+            f"--interval must be finite and positive, got {args.interval}")
     fm = build_fusion(cfg)
-    step = int(round(args.interval * series.freq))
+    # a window longer than the series gives no delta, however long it is
+    step = int(round(min(args.interval * series.freq, len(series) + 1)))
     if step < 1:
         raise ValueError("interval below one sample period")
-    deltas = preintegrate_windows(series, VimuState.identity(), cfg, fm, step,
-                                  noise)
+    deltas = preintegrate_windows(series, VimuState.identity(), fm, step, noise)
     if not deltas:
         raise ValueError("series shorter than one keyframe interval")
     lines = [json.dumps({

@@ -25,7 +25,7 @@ import numpy as np
 
 from .geometry import exp_so3, right_jacobian, skew
 from .types import ImuSeries
-from .vimu import FusionMatrices, VimuConfig, VimuNoise, lever_jacobian, lever_term
+from .vimu import FusionMatrices, VimuNoise, lever_jacobian, lever_term
 
 
 @dataclass
@@ -47,23 +47,19 @@ class VimuState:
 class PreintDelta:
     """Accumulated relative-motion increments and their covariance.
 
-    covariance is 9x9 over (phi, v, p) error blocks in that order.
+    covariance is 9x9 over (phi, v, p) error blocks in that order, or
+    None when the delta was integrated without a noise model.
     """
 
     rotation: np.ndarray
     velocity: np.ndarray
     position: np.ndarray
-    covariance: np.ndarray
+    covariance: np.ndarray | None
     duration: float
     count: int
 
-    @classmethod
-    def identity(cls) -> "PreintDelta":
-        return cls(rotation=np.eye(3), velocity=np.zeros(3), position=np.zeros(3),
-                   covariance=np.zeros((9, 9)), duration=0.0, count=0)
 
-
-def bias_correct(series: ImuSeries, state: VimuState, cfg: VimuConfig,
+def bias_correct(series: ImuSeries, state: VimuState,
                  fm: FusionMatrices) -> tuple:
     """Remove the virtual biases from fused samples.
 
@@ -73,8 +69,7 @@ def bias_correct(series: ImuSeries, state: VimuState, cfg: VimuConfig,
     fused lever term (vimu.lever_term). The angular-acceleration term
     of L is the same on both sides (a constant gyro bias does not change
     a central difference), so it cancels and is left out. With zero
-    gyro bias the correction vanishes and ``fm`` is not read; ``cfg``
-    is never read.
+    gyro bias the correction vanishes and ``fm`` is not read.
 
     Returns (w_hat, a_hat) arrays of shape (k, 3): the series' own
     arrays when the state carries no bias.
@@ -136,24 +131,14 @@ def step_matrices(accum_rotation, step_rotation, a_hat, jr_dt, t_psi,
     return A, B
 
 
-def preintegrate(series: ImuSeries, state: VimuState, cfg: VimuConfig,
-                 fm: FusionMatrices, noise: VimuNoise | None = None,
-                 with_covariance: bool = True) -> PreintDelta:
-    """Integrate a whole virtual series into one PreintDelta: the
-    one-window case of preintegrate_windows. An empty series gives the
-    identity delta."""
-    deltas = preintegrate_windows(series, state, cfg, fm, max(len(series), 1),
-                                  noise, with_covariance)
-    return deltas[0] if deltas else PreintDelta.identity()
-
-
 def preintegrate_windows(series: ImuSeries, state: VimuState,
-                         cfg: VimuConfig, fm: FusionMatrices, step: int,
-                         noise: VimuNoise | None = None,
-                         with_covariance: bool = True) -> list:
+                         fm: FusionMatrices, step: int,
+                         noise: VimuNoise | None = None) -> list:
     """Integrate consecutive keyframe windows of ``step`` samples into one
     PreintDelta each, the list form of preintegrate_stack; trailing
-    samples that fill no whole window are dropped.
+    samples that fill no whole window are dropped. One delta over a
+    whole series is ``preintegrate_windows(series, state, fm,
+    len(series))[0]``.
 
     Every window starts from the same ``state``. A delta depends on its
     start state only through the biases (see bias_correct), so this is
@@ -161,24 +146,22 @@ def preintegrate_windows(series: ImuSeries, state: VimuState,
     copies them from window to window, and a run from
     VimuState.identity() has none.
 
-    ``with_covariance=False`` skips the covariance recursion (the deltas
-    then carry a zero covariance) and ``noise`` may be omitted; without
-    a gyro bias in ``state`` either, ``fm`` is not read and may be None.
+    The covariance is propagated exactly when the virtual noise model
+    ``noise`` is given; without it the deltas carry ``covariance=None``.
+    When ``state`` carries no gyro bias and no noise model is given,
+    ``fm`` is not read and may be None.
     """
-    if with_covariance and noise is None:
-        raise ValueError("covariance propagation needs the virtual noise model")
     if step < 1:
         raise ValueError("keyframe window must hold at least one sample")
     n_windows = len(series) // step
     if n_windows == 0:
         return []
     w_hat, a_hat = (x[:n_windows * step].reshape(n_windows, step, 3)
-                    for x in bias_correct(series, state, cfg, fm))
-    dR, dv, dp, cov = preintegrate_stack(w_hat, a_hat, series.freq, fm,
-                                         noise if with_covariance else None)
-    cov = np.zeros((n_windows, 9, 9)) if cov is None else cov
+                    for x in bias_correct(series, state, fm))
+    dR, dv, dp, cov = preintegrate_stack(w_hat, a_hat, series.freq, fm, noise)
     return [PreintDelta(rotation=dR[j], velocity=dv[j], position=dp[j],
-                        covariance=cov[j], duration=step * (1.0 / series.freq),
+                        covariance=None if cov is None else cov[j],
+                        duration=step * (1.0 / series.freq),
                         count=step) for j in range(n_windows)]
 
 

@@ -174,8 +174,11 @@ class ImuSeries:
 
     def window(self, t0: float, t1: float) -> "ImuSeries":
         """Sub-series covering [t0, t1) seconds relative to the series start."""
-        k0 = max(0, int(np.ceil(t0 * self.freq - 1e-9)))
-        k1 = min(len(self), int(np.ceil(t1 * self.freq - 1e-9)))
+        if not (np.isfinite(t0) and np.isfinite(t1)):
+            raise ValueError(f"window [{t0}, {t1}) has a bound that is not finite")
+        # clipped to the series in seconds, so no bound overflows a sample index
+        k0, k1 = (int(np.ceil(np.clip(t, 0.0, self.duration) * self.freq - 1e-9))
+                  for t in (t0, t1))
         if k1 <= k0:
             raise ValueError(f"window [{t0}, {t1}) selects no samples")
         return ImuSeries(

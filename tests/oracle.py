@@ -1,10 +1,10 @@
 """The tests' independent oracles.
 
 ``propagate_step`` folds one bias-corrected sample into a running
-``PreintDelta`` with per-sample 3x3 and 9x9 algebra. The library's
-kernel (``preintegrate_windows``) advances many windows at once instead;
-the tests compare the two, so this code must not call the kernel or its
-batched step builders.
+``PreintDelta``, starting from ``identity_delta``, with per-sample 3x3
+and 9x9 algebra. The library's kernel (``preintegrate_windows``)
+advances many windows at once instead; the tests compare the two, so
+this code must not call the kernel or its batched step builders.
 
 ``write_imu_csv`` and ``parse_csv`` are the per-value IMU CSV writer
 and per-line reader that the library's bulk codec replaced: one
@@ -188,6 +188,12 @@ def step_matrices(accum_rotation, step_rotation, w_hat, a_hat,
     return StepMatrices(a=A, b=B)
 
 
+def identity_delta() -> PreintDelta:
+    """The empty delta that propagate_step folds samples into."""
+    return PreintDelta(rotation=np.eye(3), velocity=np.zeros(3), position=np.zeros(3),
+                       covariance=np.zeros((9, 9)), duration=0.0, count=0)
+
+
 def propagate_step(prev: PreintDelta, w_hat, a_hat, cfg: VimuConfig,
                    fm: FusionMatrices, noise: VimuNoise, freq: float) -> PreintDelta:
     """Fold one bias-corrected sample into the running delta."""
@@ -350,8 +356,7 @@ def _score_variant(setup: _VariantSetup, series_by_idx, plan: ExperimentPlan,
                         fm=setup.fm)
     state = setup.truth[0]
     predicted = []
-    for delta in preintegrate_windows(fused, state, setup.cfg, setup.fm, step,
-                                      with_covariance=False):
+    for delta in preintegrate_windows(fused, state, setup.fm, step):
         state = predict_state(state, delta, plan.sim.gravity)
         predicted.append(state)
     return rmse_metrics(predicted, setup.truth[1:])

@@ -29,7 +29,7 @@ from mimufusion.harness import (
     METRICS, ExperimentPlan, paired_bootstrap_prob, run_experiment,
     true_vimu_state,
 )
-from mimufusion.preintegration import predict_state, preintegrate
+from mimufusion.preintegration import predict_state, preintegrate_windows
 from mimufusion.simulation import (
     SimConfig, TrajectoryParams, apply_measurement_noise, ideal_imu_series,
     sample_trajectory, simulate_imu,
@@ -205,7 +205,7 @@ def _end_state_errors(traj: TrajectoryParams, freq: float) -> tuple:
     t_start = virtual.start_ns * 1e-9
     start = true_vimu_state(sample_trajectory(cfg, t_start),
                             np.eye(3), np.zeros(3))
-    delta = preintegrate(virtual, start, vcfg, fm, with_covariance=False)
+    delta = preintegrate_windows(virtual, start, fm, len(virtual))[0]
     end = predict_state(start, delta, cfg.gravity)
     truth = true_vimu_state(sample_trajectory(cfg, t_start + delta.duration),
                             np.eye(3), np.zeros(3))
@@ -249,8 +249,8 @@ def test_criterion_6_preintegration_covariance_is_consistent():
     t_start = clean.start_ns * 1e-9
     start = true_vimu_state(sample_trajectory(cfg, t_start),
                             np.eye(3), np.zeros(3))
-    reference = preintegrate(clean, start, vcfg, fm,
-                             noise=virtual_covariances(vcfg))
+    reference = preintegrate_windows(clean, start, fm, len(clean),
+                                     virtual_covariances(vcfg))[0]
     info = np.linalg.inv(reference.covariance)
 
     ideal = [ideal_imu_series(cfg, m) for m in (MOUNT_A, MOUNT_B)]
@@ -262,7 +262,7 @@ def test_criterion_6_preintegration_covariance_is_consistent():
             wn, an = apply_measurement_noise(w, a, spec, freq, rng)
             noisy.append(ImuSeries(freq=freq, start_ns=0, gyro=wn, accel=an))
         virtual = fuse_series(vcfg, noisy, fm)
-        delta = preintegrate(virtual, start, vcfg, fm, with_covariance=False)
+        delta = preintegrate_windows(virtual, start, fm, len(virtual))[0]
         err = np.concatenate([
             log_so3(reference.rotation.T @ delta.rotation),
             delta.velocity - reference.velocity,

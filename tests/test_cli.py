@@ -210,6 +210,23 @@ def test_calibrate_window_flag(workspace, tmp_path):
     np.testing.assert_allclose(d["p_AB_m"], [0.1, 0.0, 0.0], atol=1e-2)
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_calibrate_rejects_non_finite_window(workspace, tmp_path, capsys, value):
+    out = tmp_path / "calib.json"
+    code = main(["calibrate",
+                 "--imu-a", str(workspace / "data" / "imu_a.csv"),
+                 "--imu-b", str(workspace / "data" / "imu_b.csv"),
+                 "--noise", str(workspace / "noise.yaml"),
+                 f"--window-secs={value}",
+                 "--out", str(out)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ValueError"
+    assert payload["message"].startswith("--window-secs: ")
+    assert "not finite" in payload["message"]
+    assert not out.exists()
+
+
 def test_fuse_outputs(workspace, fused):
     sidecar = read_json(fused.with_suffix(".json"))
     assert sidecar["freq"] == pytest.approx(200.0, rel=1e-6)
@@ -267,11 +284,40 @@ def test_preintegrate_interval_flag(workspace, fused, tmp_path):
     assert len(lines) == (2000 - 2) // 200
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_preintegrate_rejects_non_finite_interval(fused, tmp_path, capsys, value):
+    out = tmp_path / "deltas.jsonl"
+    code = main(["preintegrate",
+                 "--vimu", str(fused),
+                 "--vimu-config", str(fused.with_suffix(".json")),
+                 f"--interval={value}",
+                 "--out", str(out)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ValueError"
+    assert "--interval must be finite and positive" in payload["message"]
+    assert not out.exists()
+
+
+def test_preintegrate_rejects_interval_longer_than_series(fused, tmp_path, capsys):
+    out = tmp_path / "deltas.jsonl"
+    code = main(["preintegrate",
+                 "--vimu", str(fused),
+                 "--vimu-config", str(fused.with_suffix(".json")),
+                 "--interval", "1e308",
+                 "--out", str(out)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["message"] == "series shorter than one keyframe interval"
+    assert not out.exists()
+
+
 def test_preintegrate_matches_per_window_loop(workspace, fused, tmp_path):
-    """The JSONL equals a window-by-window preintegrate loop over the
-    same inputs; an interval that leaves remainder samples drops them."""
+    """The JSONL equals a window-by-window loop of one-window
+    preintegrate_windows calls over the same inputs; an interval that
+    leaves remainder samples drops them."""
     from mimufusion.csvio import read_imu_csv, read_vimu_sidecar
-    from mimufusion.preintegration import VimuState, preintegrate
+    from mimufusion.preintegration import VimuState, preintegrate_windows
     from mimufusion.types import ImuSeries
     from mimufusion.vimu import build_fusion
 
@@ -295,7 +341,8 @@ def test_preintegrate_matches_per_window_loop(workspace, fused, tmp_path):
             freq=series.freq, start_ns=0,
             gyro=series.gyro[j * step:(j + 1) * step],
             accel=series.accel[j * step:(j + 1) * step])
-        delta = preintegrate(window, VimuState.identity(), cfg, fm, noise)
+        delta = preintegrate_windows(window, VimuState.identity(), fm, step,
+                                     noise)[0]
         want.append({
             "window": j,
             "t_start_s": j * step / series.freq,

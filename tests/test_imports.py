@@ -1,10 +1,14 @@
-"""Every name a library module imports is referenced in that module.
+"""Every name a library module imports is referenced in that module,
+and every parameter of a library function is named in its body.
 
-The check walks the syntax tree with the standard library's ``ast``: a
+The checks walk the syntax tree with the standard library's ``ast``: a
 name bound by ``import`` or ``from ... import`` counts as used when it
 appears as a name anywhere in the module (attribute bases and
 annotations included). ``__init__.py`` re-exports its imports and
-``from __future__`` imports bind no name, so both are skipped.
+``from __future__`` imports bind no name, so both are skipped. A
+parameter counts as read when it appears as a name anywhere in its
+function's body, nested functions included; ``self`` and ``cls`` are
+skipped.
 """
 import ast
 from pathlib import Path
@@ -29,6 +33,22 @@ def unused_imports(source: str) -> list:
     return sorted(imported - used)
 
 
+def unread_parameters(source: str) -> list:
+    """``function.parameter`` for every parameter that ``source``'s
+    functions never name in their bodies, sorted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            named = {n.id for stmt in node.body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name)}
+            found.extend(f"{node.name}.{p}" for p in params
+                         if p not in named and p not in ("self", "cls"))
+    return sorted(found)
+
+
 def test_modules_found():
     assert {"cli.py", "harness.py", "vimu.py"} <= {p.name for p in MODULES}
 
@@ -36,6 +56,11 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_library_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_library_function_reads_every_parameter(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 def test_check_flags_dead_names_only():
@@ -51,3 +76,21 @@ def f(x: Ext) -> float:
     return geodesic_angle(np.eye(3), x.rotation())
 """
     assert unused_imports(source) == ["os", "rotation_from_quat", "xml"]
+
+
+def test_parameter_check_flags_unread_parameters_only():
+    source = """\
+class C:
+    def m(self, x, unused):
+        return x
+
+    @classmethod
+    def make(cls, *args, **kwargs):
+        return args
+
+def f(a, b, /, c, *, d=1):
+    def inner():
+        return b + c
+    return a, inner()
+"""
+    assert unread_parameters(source) == ["f.d", "m.unused", "make.kwargs"]

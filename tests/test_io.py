@@ -367,6 +367,23 @@ def test_imu_series_rejects_non_finite(field, value):
         ImuSeries(series.freq, series.start_ns, **samples)
 
 
+@pytest.mark.parametrize("bounds", [(0.0, np.inf), (0.0, -np.inf), (0.0, np.nan),
+                                    (np.nan, 0.02)])
+def test_imu_series_window_rejects_non_finite_bounds(bounds):
+    series = noisy_series(duration=0.05)
+    with pytest.raises(ValueError, match="not finite"):
+        series.window(*bounds)
+
+
+def test_imu_series_window_clips_huge_bounds():
+    series = noisy_series(duration=0.05)
+    whole = series.window(-1e308, 1e308)
+    assert np.array_equal(whole.gyro, series.gyro)
+    assert whole.start_ns == series.start_ns
+    with pytest.raises(ValueError, match="selects no samples"):
+        series.window(1e308, np.finfo(float).max)
+
+
 def test_sidecar_round_trip(tmp_path):
     ext = Extrinsic(p=np.array([0.12, 0.0, 0.0]))
     cfg = midpoint_frame(ext, NoiseSpec(), NoiseSpec(sigma_g=3e-4))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracle import log_so3, propagate_step, psi_matrix
+from oracle import identity_delta, log_so3, propagate_step, psi_matrix
 from oracle import step_matrices as scalar_step_matrices
 
 from mimufusion.geometry import (
@@ -12,11 +12,9 @@ from mimufusion.geometry import (
     skew,
 )
 from mimufusion.preintegration import (
-    PreintDelta,
     VimuState,
     bias_correct,
     predict_state,
-    preintegrate,
     preintegrate_stack,
     preintegrate_windows,
     step_matrices,
@@ -72,7 +70,7 @@ def still_series(duration=1.0, freq=200.0):
 
 def test_bias_correct_zero_bias_is_identity():
     series, vcfg, fm = still_series()
-    w, a = bias_correct(series, VimuState.identity(), vcfg, fm)
+    w, a = bias_correct(series, VimuState.identity(), fm)
     np.testing.assert_array_equal(w, series.gyro)
     np.testing.assert_array_equal(a, series.accel)
 
@@ -86,7 +84,7 @@ def test_bias_correct_removes_full_rate():
     biased = ImuSeries(freq=series.freq, start_ns=series.start_ns,
                        gyro=series.gyro + state.bias_gyro,
                        accel=series.accel)
-    w, _ = bias_correct(biased, state, vcfg, fm)
+    w, _ = bias_correct(biased, state, fm)
     np.testing.assert_allclose(w, series.gyro, atol=1e-15)
 
 
@@ -125,7 +123,7 @@ def check_bias_correct_restores_lever_consistency(shift):
     state = VimuState(rotation=np.eye(3), position=np.zeros(3),
                       velocity=np.zeros(3), bias_gyro=b_v,
                       bias_accel=np.zeros(3))
-    w_hat, a_hat = bias_correct(fused_biased, state, vcfg, fm)
+    w_hat, a_hat = bias_correct(fused_biased, state, fm)
     np.testing.assert_allclose(w_hat, fused_clean.gyro, atol=1e-12)
     np.testing.assert_allclose(a_hat, fused_clean.accel, atol=1e-12)
     return np.abs(a_hat - fused_biased.accel).max()
@@ -146,8 +144,7 @@ def test_preintegrate_static():
     T = 1.0
     series, vcfg, fm = still_series(duration=T + 2.0 / 200.0)
     assert series.duration == pytest.approx(T)
-    delta = preintegrate(series, VimuState.identity(), vcfg, fm,
-                         with_covariance=False)
+    delta = preintegrate_windows(series, VimuState.identity(), fm, len(series))[0]
     np.testing.assert_allclose(delta.rotation, np.eye(3), atol=1e-12)
     assert np.linalg.norm(delta.velocity) == pytest.approx(9.81 * T, rel=1e-9)
     assert np.linalg.norm(delta.position) == pytest.approx(
@@ -164,24 +161,11 @@ def test_preintegrate_constant_rate_exact_rotation():
                        accel=np.zeros((k, 3)))
     vcfg = single_frame(NoiseSpec.zero())
     fm = build_fusion(vcfg)
-    delta = preintegrate(series, VimuState.identity(), vcfg, fm,
-                         with_covariance=False)
+    delta = preintegrate_windows(series, VimuState.identity(), fm, len(series))[0]
     # same-axis increments compose exactly: Exp(z dt)^k = Exp(z k dt)
     assert geodesic_angle(delta.rotation, exp_so3([0.0, 0.0, 1.0])) < 1e-12
     np.testing.assert_allclose(delta.velocity, np.zeros(3), atol=1e-15)
     np.testing.assert_allclose(delta.position, np.zeros(3), atol=1e-15)
-
-
-def test_preintegrate_empty_series_is_identity():
-    series = ImuSeries(freq=200.0, start_ns=0, gyro=np.zeros((0, 3)),
-                       accel=np.zeros((0, 3)))
-    vcfg = single_frame(NoiseSpec.zero())
-    fm = build_fusion(vcfg)
-    delta = preintegrate(series, VimuState.identity(), vcfg, fm,
-                         with_covariance=False)
-    np.testing.assert_array_equal(delta.rotation, np.eye(3))
-    np.testing.assert_array_equal(delta.covariance, np.zeros((9, 9)))
-    assert delta.count == 0
 
 
 def test_preintegrate_matches_propagate_step():
@@ -189,10 +173,10 @@ def test_preintegrate_matches_propagate_step():
     series, vcfg, fm = virtual_from_body(cfg_sim, noise=MEMS, seed=50)
     noise_v = virtual_covariances(vcfg)
     state = VimuState.identity()
-    batched = preintegrate(series, state, vcfg, fm, noise_v)
+    batched = preintegrate_windows(series, state, fm, len(series), noise_v)[0]
 
-    w_hat, a_hat = bias_correct(series, state, vcfg, fm)
-    delta = PreintDelta.identity()
+    w_hat, a_hat = bias_correct(series, state, fm)
+    delta = identity_delta()
     for t in range(len(series)):
         delta = propagate_step(delta, w_hat[t], a_hat[t], vcfg, fm, noise_v,
                                series.freq)
@@ -202,13 +186,6 @@ def test_preintegrate_matches_propagate_step():
     np.testing.assert_allclose(batched.covariance, delta.covariance,
                                rtol=1e-10, atol=1e-25)
     assert batched.count == delta.count
-
-
-def test_preintegrate_requires_noise_for_covariance():
-    series, vcfg, fm = still_series()
-    with pytest.raises(ValueError):
-        preintegrate(series, VimuState.identity(), vcfg, fm,
-                     with_covariance=True)
 
 
 def test_first_order_error_halves_with_rate():
@@ -223,7 +200,7 @@ def test_first_order_error_halves_with_rate():
         start = VimuState(rotation=start_true.rotation,
                           position=start_true.position,
                           velocity=start_true.velocity)
-        delta = preintegrate(series, start, vcfg, fm, with_covariance=False)
+        delta = preintegrate_windows(series, start, fm, len(series))[0]
         end = predict_state(start, delta, cfg_sim.gravity)
         end_true = sample_trajectory(cfg_sim, t0 + delta.duration)
         errors[freq] = np.linalg.norm(end.position - end_true.position)
@@ -239,8 +216,7 @@ def test_covariance_single_step_is_input_mapping():
     dt = 1.0 / freq
     w = np.array([0.2, -0.1, 0.4])
     a = np.array([0.5, 0.1, 9.6])
-    delta = propagate_step(PreintDelta.identity(), w, a, vcfg, fm, noise_v,
-                           freq)
+    delta = propagate_step(identity_delta(), w, a, vcfg, fm, noise_v, freq)
     _, B = step_matrices(np.eye(3), exp_so3(w * dt), a,
                          right_jacobian(w * dt) * dt,
                          fm.accel_solve @ psi_matrix(vcfg, w), dt)
@@ -254,8 +230,8 @@ def test_covariance_single_step_is_input_mapping():
 def test_covariance_zero_noise_stays_zero():
     cfg_sim = SimConfig(freq=200.0, duration=0.5)
     series, vcfg, fm = virtual_from_body(cfg_sim)
-    delta = preintegrate(series, VimuState.identity(), vcfg, fm,
-                         noise=zero_vimu_noise())
+    delta = preintegrate_windows(series, VimuState.identity(), fm, len(series),
+                                 zero_vimu_noise())[0]
     np.testing.assert_array_equal(delta.covariance, np.zeros((9, 9)))
 
 
@@ -273,7 +249,8 @@ def test_covariance_symmetric_psd_along_trajectory():
         for i, (r, p, n) in enumerate(zip(vcfg.rotations, vcfg.positions,
                                           vcfg.noises))
     ], fm)
-    delta = preintegrate(series, VimuState.identity(), vcfg, fm, noise_v)
+    delta = preintegrate_windows(series, VimuState.identity(), fm, len(series),
+                                 noise_v)[0]
     cov = delta.covariance
     np.testing.assert_allclose(cov, cov.T, atol=1e-30)
     assert np.linalg.eigvalsh(cov)[0] >= -1e-12
@@ -294,7 +271,8 @@ def test_covariance_matches_hand_rolled_single_imu():
     w = rng.normal(size=(k, 3)) * 0.5
     a = rng.normal(size=(k, 3)) * 2.0
     series = ImuSeries(freq=freq, start_ns=0, gyro=w, accel=a)
-    delta = preintegrate(series, VimuState.identity(), vcfg, fm, noise_v)
+    delta = preintegrate_windows(series, VimuState.identity(), fm, len(series),
+                                 noise_v)[0]
 
     q_g = 0.5 * MEMS.sigma_g**2 * freq
     q_a = 0.5 * MEMS.sigma_a**2 * freq
@@ -424,7 +402,7 @@ def test_predict_state_identity_delta():
     start = VimuState(rotation=exp_so3(rng.normal(size=3)),
                       position=rng.normal(size=3),
                       velocity=rng.normal(size=3))
-    out = predict_state(start, PreintDelta.identity(), GRAVITY)
+    out = predict_state(start, identity_delta(), GRAVITY)
     np.testing.assert_array_equal(out.rotation, start.rotation)
     np.testing.assert_array_equal(out.position, start.position)
     np.testing.assert_array_equal(out.velocity, start.velocity)
@@ -433,8 +411,7 @@ def test_predict_state_identity_delta():
 def test_predict_state_static_equilibrium():
     T = 1.0
     series, vcfg, fm = still_series(duration=T + 2.0 / 200.0)
-    delta = preintegrate(series, VimuState.identity(), vcfg, fm,
-                         with_covariance=False)
+    delta = preintegrate_windows(series, VimuState.identity(), fm, len(series))[0]
     out = predict_state(VimuState.identity(), delta, GRAVITY)
     np.testing.assert_allclose(out.velocity, np.zeros(3), atol=1e-9)
     np.testing.assert_allclose(out.position, np.zeros(3), atol=1e-9)
@@ -450,8 +427,8 @@ def test_delta_independent_of_start_pose():
     s2 = VimuState(rotation=exp_so3([0.3, -0.2, 0.9]),
                    position=np.array([5.0, -2.0, 1.0]),
                    velocity=np.array([1.0, 1.0, -1.0]))
-    d1 = preintegrate(series, s1, vcfg, fm, with_covariance=False)
-    d2 = preintegrate(series, s2, vcfg, fm, with_covariance=False)
+    d1 = preintegrate_windows(series, s1, fm, len(series))[0]
+    d2 = preintegrate_windows(series, s2, fm, len(series))[0]
     np.testing.assert_array_equal(d1.rotation, d2.rotation)
     np.testing.assert_array_equal(d1.velocity, d2.velocity)
     np.testing.assert_array_equal(d1.position, d2.position)
@@ -472,16 +449,16 @@ def test_predict_state_composes_chain():
                       position=start_true.position,
                       velocity=start_true.velocity)
 
-    d_full = preintegrate(series, start, vcfg, fm, with_covariance=False)
+    d_full = preintegrate_windows(series, start, fm, len(series))[0]
     end_full = predict_state(start, d_full, cfg_sim.gravity)
 
-    d1 = preintegrate(first, start, vcfg, fm, with_covariance=False)
+    d1 = preintegrate_windows(first, start, fm, len(first))[0]
     mid = predict_state(start, d1, cfg_sim.gravity)
     second = ImuSeries(
         freq=series.freq,
         start_ns=series.start_ns + round(half * 1e9 / series.freq),
         gyro=series.gyro[half:], accel=series.accel[half:])
-    d2 = preintegrate(second, mid, vcfg, fm, with_covariance=False)
+    d2 = preintegrate_windows(second, mid, fm, len(second))[0]
     end_chained = predict_state(mid, d2, cfg_sim.gravity)
 
     np.testing.assert_allclose(end_chained.position, end_full.position,
@@ -535,8 +512,8 @@ def window_of(series, j, step):
 def fold_window(window, state, cfg, fm, noise):
     """Independent oracle: propagate_step over one window, sample by
     sample."""
-    w_hat, a_hat = bias_correct(window, state, cfg, fm)
-    delta = PreintDelta.identity()
+    w_hat, a_hat = bias_correct(window, state, fm)
+    delta = identity_delta()
     for t in range(len(window)):
         delta = propagate_step(delta, w_hat[t], a_hat[t], cfg, fm, noise,
                                window.freq)
@@ -562,25 +539,24 @@ def test_windows_match_propagate_step_fold(name):
     series = random_virtual_series(n_windows * step + remainder, seed=60)
     # the bias correction really moves the accelerometer through the
     # lever arms, so the lever term is exercised, not skipped
-    _, a_hat = bias_correct(series, BIASED, cfg, fm)
+    _, a_hat = bias_correct(series, BIASED, fm)
     assert np.abs(a_hat - (series.accel - BIASED.bias_accel)).max() > 1e-4
 
-    deltas = preintegrate_windows(series, BIASED, cfg, fm, step, noise_v)
+    deltas = preintegrate_windows(series, BIASED, fm, step, noise_v)
     assert len(deltas) == n_windows
     for j, delta in enumerate(deltas):
         want = fold_window(window_of(series, j, step), BIASED, cfg, fm, noise_v)
         assert np.trace(want.covariance) > 0
         assert_delta_close(delta, want)
 
-    # without covariance the increments are the same and the
-    # covariance stays zero
-    plain = preintegrate_windows(series, BIASED, cfg, fm, step,
-                                 with_covariance=False)
+    # without a noise model the increments are the same and the deltas
+    # carry no covariance
+    plain = preintegrate_windows(series, BIASED, fm, step)
     for got, want in zip(plain, deltas):
         np.testing.assert_array_equal(got.rotation, want.rotation)
         np.testing.assert_array_equal(got.velocity, want.velocity)
         np.testing.assert_array_equal(got.position, want.position)
-        np.testing.assert_array_equal(got.covariance, np.zeros((9, 9)))
+        assert got.covariance is None
 
 
 def test_windows_ignore_remainder_samples():
@@ -599,8 +575,8 @@ def test_windows_ignore_remainder_samples():
     # an ImuSeries refuses NaN samples, so poison the built one
     padded.gyro[-(step - 1):] = np.nan
     padded.accel[-(step - 1):] = np.nan
-    got = preintegrate_windows(padded, BIASED, cfg, fm, step, noise_v)
-    want = preintegrate_windows(whole, BIASED, cfg, fm, step, noise_v)
+    got = preintegrate_windows(padded, BIASED, fm, step, noise_v)
+    want = preintegrate_windows(whole, BIASED, fm, step, noise_v)
     assert len(got) == len(want) == n_windows
     for g, w in zip(got, want):
         assert np.all(np.isfinite(g.covariance))
@@ -612,8 +588,8 @@ def test_windows_series_shorter_than_one_window():
     fm = build_fusion(cfg)
     noise_v = virtual_covariances(cfg)
     series = random_virtual_series(39, seed=62)
-    assert preintegrate_windows(series, BIASED, cfg, fm, 40, noise_v) == []
-    exact = preintegrate_windows(series, BIASED, cfg, fm, 39, noise_v)
+    assert preintegrate_windows(series, BIASED, fm, 40, noise_v) == []
+    exact = preintegrate_windows(series, BIASED, fm, 39, noise_v)
     assert len(exact) == 1
     assert_delta_close(exact[0], fold_window(series, BIASED, cfg, fm, noise_v))
 
@@ -623,10 +599,7 @@ def test_windows_argument_checks():
     fm = build_fusion(cfg)
     series = random_virtual_series(50, seed=63)
     with pytest.raises(ValueError):
-        preintegrate_windows(series, BIASED, cfg, fm, 10)
-    with pytest.raises(ValueError):
-        preintegrate_windows(series, BIASED, cfg, fm, 0,
-                             with_covariance=False)
+        preintegrate_windows(series, BIASED, fm, 0)
 
 
 def test_stack_over_trials_matches_windows_per_series():
@@ -652,7 +625,7 @@ def test_stack_over_trials_matches_windows_per_series():
                                np.stack([s.accel for s in series]).reshape(shape), 200.0)
     assert plain[3] is None
     for k, (cfg, one) in enumerate(zip(cfgs, series)):
-        deltas = preintegrate_windows(one, VimuState.identity(), cfg, build_fusion(cfg),
+        deltas = preintegrate_windows(one, VimuState.identity(), build_fusion(cfg),
                                       step, noise_v)
         for j, want in enumerate(deltas):
             np.testing.assert_allclose(dR[k, j], want.rotation, rtol=0, atol=1e-15)
@@ -699,15 +672,15 @@ def mean_nees(mounts, cfg: VimuConfig, trials: int, seed: int,
               batch: int = 200) -> float:
     """Mean 9-dof NEES of one-second keyframe deltas over noisy trials of
     the default trajectory, against the noise-free delta and the 9x9
-    covariance that preintegrate propagates for it."""
+    covariance that preintegrate_windows propagates for it."""
     freq = 200.0
     # 202 raw samples so the fused series spans exactly one second
     sim = SimConfig(freq=freq, duration=(int(freq) + 2) / freq)
     ideal = np.array([ideal_imu_series(sim, m) for m in mounts])  # (m, 2, n, 3)
     fm = build_fusion(cfg)
     clean = fuse_series(cfg, [ImuSeries(freq, 0, w, a) for w, a in ideal], fm)
-    reference = preintegrate(clean, VimuState.identity(), cfg, fm,
-                             noise=virtual_covariances(cfg))
+    reference = preintegrate_windows(clean, VimuState.identity(), fm, len(clean),
+                                     virtual_covariances(cfg))[0]
     info = np.linalg.inv(reference.covariance)
     rng = np.random.default_rng(seed)
     nees = []
