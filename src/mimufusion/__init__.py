@@ -7,8 +7,6 @@ from .calibration import (
     WeightSchedule,
     calibrate,
     estimate_angular_accel,
-    estimate_rotation,
-    estimate_translation,
 )
 from .errors import (
     DegenerateMotion,
@@ -75,8 +73,6 @@ __all__ = [
     "build_fusion",
     "calibrate",
     "estimate_angular_accel",
-    "estimate_rotation",
-    "estimate_translation",
     "fuse_series",
     "grid_mounts",
     "ingest_csv",

@@ -10,7 +10,8 @@ the orientation fixed and solves a weighted linear least-squares problem
 for the lever arm using rigid-body accelerometer residuals, with angular
 accelerations estimated from the two gyros by a central difference.
 Both stage kernels (fit_rotation, fit_translation) take any leading
-trial axes and report a failure per trial instead of raising.
+trial axes and report a failure per trial instead of raising; calibrate
+runs them on one pair and raises the first failure.
 
 Per-sample weights follow the inverse of isotropic variance schedules
 that grow linearly with the sample index, modeling bias random walk
@@ -58,6 +59,10 @@ class CalibrationInput:
         if abs(self.series_a.freq - self.series_b.freq) > 1e-9 * self.series_a.freq:
             raise RateMismatch(
                 f"sample rates differ: {self.series_a.freq} vs {self.series_b.freq}")
+        if self.series_a.start_ns != self.series_b.start_ns:
+            raise LengthMismatch(
+                f"start times differ: {self.series_a.start_ns} ns vs "
+                f"{self.series_b.start_ns} ns")
         if len(self.series_a) != len(self.series_b):
             raise LengthMismatch(
                 f"sample counts differ: {len(self.series_a)} vs {len(self.series_b)}")
@@ -66,16 +71,8 @@ class CalibrationInput:
 
 
 @dataclass
-class StageDiagnostics:
-    iterations: int
-    final_cost: float
-
-
-@dataclass
 class CalibrationResult:
     extrinsic: Extrinsic
-    rot_iterations: int
-    trans_iterations: int
     final_rot_cost: float
     final_trans_cost: float
     elapsed_rot_ms: float
@@ -85,30 +82,11 @@ class CalibrationResult:
         return {
             "q_BA": self.extrinsic.q.tolist(),
             "p_AB_m": self.extrinsic.p.tolist(),
-            "rotation": {
-                "iterations": self.rot_iterations,
-                "cost": self.final_rot_cost,
-                "elapsed_ms": self.elapsed_rot_ms,
-            },
-            "translation": {
-                "iterations": self.trans_iterations,
-                "cost": self.final_trans_cost,
-                "elapsed_ms": self.elapsed_trans_ms,
-            },
+            "rotation": {"cost": self.final_rot_cost,
+                         "elapsed_ms": self.elapsed_rot_ms},
+            "translation": {"cost": self.final_trans_cost,
+                            "elapsed_ms": self.elapsed_trans_ms},
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CalibrationResult":
-        return cls(
-            extrinsic=Extrinsic(q=np.asarray(d["q_BA"], dtype=float),
-                                p=np.asarray(d["p_AB_m"], dtype=float)),
-            rot_iterations=int(d["rotation"]["iterations"]),
-            trans_iterations=int(d["translation"]["iterations"]),
-            final_rot_cost=float(d["rotation"]["cost"]),
-            final_trans_cost=float(d["translation"]["cost"]),
-            elapsed_rot_ms=float(d["rotation"]["elapsed_ms"]),
-            elapsed_trans_ms=float(d["translation"]["elapsed_ms"]),
-        )
 
 
 def sigma_omega(t, noise_a: NoiseSpec, noise_b: NoiseSpec, dt: float):
@@ -194,26 +172,6 @@ def fit_rotation(gyro_a, gyro_b, weights) -> tuple:
     return R, np.einsum("t,...ti,...ti->...", weights, r, r), errors
 
 
-def estimate_rotation(inp: CalibrationInput):
-    """Stage one: relative orientation from the gyro pair, the one-pair
-    case of fit_rotation.
-
-    Returns (q, StageDiagnostics) where q rotates A-frame vectors into
-    the B frame; the closed-form fit is the one iteration.
-
-    Raises DegenerateMotion when the trajectory does not excite enough
-    rotation.
-    """
-    weights = WeightSchedule.build(len(inp.series_a), inp.noise_a, inp.noise_b,
-                                   1.0 / inp.series_a.freq).w_omega
-    R, cost, (error,) = fit_rotation(inp.series_a.gyro, inp.series_b.gyro, weights)
-    if error is not None:
-        raise error
-    log.debug("rotation stage: cost %.6e", cost)
-    return quat_from_rotation(R), StageDiagnostics(iterations=1,
-                                                   final_cost=float(cost))
-
-
 def estimate_angular_accel(q, series_a: ImuSeries,
                            series_b: ImuSeries) -> np.ndarray:
     """Angular acceleration of frame A at every interior sample,
@@ -277,34 +235,35 @@ def fit_translation(R, gyro_a, accel_a, gyro_b, accel_b, freq: float,
     return p, np.einsum("t,...ti,...ti->...", weights, r, r), errors
 
 
-def estimate_translation(inp: CalibrationInput, q):
-    """Stage two: lever arm with the orientation held fixed, the
-    one-pair case of fit_translation. Returns (p, StageDiagnostics)."""
-    weights = WeightSchedule.build(len(inp.series_a), inp.noise_a, inp.noise_b,
-                                   1.0 / inp.series_a.freq).w_accel[1:-1]
-    p, cost, (error,) = fit_translation(
-        rotation_from_quat(q), inp.series_a.gyro, inp.series_a.accel,
-        inp.series_b.gyro, inp.series_b.accel, inp.series_a.freq, weights)
+def calibrate(inp: CalibrationInput) -> CalibrationResult:
+    """Calibrate one pair: fit_rotation, then fit_translation at the
+    rotation of the reported unit quaternion. The orientation never
+    depends on p, so one pass of each stage is the whole solve.
+
+    Raises the first stage error met: DegenerateMotion when the
+    trajectory does not excite enough rotation, SingularNormalEquations
+    when the lever-arm design is ill-conditioned.
+    """
+    a, b = inp.series_a, inp.series_b
+    t0 = time.perf_counter()
+    weights = WeightSchedule.build(len(a), inp.noise_a, inp.noise_b, 1.0 / a.freq)
+    R, rot_cost, (error,) = fit_rotation(a.gyro, b.gyro, weights.w_omega)
     if error is not None:
         raise error
-    log.debug("translation stage: cost %.6e", cost)
-    return p, StageDiagnostics(iterations=1, final_cost=float(cost))
-
-
-def calibrate(inp: CalibrationInput) -> CalibrationResult:
-    """Run both stages and assemble the result. The orientation never
-    depends on p, so one pass of each stage is the whole solve."""
-    t0 = time.perf_counter()
-    q, rot_diag = estimate_rotation(inp)
+    q = quat_from_rotation(R)
     t1 = time.perf_counter()
-    p, trans_diag = estimate_translation(inp, q)
+    p, trans_cost, (error,) = fit_translation(
+        rotation_from_quat(q), a.gyro, a.accel, b.gyro, b.accel, a.freq,
+        weights.w_accel[1:-1])
+    if error is not None:
+        raise error
     t2 = time.perf_counter()
+    log.debug("calibration costs: rotation %.6e, translation %.6e",
+              rot_cost, trans_cost)
     return CalibrationResult(
         extrinsic=Extrinsic(q=q, p=p),
-        rot_iterations=rot_diag.iterations,
-        trans_iterations=trans_diag.iterations,
-        final_rot_cost=rot_diag.final_cost,
-        final_trans_cost=trans_diag.final_cost,
+        final_rot_cost=float(rot_cost),
+        final_trans_cost=float(trans_cost),
         elapsed_rot_ms=(t1 - t0) * 1e3,
         elapsed_trans_ms=(t2 - t1) * 1e3,
     )

@@ -74,8 +74,11 @@ def load_yaml(path) -> dict:
 def write_imu_csv(path, series: ImuSeries):
     """Write a raw or fused series, one row per sample at its implicit
     timestamp, every value to 17 significant digits so that it reads
-    back bit for bit. A non-finite sample, which read_imu_csv would
-    reject, raises FormatError before any file is created."""
+    back bit for bit. A series that read_imu_csv would reject, with
+    fewer than 2 samples or a non-finite one, raises FormatError before
+    any file is created."""
+    if len(series) < 2:
+        raise FormatError(f"{path}: need at least 2 samples to derive a rate")
     bad = non_finite_sample(series.gyro, series.accel)
     if bad is not None:
         raise FormatError(f"{path}: sample {bad} is not finite")

@@ -502,19 +502,6 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                       completed=completed, failures=failures)
 
 
-def paired_bootstrap_prob(a, b, n_boot: int = 2000, seed: int = 0) -> float:
-    """Bootstrap probability that mean(a) <= mean(b) under paired
-    resampling of the common index (e.g. per-extrinsic-sample means that
-    share random numbers across variants)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or len(a) == 0:
-        raise LengthMismatch("paired bootstrap needs equal-length 1-d arrays")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(a), size=(n_boot, len(a)))
-    return float(np.mean(a[idx].mean(axis=1) <= b[idx].mean(axis=1)))
-
-
 def emit_report(report: RmseReport, out_dir):
     """Write report.json, plot_data.csv, and failures.log."""
     out_dir = Path(out_dir)

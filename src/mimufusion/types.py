@@ -118,14 +118,6 @@ class Extrinsic:
         R = self.rotation()
         return Extrinsic(q=quat_conjugate(self.q), p=-(R @ self.p))
 
-    def to_dict(self) -> dict:
-        return {"q_wxyz": self.q.tolist(), "p_m": self.p.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Extrinsic":
-        return cls(q=np.asarray(d["q_wxyz"], dtype=float),
-                   p=np.asarray(d["p_m"], dtype=float))
-
 
 @dataclass
 class ImuSeries:

@@ -54,7 +54,8 @@ the residual in the R^T frame from the stacked design.
 
 ``ideal_body_measurements``, ``virtual_bias``, ``residual_omega`` and
 ``quat_rotate`` have no caller in the library; the tests keep them as
-references.
+references. ``paired_bootstrap_prob`` is the bootstrap behind criterion
+4's orderings; no library code calls it either.
 """
 import itertools
 import json
@@ -75,6 +76,7 @@ from mimufusion.csvio import IMU_CSV_HEADER, atomic_write_text
 from mimufusion.errors import (
     DegenerateMotion,
     FormatError,
+    LengthMismatch,
     MimuError,
     SingularNormalEquations,
 )
@@ -630,3 +632,16 @@ def translation_cost(R, gyro_a, accel_a, gyro_b, accel_b, freq: float, weights,
     b = accel_b[..., 1:-1, :] - accel_a[..., 1:-1, :] @ np.swapaxes(R, -1, -2)
     r = b - (M @ p[..., None, :, None])[..., 0] @ np.swapaxes(R, -1, -2)
     return np.einsum("t,...ti,...ti->...", weights, r, r)
+
+
+def paired_bootstrap_prob(a, b, n_boot: int = 2000, seed: int = 0) -> float:
+    """Bootstrap probability that mean(a) <= mean(b) under paired
+    resampling of the common index (e.g. per-extrinsic-sample means that
+    share random numbers across variants)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 1 or len(a) == 0:
+        raise LengthMismatch("paired bootstrap needs equal-length 1-d arrays")
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(a), size=(n_boot, len(a)))
+    return float(np.mean(a[idx].mean(axis=1) <= b[idx].mean(axis=1)))

@@ -14,20 +14,19 @@ import time
 from pathlib import Path
 
 import numpy as np
-from oracle import log_so3
+from oracle import log_so3, paired_bootstrap_prob
 
 from mimufusion.calibration import (
-    CalibrationInput, calibrate, estimate_angular_accel, estimate_rotation,
-    estimate_translation,
+    CalibrationInput, WeightSchedule, calibrate, estimate_angular_accel,
+    fit_rotation, fit_translation,
 )
 from mimufusion.csvio import load_yaml
 from mimufusion.geometry import (
-    exp_so3, geodesic_angle, quat_from_rotvec, rotation_from_quat,
-    skew,
+    exp_so3, geodesic_angle, quat_from_rotation, quat_from_rotvec,
+    rotation_from_quat, skew,
 )
 from mimufusion.harness import (
-    METRICS, ExperimentPlan, paired_bootstrap_prob, run_experiment,
-    true_vimu_state,
+    METRICS, ExperimentPlan, run_experiment, true_vimu_state,
 )
 from mimufusion.preintegration import predict_state, preintegrate_windows
 from mimufusion.simulation import (
@@ -305,7 +304,10 @@ def test_criterion_8_stage_estimates_match_independent_oracles():
     zero = NoiseSpec.zero()
     sa = simulate_imu(cfg, MOUNT_A, zero)
     sb = simulate_imu(cfg, MOUNT_B, zero)
-    q, _ = estimate_rotation(CalibrationInput(sa, sb, zero, zero))
+    # zeroed noise makes every weight 1
+    weights = WeightSchedule.build(len(sa), zero, zero, 1.0 / 200.0)
+    R, _, _ = fit_rotation(sa.gyro, sb.gyro, weights.w_omega)
+    q = quat_from_rotation(R)
     correlation = sb.gyro.T @ sa.gyro
     U, _, VT = np.linalg.svd(correlation)
     d = np.sign(np.linalg.det(U) * np.linalg.det(VT))
@@ -313,27 +315,24 @@ def test_criterion_8_stage_estimates_match_independent_oracles():
     rot_gap = geodesic_angle(rotation_from_quat(q), R_svd)
 
     # translation stage vs one stacked least-squares solve; a rate that
-    # is affine in time makes the central differences exact, and zeroed
-    # noise makes every weight 1
+    # is affine in time makes the central differences exact
     p_true = np.array([0.04, -0.07, 0.02])
     n = 400
     ts = np.arange(n) / 200.0
     w = np.array([0.9, 0.2, -0.3]) + np.outer(ts, [0.1, 0.8, 0.6])
     wd = np.tile([0.1, 0.8, 0.6], (n, 1))
     lever = np.cross(w, np.cross(w, p_true)) + np.cross(wd, p_true)
-    pair = CalibrationInput(
-        series_a=ImuSeries(freq=200.0, start_ns=0, gyro=w,
-                           accel=np.zeros((n, 3))),
-        series_b=ImuSeries(freq=200.0, start_ns=0, gyro=w, accel=lever),
-        noise_a=zero, noise_b=zero)
+    accel_a = np.zeros((n, 3))
     q_identity = np.array([1.0, 0.0, 0.0, 0.0])
-    p, _ = estimate_translation(pair, q_identity)
+    weights = WeightSchedule.build(n, zero, zero, 1.0 / 200.0)
+    p, _, _ = fit_translation(rotation_from_quat(q_identity), w, accel_a, w,
+                              lever, 200.0, weights.w_accel[1:-1])
     rows = []
     rhs = []
     for k in range(1, n - 1):
         wd_k = (200.0 / 4.0) * 2.0 * (w[k + 1] - w[k - 1])
         rows.append(skew(w[k]) @ skew(w[k]) + skew(wd_k))
-        rhs.append(pair.series_b.accel[k] - pair.series_a.accel[k])
+        rhs.append(lever[k] - accel_a[k])
     p_oracle = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs),
                                rcond=None)[0]
     trans_gap = float(np.max(np.abs(p - p_oracle)))

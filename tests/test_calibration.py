@@ -11,8 +11,6 @@ from mimufusion.calibration import (
     WeightSchedule,
     calibrate,
     estimate_angular_accel,
-    estimate_rotation,
-    estimate_translation,
     fit_rotation,
     fit_translation,
     sigma_accel,
@@ -58,6 +56,19 @@ def make_pair(ext, duration=10.0, freq=200.0, noise_a=None, noise_b=None,
         sa = simulate_imu(cfg, Extrinsic.identity(), na, seed=ss[0])
         sb = simulate_imu(cfg, Extrinsic(q=ext.q, p=ext.p), nb, seed=ss[1])
     return CalibrationInput(series_a=sa, series_b=sb, noise_a=na, noise_b=nb)
+
+
+def pair_weights(inp):
+    """The weight schedule that calibrate builds for one pair."""
+    return WeightSchedule.build(len(inp.series_a), inp.noise_a, inp.noise_b,
+                                1.0 / inp.series_a.freq)
+
+
+def translation_stage(inp, R=np.eye(3)):
+    """fit_translation on one pair at rotation R, with calibrate's weights."""
+    a, b = inp.series_a, inp.series_b
+    return fit_translation(R, a.gyro, a.accel, b.gyro, b.accel, a.freq,
+                           pair_weights(inp).w_accel[1:-1])
 
 
 def test_residual_omega_identity_zero():
@@ -187,9 +198,10 @@ def test_residual_accel_vanishes_on_rigid_pair():
 
 def test_estimate_rotation_noiseless():
     inp = make_pair(Extrinsic(q=Q_5DEG_Y, p=np.array([0.1, 0.0, 0.0])))
-    q, diag = estimate_rotation(inp)
-    assert geodesic_angle(rotation_from_quat(q),
-                          rotation_from_quat(Q_5DEG_Y)) < 1e-6
+    R, _, errors = fit_rotation(inp.series_a.gyro, inp.series_b.gyro,
+                                pair_weights(inp).w_omega)
+    assert errors == [None]
+    assert geodesic_angle(R, rotation_from_quat(Q_5DEG_Y)) < 1e-6
 
 
 def test_estimate_rotation_matches_procrustes_oracle():
@@ -198,21 +210,21 @@ def test_estimate_rotation_matches_procrustes_oracle():
     na = nb = NoiseSpec(sigma_bg=0.0)  # constant weight schedule
     inp = make_pair(Extrinsic(q=Q_5DEG_Y, p=np.zeros(3)),
                     noise_a=na, noise_b=nb)
-    q, _ = estimate_rotation(inp)
-
     wa, wb = inp.series_a.gyro, inp.series_b.gyro
+    R, _, _ = fit_rotation(wa, wb, pair_weights(inp).w_omega)
+
     B = wb.T @ wa
     U, _, VT = np.linalg.svd(B)
     d = np.sign(np.linalg.det(U) * np.linalg.det(VT))
     R_oracle = U @ np.diag([1.0, 1.0, d]) @ VT
-    assert geodesic_angle(rotation_from_quat(q), R_oracle) < 1e-8
+    assert geodesic_angle(R, R_oracle) < 1e-8
 
 
 def test_estimate_rotation_degenerate_on_static():
     inp = make_pair(Extrinsic.identity(),
                     trajectory=TrajectoryParams.still(), duration=2.0)
-    with pytest.raises(DegenerateMotion):
-        estimate_rotation(inp)
+    with pytest.raises(DegenerateMotion, match="gyro second moment"):
+        calibrate(inp)
 
 
 def constant_rate_series(freq, n, omega):
@@ -276,9 +288,10 @@ def linear_rate_pair(p_true, freq=200.0, duration=2.0):
 def test_estimate_translation_exact_on_linear_rates():
     p_true = np.array([0.12, 0.0, 0.0])
     inp = linear_rate_pair(p_true)
-    p, diag = estimate_translation(inp, np.array([1.0, 0.0, 0.0, 0.0]))
+    p, cost, errors = translation_stage(inp)
+    assert errors == [None]
     np.testing.assert_allclose(p, p_true, atol=1e-8)
-    assert diag.final_cost < 1e-12
+    assert cost < 1e-12
 
 
 def test_estimate_translation_matches_lstsq_oracle():
@@ -286,8 +299,7 @@ def test_estimate_translation_matches_lstsq_oracle():
     lstsq instead of the normal equations."""
     p_true = np.array([0.04, -0.07, 0.02])
     inp = linear_rate_pair(p_true)
-    q = np.array([1.0, 0.0, 0.0, 0.0])
-    p, _ = estimate_translation(inp, q)
+    p, _, _ = translation_stage(inp)
 
     w = inp.series_a.gyro[1:-1]
     freq = inp.series_a.freq
@@ -313,8 +325,8 @@ def test_estimate_translation_degenerate_on_constant_aligned_rate():
     s = ImuSeries(freq=200.0, start_ns=0, gyro=w, accel=np.zeros((n, 3)))
     inp = CalibrationInput(series_a=s, series_b=s, noise_a=NoiseSpec.zero(),
                            noise_b=NoiseSpec.zero())
-    with pytest.raises(DegenerateMotion):
-        estimate_translation(inp, np.array([1.0, 0.0, 0.0, 0.0]))
+    _, _, (error,) = translation_stage(inp)
+    assert isinstance(error, DegenerateMotion)
 
 
 def test_calibrate_identical_series_gives_identity():
@@ -412,24 +424,30 @@ def test_input_rate_mismatch_is_rate_error():
                              noise_a=NoiseSpec(), noise_b=NoiseSpec())
 
 
+def test_input_rejects_series_that_start_at_different_times():
+    """Equal-length series offset in time would be paired sample by
+    sample, so their start times must agree."""
+    cfg = SimConfig(freq=200.0, duration=1.0)
+    s = simulate_imu(cfg, Extrinsic.identity(), NoiseSpec.zero())
+    late = ImuSeries(freq=200.0, start_ns=25_000_000, gyro=s.gyro, accel=s.accel)
+    with pytest.raises(LengthMismatch,
+                       match="start times differ: 0 ns vs 25000000 ns"):
+        CalibrationInput(series_a=s, series_b=late,
+                         noise_a=NoiseSpec(), noise_b=NoiseSpec())
+
+
 def test_result_dict_round_trip():
     ext = Extrinsic(q=Q_5DEG_Y, p=np.array([0.1, 0.0, 0.0]))
     inp = make_pair(ext, duration=2.0)
     res = calibrate(inp)
     d = res.to_dict()
     assert set(d) == {"q_BA", "p_AB_m", "rotation", "translation"}
-    from mimufusion.calibration import CalibrationResult
-
-    back = CalibrationResult.from_dict(d)
-    np.testing.assert_allclose(back.extrinsic.q, res.extrinsic.q)
-    np.testing.assert_allclose(back.extrinsic.p, res.extrinsic.p)
-    assert back.rot_iterations == res.rot_iterations
 
 
 def test_stage_kernels_over_trials_match_per_pair_calls():
     """fit_rotation and fit_translation over a trial axis give each
-    trial what estimate_rotation and estimate_translation give it alone,
-    and a trial that fails masks only itself."""
+    trial what calibrate gives it alone, and a trial that fails masks
+    only itself."""
     ext = Extrinsic(q=Q_5DEG_Y, p=np.array([0.1, 0.02, -0.03]))
     inps = [make_pair(ext, duration=2.0, noise_a=MEMS_NOISE, noise_b=MEMS_NOISE,
                       seed=seed) for seed in (3, 4)]
@@ -449,16 +467,15 @@ def test_stage_kernels_over_trials_match_per_pair_calls():
         200.0, weights.w_accel[1:-1])
     assert isinstance(rot_errors[1], DegenerateMotion)
     with pytest.raises(DegenerateMotion, match=re.escape(str(rot_errors[1]))):
-        estimate_rotation(inps[1])
+        calibrate(inps[1])
     for k in (0, 2):
         assert rot_errors[k] is None and trans_errors[k] is None
-        q, rot_diag = estimate_rotation(inps[k])
-        np.testing.assert_allclose(quat_from_rotation(R[k]), q, rtol=0, atol=1e-15)
-        assert rot_diag.iterations == 1
-        assert rot_cost[k] == pytest.approx(rot_diag.final_cost, rel=1e-12)
-        p_k, trans_diag = estimate_translation(inps[k], q)
-        np.testing.assert_allclose(p[k], p_k, rtol=1e-12, atol=1e-15)
-        assert trans_cost[k] == pytest.approx(trans_diag.final_cost, rel=1e-12)
+        res = calibrate(inps[k])
+        np.testing.assert_allclose(quat_from_rotation(R[k]), res.extrinsic.q,
+                                   rtol=0, atol=1e-15)
+        assert rot_cost[k] == pytest.approx(res.final_rot_cost, rel=1e-12)
+        np.testing.assert_allclose(p[k], res.extrinsic.p, rtol=1e-12, atol=1e-15)
+        assert trans_cost[k] == pytest.approx(res.final_trans_cost, rel=1e-12)
 
 
 def test_stage_kernels_match_einsum_oracle():

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from oracle import paired_bootstrap_prob
 
 from mimufusion.csvio import read_json, write_imu_csv
 from mimufusion.errors import EmptyOverlap, LengthMismatch, RateMismatch
@@ -11,7 +12,6 @@ from mimufusion.harness import (
     RmseReport,
     emit_report,
     ingest_csv,
-    paired_bootstrap_prob,
     rmse_metrics,
     run_experiment,
     true_vimu_state,

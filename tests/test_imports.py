@@ -1,5 +1,6 @@
 """Every name a library module imports is referenced in that module,
-and every parameter of a library function is named in its body.
+every parameter of a library function is named in its body, and every
+module-level function or class of the library has a caller.
 
 The checks walk the syntax tree with the standard library's ``ast``: a
 name bound by ``import`` or ``from ... import`` counts as used when it
@@ -8,14 +9,22 @@ annotations included). ``__init__.py`` re-exports its imports and
 ``from __future__`` imports bind no name, so both are skipped. A
 parameter counts as read when it appears as a name anywhere in its
 function's body, nested functions included; ``self`` and ``cls`` are
-skipped.
+skipped. A module-level function or class has a caller when its name
+appears as a name or an attribute anywhere in the library outside its
+own definition, when ``mimufusion.__all__`` lists it, or when README
+mentions it as a word. Methods are out of scope, because names such as
+``from_dict`` are shared between classes and a reference does not say
+which class it reaches.
 """
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mimufusion"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mimufusion"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -49,6 +58,32 @@ def unread_parameters(source: str) -> list:
     return sorted(found)
 
 
+def _references(node) -> Counter:
+    """How often each name appears as a name or an attribute in node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def uncalled_definitions(sources: dict, exported, readme: str) -> list:
+    """``module.name`` for every module-level function or class in
+    ``sources`` (module name -> source) that no code in ``sources``
+    names outside its own definition, that ``exported`` does not hold
+    and that ``readme`` does not mention, sorted."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and everywhere[node.name] == _references(node)[node.name]
+                    and node.name not in exported
+                    and not re.search(rf"\b{re.escape(node.name)}\b", readme)):
+                found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
 def test_modules_found():
     assert {"cli.py", "harness.py", "vimu.py"} <= {p.name for p in MODULES}
 
@@ -61,6 +96,14 @@ def test_library_module_uses_every_import(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_library_function_reads_every_parameter(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def test_library_definition_has_a_caller():
+    import mimufusion
+
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert uncalled_definitions(sources, set(mimufusion.__all__),
+                                (ROOT / "README.md").read_text()) == []
 
 
 def test_check_flags_dead_names_only():
@@ -94,3 +137,35 @@ def f(a, b, /, c, *, d=1):
     return a, inner()
 """
     assert unread_parameters(source) == ["f.d", "m.unused", "make.kwargs"]
+
+
+def test_caller_check_flags_uncalled_definitions_only():
+    sources = {"a": """\
+def used():
+    pass
+
+def exported():
+    pass
+
+def documented():
+    pass
+
+def recursive(n):
+    return recursive(n - 1)
+
+class Orphan:
+    def make(self):
+        return Orphan()
+
+def _helper():
+    pass
+""", "b": """\
+from . import a
+from .a import used
+
+def caller():
+    return used(), a._helper()
+"""}
+    assert uncalled_definitions(sources, {"exported", "caller"},
+                                "Call `documented()` first.") == [
+        "a.Orphan", "a.recursive"]
