@@ -9,6 +9,7 @@ progress logging.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -59,23 +60,39 @@ def cmd_simulate(args) -> int:
         cfg = dataclasses.replace(cfg, **overrides)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     streams = np.random.SeedSequence(cfg.seed).spawn(len(imus))
     ideal = ideal_imu_series_stack(cfg, [mount for _, mount, _ in imus])
-    names = []
-    for (name, _, noise), (w, a), seq in zip(imus, ideal, streams):
-        series = ImuSeries(cfg.freq, 0, *apply_measurement_noise(
-            w, a, noise, cfg.freq, np.random.default_rng(seq)))
-        csvio.write_imu_csv(out / f"{name}.csv", series)
-        names.append(name)
-        log.info("wrote %s.csv (%d samples)", name, len(series))
+    created = [d for d in (out, *out.parents) if not d.exists()]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        # each CSV is staged in a temp file; all are renamed into place
+        # only once every IMU has been written
+        with contextlib.ExitStack() as staged:
+            for (name, _, noise), (w, a), seq in zip(imus, ideal, streams):
+                path = out / f"{name}.csv"
+                # a huge sigma overflows to inf, which ImuSeries rejects
+                with np.errstate(over="ignore", invalid="ignore"):
+                    noisy = apply_measurement_noise(w, a, noise, cfg.freq,
+                                                    np.random.default_rng(seq))
+                try:
+                    series = ImuSeries(cfg.freq, 0, *noisy)
+                except FormatError as exc:
+                    raise FormatError(f"{path}: {exc}") from None
+                csvio.write_imu_csv(path, series,
+                                    staged.enter_context(csvio._atomic_open(path)))
+                log.info("wrote %s.csv (%d samples)", name, len(series))
+    except BaseException:
+        for d in created:  # deepest first; rmdir keeps any that is not empty
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
     csvio.write_json(out / "manifest.json", {
         "freq": cfg.freq,
         "duration": cfg.duration,
         "seed": cfg.seed,
-        "imus": names,
+        "imus": [name for name, _, _ in imus],
     })
-    print(f"simulated {len(names)} imu(s), {cfg.duration:g} s at "
+    print(f"simulated {len(imus)} imu(s), {cfg.duration:g} s at "
           f"{cfg.freq:g} Hz -> {out}")
     return 0
 
@@ -141,17 +158,18 @@ def cmd_preintegrate(args) -> int:
     deltas = preintegrate_windows(series, VimuState.identity(), fm, step, noise)
     if not deltas:
         raise ValueError("series shorter than one keyframe interval")
-    lines = [json.dumps({
-        "window": j,
-        "t_start_s": j * step / series.freq,
-        "duration_s": delta.duration,
-        "count": delta.count,
-        "dR": delta.rotation.tolist(),
-        "dv": delta.velocity.tolist(),
-        "dp": delta.position.tolist(),
-        "cov_diag": np.diag(delta.covariance).tolist(),
-    }) for j, delta in enumerate(deltas)]
-    csvio.atomic_write_text(args.out, "".join(f"{ln}\n" for ln in lines))
+    with csvio._atomic_open(args.out) as fh:
+        for j, delta in enumerate(deltas):
+            fh.write(json.dumps({
+                "window": j,
+                "t_start_s": j * step / series.freq,
+                "duration_s": delta.duration,
+                "count": delta.count,
+                "dR": delta.rotation.tolist(),
+                "dv": delta.velocity.tolist(),
+                "dp": delta.position.tolist(),
+                "cov_diag": np.diag(delta.covariance).tolist(),
+            }) + "\n")
     print(f"preintegrated {len(deltas)} window(s) of {args.interval:g} s "
           f"-> {args.out}")
     return 0

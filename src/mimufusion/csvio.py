@@ -1,17 +1,26 @@
 """File formats: IMU CSV (raw and fused streams alike), JSON results,
 YAML configs.
 
-All writers go through an atomic temp-file + rename so a failing
-invocation never leaves partial output behind.
+All writers go through an atomic temp-file + rename (``_atomic_open``)
+so a failing invocation never leaves partial output behind.
+
+The IMU CSV codec streams. The writer formats ``_BLOCK_ROWS`` rows per
+``%`` operation straight into the temp file. The reader checks the
+header line and hands the remaining lines to one ``np.loadtxt`` call.
+Neither holds the file's text, so the memory either needs is about that
+of the samples. Only a rejected file is read whole, by ``_diagnose_csv``,
+to name the line at fault.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
 import tempfile
 import warnings
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 import yaml
@@ -24,6 +33,8 @@ IMU_CSV_HEADER = "t_ns,wx,wy,wz,ax,ay,az"
 # one CSV row: an exact integer timestamp, then 6 values that round-trip
 _ROW_FORMAT = "%d," + ",".join(["%.17g"] * 6) + "\n"
 _ROW_DTYPE = np.dtype([("t_ns", np.int64), ("values", np.float64, (6,))])
+# rows that write_imu_csv formats per % operation
+_BLOCK_ROWS = 1024
 # a line that str.strip() would empty, with the newline before it (so
 # never the first line, the header)
 _WHITESPACE_LINE = re.compile(r"\n[^\S\n]+(?=\n|\Z)")
@@ -31,21 +42,27 @@ _WHITESPACE_LINE = re.compile(r"\n[^\S\n]+(?=\n|\Z)")
 RATE_JITTER_TOL = 0.01
 
 
-def atomic_write_text(path, text: str):
-    """Write text to path via a temp file in the same directory."""
+@contextlib.contextmanager
+def _atomic_open(path):
+    """A text file open for writing on a temp file in path's directory.
+    A clean exit renames it to path; an exception removes it."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
                                prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
+
+
+def atomic_write_text(path, text: str):
+    """Write text to path via a temp file in the same directory."""
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def write_json(path, obj):
@@ -71,23 +88,29 @@ def load_yaml(path) -> dict:
     return data
 
 
-def write_imu_csv(path, series: ImuSeries):
+def write_imu_csv(path, series: ImuSeries, fh=None):
     """Write a raw or fused series, one row per sample at its implicit
     timestamp, every value to 17 significant digits so that it reads
     back bit for bit. A series that read_imu_csv would reject, with
     fewer than 2 samples or a non-finite one, raises FormatError before
-    any file is created."""
+    any file is created. Given ``fh``, an open text file, the rows go
+    there instead and ``path`` only names the file in errors."""
     if len(series) < 2:
         raise FormatError(f"{path}: need at least 2 samples to derive a rate")
     bad = non_finite_sample(series.gyro, series.accel)
     if bad is not None:
         raise FormatError(f"{path}: sample {bad} is not finite")
-    rows = np.empty((len(series), 7), dtype=object)
-    rows[:, 0] = series.times_ns().tolist()
-    rows[:, 1:4] = series.gyro
-    rows[:, 4:] = series.accel
-    atomic_write_text(path, f"{IMU_CSV_HEADER}\n"
-                      + (_ROW_FORMAT * len(series)) % tuple(rows.ravel()))
+    times = series.times_ns()
+    rows = np.empty((min(len(series), _BLOCK_ROWS), 7), dtype=object)
+    with _atomic_open(path) if fh is None else contextlib.nullcontext(fh) as out:
+        out.write(f"{IMU_CSV_HEADER}\n")
+        for start in range(0, len(series), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            n = len(times[block])
+            rows[:n, 0] = times[block].tolist()
+            rows[:n, 1:4] = series.gyro[block]
+            rows[:n, 4:] = series.accel[block]
+            out.write((_ROW_FORMAT * n) % tuple(rows[:n].ravel()))
 
 
 def _load_rows(lines) -> np.ndarray:
@@ -116,6 +139,30 @@ def _first_bad_line(lines) -> int:
 
 
 def _parse_csv(path):
+    """Timestamps and values of an IMU CSV's data rows, parsed as the
+    file streams past. A file that fails the header, UTF-8 decoding,
+    the parse or the finiteness check goes to _diagnose_csv, which
+    raises the error that names its line."""
+    try:  # universal newlines: CRLF reads as LF
+        with open(path, encoding="utf-8") as fh:
+            if fh.readline().removesuffix("\n") != IMU_CSV_HEADER:
+                _diagnose_csv(path)
+            # a whitespace-only line is a blank line, which np.loadtxt skips
+            rows = _load_rows("" if line.isspace() else line for line in fh)
+    except ValueError:  # UnicodeDecodeError included
+        _diagnose_csv(path)
+    if len(rows) < 2:
+        raise FormatError(f"{path}: need at least 2 samples to derive a rate")
+    values = rows["values"]
+    if not np.isfinite(values).all():
+        _diagnose_csv(path)
+    return rows["t_ns"], values
+
+
+def _diagnose_csv(path) -> NoReturn:
+    """Raise the FormatError that says why the IMU CSV at path is
+    rejected and, where it applies, on which line. It reads the whole
+    file, so only the error path calls it, and it never returns."""
     try:  # universal newlines: CRLF reads as LF
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -136,15 +183,12 @@ def _parse_csv(path):
         reason = ("expected 7 columns" if lines[bad].count(",") != 6 else
                   f"expected an integer and 6 numbers, got {lines[bad]!r}")
         raise FormatError(f"{path}:{bad + 1}: {reason}") from None
-    if len(rows) < 2:
-        raise FormatError(f"{path}: need at least 2 samples to derive a rate")
-    values = rows["values"]
-    finite = np.isfinite(values).all(axis=1)
+    finite = np.isfinite(rows["values"]).all(axis=1)
     if not finite.all():
         data_lines = [k for k, line in enumerate(lines) if line]
         lineno = data_lines[int(np.argmin(finite))] + 1
         raise FormatError(f"{path}:{lineno}: non-finite sample value")
-    return rows["t_ns"], values
+    raise FormatError(f"{path}: changed while it was read")
 
 
 def read_imu_csv(path) -> ImuSeries:

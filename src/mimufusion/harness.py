@@ -166,11 +166,6 @@ class RmseReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RmseReport":
-        return cls(plan=d["plan"], metrics=d["metrics"],
-                   completed=d["completed"], failures=d["failures"])
-
     def per_sample_means(self, variant: str, metric: str) -> np.ndarray:
         return np.asarray(self.metrics[variant][metric]["per_sample_means"],
                           dtype=float)

@@ -63,11 +63,6 @@ class TrajectoryParams:
         _check_keys(d, mapping, "trajectory")
         return cls(**{mapping[k]: v for k, v in d.items()})
 
-    @classmethod
-    def still(cls) -> "TrajectoryParams":
-        """Motionless trajectory (all amplitudes zero)."""
-        return cls(pos_amplitude=np.zeros(3), euler_amplitude=np.zeros(3))
-
 
 @dataclass(frozen=True)
 class SimConfig:

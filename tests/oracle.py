@@ -55,7 +55,9 @@ the residual in the R^T frame from the stacked design.
 ``ideal_body_measurements``, ``virtual_bias``, ``residual_omega`` and
 ``quat_rotate`` have no caller in the library; the tests keep them as
 references. ``paired_bootstrap_prob`` is the bootstrap behind criterion
-4's orderings; no library code calls it either.
+4's orderings; no library code calls it either. ``still_trajectory``
+and ``rmse_report_from_dict`` build test inputs: a motionless
+trajectory, and a report read back from its ``report.json``.
 """
 import itertools
 import json
@@ -107,6 +109,7 @@ from mimufusion.preintegration import (
     preintegrate_windows,
 )
 from mimufusion.simulation import (
+    TrajectoryParams,
     TrajectorySample,
     grid_mounts,
     ideal_imu_series,
@@ -645,3 +648,14 @@ def paired_bootstrap_prob(a, b, n_boot: int = 2000, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(a), size=(n_boot, len(a)))
     return float(np.mean(a[idx].mean(axis=1) <= b[idx].mean(axis=1)))
+
+
+def still_trajectory() -> TrajectoryParams:
+    """Motionless trajectory (all amplitudes zero)."""
+    return TrajectoryParams(pos_amplitude=np.zeros(3), euler_amplitude=np.zeros(3))
+
+
+def rmse_report_from_dict(d: dict) -> RmseReport:
+    """The RmseReport that ``RmseReport.to_dict`` gave ``d``."""
+    return RmseReport(plan=d["plan"], metrics=d["metrics"],
+                      completed=d["completed"], failures=d["failures"])

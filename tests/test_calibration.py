@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 import oracle
-from oracle import residual_omega
+from oracle import residual_omega, still_trajectory
 
 from mimufusion.calibration import (
     CalibrationInput,
@@ -30,7 +30,6 @@ from mimufusion.geometry import (
 )
 from mimufusion.simulation import (
     SimConfig,
-    TrajectoryParams,
     simulate_imu,
     transfer_measurement,
 )
@@ -222,7 +221,7 @@ def test_estimate_rotation_matches_procrustes_oracle():
 
 def test_estimate_rotation_degenerate_on_static():
     inp = make_pair(Extrinsic.identity(),
-                    trajectory=TrajectoryParams.still(), duration=2.0)
+                    trajectory=still_trajectory(), duration=2.0)
     with pytest.raises(DegenerateMotion, match="gyro second moment"):
         calibrate(inp)
 
@@ -453,7 +452,7 @@ def test_stage_kernels_over_trials_match_per_pair_calls():
                       seed=seed) for seed in (3, 4)]
     inps.insert(1, make_pair(ext, duration=2.0, noise_a=MEMS_NOISE,
                              noise_b=MEMS_NOISE, seed=5,
-                             trajectory=TrajectoryParams.still()))
+                             trajectory=still_trajectory()))
     stack = {k: np.stack([getattr(getattr(inp, f"series_{k[-1]}"), k[:-2])
                           for inp in inps])
              for k in ("gyro_a", "gyro_b", "accel_a", "accel_b")}
@@ -488,7 +487,7 @@ def test_stage_kernels_match_einsum_oracle():
                       seed=seed) for seed in (6, 7, 8)]
     inps.insert(1, make_pair(ext, duration=2.0, noise_a=MEMS_NOISE,
                              noise_b=MEMS_NOISE, seed=9,
-                             trajectory=TrajectoryParams.still()))
+                             trajectory=still_trajectory()))
     stack = {k: np.stack([getattr(getattr(inp, f"series_{k[-1]}"), k[:-2])
                           for inp in inps]).reshape(2, 2, -1, 3)
              for k in ("gyro_a", "gyro_b", "accel_a", "accel_b")}

@@ -159,6 +159,40 @@ def test_simulate_rejects_series_shorter_than_two_samples(workspace, tmp_path,
     assert list((tmp_path / "data").glob("*.csv")) == []
 
 
+def test_simulate_failure_removes_the_out_directories_it_made(workspace, tmp_path,
+                                                              capsys):
+    """A simulate that fails removes the --out directory it created,
+    and the missing parents it created with it."""
+    code = main(["simulate", "--config", str(workspace / "sim.yaml"),
+                 "--out", str(tmp_path / "new" / "short"), "--duration", "0.005"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "FormatError"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_simulate_writes_all_csvs_or_none(tmp_path, capsys, recwarn, existing):
+    """imu_b's noise overflows after imu_a was simulated: the error names
+    imu_b.csv, no CSV is left behind, an --out directory that existed
+    keeps only what it held, and no numpy warning is printed."""
+    (tmp_path / "sim.yaml").write_text(SIM_YAML + "    noise: {sigma_g: 1.0e+308}\n")
+    out = tmp_path / "data"
+    if existing:
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+    code = main(["simulate", "--config", str(tmp_path / "sim.yaml"),
+                 "--out", str(out), "--duration", "1"])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload == {"error": "FormatError",
+                       "message": f"{out / 'imu_b.csv'}: sample 0 is not finite"}
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    else:
+        assert not out.exists()
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_simulate_seed_reproducible(workspace, tmp_path):
     code = main(["simulate", "--config", str(workspace / "sim.yaml"),
                  "--out", str(tmp_path / "rerun"), "--seed", "11"])

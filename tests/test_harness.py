@@ -2,14 +2,13 @@ import json
 
 import numpy as np
 import pytest
-from oracle import paired_bootstrap_prob
+from oracle import paired_bootstrap_prob, rmse_report_from_dict, still_trajectory
 
 from mimufusion.csvio import read_json, write_imu_csv
 from mimufusion.errors import EmptyOverlap, LengthMismatch, RateMismatch
 from mimufusion.geometry import exp_so3, geodesic_angle
 from mimufusion.harness import (
     ExperimentPlan,
-    RmseReport,
     emit_report,
     ingest_csv,
     rmse_metrics,
@@ -19,7 +18,6 @@ from mimufusion.harness import (
 from mimufusion.preintegration import VimuState
 from mimufusion.simulation import (
     SimConfig,
-    TrajectoryParams,
     sample_trajectory,
     simulate_imu,
 )
@@ -275,7 +273,7 @@ def test_run_experiment_records_failures():
         sequences_per_sample=2,
         master_seed=1,
         sim=SimConfig(freq=200.0, duration=1.5,
-                      trajectory=TrajectoryParams.still()),
+                      trajectory=still_trajectory()),
     )
     report = run_experiment(plan)
     assert report.completed["2-imu-calibrated"] == 0
@@ -293,7 +291,7 @@ def test_emit_report_files(tmp_path):
     assert (tmp_path / "plot_data.csv").exists()
     assert (tmp_path / "failures.log").exists()
 
-    back = RmseReport.from_dict(read_json(tmp_path / "report.json"))
+    back = rmse_report_from_dict(read_json(tmp_path / "report.json"))
     for v in TINY_PLAN.variants:
         np.testing.assert_array_equal(back.per_sample_means(v, "position"),
                                       report.per_sample_means(v, "position"))

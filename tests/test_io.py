@@ -2,6 +2,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,9 @@ from oracle import parse_csv as oracle_parse_csv
 from oracle import write_imu_csv as oracle_write_imu_csv
 
 from mimufusion.csvio import (
+    _BLOCK_ROWS,
     IMU_CSV_HEADER,
+    _diagnose_csv,
     _parse_csv,
     atomic_write_text,
     load_noise_pair,
@@ -328,6 +331,89 @@ def test_imu_csv_reader_rejects_python_literal_underscores(tmp_path):
     oracle_parse_csv(path)
     with pytest.raises(FormatError, match=r"imu\.csv:5: "):
         _parse_csv(path)
+
+
+@pytest.mark.parametrize("n", [2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                               2 * _BLOCK_ROWS + 3])
+def test_imu_csv_writer_matches_oracle_bytes_at_block_edges(tmp_path, n):
+    """The writer formats _BLOCK_ROWS rows at a time; series that end
+    on, just before and just after a block edge give the oracle's bytes."""
+    series = codec_series(n, n=n)
+    write_imu_csv(tmp_path / "bulk.csv", series)
+    oracle_write_imu_csv(tmp_path / "oracle.csv", series)
+    assert ((tmp_path / "bulk.csv").read_bytes()
+            == (tmp_path / "oracle.csv").read_bytes())
+
+
+def many_good_rows(count):
+    return "".join(f"{1_600_000_000_000_000_000 + 5_000_000 * k},0.5,-0.25,0,1e-3,2,9.81\n"
+                   for k in range(count))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_imu_csv_reader_matches_oracle_past_the_first_block(tmp_path, case):
+    """Each MALFORMED file with more than a block of good rows put in
+    right after its header line: the error and its line number still
+    match the oracle's."""
+    header, rest = MALFORMED[case].split("\n", 1)
+    path = tmp_path / "imu.csv"
+    path.write_bytes(f"{header}\n{many_good_rows(_BLOCK_ROWS + 5)}{rest}".encode())
+    got = parse_outcome(_parse_csv, path)
+    want = parse_outcome(oracle_parse_csv, path)
+    if isinstance(want[0], type):
+        assert want[1] is not None
+        assert got == want
+    else:
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("row", [_BLOCK_ROWS + 1, 3 * _BLOCK_ROWS])
+def test_imu_csv_rejects_invalid_utf8_past_the_first_block(tmp_path, row):
+    """Byte 0xff deep in the file, well past the reader's first decoded
+    chunk, still fails naming the file line it sits on."""
+    path = tmp_path / "imu.csv"
+    rows = many_good_rows(3 * _BLOCK_ROWS + 1).encode().split(b"\n")
+    rows[row - 1] += b"\xff"
+    path.write_bytes(IMU_CSV_HEADER.encode() + b"\n" + b"\n".join(rows))
+    with pytest.raises(FormatError, match=rf"imu\.csv:{row + 1}: not valid UTF-8"):
+        read_imu_csv(path)
+
+
+def test_imu_csv_diagnosis_never_returns(tmp_path):
+    """The error path re-reads the file; if the file it finds is valid
+    (it changed between the two reads), it still raises."""
+    path = tmp_path / "imu.csv"
+    write_imu_csv(path, noisy_series(duration=0.05))
+    with pytest.raises(FormatError, match=r"imu\.csv: changed while it was read"):
+        _diagnose_csv(path)
+
+
+def test_imu_csv_codec_peak_memory_below_file_size(tmp_path):
+    """Neither the writer nor the reader holds the file's text: on a
+    100,000-row series each one's traced peak stays below the size of
+    the file (about 14 MB)."""
+    rng = np.random.default_rng(3)
+    series = ImuSeries(200.0, 1_700_000_000_000_000_000,
+                       rng.standard_normal((100_000, 3)),
+                       rng.standard_normal((100_000, 3)) + [0.0, 0.0, 9.81])
+    path = tmp_path / "imu.csv"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_imu_csv(path, series)
+        write_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        back = read_imu_csv(path)
+        read_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 12e6
+    assert write_peak < size
+    assert read_peak < size
+    assert_same_series(back, series)
 
 
 @pytest.mark.parametrize("row, column", [(0, 0), (3, 2), (9, 5)])

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from oracle import identity_delta, log_so3, propagate_step, psi_matrix
+from oracle import (
+    identity_delta,
+    log_so3,
+    propagate_step,
+    psi_matrix,
+    still_trajectory,
+)
 from oracle import step_matrices as scalar_step_matrices
 
 from mimufusion.geometry import (
@@ -21,7 +27,6 @@ from mimufusion.preintegration import (
 )
 from mimufusion.simulation import (
     SimConfig,
-    TrajectoryParams,
     apply_measurement_noise_stack,
     grid_mounts,
     ideal_imu_series,
@@ -64,7 +69,7 @@ def virtual_from_body(cfg_sim, noise=None, seed=None):
 
 def still_series(duration=1.0, freq=200.0):
     cfg = SimConfig(freq=freq, duration=duration,
-                    trajectory=TrajectoryParams.still())
+                    trajectory=still_trajectory())
     return virtual_from_body(cfg)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import oracle
-from oracle import ideal_body_measurements, log_so3, quat_rotate
+from oracle import ideal_body_measurements, log_so3, quat_rotate, still_trajectory
 
 from mimufusion.geometry import (
     exp_so3,
@@ -26,7 +26,7 @@ from mimufusion.simulation import (
 from mimufusion.types import Extrinsic, NoiseSpec
 
 
-STILL = SimConfig(freq=200.0, duration=2.0, trajectory=TrajectoryParams.still())
+STILL = SimConfig(freq=200.0, duration=2.0, trajectory=still_trajectory())
 
 
 def test_still_trajectory_is_static():
@@ -92,7 +92,7 @@ def test_static_body_reads_reaction_to_gravity():
 
 def test_free_fall_reads_zero():
     cfg = SimConfig(freq=200.0, duration=2.0, gravity=(0.0, 0.0, 0.0),
-                    trajectory=TrajectoryParams.still())
+                    trajectory=still_trajectory())
     s = sample_trajectory(cfg, 0.5)
     _, f = ideal_body_measurements(s, cfg.gravity)
     np.testing.assert_allclose(f, np.zeros(3), atol=1e-15)
