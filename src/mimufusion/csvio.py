@@ -26,7 +26,7 @@ import numpy as np
 import yaml
 
 from .errors import FormatError, RateMismatch
-from .types import Extrinsic, ImuSeries, NoiseSpec, _check_keys, non_finite_sample
+from .types import Extrinsic, ImuSeries, NoiseSpec, _check_keys, _integral, non_finite_sample
 from .vimu import VimuConfig, VimuNoise
 
 IMU_CSV_HEADER = "t_ns,wx,wy,wz,ax,ay,az"
@@ -254,7 +254,7 @@ def sim_setup_from_dict(d: dict):
             freq=float(d.get("freq", 200.0)),
             duration=float(d.get("duration", 60.0)),
             gravity=np.asarray(d.get("gravity", [0.0, 0.0, -9.81]), dtype=float),
-            seed=int(d.get("seed", 0)),
+            seed=_integral("seed", d.get("seed", 0)),
             trajectory=TrajectoryParams.from_dict(d.get("trajectory", {})),
         )
         entries = d.get("imus", [])

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,15 +43,8 @@ from .simulation import (
     ideal_imu_series_stack,
     perturb_extrinsics,
 )
-from .types import ImuSeries, NoiseSpec, _check_keys
-from .vimu import (
-    FusionMatrices,
-    array_frame,
-    build_fusion,
-    build_fusion_stack,
-    fuse_stack,
-    single_frame,
-)
+from .types import ImuSeries, NoiseSpec, _check_keys, _integral
+from .vimu import build_fusion_stack, fuse_stack
 
 log = logging.getLogger(__name__)
 
@@ -123,34 +116,61 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
-        """Parse a plan mapping; a block or value of the wrong type (such
-        as a null ``sim:``) raises FormatError."""
+        """Parse a plan mapping. Each key that is present is read and
+        checked, and each absent one keeps its field's default. A count
+        or seed that is not an integer, a sigma that is not finite and
+        >= 0, a pitch that is not finite, variants that are not a list,
+        or a block of the wrong type (such as a null ``sim:``) raises
+        FormatError naming the key."""
         try:
-            _check_keys(d, ("variants", "extrinsic_samples", "sequences_per_sample",
-                            "sigma_rot_rad", "sigma_trans_m", "keyframe_interval_s",
-                            "grid_pitch_m", "master_seed", "sim", "noise"), "plan")
-            sim_d = d.get("sim", {})
-            _check_keys(sim_d, ("freq", "duration", "gravity", "trajectory"), "sim")
-            sim = SimConfig(
-                freq=float(sim_d.get("freq", 200.0)),
-                duration=float(sim_d.get("duration", 3.0)),
-                gravity=np.asarray(sim_d.get("gravity", [0.0, 0.0, -9.81]), dtype=float),
-                trajectory=TrajectoryParams.from_dict(sim_d.get("trajectory", {})),
-            )
-            return cls(
-                variants=tuple(d.get("variants", VARIANTS)),
-                extrinsic_samples=int(d.get("extrinsic_samples", 20)),
-                sequences_per_sample=int(d.get("sequences_per_sample", 100)),
-                sigma_rot=float(d.get("sigma_rot_rad", 0.01)),
-                sigma_trans=float(d.get("sigma_trans_m", 0.001)),
-                keyframe_interval=float(d.get("keyframe_interval_s", 0.5)),
-                grid_pitch=float(d.get("grid_pitch_m", 0.05)),
-                master_seed=int(d.get("master_seed", 0)),
-                sim=sim,
-                noise=NoiseSpec.from_dict(d.get("noise", {})),
-            )
+            _check_keys(d, _PLAN_KEYS, "plan")
+            return cls(**{_PLAN_KEYS[k][0]: _PLAN_KEYS[k][1](k, v)
+                          for k, v in d.items()})
         except TypeError as exc:
             raise FormatError(f"plan: {exc}") from exc
+
+
+def _finite(key: str, value, low: float = -np.inf) -> float:
+    """value as a finite float >= low, or FormatError naming key."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        v = np.nan
+    if not (np.isfinite(v) and v >= low):
+        bound = "" if low == -np.inf else f" and >= {low:g}"
+        raise FormatError(f"{key} must be finite{bound}, got {value!r}")
+    return v
+
+
+def _variant_list(key: str, value) -> tuple:
+    """A YAML sequence of variant names as a tuple; a single string is
+    not a list of its characters."""
+    if not isinstance(value, (list, tuple)):
+        raise FormatError(f"{key} must be a list, got {type(value).__name__}")
+    return tuple(value)
+
+
+def _sim_block(key: str, d) -> SimConfig:
+    """The plan's default SimConfig with the keys of block d replaced."""
+    readers = {"freq": float, "duration": float, "trajectory": TrajectoryParams.from_dict,
+               "gravity": lambda g: np.asarray(g, dtype=float)}
+    _check_keys(d, readers, key)
+    return replace(ExperimentPlan().sim, **{k: readers[k](v) for k, v in d.items()})
+
+
+# plan YAML key -> (ExperimentPlan field, reader of the key and its value)
+_PLAN_KEYS = {
+    "variants": ("variants", _variant_list),
+    "extrinsic_samples": ("extrinsic_samples", _integral),
+    "sequences_per_sample": ("sequences_per_sample", _integral),
+    "sigma_rot_rad": ("sigma_rot", lambda k, v: _finite(k, v, 0.0)),
+    "sigma_trans_m": ("sigma_trans", lambda k, v: _finite(k, v, 0.0)),
+    "keyframe_interval_s": ("keyframe_interval", lambda k, v: float(v)),
+    "grid_pitch_m": ("grid_pitch", _finite),
+    "master_seed": ("master_seed", _integral),
+    "sim": ("sim", _sim_block),
+    "noise": ("noise", lambda k, v: NoiseSpec.from_dict(v)),
+}
 
 
 @dataclass
@@ -165,10 +185,6 @@ class RmseReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def per_sample_means(self, variant: str, metric: str) -> np.ndarray:
-        return np.asarray(self.metrics[variant][metric]["per_sample_means"],
-                          dtype=float)
 
 
 def _stack_states(states) -> VimuState:
@@ -289,59 +305,52 @@ def _variant_indices(name: str) -> tuple:
     return indices[name]
 
 
-@dataclass
-class _VariantSetup:
-    fm: FusionMatrices  # with a trial axis, or none when shared
-    truth: VimuState  # true states of the virtual frame: (keyframe, trial)
+def _poses(mounts, indices) -> tuple:
+    """The body poses of mounts[indices] as one trial: body-to-sensor
+    rotations (1, n, 3, 3) and sensor origins (1, n, 3)."""
+    return (rotation_from_quat([mounts[i].q for i in indices])[None],
+            np.array([[mounts[i].p for i in indices]]))
 
 
-def _setup_variant(name: str, plan: ExperimentPlan, mounts, keyframes):
-    """Fusion and truth of a variant whose frame no trial changes: the
-    true center mount for 1-imu-true, the centroid of the mounts (the
-    believed ones) for the perturbed arrays."""
-    idx = _variant_indices(name)
-    if name == "1-imu-true":
-        m = mounts[_CENTER]
-        cfg = single_frame(plan.noise)
-        frame_rot = rotation_from_quat(m.q).T
-        frame_pos = m.p
-    else:
-        cfg, frame_rot, frame_pos = array_frame(
-            [mounts[i] for i in idx], [plan.noise] * len(idx))
-    # a trial axis of length 1: every trial shares the frame
-    return _VariantSetup(build_fusion(cfg), true_vimu_state(
-        keyframes, frame_rot, np.reshape(frame_pos, (1, 3))))
+def _setup(rotations, positions, plan: ExperimentPlan, keyframes) -> tuple:
+    """Fusion and truth of arrays at believed body poses: body-to-sensor
+    rotations (..., n, 3, 3) and sensor origins (..., n, 3) in body
+    coordinates, any leading axes being trials. The virtual frame has
+    body axes and sits at the centroid of the origins. Returns the
+    FusionMatrices, the true states of the frame (keyframe, trials...)
+    and a SingularFusion or None per trial."""
+    centroid = np.mean(positions, axis=-2)
+    fm, errors = build_fusion_stack(rotations, positions - centroid[..., None, :],
+                                    (plan.noise,) * rotations.shape[-3])
+    return fm, true_vimu_state(keyframes, np.eye(3), centroid), errors
 
 
-def _setup_calibrated(plan: ExperimentPlan, mounts, weights: WeightSchedule,
-                      gyro, accel, cols, keyframes) -> tuple:
+def _calibrated_poses(plan: ExperimentPlan, mounts, weights: WeightSchedule,
+                      gyro, accel, cols) -> tuple:
     """Calibrate each trial's sensor pair, in columns cols of the chunk's
-    samples (S, n, m, 3), and anchor the resulting midpoint frame at
-    sensor A's true mount. Returns the _VariantSetup of every trial and
-    a MimuError or None per trial."""
-    ia, _ = _PAIR
+    samples (S, n, m, 3). Sensor A sits on its true mount, sensor B at A
+    composed with the trial's estimated extrinsic (R, p): rotation
+    R R_A and origin p_A + R_A^T p. Returns the rotations (S, 2, 3, 3),
+    the origins (S, 2, 3) and a MimuError or None per trial."""
     (ga, gb), (aa, ab) = ([x[:, :, c] for c in cols] for x in (gyro, accel))
     R, _, rot_errors = fit_rotation(ga, gb, weights.w_omega)
     # through the unit quaternion that calibrate reports, as in calib.json
     R = rotation_from_quat(quat_from_rotation(R))
     p, _, trans_errors = fit_translation(R, ga, aa, gb, ab, plan.sim.freq,
                                          weights.w_accel[1:-1])
-    # midpoint_frame of every trial: axes of sensor A, origin halfway
-    fm, fusion_errors = build_fusion_stack(
-        np.stack([np.broadcast_to(np.eye(3), R.shape), R], axis=-3),
-        np.stack([-0.5 * p, 0.5 * p], axis=-2), (plan.noise, plan.noise))
-    R_ba_body = rotation_from_quat(mounts[ia].q).T
-    truth = true_vimu_state(keyframes, R_ba_body,
-                            mounts[ia].p + (0.5 * p) @ R_ba_body.T)
-    errors = [r or t or f for r, t, f in zip(rot_errors, trans_errors, fusion_errors)]
-    return _VariantSetup(fm, truth), errors
+    R_a, p_a = rotation_from_quat(mounts[_PAIR[0]].q), mounts[_PAIR[0]].p
+    rotations = np.stack([np.broadcast_to(R_a, R.shape), R @ R_a], axis=-3)
+    positions = np.stack([np.broadcast_to(p_a, p.shape), p_a + p @ R_a], axis=-2)
+    return rotations, positions, [r or t for r, t in zip(rot_errors, trans_errors)]
 
 
-def _score_chunk(plan: ExperimentPlan, static_setups, mounts, weights, slot,
+def _score_chunk(plan: ExperimentPlan, setups, mounts, weights, slot,
                  gyro, accel, keyframes, n_windows: int, step: int) -> dict:
     """Per variant, the (position, orientation, velocity) RMSE or the
     MimuError of each trial of a chunk of raw samples (S, n, m, 3),
-    sensor i in column slot[i]. Calibration reads every sample; only the
+    sensor i in column slot[i]. ``setups`` holds the _setup of every
+    variant but 2-imu-calibrated, whose every trial is calibrated and
+    set up here. Calibration reads every sample; only the
     n_windows * step rows that the windows integrate are fused. The fused
     rows of every variant and trial, variant-major, are dead-reckoned
     from their first truth state and scored in one pass."""
@@ -355,17 +364,20 @@ def _score_chunk(plan: ExperimentPlan, static_setups, mounts, weights, slot,
     for j, v in enumerate(plan.variants):
         cols = [slot[i] for i in _variant_indices(v)]
         if v == "2-imu-calibrated":
-            setup, errs = _setup_calibrated(plan, mounts, weights, gyro, accel,
-                                            cols, keyframes)
+            *poses, fit_errors = _calibrated_poses(plan, mounts, weights, gyro,
+                                                   accel, cols)
+            fm, truth_v, errs = _setup(*poses, plan, keyframes)
+            errs = [f or e for f, e in zip(fit_errors, errs)]
         else:
-            setup, errs = static_setups[v], [None] * S
+            fm, truth_v, errs = setups[v]
+            errs = errs * S  # one set-up for all trials
         rows = slice(j * S, (j + 1) * S)
         # fused row t is raw row t + 1, and it needs rows t and t + 2
         fused_w[rows], fused_a[rows] = fuse_stack(
-            setup.fm, gyro[:, :k + 2], accel[:, :k + 2], plan.sim.freq, cols)
+            fm, gyro[:, :k + 2], accel[:, :k + 2], plan.sim.freq, cols)
         errors += errs
         for f in ("rotation", "position", "velocity"):
-            getattr(truth, f)[:, rows] = getattr(setup.truth, f)
+            getattr(truth, f)[:, rows] = getattr(truth_v, f)
     finite = (np.isfinite(fused_w) & np.isfinite(fused_a)).all(axis=(1, 2))
     for r in np.flatnonzero(~finite):
         try:  # what an ImuSeries of the trial's fused samples raises
@@ -413,8 +425,8 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     # once per run: the calibration weights and the variant on true mounts
     weights = (WeightSchedule.build(n_total, plan.noise, plan.noise, 1.0 / plan.sim.freq)
                if "2-imu-calibrated" in plan.variants else None)
-    static_setups = {v: _setup_variant(v, plan, mounts, keyframes)
-                     for v in plan.variants if v == "1-imu-true"}
+    setups = {v: _setup(*_poses(mounts, (_CENTER,)), plan, keyframes)
+              for v in plan.variants if v == "1-imu-true"}
 
     acc = {v: {m: np.zeros((plan.extrinsic_samples, plan.sequences_per_sample))
                for m in METRICS} for v in plan.variants}
@@ -443,8 +455,9 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
             perturb_rng = np.random.default_rng(perturb_seq)
             believed = [perturb_extrinsics(m, plan.sigma_rot, plan.sigma_trans,
                                            perturb_rng) for m in mounts]
-            static_setups.update({v: _setup_variant(v, plan, believed, keyframes)
-                                  for v in plan.variants if v.endswith("-perturbed")})
+            setups.update({v: _setup(*_poses(believed, _variant_indices(v)), plan,
+                                     keyframes)
+                           for v in plan.variants if v.endswith("-perturbed")})
             for r0 in range(0, plan.sequences_per_sample, chunk):
                 seqs = range(r0, min(r0 + chunk, plan.sequences_per_sample))
                 for c, r in enumerate(seqs):
@@ -457,7 +470,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                 if not (np.isfinite(gyro).all() and np.isfinite(accel).all()):
                     for c, j in np.ndindex(len(seqs), len(needed)):
                         ImuSeries(plan.sim.freq, 0, gyro[c, :, j], accel[c, :, j])
-                results = _score_chunk(plan, static_setups, mounts, weights, slot,
+                results = _score_chunk(plan, setups, mounts, weights, slot,
                                        gyro, accel, keyframes, n_windows, step)
                 for c, r in enumerate(seqs):
                     for v in plan.variants:

@@ -2,6 +2,7 @@
 IMU sample series."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,15 @@ def _check_keys(d: dict, known, what: str):
     unknown = set(d) - set(known)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _integral(key: str, value) -> int:
+    """A config value as an int: an integer, or a float with no fraction.
+    A bool, a fraction or anything else raises FormatError naming key."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+            isinstance(value, float) and value.is_integer())):
+        raise FormatError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

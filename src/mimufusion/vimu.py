@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, RateMismatch, SingularFusion
-from .geometry import is_rotation, rotation_from_quat, skew
+from .geometry import is_rotation, skew
 from .types import Extrinsic, ImuSeries, NoiseSpec
 
 
@@ -79,15 +79,6 @@ def midpoint_frame(ext: Extrinsic, noise_a: NoiseSpec,
         rotations=(np.eye(3), R_ba),
         positions=(-0.5 * ext.p, 0.5 * ext.p),
         noises=(noise_a, noise_b),
-    )
-
-
-def single_frame(noise: NoiseSpec, rotation=None, position=None) -> VimuConfig:
-    """Degenerate one-sensor array (passthrough with optional re-framing)."""
-    return VimuConfig(
-        rotations=(np.eye(3) if rotation is None else rotation,),
-        positions=(np.zeros(3) if position is None else position,),
-        noises=(noise,),
     )
 
 
@@ -336,22 +327,3 @@ def fuse_stack(fm: FusionMatrices, gyro, accel, freq: float,
                                                                fm.accel_sigmas)
     fused_a -= lever_term(fm, fused_w, wdot)
     return fused_w, fused_a
-
-
-def array_frame(mounts: list, noises: list) -> tuple:
-    """VimuConfig for body-mounted sensors with the virtual frame at the
-    centroid of the mount positions, axes aligned with the body.
-
-    Returns (config, frame_rotation, frame_position) where the last two
-    place the virtual frame on the body (R body-from-virtual = I, so the
-    rotation returned is the identity; the position is the centroid).
-    """
-    if len(mounts) != len(noises) or not mounts:
-        raise ValueError("need matching, non-empty mount and noise lists")
-    centroid = np.mean([m.p for m in mounts], axis=0)
-    cfg = VimuConfig(
-        rotations=tuple(rotation_from_quat([m.q for m in mounts])),
-        positions=tuple(m.p - centroid for m in mounts),
-        noises=tuple(noises),
-    )
-    return cfg, np.eye(3), centroid

@@ -22,7 +22,13 @@ through the library's one-trial calls (``calibrate``, ``fuse_series``,
 harness runs each stage once per chunk of trials. It adds each sensor's
 noise with the four-draw ``apply_measurement_noise`` below and fuses
 every interior sample, where the library fuses only the rows that the
-keyframe windows integrate.
+keyframe windows integrate. It frames each variant its own way:
+``single_frame`` keeps the centre sensor's axes, ``array_frame`` puts
+the perturbed arrays at their centroid with body axes, and
+``midpoint_frame`` puts the calibrated pair halfway along its lever arm
+with sensor A's axes. The library sets up every variant at the centroid
+of its believed body poses, with body axes; on the grid's
+identity-oriented mounts the frames are the same.
 
 ``fit_rotation`` and ``fit_translation`` form the calibration Grams with
 three-operand ``einsum`` contractions over the samples; the library
@@ -55,9 +61,11 @@ the residual in the R^T frame from the stacked design.
 ``ideal_body_measurements``, ``virtual_bias``, ``residual_omega`` and
 ``quat_rotate`` have no caller in the library; the tests keep them as
 references. ``paired_bootstrap_prob`` is the bootstrap behind criterion
-4's orderings; no library code calls it either. ``still_trajectory``
-and ``rmse_report_from_dict`` build test inputs: a motionless
-trajectory, and a report read back from its ``report.json``.
+4's orderings; no library code calls it either, nor
+``per_sample_means``, which reads a variant's per-sample means out of a
+report. ``still_trajectory`` and ``rmse_report_from_dict`` build test
+inputs: a motionless trajectory, and a report read back from its
+``report.json``.
 """
 import itertools
 import json
@@ -122,11 +130,9 @@ from mimufusion.vimu import (
     VimuConfig,
     VimuNoise,
     _effective_sigmas,
-    array_frame,
     build_fusion,
     fuse_series,
     midpoint_frame,
-    single_frame,
 )
 
 log = logging.getLogger(__name__)
@@ -312,6 +318,34 @@ def virtual_bias(fm: FusionMatrices, gyro_biases, accel_biases) -> tuple:
         fm.gyro_solve @ (bg / fm.gyro_sigmas[:, None]).reshape(-1),
         fm.accel_solve @ (ba / fm.accel_sigmas[:, None]).reshape(-1),
     )
+
+
+def single_frame(noise: NoiseSpec, rotation=None, position=None) -> VimuConfig:
+    """Degenerate one-sensor array (passthrough with optional re-framing)."""
+    return VimuConfig(
+        rotations=(np.eye(3) if rotation is None else rotation,),
+        positions=(np.zeros(3) if position is None else position,),
+        noises=(noise,),
+    )
+
+
+def array_frame(mounts: list, noises: list) -> tuple:
+    """VimuConfig for body-mounted sensors with the virtual frame at the
+    centroid of the mount positions, axes aligned with the body.
+
+    Returns (config, frame_rotation, frame_position) where the last two
+    place the virtual frame on the body (R body-from-virtual = I, so the
+    rotation returned is the identity; the position is the centroid).
+    """
+    if len(mounts) != len(noises) or not mounts:
+        raise ValueError("need matching, non-empty mount and noise lists")
+    centroid = np.mean([m.p for m in mounts], axis=0)
+    cfg = VimuConfig(
+        rotations=tuple(rotation_from_quat([m.q for m in mounts])),
+        positions=tuple(m.p - centroid for m in mounts),
+        noises=tuple(noises),
+    )
+    return cfg, np.eye(3), centroid
 
 
 @dataclass
@@ -659,3 +693,9 @@ def rmse_report_from_dict(d: dict) -> RmseReport:
     """The RmseReport that ``RmseReport.to_dict`` gave ``d``."""
     return RmseReport(plan=d["plan"], metrics=d["metrics"],
                       completed=d["completed"], failures=d["failures"])
+
+
+def per_sample_means(report: RmseReport, variant: str, metric: str) -> np.ndarray:
+    """A variant's per-extrinsic-sample means of one metric."""
+    return np.asarray(report.metrics[variant][metric]["per_sample_means"],
+                      dtype=float)

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from oracle import log_so3, paired_bootstrap_prob
+from oracle import log_so3, paired_bootstrap_prob, per_sample_means
 
 from mimufusion.calibration import (
     CalibrationInput, WeightSchedule, calibrate, estimate_angular_accel,
@@ -151,8 +151,8 @@ def test_criterion_4_variant_ordering_with_bootstrap_confidence():
     report = run_experiment(plan)
 
     def prob(better: str, worse: str, metric: str) -> float:
-        return paired_bootstrap_prob(report.per_sample_means(better, metric),
-                                     report.per_sample_means(worse, metric))
+        return paired_bootstrap_prob(per_sample_means(report, better, metric),
+                                     per_sample_means(report, worse, metric))
 
     probs = {}
     for m in METRICS:

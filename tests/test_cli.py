@@ -474,6 +474,54 @@ def test_evaluate_rejects_non_finite_keyframe_interval(tmp_path, capsys, value):
     assert "keyframe_interval must be finite and positive" in payload["message"]
 
 
+def plan_with(key, value):
+    """PLAN_YAML with top-level ``key`` set to the YAML text ``value``."""
+    kept = [line for line in PLAN_YAML.splitlines() if not line.startswith(f"{key}:")]
+    return "\n".join(kept) + f"\n{key}: {value}\n"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("extrinsic_samples", "2.7"),
+    ("extrinsic_samples", "true"),
+    ("sequences_per_sample", "true"),
+    ("sequences_per_sample", "\"2\""),
+    ("master_seed", "1.5"),
+    ("sigma_rot_rad", ".nan"),
+    ("sigma_rot_rad", "-0.01"),
+    ("sigma_rot_rad", "fast"),
+    ("sigma_trans_m", ".inf"),
+    ("sigma_trans_m", "-1e-3"),
+    ("grid_pitch_m", ".nan"),
+    ("grid_pitch_m", "-.inf"),
+    ("grid_pitch_m", "null"),
+    ("variants", "1-imu-true"),
+])
+def test_evaluate_rejects_bad_plan_value(tmp_path, capsys, key, value):
+    """A count or seed that is not an integer, a sigma that is not finite
+    and >= 0, a pitch that is not finite, or variants that are not a list
+    fail with a FormatError naming the key, before any trial runs."""
+    (tmp_path / "plan.yaml").write_text(plan_with(key, value))
+    code = main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
+                 "--out", str(tmp_path / "report")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "FormatError"
+    assert key in payload["message"]
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("value", ["1.5", "true", "\"7\""])
+def test_simulate_rejects_non_integral_seed(tmp_path, capsys, value):
+    (tmp_path / "sim.yaml").write_text(SIM_YAML.replace("seed: 11\n", f"seed: {value}\n"))
+    code = main(["simulate", "--config", str(tmp_path / "sim.yaml"),
+                 "--out", str(tmp_path / "data")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "FormatError"
+    assert "seed must be an integer" in payload["message"]
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.mark.parametrize("block", ["sim", "noise", "trajectory"])
 def test_evaluate_rejects_null_plan_block(tmp_path, capsys, block):
     """A plan block that is present but null (``sim:``, ``noise:`` or

@@ -1,14 +1,29 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
-from oracle import paired_bootstrap_prob, rmse_report_from_dict, still_trajectory
+from oracle import (
+    paired_bootstrap_prob,
+    per_sample_means,
+    rmse_report_from_dict,
+    single_frame,
+    still_trajectory,
+)
 
 from mimufusion.csvio import read_json, write_imu_csv
 from mimufusion.errors import EmptyOverlap, LengthMismatch, RateMismatch
-from mimufusion.geometry import exp_so3, geodesic_angle
+from mimufusion.geometry import (
+    exp_so3,
+    geodesic_angle,
+    quat_from_rotvec,
+    rotation_from_quat,
+)
 from mimufusion.harness import (
+    _CENTER,
     ExperimentPlan,
+    _poses,
+    _setup,
     emit_report,
     ingest_csv,
     rmse_metrics,
@@ -18,10 +33,14 @@ from mimufusion.harness import (
 from mimufusion.preintegration import VimuState
 from mimufusion.simulation import (
     SimConfig,
+    TrajectorySample,
+    _trajectory_arrays,
+    grid_mounts,
     sample_trajectory,
     simulate_imu,
 )
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
+from mimufusion.vimu import FusionMatrices, build_fusion, midpoint_frame
 
 
 def random_states(rng, n):
@@ -223,6 +242,13 @@ def test_plan_dict_round_trip():
     assert back.variants == plan.variants
 
 
+def test_plan_from_dict_keeps_field_defaults_for_absent_keys():
+    assert ExperimentPlan.from_dict({}).to_dict() == ExperimentPlan().to_dict()
+    plan = ExperimentPlan.from_dict({"sim": {"freq": 100}, "extrinsic_samples": 2.0})
+    assert plan.sim.freq == 100.0 and plan.sim.duration == ExperimentPlan().sim.duration
+    assert plan.extrinsic_samples == 2 and isinstance(plan.extrinsic_samples, int)
+
+
 def test_plan_rejects_unknown_keys():
     with pytest.raises(ValueError, match="sequences_per_samples"):
         ExperimentPlan.from_dict({"sequences_per_samples": 5})
@@ -231,6 +257,61 @@ def test_plan_rejects_unknown_keys():
 def test_plan_rejects_unknown_sim_keys():
     with pytest.raises(ValueError, match="durration"):
         ExperimentPlan.from_dict({"sim": {"durration": 9}})
+
+
+def desk_keyframes(plan, times):
+    return TrajectorySample(times, *_trajectory_arrays(plan.sim, times))
+
+
+def assert_fusions_match(got, want, trial):
+    """Every FusionMatrices field of ``want`` against trial ``trial`` of
+    ``got`` (the sigmas carry no trial axis), to 1e-12 of its scale."""
+    for f in dataclasses.fields(FusionMatrices):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        g = g if f.name.endswith("sigmas") else g[trial]
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * max(1.0, np.abs(w).max()),
+                                   err_msg=f.name)
+
+
+def test_setup_of_a_pair_matches_the_midpoint_frame():
+    """A pair believed at (I, 0) and (R, p) is, trial by trial, the
+    midpoint fusion of Extrinsic(q, p), and its truth origin is the
+    midpoint p / 2."""
+    rng = np.random.default_rng(71)
+    plan = ExperimentPlan()
+    keyframes = desk_keyframes(plan, np.array([0.005, 0.505, 1.005]))
+    q = np.array([quat_from_rotvec(v) for v in rng.normal(scale=0.5, size=(5, 3))])
+    p = rng.normal(scale=0.05, size=(5, 3))
+    R = rotation_from_quat(q)
+    fm, truth, errors = _setup(np.stack([np.broadcast_to(np.eye(3), R.shape), R], axis=-3),
+                               np.stack([np.zeros_like(p), p], axis=-2), plan, keyframes)
+    assert errors == [None] * 5
+    want_truth = true_vimu_state(keyframes, np.eye(3), 0.5 * p)
+    for f in ("rotation", "position", "velocity"):
+        np.testing.assert_allclose(getattr(truth, f), getattr(want_truth, f),
+                                   rtol=0, atol=1e-12)
+    for s in range(5):
+        want = build_fusion(midpoint_frame(Extrinsic(q[s], p[s]), plan.noise, plan.noise))
+        assert_fusions_match(fm, want, s)
+
+
+def test_setup_of_one_mount_matches_the_single_frame():
+    """The centre mount alone is the one-sensor passthrough at that
+    mount, and so is any single believed pose, trial by trial."""
+    plan = ExperimentPlan()
+    keyframes = desk_keyframes(plan, np.array([0.005, 0.505]))
+    mounts = grid_mounts(pitch=plan.grid_pitch)
+    fm, truth, errors = _setup(*_poses(mounts, (_CENTER,)), plan, keyframes)
+    assert errors == [None]
+    assert_fusions_match(fm, build_fusion(single_frame(plan.noise)), 0)
+    want_truth = true_vimu_state(keyframes, np.eye(3), mounts[_CENTER].p)
+    np.testing.assert_array_equal(truth.position[:, 0], want_truth.position)
+
+    rng = np.random.default_rng(72)
+    R = exp_so3(rng.normal(size=(4, 3)))
+    fm, _, _ = _setup(R[:, None], rng.normal(size=(4, 1, 3)), plan, keyframes)
+    for s in range(4):
+        assert_fusions_match(fm, build_fusion(single_frame(plan.noise, rotation=R[s])), s)
 
 
 TINY_PLAN = ExperimentPlan(
@@ -293,8 +374,8 @@ def test_emit_report_files(tmp_path):
 
     back = rmse_report_from_dict(read_json(tmp_path / "report.json"))
     for v in TINY_PLAN.variants:
-        np.testing.assert_array_equal(back.per_sample_means(v, "position"),
-                                      report.per_sample_means(v, "position"))
+        np.testing.assert_array_equal(per_sample_means(back, v, "position"),
+                                      per_sample_means(report, v, "position"))
 
     lines = (tmp_path / "plot_data.csv").read_text().strip().split("\n")
     assert lines[0] == "variant,metric,mean,std"
@@ -362,11 +443,7 @@ def smallest_gyro_eigenvalues(plan):
     the calibrated pair, per (sample, sequence), drawn from the trial's
     own random stream as the harness draws it."""
     from mimufusion.harness import _PAIR
-    from mimufusion.simulation import (
-        apply_measurement_noise,
-        grid_mounts,
-        ideal_imu_series,
-    )
+    from mimufusion.simulation import apply_measurement_noise, ideal_imu_series
 
     ideal = ideal_imu_series(plan.sim, grid_mounts(pitch=plan.grid_pitch)[_PAIR[0]])
     out = []

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from oracle import (
+    array_frame,
     identity_delta,
     log_so3,
     propagate_step,
     psi_matrix,
+    single_frame,
     still_trajectory,
 )
 from oracle import step_matrices as scalar_step_matrices
@@ -36,14 +38,12 @@ from mimufusion.simulation import (
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
     VimuConfig,
-    array_frame,
     build_fusion,
     build_fusion_stack,
     fuse_series,
     fuse_stack,
     lever_jacobian,
     midpoint_frame,
-    single_frame,
     virtual_covariances,
 )
 

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import ideal_body_measurements, lever_arm_stack, virtual_bias
+from oracle import (
+    array_frame,
+    ideal_body_measurements,
+    lever_arm_stack,
+    single_frame,
+    virtual_bias,
+)
 
 from mimufusion.errors import LengthMismatch, RateMismatch, SingularFusion
 from mimufusion.geometry import exp_so3, quat_from_rotvec, rotation_from_quat
@@ -16,7 +22,6 @@ from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
     VimuConfig,
     VimuNoise,
-    array_frame,
     build_fusion,
     build_fusion_stack,
     fuse_series,
@@ -24,7 +29,6 @@ from mimufusion.vimu import (
     lever_jacobian,
     lever_term,
     midpoint_frame,
-    single_frame,
     virtual_covariances,
 )
 
