@@ -130,7 +130,7 @@ def cmd_fuse(args) -> int:
     noise_a, noise_b = csvio.load_noise_pair(args.noise)
     series = ingest_csv([args.imu_a, args.imu_b])
     cfg = midpoint_frame(ext, noise_a, noise_b)
-    fused = fuse_series(cfg, series)
+    fused = fuse_series(build_fusion(cfg), series)
     out = Path(args.out)
     csvio.write_imu_csv(out, fused)
     sidecar = out.with_suffix(".json")

@@ -26,7 +26,8 @@ import numpy as np
 import yaml
 
 from .errors import FormatError, RateMismatch
-from .types import Extrinsic, ImuSeries, NoiseSpec, _check_keys, _integral, non_finite_sample
+from .types import (Extrinsic, ImuSeries, NoiseSpec, _check_keys, _finite_floats, _integral,
+                    _number, non_finite_sample)
 from .vimu import VimuConfig, VimuNoise
 
 IMU_CSV_HEADER = "t_ns,wx,wy,wz,ax,ay,az"
@@ -216,12 +217,17 @@ def write_vimu_sidecar(path, cfg: VimuConfig, noise: VimuNoise, freq: float):
 
 
 def read_vimu_sidecar(path):
+    """The (VimuConfig, VimuNoise, freq) of a sidecar JSON; a missing or
+    malformed entry, a Q_* that is not a finite 3x3 matrix or a freq that
+    is not finite and positive raises FormatError naming path and key."""
     d = read_json(path)
     try:
+        freq = _number("freq", d["freq"])
+        if not (np.isfinite(freq) and freq > 0):
+            raise ValueError(f"freq must be finite and positive, got {freq}")
         return (VimuConfig.from_dict(d["config"]),
-                VimuNoise.from_dict(d["covariances"]),
-                float(d["freq"]))
-    except (KeyError, TypeError, ValueError) as exc:
+                VimuNoise.from_dict(d["covariances"]), freq)
+    except (KeyError, TypeError, ValueError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -235,7 +241,7 @@ def load_noise_pair(path) -> tuple:
             return NoiseSpec.from_dict(d["a"]), NoiseSpec.from_dict(d["b"])
         spec = NoiseSpec.from_dict(d)
         return spec, spec
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -251,9 +257,9 @@ def sim_setup_from_dict(d: dict):
         _check_keys(d, ("freq", "duration", "gravity", "seed", "trajectory",
                         "imus"), "simulation")
         cfg = SimConfig(
-            freq=float(d.get("freq", 200.0)),
-            duration=float(d.get("duration", 60.0)),
-            gravity=np.asarray(d.get("gravity", [0.0, 0.0, -9.81]), dtype=float),
+            freq=_number("freq", d.get("freq", 200.0)),
+            duration=_number("duration", d.get("duration", 60.0)),
+            gravity=_finite_floats("gravity", d.get("gravity", [0.0, 0.0, -9.81])),
             seed=_integral("seed", d.get("seed", 0)),
             trajectory=TrajectoryParams.from_dict(d.get("trajectory", {})),
         )
@@ -267,8 +273,8 @@ def sim_setup_from_dict(d: dict):
                         f"imus[{i}]")
             name = str(entry.get("name", f"imu_{i:02d}"))
             mount = Extrinsic(
-                q=np.asarray(entry.get("rotation_wxyz", [1, 0, 0, 0]), dtype=float),
-                p=np.asarray(entry.get("position_m", [0, 0, 0]), dtype=float),
+                q=_finite_floats("rotation_wxyz", entry.get("rotation_wxyz", [1, 0, 0, 0])),
+                p=_finite_floats("position_m", entry.get("position_m", [0, 0, 0])),
             )
             noise = NoiseSpec.from_dict(entry.get("noise", {}))
             imus.append((name, mount, noise))

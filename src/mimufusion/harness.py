@@ -43,7 +43,7 @@ from .simulation import (
     ideal_imu_series_stack,
     perturb_extrinsics,
 )
-from .types import ImuSeries, NoiseSpec, _check_keys, _integral
+from .types import ImuSeries, NoiseSpec, _check_keys, _finite_floats, _integral, _number
 from .vimu import build_fusion_stack, fuse_stack
 
 log = logging.getLogger(__name__)
@@ -119,9 +119,10 @@ class ExperimentPlan:
         """Parse a plan mapping. Each key that is present is read and
         checked, and each absent one keeps its field's default. A count
         or seed that is not an integer, a sigma that is not finite and
-        >= 0, a pitch that is not finite, variants that are not a list,
-        or a block of the wrong type (such as a null ``sim:``) raises
-        FormatError naming the key."""
+        >= 0, a pitch that is not finite, a value that is not a number,
+        a trajectory or gravity entry that is not finite, variants that
+        are not a list, or a block of the wrong type (such as a null
+        ``sim:``) raises FormatError naming the key."""
         try:
             _check_keys(d, _PLAN_KEYS, "plan")
             return cls(**{_PLAN_KEYS[k][0]: _PLAN_KEYS[k][1](k, v)
@@ -132,10 +133,7 @@ class ExperimentPlan:
 
 def _finite(key: str, value, low: float = -np.inf) -> float:
     """value as a finite float >= low, or FormatError naming key."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        v = np.nan
+    v = _number(key, value)
     if not (np.isfinite(v) and v >= low):
         bound = "" if low == -np.inf else f" and >= {low:g}"
         raise FormatError(f"{key} must be finite{bound}, got {value!r}")
@@ -152,10 +150,11 @@ def _variant_list(key: str, value) -> tuple:
 
 def _sim_block(key: str, d) -> SimConfig:
     """The plan's default SimConfig with the keys of block d replaced."""
-    readers = {"freq": float, "duration": float, "trajectory": TrajectoryParams.from_dict,
-               "gravity": lambda g: np.asarray(g, dtype=float)}
+    readers = {"freq": _number, "duration": _number, "gravity": _finite_floats,
+               "trajectory": lambda k, v: TrajectoryParams.from_dict(v)}
     _check_keys(d, readers, key)
-    return replace(ExperimentPlan().sim, **{k: readers[k](v) for k, v in d.items()})
+    return replace(ExperimentPlan().sim,
+                   **{k: readers[k](f"{key}.{k}", v) for k, v in d.items()})
 
 
 # plan YAML key -> (ExperimentPlan field, reader of the key and its value)
@@ -165,7 +164,7 @@ _PLAN_KEYS = {
     "sequences_per_sample": ("sequences_per_sample", _integral),
     "sigma_rot_rad": ("sigma_rot", lambda k, v: _finite(k, v, 0.0)),
     "sigma_trans_m": ("sigma_trans", lambda k, v: _finite(k, v, 0.0)),
-    "keyframe_interval_s": ("keyframe_interval", lambda k, v: float(v)),
+    "keyframe_interval_s": ("keyframe_interval", _number),
     "grid_pitch_m": ("grid_pitch", _finite),
     "master_seed": ("master_seed", _integral),
     "sim": ("sim", _sim_block),
@@ -243,7 +242,7 @@ def true_vimu_state(sample, frame_rotation, frame_position) -> VimuState:
     )
 
 
-def ingest_csv(paths, expected_freq: float | None = None) -> list:
+def ingest_csv(paths) -> list:
     """Read several IMU CSVs and synchronize them onto their common time
     window.
 
@@ -261,8 +260,6 @@ def ingest_csv(paths, expected_freq: float | None = None) -> list:
     for p, s in zip(paths, series):
         if abs(s.freq - f0) > 0.01 * f0:
             raise RateMismatch(f"{p}: rate {s.freq:.3f} Hz vs {f0:.3f} Hz")
-        if expected_freq is not None and abs(s.freq - expected_freq) > 0.01 * expected_freq:
-            raise RateMismatch(f"{p}: rate {s.freq:.3f} Hz, expected {expected_freq}")
     period = 1e9 / f0
     t0 = max(s.start_ns for s in series)
     t_end = min(s.start_ns + int(np.rint((len(s) - 1) * period)) for s in series)

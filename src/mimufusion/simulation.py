@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import lever_matrix, quat_from_rotvec, quat_multiply
-from .types import Extrinsic, ImuSeries, NoiseSpec, _check_keys, _vec3
+from .types import Extrinsic, ImuSeries, NoiseSpec, _check_keys, _finite_floats, _vec3
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class TrajectoryParams:
             "euler_phase_rad": "euler_phase",
         }
         _check_keys(d, mapping, "trajectory")
-        return cls(**{mapping[k]: v for k, v in d.items()})
+        return cls(**{mapping[k]: _finite_floats(k, v) for k, v in d.items()})
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,28 @@ def _integral(key: str, value) -> int:
     return int(value)
 
 
+def _number(key: str, value) -> float:
+    """A config value as a float; one that float() refuses raises
+    FormatError naming key. Range checks are the caller's."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise FormatError(f"{key} must be a number, got {value!r}") from None
+
+
+def _finite_floats(key: str, value) -> np.ndarray:
+    """A config list of numbers as a float array; an entry that is not a
+    finite number raises FormatError naming key. Shape checks are the
+    caller's."""
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        v = np.array(np.nan)
+    if not np.isfinite(v).all():
+        raise FormatError(f"{key} must be finite numbers, got {value!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Continuous-time IMU noise densities (SI units per sqrt(Hz)) plus
@@ -87,7 +109,8 @@ class NoiseSpec:
     def from_dict(cls, d: dict) -> "NoiseSpec":
         _check_keys(d, ("sigma_g", "sigma_a", "sigma_bg", "sigma_ba",
                         "initial_bias_g", "initial_bias_a"), "noise")
-        return cls(**d)
+        return cls(**{k: _number(k, v) if k.startswith("sigma") else _finite_floats(k, v)
+                      for k, v in d.items()})
 
 
 @dataclass(frozen=True)

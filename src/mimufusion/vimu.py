@@ -1,11 +1,16 @@
 """Virtual-IMU construction: fuse n rigidly mounted IMUs into a single
 equivalent sensor at a chosen virtual frame.
 
-Gyros combine through a whitened stacked least-squares solve; the
-accelerometers additionally have their rigid-body lever-arm terms
-subtracted before solving, using the fused angular rate and a central
--difference angular acceleration. The same design matrices give the
-virtual noise and bias random-walk covariances in closed form.
+build_fusion reduces an array (VimuConfig) to the four FusionMatrices
+that fusion applies. Gyros combine through a whitened stacked
+least-squares solve, kept as a left inverse that acts on the raw
+stacked samples (gyro_solve); the accelerometers likewise
+(accel_solve), with their rigid-body lever-arm terms subtracted: a
+quadratic form lever_Q in the fused angular rate plus lever_D applied
+to its central-difference angular acceleration. fuse_series(fm, series)
+fuses one series per sensor. The same solves give the virtual noise
+and bias random-walk covariances in closed form (virtual_covariances),
+which the fuse subcommand stores as the Q_* of its sidecar.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ import numpy as np
 
 from .errors import LengthMismatch, RateMismatch, SingularFusion
 from .geometry import is_rotation, skew
-from .types import Extrinsic, ImuSeries, NoiseSpec
+from .types import Extrinsic, ImuSeries, NoiseSpec, _finite_floats
 
 
 @dataclass(frozen=True)
@@ -40,15 +45,11 @@ class VimuConfig:
                 and np.all(is_rotation(np.stack(rotations), tol=1e-8))):
             raise ValueError("rotations must be valid rotation matrices")
         for p in positions:
-            if p.shape != (3,):
-                raise ValueError("positions must be 3-vectors")
+            if p.shape != (3,) or not np.isfinite(p).all():
+                raise ValueError("positions must be finite 3-vectors")
         object.__setattr__(self, "rotations", rotations)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "noises", noises)
-
-    @property
-    def n(self) -> int:
-        return len(self.rotations)
 
     def to_dict(self) -> dict:
         return {
@@ -97,32 +98,29 @@ def _effective_sigmas(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FusionMatrices:
-    """Whitened stacked design matrices and their left inverses.
+    """The four arrays that fusion applies.
 
-    gyro_design (3n, 3) stacks rotations[i]/sigma_g_i; gyro_solve (3, 3n)
-    is its pseudo-inverse; likewise accel_design/accel_solve with the
-    accelerometer sigmas. The sigma arrays record the whitening actually
-    applied (see _effective_sigmas). lever_T (3, 3, 3), lever_c (3,) and
-    lever_D (3, 3) define the fused lever terms (see lever_term). Every
-    field may carry leading trial axes, one fusion per trial
-    (build_fusion_stack).
+    gyro_solve (3, 3n) is the left inverse of the design that stacks
+    rotations[i] / sigma_g_i, with each sensor's 3-column block divided
+    by its sigma once more, so that it maps the raw stacked gyro samples
+    to the weighted least-squares virtual rate; accel_solve likewise
+    with the accelerometer sigmas (see _effective_sigmas for exact
+    data). lever_Q (3, 3, 3) and lever_D (3, 3) define the fused lever
+    terms (see lever_term). Every field may carry leading trial axes,
+    one fusion per trial (build_fusion_stack).
     """
 
-    gyro_design: np.ndarray
     gyro_solve: np.ndarray
-    accel_design: np.ndarray
     accel_solve: np.ndarray
-    gyro_sigmas: np.ndarray
-    accel_sigmas: np.ndarray
-    lever_T: np.ndarray
-    lever_c: np.ndarray
+    lever_Q: np.ndarray
     lever_D: np.ndarray
 
 
 def _design_and_solve(rotations, sigmas):
-    """Whitened design (..., 3n, 3) of rotations (..., n, 3, 3), its left
-    inverse, and a SingularFusion or None per trial; an ill-conditioned
-    Gram is solved as I, so that its trial's left inverse is finite."""
+    """Left inverse (..., 3, 3n) of the design that stacks rotations
+    (..., n, 3, 3) whitened by sigmas, made to act on raw samples, and a
+    SingularFusion or None per trial; an ill-conditioned Gram is solved
+    as I, so that its trial's left inverse is finite."""
     design = (rotations / sigmas[:, None, None]).reshape(rotations.shape[:-3] + (-1, 3))
     design_T = np.swapaxes(design, -1, -2)
     gram = design_T @ design
@@ -132,40 +130,31 @@ def _design_and_solve(rotations, sigmas):
     errors = [None if good else SingularFusion(
         f"fusion gram matrix ill-conditioned (cond {c:.3e})")
         for c, good in zip(np.ravel(cond), np.ravel(ok))]
-    return design, solve, errors
-
-
-def _whitened_blocks(solve, sigmas) -> np.ndarray:
-    """solve (..., 3, 3n) with each 3-column block divided by its
-    sensor's sigma, so that it acts on raw (unwhitened) samples."""
-    return solve / np.repeat(sigmas, 3, axis=-1)[..., None, :]
+    return solve / np.repeat(sigmas, 3), errors
 
 
 def build_fusion_stack(rotations, positions, noises) -> tuple:
     """Fusion matrices of arrays that share their sensors' noise models:
     rotations (..., n, 3, 3) and positions (..., n, 3) as in VimuConfig,
     any leading axes being trials. Returns (FusionMatrices, errors):
-    every field but the sigmas carries the trial axes, and errors holds
-    a SingularFusion or None per trial, row-major (a failed trial's
-    matrices are finite placeholders). Noises that admit no whitening
-    (see _effective_sigmas) raise SingularFusion."""
+    every field carries the trial axes, and errors holds a SingularFusion
+    or None per trial, row-major (a failed trial's matrices are finite
+    placeholders). Noises that admit no whitening (see _effective_sigmas)
+    raise SingularFusion."""
     rotations = np.asarray(rotations, dtype=float)
     positions = np.asarray(positions, dtype=float)
     gyro_sigmas = _effective_sigmas([ns.sigma_g for ns in noises])
     accel_sigmas = _effective_sigmas([ns.sigma_a for ns in noises])
-    gyro_design, gyro_solve, gyro_errors = _design_and_solve(rotations, gyro_sigmas)
-    accel_design, accel_solve, accel_errors = _design_and_solve(rotations, accel_sigmas)
-    blocks = _whitened_blocks(accel_solve, accel_sigmas)
-    C = np.swapaxes(blocks.reshape(blocks.shape[:-1] + (-1, 3)), -3, -2) @ rotations
+    gyro_solve, gyro_errors = _design_and_solve(rotations, gyro_sigmas)
+    accel_solve, accel_errors = _design_and_solve(rotations, accel_sigmas)
+    # C_i = accel_solve[:, 3i:3i+3] R_i
+    C = np.swapaxes(accel_solve.reshape(accel_solve.shape[:-1] + (-1, 3)), -3, -2) @ rotations
+    T = np.einsum("...iaj,...ik->...ajk", C, positions)
+    c = np.einsum("...iaj,...ij->...a", C, positions)
     return FusionMatrices(
-        gyro_design=gyro_design,
         gyro_solve=gyro_solve,
-        accel_design=accel_design,
         accel_solve=accel_solve,
-        gyro_sigmas=gyro_sigmas,
-        accel_sigmas=accel_sigmas,
-        lever_T=np.einsum("...iaj,...ik->...ajk", C, positions),
-        lever_c=np.einsum("...iaj,...ij->...a", C, positions),
+        lever_Q=T - c[..., None, None] * np.eye(3),
         lever_D=np.einsum("...iaj,...ijk->...ak", C, skew(positions)),
     ), [g or a for g, a in zip(gyro_errors, accel_errors)]
 
@@ -181,17 +170,15 @@ def build_fusion(cfg: VimuConfig) -> FusionMatrices:
 
 
 def lever_term(fm: FusionMatrices, omega, omega_dot=None) -> np.ndarray:
-    """accel_solve applied to the whitened stack of the sensors' lever
-    accelerations R_i (w x (w x p_i) + wdot x p_i) / sigma_a_i, for rate
-    rows omega (..., k, 3): T:(w w^T) - |w|^2 c - D wdot, where with
-    C_i = accel_solve[:, 3i:3i+3] R_i / sigma_a_i, T = sum_i C_i (x) p_i,
-    c = sum_i C_i p_i and D = sum_i C_i [p_i]x. The first two terms are
-    one quadratic form Q:(w w^T) with Q = T - c (x) I, evaluated as one
-    product of the (..., k, 9) rows of w (x) w with Q's (9, 3) block.
+    """accel_solve applied to the stack of the sensors' lever
+    accelerations R_i (w x (w x p_i) + wdot x p_i), for rate rows omega
+    (..., k, 3): Q:(w w^T) - D wdot, where with C_i = accel_solve[:,
+    3i:3i+3] R_i, Q = sum_i C_i (x) p_i - (sum_i C_i p_i) (x) I and
+    D = sum_i C_i [p_i]x. The quadratic form is evaluated as one product
+    of the (..., k, 9) rows of w (x) w with Q's (9, 3) block.
     omega_dot=None drops the D term."""
     omega = np.asarray(omega, dtype=float)
-    T = fm.lever_T
-    Q = (T - fm.lever_c[..., None, None] * np.eye(3)).reshape(T.shape[:-3] + (3, 9))
+    Q = fm.lever_Q.reshape(fm.lever_Q.shape[:-3] + (3, 9))
     ww = omega[..., [0, 0, 0, 1, 1, 1, 2, 2, 2]] * omega[..., [0, 1, 2] * 3]
     out = ww @ np.swapaxes(Q, -1, -2)
     if omega_dot is not None:
@@ -200,14 +187,12 @@ def lever_term(fm: FusionMatrices, omega, omega_dot=None) -> np.ndarray:
 
 
 def lever_jacobian(fm: FusionMatrices, omega) -> np.ndarray:
-    """Jacobian of lever_term in the rate, (T + T^T_jk) w - 2 c w^T, at
-    rate rows omega (..., k, 3); shape (..., k, 3, 3)."""
+    """Jacobian of lever_term in the rate, (Q + Q^T_jk) w, at rate rows
+    omega (..., k, 3); shape (..., k, 3, 3)."""
     omega = np.asarray(omega, dtype=float)
-    T = fm.lever_T
-    T_sym = (T + np.swapaxes(T, -1, -2)).reshape(T.shape[:-3] + (9, 3))
-    out = (omega @ np.swapaxes(T_sym, -1, -2)).reshape(omega.shape[:-1] + (3, 3))
-    out -= 2.0 * fm.lever_c[..., None, :, None] * omega[..., None, :]
-    return out
+    Q = fm.lever_Q
+    Q_sym = (Q + np.swapaxes(Q, -1, -2)).reshape(Q.shape[:-3] + (9, 3))
+    return (omega @ np.swapaxes(Q_sym, -1, -2)).reshape(omega.shape[:-1] + (3, 3))
 
 
 @dataclass(frozen=True)
@@ -230,45 +215,44 @@ class VimuNoise:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VimuNoise":
-        return cls(
-            gyro=np.asarray(d["Q_gV"], dtype=float),
-            gyro_bias=np.asarray(d["Q_bgV"], dtype=float),
-            accel=np.asarray(d["Q_aV"], dtype=float),
-            accel_bias=np.asarray(d["Q_baV"], dtype=float),
-        )
+        """Parse to_dict's mapping; a Q_* that is not a finite 3x3 matrix
+        raises FormatError or ValueError naming its key."""
+        def matrix(key):
+            m = _finite_floats(key, d[key])
+            if m.shape != (3, 3):
+                raise ValueError(f"{key} must be a 3x3 matrix, got shape {m.shape}")
+            return m
+
+        return cls(gyro=matrix("Q_gV"), gyro_bias=matrix("Q_bgV"),
+                   accel=matrix("Q_aV"), accel_bias=matrix("Q_baV"))
 
 
-def _propagated(solve, true_sigmas, eff_sigmas) -> np.ndarray:
-    # solve acts on stacks whitened by eff_sigmas; the actual per-block
-    # noise has std true_sigma/eff_sigma after that whitening.
-    ratios = np.repeat((true_sigmas / eff_sigmas) ** 2, 3)
-    return (solve * ratios[None, :]) @ solve.T
+def _propagated(solve, sigmas) -> np.ndarray:
+    """Covariance of solve applied to a stack whose sensor i carries
+    independent noise of std sigmas[i] on each axis."""
+    return (solve * np.repeat(np.asarray(sigmas) ** 2, 3)) @ solve.T
 
 
 def virtual_covariances(cfg: VimuConfig) -> VimuNoise:
     """Closed-form virtual noise model.
 
-    With all sigmas positive the whitened measurement noise is unit, so
-    the white-noise covariances reduce to the design Gram inverses; the
-    bias covariances propagate each sensor's walk density through the
-    same solve.
+    Each sensor's white-noise and bias walk densities propagate through
+    the solve that fuses its samples; with all sigmas positive the
+    white-noise covariances are the whitened design Gram inverses.
     """
     fm = build_fusion(cfg)
-    g_true = np.array([ns.sigma_g for ns in cfg.noises])
-    a_true = np.array([ns.sigma_a for ns in cfg.noises])
-    bg = np.array([ns.sigma_bg for ns in cfg.noises])
-    ba = np.array([ns.sigma_ba for ns in cfg.noises])
+    ns = cfg.noises
     return VimuNoise(
-        gyro=_propagated(fm.gyro_solve, g_true, fm.gyro_sigmas),
-        gyro_bias=_propagated(fm.gyro_solve, bg, fm.gyro_sigmas),
-        accel=_propagated(fm.accel_solve, a_true, fm.accel_sigmas),
-        accel_bias=_propagated(fm.accel_solve, ba, fm.accel_sigmas),
+        gyro=_propagated(fm.gyro_solve, [n.sigma_g for n in ns]),
+        gyro_bias=_propagated(fm.gyro_solve, [n.sigma_bg for n in ns]),
+        accel=_propagated(fm.accel_solve, [n.sigma_a for n in ns]),
+        accel_bias=_propagated(fm.accel_solve, [n.sigma_ba for n in ns]),
     )
 
 
-def fuse_series(cfg: VimuConfig, series: list, fm: FusionMatrices | None = None
-                ) -> ImuSeries:
-    """Fuse synchronized per-sensor series into one virtual IMU series.
+def fuse_series(fm: FusionMatrices, series: list) -> ImuSeries:
+    """Fuse synchronized per-sensor series, one per sensor of fm, into
+    one virtual IMU series.
 
     All inputs must share rate, start time, and length. The fused gyro is
     computed first; its central difference provides the angular
@@ -277,8 +261,9 @@ def fuse_series(cfg: VimuConfig, series: list, fm: FusionMatrices | None = None
     so its start_ns is shifted by one period. This is the one-trial case
     of fuse_stack.
     """
-    if len(series) != cfg.n:
-        raise LengthMismatch(f"expected {cfg.n} series, got {len(series)}")
+    n = fm.gyro_solve.shape[-1] // 3
+    if len(series) != n:
+        raise LengthMismatch(f"expected {n} series, got {len(series)}")
     base = series[0]
     for s in series[1:]:
         if abs(s.freq - base.freq) > 1e-9 * base.freq:
@@ -287,8 +272,6 @@ def fuse_series(cfg: VimuConfig, series: list, fm: FusionMatrices | None = None
             raise LengthMismatch("series must share start time and length")
     if len(base) < 3:
         raise LengthMismatch("need at least 3 samples to fuse")
-    if fm is None:
-        fm = build_fusion(cfg)
     fused_w, fused_a = fuse_stack(fm, np.stack([s.gyro for s in series], axis=1),
                                   np.stack([s.accel for s in series], axis=1),
                                   base.freq)
@@ -313,17 +296,15 @@ def fuse_stack(fm: FusionMatrices, gyro, accel, freq: float,
     m = np.shape(gyro)[-2]
     columns = range(m) if columns is None else columns
 
-    def solve_t(solve, sigmas):  # (..., 3m, 3), zero rows for other columns
-        blocks = _whitened_blocks(solve, sigmas)
-        full = np.zeros(blocks.shape[:-1] + (m, 3))
-        full[..., columns, :] = blocks.reshape(blocks.shape[:-1] + (-1, 3))
-        return np.swapaxes(full.reshape(blocks.shape[:-1] + (3 * m,)), -1, -2)
+    def solve_t(solve):  # (..., 3m, 3), zero rows for other columns
+        full = np.zeros(solve.shape[:-1] + (m, 3))
+        full[..., columns, :] = solve.reshape(solve.shape[:-1] + (-1, 3))
+        return np.swapaxes(full.reshape(solve.shape[:-1] + (3 * m,)), -1, -2)
 
     shape = np.shape(gyro)[:-2] + (3 * m,)
-    fused_w = np.reshape(gyro, shape) @ solve_t(fm.gyro_solve, fm.gyro_sigmas)
+    fused_w = np.reshape(gyro, shape) @ solve_t(fm.gyro_solve)
     wdot = 0.5 * freq * (fused_w[..., 2:, :] - fused_w[..., :-2, :])
     fused_w = fused_w[..., 1:-1, :]
-    fused_a = np.reshape(accel, shape)[..., 1:-1, :] @ solve_t(fm.accel_solve,
-                                                               fm.accel_sigmas)
+    fused_a = np.reshape(accel, shape)[..., 1:-1, :] @ solve_t(fm.accel_solve)
     fused_a -= lever_term(fm, fused_w, wdot)
     return fused_w, fused_a

@@ -10,8 +10,8 @@ this code must not call the kernel or its batched step builders.
 and per-line reader that the library's bulk codec replaced: one
 f-string per value, one ``int()``/``float()`` per field.
 
-``lever_arm_stack`` and ``psi_matrix`` build the whitened lever-arm
-stack and its rate Jacobian sensor by sensor; the library keeps only
+``lever_arm_stack`` and ``psi_matrix`` build the lever-arm stack and
+its rate Jacobian sensor by sensor; the library keeps only
 their contraction with ``accel_solve``, as a quadratic form
 (``vimu.lever_term``, ``vimu.lever_jacobian``).
 
@@ -129,7 +129,6 @@ from mimufusion.vimu import (
     FusionMatrices,
     VimuConfig,
     VimuNoise,
-    _effective_sigmas,
     build_fusion,
     fuse_series,
     midpoint_frame,
@@ -147,28 +146,25 @@ class StepMatrices:
 
 
 def psi_matrix(cfg: VimuConfig, w_hat) -> np.ndarray:
-    """Jacobian of the whitened lever-arm stack with respect to the
-    angular rate, at rate w_hat: blocks R_i (-[w]x [p_i]x - [[w]x p_i]x)
-    / sigma_a_i, stacked to (3n, 3). Rows of shape (k, 3) give
-    (k, 3n, 3)."""
+    """Jacobian of the lever-arm stack with respect to the angular rate,
+    at rate w_hat: blocks R_i (-[w]x [p_i]x - [[w]x p_i]x), stacked to
+    (3n, 3). Rows of shape (k, 3) give (k, 3n, 3)."""
     w_hat = np.asarray(w_hat, dtype=float)
-    sigmas = _effective_sigmas([ns.sigma_a for ns in cfg.noises])
     sw = skew(w_hat)
     blocks = []
-    for r, p, s in zip(cfg.rotations, cfg.positions, sigmas):
+    for r, p in zip(cfg.rotations, cfg.positions):
         swp = skew(np.cross(w_hat, p))
-        blocks.append(np.einsum("ij,...jk->...ik", r, -sw @ skew(p) - swp) / s)
+        blocks.append(np.einsum("ij,...jk->...ik", r, -sw @ skew(p) - swp))
     return np.concatenate(blocks, axis=-2)
 
 
 def lever_arm_stack(cfg: VimuConfig, omega, omega_dot) -> np.ndarray:
-    """Whitened stack of predicted lever-arm accelerations, one 3-block
-    per sensor: R_i ([w]x^2 p_i + [wdot]x p_i) / sigma_a_i. Rates of
-    shape (3,) give (3n,); rows of shape (k, 3) give (k, 3n)."""
-    sigmas = _effective_sigmas([ns.sigma_a for ns in cfg.noises])
+    """Stack of predicted lever-arm accelerations, one 3-block per
+    sensor: R_i ([w]x^2 p_i + [wdot]x p_i). Rates of shape (3,) give
+    (3n,); rows of shape (k, 3) give (k, 3n)."""
     M = lever_matrix(omega, omega_dot)
-    return np.concatenate([((M @ p) @ r.T) / s for r, p, s in
-                           zip(cfg.rotations, cfg.positions, sigmas)], axis=-1)
+    return np.concatenate([(M @ p) @ r.T for r, p in
+                           zip(cfg.rotations, cfg.positions)], axis=-1)
 
 
 def step_matrices(accum_rotation, step_rotation, w_hat, a_hat,
@@ -315,8 +311,8 @@ def virtual_bias(fm: FusionMatrices, gyro_biases, accel_biases) -> tuple:
     bg = np.asarray(gyro_biases, dtype=float)
     ba = np.asarray(accel_biases, dtype=float)
     return (
-        fm.gyro_solve @ (bg / fm.gyro_sigmas[:, None]).reshape(-1),
-        fm.accel_solve @ (ba / fm.accel_sigmas[:, None]).reshape(-1),
+        fm.gyro_solve @ bg.reshape(-1),
+        fm.accel_solve @ ba.reshape(-1),
     )
 
 
@@ -351,7 +347,6 @@ def array_frame(mounts: list, noises: list) -> tuple:
 @dataclass
 class _VariantSetup:
     indices: tuple
-    cfg: object
     fm: object
     truth: list  # true states of the virtual frame at every keyframe
 
@@ -370,7 +365,7 @@ def _setup_variant(name: str, plan: ExperimentPlan, mounts, believed,
     else:
         raise ValueError(f"unknown variant {name}")
     truth = [true_vimu_state(ts, frame_rot, frame_pos) for ts in truth_samples]
-    return _VariantSetup(indices=idx, cfg=cfg, fm=build_fusion(cfg), truth=truth)
+    return _VariantSetup(indices=idx, fm=build_fusion(cfg), truth=truth)
 
 
 def _setup_calibrated(plan: ExperimentPlan, mounts, series_by_idx,
@@ -386,13 +381,12 @@ def _setup_calibrated(plan: ExperimentPlan, mounts, series_by_idx,
     R_ba_body = rotation_from_quat(mounts[ia].q).T
     frame_pos = mounts[ia].p + R_ba_body @ (0.5 * ext.p)
     truth = [true_vimu_state(ts, R_ba_body, frame_pos) for ts in truth_samples]
-    return _VariantSetup(indices=_PAIR, cfg=cfg, fm=build_fusion(cfg), truth=truth)
+    return _VariantSetup(indices=_PAIR, fm=build_fusion(cfg), truth=truth)
 
 
 def _score_variant(setup: _VariantSetup, series_by_idx, plan: ExperimentPlan,
                    step: int):
-    fused = fuse_series(setup.cfg, [series_by_idx[i] for i in setup.indices],
-                        fm=setup.fm)
+    fused = fuse_series(setup.fm, [series_by_idx[i] for i in setup.indices])
     state = setup.truth[0]
     predicted = []
     for delta in preintegrate_windows(fused, state, setup.fm, step):
@@ -626,12 +620,10 @@ def is_rotation(R, tol: float = 1e-9) -> bool:
 
 
 def lever_term(fm: FusionMatrices, omega, omega_dot=None) -> np.ndarray:
-    """The fused lever term Q:(w w^T) - D wdot, Q = T - c (x) I, as one
-    product of the rate rows with Q's (9, 3) rows, then an einsum
-    contraction with w."""
+    """The fused lever term Q:(w w^T) - D wdot as one product of the rate
+    rows with Q's (9, 3) rows, then an einsum contraction with w."""
     omega = np.asarray(omega, dtype=float)
-    T = fm.lever_T
-    Q = (T - fm.lever_c[..., None, None] * np.eye(3)).reshape(T.shape[:-3] + (9, 3))
+    Q = fm.lever_Q.reshape(fm.lever_Q.shape[:-3] + (9, 3))
     Qw = (omega @ np.swapaxes(Q, -1, -2)).reshape(omega.shape + (3,))
     out = np.einsum("...aj,...j->...a", Qw, omega)
     if omega_dot is not None:

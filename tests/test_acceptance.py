@@ -130,7 +130,7 @@ def test_criterion_3_fused_gyro_noise_covariance():
             accel = rng.standard_normal((n, 3)) * (spec.sigma_a * np.sqrt(freq))
             series.append(ImuSeries(freq=freq, start_ns=0,
                                     gyro=gyro, accel=accel))
-        fused = fuse_series(cfg, series)
+        fused = fuse_series(build_fusion(cfg), series)
         assert len(fused) == 100_000
         measured = np.cov(fused.gyro.T) / freq  # back to continuous density
         expected = sg_a ** 2 * sg_b ** 2 / (sg_a ** 2 + sg_b ** 2)
@@ -187,7 +187,7 @@ def _body_pair_vimu(traj: TrajectoryParams, freq: float, duration: float,
             w, a = apply_measurement_noise(w, a, spec, freq, rng)
         series.append(ImuSeries(freq=freq, start_ns=0, gyro=w, accel=a))
     fm = build_fusion(vcfg)
-    return cfg, vcfg, fm, fuse_series(vcfg, series, fm)
+    return cfg, vcfg, fm, fuse_series(fm, series)
 
 
 def _truncate(virtual, seconds: float):
@@ -260,7 +260,7 @@ def test_criterion_6_preintegration_covariance_is_consistent():
         for (w, a), spec in zip(ideal, vcfg.noises):
             wn, an = apply_measurement_noise(w, a, spec, freq, rng)
             noisy.append(ImuSeries(freq=freq, start_ns=0, gyro=wn, accel=an))
-        virtual = fuse_series(vcfg, noisy, fm)
+        virtual = fuse_series(fm, noisy)
         delta = preintegrate_windows(virtual, start, fm, len(virtual))[0]
         err = np.concatenate([
             log_so3(reference.rotation.T @ delta.rotation),

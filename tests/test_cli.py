@@ -510,6 +510,53 @@ def test_evaluate_rejects_bad_plan_value(tmp_path, capsys, key, value):
     assert not (tmp_path / "report").exists()
 
 
+@pytest.mark.parametrize("plan, key", [
+    (PLAN_YAML + "keyframe_interval_s: abc\n", "keyframe_interval_s"),
+    (PLAN_YAML.replace("  freq: 200\n", "  freq: abc\n"), "sim.freq"),
+    (PLAN_YAML + "  gravity: abc\n", "sim.gravity"),
+    (PLAN_YAML + "  trajectory:\n    euler_frequency_hz: [0.5, .nan, 0.45]\n",
+     "euler_frequency_hz"),
+    (PLAN_YAML + "noise:\n  sigma_g: abc\n", "sigma_g"),
+], ids=["keyframe_interval_s", "sim.freq", "sim.gravity", "euler_frequency_hz", "sigma_g"])
+def test_evaluate_rejects_value_that_is_not_a_number(tmp_path, capsys, plan, key):
+    """A plan value that is not a number, or a trajectory entry that is
+    not finite, fails with a FormatError naming the key, before any
+    trial runs."""
+    (tmp_path / "plan.yaml").write_text(plan)
+    code = main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
+                 "--out", str(tmp_path / "report")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "FormatError"
+    assert key in payload["message"]
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("    position_m: [-0.05, 0, 0]\n",
+     "    position_m: [-0.05, 0, 0]\n    noise: {sigma_g: abc}\n", "sigma_g"),
+    ("seed: 11\n", "seed: 11\ntrajectory: {euler_frequency_hz: [0.5, .nan, 0.45]}\n",
+     "euler_frequency_hz"),
+    ("seed: 11\n", "seed: 11\ngravity: [0, .nan, -9.81]\n", "gravity"),
+    ("freq: 200\n", "freq: abc\n", "freq"),
+    ("    position_m: [-0.05, 0, 0]\n", "    position_m: [-0.05, .inf, 0]\n",
+     "position_m"),
+], ids=["sigma_g", "euler_frequency_hz", "gravity", "freq", "position_m"])
+def test_simulate_rejects_value_that_is_not_a_number(tmp_path, capsys, old, new, key):
+    """A config value that is not a number, or a list entry that is not
+    finite, fails with a FormatError naming the key, before any file is
+    written."""
+    assert SIM_YAML.count(old) == 1
+    (tmp_path / "sim.yaml").write_text(SIM_YAML.replace(old, new))
+    code = main(["simulate", "--config", str(tmp_path / "sim.yaml"),
+                 "--out", str(tmp_path / "data")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "FormatError"
+    assert key in payload["message"]
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.mark.parametrize("value", ["1.5", "true", "\"7\""])
 def test_simulate_rejects_non_integral_seed(tmp_path, capsys, value):
     (tmp_path / "sim.yaml").write_text(SIM_YAML.replace("seed: 11\n", f"seed: {value}\n"))

@@ -147,7 +147,7 @@ def test_virtual_csv_round_trip(tmp_path):
     vcfg = midpoint_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
     from mimufusion.geometry import quat_from_rotation
 
-    series = fuse_series(vcfg, [
+    series = fuse_series(build_fusion(vcfg), [
         simulate_imu(cfg, Extrinsic(q=quat_from_rotation(r), p=p),
                      NoiseSpec.zero())
         for r, p in zip(vcfg.rotations, vcfg.positions)
@@ -196,14 +196,21 @@ def test_property_imu_csv_round_trip(series):
 @given(series=imu_series(st.floats(-50.0, 50.0)).filter(lambda s: len(s) >= 3))
 def test_property_fused_csv_round_trip(series):
     """A fused stream goes through the same writer and reader as a raw
-    one."""
+    one: one of fewer than 2 samples is refused before any file exists,
+    and every longer one reads back bit for bit."""
     cfg = midpoint_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.1, 0.0]),
                                    p=np.array([0.1, 0.02, 0.0])),
                          NoiseSpec(), NoiseSpec(sigma_a=4e-3))
     other = ImuSeries(series.freq, series.start_ns, series.gyro[::-1],
                       series.accel[::-1])
-    fused = fuse_series(cfg, [series, other])
-    assert_same_series(csv_round_trip(fused), fused)
+    fused = fuse_series(build_fusion(cfg), [series, other])
+    if len(fused) >= 2:
+        assert_same_series(csv_round_trip(fused), fused)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        with pytest.raises(FormatError, match="at least 2 samples"):
+            write_imu_csv(Path(tmp) / "imu.csv", fused)
+        assert os.listdir(tmp) == []
 
 
 def codec_series(seed, n=40, start_ns=1_700_000_000_123_456_789):
@@ -478,13 +485,51 @@ def test_sidecar_round_trip(tmp_path):
     write_vimu_sidecar(path, cfg, noise, 200.0)
     cfg2, noise2, freq = read_vimu_sidecar(path)
     assert freq == 200.0
-    assert cfg2.n == 2
+    assert len(cfg2.rotations) == 2
     np.testing.assert_allclose(cfg2.positions[1], cfg.positions[1])
     np.testing.assert_allclose(noise2.gyro, noise.gyro)
     np.testing.assert_allclose(noise2.accel_bias, noise.accel_bias)
     fm = build_fusion(cfg2)
-    np.testing.assert_allclose(fm.gyro_solve @ fm.gyro_design, np.eye(3),
+    np.testing.assert_allclose(fm.gyro_solve @ np.concatenate(cfg2.rotations), np.eye(3),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("Q_gV", [[1e-8]]),
+    ("Q_bgV", [1e-10, 1e-10, 1e-10]),
+    ("Q_aV", [[float("nan"), 0.0, 0.0], [0.0, 1e-6, 0.0], [0.0, 0.0, 1e-6]]),
+    ("Q_baV", np.diag([float("inf"), 1.0, 1.0]).tolist()),
+    ("Q_aV", "abc"),
+    ("freq", float("nan")),
+    ("freq", float("inf")),
+    ("freq", 0.0),
+    ("freq", -200.0),
+    ("freq", "abc"),
+])
+def test_sidecar_rejects_bad_values(tmp_path, key, value):
+    """A Q_* that is not a finite 3x3 matrix, or a freq that is not
+    finite and positive, fails with a FormatError naming the file and
+    the key."""
+    cfg = midpoint_frame(Extrinsic(p=np.array([0.12, 0.0, 0.0])), NoiseSpec(), NoiseSpec())
+    path = tmp_path / "virtual.json"
+    write_vimu_sidecar(path, cfg, virtual_covariances(cfg), 200.0)
+    d = read_json(path)
+    (d if key == "freq" else d["covariances"])[key] = value
+    path.write_text(json.dumps(d))
+    with pytest.raises(FormatError) as info:
+        read_vimu_sidecar(path)
+    assert str(path) in str(info.value) and key in str(info.value)
+
+
+def test_sidecar_rejects_non_finite_position(tmp_path):
+    cfg = midpoint_frame(Extrinsic(p=np.array([0.12, 0.0, 0.0])), NoiseSpec(), NoiseSpec())
+    path = tmp_path / "virtual.json"
+    write_vimu_sidecar(path, cfg, virtual_covariances(cfg), 200.0)
+    d = read_json(path)
+    d["config"]["positions_m"][1][0] = float("nan")
+    path.write_text(json.dumps(d))
+    with pytest.raises(FormatError, match="positions must be finite"):
+        read_vimu_sidecar(path)
 
 
 def test_sidecar_rejects_missing_keys(tmp_path):

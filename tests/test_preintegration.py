@@ -64,7 +64,8 @@ def virtual_from_body(cfg_sim, noise=None, seed=None):
     n = NoiseSpec.zero() if noise is None else noise
     vcfg = single_frame(n)
     s = simulate_imu(cfg_sim, Extrinsic.identity(), n, seed=seed)
-    return fuse_series(vcfg, [s]), vcfg, build_fusion(vcfg)
+    fm = build_fusion(vcfg)
+    return fuse_series(fm, [s]), vcfg, fm
 
 
 def still_series(duration=1.0, freq=200.0):
@@ -123,8 +124,8 @@ def check_bias_correct_restores_lever_consistency(shift):
 
         biased.append(replace(s, gyro=s.gyro + rot @ b_v))
 
-    fused_clean = fuse_series(vcfg, clean, fm)
-    fused_biased = fuse_series(vcfg, biased, fm)
+    fused_clean = fuse_series(fm, clean)
+    fused_biased = fuse_series(fm, biased)
     state = VimuState(rotation=np.eye(3), position=np.zeros(3),
                       velocity=np.zeros(3), bias_gyro=b_v,
                       bias_accel=np.zeros(3))
@@ -248,12 +249,12 @@ def test_covariance_symmetric_psd_along_trajectory():
     noise_v = virtual_covariances(vcfg)
     from mimufusion.geometry import quat_from_rotation
 
-    series = fuse_series(vcfg, [
+    series = fuse_series(fm, [
         simulate_imu(cfg_sim, Extrinsic(q=quat_from_rotation(r), p=p), n,
                      seed=i)
         for i, (r, p, n) in enumerate(zip(vcfg.rotations, vcfg.positions,
                                           vcfg.noises))
-    ], fm)
+    ])
     delta = preintegrate_windows(series, VimuState.identity(), fm, len(series),
                                  noise_v)[0]
     cov = delta.covariance
@@ -683,7 +684,7 @@ def mean_nees(mounts, cfg: VimuConfig, trials: int, seed: int,
     sim = SimConfig(freq=freq, duration=(int(freq) + 2) / freq)
     ideal = np.array([ideal_imu_series(sim, m) for m in mounts])  # (m, 2, n, 3)
     fm = build_fusion(cfg)
-    clean = fuse_series(cfg, [ImuSeries(freq, 0, w, a) for w, a in ideal], fm)
+    clean = fuse_series(fm, [ImuSeries(freq, 0, w, a) for w, a in ideal])
     reference = preintegrate_windows(clean, VimuState.identity(), fm, len(clean),
                                      virtual_covariances(cfg))[0]
     info = np.linalg.inv(reference.covariance)

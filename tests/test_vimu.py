@@ -52,7 +52,7 @@ def fuse_one(cfg, omegas, accels=None, omega_dot=None):
         series.append(ImuSeries(freq=FREQ, start_ns=0,
                                 gyro=np.array([w - ramp, w, w + ramp]),
                                 accel=np.tile(a, (3, 1))))
-    fused = fuse_series(cfg, series)
+    fused = fuse_series(build_fusion(cfg), series)
     assert len(fused) == 1
     return fused.gyro[0], fused.accel[0]
 
@@ -115,7 +115,7 @@ def test_config_dict_round_trip():
                     p=np.array([0.1, 0.0, 0.0]))
     cfg = midpoint_frame(ext, MEMS, NoiseSpec(sigma_g=3e-4))
     back = VimuConfig.from_dict(cfg.to_dict())
-    assert back.n == 2
+    assert len(back.rotations) == 2
     np.testing.assert_allclose(back.rotations[1], cfg.rotations[1])
     np.testing.assert_allclose(back.positions[0], cfg.positions[0])
     assert back.noises[1].sigma_g == 3e-4
@@ -152,10 +152,9 @@ def test_fusion_matrices_left_inverse():
                          for _ in range(n)),
         )
         fm = build_fusion(cfg)
-        np.testing.assert_allclose(fm.gyro_solve @ fm.gyro_design, np.eye(3),
-                                   atol=1e-10)
-        np.testing.assert_allclose(fm.accel_solve @ fm.accel_design,
-                                   np.eye(3), atol=1e-10)
+        design = np.concatenate(cfg.rotations)
+        np.testing.assert_allclose(fm.gyro_solve @ design, np.eye(3), atol=1e-10)
+        np.testing.assert_allclose(fm.accel_solve @ design, np.eye(3), atol=1e-10)
 
 
 def test_extreme_noise_ratio_conditioning():
@@ -166,7 +165,7 @@ def test_extreme_noise_ratio_conditioning():
         fm = build_fusion(cfg)
     except SingularFusion:
         return
-    np.testing.assert_allclose(fm.gyro_solve @ fm.gyro_design, np.eye(3),
+    np.testing.assert_allclose(fm.gyro_solve @ np.concatenate(cfg.rotations), np.eye(3),
                                atol=1e-6)
 
 
@@ -175,7 +174,8 @@ def test_zero_sigma_all_exact_is_allowed():
                      positions=(np.zeros(3), np.zeros(3)),
                      noises=(NoiseSpec.zero(), NoiseSpec.zero()))
     fm = build_fusion(cfg)
-    np.testing.assert_array_equal(fm.gyro_sigmas, [1.0, 1.0])
+    np.testing.assert_allclose(fm.gyro_solve, np.hstack([np.eye(3)] * 2) / 2,
+                               atol=1e-15)
     out, _ = fuse_one(cfg, [[0.2, 0.0, 0.0], [0.2, 0.0, 0.0]])
     np.testing.assert_allclose(out, [0.2, 0.0, 0.0], atol=1e-14)
 
@@ -200,9 +200,8 @@ def test_lever_stack_centripetal_block():
     cfg = midpoint_frame(ext, MEMS, MEMS)
     out = lever_arm_stack(cfg, np.array([0.0, 0.0, 1.0]), np.zeros(3))
     # sensor A sits at (-0.06, 0, 0); spinning about z pulls it toward
-    # the center: +0.06 m/s^2 on x, whitened by sigma_a
-    np.testing.assert_allclose(out[:3], np.array([0.06, 0.0, 0.0]) / 2e-3,
-                               atol=1e-12)
+    # the center: +0.06 m/s^2 on x
+    np.testing.assert_allclose(out[:3], [0.06, 0.0, 0.0], atol=1e-15)
 
 
 def test_fuse_accel_colocated_average():
@@ -298,9 +297,7 @@ def test_virtual_covariance_monte_carlo():
     rng = np.random.default_rng(43)
     draws_a = rng.standard_normal((n, 3)) * (1.7e-4 * np.sqrt(freq))
     draws_b = rng.standard_normal((n, 3)) * (3e-4 * np.sqrt(freq))
-    stacked = np.hstack([draws_a / fm.gyro_sigmas[0],
-                         draws_b / fm.gyro_sigmas[1]])
-    fused = stacked @ fm.gyro_solve.T
+    fused = np.hstack([draws_a, draws_b]) @ fm.gyro_solve.T
     sample_cov = np.cov(fused.T) / freq
     scale = np.max(np.abs(np.diag(noise.gyro)))
     np.testing.assert_allclose(sample_cov, noise.gyro, atol=0.05 * scale)
@@ -334,7 +331,7 @@ def test_fuse_series_trims_endpoints():
     ext = Extrinsic(p=np.array([0.1, 0.0, 0.0]))
     vcfg = midpoint_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
     series = make_rigid_series(cfg_sim, vcfg)
-    fused = fuse_series(vcfg, series)
+    fused = fuse_series(build_fusion(vcfg), series)
     assert len(fused) == len(series[0]) - 2
     assert fused.start_ns == series[0].start_ns + round(series[0].period_ns)
     assert fused.freq == 200.0
@@ -346,7 +343,7 @@ def test_fuse_series_zero_noise_recovers_virtual_truth():
                     p=np.array([0.12, 0.0, 0.0]))
     vcfg = midpoint_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
     series = make_rigid_series(cfg_sim, vcfg)
-    fused = fuse_series(vcfg, series)
+    fused = fuse_series(build_fusion(vcfg), series)
     ts = cfg_sim.times()[1:-1]
     for k in [0, 57, len(fused) - 1]:
         s = sample_trajectory(cfg_sim, ts[k])
@@ -361,16 +358,17 @@ def test_fuse_series_validates_inputs():
     ext = Extrinsic(p=np.array([0.1, 0.0, 0.0]))
     vcfg = midpoint_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
     series = make_rigid_series(cfg_sim, vcfg)
+    fm = build_fusion(vcfg)
     with pytest.raises(LengthMismatch):
-        fuse_series(vcfg, series[:1])
+        fuse_series(fm, series[:1])
     from dataclasses import replace
 
     slow = replace(series[1], freq=100.0)
     with pytest.raises(RateMismatch):
-        fuse_series(vcfg, [series[0], slow])
+        fuse_series(fm, [series[0], slow])
     shifted = replace(series[1], start_ns=series[1].start_ns + 1)
     with pytest.raises(LengthMismatch):
-        fuse_series(vcfg, [series[0], shifted])
+        fuse_series(fm, [series[0], shifted])
 
 
 def test_array_frame_centroid():
@@ -380,12 +378,12 @@ def test_array_frame_centroid():
     cfg, rot, pos = array_frame(mounts, [MEMS] * 9)
     np.testing.assert_array_equal(rot, np.eye(3))
     np.testing.assert_allclose(pos, np.zeros(3), atol=1e-15)
-    assert cfg.n == 9
+    assert len(cfg.rotations) == 9
     positions = np.array(cfg.positions)
     np.testing.assert_allclose(positions.mean(axis=0), np.zeros(3),
                                atol=1e-15)
     fm = build_fusion(cfg)
-    np.testing.assert_allclose(fm.gyro_solve @ fm.gyro_design, np.eye(3),
+    np.testing.assert_allclose(fm.gyro_solve @ np.concatenate(cfg.rotations), np.eye(3),
                                atol=1e-12)
 
 
@@ -415,7 +413,7 @@ def test_property_fusion_invariant_to_sensor_order(data, n, seed):
         cfg = VimuConfig(rotations=tuple(rotations[i] for i in order),
                          positions=tuple(positions[i] for i in order),
                          noises=tuple(noises[i] for i in order))
-        return fuse_series(cfg, [series[i] for i in order])
+        return fuse_series(build_fusion(cfg), [series[i] for i in order])
 
     want, got = fuse(range(n)), fuse(perm)
     assert (got.freq, got.start_ns) == (want.freq, want.start_ns)
@@ -522,9 +520,9 @@ def test_fuse_stack_trials_match_fuse_series():
         else:
             w, a = fuse_stack(fm, wide[0], wide[1], FREQ, columns)
         assert w.shape == a.shape == (3, 38, 3)
-        for k, (cfg, one) in enumerate(zip(cfgs, per_trial)):
-            fused = fuse_series(cfg, [ImuSeries(FREQ, 0, gyro[k, :, i], accel[k, :, i])
-                                      for i in range(2)], one)
+        for k, one in enumerate(per_trial):
+            fused = fuse_series(one, [ImuSeries(FREQ, 0, gyro[k, :, i], accel[k, :, i])
+                                      for i in range(2)])
             np.testing.assert_allclose(w[k], fused.gyro, rtol=1e-13, atol=1e-15)
             np.testing.assert_allclose(a[k], fused.accel, rtol=1e-13, atol=1e-12)
 
@@ -553,14 +551,13 @@ def test_build_fusion_stack_matches_per_config_builds(n):
     assert "ill-conditioned" in str(errors[2])
     _, (alone,) = build_fusion_stack(rotations[2], positions[2], noises)
     assert isinstance(alone, SingularFusion)
-    assert fm.gyro_solve.shape == (2, 2, 3, 3 * n) and fm.lever_T.shape == (2, 2, 3, 3, 3)
+    assert fm.gyro_solve.shape == (2, 2, 3, 3 * n) and fm.lever_Q.shape == (2, 2, 3, 3, 3)
     for name in fm.__dataclass_fields__:
         assert np.all(np.isfinite(getattr(fm, name)))
     for (a, b), cfg in zip([(0, 0), (0, 1), (1, 1)], cfgs):
         want = build_fusion(cfg)
         for name in fm.__dataclass_fields__:
-            got = getattr(fm, name)
-            got = got if name.endswith("sigmas") else got[a, b]
+            got = getattr(fm, name)[a, b]
             w = getattr(want, name)
             np.testing.assert_allclose(got, w, rtol=1e-13, atol=1e-13 * np.abs(w).max())
 
@@ -570,3 +567,47 @@ def test_build_fusion_stack_rejects_mixed_exact_and_noisy_sensors():
         build_fusion_stack(np.tile(np.eye(3), (3, 2, 1, 1)), np.zeros((3, 2, 3)),
                            (MEMS, NoiseSpec.zero()))
 
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["noisy", "exact"])
+def test_raw_sample_solves_match_whitened_least_squares(exact):
+    """Over stacked trials, fuse_stack's gyro is the least-squares fit of
+    the whitened stack W y = W D x, with D the stacked rotations and W
+    the diagonal whitening by the effective sigmas, and
+    virtual_covariances propagates each sensor's noise through that fit:
+    pinv(W D) W diag(sigma^2) W pinv(W D)^T. Exact sensors (every white
+    sigma zero) are whitened by ones and still carry their bias walks."""
+    rng = np.random.default_rng(95 + exact)
+    n, trials = 4, 3
+    scales = rng.uniform(0.2, 5.0, size=(4, n))  # heterogeneous per sensor
+    noises = tuple(NoiseSpec(sigma_g=0.0 if exact else 1.7e-4 * g,
+                             sigma_a=0.0 if exact else 2e-3 * a,
+                             sigma_bg=1e-5 * bg, sigma_ba=3e-4 * ba)
+                   for g, a, bg, ba in scales.T)
+    rotations = exp_so3(rng.normal(size=(trials, n, 3)))
+    positions = rng.normal(scale=0.05, size=(trials, n, 3))
+    fm, errors = build_fusion_stack(rotations, positions, noises)
+    assert errors == [None] * trials
+    gyro = rng.normal(size=(trials, 20, n, 3))
+    fused_w, _ = fuse_stack(fm, gyro, rng.normal(size=gyro.shape), FREQ)
+
+    def whitening(sigmas):
+        eff = np.ones(n) if exact else np.asarray(sigmas)
+        return np.diag(np.repeat(1.0 / eff, 3))
+
+    for k in range(trials):
+        cfg = VimuConfig(tuple(rotations[k]), tuple(positions[k]), noises)
+        D = np.concatenate(cfg.rotations)
+        W_g = whitening([ns.sigma_g for ns in noises])
+        W_a = whitening([ns.sigma_a for ns in noises])
+        y = gyro[k, 1:-1].reshape(-1, 3 * n).T
+        want = np.linalg.lstsq(W_g @ D, W_g @ y, rcond=None)[0].T
+        np.testing.assert_allclose(fused_w[k], want, rtol=0, atol=1e-12)
+        noise = virtual_covariances(cfg)
+        for got, W, field in ((noise.gyro, W_g, "sigma_g"), (noise.gyro_bias, W_g, "sigma_bg"),
+                              (noise.accel, W_a, "sigma_a"), (noise.accel_bias, W_a, "sigma_ba")):
+            P = np.linalg.pinv(W @ D)
+            S = np.diag(np.repeat([getattr(ns, field) ** 2 for ns in noises], 3))
+            want = P @ W @ S @ W @ P.T
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max(),
+                                       err_msg=field)
