@@ -218,8 +218,9 @@ def write_vimu_sidecar(path, cfg: VimuConfig, noise: VimuNoise, freq: float):
 
 def read_vimu_sidecar(path):
     """The (VimuConfig, VimuNoise, freq) of a sidecar JSON; a missing or
-    malformed entry, a Q_* that is not a finite 3x3 matrix or a freq that
-    is not finite and positive raises FormatError naming path and key."""
+    malformed entry, a Q_* that is not a finite, symmetric positive
+    semi-definite 3x3 matrix or a freq that is not finite and positive
+    raises FormatError naming path and key."""
     d = read_json(path)
     try:
         freq = _number("freq", d["freq"])

@@ -64,9 +64,10 @@ _CENTER = 4
 _PAIR = (0, 2)
 _QUAD = (0, 2, 6, 8)
 # Bytes the working set of one chunk of trials may hold: per trial its
-# raw samples, and per variant its fused rows and the rotation of every
-# integrated sample. 2 MiB is 3 desk trials of 9 sensors and 5 variants;
-# batching pays from a few trials on, more only adds memory.
+# raw samples, and per variant its fused rows (the kernel's temporaries
+# grow with its block, not with the trial). 2 MiB is 5 desk trials of 9
+# sensors and 5 variants; batching pays from a few trials on, more only
+# adds memory.
 _CHUNK_BYTES = 2 << 20
 
 
@@ -431,7 +432,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                       dtype=bool) for v in plan.variants}
     failures: list[str] = []
     trial_bytes = 8 * (6 * len(needed) * n_total
-                       + len(plan.variants) * 15 * n_windows * step)
+                       + len(plan.variants) * 6 * n_windows * step)
     chunk = min(plan.sequences_per_sample, max(1, _CHUNK_BYTES // trial_bytes))
     # (trial, gyro/accel, sample, sensor, axis), and a per-trial scratch
     raw = np.empty((chunk, 2, n_total, len(needed), 3))

@@ -16,6 +16,11 @@ the zero-noise expectation.
 
 Error-state conventions (matching A/B): dR_meas = dR Exp(e_phi),
 e_v = dv_meas - dv, e_p = dp_meas - dp.
+
+The kernel (preintegrate_stack) advances many windows at once and walks
+their samples in blocks, so that what it holds besides its inputs and
+outputs is sized by the block, not by the window: no rotation is kept
+per integrated sample.
 """
 from __future__ import annotations
 
@@ -26,6 +31,11 @@ import numpy as np
 from .geometry import exp_so3, right_jacobian, skew
 from .types import ImuSeries
 from .vimu import FusionMatrices, VimuNoise, lever_jacobian, lever_term
+
+# Sample positions that preintegrate_stack integrates per pass: its
+# temporaries hold this many samples of every window, whatever the
+# window length.
+_BLOCK = 20
 
 
 @dataclass
@@ -99,8 +109,8 @@ def step_matrices(accum_rotation, step_rotation, a_hat, jr_dt, t_psi,
 
     ``accum_rotation`` is the delta rotation accumulated before this
     sample; ``step_rotation`` is Exp(w_hat dt) for this sample. The
-    rate-only blocks come precomputed, so that a series can evaluate
-    them for all its samples at once: ``jr_dt`` is
+    rate-only blocks come precomputed, so that a caller can evaluate
+    them for a block of samples at once: ``jr_dt`` is
     right_jacobian(w_hat dt) dt and ``t_psi`` is
     vimu.lever_jacobian(fm, w_hat). ``out`` takes the (A, B)
     of an earlier call with the same shapes and refills only its
@@ -176,52 +186,51 @@ def preintegrate_stack(gyro, accel, freq: float, fm: FusionMatrices | None = Non
 
     Each delta equals folding its window through step_matrices sample by
     sample, to round-off. One loop over the sample positions advances
-    every window's rotation (and covariance) together; the rate-only
-    blocks of B are evaluated once for every sample, and one A and one
-    B buffer are refilled in place. The velocity and position sums
-    are weighted sums of the rotated samples, without a loop.
+    every window's rotation (and covariance) together, one A and one B
+    buffer being refilled in place. The positions pass in blocks of
+    _BLOCK: per block, Exp and the rate-only blocks of B are evaluated
+    for all its samples at once, and its rotated samples are reduced
+    into the velocity and position sums by weights, without a loop. So
+    the working memory grows with the block, not with the window.
     """
     w_hat = np.asarray(gyro, dtype=float)
     a_hat = np.asarray(accel, dtype=float)
     dt = 1.0 / freq
-    lead = w_hat.shape[:-2]
-    # rot[..., t, :, :] holds Exp(w_t dt) until pass t overwrites it with
-    # the rotation accumulated through sample t.
-    rot = exp_so3(w_hat * dt)
+    lead, k = w_hat.shape[:-2], w_hat.shape[-2]
     dR = np.tile(np.eye(3), lead + (1, 1))
-    cov = None
+    # dv = sum_t a_t dt; dp = sum_t (v_t dt + a_t dt^2 / 2), v_t the velocity
+    # before sample t, is sum_t (k - 1/2 - t) a_t dt^2, where a_t is sample t
+    # rotated by the accumulation before it: one product per block gives both
+    weights = np.array([np.full(k, dt), (k - 0.5 - np.arange(k)) * dt**2])
+    dv_dp = np.zeros(lead + (2, 3))
+    cov = AB = None
     if noise is not None:
         s_eta = _noise_input_covariance(noise, freq)
-        # The rate-only blocks of B do not depend on the accumulated
-        # rotation: evaluate them once for every sample.
-        jr_dt = right_jacobian(w_hat * dt) * dt
-        # one row axis for every window's samples, as fm's trial axes expect
-        t_psi = lever_jacobian(fm, w_hat.reshape(lead[:-1] + (-1, 3)))
-        t_psi = t_psi.reshape(w_hat.shape + (3,))
         cov = np.zeros(lead + (9, 9))
-        AB = None
-    for t in range(w_hat.shape[-2]):
+    for b in range(0, k, _BLOCK):
+        w, a = w_hat[..., b:b + _BLOCK, :], a_hat[..., b:b + _BLOCK, :]
+        # rot[..., i, :, :] holds Exp(w_i dt) until pass i overwrites it
+        # with the rotation accumulated before sample i
+        rot = exp_so3(w * dt)
         if cov is not None:
-            A, B = AB = step_matrices(dR, rot[..., t, :, :], a_hat[..., t, :],
-                                      jr_dt[..., t, :, :], t_psi[..., t, :, :],
-                                      dt, out=AB)
-            cov = (A @ cov @ np.swapaxes(A, -1, -2)
-                   + B @ s_eta @ np.swapaxes(B, -1, -2))
-            cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-        dR = dR @ rot[..., t, :, :]
-        rot[..., t, :, :] = dR
-
-    # Sample t is rotated by the accumulation before it: I for t = 0.
-    accel_world = a_hat.copy()
-    R, a, out = rot[..., :-1, :, :], a_hat[..., 1:, :], accel_world[..., 1:, :]
-    np.multiply(R[..., 0], a[..., :1], out=out)  # R a, column by column
-    out += R[..., 1] * a[..., 1:2]
-    out += R[..., 2] * a[..., 2:]
-    del rot, R  # the largest array of the pass; the sums below need none of it
-    # dv = sum_t a_t dt; dp = sum_t (v_t dt + a_t dt^2 / 2), v_t the velocity
-    # before sample t, is sum_t (k - 1/2 - t) a_t dt^2: one product gives both
-    k = a_hat.shape[-2]
-    dv_dp = np.array([np.full(k, dt), (k - 0.5 - np.arange(k)) * dt**2]) @ accel_world
+            jr_dt = right_jacobian(w * dt) * dt
+            # one row axis for every window's samples, as fm's trial axes expect
+            t_psi = lever_jacobian(fm, w.reshape(lead[:-1] + (-1, 3)))
+            t_psi = t_psi.reshape(w.shape + (3,))
+        for i in range(w.shape[-2]):
+            if cov is not None:
+                A, B = AB = step_matrices(dR, rot[..., i, :, :], a[..., i, :],
+                                          jr_dt[..., i, :, :], t_psi[..., i, :, :],
+                                          dt, out=AB)
+                cov = (A @ cov @ np.swapaxes(A, -1, -2)
+                       + B @ s_eta @ np.swapaxes(B, -1, -2))
+                cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+            before, dR = dR, dR @ rot[..., i, :, :]
+            rot[..., i, :, :] = before
+        accel_world = rot[..., 0] * a[..., :1]  # R a, column by column
+        accel_world += rot[..., 1] * a[..., 1:2]
+        accel_world += rot[..., 2] * a[..., 2:]
+        dv_dp += weights[:, b:b + _BLOCK] @ accel_world
     return dR, dv_dp[..., 0, :], dv_dp[..., 1, :], cov
 
 

@@ -45,19 +45,23 @@ def _integral(key: str, value) -> int:
 
 
 def _number(key: str, value) -> float:
-    """A config value as a float; one that float() refuses raises
-    FormatError naming key. Range checks are the caller's."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise FormatError(f"{key} must be a number, got {value!r}") from None
+    """A config value as a float; a bool or one that float() refuses
+    raises FormatError naming key. Range checks are the caller's."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise FormatError(f"{key} must be a number, got {value!r}")
 
 
 def _finite_floats(key: str, value) -> np.ndarray:
-    """A config list of numbers as a float array; an entry that is not a
-    finite number raises FormatError naming key. Shape checks are the
-    caller's."""
+    """A config list of numbers as a float array; an entry that is a bool
+    or not a finite number raises FormatError naming key. Shape checks
+    are the caller's."""
     try:
+        if any(isinstance(x, bool) for x in np.ravel(np.asarray(value, dtype=object))):
+            raise TypeError
         v = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         v = np.array(np.nan)

@@ -215,12 +215,17 @@ class VimuNoise:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VimuNoise":
-        """Parse to_dict's mapping; a Q_* that is not a finite 3x3 matrix
-        raises FormatError or ValueError naming its key."""
+        """Parse to_dict's mapping; a Q_* that is not a finite 3x3 matrix,
+        or not symmetric positive semi-definite to round-off, raises
+        FormatError or ValueError naming its key."""
         def matrix(key):
             m = _finite_floats(key, d[key])
             if m.shape != (3, 3):
                 raise ValueError(f"{key} must be a 3x3 matrix, got shape {m.shape}")
+            tol = 1e-12 * np.abs(m).max()
+            if np.abs(m - m.T).max() > tol or np.linalg.eigvalsh(m).min() < -tol:
+                raise ValueError(f"{key} must be symmetric positive semi-definite, "
+                                 f"got {m.tolist()}")
             return m
 
         return cls(gyro=matrix("Q_gV"), gyro_bias=matrix("Q_bgV"),

@@ -517,11 +517,13 @@ def test_evaluate_rejects_bad_plan_value(tmp_path, capsys, key, value):
     (PLAN_YAML + "  trajectory:\n    euler_frequency_hz: [0.5, .nan, 0.45]\n",
      "euler_frequency_hz"),
     (PLAN_YAML + "noise:\n  sigma_g: abc\n", "sigma_g"),
-], ids=["keyframe_interval_s", "sim.freq", "sim.gravity", "euler_frequency_hz", "sigma_g"])
+    (PLAN_YAML + "keyframe_interval_s: true\n", "keyframe_interval_s"),
+], ids=["keyframe_interval_s", "sim.freq", "sim.gravity", "euler_frequency_hz", "sigma_g",
+        "keyframe_interval_s-bool"])
 def test_evaluate_rejects_value_that_is_not_a_number(tmp_path, capsys, plan, key):
-    """A plan value that is not a number, or a trajectory entry that is
-    not finite, fails with a FormatError naming the key, before any
-    trial runs."""
+    """A plan value that is not a number (a YAML bool is not one), or a
+    trajectory entry that is not finite, fails with a FormatError naming
+    the key, before any trial runs."""
     (tmp_path / "plan.yaml").write_text(plan)
     code = main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
                  "--out", str(tmp_path / "report")])
@@ -541,11 +543,16 @@ def test_evaluate_rejects_value_that_is_not_a_number(tmp_path, capsys, plan, key
     ("freq: 200\n", "freq: abc\n", "freq"),
     ("    position_m: [-0.05, 0, 0]\n", "    position_m: [-0.05, .inf, 0]\n",
      "position_m"),
-], ids=["sigma_g", "euler_frequency_hz", "gravity", "freq", "position_m"])
+    ("freq: 200\n", "freq: true\n", "freq"),
+    ("    position_m: [-0.05, 0, 0]\n",
+     "    position_m: [-0.05, 0, 0]\n    noise: {sigma_g: true}\n", "sigma_g"),
+    ("seed: 11\n", "seed: 11\ngravity: [true, 0, -9.81]\n", "gravity"),
+], ids=["sigma_g", "euler_frequency_hz", "gravity", "freq", "position_m",
+        "freq-bool", "sigma_g-bool", "gravity-bool"])
 def test_simulate_rejects_value_that_is_not_a_number(tmp_path, capsys, old, new, key):
-    """A config value that is not a number, or a list entry that is not
-    finite, fails with a FormatError naming the key, before any file is
-    written."""
+    """A config value that is not a number (a YAML bool is not one), or a
+    list entry that is not finite, fails with a FormatError naming the
+    key, before any file is written."""
     assert SIM_YAML.count(old) == 1
     (tmp_path / "sim.yaml").write_text(SIM_YAML.replace(old, new))
     code = main(["simulate", "--config", str(tmp_path / "sim.yaml"),
@@ -603,14 +610,17 @@ def test_fuse_rejects_calibration_that_is_not_a_mapping(workspace, tmp_path,
     assert not (tmp_path / "virtual.csv").exists()
 
 
-@pytest.mark.parametrize("field", ["config", "noise-entry", "covariances"])
+@pytest.mark.parametrize("field", ["config", "noise-entry", "covariances", "negative-Q_gV"])
 def test_preintegrate_rejects_sidecar_with_wrong_types(workspace, fused,
                                                        tmp_path, capsys, field):
-    """A sidecar block that is null, or a noises entry that is not a
-    mapping, fails with a FormatError naming the sidecar."""
+    """A sidecar block that is null, a noises entry that is not a
+    mapping, or a Q_* that is not positive semi-definite fails with a
+    FormatError naming the sidecar."""
     sidecar = read_json(fused.with_suffix(".json"))
     if field == "noise-entry":
         sidecar["config"]["noises"][1] = 5
+    elif field == "negative-Q_gV":
+        sidecar["covariances"]["Q_gV"] = (-1e-8 * np.eye(3)).tolist()
     else:
         sidecar[field] = None
     path = tmp_path / "virtual.json"

@@ -397,11 +397,11 @@ DIFF_PLANS = {
     "all-variants": ExperimentPlan(extrinsic_samples=2, sequences_per_sample=5,
                                    master_seed=11,
                                    sim=SimConfig(freq=200.0, duration=1.5)),
-    # 11 sequences: the default chunk (10 trials of 1.5 s and three
+    # 14 sequences: the default chunk (13 trials of 1.5 s and three
     # variants) leaves 1 over
     "ragged-chunks": ExperimentPlan(variants=("1-imu-true", "9-imu-perturbed",
                                               "2-imu-calibrated"),
-                                    extrinsic_samples=1, sequences_per_sample=11,
+                                    extrinsic_samples=1, sequences_per_sample=14,
                                     master_seed=12,
                                     sim=SimConfig(freq=200.0, duration=1.5)),
     # a subset in non-default order: every variant's rows of the shared

@@ -500,6 +500,8 @@ def test_sidecar_round_trip(tmp_path):
     ("Q_aV", [[float("nan"), 0.0, 0.0], [0.0, 1e-6, 0.0], [0.0, 0.0, 1e-6]]),
     ("Q_baV", np.diag([float("inf"), 1.0, 1.0]).tolist()),
     ("Q_aV", "abc"),
+    ("Q_gV", (-1e-8 * np.eye(3)).tolist()),
+    ("Q_aV", [[1e-6, 1e-7, 0.0], [0.0, 1e-6, 0.0], [0.0, 0.0, 1e-6]]),
     ("freq", float("nan")),
     ("freq", float("inf")),
     ("freq", 0.0),
@@ -507,9 +509,9 @@ def test_sidecar_round_trip(tmp_path):
     ("freq", "abc"),
 ])
 def test_sidecar_rejects_bad_values(tmp_path, key, value):
-    """A Q_* that is not a finite 3x3 matrix, or a freq that is not
-    finite and positive, fails with a FormatError naming the file and
-    the key."""
+    """A Q_* that is not a finite, symmetric positive semi-definite 3x3
+    matrix, or a freq that is not finite and positive, fails with a
+    FormatError naming the file and the key."""
     cfg = midpoint_frame(Extrinsic(p=np.array([0.12, 0.0, 0.0])), NoiseSpec(), NoiseSpec())
     path = tmp_path / "virtual.json"
     write_vimu_sidecar(path, cfg, virtual_covariances(cfg), 200.0)
@@ -519,6 +521,26 @@ def test_sidecar_rejects_bad_values(tmp_path, key, value):
     with pytest.raises(FormatError) as info:
         read_vimu_sidecar(path)
     assert str(path) in str(info.value) and key in str(info.value)
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["pipeline", "all-zero"])
+def test_sidecar_accepts_covariances(tmp_path, zero):
+    """The covariances that fuse writes, symmetric only to round-off, and
+    all-zero ones (exact data) are read back as written."""
+    cfg = midpoint_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.087, 0.0]),
+                                   p=np.array([0.1, 0.0, 0.0])),
+                         NoiseSpec(), NoiseSpec(sigma_a=5e-3))
+    noise = virtual_covariances(cfg)
+    path = tmp_path / "virtual.json"
+    write_vimu_sidecar(path, cfg, noise, 200.0)
+    if zero:
+        d = read_json(path)
+        d["covariances"] = {k: np.zeros((3, 3)).tolist() for k in d["covariances"]}
+        path.write_text(json.dumps(d))
+    _, got, _ = read_vimu_sidecar(path)
+    for f in ("gyro", "gyro_bias", "accel", "accel_bias"):
+        want = np.zeros((3, 3)) if zero else getattr(noise, f)
+        np.testing.assert_array_equal(getattr(got, f), want)
 
 
 def test_sidecar_rejects_non_finite_position(tmp_path):

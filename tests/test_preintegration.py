@@ -1,3 +1,6 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from oracle import (
@@ -11,6 +14,7 @@ from oracle import (
 )
 from oracle import step_matrices as scalar_step_matrices
 
+from mimufusion.csvio import load_sim_setup
 from mimufusion.geometry import (
     exp_so3,
     geodesic_angle,
@@ -20,6 +24,7 @@ from mimufusion.geometry import (
     skew,
 )
 from mimufusion.preintegration import (
+    _BLOCK,
     VimuState,
     bias_correct,
     predict_state,
@@ -608,18 +613,25 @@ def test_windows_argument_checks():
         preintegrate_windows(series, BIASED, fm, 0)
 
 
-def test_stack_over_trials_matches_windows_per_series():
-    """One preintegrate_stack call over a trial axis, each trial with
-    its own fusion (for the lever Jacobian of the covariance), equals
-    a preintegrate_windows call per series: the list wrapper is the
-    kernel's one-series case."""
+def two_trial_fusion():
+    """Two 2-sensor arrays as the trial axis of one stacked fusion: their
+    configs, the FusionMatrices with a leading axis of 2 and the first
+    array's virtual noise model."""
     cfgs = [window_configs()["2-sensor"], midpoint_frame(
         Extrinsic(q=quat_from_rotvec([0.02, -0.1, 0.0]), p=np.array([-0.05, 0.1, 0.02])),
         MEMS, NoiseSpec(sigma_a=4e-3))]
     fm, errors = build_fusion_stack([c.rotations for c in cfgs],
                                     [c.positions for c in cfgs], cfgs[0].noises)
     assert errors == [None, None]
-    noise_v = virtual_covariances(cfgs[0])
+    return cfgs, fm, virtual_covariances(cfgs[0])
+
+
+def test_stack_over_trials_matches_windows_per_series():
+    """One preintegrate_stack call over a trial axis, each trial with
+    its own fusion (for the lever Jacobian of the covariance), equals
+    a preintegrate_windows call per series: the list wrapper is the
+    kernel's one-series case."""
+    cfgs, fm, noise_v = two_trial_fusion()
     step, n_windows = 30, 4
     series = [random_virtual_series(n_windows * step, seed=64 + k) for k in range(2)]
     shape = (2, n_windows, step, 3)
@@ -642,6 +654,59 @@ def test_stack_over_trials_matches_windows_per_series():
     for got, want in zip(plain[:3], (dR, dv, dp)):
         np.testing.assert_array_equal(got, want)
 
+
+# --- the blocked kernel -----------------------------------------------------
+
+@pytest.mark.parametrize("step", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("with_noise", [False, True], ids=["plain", "covariance"])
+def test_stack_blocks_match_per_sample_fold(step, with_noise):
+    """Windows shorter than, as long as and longer than one block of
+    preintegrate_stack, over a trial axis with each trial's own fusion,
+    equal the oracle's per-sample fold within 1e-12."""
+    cfgs, fm, noise_v = two_trial_fusion()
+    n_windows = 3
+    series = [random_virtual_series(n_windows * step, seed=70 + k) for k in range(2)]
+    shape = (2, n_windows, step, 3)
+    dR, dv, dp, cov = preintegrate_stack(
+        np.stack([s.gyro for s in series]).reshape(shape),
+        np.stack([s.accel for s in series]).reshape(shape), 200.0, fm,
+        noise_v if with_noise else None)
+    assert (cov is None) == (not with_noise)
+    for k, (cfg, one) in enumerate(zip(cfgs, series)):
+        for j in range(n_windows):
+            want = fold_window(window_of(one, j, step), VimuState.identity(), cfg,
+                               build_fusion(cfg), noise_v)
+            np.testing.assert_allclose(dR[k, j], want.rotation, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dv[k, j], want.velocity, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dp[k, j], want.position, rtol=0, atol=1e-12)
+            if with_noise:
+                np.testing.assert_allclose(cov[k, j], want.covariance, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want.covariance).max())
+
+
+@pytest.mark.parametrize("with_noise", [False, True], ids=["plain", "covariance"])
+def test_stack_peak_memory_below_two_rotation_arrays(with_noise):
+    """Preintegrating the 60 s sim_pair virtual series in 0.5 s windows
+    holds less than two (k, 3, 3) arrays at its peak: the kernel's
+    working memory grows with its block, not with the series."""
+    sim, imus = load_sim_setup(Path(__file__).resolve().parents[1]
+                               / "configs" / "sim_pair.yaml")
+    cfg = body_frame([m for _, m, _ in imus], [n for _, _, n in imus])
+    fm = build_fusion(cfg)
+    series = fuse_series(fm, [simulate_imu(sim, m, n, seed=i)
+                              for i, (_, m, n) in enumerate(imus)])
+    noise_v = virtual_covariances(cfg) if with_noise else None
+    k = len(series)
+    assert k > 11_000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        deltas = preintegrate_windows(series, VimuState.identity(), fm, 100, noise_v)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(deltas) == k // 100
+    assert peak < 2 * k * 9 * 8, f"peak {peak / 1e6:.2f} MB for {k} samples"
 
 
 # --- NEES consistency beyond criterion 6 ----------------------------------
