@@ -130,11 +130,13 @@ def cmd_fuse(args) -> int:
     noise_a, noise_b = csvio.load_noise_pair(args.noise)
     series = ingest_csv([args.imu_a, args.imu_b])
     cfg = midpoint_frame(ext, noise_a, noise_b)
-    fused = fuse_series(build_fusion(cfg), series)
+    fm = build_fusion(cfg)
+    fused = fuse_series(fm, series)
     out = Path(args.out)
     csvio.write_imu_csv(out, fused)
     sidecar = out.with_suffix(".json")
-    csvio.write_vimu_sidecar(sidecar, cfg, virtual_covariances(cfg), fused.freq)
+    csvio.write_vimu_sidecar(sidecar, cfg, virtual_covariances(fm, cfg.noises),
+                             fused.freq)
     print(f"fused {len(fused)} samples at {fused.freq:g} Hz -> {out} "
           f"(+ {sidecar.name})")
     return 0

@@ -250,7 +250,9 @@ def sim_setup_from_dict(d: dict):
     """Parse a simulation config mapping into (SimConfig, imu definitions).
 
     Returns the config plus a list of (name, mount Extrinsic, NoiseSpec)
-    tuples, one per configured sensor.
+    tuples, one per configured sensor. A name names the sensor's CSV
+    file, so an empty name, ``.``, ``..``, a name with a path separator
+    and a repeated name raise FormatError naming ``imus[i].name``.
     """
     from .simulation import SimConfig, TrajectoryParams
 
@@ -273,6 +275,10 @@ def sim_setup_from_dict(d: dict):
             _check_keys(entry, ("name", "rotation_wxyz", "position_m", "noise"),
                         f"imus[{i}]")
             name = str(entry.get("name", f"imu_{i:02d}"))
+            if name in ("", ".", "..") or "/" in name or "\\" in name:
+                raise ValueError(f"imus[{i}].name {name!r} is not a plain file name")
+            if name in (n for n, _, _ in imus):
+                raise ValueError(f"imus[{i}].name {name!r} repeats an earlier name")
             mount = Extrinsic(
                 q=_finite_floats("rotation_wxyz", entry.get("rotation_wxyz", [1, 0, 0, 0])),
                 p=_finite_floats("position_m", entry.get("position_m", [0, 0, 0])),

@@ -41,6 +41,7 @@ from .simulation import (
     apply_measurement_noise_stack,
     grid_mounts,
     ideal_imu_series_stack,
+    innovation_weights,
     perturb_extrinsics,
 )
 from .types import ImuSeries, NoiseSpec, _check_keys, _finite_floats, _integral, _number
@@ -420,9 +421,13 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
         raise ValueError("duration too short for one keyframe window")
     kf_times = (1 + step * np.arange(n_windows + 1)) / plan.sim.freq
     keyframes = TrajectorySample(kf_times, *_trajectory_arrays(plan.sim, kf_times))
-    # once per run: the calibration weights and the variant on true mounts
+    # once per run: the calibration and noise weights and the variant on
+    # true mounts
     weights = (WeightSchedule.build(n_total, plan.noise, plan.noise, 1.0 / plan.sim.freq)
                if "2-imu-calibrated" in plan.variants else None)
+    # repeated over the axes: numpy multiplies contiguous rows faster
+    noise_weights = np.repeat(innovation_weights(plan.noise, plan.sim.freq, n_total),
+                              3, axis=-1)
     setups = {v: _setup(*_poses(mounts, (_CENTER,)), plan, keyframes)
               for v in plan.variants if v == "1-imu-true"}
 
@@ -435,8 +440,9 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                        + len(plan.variants) * 6 * n_windows * step)
     chunk = min(plan.sequences_per_sample, max(1, _CHUNK_BYTES // trial_bytes))
     # (trial, gyro/accel, sample, sensor, axis), and a per-trial scratch
+    # of the noise draws, (sensor, gyro/accel, sample, axis)
     raw = np.empty((chunk, 2, n_total, len(needed), 3))
-    scratch = np.empty((len(needed), 4, n_total, 3))
+    draws = np.empty((len(needed), 2, n_total, 3))
 
     stream = None
     if out_dir is not None:
@@ -460,10 +466,11 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                 seqs = range(r0, min(r0 + chunk, plan.sequences_per_sample))
                 for c, r in enumerate(seqs):
                     imu_seqs = trial_seqs[r].spawn(9)
-                    raw[c] = apply_measurement_noise_stack(
+                    apply_measurement_noise_stack(
                         ideal, plan.noise, plan.sim.freq,
                         [np.random.default_rng(imu_seqs[i]) for i in needed],
-                        out=scratch).transpose(1, 2, 0, 3)
+                        out=raw[c].transpose(2, 0, 1, 3), draws=draws,
+                        weights=noise_weights)
                 gyro, accel = raw[:len(seqs), 0], raw[:len(seqs), 1]
                 if not (np.isfinite(gyro).all() and np.isfinite(accel).all()):
                     for c, j in np.ndindex(len(seqs), len(needed)):

@@ -7,6 +7,12 @@ The trajectory family is per-axis sinusoids: position ``A sin(2 pi f t
 by analytic differentiation of the Euler-rate kinematics. Everything is
 exact in closed form, so simulated data can serve as a ground-truth
 oracle for the estimators.
+
+Measurement noise is white noise plus a bias random walk per axis. It
+is drawn as one standard normal per sample and axis and shaped by the
+innovations form of that model's scalar Kalman filter, whose gains
+come from the closed-form solution of its Riccati recursion
+(apply_measurement_noise_stack).
 """
 from __future__ import annotations
 
@@ -237,35 +243,95 @@ def apply_measurement_noise(gyro, accel, noise: NoiseSpec, freq: float, rng):
     """Add white noise plus a bias random walk to ideal measurements:
     the one-sensor case of apply_measurement_noise_stack."""
     ideal = np.array([[gyro, accel]], dtype=float)
-    return tuple(apply_measurement_noise_stack(ideal, noise, freq, [rng])[0].copy())
+    return tuple(apply_measurement_noise_stack(ideal, noise, freq, [rng])[0])
+
+
+def _level_variances(var_w, q, out) -> np.ndarray:
+    """P_k for k < len(out), into out: the predicted variance of the
+    level L_k in the scalar Kalman filter of x_k = L_k + N(0, var_w),
+    L_0 known and L_{k+1} = L_k + N(0, q). The Riccati recursion
+    P_{k+1} = ((var_w + q) P_k + q var_w) / (P_k + var_w) from P_0 = 0
+    is a Mobius map with fixed points p+ > 0 > p-, p+ p- = -q var_w, so
+    (P_k - p+) / (P_k - p-) = rho^k (P_0 - p+) / (P_0 - p-) with
+    rho = (var_w + p-) / (var_w + p+), which gives
+    P_k = p+ (1 - rho^k) / (1 + (p+ / -p-) rho^k) for every k at once.
+    """
+    if var_w == 0.0 or q == 0.0:  # the level is seen exactly, or never moves
+        out[:] = q
+        out[:1] = 0.0
+        return out
+    out[:] = np.arange(len(out))
+    r = np.sqrt(q) * np.sqrt(q + 4.0 * var_w)  # p+ - p-
+    p_plus = 0.5 * (q + r)
+    p_minus = 2.0 * q * var_w / (q + r)  # -p-, without cancellation
+    one_minus_rho = r / (var_w + p_plus)
+    out *= (np.log1p(-one_minus_rho) if one_minus_rho < 0.5 else
+            np.log(2.0 * var_w * p_minus / ((q + r) * (var_w + p_plus))))
+    denominator = np.exp(out)  # k log(rho) -> rho^k
+    denominator *= p_plus / p_minus
+    denominator += 1.0
+    np.expm1(out, out=out)
+    out *= -p_plus
+    out /= denominator
+    return out
+
+
+def innovation_weights(noise: NoiseSpec, freq: float, n: int) -> np.ndarray:
+    """The weights (2, 2, n, 1) by which apply_measurement_noise_stack
+    turns n standard normals per axis into noise: [0] holds
+    a_k = K_k sqrt(S_k) and [1] holds b_k = (1 - K_k) sqrt(S_k)
+    = var_w / sqrt(S_k), each for the gyro and the accel row, where S_k
+    = P_k + var_w and K_k = P_k / S_k are the innovation variance and
+    gain of the row's white noise, var_w = sigma^2 freq, and bias walk,
+    q = sigma_b^2 / freq. Computed in numpy, so a sigma that overflows
+    gives non-finite weights instead of an exception."""
+    var_w = np.square([noise.sigma_g, noise.sigma_a]) * freq
+    q = np.square([noise.sigma_bg, noise.sigma_ba]) / freq
+    weights = np.empty((2, 2, n, 1))
+    for a, b, v, s in zip(weights[0, ..., 0], weights[1, ..., 0], var_w, q):
+        P = _level_variances(v, s, out=a)
+        np.sqrt(np.add(P, v, out=b), out=b)  # sqrt(S_k)
+        nonzero = b != 0.0  # P_k = 0 too where S_k is; NaN stays NaN
+        np.divide(P, b, out=a, where=nonzero)
+        np.divide(v, b, out=b, where=nonzero)
+    return weights
 
 
 def apply_measurement_noise_stack(ideal, noise: NoiseSpec, freq: float, rngs,
-                                  out=None) -> np.ndarray:
+                                  out=None, draws=None, weights=None) -> np.ndarray:
     """Noisy copies of the ideal (gyro, accel) rows of m sensors, ideal
-    (m, 2, n, 3). Sensor i's stream, the Generator rngs[i], is drawn as
-    one standard-normal block (4, n, 3) into ``out``, an (m, 4, n, 3)
-    scratch of which the result (m, 2, n, 3) is a view: gyro and accel
-    white noise of std sigma * sqrt(freq), then gyro and accel bias-walk
-    steps of sigma_b / sqrt(freq) from the spec's initial bias (the step
-    after sample k perturbs sample k+1). Each sample is (ideal + walk) +
-    white, summed in that order.
+    (m, 2, n, 3), written to ``out`` (any (m, 2, n, 3) array or view),
+    or into ``draws`` when out is None.
+
+    Each axis of a row gets white noise of variance
+    var_w = sigma^2 freq plus a bias that starts at the spec's initial
+    bias b0 and steps by N(0, q), q = sigma_b^2 / freq, after every
+    sample, so its samples about ideal + b0 have covariance
+    var_w delta_ik + q min(i, k). Sensor i's stream, the Generator
+    rngs[i], fills draws[i] (an (m, 2, n, 3) scratch, new when None)
+    with one standard-normal block e (2, n, 3), one normal per sample.
+    The innovations form of the scalar Kalman filter of that model
+    (Harvey, "Forecasting, Structural Time Series Models and the Kalman
+    Filter", 1989) builds sample k as
+    ideal_k + b0 + sum_{j<k} K_j nu_j + nu_k, nu_k = sqrt(S_k) e_k: the
+    Cholesky factor of that covariance, so the samples have exactly
+    its distribution. The sum runs as
+    (b0 + sum_{j<=k} K_j nu_j) + ((1 - K_k) nu_k + ideal_k), with the
+    ``weights`` of innovation_weights(noise, freq, n), which a caller
+    that adds the same noise many times builds once (repeated over the
+    3 axes, the products run faster).
     """
-    z = np.empty((len(rngs), 4) + np.shape(ideal)[-2:]) if out is None else out
-    for rng, draws in zip(rngs, z):
-        rng.standard_normal(out=draws)
-    sqf = np.sqrt(freq)
-    z *= np.array([noise.sigma_g * sqf, noise.sigma_a * sqf,
-                   noise.sigma_bg / sqf, noise.sigma_ba / sqf])[:, None, None]
-    white, walk = z[:, :2], z[:, 2:]
-    # a row per sample: a (2, 1, 3) broadcast adds 3 values per inner loop
-    bias = np.repeat([[noise.initial_bias_g], [noise.initial_bias_a]], z.shape[-2], axis=1)
-    np.cumsum(walk, axis=-2, out=walk)  # row t becomes the walk of sample t + 1
-    walk += bias
-    walk[..., :-1, :] += ideal[..., 1:, :]
-    white[..., 1:, :] += walk[..., :-1, :]
-    white[..., :1, :] += ideal[..., :1, :] + (bias[:, :1] + 0.0)
-    return white
+    n = np.shape(ideal)[-2]
+    a, b = innovation_weights(noise, freq, n) if weights is None else weights
+    z = np.empty((len(rngs), 2, n, 3)) if draws is None else draws
+    for rng, block in zip(rngs, z):
+        rng.standard_normal(out=block)
+    level = z * a
+    level[:, :, :1] += [[noise.initial_bias_g], [noise.initial_bias_a]]
+    np.cumsum(level, axis=-2, out=level)
+    z *= b
+    z += ideal
+    return np.add(level, z, out=z if out is None else out)
 
 
 def simulate_imu(cfg: SimConfig, mount: Extrinsic, noise: NoiseSpec,

@@ -238,20 +238,19 @@ def _propagated(solve, sigmas) -> np.ndarray:
     return (solve * np.repeat(np.asarray(sigmas) ** 2, 3)) @ solve.T
 
 
-def virtual_covariances(cfg: VimuConfig) -> VimuNoise:
-    """Closed-form virtual noise model.
+def virtual_covariances(fm: FusionMatrices, noises) -> VimuNoise:
+    """Closed-form virtual noise model of the array that build_fusion
+    reduced to ``fm``, with the sensors' NoiseSpecs ``noises``.
 
     Each sensor's white-noise and bias walk densities propagate through
     the solve that fuses its samples; with all sigmas positive the
     white-noise covariances are the whitened design Gram inverses.
     """
-    fm = build_fusion(cfg)
-    ns = cfg.noises
     return VimuNoise(
-        gyro=_propagated(fm.gyro_solve, [n.sigma_g for n in ns]),
-        gyro_bias=_propagated(fm.gyro_solve, [n.sigma_bg for n in ns]),
-        accel=_propagated(fm.accel_solve, [n.sigma_a for n in ns]),
-        accel_bias=_propagated(fm.accel_solve, [n.sigma_ba for n in ns]),
+        gyro=_propagated(fm.gyro_solve, [n.sigma_g for n in noises]),
+        gyro_bias=_propagated(fm.gyro_solve, [n.sigma_bg for n in noises]),
+        accel=_propagated(fm.accel_solve, [n.sigma_a for n in noises]),
+        accel_bias=_propagated(fm.accel_solve, [n.sigma_ba for n in noises]),
     )
 
 

@@ -20,9 +20,12 @@ per trial it calibrates, fuses, preintegrates, predicts and scores
 through the library's one-trial calls (``calibrate``, ``fuse_series``,
 ``preintegrate_windows``, ``predict_state``), where the library's
 harness runs each stage once per chunk of trials. It adds each sensor's
-noise with the four-draw ``apply_measurement_noise`` below and fuses
-every interior sample, where the library fuses only the rows that the
-keyframe windows integrate. It frames each variant its own way:
+noise with the library's one-sensor ``apply_measurement_noise``, which
+the noise tests tie to ``innovations_noise`` below: a report's ``std``
+entries turn a last-bit change of the samples into a relative change
+of about 1e-11, so the per-trial and chunked runs must draw the same
+bits. It fuses every interior sample, where the library fuses only the
+rows that the keyframe windows integrate. It frames each variant its own way:
 ``single_frame`` keeps the centre sensor's axes, ``array_frame`` puts
 the perturbed arrays at their centroid with body axes, and
 ``midpoint_frame`` puts the calibrated pair halfway along its lever arm
@@ -38,12 +41,17 @@ forms them as matrix products over the stacked design.
 reads only the angle (``geometry.geodesic_angle``), and the tests use
 the full logarithm as a reference.
 
-``apply_measurement_noise`` draws the four noise blocks of one sensor
-with four calls and sums them with per-sensor ``vstack``/``cumsum``;
-the library draws each sensor's stream as one block and adds the noise
-of every sensor of a trial in one pass
-(``simulation.apply_measurement_noise_stack``). The two must agree bit
-for bit.
+``apply_measurement_noise`` is the paper's noise model as it reads:
+four draws per sensor, white gyro and accel noise and gyro and accel
+bias-walk steps, summed with per-sensor ``vstack``/``cumsum``. The
+library draws one normal per sample instead
+(``simulation.apply_measurement_noise_stack``): the innovations form of
+the same white-noise-plus-walk model, whose samples have the same
+distribution but not the same values; the tests compare the two by
+their covariance. ``innovations_noise`` is that innovations form one
+sensor at a time, with the Riccati recursion run as a loop
+(``riccati_schedule``) where the library evaluates it in closed form
+for every sample at once; the two agree to round-off.
 
 ``skew_lever_matrix``, ``is_rotation``, ``lever_term``,
 ``preintegrate_stack`` and ``translation_cost`` are the forms the
@@ -110,6 +118,7 @@ from mimufusion.harness import (
     rmse_metrics,
     true_vimu_state,
 )
+from mimufusion import simulation
 from mimufusion.preintegration import (
     PreintDelta,
     _noise_input_covariance,
@@ -243,6 +252,46 @@ def apply_measurement_noise(gyro, accel, noise: NoiseSpec, freq: float, rng):
     walk_a = noise.initial_bias_a + np.vstack(
         [np.zeros(3), np.cumsum(steps_a[:-1], axis=0)])
     return gyro + walk_g + eta_g, accel + walk_a + eta_a
+
+
+def riccati_schedule(var_w: float, q: float, n: int) -> tuple:
+    """Innovation variances S_k and gains K_k, k < n, of the scalar
+    Kalman filter of x_k = L_k + N(0, var_w) with L_0 known and
+    L_{k+1} = L_k + N(0, q), by the Riccati recursion one sample at a
+    time: S_k = P_k + var_w, K_k = P_k / S_k and
+    P_{k+1} = ((var_w + q) P_k + q var_w) / S_k from P_0 = 0 (q, and
+    K_k = 0, where S_k is 0)."""
+    s, gain = np.empty(n), np.empty(n)
+    p = 0.0
+    for k in range(n):
+        s[k] = p + var_w
+        gain[k] = p / s[k] if s[k] > 0 else 0.0
+        p = ((var_w + q) * p + q * var_w) / s[k] if s[k] > 0 else q
+    return s, gain
+
+
+def innovations_noise(gyro, accel, noise: NoiseSpec, freq: float, rng):
+    """The library's noise model, the white noise and bias walk of
+    apply_measurement_noise, from one (2, n, 3) standard-normal draw.
+
+    Per row, the scalar Kalman filter of x_k = L_k + N(0, var_w) with
+    L_0 the initial bias and L_{k+1} = L_k + N(0, q), var_w = sigma^2
+    freq and q = sigma_b^2 / freq, gives the innovation variances S_k and
+    gains K_k (``riccati_schedule``). Sample k is then
+    ideal_k + L_0 + sum_{j<k} K_j nu_j + nu_k, nu_k = sqrt(S_k) e_k.
+    """
+    ideal = np.array([gyro, accel], dtype=float)
+    n = ideal.shape[1]
+    e = rng.standard_normal((2, n, 3))
+    rows = ((noise.sigma_g, noise.sigma_bg, noise.initial_bias_g),
+            (noise.sigma_a, noise.sigma_ba, noise.initial_bias_a))
+    out = np.empty_like(ideal)
+    for row, (sigma, sigma_b, bias) in enumerate(rows):
+        s, gain = riccati_schedule(sigma * sigma * freq, sigma_b * sigma_b / freq, n)
+        nu = np.sqrt(s)[:, None] * e[row]
+        level = np.vstack([np.zeros(3), np.cumsum(gain[:-1, None] * nu[:-1], axis=0)])
+        out[row] = ideal[row] + bias + level + nu
+    return out[0], out[1]
 
 
 def write_imu_csv(path, series: ImuSeries):
@@ -444,7 +493,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                 series_by_idx = {}
                 for i in needed:
                     rng = np.random.default_rng(imu_seqs[i])
-                    w, a = apply_measurement_noise(
+                    w, a = simulation.apply_measurement_noise(
                         ideal[i][0], ideal[i][1], plan.noise, plan.sim.freq, rng)
                     series_by_idx[i] = ImuSeries(plan.sim.freq, 0, w, a)
                 for v in plan.variants:

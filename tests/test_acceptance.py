@@ -249,7 +249,7 @@ def test_criterion_6_preintegration_covariance_is_consistent():
     start = true_vimu_state(sample_trajectory(cfg, t_start),
                             np.eye(3), np.zeros(3))
     reference = preintegrate_windows(clean, start, fm, len(clean),
-                                     virtual_covariances(vcfg))[0]
+                                     virtual_covariances(fm, vcfg.noises))[0]
     info = np.linalg.inv(reference.covariance)
 
     ideal = [ideal_imu_series(cfg, m) for m in (MOUNT_A, MOUNT_B)]

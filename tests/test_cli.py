@@ -170,6 +170,35 @@ def test_simulate_failure_removes_the_out_directories_it_made(workspace, tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+BAD_IMU_NAMES = {
+    # a name that would write outside --out
+    "escaped": ("- name: ../escaped\n",
+                "imus[0].name '../escaped' is not a plain file name"),
+    # a second imu_a would overwrite the first CSV
+    "duplicate": ("- name: imu_a\n", "imus[2].name 'imu_a' repeats an earlier name"),
+    # a name that would need a subdirectory of --out
+    "subdirectory": ("- name: sub/dir\n",
+                     "imus[0].name 'sub/dir' is not a plain file name"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_IMU_NAMES))
+def test_simulate_rejects_imu_name_that_is_not_a_plain_file_name(tmp_path, capsys,
+                                                                  case):
+    entry, message = BAD_IMU_NAMES[case]
+    sim = (SIM_YAML + "  " + entry if case == "duplicate"
+           else SIM_YAML.replace("- name: imu_a\n", entry))
+    (tmp_path / "sim.yaml").write_text(sim)
+    out = tmp_path / "run" / "data"
+    code = main(["simulate", "--config", str(tmp_path / "sim.yaml"),
+                 "--out", str(out)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload == {"error": "FormatError",
+                       "message": f"simulation config: {message}"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.yaml"]
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_simulate_writes_all_csvs_or_none(tmp_path, capsys, recwarn, existing):
     """imu_b's noise overflows after imu_a was simulated: the error names

@@ -480,7 +480,7 @@ def test_imu_series_window_clips_huge_bounds():
 def test_sidecar_round_trip(tmp_path):
     ext = Extrinsic(p=np.array([0.12, 0.0, 0.0]))
     cfg = midpoint_frame(ext, NoiseSpec(), NoiseSpec(sigma_g=3e-4))
-    noise = virtual_covariances(cfg)
+    noise = virtual_covariances(build_fusion(cfg), cfg.noises)
     path = tmp_path / "virtual.json"
     write_vimu_sidecar(path, cfg, noise, 200.0)
     cfg2, noise2, freq = read_vimu_sidecar(path)
@@ -514,7 +514,8 @@ def test_sidecar_rejects_bad_values(tmp_path, key, value):
     FormatError naming the file and the key."""
     cfg = midpoint_frame(Extrinsic(p=np.array([0.12, 0.0, 0.0])), NoiseSpec(), NoiseSpec())
     path = tmp_path / "virtual.json"
-    write_vimu_sidecar(path, cfg, virtual_covariances(cfg), 200.0)
+    write_vimu_sidecar(path, cfg, virtual_covariances(build_fusion(cfg), cfg.noises),
+                       200.0)
     d = read_json(path)
     (d if key == "freq" else d["covariances"])[key] = value
     path.write_text(json.dumps(d))
@@ -530,7 +531,7 @@ def test_sidecar_accepts_covariances(tmp_path, zero):
     cfg = midpoint_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.087, 0.0]),
                                    p=np.array([0.1, 0.0, 0.0])),
                          NoiseSpec(), NoiseSpec(sigma_a=5e-3))
-    noise = virtual_covariances(cfg)
+    noise = virtual_covariances(build_fusion(cfg), cfg.noises)
     path = tmp_path / "virtual.json"
     write_vimu_sidecar(path, cfg, noise, 200.0)
     if zero:
@@ -546,7 +547,8 @@ def test_sidecar_accepts_covariances(tmp_path, zero):
 def test_sidecar_rejects_non_finite_position(tmp_path):
     cfg = midpoint_frame(Extrinsic(p=np.array([0.12, 0.0, 0.0])), NoiseSpec(), NoiseSpec())
     path = tmp_path / "virtual.json"
-    write_vimu_sidecar(path, cfg, virtual_covariances(cfg), 200.0)
+    write_vimu_sidecar(path, cfg, virtual_covariances(build_fusion(cfg), cfg.noises),
+                       200.0)
     d = read_json(path)
     d["config"]["positions_m"][1][0] = float("nan")
     path.write_text(json.dumps(d))

@@ -182,7 +182,7 @@ def test_preintegrate_constant_rate_exact_rotation():
 def test_preintegrate_matches_propagate_step():
     cfg_sim = SimConfig(freq=200.0, duration=0.5)
     series, vcfg, fm = virtual_from_body(cfg_sim, noise=MEMS, seed=50)
-    noise_v = virtual_covariances(vcfg)
+    noise_v = virtual_covariances(fm, vcfg.noises)
     state = VimuState.identity()
     batched = preintegrate_windows(series, state, fm, len(series), noise_v)[0]
 
@@ -222,7 +222,7 @@ def test_first_order_error_halves_with_rate():
 def test_covariance_single_step_is_input_mapping():
     vcfg = single_frame(MEMS)
     fm = build_fusion(vcfg)
-    noise_v = virtual_covariances(vcfg)
+    noise_v = virtual_covariances(fm, vcfg.noises)
     freq = 200.0
     dt = 1.0 / freq
     w = np.array([0.2, -0.1, 0.4])
@@ -251,7 +251,7 @@ def test_covariance_symmetric_psd_along_trajectory():
     ext = Extrinsic(p=np.array([0.1, 0.0, 0.0]))
     vcfg = midpoint_frame(ext, MEMS, MEMS)
     fm = build_fusion(vcfg)
-    noise_v = virtual_covariances(vcfg)
+    noise_v = virtual_covariances(fm, vcfg.noises)
     from mimufusion.geometry import quat_from_rotation
 
     series = fuse_series(fm, [
@@ -274,7 +274,7 @@ def test_covariance_matches_hand_rolled_single_imu():
     the recursion is re-implemented here from scratch."""
     vcfg = midpoint_frame(Extrinsic.identity(), MEMS, MEMS)
     fm = build_fusion(vcfg)
-    noise_v = virtual_covariances(vcfg)
+    noise_v = virtual_covariances(fm, vcfg.noises)
     freq = 200.0
     dt = 1.0 / freq
     rng = np.random.default_rng(51)
@@ -545,7 +545,7 @@ def assert_delta_close(got, want):
 def test_windows_match_propagate_step_fold(name):
     cfg = window_configs()[name]
     fm = build_fusion(cfg)
-    noise_v = virtual_covariances(cfg)
+    noise_v = virtual_covariances(fm, cfg.noises)
     step, n_windows, remainder = 40, 6, 17
     series = random_virtual_series(n_windows * step + remainder, seed=60)
     # the bias correction really moves the accelerometer through the
@@ -575,7 +575,7 @@ def test_windows_ignore_remainder_samples():
     poisoning them with NaN changes nothing."""
     cfg = window_configs()["2-sensor"]
     fm = build_fusion(cfg)
-    noise_v = virtual_covariances(cfg)
+    noise_v = virtual_covariances(fm, cfg.noises)
     step, n_windows = 25, 5
     whole = random_virtual_series(n_windows * step, seed=61)
     pad = np.zeros((step - 1, 3))
@@ -597,7 +597,7 @@ def test_windows_ignore_remainder_samples():
 def test_windows_series_shorter_than_one_window():
     cfg = window_configs()["1-sensor"]
     fm = build_fusion(cfg)
-    noise_v = virtual_covariances(cfg)
+    noise_v = virtual_covariances(fm, cfg.noises)
     series = random_virtual_series(39, seed=62)
     assert preintegrate_windows(series, BIASED, fm, 40, noise_v) == []
     exact = preintegrate_windows(series, BIASED, fm, 39, noise_v)
@@ -623,7 +623,7 @@ def two_trial_fusion():
     fm, errors = build_fusion_stack([c.rotations for c in cfgs],
                                     [c.positions for c in cfgs], cfgs[0].noises)
     assert errors == [None, None]
-    return cfgs, fm, virtual_covariances(cfgs[0])
+    return cfgs, fm, virtual_covariances(build_fusion(cfgs[0]), cfgs[0].noises)
 
 
 def test_stack_over_trials_matches_windows_per_series():
@@ -695,7 +695,7 @@ def test_stack_peak_memory_below_two_rotation_arrays(with_noise):
     fm = build_fusion(cfg)
     series = fuse_series(fm, [simulate_imu(sim, m, n, seed=i)
                               for i, (_, m, n) in enumerate(imus)])
-    noise_v = virtual_covariances(cfg) if with_noise else None
+    noise_v = virtual_covariances(fm, cfg.noises) if with_noise else None
     k = len(series)
     assert k > 11_000
     tracemalloc.start()
@@ -751,7 +751,7 @@ def mean_nees(mounts, cfg: VimuConfig, trials: int, seed: int,
     fm = build_fusion(cfg)
     clean = fuse_series(fm, [ImuSeries(freq, 0, w, a) for w, a in ideal])
     reference = preintegrate_windows(clean, VimuState.identity(), fm, len(clean),
-                                     virtual_covariances(cfg))[0]
+                                     virtual_covariances(fm, cfg.noises))[0]
     info = np.linalg.inv(reference.covariance)
     rng = np.random.default_rng(seed)
     nees = []

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import oracle
 from oracle import ideal_body_measurements, log_so3, quat_rotate, still_trajectory
 
+from mimufusion.csvio import load_yaml
 from mimufusion.geometry import (
     exp_so3,
     quat_conjugate,
@@ -12,11 +15,13 @@ from mimufusion.geometry import (
 from mimufusion.simulation import (
     SimConfig,
     TrajectoryParams,
+    _level_variances,
     apply_measurement_noise,
     apply_measurement_noise_stack,
     grid_mounts,
     ideal_imu_series,
     ideal_imu_series_stack,
+    innovation_weights,
     perturb_extrinsics,
     sample_trajectory,
     simulate_imu,
@@ -26,6 +31,7 @@ from mimufusion.simulation import (
 from mimufusion.types import Extrinsic, NoiseSpec
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 STILL = SimConfig(freq=200.0, duration=2.0, trajectory=still_trajectory())
 
 
@@ -258,35 +264,51 @@ NOISE_CASES = {
 }
 
 
+def assert_noise_close(got, want):
+    """The library's noise pass against the per-sample oracle: the
+    closed-form schedule and the regrouped sums differ from the
+    oracle's loop by round-off only."""
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
 @pytest.mark.parametrize("case", sorted(NOISE_CASES))
 @pytest.mark.parametrize("n", [2, 3, 600])
 def test_noise_pass_matches_four_draw_oracle(n, case):
-    """One (4, n, 3) draw per sensor and one pass over a trial's sensors
-    give the four-draw, per-sensor oracle's samples bit for bit."""
+    """One (2, n, 3) draw per sensor and one pass over a trial's sensors
+    give the per-sample innovations oracle's samples, written through a
+    strided view of the harness's (gyro/accel, sample, sensor, axis)
+    layout with weights built once; the one-sensor form, which builds
+    its own, is the stack's first sensor bit for bit.
+    (The four-draw oracle has the same distribution, not the same
+    values: see test_noise_covariance_matches_the_model.)"""
     noise = NOISE_CASES[case]
     ideal = np.random.default_rng(n).normal(size=(9, 2, n, 3))
     seqs = np.random.SeedSequence(n).spawn(9)
-    want = np.array([oracle.apply_measurement_noise(
+    want = np.array([oracle.innovations_noise(
         w, a, noise, 200.0, np.random.default_rng(s)) for (w, a), s in zip(ideal, seqs)])
-    scratch = np.full((9, 4, n, 3), np.nan)  # reused scratch: nothing may leak
+    draws = np.full((9, 2, n, 3), np.nan)  # reused scratch: nothing may leak
+    raw = np.full((2, n, 9, 3), np.nan)
     got = apply_measurement_noise_stack(ideal, noise, 200.0,
                                         [np.random.default_rng(s) for s in seqs],
-                                        out=scratch)
-    assert np.array_equal(got, want)
+                                        out=raw.transpose(2, 0, 1, 3), draws=draws,
+                                        weights=np.repeat(innovation_weights(
+                                            noise, 200.0, n), 3, axis=-1))
+    assert np.shares_memory(got, raw)
+    assert_noise_close(got, want)
     g, a = apply_measurement_noise(*ideal[0], noise, 200.0,
                                    np.random.default_rng(seqs[0]))
-    assert np.array_equal(g, want[0, 0]) and np.array_equal(a, want[0, 1])
+    assert np.array_equal(g, got[0, 0]) and np.array_equal(a, got[0, 1])
 
 
 def test_one_sensor_noise_consumes_the_stream_like_the_oracle():
     """Calls sharing one Generator (as criterion 6 makes them) read the
-    same stream as the oracle's four draws per call."""
+    same stream as the oracle's one (2, n, 3) draw per call."""
     ideal = np.random.default_rng(5).normal(size=(2, 50, 3))
     rngs = np.random.default_rng(6), np.random.default_rng(6)
     for _ in range(3):
-        want = oracle.apply_measurement_noise(*ideal, NoiseSpec(), 200.0, rngs[0])
+        want = oracle.innovations_noise(*ideal, NoiseSpec(), 200.0, rngs[0])
         got = apply_measurement_noise(*ideal, NoiseSpec(), 200.0, rngs[1])
-        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        assert_noise_close(got, want)
 
 
 @pytest.mark.parametrize("case", sorted(NOISE_CASES))
@@ -294,10 +316,80 @@ def test_simulate_imu_unchanged_by_noise_pass(case):
     cfg = SimConfig(freq=200.0, duration=1.0, seed=17)
     mount = Extrinsic(p=np.array([0.05, -0.02, 0.01]))
     series = simulate_imu(cfg, mount, NOISE_CASES[case])
-    g, a = oracle.apply_measurement_noise(*ideal_imu_series(cfg, mount),
-                                          NOISE_CASES[case], cfg.freq,
-                                          np.random.default_rng(17))
-    assert np.array_equal(series.gyro, g) and np.array_equal(series.accel, a)
+    g, a = oracle.innovations_noise(*ideal_imu_series(cfg, mount),
+                                    NOISE_CASES[case], cfg.freq,
+                                    np.random.default_rng(17))
+    assert_noise_close(series.gyro, g)
+    assert_noise_close(series.accel, a)
+
+
+def test_zero_noise_returns_ideal_plus_initial_bias():
+    noise = NOISE_CASES["biased"]
+    zero = NoiseSpec(sigma_g=0.0, sigma_a=0.0, sigma_bg=0.0, sigma_ba=0.0,
+                     initial_bias_g=noise.initial_bias_g,
+                     initial_bias_a=noise.initial_bias_a)
+    ideal = np.random.default_rng(8).normal(size=(4, 2, 7, 3))
+    got = apply_measurement_noise_stack(
+        ideal, zero, 200.0, [np.random.default_rng(i) for i in range(4)])
+    bias = np.array([[zero.initial_bias_g], [zero.initial_bias_a]])
+    assert np.array_equal(got, ideal + bias)
+
+
+# Densities of the shipped configs: the desk plan's noise block and the
+# noise YAML of the README pipeline.
+def _config_noise(name):
+    d = load_yaml(CONFIGS / name)
+    return NoiseSpec.from_dict(d.get("noise", d))
+
+
+SCHEDULE_NOISES = {"plan_desk": lambda: _config_noise("plan_desk.yaml"),
+                   "noise_mems": lambda: _config_noise("noise_mems.yaml"),
+                   "biased": lambda: NOISE_CASES["biased"]}
+
+
+@pytest.mark.parametrize("row", ["gyro", "accel"])
+@pytest.mark.parametrize("name", sorted(SCHEDULE_NOISES))
+@pytest.mark.parametrize("n", [600, 120_000])
+def test_closed_form_schedule_matches_riccati_loop(n, name, row):
+    """The closed-form level variances give the loop's innovation
+    variances and gains within 1e-12 relative over every sample."""
+    noise = SCHEDULE_NOISES[name]()
+    sigma, sigma_b = ((noise.sigma_g, noise.sigma_bg) if row == "gyro"
+                      else (noise.sigma_a, noise.sigma_ba))
+    freq = 200.0
+    var_w, q = sigma**2 * freq, sigma_b**2 / freq
+    s_loop, k_loop = oracle.riccati_schedule(var_w, q, n)
+    P = _level_variances(var_w, q, np.empty(n))
+    np.testing.assert_allclose(P + var_w, s_loop, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(P / (P + var_w), k_loop, rtol=1e-12, atol=0)
+
+
+def test_noise_covariance_matches_the_model():
+    """Over 20,000 draws of a 6-sample series with a walk as large as the
+    white noise, the sample covariance of the library's noise matches
+    var_w delta_ik + q min(i, k) and the four-draw oracle's sample
+    covariance, each within five Monte-Carlo standard errors."""
+    n, draws, freq = 6, 20_000, 1.0
+    noise = NoiseSpec(sigma_g=0.5, sigma_a=0.5, sigma_bg=0.6, sigma_ba=0.6)
+    var_w, q = 0.25, 0.36
+    k = np.arange(n)
+    model = var_w * np.eye(n) + q * np.minimum.outer(k, k)
+    rng = np.random.default_rng(31)
+    got = apply_measurement_noise_stack(np.zeros((draws, 2, n, 3)), noise, freq,
+                                        [rng] * draws)
+    series = got.transpose(0, 1, 3, 2).reshape(-1, n)  # 6 series per draw
+    want = np.concatenate([
+        np.concatenate(oracle.apply_measurement_noise(
+            np.zeros((n, 3)), np.zeros((n, 3)), noise, freq, rng), axis=1).T
+        for _ in range(draws)])
+    # standard error of a covariance entry of zero-mean Gaussians
+    se = np.sqrt((np.outer(np.diag(model), np.diag(model)) + model**2)
+                 / len(series))
+    cov_got, cov_want = (x.T @ x / len(x) for x in (series, want))
+    for cov in (cov_got, cov_want):
+        assert np.all(np.abs(cov - model) < 5 * se), (cov - model) / se
+    se_diff = se * np.sqrt(1 + len(series) / len(want))
+    assert np.all(np.abs(cov_got - cov_want) < 5 * se_diff)
 
 
 def test_simulate_seed_reproducible():

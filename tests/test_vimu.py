@@ -250,7 +250,7 @@ def quat_from_rotation_matrix(R):
 
 def test_virtual_covariance_equal_pair_halves():
     cfg = colocated_pair()
-    noise = virtual_covariances(cfg)
+    noise = virtual_covariances(build_fusion(cfg), cfg.noises)
     np.testing.assert_allclose(noise.gyro, 0.5 * 1.7e-4**2 * np.eye(3),
                                atol=1e-20)
     np.testing.assert_allclose(noise.accel, 0.5 * 2e-3**2 * np.eye(3),
@@ -260,7 +260,7 @@ def test_virtual_covariance_equal_pair_halves():
 def test_virtual_covariance_product_formula():
     sa, sb = 1.7e-4, 4.1e-4
     cfg = colocated_pair(sigma_g_a=sa, sigma_g_b=sb)
-    noise = virtual_covariances(cfg)
+    noise = virtual_covariances(build_fusion(cfg), cfg.noises)
     expected = sa**2 * sb**2 / (sa**2 + sb**2)
     np.testing.assert_allclose(noise.gyro, expected * np.eye(3), rtol=1e-12)
 
@@ -268,7 +268,7 @@ def test_virtual_covariance_product_formula():
 def test_virtual_covariance_extreme_ratio():
     sa = 1.7e-4
     cfg = colocated_pair(sigma_g_a=sa, sigma_g_b=sa * 1e6)
-    noise = virtual_covariances(cfg)
+    noise = virtual_covariances(build_fusion(cfg), cfg.noises)
     np.testing.assert_allclose(noise.gyro, sa**2 * np.eye(3), rtol=1e-6)
 
 
@@ -278,7 +278,7 @@ def test_virtual_covariance_never_exceeds_best_sensor():
         sa = float(rng.uniform(1e-4, 1e-3))
         sb = float(rng.uniform(1e-4, 1e-3))
         cfg = colocated_pair(sigma_g_a=sa, sigma_g_b=sb)
-        noise = virtual_covariances(cfg)
+        noise = virtual_covariances(build_fusion(cfg), cfg.noises)
         eigs = np.linalg.eigvalsh(noise.gyro)
         assert eigs[-1] <= min(sa, sb) ** 2 + 1e-18
 
@@ -291,7 +291,7 @@ def test_virtual_covariance_monte_carlo():
     cfg = midpoint_frame(ext, NoiseSpec(sigma_g=1.7e-4, sigma_bg=0.0),
                          NoiseSpec(sigma_g=3e-4, sigma_bg=0.0))
     fm = build_fusion(cfg)
-    noise = virtual_covariances(cfg)
+    noise = virtual_covariances(fm, cfg.noises)
     freq = 200.0
     n = 100_000
     rng = np.random.default_rng(43)
@@ -389,7 +389,7 @@ def test_array_frame_centroid():
 
 def test_vimu_noise_dict_round_trip():
     cfg = colocated_pair()
-    noise = virtual_covariances(cfg)
+    noise = virtual_covariances(build_fusion(cfg), cfg.noises)
     back = VimuNoise.from_dict(noise.to_dict())
     np.testing.assert_allclose(back.gyro, noise.gyro)
     np.testing.assert_allclose(back.accel_bias, noise.accel_bias)
@@ -603,7 +603,7 @@ def test_raw_sample_solves_match_whitened_least_squares(exact):
         y = gyro[k, 1:-1].reshape(-1, 3 * n).T
         want = np.linalg.lstsq(W_g @ D, W_g @ y, rcond=None)[0].T
         np.testing.assert_allclose(fused_w[k], want, rtol=0, atol=1e-12)
-        noise = virtual_covariances(cfg)
+        noise = virtual_covariances(build_fusion(cfg), cfg.noises)
         for got, W, field in ((noise.gyro, W_g, "sigma_g"), (noise.gyro_bias, W_g, "sigma_bg"),
                               (noise.accel, W_a, "sigma_a"), (noise.accel_bias, W_a, "sigma_ba")):
             P = np.linalg.pinv(W @ D)
