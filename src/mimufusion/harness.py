@@ -5,10 +5,10 @@ states against ground truth.
 Variant naming (grid indices are row-major on the 3x3 array):
 
 * ``1-imu-true``       center sensor with its exact mount
-* ``2-imu-perturbed``  middle-row ends (3, 5), perturbed extrinsics
+* ``2-imu-perturbed``  first-row ends (0, 2), perturbed extrinsics
 * ``4-imu-perturbed``  corners (0, 2, 6, 8), perturbed extrinsics
 * ``9-imu-perturbed``  whole grid, perturbed extrinsics
-* ``2-imu-calibrated`` middle-row ends, extrinsics estimated from the
+* ``2-imu-calibrated`` first-row ends, extrinsics estimated from the
   trial's own data by the two-stage calibrator
 
 Every variant is evaluated against the true world motion of the body
@@ -16,8 +16,9 @@ Every variant is evaluated against the true world motion of the body
 measurement fusion rather than through the scoring frame.
 
 The sequences of one extrinsic sample run in chunks of trials, one call
-per stage and chunk; every trial keeps its own random streams and its
-own failures, so the report does not depend on the chunk size.
+per stage and chunk; every trial keeps its own random stream, which
+draws the noise of the whole grid whatever the variants, and its own
+failures, so the report does not depend on the chunk size.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ import json
 import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -343,11 +345,11 @@ def _calibrated_poses(plan: ExperimentPlan, mounts, weights: WeightSchedule,
     return rotations, positions, [r or t for r, t in zip(rot_errors, trans_errors)]
 
 
-def _score_chunk(plan: ExperimentPlan, setups, mounts, weights, slot,
+def _score_chunk(plan: ExperimentPlan, setups, mounts, weights,
                  gyro, accel, keyframes, n_windows: int, step: int) -> dict:
     """Per variant, the (position, orientation, velocity) RMSE or the
-    MimuError of each trial of a chunk of raw samples (S, n, m, 3),
-    sensor i in column slot[i]. ``setups`` holds the _setup of every
+    MimuError of each trial of a chunk of raw samples (S, n, 9, 3), one
+    column per grid sensor. ``setups`` holds the _setup of every
     variant but 2-imu-calibrated, whose every trial is calibrated and
     set up here. Calibration reads every sample; only the
     n_windows * step rows that the windows integrate are fused. The fused
@@ -361,7 +363,7 @@ def _score_chunk(plan: ExperimentPlan, setups, mounts, weights, slot,
                         for shape in ((3, 3), (3,), (3,))))
     errors = []
     for j, v in enumerate(plan.variants):
-        cols = [slot[i] for i in _variant_indices(v)]
+        cols = list(_variant_indices(v))
         if v == "2-imu-calibrated":
             *poses, fit_errors = _calibrated_poses(plan, mounts, weights, gyro,
                                                    accel, cols)
@@ -409,10 +411,10 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     ``trials.jsonl`` as they complete, so long runs stream to disk.
     """
     mounts = grid_mounts(pitch=plan.grid_pitch)
-    needed = sorted({i for v in plan.variants
-                     for i in _variant_indices(v)})
-    slot = {i: j for j, i in enumerate(needed)}
-    ideal = ideal_imu_series_stack(plan.sim, [mounts[i] for i in needed])
+    # (gyro/accel, sample, grid sensor, axis), the layout of a trial's
+    # raw samples
+    ideal = np.ascontiguousarray(
+        ideal_imu_series_stack(plan.sim, mounts).transpose(1, 2, 0, 3))
 
     n_total = plan.sim.sample_count
     n_windows, step = _keyframe_layout(n_total - 2, plan.sim.freq,
@@ -425,9 +427,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     # true mounts
     weights = (WeightSchedule.build(n_total, plan.noise, plan.noise, 1.0 / plan.sim.freq)
                if "2-imu-calibrated" in plan.variants else None)
-    # repeated over the axes: numpy multiplies contiguous rows faster
-    noise_weights = np.repeat(innovation_weights(plan.noise, plan.sim.freq, n_total),
-                              3, axis=-1)
+    noise_weights = innovation_weights(plan.noise, plan.sim.freq, n_total)
     setups = {v: _setup(*_poses(mounts, (_CENTER,)), plan, keyframes)
               for v in plan.variants if v == "1-imu-true"}
 
@@ -436,13 +436,13 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     ok = {v: np.zeros((plan.extrinsic_samples, plan.sequences_per_sample),
                       dtype=bool) for v in plan.variants}
     failures: list[str] = []
-    trial_bytes = 8 * (6 * len(needed) * n_total
+    trial_bytes = 8 * (6 * len(mounts) * n_total
                        + len(plan.variants) * 6 * n_windows * step)
     chunk = min(plan.sequences_per_sample, max(1, _CHUNK_BYTES // trial_bytes))
-    # (trial, gyro/accel, sample, sensor, axis), and a per-trial scratch
-    # of the noise draws, (sensor, gyro/accel, sample, axis)
-    raw = np.empty((chunk, 2, n_total, len(needed), 3))
-    draws = np.empty((len(needed), 2, n_total, 3))
+    # (trial, gyro/accel, sample, grid sensor, axis), and the noise's
+    # bias level of one trial
+    raw = np.empty((chunk,) + ideal.shape)
+    level = np.empty(ideal.shape)
 
     stream = None
     if out_dir is not None:
@@ -453,6 +453,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     try:
         root = np.random.SeedSequence(plan.master_seed)
         sample_seqs = root.spawn(plan.extrinsic_samples)
+        start = perf_counter()
         for s in range(plan.extrinsic_samples):
             perturb_seq, *trial_seqs = sample_seqs[s].spawn(
                 1 + plan.sequences_per_sample)
@@ -465,17 +466,15 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
             for r0 in range(0, plan.sequences_per_sample, chunk):
                 seqs = range(r0, min(r0 + chunk, plan.sequences_per_sample))
                 for c, r in enumerate(seqs):
-                    imu_seqs = trial_seqs[r].spawn(9)
                     apply_measurement_noise_stack(
                         ideal, plan.noise, plan.sim.freq,
-                        [np.random.default_rng(imu_seqs[i]) for i in needed],
-                        out=raw[c].transpose(2, 0, 1, 3), draws=draws,
-                        weights=noise_weights)
+                        np.random.default_rng(trial_seqs[r]), out=raw[c],
+                        level=level, weights=noise_weights)
                 gyro, accel = raw[:len(seqs), 0], raw[:len(seqs), 1]
                 if not (np.isfinite(gyro).all() and np.isfinite(accel).all()):
-                    for c, j in np.ndindex(len(seqs), len(needed)):
+                    for c, j in np.ndindex(len(seqs), len(mounts)):
                         ImuSeries(plan.sim.freq, 0, gyro[c, :, j], accel[c, :, j])
-                results = _score_chunk(plan, setups, mounts, weights, slot,
+                results = _score_chunk(plan, setups, mounts, weights,
                                        gyro, accel, keyframes, n_windows, step)
                 for c, r in enumerate(seqs):
                     for v in plan.variants:
@@ -493,8 +492,12 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                                                      **dict(zip(METRICS, res))}) + "\n")
                 if stream is not None:
                     stream.flush()
-            log.info("extrinsic sample %d/%d done", s + 1,
-                     plan.extrinsic_samples)
+            # a trial is one (sequence, variant), as in the benchmark
+            elapsed = perf_counter() - start
+            log.info("extrinsic sample %d/%d done, %.0f trials/s, ETA %.0f s",
+                     s + 1, plan.extrinsic_samples,
+                     (s + 1) * plan.sequences_per_sample * len(plan.variants) / elapsed,
+                     (plan.extrinsic_samples - s - 1) * elapsed / (s + 1))
     finally:
         if stream is not None:
             stream.close()

@@ -242,8 +242,8 @@ def ideal_imu_series_stack(cfg: SimConfig, mounts) -> np.ndarray:
 def apply_measurement_noise(gyro, accel, noise: NoiseSpec, freq: float, rng):
     """Add white noise plus a bias random walk to ideal measurements:
     the one-sensor case of apply_measurement_noise_stack."""
-    ideal = np.array([[gyro, accel]], dtype=float)
-    return tuple(apply_measurement_noise_stack(ideal, noise, freq, [rng])[0])
+    ideal = np.array([gyro, accel], dtype=float)
+    return tuple(apply_measurement_noise_stack(ideal, noise, freq, rng))
 
 
 def _level_variances(var_w, q, out) -> np.ndarray:
@@ -297,41 +297,45 @@ def innovation_weights(noise: NoiseSpec, freq: float, n: int) -> np.ndarray:
     return weights
 
 
-def apply_measurement_noise_stack(ideal, noise: NoiseSpec, freq: float, rngs,
-                                  out=None, draws=None, weights=None) -> np.ndarray:
-    """Noisy copies of the ideal (gyro, accel) rows of m sensors, ideal
-    (m, 2, n, 3), written to ``out`` (any (m, 2, n, 3) array or view),
-    or into ``draws`` when out is None.
+def apply_measurement_noise_stack(ideal, noise: NoiseSpec, freq: float, rng,
+                                  out=None, level=None, weights=None) -> np.ndarray:
+    """Noisy copies of ideal (gyro, accel) rows, ideal (2, n, ..., 3)
+    with the sample on axis 1 and any sensor axes between it and the
+    vector axis, written to ``out`` (a C-contiguous array of that shape,
+    new when None).
 
     Each axis of a row gets white noise of variance
     var_w = sigma^2 freq plus a bias that starts at the spec's initial
     bias b0 and steps by N(0, q), q = sigma_b^2 / freq, after every
     sample, so its samples about ideal + b0 have covariance
-    var_w delta_ik + q min(i, k). Sensor i's stream, the Generator
-    rngs[i], fills draws[i] (an (m, 2, n, 3) scratch, new when None)
-    with one standard-normal block e (2, n, 3), one normal per sample.
-    The innovations form of the scalar Kalman filter of that model
-    (Harvey, "Forecasting, Structural Time Series Models and the Kalman
-    Filter", 1989) builds sample k as
+    var_w delta_ik + q min(i, k). The Generator rng fills out with one
+    standard-normal block e, one normal per sample and axis, in
+    out's order. The innovations form of the scalar Kalman filter of
+    that model (Harvey, "Forecasting, Structural Time Series Models and
+    the Kalman Filter", 1989) builds sample k as
     ideal_k + b0 + sum_{j<k} K_j nu_j + nu_k, nu_k = sqrt(S_k) e_k: the
     Cholesky factor of that covariance, so the samples have exactly
-    its distribution. The sum runs as
-    (b0 + sum_{j<=k} K_j nu_j) + ((1 - K_k) nu_k + ideal_k), with the
+    its distribution. The sum runs in place on out as
+    (b0 + sum_{j<=k} K_j nu_j) + ((1 - K_k) nu_k + ideal_k), the level
+    in ``level`` (a scratch of out's shape, new when None), with the
     ``weights`` of innovation_weights(noise, freq, n), which a caller
-    that adds the same noise many times builds once (repeated over the
-    3 axes, the products run faster).
+    that adds the same noise many times builds once. They broadcast
+    over the sensor and vector axes without a copy.
     """
-    n = np.shape(ideal)[-2]
-    a, b = innovation_weights(noise, freq, n) if weights is None else weights
-    z = np.empty((len(rngs), 2, n, 3)) if draws is None else draws
-    for rng, block in zip(rngs, z):
-        rng.standard_normal(out=block)
-    level = z * a
-    level[:, :, :1] += [[noise.initial_bias_g], [noise.initial_bias_a]]
-    np.cumsum(level, axis=-2, out=level)
+    z = np.empty(np.shape(ideal)) if out is None else out
+    n = z.shape[1]
+    if weights is None:
+        weights = innovation_weights(noise, freq, n)
+    a, b = weights.reshape((2, 2, n) + (1,) * (z.ndim - 2))
+    rng.standard_normal(out=z)
+    level = np.multiply(z, a, out=level)
+    bias = np.array([noise.initial_bias_g, noise.initial_bias_a])
+    level[:, :1] += bias.reshape((2, 1) + (1,) * (z.ndim - 3) + (3,))
+    np.cumsum(level, axis=1, out=level)
     z *= b
     z += ideal
-    return np.add(level, z, out=z if out is None else out)
+    z += level
+    return z
 
 
 def simulate_imu(cfg: SimConfig, mount: Extrinsic, noise: NoiseSpec,

@@ -169,6 +169,13 @@ def build_fusion(cfg: VimuConfig) -> FusionMatrices:
     return fm
 
 
+# The (j, k) index pairs of w (x) w, row-major, built once. The gather
+# lays the nine products out component by component, which the product
+# with Q reads about 3x faster than the rows of a (..., 3, 3) broadcast
+# product.
+_WW_J, _WW_K = np.divmod(np.arange(9), 3)
+
+
 def lever_term(fm: FusionMatrices, omega, omega_dot=None) -> np.ndarray:
     """accel_solve applied to the stack of the sensors' lever
     accelerations R_i (w x (w x p_i) + wdot x p_i), for rate rows omega
@@ -179,7 +186,7 @@ def lever_term(fm: FusionMatrices, omega, omega_dot=None) -> np.ndarray:
     omega_dot=None drops the D term."""
     omega = np.asarray(omega, dtype=float)
     Q = fm.lever_Q.reshape(fm.lever_Q.shape[:-3] + (3, 9))
-    ww = omega[..., [0, 0, 0, 1, 1, 1, 2, 2, 2]] * omega[..., [0, 1, 2] * 3]
+    ww = omega[..., _WW_J] * omega[..., _WW_K]
     out = ww @ np.swapaxes(Q, -1, -2)
     if omega_dot is not None:
         out -= omega_dot @ np.swapaxes(fm.lever_D, -1, -2)

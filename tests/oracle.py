@@ -19,12 +19,14 @@ their contraction with ``accel_solve``, as a quadratic form
 per trial it calibrates, fuses, preintegrates, predicts and scores
 through the library's one-trial calls (``calibrate``, ``fuse_series``,
 ``preintegrate_windows``, ``predict_state``), where the library's
-harness runs each stage once per chunk of trials. It adds each sensor's
-noise with the library's one-sensor ``apply_measurement_noise``, which
-the noise tests tie to ``innovations_noise`` below: a report's ``std``
-entries turn a last-bit change of the samples into a relative change
-of about 1e-11, so the per-trial and chunked runs must draw the same
-bits. It fuses every interior sample, where the library fuses only the
+harness runs each stage once per chunk of trials. It draws a trial's
+standard normals for the whole grid in one block, as the library does,
+and adds each sensor's noise from its slice of the block with the
+library's one-sensor ``apply_measurement_noise`` (through ``Replay``),
+which the noise tests tie to ``innovations_noise`` below: a report's
+``std`` entries turn a last-bit change of the samples into a relative
+change of about 1e-11, so the per-trial and chunked runs must draw the
+same bits. It fuses every interior sample, where the library fuses only the
 rows that the keyframe windows integrate. It frames each variant its own way:
 ``single_frame`` keeps the centre sensor's axes, ``array_frame`` puts
 the perturbed arrays at their centroid with body axes, and
@@ -252,6 +254,22 @@ def apply_measurement_noise(gyro, accel, noise: NoiseSpec, freq: float, rng):
     walk_a = noise.initial_bias_a + np.vstack(
         [np.zeros(3), np.cumsum(steps_a[:-1], axis=0)])
     return gyro + walk_g + eta_g, accel + walk_a + eta_a
+
+
+class Replay:
+    """A stand-in for a Generator whose next standard normals are the
+    array e, such as one sensor's slice of a block drawn for many:
+    standard_normal returns a copy of e, or fills out with it."""
+
+    def __init__(self, e):
+        self.e = np.asarray(e)
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            assert tuple(np.atleast_1d(size)) == self.e.shape
+            return self.e.copy()
+        out[...] = self.e
+        return out
 
 
 def riccati_schedule(var_w: float, q: float, n: int) -> tuple:
@@ -489,12 +507,14 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                 for v in plan.variants if v != "2-imu-calibrated"
             }
             for r in range(plan.sequences_per_sample):
-                imu_seqs = trial_seqs[r].spawn(9)
+                # (gyro/accel, sample, grid sensor, axis)
+                e = np.random.default_rng(trial_seqs[r]).standard_normal(
+                    (2, n_total, len(mounts), 3))
                 series_by_idx = {}
                 for i in needed:
-                    rng = np.random.default_rng(imu_seqs[i])
                     w, a = simulation.apply_measurement_noise(
-                        ideal[i][0], ideal[i][1], plan.noise, plan.sim.freq, rng)
+                        ideal[i][0], ideal[i][1], plan.noise, plan.sim.freq,
+                        Replay(e[:, :, i]))
                     series_by_idx[i] = ImuSeries(plan.sim.freq, 0, w, a)
                 for v in plan.variants:
                     try:

@@ -436,15 +436,18 @@ def smallest_gyro_eigenvalues(plan):
     the calibrated pair, per (sample, sequence), drawn from the trial's
     own random stream as the harness draws it."""
     from mimufusion.harness import _PAIR
-    from mimufusion.simulation import apply_measurement_noise, ideal_imu_series
+    from mimufusion.simulation import (apply_measurement_noise_stack,
+                                       ideal_imu_series_stack)
 
-    ideal = ideal_imu_series(plan.sim, grid_mounts(pitch=plan.grid_pitch)[_PAIR[0]])
+    ideal = ideal_imu_series_stack(plan.sim, grid_mounts(pitch=plan.grid_pitch))
+    ideal = ideal.transpose(1, 2, 0, 3)  # (gyro/accel, sample, grid sensor, axis)
     out = []
     for sample_seq in np.random.SeedSequence(plan.master_seed).spawn(
             plan.extrinsic_samples):
         for trial_seq in sample_seq.spawn(1 + plan.sequences_per_sample)[1:]:
-            rng = np.random.default_rng(trial_seq.spawn(9)[_PAIR[0]])
-            w, _ = apply_measurement_noise(*ideal, plan.noise, plan.sim.freq, rng)
+            noisy = apply_measurement_noise_stack(ideal, plan.noise, plan.sim.freq,
+                                                  np.random.default_rng(trial_seq))
+            w = noisy[0, :, _PAIR[0]]
             out.append(np.linalg.eigvalsh(w.T @ w / len(w))[0])
     return np.array(out)
 
@@ -491,3 +494,44 @@ def test_chunked_run_matches_per_trial_oracle(tmp_path, monkeypatch, name, cap):
     if name in MIXED_FAILURES:
         assert len(got.failures) == half
         assert all("DegenerateMotion" in f for f in got.failures)
+
+
+def test_trial_noise_does_not_depend_on_the_variant_list(tmp_path):
+    """Every trial draws the noise of the whole grid, so a plan with
+    every variant and one with 1-imu-true and 9-imu-perturbed alone, on
+    one seed, score the same trials for those two. Their chunks differ
+    (11 + 1 trials against 12), so the agreement is to round-off."""
+    full = dataclasses.replace(DIFF_PLANS["exact-windows"], sequences_per_sample=12)
+    subset = dataclasses.replace(full, variants=("1-imu-true", "9-imu-perturbed"))
+    for plan, name in ((full, "full"), (subset, "subset")):
+        run_experiment(plan, out_dir=tmp_path / name)
+    got, want = ({(t["sample"], t["seq"], t["variant"]): t
+                  for t in map(json.loads, (tmp_path / name / "trials.jsonl").open())
+                  if t["variant"] in subset.variants}
+                 for name in ("subset", "full"))
+    assert got.keys() == want.keys() and len(got) == 12 * len(subset.variants)
+    for key, w in want.items():
+        for m in ("position", "orientation", "velocity"):
+            assert got[key][m] == pytest.approx(w[m], rel=1e-12, abs=0)
+
+
+def test_progress_line_gives_trials_per_second_and_eta(caplog, monkeypatch):
+    """At INFO, each extrinsic sample's line gives the (sequence,
+    variant) trials per second so far and the time left at that rate,
+    read from one clock reading per sample: a clock that advances 2 s
+    per reading gives 5 sequences x 2 variants per 2 s."""
+    import itertools
+
+    from mimufusion import harness
+
+    monkeypatch.setattr(harness, "perf_counter", itertools.count(0.0, 2.0).__next__)
+    plan = dataclasses.replace(DIFF_PLANS["exact-windows"], extrinsic_samples=3,
+                               sequences_per_sample=5,
+                               variants=("1-imu-true", "9-imu-perturbed"))
+    with caplog.at_level("INFO", logger="mimufusion.harness"):
+        run_experiment(plan)
+    assert [r.getMessage() for r in caplog.records] == [
+        "extrinsic sample 1/3 done, 5 trials/s, ETA 4 s",
+        "extrinsic sample 2/3 done, 5 trials/s, ETA 2 s",
+        "extrinsic sample 3/3 done, 5 trials/s, ETA 0 s",
+    ]

@@ -758,9 +758,9 @@ def mean_nees(mounts, cfg: VimuConfig, trials: int, seed: int,
     for _ in range(trials // batch):
         raw = np.empty((batch, 2, sim.sample_count, len(mounts), 3))
         for j, spec in enumerate(cfg.noises):
+            rows = np.broadcast_to(ideal[j][:, :, None], (2, raw.shape[2], batch, 3))
             raw[:, :, :, j] = apply_measurement_noise_stack(
-                np.broadcast_to(ideal[j], (batch,) + ideal.shape[1:]), spec, freq,
-                [rng] * batch)
+                rows, spec, freq, rng).transpose(2, 0, 1, 3)
         w, a = fuse_stack(fm, raw[:, 0], raw[:, 1], freq)
         dR, dv, dp, _ = preintegrate_stack(w[:, None], a[:, None], freq)
         err = np.concatenate([log_so3(reference.rotation.T @ dR[:, 0]),
@@ -778,9 +778,9 @@ def test_preintegrate_stack_matches_matmul_rotation_oracle():
 
     sim = SimConfig(freq=200.0, duration=3.0)
     ideal = np.array([ideal_imu_series(sim, m) for m in grid_mounts()[:3]])
-    noisy = apply_measurement_noise_stack(ideal, MEMS, 200.0,
-                                          [np.random.default_rng(i) for i in range(3)])
-    gyro, accel = (noisy[:, j, :500].reshape(3, 5, 100, 3) for j in (0, 1))
+    noisy = apply_measurement_noise_stack(ideal.transpose(1, 2, 0, 3), MEMS, 200.0,
+                                          np.random.default_rng(0))
+    gyro, accel = (noisy[j, :500].swapaxes(0, 1).reshape(3, 5, 100, 3) for j in (0, 1))
     dR, dv, dp, _ = preintegrate_stack(gyro, accel, 200.0)
     want_R, want_v, want_p = oracle.preintegrate_stack(gyro, accel, 200.0)
     assert np.array_equal(dR, want_R)

@@ -274,30 +274,46 @@ def assert_noise_close(got, want):
 @pytest.mark.parametrize("case", sorted(NOISE_CASES))
 @pytest.mark.parametrize("n", [2, 3, 600])
 def test_noise_pass_matches_four_draw_oracle(n, case):
-    """One (2, n, 3) draw per sensor and one pass over a trial's sensors
-    give the per-sample innovations oracle's samples, written through a
-    strided view of the harness's (gyro/accel, sample, sensor, axis)
-    layout with weights built once; the one-sensor form, which builds
-    its own, is the stack's first sensor bit for bit.
+    """One (2, n, 9, 3) draw per trial and one pass over its sensors, in
+    place in a trial's slot of the harness's (trial, gyro/accel, sample,
+    sensor, axis) layout with weights built once, give for each sensor
+    the per-sample innovations oracle's samples of its slice of the
+    draw; the one-sensor form, which builds its own weights, gives a
+    sensor's samples from its slice bit for bit.
     (The four-draw oracle has the same distribution, not the same
     values: see test_noise_covariance_matches_the_model.)"""
     noise = NOISE_CASES[case]
-    ideal = np.random.default_rng(n).normal(size=(9, 2, n, 3))
-    seqs = np.random.SeedSequence(n).spawn(9)
-    want = np.array([oracle.innovations_noise(
-        w, a, noise, 200.0, np.random.default_rng(s)) for (w, a), s in zip(ideal, seqs)])
-    draws = np.full((9, 2, n, 3), np.nan)  # reused scratch: nothing may leak
-    raw = np.full((2, n, 9, 3), np.nan)
-    got = apply_measurement_noise_stack(ideal, noise, 200.0,
-                                        [np.random.default_rng(s) for s in seqs],
-                                        out=raw.transpose(2, 0, 1, 3), draws=draws,
-                                        weights=np.repeat(innovation_weights(
-                                            noise, 200.0, n), 3, axis=-1))
-    assert np.shares_memory(got, raw)
+    ideal = np.random.default_rng(n).normal(size=(2, n, 9, 3))
+    e = np.random.default_rng(n).standard_normal((2, n, 9, 3))
+    want = np.stack([oracle.innovations_noise(*ideal[:, :, i], noise, 200.0,
+                                              oracle.Replay(e[:, :, i]))
+                     for i in range(9)], axis=2)
+    level = np.full((2, n, 9, 3), np.nan)  # reused scratch: nothing may leak
+    raw = np.full((3, 2, n, 9, 3), np.nan)
+    got = apply_measurement_noise_stack(ideal, noise, 200.0, np.random.default_rng(n),
+                                        out=raw[1], level=level,
+                                        weights=innovation_weights(noise, 200.0, n))
+    assert np.shares_memory(got, raw[1])
+    assert np.isnan(raw[[0, 2]]).all()
     assert_noise_close(got, want)
-    g, a = apply_measurement_noise(*ideal[0], noise, 200.0,
-                                   np.random.default_rng(seqs[0]))
-    assert np.array_equal(g, got[0, 0]) and np.array_equal(a, got[0, 1])
+    for i in (0, 4, 8):
+        g, a = apply_measurement_noise(*ideal[:, :, i], noise, 200.0,
+                                       oracle.Replay(e[:, :, i]))
+        assert np.array_equal(g, got[0, :, i]) and np.array_equal(a, got[1, :, i])
+
+
+@pytest.mark.parametrize("case", sorted(NOISE_CASES))
+def test_one_sensor_noise_is_the_stacked_form_bit_for_bit(case):
+    """On one (2, n, 3) block from the same seed, the one-sensor entry
+    point and the stacked form, with its own weights or with weights
+    built once, give the same bits."""
+    noise = NOISE_CASES[case]
+    ideal = np.random.default_rng(3).normal(size=(2, 600, 3))
+    g, a = apply_measurement_noise(*ideal, noise, 200.0, np.random.default_rng(9))
+    for weights in (None, innovation_weights(noise, 200.0, 600)):
+        got = apply_measurement_noise_stack(ideal, noise, 200.0,
+                                            np.random.default_rng(9), weights=weights)
+        assert np.array_equal(g, got[0]) and np.array_equal(a, got[1])
 
 
 def test_one_sensor_noise_consumes_the_stream_like_the_oracle():
@@ -328,10 +344,9 @@ def test_zero_noise_returns_ideal_plus_initial_bias():
     zero = NoiseSpec(sigma_g=0.0, sigma_a=0.0, sigma_bg=0.0, sigma_ba=0.0,
                      initial_bias_g=noise.initial_bias_g,
                      initial_bias_a=noise.initial_bias_a)
-    ideal = np.random.default_rng(8).normal(size=(4, 2, 7, 3))
-    got = apply_measurement_noise_stack(
-        ideal, zero, 200.0, [np.random.default_rng(i) for i in range(4)])
-    bias = np.array([[zero.initial_bias_g], [zero.initial_bias_a]])
+    ideal = np.random.default_rng(8).normal(size=(2, 7, 4, 3))
+    got = apply_measurement_noise_stack(ideal, zero, 200.0, np.random.default_rng(0))
+    bias = np.array([zero.initial_bias_g, zero.initial_bias_a])[:, None, None]
     assert np.array_equal(got, ideal + bias)
 
 
@@ -375,9 +390,8 @@ def test_noise_covariance_matches_the_model():
     k = np.arange(n)
     model = var_w * np.eye(n) + q * np.minimum.outer(k, k)
     rng = np.random.default_rng(31)
-    got = apply_measurement_noise_stack(np.zeros((draws, 2, n, 3)), noise, freq,
-                                        [rng] * draws)
-    series = got.transpose(0, 1, 3, 2).reshape(-1, n)  # 6 series per draw
+    got = apply_measurement_noise_stack(np.zeros((2, n, draws, 3)), noise, freq, rng)
+    series = got.transpose(2, 0, 3, 1).reshape(-1, n)  # 6 series per draw
     want = np.concatenate([
         np.concatenate(oracle.apply_measurement_noise(
             np.zeros((n, 3)), np.zeros((n, 3)), noise, freq, rng), axis=1).T
