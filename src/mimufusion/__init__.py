@@ -30,8 +30,6 @@ from .simulation import (
     TrajectoryParams,
     grid_mounts,
     perturb_extrinsics,
-    sample_trajectory,
-    simulate_imu,
 )
 from .types import Extrinsic, ImuSeries, NoiseSpec
 from .vimu import (
@@ -81,7 +79,5 @@ __all__ = [
     "predict_state",
     "preintegrate_windows",
     "run_experiment",
-    "sample_trajectory",
-    "simulate_imu",
     "virtual_covariances",
 ]

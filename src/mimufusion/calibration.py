@@ -29,11 +29,10 @@ import numpy as np
 from .errors import (
     DegenerateMotion,
     LengthMismatch,
-    RateMismatch,
     SingularNormalEquations,
 )
 from .geometry import lever_matrix, quat_from_rotation, rotation_from_quat
-from .types import Extrinsic, ImuSeries, NoiseSpec
+from .types import Extrinsic, ImuSeries, NoiseSpec, check_synchronized
 
 log = logging.getLogger(__name__)
 
@@ -56,18 +55,7 @@ class CalibrationInput:
     noise_b: NoiseSpec
 
     def __post_init__(self):
-        if abs(self.series_a.freq - self.series_b.freq) > 1e-9 * self.series_a.freq:
-            raise RateMismatch(
-                f"sample rates differ: {self.series_a.freq} vs {self.series_b.freq}")
-        if self.series_a.start_ns != self.series_b.start_ns:
-            raise LengthMismatch(
-                f"start times differ: {self.series_a.start_ns} ns vs "
-                f"{self.series_b.start_ns} ns")
-        if len(self.series_a) != len(self.series_b):
-            raise LengthMismatch(
-                f"sample counts differ: {len(self.series_a)} vs {len(self.series_b)}")
-        if len(self.series_a) < 3:
-            raise LengthMismatch("need at least 3 samples to calibrate")
+        check_synchronized([self.series_a, self.series_b])
 
 
 @dataclass

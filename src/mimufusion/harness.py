@@ -38,13 +38,12 @@ from .preintegration import PreintDelta, VimuState, predict_state, preintegrate_
 from .simulation import (
     SimConfig,
     TrajectoryParams,
-    TrajectorySample,
-    _trajectory_arrays,
     apply_measurement_noise_stack,
     grid_mounts,
     ideal_imu_series_stack,
     innovation_weights,
     perturb_extrinsics,
+    trajectory_samples,
 )
 from .types import ImuSeries, NoiseSpec, _check_keys, _finite_floats, _integral, _number
 from .vimu import build_fusion_stack, fuse_stack
@@ -66,11 +65,13 @@ _CENTER = 4
 # comparisons then isolate the marginal benefit of adding sensors.
 _PAIR = (0, 2)
 _QUAD = (0, 2, 6, 8)
-# Bytes the working set of one chunk of trials may hold: per trial its
-# raw samples, and per variant its fused rows (the kernel's temporaries
-# grow with its block, not with the trial). 2 MiB is 5 desk trials of 9
-# sensors and 5 variants; batching pays from a few trials on, more only
-# adds memory.
+# Bytes of one chunk of trials as run_experiment counts them: per trial
+# its raw samples, and per variant its fused rows, 379,200 B for a desk
+# trial of 9 sensors and 5 variants. That count leaves out the per-chunk
+# fusion, truth and dead-reckoning temporaries of _score_chunk, so the
+# traced peak grows by about 0.53 MB per desk trial, not 0.38 MB; 2 MiB
+# of count is 5 desk trials. Batching pays from a few trials on, more
+# only adds memory.
 _CHUNK_BYTES = 2 << 20
 
 
@@ -422,7 +423,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     if n_windows < 1:
         raise ValueError("duration too short for one keyframe window")
     kf_times = (1 + step * np.arange(n_windows + 1)) / plan.sim.freq
-    keyframes = TrajectorySample(kf_times, *_trajectory_arrays(plan.sim, kf_times))
+    keyframes = trajectory_samples(plan.sim, kf_times)
     # once per run: the calibration and noise weights and the variant on
     # true mounts
     weights = (WeightSchedule.build(n_total, plan.noise, plan.noise, 1.0 / plan.sim.freq)

@@ -16,12 +16,12 @@ come from the closed-form solution of its Riccati recursion
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .geometry import lever_matrix, quat_from_rotvec, quat_multiply
-from .types import Extrinsic, ImuSeries, NoiseSpec, _check_keys, _finite_floats, _vec3
+from .types import Extrinsic, NoiseSpec, _check_keys, _finite_floats, _vec3
 
 
 @dataclass(frozen=True)
@@ -96,20 +96,27 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TrajectorySample:
-    """Ground-truth state at one instant.
+    """Ground-truth states at instants ``t``, the time axis first in
+    every field.
 
     ``rotation`` is world-from-body; position/velocity/acceleration are
     world-frame; ``omega`` and ``omega_dot`` are body-frame angular rate
-    and angular acceleration.
+    and angular acceleration. Indexing picks instants: an integer gives
+    the state at one instant, with the time axis dropped, and a slice or
+    index array the states at those instants; iteration gives the
+    states instant by instant.
     """
 
-    t: float
+    t: np.ndarray
     rotation: np.ndarray
     position: np.ndarray
     velocity: np.ndarray
     acceleration: np.ndarray
     omega: np.ndarray
     omega_dot: np.ndarray
+
+    def __getitem__(self, i) -> "TrajectorySample":
+        return TrajectorySample(*(getattr(self, f.name)[i] for f in fields(self)))
 
 
 def _sinusoids(amp, freq, phase, ts):
@@ -172,35 +179,17 @@ def _body_rates(angles, d1, d2):
     return w, wd
 
 
-def _trajectory_arrays(cfg: SimConfig, ts: np.ndarray):
-    """Batch trajectory evaluation; returns (R, p, v, a, w, wd) arrays."""
+def trajectory_samples(cfg: SimConfig, ts) -> TrajectorySample:
+    """Ground-truth states at a 1-d array of times in [0, duration]."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or not np.all((ts >= 0.0) & (ts <= cfg.duration)):
+        raise ValueError(f"times must be a 1-d array in [0, {cfg.duration}]")
     tp = cfg.trajectory
     pos, vel, acc = _sinusoids(tp.pos_amplitude, tp.pos_frequency, tp.pos_phase, ts)
     ang, ang_d1, ang_d2 = _sinusoids(
         tp.euler_amplitude, tp.euler_frequency, tp.euler_phase, ts)
-    R = _rotations_zyx(ang)
-    w, wd = _body_rates(ang, ang_d1, ang_d2)
-    return R, pos, vel, acc, w, wd
-
-
-def sample_trajectory(cfg: SimConfig, t: float) -> TrajectorySample:
-    """Ground-truth state at time t in [0, duration]: the one-time case
-    of trajectory_samples."""
-    return trajectory_samples(cfg, [float(t)])[0]
-
-
-def trajectory_samples(cfg: SimConfig, ts) -> list[TrajectorySample]:
-    """Ground-truth states at an array of times in [0, duration]."""
-    ts = np.asarray(ts, dtype=float)
-    if not np.all((ts >= 0.0) & (ts <= cfg.duration)):
-        raise ValueError(f"times outside [0, {cfg.duration}]")
-    R, p, v, a, w, wd = _trajectory_arrays(cfg, ts)
-    return [
-        TrajectorySample(t=float(ts[i]), rotation=R[i], position=p[i],
-                         velocity=v[i], acceleration=a[i], omega=w[i],
-                         omega_dot=wd[i])
-        for i in range(len(ts))
-    ]
+    return TrajectorySample(ts, _rotations_zyx(ang), pos, vel, acc,
+                            *_body_rates(ang, ang_d1, ang_d2))
 
 
 def transfer_measurement(omega, omega_dot, accel, ext: Extrinsic) -> tuple:
@@ -220,12 +209,6 @@ def transfer_measurement(omega, omega_dot, accel, ext: Extrinsic) -> tuple:
     return omega @ R.T, (np.asarray(accel, dtype=float) + lever) @ R.T
 
 
-def ideal_imu_series(cfg: SimConfig, mount: Extrinsic) -> tuple:
-    """Noise-free gyro/accel arrays for an IMU rigidly mounted on the
-    body: the one-mount case of ideal_imu_series_stack."""
-    return tuple(ideal_imu_series_stack(cfg, [mount])[0])
-
-
 def ideal_imu_series_stack(cfg: SimConfig, mounts) -> np.ndarray:
     """Noise-free (gyro, accel) rows of IMUs rigidly mounted on the body,
     (m, 2, n, 3) for m mounts, from one evaluation of the trajectory.
@@ -233,10 +216,11 @@ def ideal_imu_series_stack(cfg: SimConfig, mounts) -> np.ndarray:
     q rotates body coords into the sensor frame, p is the sensor origin
     in body coordinates.
     """
-    R, pos, vel, acc, w, wd = _trajectory_arrays(cfg, cfg.times())
+    s = trajectory_samples(cfg, cfg.times())
     # specific force at the body origin, in body coords
-    f = np.einsum("nij,nj->ni", R.transpose(0, 2, 1), acc - cfg.gravity)
-    return np.array([transfer_measurement(w, wd, f, m) for m in mounts])
+    f = np.einsum("nij,nj->ni", s.rotation.transpose(0, 2, 1),
+                  s.acceleration - cfg.gravity)
+    return np.array([transfer_measurement(s.omega, s.omega_dot, f, m) for m in mounts])
 
 
 def apply_measurement_noise(gyro, accel, noise: NoiseSpec, freq: float, rng):
@@ -338,32 +322,21 @@ def apply_measurement_noise_stack(ideal, noise: NoiseSpec, freq: float, rng,
     return z
 
 
-def simulate_imu(cfg: SimConfig, mount: Extrinsic, noise: NoiseSpec,
-                 seed=None) -> ImuSeries:
-    """Simulate one mounted IMU; identical seeds give bit-identical output."""
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    w, a = ideal_imu_series(cfg, mount)
-    w, a = apply_measurement_noise(w, a, noise, cfg.freq, rng)
-    return ImuSeries(freq=cfg.freq, start_ns=0, gyro=w, accel=a)
-
-
 def perturb_extrinsics(ext: Extrinsic, sigma_rot: float, sigma_trans: float,
-                       seed=None) -> Extrinsic:
-    """Draw a perturbed extrinsic: rotation right-multiplied by the
-    exponential of a N(0, sigma_rot^2 I) tangent, translation shifted by
-    N(0, sigma_trans^2 I)."""
+                       rng: np.random.Generator) -> Extrinsic:
+    """Draw a perturbed extrinsic from rng: rotation right-multiplied by
+    the exponential of a N(0, sigma_rot^2 I) tangent, translation
+    shifted by N(0, sigma_trans^2 I)."""
     if sigma_rot < 0 or sigma_trans < 0:
         raise ValueError("perturbation sigmas must be >= 0")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     delta_rot = rng.standard_normal(3) * sigma_rot
     delta_p = rng.standard_normal(3) * sigma_trans
     return Extrinsic(q=quat_multiply(ext.q, quat_from_rotvec(delta_rot)),
                      p=ext.p + delta_p)
 
 
-def grid_mounts(rows: int = 3, cols: int = 3, pitch: float = 0.05) -> list[Extrinsic]:
-    """Planar IMU array on the body: rows x cols grid, identity
-    orientations, centered on the body origin, row-major order."""
-    return [Extrinsic(p=np.array([(c - (cols - 1) / 2.0) * pitch,
-                                  (r - (rows - 1) / 2.0) * pitch, 0.0]))
-            for r in range(rows) for c in range(cols)]
+def grid_mounts(pitch: float = 0.05) -> list[Extrinsic]:
+    """Planar IMU array on the body: 3x3 grid, identity orientations,
+    centered on the body origin, row-major order."""
+    return [Extrinsic(p=np.array([c * pitch, r * pitch, 0.0]))
+            for r in (-1, 0, 1) for c in (-1, 0, 1)]

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, LengthMismatch, RateMismatch
 from .geometry import quat_conjugate, rotation_from_quat
 
 
@@ -22,6 +22,23 @@ def non_finite_sample(gyro, accel):
     """Index of the first NaN or infinite sample (row), or None."""
     finite = np.isfinite(gyro).all(axis=-1) & np.isfinite(accel).all(axis=-1)
     return None if finite.all() else int(np.argmin(finite))
+
+
+def check_synchronized(series) -> None:
+    """Raise RateMismatch or LengthMismatch unless every series shares
+    the first one's rate (to 1e-9 relative), start time and sample
+    count, and that count is at least 3."""
+    base = series[0]
+    for s in series[1:]:
+        if abs(s.freq - base.freq) > 1e-9 * base.freq:
+            raise RateMismatch(f"sample rates differ: {base.freq} vs {s.freq}")
+        if s.start_ns != base.start_ns:
+            raise LengthMismatch(
+                f"start times differ: {base.start_ns} ns vs {s.start_ns} ns")
+        if len(s) != len(base):
+            raise LengthMismatch(f"sample counts differ: {len(base)} vs {len(s)}")
+    if len(base) < 3:
+        raise LengthMismatch(f"need at least 3 samples, got {len(base)}")
 
 
 def _check_keys(d: dict, known, what: str):
@@ -139,8 +156,11 @@ class Extrinsic:
         q = q / norm
         if q[0] < 0.0:
             q = -q
+        p = _vec3(self.p)
+        if not np.isfinite(p).all():
+            raise ValueError(f"lever arm must be finite, got {p.tolist()}")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", _vec3(self.p))
+        object.__setattr__(self, "p", p)
 
     @classmethod
     def identity(cls) -> "Extrinsic":

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, RateMismatch, SingularFusion
+from .errors import LengthMismatch, SingularFusion
 from .geometry import is_rotation, skew
-from .types import Extrinsic, ImuSeries, NoiseSpec, _finite_floats
+from .types import Extrinsic, ImuSeries, NoiseSpec, _finite_floats, check_synchronized
 
 
 @dataclass(frozen=True)
@@ -275,14 +275,8 @@ def fuse_series(fm: FusionMatrices, series: list) -> ImuSeries:
     n = fm.gyro_solve.shape[-1] // 3
     if len(series) != n:
         raise LengthMismatch(f"expected {n} series, got {len(series)}")
+    check_synchronized(series)
     base = series[0]
-    for s in series[1:]:
-        if abs(s.freq - base.freq) > 1e-9 * base.freq:
-            raise RateMismatch(f"rates differ: {s.freq} vs {base.freq}")
-        if s.start_ns != base.start_ns or len(s) != len(base):
-            raise LengthMismatch("series must share start time and length")
-    if len(base) < 3:
-        raise LengthMismatch("need at least 3 samples to fuse")
     fused_w, fused_a = fuse_stack(fm, np.stack([s.gyro for s in series], axis=1),
                                   np.stack([s.accel for s in series], axis=1),
                                   base.freq)

@@ -68,6 +68,11 @@ lever term as one product of the rows of w (x) w, rotates the specific
 force by broadcast multiply-adds over the rotation's columns, and forms
 the residual in the R^T frame from the stacked design.
 
+``sample_trajectory``, ``ideal_imu_series`` and ``simulate_imu`` are
+the one-case forms the library dropped: one instant of
+``trajectory_samples``, one mount of ``ideal_imu_series_stack``, and
+one mount's samples with the library's noise from one seed.
+
 ``ideal_body_measurements``, ``virtual_bias``, ``residual_omega`` and
 ``quat_rotate`` have no caller in the library; the tests keep them as
 references. ``paired_bootstrap_prob`` is the bootstrap behind criterion
@@ -128,14 +133,15 @@ from mimufusion.preintegration import (
     preintegrate_windows,
 )
 from mimufusion.simulation import (
+    SimConfig,
     TrajectoryParams,
     TrajectorySample,
     grid_mounts,
-    ideal_imu_series,
+    ideal_imu_series_stack,
     perturb_extrinsics,
     trajectory_samples,
 )
-from mimufusion.types import ImuSeries, NoiseSpec, _vec3
+from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec, _vec3
 from mimufusion.vimu import (
     FusionMatrices,
     VimuConfig,
@@ -360,6 +366,28 @@ def _line_of_row(path, row: int) -> int:
         data_lines = (n for n, line in enumerate(fh, start=1)
                       if n > 1 and line.strip())
         return next(itertools.islice(data_lines, row, None))
+
+
+def sample_trajectory(cfg: SimConfig, t: float) -> TrajectorySample:
+    """Ground-truth state at time t: the one-time case of
+    trajectory_samples."""
+    return trajectory_samples(cfg, [t])[0]
+
+
+def ideal_imu_series(cfg: SimConfig, mount: Extrinsic) -> tuple:
+    """Noise-free gyro/accel arrays of one mounted IMU: the one-mount
+    case of ideal_imu_series_stack."""
+    return tuple(ideal_imu_series_stack(cfg, [mount])[0])
+
+
+def simulate_imu(cfg: SimConfig, mount: Extrinsic, noise: NoiseSpec,
+                 seed=None) -> ImuSeries:
+    """One mounted IMU with the library's noise from default_rng(seed),
+    cfg.seed when None, as the simulate command builds each IMU."""
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    w, a = simulation.apply_measurement_noise(*ideal_imu_series(cfg, mount), noise,
+                                              cfg.freq, rng)
+    return ImuSeries(freq=cfg.freq, start_ns=0, gyro=w, accel=a)
 
 
 def ideal_body_measurements(sample: TrajectorySample, gravity) -> tuple:

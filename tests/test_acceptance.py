@@ -14,7 +14,10 @@ import time
 from pathlib import Path
 
 import numpy as np
-from oracle import log_so3, paired_bootstrap_prob, per_sample_means
+from oracle import (
+    ideal_imu_series, log_so3, paired_bootstrap_prob, per_sample_means,
+    sample_trajectory, simulate_imu,
+)
 
 from mimufusion.calibration import (
     CalibrationInput, WeightSchedule, calibrate, estimate_angular_accel,
@@ -29,10 +32,7 @@ from mimufusion.harness import (
     METRICS, ExperimentPlan, run_experiment, true_vimu_state,
 )
 from mimufusion.preintegration import predict_state, preintegrate_windows
-from mimufusion.simulation import (
-    SimConfig, TrajectoryParams, apply_measurement_noise, ideal_imu_series,
-    sample_trajectory, simulate_imu,
-)
+from mimufusion.simulation import SimConfig, TrajectoryParams, apply_measurement_noise
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
     VimuConfig, build_fusion, fuse_series, virtual_covariances,

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 import oracle
-from oracle import residual_omega, still_trajectory
+from oracle import residual_omega, simulate_imu, still_trajectory
 
 from mimufusion.calibration import (
     CalibrationInput,
@@ -28,11 +28,7 @@ from mimufusion.geometry import (
     rotation_from_quat,
     skew,
 )
-from mimufusion.simulation import (
-    SimConfig,
-    simulate_imu,
-    transfer_measurement,
-)
+from mimufusion.simulation import SimConfig, transfer_measurement
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 
 

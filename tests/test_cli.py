@@ -101,9 +101,10 @@ def test_simulate_outputs(workspace):
 
 def test_simulate_matches_per_imu_simulation(workspace):
     """simulate evaluates the trajectory once for all IMUs and gives each
-    the samples simulate_imu gives it alone with the same stream."""
+    the samples oracle.simulate_imu gives it alone with the same stream."""
+    from oracle import simulate_imu
+
     from mimufusion.csvio import load_sim_setup, read_imu_csv
-    from mimufusion.simulation import simulate_imu
 
     cfg, imus = load_sim_setup(workspace / "sim.yaml")
     streams = np.random.SeedSequence(cfg.seed).spawn(len(imus))
@@ -621,9 +622,13 @@ def test_evaluate_rejects_null_plan_block(tmp_path, capsys, block):
     assert f"{block} block must be a mapping" in payload["message"]
 
 
-@pytest.mark.parametrize("top", ["[1, 2]", "null", "\"q\""])
+@pytest.mark.parametrize("top", ["[1, 2]", "null", "\"q\"",
+                                 '{"q_BA": [1, 0, 0, 0], "p_AB_m": [NaN, 0, 0]}',
+                                 '{"q_BA": [1, 0, 0, 0], "p_AB_m": [0, -Infinity, 0]}'])
 def test_fuse_rejects_calibration_that_is_not_a_mapping(workspace, tmp_path,
                                                        capsys, top):
+    """A calib.json that is not a mapping, or whose lever arm is not
+    finite, fails with a FormatError naming the file."""
     calib = tmp_path / "calib.json"
     calib.write_text(top)
     code = main(["fuse",

@@ -7,6 +7,8 @@ from oracle import (
     paired_bootstrap_prob,
     per_sample_means,
     rmse_report_from_dict,
+    sample_trajectory,
+    simulate_imu,
     single_frame,
     still_trajectory,
 )
@@ -33,11 +35,8 @@ from mimufusion.harness import (
 from mimufusion.preintegration import VimuState
 from mimufusion.simulation import (
     SimConfig,
-    TrajectorySample,
-    _trajectory_arrays,
     grid_mounts,
-    sample_trajectory,
-    simulate_imu,
+    trajectory_samples,
 )
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import FusionMatrices, build_fusion, midpoint_frame
@@ -253,10 +252,6 @@ def test_plan_rejects_unknown_sim_keys():
         ExperimentPlan.from_dict({"sim": {"durration": 9}})
 
 
-def desk_keyframes(plan, times):
-    return TrajectorySample(times, *_trajectory_arrays(plan.sim, times))
-
-
 def assert_fusions_match(got, want, trial):
     """Every FusionMatrices field of ``want`` against trial ``trial`` of
     ``got``, to 1e-12 of its scale."""
@@ -272,7 +267,7 @@ def test_setup_of_a_pair_matches_the_midpoint_frame():
     midpoint p / 2."""
     rng = np.random.default_rng(71)
     plan = ExperimentPlan()
-    keyframes = desk_keyframes(plan, np.array([0.005, 0.505, 1.005]))
+    keyframes = trajectory_samples(plan.sim, np.array([0.005, 0.505, 1.005]))
     q = np.array([quat_from_rotvec(v) for v in rng.normal(scale=0.5, size=(5, 3))])
     p = rng.normal(scale=0.05, size=(5, 3))
     R = rotation_from_quat(q)
@@ -292,7 +287,7 @@ def test_setup_of_one_mount_matches_the_single_frame():
     """The centre mount alone is the one-sensor passthrough at that
     mount, and so is any single believed pose, trial by trial."""
     plan = ExperimentPlan()
-    keyframes = desk_keyframes(plan, np.array([0.005, 0.505]))
+    keyframes = trajectory_samples(plan.sim, np.array([0.005, 0.505]))
     mounts = grid_mounts(pitch=plan.grid_pitch)
     fm, truth, errors = _setup(*_poses(mounts, (_CENTER,)), plan, keyframes)
     assert errors == [None]
@@ -461,8 +456,9 @@ def assert_reports_agree(got, want, got_dir, want_dir):
             for key in ("mean", "std", "per_sample_means"):
                 np.testing.assert_allclose(got.metrics[v][m][key], stats[key],
                                            rtol=1e-12, atol=0)
-    got_lines = [json.loads(l) for l in (got_dir / "trials.jsonl").open()]
-    want_lines = [json.loads(l) for l in (want_dir / "trials.jsonl").open()]
+    got_lines, want_lines = ([json.loads(l) for l in
+                              (d / "trials.jsonl").read_text().splitlines()]
+                             for d in (got_dir, want_dir))
     assert len(got_lines) == len(want_lines) == sum(want.completed.values())
     for g, w in zip(got_lines, want_lines):
         assert g.keys() == w.keys()
@@ -506,7 +502,8 @@ def test_trial_noise_does_not_depend_on_the_variant_list(tmp_path):
     for plan, name in ((full, "full"), (subset, "subset")):
         run_experiment(plan, out_dir=tmp_path / name)
     got, want = ({(t["sample"], t["seq"], t["variant"]): t
-                  for t in map(json.loads, (tmp_path / name / "trials.jsonl").open())
+                  for t in map(json.loads,
+                               (tmp_path / name / "trials.jsonl").read_text().splitlines())
                   if t["variant"] in subset.variants}
                  for name in ("subset", "full"))
     assert got.keys() == want.keys() and len(got) == 12 * len(subset.variants)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracle import parse_csv as oracle_parse_csv
+from oracle import simulate_imu
 from oracle import write_imu_csv as oracle_write_imu_csv
 
 from mimufusion.csvio import (
@@ -32,7 +33,7 @@ from mimufusion.csvio import (
 )
 from mimufusion.errors import FormatError, RateMismatch
 from mimufusion.geometry import quat_from_rotvec
-from mimufusion.simulation import SimConfig, simulate_imu
+from mimufusion.simulation import SimConfig
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
     build_fusion,

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from oracle import (
     array_frame,
+    ideal_imu_series,
     identity_delta,
     log_so3,
     propagate_step,
     psi_matrix,
+    sample_trajectory,
+    simulate_imu,
     single_frame,
     still_trajectory,
 )
@@ -36,9 +39,6 @@ from mimufusion.simulation import (
     SimConfig,
     apply_measurement_noise_stack,
     grid_mounts,
-    ideal_imu_series,
-    sample_trajectory,
-    simulate_imu,
 )
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (

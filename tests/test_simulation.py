@@ -1,9 +1,18 @@
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 import oracle
-from oracle import ideal_body_measurements, log_so3, quat_rotate, still_trajectory
+from oracle import (
+    ideal_body_measurements,
+    ideal_imu_series,
+    log_so3,
+    quat_rotate,
+    sample_trajectory,
+    simulate_imu,
+    still_trajectory,
+)
 
 from mimufusion.csvio import load_yaml
 from mimufusion.geometry import (
@@ -15,16 +24,14 @@ from mimufusion.geometry import (
 from mimufusion.simulation import (
     SimConfig,
     TrajectoryParams,
+    TrajectorySample,
     _level_variances,
     apply_measurement_noise,
     apply_measurement_noise_stack,
     grid_mounts,
-    ideal_imu_series,
     ideal_imu_series_stack,
     innovation_weights,
     perturb_extrinsics,
-    sample_trajectory,
-    simulate_imu,
     transfer_measurement,
     trajectory_samples,
 )
@@ -193,9 +200,28 @@ def test_sim_config_rejects_non_finite_or_non_positive(field, value):
         SimConfig(**{field: value})
 
 
+def test_trajectory_samples_pick_instants_like_one_time_evaluations():
+    """Instant i of one evaluation, by index or by iteration, holds bit
+    for bit what an evaluation at ts[i] alone gives, without the time
+    axis; a slice holds what an evaluation at those times gives."""
+    cfg = SimConfig(freq=200.0, duration=10.0)
+    ts = np.concatenate([np.linspace(0.0, 10.0, 37), [0.1234, 9.999]])
+    samples = trajectory_samples(cfg, ts)
+    assert len(list(samples)) == len(ts)
+    for i, s in enumerate(samples):
+        alone = trajectory_samples(cfg, ts[i:i + 1])
+        for f in fields(TrajectorySample):
+            want = getattr(alone, f.name)[0]
+            assert np.array_equal(getattr(samples[i], f.name), want), f.name
+            assert np.array_equal(getattr(s, f.name), want), f.name
+    part = trajectory_samples(cfg, ts[3:8])
+    for f in fields(TrajectorySample):
+        assert np.array_equal(getattr(samples[3:8], f.name), getattr(part, f.name))
+
+
 def test_ideal_stack_matches_per_mount_series():
     """The mount stack evaluates the trajectory once and gives every
-    mount the same bits as its own ideal_imu_series call."""
+    mount the same bits as evaluating it for that mount alone."""
     cfg = SimConfig(freq=200.0, duration=3.0)
     rng = np.random.default_rng(5)
     mounts = grid_mounts() + [Extrinsic(q=quat_from_random(rng), p=rng.normal(size=3))]
@@ -421,7 +447,7 @@ def test_perturb_zero_sigma_is_identity_map():
     ext = Extrinsic(q=np.array([0.9689124217106447, 0.0, 0.0,
                                 0.2474039592545229]),
                     p=np.array([0.1, -0.2, 0.3]))
-    out = perturb_extrinsics(ext, 0.0, 0.0, seed=5)
+    out = perturb_extrinsics(ext, 0.0, 0.0, np.random.default_rng(5))
     np.testing.assert_allclose(out.q, ext.q, atol=1e-15)
     np.testing.assert_array_equal(out.p, ext.p)
 
@@ -434,7 +460,7 @@ def test_perturb_statistics():
     rots = np.empty((10_000, 3))
     trans = np.empty((10_000, 3))
     for i in range(10_000):
-        out = perturb_extrinsics(ext, sigma_rot, sigma_trans, seed=rng)
+        out = perturb_extrinsics(ext, sigma_rot, sigma_trans, rng)
         rots[i] = log_so3(rotation_from_quat(out.q))
         trans[i] = out.p - ext.p
     np.testing.assert_allclose(rots.std(axis=0), sigma_rot, rtol=0.05)
@@ -444,7 +470,7 @@ def test_perturb_statistics():
 
 def test_perturb_rejects_negative_sigma():
     with pytest.raises(ValueError):
-        perturb_extrinsics(Extrinsic.identity(), -0.01, 0.0, seed=0)
+        perturb_extrinsics(Extrinsic.identity(), -0.01, 0.0, np.random.default_rng(0))
 
 
 def test_grid_mounts_layout():
@@ -464,13 +490,6 @@ def test_grid_mounts_layout():
     assert np.linalg.norm(positions[1] - positions[0]) == pytest.approx(0.05)
 
 
-def test_grid_mounts_custom_shape():
-    mounts = grid_mounts(rows=2, cols=2, pitch=0.1)
-    positions = np.array([m.p for m in mounts])
-    assert len(mounts) == 4
-    np.testing.assert_allclose(np.abs(positions[:, :2]), 0.05)
-
-
 def test_trajectory_range_check():
     cfg = SimConfig(freq=200.0, duration=2.0)
     with pytest.raises(ValueError):
@@ -481,3 +500,6 @@ def test_trajectory_range_check():
         sample_trajectory(cfg, float("nan"))
     with pytest.raises(ValueError):
         trajectory_samples(cfg, [0.5, float("nan")])
+    for ts in (0.5, [[0.5, 1.0]]):
+        with pytest.raises(ValueError, match="1-d array"):
+            trajectory_samples(cfg, ts)

@@ -6,18 +6,15 @@ from oracle import (
     array_frame,
     ideal_body_measurements,
     lever_arm_stack,
+    sample_trajectory,
+    simulate_imu,
     single_frame,
     virtual_bias,
 )
 
 from mimufusion.errors import LengthMismatch, RateMismatch, SingularFusion
 from mimufusion.geometry import exp_so3, quat_from_rotvec, rotation_from_quat
-from mimufusion.simulation import (
-    SimConfig,
-    sample_trajectory,
-    simulate_imu,
-    transfer_measurement,
-)
+from mimufusion.simulation import SimConfig, transfer_measurement
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
     VimuConfig,
@@ -354,6 +351,8 @@ def test_fuse_series_zero_noise_recovers_virtual_truth():
 
 
 def test_fuse_series_validates_inputs():
+    """fuse_series pairs its series by the rule CalibrationInput uses,
+    with the same messages."""
     cfg_sim = SimConfig(freq=200.0, duration=1.0)
     ext = Extrinsic(p=np.array([0.1, 0.0, 0.0]))
     vcfg = midpoint_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
@@ -364,11 +363,18 @@ def test_fuse_series_validates_inputs():
     from dataclasses import replace
 
     slow = replace(series[1], freq=100.0)
-    with pytest.raises(RateMismatch):
+    with pytest.raises(RateMismatch, match="sample rates differ: 200.0 vs 100.0"):
         fuse_series(fm, [series[0], slow])
-    shifted = replace(series[1], start_ns=series[1].start_ns + 1)
-    with pytest.raises(LengthMismatch):
+    t0 = series[1].start_ns
+    shifted = replace(series[1], start_ns=t0 + 1)
+    with pytest.raises(LengthMismatch, match=f"start times differ: {t0} ns vs {t0 + 1} ns"):
         fuse_series(fm, [series[0], shifted])
+    short = replace(series[1], gyro=series[1].gyro[:-1], accel=series[1].accel[:-1])
+    with pytest.raises(LengthMismatch, match="sample counts differ: 200 vs 199"):
+        fuse_series(fm, [series[0], short])
+    two = [replace(s, gyro=s.gyro[:2], accel=s.accel[:2]) for s in series]
+    with pytest.raises(LengthMismatch, match="need at least 3 samples, got 2"):
+        fuse_series(fm, two)
 
 
 def test_array_frame_centroid():
