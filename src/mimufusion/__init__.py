@@ -4,7 +4,6 @@ preintegration."""
 from .calibration import (
     CalibrationInput,
     CalibrationResult,
-    WeightSchedule,
     calibrate,
     estimate_angular_accel,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "VimuConfig",
     "VimuNoise",
     "VimuState",
-    "WeightSchedule",
     "build_fusion",
     "calibrate",
     "estimate_angular_accel",

@@ -13,10 +13,10 @@ Both stage kernels (fit_rotation, fit_translation) take any leading
 trial axes and report a failure per trial instead of raising; calibrate
 runs them on one pair and raises the first failure.
 
-Per-sample weights follow the inverse of isotropic variance schedules
-that grow linearly with the sample index, modeling bias random walk
-accumulated since the window start (index t is 1-based in the schedule
-argument; Python sample k maps to t = k + 1).
+Each kernel weights its samples by the inverse of an isotropic variance
+schedule of the pair's noise specs and rate, which grows linearly with
+the sample index, modeling bias random walk accumulated since the window
+start (t is 1-based in the schedules; Python sample k maps to t = k + 1).
 """
 from __future__ import annotations
 
@@ -110,42 +110,28 @@ def sigma_accel(t, noise_a: NoiseSpec, noise_b: NoiseSpec, dt: float):
     return virt**2 + white + walk * t
 
 
-def _weights_from_variance(var) -> np.ndarray:
-    # Zero variance means exact data; any uniform weight recovers the
-    # same optimum, so use 1.
-    var = np.atleast_1d(np.asarray(var, dtype=float))
+def _weights(variance, first: int, last: int, noise_a: NoiseSpec,
+             noise_b: NoiseSpec, freq: float) -> np.ndarray:
+    """1 / variance(t) (sigma_omega or sigma_accel) at t = first..last.
+    Zero variance means exact data; any uniform weight recovers the same
+    optimum, so it gets weight 1."""
+    var = variance(np.arange(first, last + 1, dtype=float), noise_a, noise_b,
+                   1.0 / freq)
     return np.where(var > 0.0, 1.0 / np.where(var > 0.0, var, 1.0), 1.0)
 
 
-@dataclass
-class WeightSchedule:
-    """Per-sample scalar weights (inverse variances) for both stages."""
-
-    w_omega: np.ndarray
-    w_accel: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.w_omega <= 0) or np.any(self.w_accel <= 0):
-            raise ValueError("weights must be positive")
-
-    @classmethod
-    def build(cls, n: int, noise_a: NoiseSpec, noise_b: NoiseSpec,
-              dt: float) -> "WeightSchedule":
-        t = np.arange(1, n + 1, dtype=float)
-        return cls(
-            w_omega=_weights_from_variance(sigma_omega(t, noise_a, noise_b, dt)),
-            w_accel=_weights_from_variance(sigma_accel(t, noise_a, noise_b, dt)),
-        )
-
-
-def fit_rotation(gyro_a, gyro_b, weights) -> tuple:
+def fit_rotation(gyro_a, gyro_b, noise_a: NoiseSpec, noise_b: NoiseSpec,
+                 freq: float) -> tuple:
     """Stage-one kernel: the weighted Procrustes rotation R minimizing
-    sum_t w_t |wB_t - R wA_t|^2, for gyro rows (..., n, 3) and weights
-    (n,). Returns (R (..., 3, 3), cost (...), errors): errors holds a
+    sum_t w_t |wB_t - R wA_t|^2, for gyro rows (..., n, 3) sampled at
+    freq, with w_t = 1 / sigma_omega(t) from the two noise specs.
+    Returns (q (..., 4), cost (...), errors): q is R as a canonical unit
+    quaternion, the cost is taken at R, and errors holds a
     DegenerateMotion or None per trial, row-major over the leading axes.
     """
     wa = np.asarray(gyro_a, dtype=float)
     wb = np.asarray(gyro_b, dtype=float)
+    weights = _weights(sigma_omega, 1, wa.shape[-2], noise_a, noise_b, freq)
     moment = np.swapaxes(wa, -1, -2) @ wa / wa.shape[-2]
     smallest = np.linalg.eigvalsh(moment)[..., 0]
     # sum_t w_t wB_t wA_t^T as one matrix product
@@ -157,7 +143,8 @@ def fit_rotation(gyro_a, gyro_b, weights) -> tuple:
         "gyro second moment too weak for orientation estimation "
         f"(smallest eigenvalue {e:.3e} < {GYRO_EXCITATION_MIN:.0e})")
         for e in np.ravel(smallest)]
-    return R, np.einsum("t,...ti,...ti->...", weights, r, r), errors
+    return (quat_from_rotation(R), np.einsum("t,...ti,...ti->...", weights, r, r),
+            errors)
 
 
 def estimate_angular_accel(q, series_a: ImuSeries,
@@ -183,18 +170,21 @@ def _angular_accel(R, gyro_a, gyro_b, freq: float) -> np.ndarray:
     return (freq / 4.0) * (total[..., 2:, :] - total[..., :-2, :])
 
 
-def fit_translation(R, gyro_a, accel_a, gyro_b, accel_b, freq: float,
-                    weights) -> tuple:
+def fit_translation(q, gyro_a, accel_a, gyro_b, accel_b, noise_a: NoiseSpec,
+                    noise_b: NoiseSpec, freq: float) -> tuple:
     """Stage-two kernel: the lever arm p minimizing
-    sum_t w_t |b_t - R M_t p|^2 over the interior samples, with
-    b_t = aB_t - R aA_t and M_t = [w]x^2 + [wdot]x, for sample rows
-    (..., n, 3), rotations R (..., 3, 3) and weights (n - 2,). The
+    sum_t w_t |b_t - R M_t p|^2 over the interior samples, with R the
+    rotation of the unit quaternions q (..., 4), b_t = aB_t - R aA_t,
+    M_t = [w]x^2 + [wdot]x and w_t = 1 / sigma_accel(t) from the two
+    noise specs, for sample rows (..., n, 3) sampled at freq. The
     residual is affine in p, so the weighted normal equations are solved
     directly. Returns (p (..., 3), cost (...), errors): errors holds a
     DegenerateMotion, SingularNormalEquations or None per trial,
     row-major over the leading axes.
     """
-    R = np.asarray(R, dtype=float)
+    R = rotation_from_quat(q)
+    n = np.shape(gyro_a)[-2]
+    weights = _weights(sigma_accel, 2, n - 1, noise_a, noise_b, freq)
     wa = gyro_a[..., 1:-1, :]
     wdot = _angular_accel(R, gyro_a, gyro_b, freq)
     M = lever_matrix(wa, wdot)  # (..., n - 2, 3, 3)
@@ -234,15 +224,13 @@ def calibrate(inp: CalibrationInput) -> CalibrationResult:
     """
     a, b = inp.series_a, inp.series_b
     t0 = time.perf_counter()
-    weights = WeightSchedule.build(len(a), inp.noise_a, inp.noise_b, 1.0 / a.freq)
-    R, rot_cost, (error,) = fit_rotation(a.gyro, b.gyro, weights.w_omega)
+    q, rot_cost, (error,) = fit_rotation(a.gyro, b.gyro, inp.noise_a, inp.noise_b,
+                                         a.freq)
     if error is not None:
         raise error
-    q = quat_from_rotation(R)
     t1 = time.perf_counter()
-    p, trans_cost, (error,) = fit_translation(
-        rotation_from_quat(q), a.gyro, a.accel, b.gyro, b.accel, a.freq,
-        weights.w_accel[1:-1])
+    p, trans_cost, (error,) = fit_translation(q, a.gyro, a.accel, b.gyro, b.accel,
+                                              inp.noise_a, inp.noise_b, a.freq)
     if error is not None:
         raise error
     t2 = time.perf_counter()

@@ -67,7 +67,9 @@ def atomic_write_text(path, text: str):
 
 
 def write_json(path, obj):
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write obj as strict JSON: a NaN or infinity raises ValueError."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True,
+                                       allow_nan=False) + "\n")
 
 
 def read_json(path) -> dict:

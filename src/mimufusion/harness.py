@@ -31,9 +31,9 @@ from time import perf_counter
 import numpy as np
 
 from . import csvio
-from .calibration import WeightSchedule, fit_rotation, fit_translation
+from .calibration import fit_rotation, fit_translation
 from .errors import EmptyOverlap, FormatError, LengthMismatch, MimuError, RateMismatch
-from .geometry import geodesic_angle, quat_from_rotation, rotation_from_quat
+from .geometry import geodesic_angle, rotation_from_quat
 from .preintegration import PreintDelta, VimuState, predict_state, preintegrate_stack
 from .simulation import (
     SimConfig,
@@ -188,7 +188,18 @@ class RmseReport:
     failures: list
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report as strict JSON data: a NaN (the mean of a sample with
+        no completed trial, and each statistic over it) becomes None."""
+        return _nan_to_none(asdict(self))
+
+
+def _nan_to_none(x):
+    """x, a tree of dicts and lists, with each NaN float replaced by None."""
+    if isinstance(x, dict):
+        return {k: _nan_to_none(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_nan_to_none(v) for v in x]
+    return None if isinstance(x, float) and np.isnan(x) else x
 
 
 def _stack_states(states) -> VimuState:
@@ -327,27 +338,25 @@ def _setup(rotations, positions, plan: ExperimentPlan, keyframes) -> tuple:
     return fm, true_vimu_state(keyframes, np.eye(3), centroid), errors
 
 
-def _calibrated_poses(plan: ExperimentPlan, mounts, weights: WeightSchedule,
-                      gyro, accel, cols) -> tuple:
+def _calibrated_poses(plan: ExperimentPlan, mounts, gyro, accel, cols) -> tuple:
     """Calibrate each trial's sensor pair, in columns cols of the chunk's
     samples (S, n, m, 3). Sensor A sits on its true mount, sensor B at A
     composed with the trial's estimated extrinsic (R, p): rotation
     R R_A and origin p_A + R_A^T p. Returns the rotations (S, 2, 3, 3),
     the origins (S, 2, 3) and a MimuError or None per trial."""
     (ga, gb), (aa, ab) = ([x[:, :, c] for c in cols] for x in (gyro, accel))
-    R, _, rot_errors = fit_rotation(ga, gb, weights.w_omega)
-    # through the unit quaternion that calibrate reports, as in calib.json
-    R = rotation_from_quat(quat_from_rotation(R))
-    p, _, trans_errors = fit_translation(R, ga, aa, gb, ab, plan.sim.freq,
-                                         weights.w_accel[1:-1])
+    q, _, rot_errors = fit_rotation(ga, gb, plan.noise, plan.noise, plan.sim.freq)
+    p, _, trans_errors = fit_translation(q, ga, aa, gb, ab, plan.noise, plan.noise,
+                                         plan.sim.freq)
+    R = rotation_from_quat(q)
     R_a, p_a = rotation_from_quat(mounts[_PAIR[0]].q), mounts[_PAIR[0]].p
     rotations = np.stack([np.broadcast_to(R_a, R.shape), R @ R_a], axis=-3)
     positions = np.stack([np.broadcast_to(p_a, p.shape), p_a + p @ R_a], axis=-2)
     return rotations, positions, [r or t for r, t in zip(rot_errors, trans_errors)]
 
 
-def _score_chunk(plan: ExperimentPlan, setups, mounts, weights,
-                 gyro, accel, keyframes, n_windows: int, step: int) -> dict:
+def _score_chunk(plan: ExperimentPlan, setups, mounts, gyro, accel, keyframes,
+                 n_windows: int, step: int) -> dict:
     """Per variant, the (position, orientation, velocity) RMSE or the
     MimuError of each trial of a chunk of raw samples (S, n, 9, 3), one
     column per grid sensor. ``setups`` holds the _setup of every
@@ -366,8 +375,7 @@ def _score_chunk(plan: ExperimentPlan, setups, mounts, weights,
     for j, v in enumerate(plan.variants):
         cols = list(_variant_indices(v))
         if v == "2-imu-calibrated":
-            *poses, fit_errors = _calibrated_poses(plan, mounts, weights, gyro,
-                                                   accel, cols)
+            *poses, fit_errors = _calibrated_poses(plan, mounts, gyro, accel, cols)
             fm, truth_v, errs = _setup(*poses, plan, keyframes)
             errs = [f or e for f, e in zip(fit_errors, errs)]
         else:
@@ -424,10 +432,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
         raise ValueError("duration too short for one keyframe window")
     kf_times = (1 + step * np.arange(n_windows + 1)) / plan.sim.freq
     keyframes = trajectory_samples(plan.sim, kf_times)
-    # once per run: the calibration and noise weights and the variant on
-    # true mounts
-    weights = (WeightSchedule.build(n_total, plan.noise, plan.noise, 1.0 / plan.sim.freq)
-               if "2-imu-calibrated" in plan.variants else None)
+    # once per run: the noise weights and the variant on true mounts
     noise_weights = innovation_weights(plan.noise, plan.sim.freq, n_total)
     setups = {v: _setup(*_poses(mounts, (_CENTER,)), plan, keyframes)
               for v in plan.variants if v == "1-imu-true"}
@@ -475,8 +480,8 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                 if not (np.isfinite(gyro).all() and np.isfinite(accel).all()):
                     for c, j in np.ndindex(len(seqs), len(mounts)):
                         ImuSeries(plan.sim.freq, 0, gyro[c, :, j], accel[c, :, j])
-                results = _score_chunk(plan, setups, mounts, weights,
-                                       gyro, accel, keyframes, n_windows, step)
+                results = _score_chunk(plan, setups, mounts, gyro, accel, keyframes,
+                                       n_windows, step)
                 for c, r in enumerate(seqs):
                     for v in plan.variants:
                         res = results[v][c]

@@ -93,54 +93,6 @@ def bias_correct(series: ImuSeries, state: VimuState,
     return w_hat, a_hat
 
 
-def _noise_input_covariance(noise: VimuNoise, freq: float) -> np.ndarray:
-    """Discrete per-sample covariance of the stacked (gyro, accel) noise."""
-    out = np.zeros((6, 6))
-    out[:3, :3] = noise.gyro * freq
-    out[3:, 3:] = noise.accel * freq
-    return out
-
-
-def step_matrices(accum_rotation, step_rotation, a_hat, jr_dt, t_psi,
-                  dt: float, out=None) -> tuple:
-    """Error-state transition A (9x9) and noise input B (9x6) for one
-    sample, or for one sample position of n windows at once when the
-    arguments are (n, 3, 3) and (n, 3) stacks (A is then (n, 9, 9)).
-
-    ``accum_rotation`` is the delta rotation accumulated before this
-    sample; ``step_rotation`` is Exp(w_hat dt) for this sample. The
-    rate-only blocks come precomputed, so that a caller can evaluate
-    them for a block of samples at once: ``jr_dt`` is
-    right_jacobian(w_hat dt) dt and ``t_psi`` is
-    vimu.lever_jacobian(fm, w_hat). ``out`` takes the (A, B)
-    of an earlier call with the same shapes and refills only its
-    sample-dependent blocks, in place.
-    """
-    if out is None:
-        lead = np.shape(a_hat)[:-1]
-        eye = np.eye(3)
-        A = np.zeros(lead + (9, 9))
-        A[..., 3:6, 3:6] = eye
-        A[..., 6:9, 3:6] = dt * eye
-        A[..., 6:9, 6:9] = eye
-        B = np.zeros(lead + (9, 6))
-    else:
-        A, B = out
-    R_sa = accum_rotation @ skew(a_hat)
-    A[..., 0:3, 0:3] = np.swapaxes(step_rotation, -1, -2)
-    A[..., 3:6, 0:3] = -R_sa * dt
-    A[..., 6:9, 0:3] = -0.5 * R_sa * dt**2
-
-    B[..., 0:3, 0:3] = jr_dt
-    # Gyro noise leaks into position through the fused accelerometer's
-    # lever-arm sensitivity; the corresponding velocity block carries a
-    # noise-dependent factor and vanishes at the expectation.
-    B[..., 6:9, 0:3] = -0.5 * accum_rotation @ t_psi * dt**2
-    B[..., 3:6, 3:6] = accum_rotation * dt
-    B[..., 6:9, 3:6] = 0.5 * accum_rotation * dt**2
-    return A, B
-
-
 def preintegrate_windows(series: ImuSeries, state: VimuState,
                          fm: FusionMatrices, step: int,
                          noise: VimuNoise | None = None) -> list:
@@ -184,10 +136,10 @@ def preintegrate_stack(gyro, accel, freq: float, fm: FusionMatrices | None = Non
     propagated and ``fm`` (fields with or without the trial axes) gives
     the lever Jacobian; without it, cov is None and ``fm`` is not read.
 
-    Each delta equals folding its window through step_matrices sample by
-    sample, to round-off. One loop over the sample positions advances
-    every window's rotation (and covariance) together, one A and one B
-    buffer being refilled in place. The positions pass in blocks of
+    One loop over the sample positions advances every window's rotation
+    (and covariance, by the per-sample A and B of the module docstring)
+    together. A and B are allocated once, with their constant blocks, and
+    the loop refills the rest in place. The positions pass in blocks of
     _BLOCK: per block, Exp and the rate-only blocks of B are evaluated
     for all its samples at once, and its rotated samples are reduced
     into the velocity and position sums by weights, without a loop. So
@@ -203,10 +155,17 @@ def preintegrate_stack(gyro, accel, freq: float, fm: FusionMatrices | None = Non
     # rotated by the accumulation before it: one product per block gives both
     weights = np.array([np.full(k, dt), (k - 0.5 - np.arange(k)) * dt**2])
     dv_dp = np.zeros(lead + (2, 3))
-    cov = AB = None
+    cov = None
     if noise is not None:
-        s_eta = _noise_input_covariance(noise, freq)
+        # discrete per-sample covariance of the stacked (gyro, accel) noise
+        s_eta = np.zeros((6, 6))
+        s_eta[:3, :3] = noise.gyro * freq
+        s_eta[3:, 3:] = noise.accel * freq
         cov = np.zeros(lead + (9, 9))
+        A = np.zeros(lead + (9, 9))
+        A[..., 3:6, 3:6] = A[..., 6:9, 6:9] = np.eye(3)
+        A[..., 6:9, 3:6] = dt * np.eye(3)
+        B = np.zeros(lead + (9, 6))
     for b in range(0, k, _BLOCK):
         w, a = w_hat[..., b:b + _BLOCK, :], a_hat[..., b:b + _BLOCK, :]
         # rot[..., i, :, :] holds Exp(w_i dt) until pass i overwrites it
@@ -219,9 +178,17 @@ def preintegrate_stack(gyro, accel, freq: float, fm: FusionMatrices | None = Non
             t_psi = t_psi.reshape(w.shape + (3,))
         for i in range(w.shape[-2]):
             if cov is not None:
-                A, B = AB = step_matrices(dR, rot[..., i, :, :], a[..., i, :],
-                                          jr_dt[..., i, :, :], t_psi[..., i, :, :],
-                                          dt, out=AB)
+                R_sa = dR @ skew(a[..., i, :])
+                A[..., 0:3, 0:3] = np.swapaxes(rot[..., i, :, :], -1, -2)
+                A[..., 3:6, 0:3] = -R_sa * dt
+                A[..., 6:9, 0:3] = -0.5 * R_sa * dt**2
+                B[..., 0:3, 0:3] = jr_dt[..., i, :, :]
+                # gyro noise leaks into position through the fused accel's
+                # lever-arm sensitivity; the velocity block carries a
+                # noise-dependent factor and vanishes at the expectation
+                B[..., 6:9, 0:3] = -0.5 * dR @ t_psi[..., i, :, :] * dt**2
+                B[..., 3:6, 3:6] = dR * dt
+                B[..., 6:9, 3:6] = 0.5 * dR * dt**2
                 cov = (A @ cov @ np.swapaxes(A, -1, -2)
                        + B @ s_eta @ np.swapaxes(B, -1, -2))
                 cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))

@@ -2,9 +2,10 @@
 
 ``propagate_step`` folds one bias-corrected sample into a running
 ``PreintDelta``, starting from ``identity_delta``, with per-sample 3x3
-and 9x9 algebra. The library's kernel (``preintegrate_windows``)
-advances many windows at once instead; the tests compare the two, so
-this code must not call the kernel or its batched step builders.
+and 9x9 algebra: its own ``step_matrices`` and its own noise input
+covariance. The library's kernel (``preintegrate_windows``) advances
+many windows at once instead, its step matrices filled in its loop; the
+tests compare the two, so this code must not call the kernel.
 
 ``write_imu_csv`` and ``parse_csv`` are the per-value IMU CSV writer
 and per-line reader that the library's bulk codec replaced: one
@@ -37,7 +38,10 @@ identity-oriented mounts the frames are the same.
 
 ``fit_rotation`` and ``fit_translation`` form the calibration Grams with
 three-operand ``einsum`` contractions over the samples; the library
-forms them as matrix products over the stacked design.
+forms them as matrix products over the stacked design. They take the
+per-sample weights and a rotation matrix where the library's kernels
+take the noise specs and the rate that the weights come from, and a
+unit quaternion.
 
 ``log_so3`` extracts the rotation vector, axis included; the library
 reads only the angle (``geometry.geodesic_angle``), and the tests use
@@ -128,7 +132,6 @@ from mimufusion.harness import (
 from mimufusion import simulation
 from mimufusion.preintegration import (
     PreintDelta,
-    _noise_input_covariance,
     predict_state,
     preintegrate_windows,
 )
@@ -226,7 +229,8 @@ def propagate_step(prev: PreintDelta, w_hat, a_hat, cfg: VimuConfig,
     a_hat = np.asarray(a_hat, dtype=float)
     step_rot = exp_so3(w_hat * dt)
     sm = step_matrices(prev.rotation, step_rot, w_hat, a_hat, cfg, fm, dt)
-    s_eta = _noise_input_covariance(noise, freq)
+    zero = np.zeros((3, 3))
+    s_eta = np.block([[noise.gyro, zero], [zero, noise.accel]]) * freq
     cov = sm.a @ prev.covariance @ sm.a.T + sm.b @ s_eta @ sm.b.T
     cov = 0.5 * (cov + cov.T)
     accel_world = prev.rotation @ a_hat

@@ -20,12 +20,12 @@ from oracle import (
 )
 
 from mimufusion.calibration import (
-    CalibrationInput, WeightSchedule, calibrate, estimate_angular_accel,
+    CalibrationInput, calibrate, estimate_angular_accel,
     fit_rotation, fit_translation,
 )
 from mimufusion.csvio import load_yaml
 from mimufusion.geometry import (
-    exp_so3, geodesic_angle, quat_from_rotation, quat_from_rotvec,
+    exp_so3, geodesic_angle, quat_from_rotvec,
     rotation_from_quat, skew,
 )
 from mimufusion.harness import (
@@ -305,9 +305,7 @@ def test_criterion_8_stage_estimates_match_independent_oracles():
     sa = simulate_imu(cfg, MOUNT_A, zero)
     sb = simulate_imu(cfg, MOUNT_B, zero)
     # zeroed noise makes every weight 1
-    weights = WeightSchedule.build(len(sa), zero, zero, 1.0 / 200.0)
-    R, _, _ = fit_rotation(sa.gyro, sb.gyro, weights.w_omega)
-    q = quat_from_rotation(R)
+    q, _, _ = fit_rotation(sa.gyro, sb.gyro, zero, zero, 200.0)
     correlation = sb.gyro.T @ sa.gyro
     U, _, VT = np.linalg.svd(correlation)
     d = np.sign(np.linalg.det(U) * np.linalg.det(VT))
@@ -324,9 +322,7 @@ def test_criterion_8_stage_estimates_match_independent_oracles():
     lever = np.cross(w, np.cross(w, p_true)) + np.cross(wd, p_true)
     accel_a = np.zeros((n, 3))
     q_identity = np.array([1.0, 0.0, 0.0, 0.0])
-    weights = WeightSchedule.build(n, zero, zero, 1.0 / 200.0)
-    p, _, _ = fit_translation(rotation_from_quat(q_identity), w, accel_a, w,
-                              lever, 200.0, weights.w_accel[1:-1])
+    p, _, _ = fit_translation(q_identity, w, accel_a, w, lever, zero, zero, 200.0)
     rows = []
     rhs = []
     for k in range(1, n - 1):

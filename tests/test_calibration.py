@@ -8,7 +8,6 @@ from oracle import residual_omega, simulate_imu, still_trajectory
 
 from mimufusion.calibration import (
     CalibrationInput,
-    WeightSchedule,
     calibrate,
     estimate_angular_accel,
     fit_rotation,
@@ -23,7 +22,6 @@ from mimufusion.errors import (
 )
 from mimufusion.geometry import (
     geodesic_angle,
-    quat_from_rotation,
     quat_from_rotvec,
     rotation_from_quat,
     skew,
@@ -53,17 +51,26 @@ def make_pair(ext, duration=10.0, freq=200.0, noise_a=None, noise_b=None,
     return CalibrationInput(series_a=sa, series_b=sb, noise_a=na, noise_b=nb)
 
 
-def pair_weights(inp):
-    """The weight schedule that calibrate builds for one pair."""
-    return WeightSchedule.build(len(inp.series_a), inp.noise_a, inp.noise_b,
-                                1.0 / inp.series_a.freq)
-
-
-def translation_stage(inp, R=np.eye(3)):
-    """fit_translation on one pair at rotation R, with calibrate's weights."""
+def rotation_stage(inp):
+    """fit_rotation on one pair, as calibrate calls it."""
     a, b = inp.series_a, inp.series_b
-    return fit_translation(R, a.gyro, a.accel, b.gyro, b.accel, a.freq,
-                           pair_weights(inp).w_accel[1:-1])
+    return fit_rotation(a.gyro, b.gyro, inp.noise_a, inp.noise_b, a.freq)
+
+
+def translation_stage(inp, q=np.array([1.0, 0.0, 0.0, 0.0])):
+    """fit_translation on one pair at quaternion q, as calibrate calls it."""
+    a, b = inp.series_a, inp.series_b
+    return fit_translation(q, a.gyro, a.accel, b.gyro, b.accel, inp.noise_a,
+                           inp.noise_b, a.freq)
+
+
+def stage_weights(n, noise, freq=200.0):
+    """1 / sigma_omega at samples 1..n and 1 / sigma_accel at the interior
+    samples 2..n-1 of a pair that shares one noise spec: the weights that
+    the stage kernels build, for the einsum oracles."""
+    t = np.arange(1, n + 1, dtype=float)
+    return (1.0 / sigma_omega(t, noise, noise, 1.0 / freq),
+            1.0 / sigma_accel(t[1:-1], noise, noise, 1.0 / freq))
 
 
 def test_residual_omega_identity_zero():
@@ -148,17 +155,11 @@ def test_sigma_accel_plugin_value():
 
 
 def test_weight_schedule_positive_and_monotonic():
-    ws = WeightSchedule.build(5000, NoiseSpec(), NoiseSpec(), 1.0 / 200.0)
-    for w in (ws.w_omega, ws.w_accel):
-        assert len(w) == 5000
+    t = np.arange(1, 5001, dtype=float)
+    for sigma in (sigma_omega, sigma_accel):
+        w = 1.0 / sigma(t, NoiseSpec(), NoiseSpec(), 1.0 / 200.0)
         assert np.all(w > 0)
         assert np.all(np.diff(w) <= 0)
-
-
-def test_weight_schedule_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        WeightSchedule(w_omega=np.array([1.0, 0.0]),
-                       w_accel=np.array([1.0, 1.0]))
 
 
 def test_residual_accel_colocated_zero():
@@ -193,10 +194,10 @@ def test_residual_accel_vanishes_on_rigid_pair():
 
 def test_estimate_rotation_noiseless():
     inp = make_pair(Extrinsic(q=Q_5DEG_Y, p=np.array([0.1, 0.0, 0.0])))
-    R, _, errors = fit_rotation(inp.series_a.gyro, inp.series_b.gyro,
-                                pair_weights(inp).w_omega)
+    q, _, errors = rotation_stage(inp)
     assert errors == [None]
-    assert geodesic_angle(R, rotation_from_quat(Q_5DEG_Y)) < 1e-6
+    assert geodesic_angle(rotation_from_quat(q),
+                          rotation_from_quat(Q_5DEG_Y)) < 1e-6
 
 
 def test_estimate_rotation_matches_procrustes_oracle():
@@ -206,7 +207,7 @@ def test_estimate_rotation_matches_procrustes_oracle():
     inp = make_pair(Extrinsic(q=Q_5DEG_Y, p=np.zeros(3)),
                     noise_a=na, noise_b=nb)
     wa, wb = inp.series_a.gyro, inp.series_b.gyro
-    R, _, _ = fit_rotation(wa, wb, pair_weights(inp).w_omega)
+    R = rotation_from_quat(rotation_stage(inp)[0])
 
     B = wb.T @ wa
     U, _, VT = np.linalg.svd(B)
@@ -452,22 +453,18 @@ def test_stage_kernels_over_trials_match_per_pair_calls():
     stack = {k: np.stack([getattr(getattr(inp, f"series_{k[-1]}"), k[:-2])
                           for inp in inps])
              for k in ("gyro_a", "gyro_b", "accel_a", "accel_b")}
-    weights = WeightSchedule.build(len(inps[0].series_a), MEMS_NOISE, MEMS_NOISE,
-                                   1.0 / 200.0)
-    R, rot_cost, rot_errors = fit_rotation(stack["gyro_a"], stack["gyro_b"],
-                                           weights.w_omega)
-    Rq = np.array([rotation_from_quat(quat_from_rotation(r)) for r in R])
+    q, rot_cost, rot_errors = fit_rotation(stack["gyro_a"], stack["gyro_b"],
+                                           MEMS_NOISE, MEMS_NOISE, 200.0)
     p, trans_cost, trans_errors = fit_translation(
-        Rq, stack["gyro_a"], stack["accel_a"], stack["gyro_b"], stack["accel_b"],
-        200.0, weights.w_accel[1:-1])
+        q, stack["gyro_a"], stack["accel_a"], stack["gyro_b"], stack["accel_b"],
+        MEMS_NOISE, MEMS_NOISE, 200.0)
     assert isinstance(rot_errors[1], DegenerateMotion)
     with pytest.raises(DegenerateMotion, match=re.escape(str(rot_errors[1]))):
         calibrate(inps[1])
     for k in (0, 2):
         assert rot_errors[k] is None and trans_errors[k] is None
         res = calibrate(inps[k])
-        np.testing.assert_allclose(quat_from_rotation(R[k]), res.extrinsic.q,
-                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(q[k], res.extrinsic.q, rtol=0, atol=1e-15)
         assert rot_cost[k] == pytest.approx(res.final_rot_cost, rel=1e-12)
         np.testing.assert_allclose(p[k], res.extrinsic.p, rtol=1e-12, atol=1e-15)
         assert trans_cost[k] == pytest.approx(res.final_trans_cost, rel=1e-12)
@@ -487,18 +484,19 @@ def test_stage_kernels_match_einsum_oracle():
     stack = {k: np.stack([getattr(getattr(inp, f"series_{k[-1]}"), k[:-2])
                           for inp in inps]).reshape(2, 2, -1, 3)
              for k in ("gyro_a", "gyro_b", "accel_a", "accel_b")}
-    weights = WeightSchedule.build(len(inps[0].series_a), MEMS_NOISE, MEMS_NOISE,
-                                   1.0 / 200.0)
-    got = fit_rotation(stack["gyro_a"], stack["gyro_b"], weights.w_omega)
-    want = oracle.fit_rotation(stack["gyro_a"], stack["gyro_b"], weights.w_omega)
-    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    w_omega, w_accel = stage_weights(len(inps[0].series_a), MEMS_NOISE)
+    got = fit_rotation(stack["gyro_a"], stack["gyro_b"], MEMS_NOISE, MEMS_NOISE,
+                       200.0)
+    want = oracle.fit_rotation(stack["gyro_a"], stack["gyro_b"], w_omega)
+    np.testing.assert_allclose(rotation_from_quat(got[0]), want[0], rtol=0,
+                               atol=1e-12)
     np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0)
     assert [type(e) for e in got[2]] == [type(e) for e in want[2]]
     assert isinstance(got[2][1], DegenerateMotion)
-    args = (stack["gyro_a"], stack["accel_a"], stack["gyro_b"], stack["accel_b"],
-            200.0, weights.w_accel[1:-1])
-    got = fit_translation(want[0], *args)
-    want = oracle.fit_translation(want[0], *args)
+    q = got[0]
+    args = (stack["gyro_a"], stack["accel_a"], stack["gyro_b"], stack["accel_b"])
+    got = fit_translation(q, *args, MEMS_NOISE, MEMS_NOISE, 200.0)
+    want = oracle.fit_translation(rotation_from_quat(q), *args, 200.0, w_accel)
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12,
                                atol=1e-12 * np.abs(want[0]).max())
     np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0)
@@ -519,11 +517,12 @@ def test_translation_cost_matches_b_frame_residual_oracle():
     stack = {k: np.stack([getattr(getattr(inp, f"series_{k[-1]}"), k[:-2])
                           for inp in inps]).reshape(2, 2, -1, 3)
              for k in ("gyro_a", "gyro_b", "accel_a", "accel_b")}
-    weights = WeightSchedule.build(len(inps[0].series_a), MEMS_NOISE, MEMS_NOISE,
-                                   1.0 / 200.0)
-    R, _, _ = fit_rotation(stack["gyro_a"], stack["gyro_b"], weights.w_omega)
-    args = (R, stack["gyro_a"], stack["accel_a"], stack["gyro_b"], stack["accel_b"],
-            200.0, weights.w_accel[1:-1])
-    p, cost, errors = fit_translation(*args)
+    _, w_accel = stage_weights(len(inps[0].series_a), MEMS_NOISE)
+    q, _, _ = fit_rotation(stack["gyro_a"], stack["gyro_b"], MEMS_NOISE, MEMS_NOISE,
+                           200.0)
+    args = (stack["gyro_a"], stack["accel_a"], stack["gyro_b"], stack["accel_b"])
+    p, cost, errors = fit_translation(q, *args, MEMS_NOISE, MEMS_NOISE, 200.0)
     assert errors == [None] * 4
-    np.testing.assert_allclose(cost, oracle.translation_cost(*args, p), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(
+        cost, oracle.translation_cost(rotation_from_quat(q), *args, 200.0, w_accel, p),
+        rtol=1e-14, atol=0)

@@ -52,6 +52,13 @@ sim:
   duration: 1.5
 """
 
+# every calibration of a still trajectory fails
+STILL_PLAN_YAML = PLAN_YAML.replace("2-imu-perturbed", "2-imu-calibrated").replace(
+    "extrinsic_samples: 1", "extrinsic_samples: 2") + """\
+  trajectory:
+    euler_amplitude_rad: [0, 0, 0]
+"""
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -467,6 +474,27 @@ def test_evaluate_variant_override(tmp_path):
     assert code == 0
     report = read_json(out / "report.json")
     assert set(report["metrics"]) == {"1-imu-true"}
+
+
+def test_evaluate_report_is_strict_json_without_completed_trials(tmp_path):
+    """A variant with no completed trial in an extrinsic sample has NaN
+    means in memory; report.json holds them as null and parses as
+    strict JSON, without NaN or Infinity tokens."""
+    (tmp_path / "plan.yaml").write_text(STILL_PLAN_YAML)
+    out = tmp_path / "report"
+    assert main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
+                 "--out", str(out)]) == 0
+
+    def reject(token):
+        raise AssertionError(f"non-strict JSON token {token}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["completed"] == {"1-imu-true": 4, "2-imu-calibrated": 0}
+    for m in ("position", "orientation", "velocity"):
+        assert report["metrics"]["2-imu-calibrated"][m] == {
+            "mean": None, "std": None, "per_sample_means": [None, None]}
+        stats = report["metrics"]["1-imu-true"][m]
+        assert all(x > 0 for x in stats["per_sample_means"] + [stats["mean"]])
 
 
 def test_evaluate_rejects_unknown_variant(tmp_path, capsys):

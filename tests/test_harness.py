@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from oracle import (
     still_trajectory,
 )
 
-from mimufusion.csvio import read_json, write_imu_csv
+from mimufusion.csvio import load_yaml, read_json, write_imu_csv
 from mimufusion.errors import EmptyOverlap, LengthMismatch, RateMismatch
 from mimufusion.geometry import (
     exp_so3,
@@ -424,6 +425,37 @@ MIXED_FAILURES = {"mixed-failures": "all-variants",
 # than one trial's working set in every plan above: chunks of one trial
 ONE_TRIAL = 9 * 300 * 6 * 8
 CHUNK_CAPS = {"one-trial": ONE_TRIAL, "default": None, "whole-sample": 1 << 40}
+
+
+def test_calibrated_poses_match_calibrate():
+    """For a chunk of two desk trials, the sensor-B pose that the
+    harness builds from its stacked calibration equals, bit for bit,
+    sensor A's mount composed with the extrinsic that calibrate gives
+    on the same columns."""
+    from mimufusion.calibration import CalibrationInput, calibrate
+    from mimufusion.harness import _PAIR, _calibrated_poses
+    from mimufusion.simulation import (apply_measurement_noise_stack,
+                                       ideal_imu_series_stack)
+
+    plan = ExperimentPlan.from_dict(load_yaml(
+        Path(__file__).resolve().parents[1] / "configs" / "plan_desk.yaml"))
+    mounts = grid_mounts(pitch=plan.grid_pitch)
+    ideal = ideal_imu_series_stack(plan.sim, mounts).transpose(1, 2, 0, 3)
+    raw = np.stack([apply_measurement_noise_stack(ideal, plan.noise, plan.sim.freq,
+                                                  np.random.default_rng(seed))
+                    for seed in (0, 1)])
+    gyro, accel = raw[:, 0], raw[:, 1]
+    rotations, positions, errors = _calibrated_poses(plan, mounts, gyro, accel,
+                                                     list(_PAIR))
+    assert errors == [None, None]
+    R_a, p_a = rotation_from_quat(mounts[_PAIR[0]].q), mounts[_PAIR[0]].p
+    for c in range(2):
+        a, b = (ImuSeries(plan.sim.freq, 0, gyro[c, :, j], accel[c, :, j])
+                for j in _PAIR)
+        ext = calibrate(CalibrationInput(a, b, plan.noise, plan.noise)).extrinsic
+        np.testing.assert_array_equal(rotations[c, 1],
+                                      rotation_from_quat(ext.q) @ R_a)
+        np.testing.assert_array_equal(positions[c, 1], p_a + ext.p @ R_a)
 
 
 def smallest_gyro_eigenvalues(plan):

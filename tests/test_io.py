@@ -698,3 +698,13 @@ def test_write_json_stable_formatting(tmp_path):
     text = path.read_text()
     assert text == json.dumps({"a": [1.5, 2.5], "b": 2}, indent=2,
                               sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_write_json_rejects_non_finite(tmp_path, value):
+    """A NaN or infinity has no strict JSON form: write_json raises and
+    leaves no file."""
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        write_json(path, {"a": [1.0, value]})
+    assert not path.exists()

@@ -33,7 +33,6 @@ from mimufusion.preintegration import (
     predict_state,
     preintegrate_stack,
     preintegrate_windows,
-    step_matrices,
 )
 from mimufusion.simulation import (
     SimConfig,
@@ -228,14 +227,14 @@ def test_covariance_single_step_is_input_mapping():
     w = np.array([0.2, -0.1, 0.4])
     a = np.array([0.5, 0.1, 9.6])
     delta = propagate_step(identity_delta(), w, a, vcfg, fm, noise_v, freq)
-    _, B = step_matrices(np.eye(3), exp_so3(w * dt), a,
-                         right_jacobian(w * dt) * dt,
-                         fm.accel_solve @ psi_matrix(vcfg, w), dt)
+    cov = preintegrate_stack(w[None, None], a[None, None], freq, fm, noise_v)[3][0]
+    B = scalar_step_matrices(np.eye(3), exp_so3(w * dt), w, a, vcfg, fm, dt).b
     s_eta = np.zeros((6, 6))
     s_eta[:3, :3] = noise_v.gyro * freq
     s_eta[3:, 3:] = noise_v.accel * freq
     expected = B @ s_eta @ B.T
     np.testing.assert_allclose(delta.covariance, expected, atol=1e-25)
+    np.testing.assert_allclose(cov, expected, atol=1e-25)
 
 
 def test_covariance_zero_noise_stays_zero():
@@ -357,55 +356,6 @@ def test_midpoint_psi_coupling_cancels():
         np.testing.assert_allclose(coupled, np.zeros((3, 3)), atol=1e-12)
     np.testing.assert_allclose(lever_jacobian(fm, rng.normal(size=(10, 3))),
                                np.zeros((10, 3, 3)), atol=1e-12)
-
-
-@pytest.mark.parametrize("name", ["1-sensor", "2-sensor", "4-sensor"])
-def test_step_matrices_stack_matches_scalar_oracle(name):
-    """One stacked step_matrices call over n windows equals the scalar
-    oracle's per-row matrices, psi blocks included."""
-    cfg = window_configs()[name]
-    fm = build_fusion(cfg)
-    dt = 1.0 / 200.0
-    rng = np.random.default_rng(54)
-    n = 7
-    accum = exp_so3(rng.normal(size=(n, 3)))
-    w = rng.normal(scale=0.6, size=(n, 3))
-    a = GRAVITY + rng.normal(scale=1.5, size=(n, 3))
-    step = exp_so3(w * dt)
-    t_psi = lever_jacobian(fm, w)
-    A, B = step_matrices(accum, step, a, right_jacobian(w * dt) * dt, t_psi, dt)
-    assert A.shape == (n, 9, 9) and B.shape == (n, 9, 6)
-    for i in range(n):
-        want = scalar_step_matrices(accum[i], step[i], w[i], a[i], cfg, fm, dt)
-        np.testing.assert_allclose(A[i], want.a, atol=1e-15)
-        np.testing.assert_allclose(B[i], want.b, atol=1e-15)
-        np.testing.assert_allclose(t_psi[i], fm.accel_solve @ psi_matrix(cfg, w[i]),
-                                   atol=1e-12)
-
-
-def test_step_matrices_refill_matches_fresh_build():
-    """Refilling the (A, B) of an earlier call in place, as the kernel
-    does from one sample position to the next, gives the matrices of a
-    fresh call: every block that the constant set-up leaves alone is
-    overwritten."""
-    cfg = window_configs()["4-sensor"]
-    fm = build_fusion(cfg)
-    dt = 1.0 / 200.0
-    rng = np.random.default_rng(55)
-
-    def inputs(n=5):
-        w = rng.normal(scale=0.6, size=(n, 3))
-        return (exp_so3(rng.normal(size=(n, 3))), exp_so3(w * dt),
-                GRAVITY + rng.normal(scale=1.5, size=(n, 3)),
-                right_jacobian(w * dt) * dt, lever_jacobian(fm, w), dt)
-
-    out = step_matrices(*inputs())
-    second = inputs()
-    A, B = step_matrices(*second, out=out)
-    assert A is out[0] and B is out[1]
-    fresh_A, fresh_B = step_matrices(*second)
-    np.testing.assert_array_equal(A, fresh_A)
-    np.testing.assert_array_equal(B, fresh_B)
 
 
 def test_predict_state_identity_delta():
