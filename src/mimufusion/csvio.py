@@ -26,8 +26,9 @@ import numpy as np
 import yaml
 
 from .errors import FormatError, RateMismatch
+from .simulation import SimConfig
 from .types import (Extrinsic, ImuSeries, NoiseSpec, _check_keys, _finite_floats, _integral,
-                    _number, non_finite_sample)
+                    _number, _read, non_finite_sample)
 from .vimu import VimuConfig, VimuNoise
 
 IMU_CSV_HEADER = "t_ns,wx,wy,wz,ax,ay,az"
@@ -41,6 +42,12 @@ _BLOCK_ROWS = 1024
 _WHITESPACE_LINE = re.compile(r"\n[^\S\n]+(?=\n|\Z)")
 # fraction of the nominal period that timestamps may deviate on ingest
 RATE_JITTER_TOL = 0.01
+# the top-level entries of a virtual-IMU sidecar JSON
+_SIDECAR_KEYS = ("freq", "config", "covariances")
+# a simulation YAML: SimConfig's block plus the seed of its streams, and
+# the keys of an imus[i] entry that place the sensor
+_SIM_KEYS = {**SimConfig._KEYS, "seed": ("seed", _integral)}
+_MOUNT_KEYS = {"rotation_wxyz": ("q", _finite_floats), "position_m": ("p", _finite_floats)}
 
 
 @contextlib.contextmanager
@@ -225,70 +232,72 @@ def read_vimu_sidecar(path):
     raises FormatError naming path and key."""
     d = read_json(path)
     try:
+        _check_keys(d, _SIDECAR_KEYS, "sidecar")
+        missing = [k for k in _SIDECAR_KEYS if k not in d]
+        if missing:
+            raise FormatError(f"sidecar has no {missing[0]!r} entry")
         freq = _number("freq", d["freq"])
         if not (np.isfinite(freq) and freq > 0):
-            raise ValueError(f"freq must be finite and positive, got {freq}")
+            raise FormatError(f"freq must be finite and positive, got {freq}")
         return (VimuConfig.from_dict(d["config"]),
                 VimuNoise.from_dict(d["covariances"]), freq)
-    except (KeyError, TypeError, ValueError, FormatError) as exc:
+    except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
 def load_noise_pair(path) -> tuple:
     """Noise config for a calibration pair: either separate ``a``/``b``
-    mappings (and no other key) or one flat spec applied to both."""
+    blocks (both, and no other key) or one flat spec applied to both. A
+    pair that lacks ``a`` or ``b`` raises FormatError naming the missing
+    block; any other error is NoiseSpec.from_dict's, with path."""
     d = load_yaml(path)
     try:
-        if "a" in d or "b" in d:
-            _check_keys(d, ("a", "b"), "noise pair")
-            return NoiseSpec.from_dict(d["a"]), NoiseSpec.from_dict(d["b"])
-        spec = NoiseSpec.from_dict(d)
-        return spec, spec
-    except (KeyError, TypeError, ValueError, FormatError) as exc:
+        if "a" not in d and "b" not in d:
+            spec = NoiseSpec.from_dict(d)
+            return spec, spec
+        _check_keys(d, ("a", "b"), "noise pair")
+        missing = "b" if "a" in d else "a"
+        if missing not in d:
+            raise FormatError(f"noise pair has no {missing!r} block; give both "
+                              "'a' and 'b', or one flat spec")
+        return _read(NoiseSpec, d["a"], "a"), _read(NoiseSpec, d["b"], "b")
+    except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
 def sim_setup_from_dict(d: dict):
     """Parse a simulation config mapping into (SimConfig, imu definitions).
 
-    Returns the config plus a list of (name, mount Extrinsic, NoiseSpec)
-    tuples, one per configured sensor. A name names the sensor's CSV
-    file, so an empty name, ``.``, ``..``, a name with a path separator
-    and a repeated name raise FormatError naming ``imus[i].name``.
+    The mapping is SimConfig's block plus a ``seed`` and an ``imus``
+    list, read key by key as SimConfig.from_dict reads its block. Returns
+    the config plus a list of (name, mount Extrinsic, NoiseSpec) tuples,
+    one per configured sensor. An unknown key, a value that is not of
+    its key's kind or that SimConfig, Extrinsic or NoiseSpec rejects, an
+    ``imus`` that is not a non-empty list, and a name that cannot name
+    the sensor's CSV file (empty, ``.``, ``..``, with a path separator,
+    or repeated) raise FormatError naming the key.
     """
-    from .simulation import SimConfig, TrajectoryParams
-
-    try:
-        _check_keys(d, ("freq", "duration", "gravity", "seed", "trajectory",
-                        "imus"), "simulation")
-        cfg = SimConfig(
-            freq=_number("freq", d.get("freq", 200.0)),
-            duration=_number("duration", d.get("duration", 60.0)),
-            gravity=_finite_floats("gravity", d.get("gravity", [0.0, 0.0, -9.81])),
-            seed=_integral("seed", d.get("seed", 0)),
-            trajectory=TrajectoryParams.from_dict(d.get("trajectory", {})),
-        )
-        entries = d.get("imus", [])
-        if not isinstance(entries, list):
-            raise TypeError(
-                f"imus block must be a list, got {type(entries).__name__}")
-        imus = []
-        for i, entry in enumerate(entries):
-            _check_keys(entry, ("name", "rotation_wxyz", "position_m", "noise"),
-                        f"imus[{i}]")
-            name = str(entry.get("name", f"imu_{i:02d}"))
-            if name in ("", ".", "..") or "/" in name or "\\" in name:
-                raise ValueError(f"imus[{i}].name {name!r} is not a plain file name")
-            if name in (n for n, _, _ in imus):
-                raise ValueError(f"imus[{i}].name {name!r} repeats an earlier name")
-            mount = Extrinsic(
-                q=_finite_floats("rotation_wxyz", entry.get("rotation_wxyz", [1, 0, 0, 0])),
-                p=_finite_floats("position_m", entry.get("position_m", [0, 0, 0])),
-            )
-            noise = NoiseSpec.from_dict(entry.get("noise", {}))
-            imus.append((name, mount, noise))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"simulation config: {exc}") from exc
+    _check_keys(d, (*_SIM_KEYS, "imus"), "simulation")
+    cfg = _read(SimConfig, {k: v for k, v in d.items() if k != "imus"}, "simulation",
+                table=_SIM_KEYS)
+    entries = d.get("imus", [])
+    if not isinstance(entries, list):
+        raise FormatError("simulation config: imus block must be a list, got "
+                          f"{type(entries).__name__}")
+    imus = []
+    for i, entry in enumerate(entries):
+        what = f"simulation.imus[{i}]"
+        _check_keys(entry, (*_MOUNT_KEYS, "name", "noise"), what)
+        name = str(entry.get("name", f"imu_{i:02d}"))
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise FormatError(
+                f"simulation config: imus[{i}].name {name!r} is not a plain file name")
+        if name in (n for n, _, _ in imus):
+            raise FormatError(
+                f"simulation config: imus[{i}].name {name!r} repeats an earlier name")
+        mount = _read(Extrinsic, {k: v for k, v in entry.items() if k in _MOUNT_KEYS},
+                      what, table=_MOUNT_KEYS)
+        imus.append((name, mount, _read(NoiseSpec, entry.get("noise", {}), f"{what}.noise")))
     if not imus:
         raise FormatError("simulation config lists no imus")
     return cfg, imus

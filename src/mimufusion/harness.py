@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from time import perf_counter
 
@@ -37,7 +37,6 @@ from .geometry import geodesic_angle, rotation_from_quat
 from .preintegration import PreintDelta, VimuState, predict_state, preintegrate_stack
 from .simulation import (
     SimConfig,
-    TrajectoryParams,
     apply_measurement_noise_stack,
     grid_mounts,
     ideal_imu_series_stack,
@@ -45,7 +44,7 @@ from .simulation import (
     perturb_extrinsics,
     trajectory_samples,
 )
-from .types import ImuSeries, NoiseSpec, _check_keys, _finite_floats, _integral, _number
+from .types import ImuSeries, NoiseSpec, _Block, _integral, _number, _read
 from .vimu import build_fusion_stack, fuse_stack
 
 log = logging.getLogger(__name__)
@@ -75,67 +74,6 @@ _QUAD = (0, 2, 6, 8)
 _CHUNK_BYTES = 2 << 20
 
 
-@dataclass(frozen=True)
-class ExperimentPlan:
-    """Full description of one harness run."""
-
-    variants: tuple = VARIANTS
-    extrinsic_samples: int = 20
-    sequences_per_sample: int = 100
-    sigma_rot: float = 0.01
-    sigma_trans: float = 0.001
-    keyframe_interval: float = 0.5
-    grid_pitch: float = 0.05
-    master_seed: int = 0
-    sim: SimConfig = field(default_factory=lambda: SimConfig(duration=3.0))
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
-
-    def __post_init__(self):
-        object.__setattr__(self, "variants", tuple(self.variants))
-        unknown = set(self.variants) - set(VARIANTS)
-        if unknown or not self.variants:
-            raise ValueError(f"unknown or empty variants: {sorted(unknown)}")
-        if self.extrinsic_samples < 1 or self.sequences_per_sample < 1:
-            raise ValueError("sample and sequence counts must be >= 1")
-        if not (np.isfinite(self.keyframe_interval) and self.keyframe_interval > 0):
-            raise ValueError("keyframe_interval must be finite and positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "variants": list(self.variants),
-            "extrinsic_samples": self.extrinsic_samples,
-            "sequences_per_sample": self.sequences_per_sample,
-            "sigma_rot_rad": self.sigma_rot,
-            "sigma_trans_m": self.sigma_trans,
-            "keyframe_interval_s": self.keyframe_interval,
-            "grid_pitch_m": self.grid_pitch,
-            "master_seed": self.master_seed,
-            "sim": {
-                "freq": self.sim.freq,
-                "duration": self.sim.duration,
-                "gravity": self.sim.gravity.tolist(),
-                "trajectory": self.sim.trajectory.to_dict(),
-            },
-            "noise": self.noise.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentPlan":
-        """Parse a plan mapping. Each key that is present is read and
-        checked, and each absent one keeps its field's default. A count
-        or seed that is not an integer, a sigma that is not finite and
-        >= 0, a pitch that is not finite, a value that is not a number,
-        a trajectory or gravity entry that is not finite, variants that
-        are not a list, or a block of the wrong type (such as a null
-        ``sim:``) raises FormatError naming the key."""
-        try:
-            _check_keys(d, _PLAN_KEYS, "plan")
-            return cls(**{_PLAN_KEYS[k][0]: _PLAN_KEYS[k][1](k, v)
-                          for k, v in d.items()})
-        except TypeError as exc:
-            raise FormatError(f"plan: {exc}") from exc
-
-
 def _finite(key: str, value, low: float = -np.inf) -> float:
     """value as a finite float >= low, or FormatError naming key."""
     v = _number(key, value)
@@ -153,28 +91,48 @@ def _variant_list(key: str, value) -> tuple:
     return tuple(value)
 
 
-def _sim_block(key: str, d) -> SimConfig:
-    """The plan's default SimConfig with the keys of block d replaced."""
-    readers = {"freq": _number, "duration": _number, "gravity": _finite_floats,
-               "trajectory": lambda k, v: TrajectoryParams.from_dict(v)}
-    _check_keys(d, readers, key)
-    return replace(ExperimentPlan().sim,
-                   **{k: readers[k](f"{key}.{k}", v) for k, v in d.items()})
+@dataclass(frozen=True)
+class ExperimentPlan(_Block):
+    """Full description of one harness run. Its plan YAML block reads
+    through ``_KEYS``; the ``sim`` block's absent keys keep this class's
+    default, a 3 s simulation."""
 
+    variants: tuple = VARIANTS
+    extrinsic_samples: int = 20
+    sequences_per_sample: int = 100
+    sigma_rot: float = 0.01
+    sigma_trans: float = 0.001
+    keyframe_interval: float = 0.5
+    grid_pitch: float = 0.05
+    master_seed: int = 0
+    sim: SimConfig = field(default_factory=lambda: SimConfig(duration=3.0))
+    noise: NoiseSpec = field(default_factory=NoiseSpec)
 
-# plan YAML key -> (ExperimentPlan field, reader of the key and its value)
-_PLAN_KEYS = {
-    "variants": ("variants", _variant_list),
-    "extrinsic_samples": ("extrinsic_samples", _integral),
-    "sequences_per_sample": ("sequences_per_sample", _integral),
-    "sigma_rot_rad": ("sigma_rot", lambda k, v: _finite(k, v, 0.0)),
-    "sigma_trans_m": ("sigma_trans", lambda k, v: _finite(k, v, 0.0)),
-    "keyframe_interval_s": ("keyframe_interval", _number),
-    "grid_pitch_m": ("grid_pitch", _finite),
-    "master_seed": ("master_seed", _integral),
-    "sim": ("sim", _sim_block),
-    "noise": ("noise", lambda k, v: NoiseSpec.from_dict(v)),
-}
+    _NAME = "plan"
+    _KEYS = {
+        "variants": ("variants", _variant_list),
+        "extrinsic_samples": ("extrinsic_samples", _integral),
+        "sequences_per_sample": ("sequences_per_sample", _integral),
+        "sigma_rot_rad": ("sigma_rot", lambda k, v: _finite(k, v, 0.0)),
+        "sigma_trans_m": ("sigma_trans", lambda k, v: _finite(k, v, 0.0)),
+        "keyframe_interval_s": ("keyframe_interval", _number),
+        "grid_pitch_m": ("grid_pitch", _finite),
+        "master_seed": ("master_seed", _integral),
+        "sim": ("sim", lambda k, d: _read(SimConfig, d, k, ExperimentPlan().sim)),
+        "noise": ("noise", lambda k, d: _read(NoiseSpec, d, k)),
+    }
+
+    def __post_init__(self):
+        object.__setattr__(self, "variants", tuple(self.variants))
+        unknown = set(self.variants) - set(VARIANTS)
+        if unknown or not self.variants:
+            raise ValueError(f"unknown or empty variants: {sorted(unknown)}")
+        for name in ("extrinsic_samples", "sequences_per_sample"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (np.isfinite(self.keyframe_interval) and self.keyframe_interval > 0):
+            raise ValueError("keyframe_interval must be finite and positive, "
+                             f"got {self.keyframe_interval}")
 
 
 @dataclass
@@ -525,14 +483,18 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
 
 
 def emit_report(report: RmseReport, out_dir):
-    """Write report.json, plot_data.csv, and failures.log."""
+    """Write report.json, plot_data.csv, and failures.log. A mean or std
+    over a sample with no completed trial (NaN) is null in report.json
+    and an empty field in plot_data.csv."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csvio.write_json(out_dir / "report.json", report.to_dict())
     lines = ["variant,metric,mean,std"]
     for v, per_metric in report.metrics.items():
         for m, stats in per_metric.items():
-            lines.append(f"{v},{m},{stats['mean']:.17g},{stats['std']:.17g}")
+            mean, std = ("" if np.isnan(x) else f"{x:.17g}"
+                         for x in (stats["mean"], stats["std"]))
+            lines.append(f"{v},{m},{mean},{std}")
     csvio.atomic_write_text(out_dir / "plot_data.csv", "\n".join(lines) + "\n")
     csvio.atomic_write_text(out_dir / "failures.log",
                             "".join(f"{f}\n" for f in report.failures))

@@ -21,11 +21,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .geometry import lever_matrix, quat_from_rotvec, quat_multiply
-from .types import Extrinsic, NoiseSpec, _check_keys, _finite_floats, _vec3
+from .types import Extrinsic, NoiseSpec, _Block, _finite_floats, _number, _read, _vec3
 
 
 @dataclass(frozen=True)
-class TrajectoryParams:
+class TrajectoryParams(_Block):
     """Sinusoid parameters, one entry per axis.
 
     Position axes are world x/y/z in meters; Euler axes are roll (x),
@@ -39,46 +39,43 @@ class TrajectoryParams:
     euler_frequency: np.ndarray = field(default_factory=lambda: np.array([0.50, 0.35, 0.45]))
     euler_phase: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.7, 1.4]))
 
+    _NAME = "trajectory"
+    _KEYS = {
+        "position_amplitude_m": ("pos_amplitude", _finite_floats),
+        "position_frequency_hz": ("pos_frequency", _finite_floats),
+        "position_phase_rad": ("pos_phase", _finite_floats),
+        "euler_amplitude_rad": ("euler_amplitude", _finite_floats),
+        "euler_frequency_hz": ("euler_frequency", _finite_floats),
+        "euler_phase_rad": ("euler_phase", _finite_floats),
+    }
+
     def __post_init__(self):
-        for name in ("pos_amplitude", "pos_frequency", "pos_phase",
-                     "euler_amplitude", "euler_frequency", "euler_phase"):
+        for name, _ in self._KEYS.values():
             object.__setattr__(self, name, _vec3(getattr(self, name)))
-        if np.any(np.abs(self.euler_amplitude[1]) >= np.pi / 2):
-            raise ValueError("pitch amplitude must stay below pi/2")
-
-    def to_dict(self) -> dict:
-        return {
-            "position_amplitude_m": self.pos_amplitude.tolist(),
-            "position_frequency_hz": self.pos_frequency.tolist(),
-            "position_phase_rad": self.pos_phase.tolist(),
-            "euler_amplitude_rad": self.euler_amplitude.tolist(),
-            "euler_frequency_hz": self.euler_frequency.tolist(),
-            "euler_phase_rad": self.euler_phase.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrajectoryParams":
-        mapping = {
-            "position_amplitude_m": "pos_amplitude",
-            "position_frequency_hz": "pos_frequency",
-            "position_phase_rad": "pos_phase",
-            "euler_amplitude_rad": "euler_amplitude",
-            "euler_frequency_hz": "euler_frequency",
-            "euler_phase_rad": "euler_phase",
-        }
-        _check_keys(d, mapping, "trajectory")
-        return cls(**{mapping[k]: _finite_floats(k, v) for k, v in d.items()})
+        if np.abs(self.euler_amplitude[1]) >= np.pi / 2:
+            raise ValueError("euler_amplitude[1] (pitch) must stay below pi/2 in "
+                             f"magnitude, got {self.euler_amplitude[1]}")
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Simulation setup: sample rate, span, gravity, and trajectory."""
+class SimConfig(_Block):
+    """Simulation setup: sample rate, span, gravity, and trajectory. The
+    seed is not part of the block: a simulation YAML adds it, and an
+    experiment plan seeds its trials with its master seed."""
 
     freq: float = 200.0
     duration: float = 60.0
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.81]))
     seed: int = 0
     trajectory: TrajectoryParams = field(default_factory=TrajectoryParams)
+
+    _NAME = "sim"
+    _KEYS = {
+        "freq": ("freq", _number),
+        "duration": ("duration", _number),
+        "gravity": ("gravity", _finite_floats),
+        "trajectory": ("trajectory", lambda key, d: _read(TrajectoryParams, d, key)),
+    }
 
     def __post_init__(self):
         for name, v in (("freq", self.freq), ("duration", self.duration)):

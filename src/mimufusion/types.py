@@ -3,7 +3,7 @@ IMU sample series."""
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,14 +42,64 @@ def check_synchronized(series) -> None:
 
 
 def _check_keys(d: dict, known, what: str):
-    """Reject a config block that is not a mapping (TypeError), or that
-    has keys outside ``known`` (ValueError), so that a misspelt key fails
-    instead of silently taking its default."""
+    """Reject a config block that is not a mapping, or that has keys
+    outside ``known``, with a FormatError naming the block, so that a
+    misspelt key fails instead of silently taking its default."""
     if not isinstance(d, dict):
-        raise TypeError(f"{what} block must be a mapping, got {type(d).__name__}")
+        raise FormatError(f"{what} block must be a mapping, got {type(d).__name__}")
     unknown = set(d) - set(known)
     if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+        raise FormatError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _read(cls, d, what: str, base=None, table=None):
+    """A ``cls`` read from the config block ``d``, which messages call
+    ``what``, through its key table (``table``, by default ``cls._KEYS``):
+    file key -> (field, reader). Each key present is read by
+    ``reader(f"{what}.{key}", value)``; each absent one keeps its field
+    of ``base``, or its default when there is no base. A block that is
+    not a mapping, an unknown key, and a value that a reader refuses or
+    that the constructor rejects with ValueError or TypeError raise
+    FormatError naming the block or the key."""
+    table = cls._KEYS if table is None else table
+    _check_keys(d, table, what)
+    try:
+        fields = {table[k][0]: table[k][1](f"{what}.{k}", v) for k, v in d.items()}
+        return cls(**fields) if base is None else replace(base, **fields)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{what}: {exc}") from exc
+
+
+def _plain(value):
+    """A field value as JSON data: arrays and tuples as lists, and a
+    config block as its mapping."""
+    if isinstance(value, _Block):
+        return value.to_dict()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+class _Block:
+    """A config type declared once as a block of a YAML or JSON file:
+    ``_KEYS`` maps each file key to (field, reader of the key's name and
+    value), and ``_NAME`` names the block in messages. The table both
+    reads the block (from_dict) and writes it (to_dict)."""
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        """Read a block as to_dict writes it. Each key that is present is
+        read and checked, and each absent one keeps its field's default.
+        A block that is not a mapping, an unknown key, or a value that
+        its reader or the constructor rejects raises FormatError naming
+        the block or the key."""
+        return _read(cls, d, cls._NAME)
+
+    def to_dict(self) -> dict:
+        """The block as JSON data, one entry per key of the table."""
+        return {key: _plain(getattr(self, name)) for key, (name, _) in self._KEYS.items()}
 
 
 def _integral(key: str, value) -> int:
@@ -88,7 +138,7 @@ def _finite_floats(key: str, value) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(_Block):
     """Continuous-time IMU noise densities (SI units per sqrt(Hz)) plus
     bias random-walk densities and initial bias values.
 
@@ -102,36 +152,26 @@ class NoiseSpec:
     initial_bias_g: np.ndarray = field(default_factory=lambda: np.zeros(3))
     initial_bias_a: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
+    _NAME = "noise"
+    # each key is its field's name
+    _KEYS = {name: (name, _number if name.startswith("sigma") else _finite_floats)
+             for name in ("sigma_g", "sigma_a", "sigma_bg", "sigma_ba",
+                          "initial_bias_g", "initial_bias_a")}
+
     def __post_init__(self):
-        for name in ("sigma_g", "sigma_a", "sigma_bg", "sigma_ba"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        for name in self._KEYS:
+            if name.startswith("sigma"):
+                v = float(getattr(self, name))
+                if not np.isfinite(v) or v < 0.0:
+                    raise ValueError(f"{name} must be finite and >= 0, got {v}")
+            else:
+                v = _vec3(getattr(self, name))
             object.__setattr__(self, name, v)
-        object.__setattr__(self, "initial_bias_g", _vec3(self.initial_bias_g))
-        object.__setattr__(self, "initial_bias_a", _vec3(self.initial_bias_a))
 
     @classmethod
     def zero(cls) -> "NoiseSpec":
         """Noise-free spec (used for ideal-data tests and baselines)."""
         return cls(sigma_g=0.0, sigma_a=0.0, sigma_bg=0.0, sigma_ba=0.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma_g": self.sigma_g,
-            "sigma_a": self.sigma_a,
-            "sigma_bg": self.sigma_bg,
-            "sigma_ba": self.sigma_ba,
-            "initial_bias_g": self.initial_bias_g.tolist(),
-            "initial_bias_a": self.initial_bias_a.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseSpec":
-        _check_keys(d, ("sigma_g", "sigma_a", "sigma_bg", "sigma_ba",
-                        "initial_bias_g", "initial_bias_a"), "noise")
-        return cls(**{k: _number(k, v) if k.startswith("sigma") else _finite_floats(k, v)
-                      for k, v in d.items()})
 
 
 @dataclass(frozen=True)

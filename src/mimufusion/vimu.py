@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, SingularFusion
+from .errors import FormatError, LengthMismatch, SingularFusion
 from .geometry import is_rotation, skew
-from .types import Extrinsic, ImuSeries, NoiseSpec, _finite_floats, check_synchronized
+from .types import (Extrinsic, ImuSeries, NoiseSpec, _Block, _finite_floats, _read,
+                    check_synchronized)
 
 
 @dataclass(frozen=True)
-class VimuConfig:
+class VimuConfig(_Block):
     """Geometry and noise of an n-sensor array around a virtual frame.
 
     rotations[i] maps virtual-frame coordinates into sensor i's frame;
@@ -34,6 +35,14 @@ class VimuConfig:
     rotations: tuple
     positions: tuple
     noises: tuple
+
+    _NAME = "config"
+    _KEYS = {
+        "rotations": ("rotations", _finite_floats),
+        "positions_m": ("positions", _finite_floats),
+        "noises": ("noises", lambda key, entries: tuple(
+            _read(NoiseSpec, d, f"{key}[{i}]") for i, d in enumerate(entries))),
+    }
 
     def __post_init__(self):
         rotations = tuple(np.asarray(r, dtype=float) for r in self.rotations)
@@ -50,21 +59,6 @@ class VimuConfig:
         object.__setattr__(self, "rotations", rotations)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "noises", noises)
-
-    def to_dict(self) -> dict:
-        return {
-            "rotations": [r.tolist() for r in self.rotations],
-            "positions_m": [p.tolist() for p in self.positions],
-            "noises": [ns.to_dict() for ns in self.noises],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VimuConfig":
-        return cls(
-            rotations=tuple(np.asarray(r, dtype=float) for r in d["rotations"]),
-            positions=tuple(np.asarray(p, dtype=float) for p in d["positions_m"]),
-            noises=tuple(NoiseSpec.from_dict(ns) for ns in d["noises"]),
-        )
 
 
 def midpoint_frame(ext: Extrinsic, noise_a: NoiseSpec,
@@ -202,8 +196,22 @@ def lever_jacobian(fm: FusionMatrices, omega) -> np.ndarray:
     return (omega @ np.swapaxes(Q_sym, -1, -2)).reshape(omega.shape[:-1] + (3, 3))
 
 
+def _covariance(key: str, value) -> np.ndarray:
+    """A sidecar Q_* as a 3x3 array; one that is not a finite 3x3 matrix,
+    or not symmetric positive semi-definite to round-off, raises
+    FormatError naming key."""
+    m = _finite_floats(key, value)
+    if m.shape != (3, 3):
+        raise FormatError(f"{key} must be a 3x3 matrix, got shape {m.shape}")
+    tol = 1e-12 * np.abs(m).max()
+    if np.abs(m - m.T).max() > tol or np.linalg.eigvalsh(m).min() < -tol:
+        raise FormatError(f"{key} must be symmetric positive semi-definite, "
+                          f"got {m.tolist()}")
+    return m
+
+
 @dataclass(frozen=True)
-class VimuNoise:
+class VimuNoise(_Block):
     """Virtual-sensor white-noise and bias random-walk covariance
     densities (continuous time, 3x3 each)."""
 
@@ -212,31 +220,9 @@ class VimuNoise:
     accel: np.ndarray
     accel_bias: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "Q_gV": self.gyro.tolist(),
-            "Q_bgV": self.gyro_bias.tolist(),
-            "Q_aV": self.accel.tolist(),
-            "Q_baV": self.accel_bias.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VimuNoise":
-        """Parse to_dict's mapping; a Q_* that is not a finite 3x3 matrix,
-        or not symmetric positive semi-definite to round-off, raises
-        FormatError or ValueError naming its key."""
-        def matrix(key):
-            m = _finite_floats(key, d[key])
-            if m.shape != (3, 3):
-                raise ValueError(f"{key} must be a 3x3 matrix, got shape {m.shape}")
-            tol = 1e-12 * np.abs(m).max()
-            if np.abs(m - m.T).max() > tol or np.linalg.eigvalsh(m).min() < -tol:
-                raise ValueError(f"{key} must be symmetric positive semi-definite, "
-                                 f"got {m.tolist()}")
-            return m
-
-        return cls(gyro=matrix("Q_gV"), gyro_bias=matrix("Q_bgV"),
-                   accel=matrix("Q_aV"), accel_bias=matrix("Q_baV"))
+    _NAME = "covariances"
+    _KEYS = {"Q_gV": ("gyro", _covariance), "Q_bgV": ("gyro_bias", _covariance),
+             "Q_aV": ("accel", _covariance), "Q_baV": ("accel_bias", _covariance)}
 
 
 def _propagated(solve, sigmas) -> np.ndarray:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -479,7 +480,8 @@ def test_evaluate_variant_override(tmp_path):
 def test_evaluate_report_is_strict_json_without_completed_trials(tmp_path):
     """A variant with no completed trial in an extrinsic sample has NaN
     means in memory; report.json holds them as null and parses as
-    strict JSON, without NaN or Infinity tokens."""
+    strict JSON, without NaN or Infinity tokens, and plot_data.csv
+    leaves their fields empty."""
     (tmp_path / "plan.yaml").write_text(STILL_PLAN_YAML)
     out = tmp_path / "report"
     assert main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
@@ -495,6 +497,14 @@ def test_evaluate_report_is_strict_json_without_completed_trials(tmp_path):
             "mean": None, "std": None, "per_sample_means": [None, None]}
         stats = report["metrics"]["1-imu-true"][m]
         assert all(x > 0 for x in stats["per_sample_means"] + [stats["mean"]])
+    with open(out / "plot_data.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6
+    for row in rows:
+        stats = report["metrics"][row["variant"]][row["metric"]]
+        for key in ("mean", "std"):
+            want = stats[key]
+            assert row[key] == "" if want is None else float(row[key]) == want
 
 
 def test_evaluate_rejects_unknown_variant(tmp_path, capsys):
@@ -517,7 +527,7 @@ def test_evaluate_rejects_non_finite_sim_value(tmp_path, capsys, field, value):
                  "--out", str(tmp_path / "report")])
     assert code == 1
     payload = json.loads(capsys.readouterr().err.strip())
-    assert payload["error"] == "ValueError"
+    assert payload["error"] == "FormatError"
     assert f"{field} must be finite and positive" in payload["message"]
 
 
@@ -528,8 +538,60 @@ def test_evaluate_rejects_non_finite_keyframe_interval(tmp_path, capsys, value):
                  "--out", str(tmp_path / "report")])
     assert code == 1
     payload = json.loads(capsys.readouterr().err.strip())
-    assert payload["error"] == "ValueError"
+    assert payload["error"] == "FormatError"
     assert "keyframe_interval must be finite and positive" in payload["message"]
+
+
+# A value that a constructor rejects, as a plan and a simulation YAML
+# hold it: (old plan text, new plan text, old simulation text, new
+# simulation text or None where that YAML has no such key, the key or
+# field that the message names)
+BAD_IN_EITHER_FORMAT = {
+    "freq": ("  freq: 200\n", "  freq: .inf\n", "freq: 200\n", "freq: .inf\n", "freq"),
+    "duration": ("  duration: 1.5\n", "  duration: .nan\n",
+                 "duration: 10\n", "duration: .nan\n", "duration"),
+    "pitch": ("  duration: 1.5\n",
+              "  duration: 1.5\n  trajectory: {euler_amplitude_rad: [0.5, 2, 0.6]}\n",
+              "seed: 11\n", "seed: 11\ntrajectory: {euler_amplitude_rad: [0.5, 2, 0.6]}\n",
+              "euler_amplitude"),
+    "sigma_g": ("master_seed: 3\n", "master_seed: 3\nnoise: {sigma_g: -1}\n",
+                "position_m: [0.05, 0, 0]\n",
+                "position_m: [0.05, 0, 0]\n    noise: {sigma_g: -1}\n", "sigma_g"),
+    "extrinsic_samples": ("extrinsic_samples: 1\n", "extrinsic_samples: 0\n",
+                          None, None, "extrinsic_samples"),
+    "keyframe_interval_s": ("master_seed: 3\n", "master_seed: 3\nkeyframe_interval_s: -1\n",
+                            None, None, "keyframe_interval"),
+    "variants": ("variants: [1-imu-true, 2-imu-perturbed]\n", "variants: [bogus]\n",
+                 None, None, "variants"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_IN_EITHER_FORMAT))
+def test_bad_value_fails_alike_in_plan_and_simulation_yaml(tmp_path, capsys, case):
+    """A value that a config type's constructor rejects exits 1 with a
+    FormatError that names its key or field, before any output is
+    written, in a plan and, where the key exists there, in a simulation
+    YAML; past the name of the block, both messages read the same."""
+    plan_old, plan_new, sim_old, sim_new, name = BAD_IN_EITHER_FORMAT[case]
+    assert PLAN_YAML.count(plan_old) == 1
+    (tmp_path / "plan.yaml").write_text(PLAN_YAML.replace(plan_old, plan_new))
+    assert main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
+                 "--out", str(tmp_path / "report")]) == 1
+    plan_error = json.loads(capsys.readouterr().err.strip())
+    assert plan_error["error"] == "FormatError"
+    assert name in plan_error["message"]
+    assert not (tmp_path / "report").exists()
+    if sim_old is None:
+        return
+    assert SIM_YAML.count(sim_old) == 1
+    (tmp_path / "sim.yaml").write_text(SIM_YAML.replace(sim_old, sim_new))
+    assert main(["simulate", "--config", str(tmp_path / "sim.yaml"),
+                 "--out", str(tmp_path / "data")]) == 1
+    sim_error = json.loads(capsys.readouterr().err.strip())
+    assert sim_error["error"] == "FormatError"
+    assert (sim_error["message"].split(": ", 1)[1]
+            == plan_error["message"].split(": ", 1)[1])
+    assert not (tmp_path / "data").exists()
 
 
 def plan_with(key, value):

@@ -15,7 +15,7 @@ from oracle import (
 )
 
 from mimufusion.csvio import load_yaml, read_json, write_imu_csv
-from mimufusion.errors import EmptyOverlap, LengthMismatch, RateMismatch
+from mimufusion.errors import EmptyOverlap, FormatError, LengthMismatch, RateMismatch
 from mimufusion.geometry import (
     exp_so3,
     geodesic_angle,
@@ -244,12 +244,12 @@ def test_plan_from_dict_keeps_field_defaults_for_absent_keys():
 
 
 def test_plan_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="sequences_per_samples"):
+    with pytest.raises(FormatError, match="sequences_per_samples"):
         ExperimentPlan.from_dict({"sequences_per_samples": 5})
 
 
 def test_plan_rejects_unknown_sim_keys():
-    with pytest.raises(ValueError, match="durration"):
+    with pytest.raises(FormatError, match="durration"):
         ExperimentPlan.from_dict({"sim": {"durration": 9}})
 
 

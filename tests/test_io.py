@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -33,7 +34,8 @@ from mimufusion.csvio import (
 )
 from mimufusion.errors import FormatError, RateMismatch
 from mimufusion.geometry import quat_from_rotvec
-from mimufusion.simulation import SimConfig
+from mimufusion.harness import ExperimentPlan
+from mimufusion.simulation import SimConfig, TrajectoryParams
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
     build_fusion,
@@ -553,7 +555,7 @@ def test_sidecar_rejects_non_finite_position(tmp_path):
     d = read_json(path)
     d["config"]["positions_m"][1][0] = float("nan")
     path.write_text(json.dumps(d))
-    with pytest.raises(FormatError, match="positions must be finite"):
+    with pytest.raises(FormatError, match="positions_m must be finite"):
         read_vimu_sidecar(path)
 
 
@@ -585,9 +587,14 @@ def test_load_noise_pair_split(tmp_path):
 
 
 def test_load_noise_pair_one_side_only_fails(tmp_path):
+    """A pair with only an ``a`` or only a ``b`` block names the block
+    that is missing."""
     path = tmp_path / "noise.yaml"
     path.write_text("a: {sigma_g: 1.0e-4}\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="noise pair has no 'b' block"):
+        load_noise_pair(path)
+    path.write_text("b: {sigma_g: 1.0e-4}\n")
+    with pytest.raises(FormatError, match="noise pair has no 'a' block"):
         load_noise_pair(path)
 
 
@@ -602,8 +609,53 @@ def test_load_noise_pair_rejects_stray_keys(tmp_path):
         load_noise_pair(path)
 
 
+def _config_blocks():
+    """One instance of each config type, every field away from its
+    default but SimConfig's seed, which its block does not hold."""
+    noise = NoiseSpec(sigma_g=3e-4, sigma_a=5e-3, sigma_bg=2e-5, sigma_ba=1e-4,
+                      initial_bias_g=[0.01, -0.02, 0.03], initial_bias_a=[0.1, 0.2, -0.3])
+    trajectory = TrajectoryParams(
+        pos_amplitude=[0.1, 0.2, 0.3], pos_frequency=[0.2, 0.25, 0.3],
+        pos_phase=[0.5, 0.0, -1.0], euler_amplitude=[0.3, -1.2, 0.1],
+        euler_frequency=[0.1, 0.2, 0.3], euler_phase=[1.0, 2.0, 3.0])
+    sim = SimConfig(freq=100.0, duration=2.5, gravity=[0.1, 0.0, -9.8],
+                    trajectory=trajectory)
+    plan = ExperimentPlan(variants=("2-imu-calibrated", "1-imu-true"), extrinsic_samples=3,
+                          sequences_per_sample=4, sigma_rot=0.02, sigma_trans=0.002,
+                          keyframe_interval=0.25, grid_pitch=0.04, master_seed=9,
+                          sim=sim, noise=noise)
+    vimu = midpoint_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.1, 0.05]),
+                                    p=np.array([0.1, -0.02, 0.0])), noise, NoiseSpec())
+    return [noise, trajectory, sim, plan, vimu,
+            virtual_covariances(build_fusion(vimu), vimu.noises)]
+
+
+def _assert_same_fields(got, want):
+    """got equals want field by field, into nested blocks and tuples;
+    arrays equal bit for bit, and scalars in value and type."""
+    assert type(got) is type(want)
+    if dataclasses.is_dataclass(want):
+        for f in dataclasses.fields(want):
+            _assert_same_fields(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_fields(g, w)
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", _config_blocks(), ids=lambda b: type(b).__name__)
+def test_config_block_round_trips_through_json(block):
+    """Each config type writes exactly the keys of its table, and reads
+    its JSON text back into the same fields."""
+    d = block.to_dict()
+    assert list(d) == list(type(block)._KEYS)
+    _assert_same_fields(type(block).from_dict(json.loads(json.dumps(d))), block)
+
+
 def test_noise_spec_rejects_unknown_keys():
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         NoiseSpec.from_dict({"sigma_gyro": 1e-4})
 
 
