@@ -36,8 +36,8 @@ from .vimu import (
     VimuConfig,
     VimuNoise,
     build_fusion,
+    centroid_frame,
     fuse_series,
-    midpoint_frame,
     virtual_covariances,
 )
 
@@ -68,11 +68,11 @@ __all__ = [
     "VimuState",
     "build_fusion",
     "calibrate",
+    "centroid_frame",
     "estimate_angular_accel",
     "fuse_series",
     "grid_mounts",
     "ingest_csv",
-    "midpoint_frame",
     "perturb_extrinsics",
     "predict_state",
     "preintegrate_windows",

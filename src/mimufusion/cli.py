@@ -32,10 +32,15 @@ from .harness import (
 )
 from .preintegration import VimuState, preintegrate_windows
 from .simulation import apply_measurement_noise, ideal_imu_series_stack
-from .types import Extrinsic, ImuSeries
-from .vimu import build_fusion, fuse_series, midpoint_frame, virtual_covariances
+from .types import Extrinsic, ImuSeries, _check_keys, _finite_floats, _read
+from .vimu import build_fusion, centroid_frame, fuse_series, virtual_covariances
 
 log = logging.getLogger(__name__)
+
+# calib.json: the extrinsic's keys, each required, and the per-stage
+# blocks that calibrate writes beside them, which fuse does not read
+_CALIB_KEYS = {"q_BA": ("q", _finite_floats), "p_AB_m": ("p", _finite_floats)}
+_CALIB_STAGES = ("rotation", "translation")
 
 
 def _configure_logging():
@@ -117,11 +122,17 @@ def cmd_calibrate(args) -> int:
 
 
 def _load_extrinsic(path) -> Extrinsic:
+    """The Extrinsic of a calib.json; a missing, unknown or malformed key
+    raises FormatError naming path and key."""
     d = csvio.read_json(path)
     try:
-        return Extrinsic(q=np.asarray(d["q_BA"], dtype=float),
-                         p=np.asarray(d["p_AB_m"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
+        _check_keys(d, (*_CALIB_KEYS, *_CALIB_STAGES), "calibration")
+        missing = [k for k in _CALIB_KEYS if k not in d]
+        if missing:
+            raise FormatError(f"calibration: missing key `{missing[0]}`")
+        return _read(Extrinsic, {k: d[k] for k in _CALIB_KEYS}, "calibration",
+                     table=_CALIB_KEYS)
+    except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -129,7 +140,7 @@ def cmd_fuse(args) -> int:
     ext = _load_extrinsic(args.calib)
     noise_a, noise_b = csvio.load_noise_pair(args.noise)
     series = ingest_csv([args.imu_a, args.imu_b])
-    cfg = midpoint_frame(ext, noise_a, noise_b)
+    cfg = centroid_frame(ext, noise_a, noise_b)
     fm = build_fusion(cfg)
     fused = fuse_series(fm, series)
     out = Path(args.out)
@@ -144,7 +155,8 @@ def cmd_fuse(args) -> int:
 
 def cmd_preintegrate(args) -> int:
     series = csvio.read_imu_csv(args.vimu)
-    cfg, noise, freq = csvio.read_vimu_sidecar(args.vimu_config)
+    # reading the sidecar checks its array, the virtual origin included
+    _, noise, freq = csvio.read_vimu_sidecar(args.vimu_config)
     if abs(series.freq - freq) > 0.01 * freq:
         raise RateMismatch(
             f"{args.vimu}: rate {series.freq:.3f} Hz does not match the "
@@ -152,12 +164,11 @@ def cmd_preintegrate(args) -> int:
     if not (np.isfinite(args.interval) and args.interval > 0):
         raise ValueError(
             f"--interval must be finite and positive, got {args.interval}")
-    fm = build_fusion(cfg)
     # a window longer than the series gives no delta, however long it is
     step = int(round(min(args.interval * series.freq, len(series) + 1)))
     if step < 1:
         raise ValueError("interval below one sample period")
-    deltas = preintegrate_windows(series, VimuState.identity(), fm, step, noise)
+    deltas = preintegrate_windows(series, VimuState.identity(), step, noise)
     if not deltas:
         raise ValueError("series shorter than one keyframe interval")
     with csvio._atomic_open(args.out) as fh:

@@ -45,7 +45,7 @@ from .simulation import (
     trajectory_samples,
 )
 from .types import ImuSeries, NoiseSpec, _Block, _integral, _number, _read
-from .vimu import build_fusion_stack, fuse_stack
+from .vimu import accel_centroid, build_fusion_stack, fuse_stack
 
 log = logging.getLogger(__name__)
 
@@ -287,13 +287,13 @@ def _setup(rotations, positions, plan: ExperimentPlan, keyframes) -> tuple:
     """Fusion and truth of arrays at believed body poses: body-to-sensor
     rotations (..., n, 3, 3) and sensor origins (..., n, 3) in body
     coordinates, any leading axes being trials. The virtual frame has
-    body axes and sits at the centroid of the origins. Returns the
-    FusionMatrices, the true states of the frame (keyframe, trials...)
-    and a SingularFusion or None per trial."""
-    centroid = np.mean(positions, axis=-2)
-    fm, errors = build_fusion_stack(rotations, positions - centroid[..., None, :],
-                                    (plan.noise,) * rotations.shape[-3])
-    return fm, true_vimu_state(keyframes, np.eye(3), centroid), errors
+    body axes and sits at the accel-weighted centroid of the origins.
+    Returns the FusionMatrices, the true states of the frame (keyframe,
+    trials...) and a SingularFusion or None per trial."""
+    noises = (plan.noise,) * rotations.shape[-3]
+    fm, errors = build_fusion_stack(rotations, noises)
+    return fm, true_vimu_state(keyframes, np.eye(3),
+                               accel_centroid(positions, noises)), errors
 
 
 def _calibrated_poses(plan: ExperimentPlan, mounts, gyro, accel, cols) -> tuple:
@@ -340,9 +340,9 @@ def _score_chunk(plan: ExperimentPlan, setups, mounts, gyro, accel, keyframes,
             fm, truth_v, errs = setups[v]
             errs = errs * S  # one set-up for all trials
         rows = slice(j * S, (j + 1) * S)
-        # fused row t is raw row t + 1, and it needs rows t and t + 2
+        # fused row t is raw row t + 1, as in fuse_series
         fused_w[rows], fused_a[rows] = fuse_stack(
-            fm, gyro[:, :k + 2], accel[:, :k + 2], plan.sim.freq, cols)
+            fm, gyro[:, 1:k + 1], accel[:, 1:k + 1], cols)
         errors += errs
         for f in ("rotation", "position", "velocity"):
             getattr(truth, f)[:, rows] = getattr(truth_v, f)

@@ -10,9 +10,10 @@ relative motion increments
 independent of the start state. The 9x9 covariance over the error state
 (phi, v, p) propagates per step as A S A^T + B S_eta B^T, where B routes
 the virtual gyro noise into orientation through the right Jacobian and
-into position through the fused accelerometer's lever-arm sensitivity
-(vimu.lever_jacobian); the noise-dependent blocks of B are evaluated at
-the zero-noise expectation.
+the virtual accel noise into velocity and position. The fused accel
+sits at the array's accelerometer-weighted centroid (see vimu), so it
+does not depend on the angular rate: gyro noise does not reach velocity
+or position through it.
 
 Error-state conventions (matching A/B): dR_meas = dR Exp(e_phi),
 e_v = dv_meas - dv, e_p = dp_meas - dp.
@@ -30,7 +31,7 @@ import numpy as np
 
 from .geometry import exp_so3, right_jacobian, skew
 from .types import ImuSeries
-from .vimu import FusionMatrices, VimuNoise, lever_jacobian, lever_term
+from .vimu import VimuNoise
 
 # Sample positions that preintegrate_stack integrates per pass: its
 # temporaries hold this many samples of every window, whatever the
@@ -69,37 +70,25 @@ class PreintDelta:
     count: int
 
 
-def bias_correct(series: ImuSeries, state: VimuState,
-                 fm: FusionMatrices) -> tuple:
-    """Remove the virtual biases from fused samples.
-
-    The accelerometer additionally gets back the lever-arm prediction
-    error that fusion introduced by subtracting lever terms computed
-    from biased rates: corr = L(w_meas) - L(w_meas - b_g) with L the
-    fused lever term (vimu.lever_term). The angular-acceleration term
-    of L is the same on both sides (a constant gyro bias does not change
-    a central difference), so it cancels and is left out. With zero
-    gyro bias the correction vanishes and ``fm`` is not read.
+def bias_correct(series: ImuSeries, state: VimuState) -> tuple:
+    """Remove the virtual biases from fused samples. The fused accel
+    does not depend on the rate (see vimu), so a gyro bias leaves it as
+    it is.
 
     Returns (w_hat, a_hat) arrays of shape (k, 3): the series' own
     arrays when the state carries no bias.
     """
     if not (np.any(state.bias_gyro) or np.any(state.bias_accel)):
         return series.gyro, series.accel
-    w_hat = series.gyro - state.bias_gyro
-    a_hat = series.accel - state.bias_accel
-    if np.any(state.bias_gyro != 0.0):
-        a_hat = a_hat + (lever_term(fm, series.gyro) - lever_term(fm, w_hat))
-    return w_hat, a_hat
+    return series.gyro - state.bias_gyro, series.accel - state.bias_accel
 
 
-def preintegrate_windows(series: ImuSeries, state: VimuState,
-                         fm: FusionMatrices, step: int,
+def preintegrate_windows(series: ImuSeries, state: VimuState, step: int,
                          noise: VimuNoise | None = None) -> list:
     """Integrate consecutive keyframe windows of ``step`` samples into one
     PreintDelta each, the list form of preintegrate_stack; trailing
     samples that fill no whole window are dropped. One delta over a
-    whole series is ``preintegrate_windows(series, state, fm,
+    whole series is ``preintegrate_windows(series, state,
     len(series))[0]``.
 
     Every window starts from the same ``state``. A delta depends on its
@@ -110,8 +99,6 @@ def preintegrate_windows(series: ImuSeries, state: VimuState,
 
     The covariance is propagated exactly when the virtual noise model
     ``noise`` is given; without it the deltas carry ``covariance=None``.
-    When ``state`` carries no gyro bias and no noise model is given,
-    ``fm`` is not read and may be None.
     """
     if step < 1:
         raise ValueError("keyframe window must hold at least one sample")
@@ -119,22 +106,21 @@ def preintegrate_windows(series: ImuSeries, state: VimuState,
     if n_windows == 0:
         return []
     w_hat, a_hat = (x[:n_windows * step].reshape(n_windows, step, 3)
-                    for x in bias_correct(series, state, fm))
-    dR, dv, dp, cov = preintegrate_stack(w_hat, a_hat, series.freq, fm, noise)
+                    for x in bias_correct(series, state))
+    dR, dv, dp, cov = preintegrate_stack(w_hat, a_hat, series.freq, noise)
     return [PreintDelta(rotation=dR[j], velocity=dv[j], position=dp[j],
                         covariance=None if cov is None else cov[j],
                         duration=step * (1.0 / series.freq),
                         count=step) for j in range(n_windows)]
 
 
-def preintegrate_stack(gyro, accel, freq: float, fm: FusionMatrices | None = None,
+def preintegrate_stack(gyro, accel, freq: float,
                        noise: VimuNoise | None = None) -> tuple:
     """Integrate bias-corrected rate and specific-force rows laid out
     (..., windows, step, 3), any leading axes being trials, into every
     window's (dR (..., windows, 3, 3), dv, dp (..., windows, 3), cov).
     With the virtual noise model ``noise``, cov (..., windows, 9, 9) is
-    propagated and ``fm`` (fields with or without the trial axes) gives
-    the lever Jacobian; without it, cov is None and ``fm`` is not read.
+    propagated; without it, cov is None.
 
     One loop over the sample positions advances every window's rotation
     (and covariance, by the per-sample A and B of the module docstring)
@@ -173,9 +159,6 @@ def preintegrate_stack(gyro, accel, freq: float, fm: FusionMatrices | None = Non
         rot = exp_so3(w * dt)
         if cov is not None:
             jr_dt = right_jacobian(w * dt) * dt
-            # one row axis for every window's samples, as fm's trial axes expect
-            t_psi = lever_jacobian(fm, w.reshape(lead[:-1] + (-1, 3)))
-            t_psi = t_psi.reshape(w.shape + (3,))
         for i in range(w.shape[-2]):
             if cov is not None:
                 R_sa = dR @ skew(a[..., i, :])
@@ -183,10 +166,6 @@ def preintegrate_stack(gyro, accel, freq: float, fm: FusionMatrices | None = Non
                 A[..., 3:6, 0:3] = -R_sa * dt
                 A[..., 6:9, 0:3] = -0.5 * R_sa * dt**2
                 B[..., 0:3, 0:3] = jr_dt[..., i, :, :]
-                # gyro noise leaks into position through the fused accel's
-                # lever-arm sensitivity; the velocity block carries a
-                # noise-dependent factor and vanishes at the expectation
-                B[..., 6:9, 0:3] = -0.5 * dR @ t_psi[..., i, :, :] * dt**2
                 B[..., 3:6, 3:6] = dR * dt
                 B[..., 6:9, 3:6] = 0.5 * dR * dt**2
                 cov = (A @ cov @ np.swapaxes(A, -1, -2)

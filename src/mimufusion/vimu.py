@@ -1,16 +1,18 @@
 """Virtual-IMU construction: fuse n rigidly mounted IMUs into a single
-equivalent sensor at a chosen virtual frame.
+equivalent sensor at the array's accelerometer-weighted centroid.
 
-build_fusion reduces an array (VimuConfig) to the four FusionMatrices
-that fusion applies. Gyros combine through a whitened stacked
-least-squares solve, kept as a left inverse that acts on the raw
-stacked samples (gyro_solve); the accelerometers likewise
-(accel_solve), with their rigid-body lever-arm terms subtracted: a
-quadratic form lever_Q in the fused angular rate plus lever_D applied
-to its central-difference angular acceleration. fuse_series(fm, series)
-fuses one series per sensor. The same solves give the virtual noise
-and bias random-walk covariances in closed form (virtual_covariances),
-which the fuse subcommand stores as the Q_* of its sidecar.
+build_fusion reduces an array (VimuConfig) to the two FusionMatrices
+that fusion applies: whitened stacked least-squares solves, kept as
+left inverses that act on the raw stacked gyro (gyro_solve) and
+accelerometer (accel_solve) samples. Every NoiseSpec is isotropic, so
+sensor i's block of the fused accel is w_i I, w_i its normalized
+1/sigma_a^2 weight, and the sensors' lever accelerations
+R_i (w x (w x p_i) + wdot x p_i) fuse to zero at the weighted centroid
+sum_i w_i p_i, where VimuConfig puts the virtual origin (accel_centroid,
+centroid_frame). fuse_series(fm, series) fuses one series per sensor.
+The same solves give the virtual noise and bias random-walk covariances
+in closed form (virtual_covariances), which the fuse subcommand stores
+as the Q_* of its sidecar.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, LengthMismatch, SingularFusion
-from .geometry import is_rotation, skew
+from .geometry import is_rotation
 from .types import (Extrinsic, ImuSeries, NoiseSpec, _Block, _finite_floats, _read,
                     check_synchronized)
 
@@ -30,6 +32,11 @@ class VimuConfig(_Block):
 
     rotations[i] maps virtual-frame coordinates into sensor i's frame;
     positions[i] is sensor i's origin in virtual-frame coordinates (m).
+    The virtual origin is the accelerometer-weighted centroid: positions
+    whose accel_centroid is further from zero than round-off, 1e-12 of
+    the largest |positions[i]| in m and at least 1e-12 m, are rejected,
+    and noises that admit no whitening (see _effective_sigmas) raise
+    SingularFusion, so that every config builds.
     """
 
     rotations: tuple
@@ -56,23 +63,26 @@ class VimuConfig(_Block):
         for p in positions:
             if p.shape != (3,) or not np.isfinite(p).all():
                 raise ValueError("positions must be finite 3-vectors")
+        _effective_sigmas([ns.sigma_g for ns in noises])  # the gyros must whiten too
+        offset = np.linalg.norm(accel_centroid(positions, noises))
+        if offset > 1e-12 * max(1.0, *(np.linalg.norm(p) for p in positions)):
+            raise ValueError(f"positions_m must have their accelerometer-weighted "
+                             f"centroid at the origin, got one {offset:.3e} m off")
         object.__setattr__(self, "rotations", rotations)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "noises", noises)
 
 
-def midpoint_frame(ext: Extrinsic, noise_a: NoiseSpec,
+def centroid_frame(ext: Extrinsic, noise_a: NoiseSpec,
                    noise_b: NoiseSpec) -> VimuConfig:
-    """Two-sensor virtual frame at the midpoint of the lever arm, axes
-    aligned with sensor A.
-
-    The symmetric placement cancels the lever-arm sensitivity of the
-    fused accelerometer to angular-rate errors to first order.
-    """
-    R_ba = ext.rotation()
+    """Two-sensor virtual frame at the accelerometer-weighted centroid of
+    the pair, axes aligned with sensor A: on the lever arm, at the
+    fraction of the way from A to B that B's accel weight gives (the
+    midpoint for equal noise)."""
+    c = accel_centroid([np.zeros(3), ext.p], (noise_a, noise_b))
     return VimuConfig(
-        rotations=(np.eye(3), R_ba),
-        positions=(-0.5 * ext.p, 0.5 * ext.p),
+        rotations=(np.eye(3), ext.rotation()),
+        positions=(-c, ext.p - c),
         noises=(noise_a, noise_b),
     )
 
@@ -90,24 +100,33 @@ def _effective_sigmas(values) -> np.ndarray:
         "cannot fuse exact (sigma=0) and noisy sensors in one stack")
 
 
+def accel_centroid(positions, noises) -> np.ndarray:
+    """sum_i w_i p_i of sensor origins positions (..., n, 3), any leading
+    axes being trials, with w_i the normalized 1/sigma_a^2 weights of
+    noises: the point where the fused accelerometer sees no lever arm.
+    Exact data (every sigma_a zero) weighs the sensors equally."""
+    inv_var = _effective_sigmas([ns.sigma_a for ns in noises]) ** -2.0
+    # scaled so that equal noise weighs each sensor by exactly 1: the
+    # centroid is then the plain mean of the origins, to the last bit
+    w = inv_var / inv_var.max()
+    return np.sum(w[:, None] * np.asarray(positions, dtype=float), axis=-2) / w.sum()
+
+
 @dataclass(frozen=True)
 class FusionMatrices:
-    """The four arrays that fusion applies.
+    """The two arrays that fusion applies.
 
     gyro_solve (3, 3n) is the left inverse of the design that stacks
     rotations[i] / sigma_g_i, with each sensor's 3-column block divided
     by its sigma once more, so that it maps the raw stacked gyro samples
     to the weighted least-squares virtual rate; accel_solve likewise
     with the accelerometer sigmas (see _effective_sigmas for exact
-    data). lever_Q (3, 3, 3) and lever_D (3, 3) define the fused lever
-    terms (see lever_term). Every field may carry leading trial axes,
-    one fusion per trial (build_fusion_stack).
+    data). Both fields may carry leading trial axes, one fusion per
+    trial (build_fusion_stack).
     """
 
     gyro_solve: np.ndarray
     accel_solve: np.ndarray
-    lever_Q: np.ndarray
-    lever_D: np.ndarray
 
 
 def _design_and_solve(rotations, sigmas):
@@ -127,73 +146,31 @@ def _design_and_solve(rotations, sigmas):
     return solve / np.repeat(sigmas, 3), errors
 
 
-def build_fusion_stack(rotations, positions, noises) -> tuple:
+def build_fusion_stack(rotations, noises) -> tuple:
     """Fusion matrices of arrays that share their sensors' noise models:
-    rotations (..., n, 3, 3) and positions (..., n, 3) as in VimuConfig,
-    any leading axes being trials. Returns (FusionMatrices, errors):
-    every field carries the trial axes, and errors holds a SingularFusion
-    or None per trial, row-major (a failed trial's matrices are finite
-    placeholders). Noises that admit no whitening (see _effective_sigmas)
-    raise SingularFusion."""
+    rotations (..., n, 3, 3) as in VimuConfig, any leading axes being
+    trials; the virtual origin is each array's accel_centroid. Returns
+    (FusionMatrices, errors): every field carries the trial axes, and
+    errors holds a SingularFusion or None per trial, row-major (a failed
+    trial's matrices are finite placeholders). Noises that admit no
+    whitening (see _effective_sigmas) raise SingularFusion."""
     rotations = np.asarray(rotations, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    gyro_sigmas = _effective_sigmas([ns.sigma_g for ns in noises])
-    accel_sigmas = _effective_sigmas([ns.sigma_a for ns in noises])
-    gyro_solve, gyro_errors = _design_and_solve(rotations, gyro_sigmas)
-    accel_solve, accel_errors = _design_and_solve(rotations, accel_sigmas)
-    # C_i = accel_solve[:, 3i:3i+3] R_i
-    C = np.swapaxes(accel_solve.reshape(accel_solve.shape[:-1] + (-1, 3)), -3, -2) @ rotations
-    T = np.einsum("...iaj,...ik->...ajk", C, positions)
-    c = np.einsum("...iaj,...ij->...a", C, positions)
-    return FusionMatrices(
-        gyro_solve=gyro_solve,
-        accel_solve=accel_solve,
-        lever_Q=T - c[..., None, None] * np.eye(3),
-        lever_D=np.einsum("...iaj,...ijk->...ak", C, skew(positions)),
-    ), [g or a for g, a in zip(gyro_errors, accel_errors)]
+    gyro_solve, gyro_errors = _design_and_solve(
+        rotations, _effective_sigmas([ns.sigma_g for ns in noises]))
+    accel_solve, accel_errors = _design_and_solve(
+        rotations, _effective_sigmas([ns.sigma_a for ns in noises]))
+    return (FusionMatrices(gyro_solve=gyro_solve, accel_solve=accel_solve),
+            [g or a for g, a in zip(gyro_errors, accel_errors)])
 
 
 def build_fusion(cfg: VimuConfig) -> FusionMatrices:
     """Assemble the fusion matrices of one array, the one-config case of
     build_fusion_stack; raises SingularFusion when the geometry/noise
     combination admits no stable solve."""
-    fm, (error,) = build_fusion_stack(cfg.rotations, cfg.positions, cfg.noises)
+    fm, (error,) = build_fusion_stack(cfg.rotations, cfg.noises)
     if error is not None:
         raise error
     return fm
-
-
-# The (j, k) index pairs of w (x) w, row-major, built once. The gather
-# lays the nine products out component by component, which the product
-# with Q reads about 3x faster than the rows of a (..., 3, 3) broadcast
-# product.
-_WW_J, _WW_K = np.divmod(np.arange(9), 3)
-
-
-def lever_term(fm: FusionMatrices, omega, omega_dot=None) -> np.ndarray:
-    """accel_solve applied to the stack of the sensors' lever
-    accelerations R_i (w x (w x p_i) + wdot x p_i), for rate rows omega
-    (..., k, 3): Q:(w w^T) - D wdot, where with C_i = accel_solve[:,
-    3i:3i+3] R_i, Q = sum_i C_i (x) p_i - (sum_i C_i p_i) (x) I and
-    D = sum_i C_i [p_i]x. The quadratic form is evaluated as one product
-    of the (..., k, 9) rows of w (x) w with Q's (9, 3) block.
-    omega_dot=None drops the D term."""
-    omega = np.asarray(omega, dtype=float)
-    Q = fm.lever_Q.reshape(fm.lever_Q.shape[:-3] + (3, 9))
-    ww = omega[..., _WW_J] * omega[..., _WW_K]
-    out = ww @ np.swapaxes(Q, -1, -2)
-    if omega_dot is not None:
-        out -= omega_dot @ np.swapaxes(fm.lever_D, -1, -2)
-    return out
-
-
-def lever_jacobian(fm: FusionMatrices, omega) -> np.ndarray:
-    """Jacobian of lever_term in the rate, (Q + Q^T_jk) w, at rate rows
-    omega (..., k, 3); shape (..., k, 3, 3)."""
-    omega = np.asarray(omega, dtype=float)
-    Q = fm.lever_Q
-    Q_sym = (Q + np.swapaxes(Q, -1, -2)).reshape(Q.shape[:-3] + (9, 3))
-    return (omega @ np.swapaxes(Q_sym, -1, -2)).reshape(omega.shape[:-1] + (3, 3))
 
 
 def _covariance(key: str, value) -> np.ndarray:
@@ -251,21 +228,19 @@ def fuse_series(fm: FusionMatrices, series: list) -> ImuSeries:
     """Fuse synchronized per-sensor series, one per sensor of fm, into
     one virtual IMU series.
 
-    All inputs must share rate, start time, and length. The fused gyro is
-    computed first; its central difference provides the angular
-    acceleration for the accelerometer lever-arm subtraction, which costs
-    the first and last samples: the result covers the interior samples,
-    so its start_ns is shifted by one period. This is the one-trial case
-    of fuse_stack.
+    All inputs must share rate, start time, and length. The result
+    covers the interior samples: it drops the first and the last, and
+    its start_ns is one period later. Fusion itself needs no neighbour
+    (see fuse_stack); the trim keeps virtual.csv's layout, by which its
+    readers count windows and align truth (fused row t is raw row t + 1).
     """
     n = fm.gyro_solve.shape[-1] // 3
     if len(series) != n:
         raise LengthMismatch(f"expected {n} series, got {len(series)}")
     check_synchronized(series)
     base = series[0]
-    fused_w, fused_a = fuse_stack(fm, np.stack([s.gyro for s in series], axis=1),
-                                  np.stack([s.accel for s in series], axis=1),
-                                  base.freq)
+    fused_w, fused_a = fuse_stack(fm, np.stack([s.gyro[1:-1] for s in series], axis=1),
+                                  np.stack([s.accel[1:-1] for s in series], axis=1))
     return ImuSeries(
         freq=base.freq,
         start_ns=base.start_ns + int(np.rint(base.period_ns)),
@@ -274,16 +249,15 @@ def fuse_series(fm: FusionMatrices, series: list) -> ImuSeries:
     )
 
 
-def fuse_stack(fm: FusionMatrices, gyro, accel, freq: float,
-               columns=None) -> tuple:
-    """Fuse per-sensor samples laid out (..., n, m, 3), sample t of the
+def fuse_stack(fm: FusionMatrices, gyro, accel, columns=None) -> tuple:
+    """Fuse per-sensor samples laid out (..., k, m, 3), sample t of the
     sensor in column c at [..., t, c, :], into the virtual gyro and
-    accel of the interior samples, (..., n - 2, 3) each. ``columns``
-    lists the column of each of fm's sensors (default: column i holds
-    sensor i, and there are no others), so that a fusion can read its
-    sensors out of a wider array without copying them. Leading axes are
-    trials; fm's fields carry either the same leading axes, one fusion
-    per trial, or none, one fusion for all."""
+    accel of every sample, (..., k, 3) each. ``columns`` lists the
+    column of each of fm's sensors (default: column i holds sensor i,
+    and there are no others), so that a fusion can read its sensors out
+    of a wider array without copying them. Leading axes are trials; fm's
+    fields carry either the same leading axes, one fusion per trial, or
+    none, one fusion for all."""
     m = np.shape(gyro)[-2]
     columns = range(m) if columns is None else columns
 
@@ -293,9 +267,5 @@ def fuse_stack(fm: FusionMatrices, gyro, accel, freq: float,
         return np.swapaxes(full.reshape(solve.shape[:-1] + (3 * m,)), -1, -2)
 
     shape = np.shape(gyro)[:-2] + (3 * m,)
-    fused_w = np.reshape(gyro, shape) @ solve_t(fm.gyro_solve)
-    wdot = 0.5 * freq * (fused_w[..., 2:, :] - fused_w[..., :-2, :])
-    fused_w = fused_w[..., 1:-1, :]
-    fused_a = np.reshape(accel, shape)[..., 1:-1, :] @ solve_t(fm.accel_solve)
-    fused_a -= lever_term(fm, fused_w, wdot)
-    return fused_w, fused_a
+    return (np.reshape(gyro, shape) @ solve_t(fm.gyro_solve),
+            np.reshape(accel, shape) @ solve_t(fm.accel_solve))

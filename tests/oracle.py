@@ -12,9 +12,12 @@ and per-line reader that the library's bulk codec replaced: one
 f-string per value, one ``int()``/``float()`` per field.
 
 ``lever_arm_stack`` and ``psi_matrix`` build the lever-arm stack and
-its rate Jacobian sensor by sensor; the library keeps only
-their contraction with ``accel_solve``, as a quadratic form
-(``vimu.lever_term``, ``vimu.lever_jacobian``).
+its rate Jacobian sensor by sensor: the virtual IMU in its general form,
+for any virtual frame. ``step_matrices`` routes gyro noise into
+position through ``psi_matrix``. The library fuses at the
+accelerometer-weighted centroid, where the contraction of both with
+``accel_solve`` vanishes, so it computes neither; the tests check the
+library against this general form at that centroid.
 
 ``run_experiment`` is the Monte-Carlo harness with one trial at a time:
 per trial it calibrates, fuses, preintegrates, predicts and scores
@@ -31,10 +34,11 @@ same bits. It fuses every interior sample, where the library fuses only the
 rows that the keyframe windows integrate. It frames each variant its own way:
 ``single_frame`` keeps the centre sensor's axes, ``array_frame`` puts
 the perturbed arrays at their centroid with body axes, and
-``midpoint_frame`` puts the calibrated pair halfway along its lever arm
-with sensor A's axes. The library sets up every variant at the centroid
-of its believed body poses, with body axes; on the grid's
-identity-oriented mounts the frames are the same.
+``centroid_frame`` puts the calibrated pair at its accel-weighted
+centroid with sensor A's axes. The library sets up every variant at the
+accel-weighted centroid of its believed body poses, with body axes; on
+the grid's identity-oriented mounts, with the plan's one noise spec,
+the frames are the same.
 
 ``fit_rotation`` and ``fit_translation`` form the calibration Grams with
 three-operand ``einsum`` contractions over the samples; the library
@@ -59,18 +63,16 @@ sensor at a time, with the Riccati recursion run as a loop
 (``riccati_schedule``) where the library evaluates it in closed form
 for every sample at once; the two agree to round-off.
 
-``skew_lever_matrix``, ``is_rotation``, ``lever_term``,
-``preintegrate_stack`` and ``translation_cost`` are the forms the
-library replaced: the lever operator as skew-matrix products, a
-per-matrix rotation check with ``np.allclose``, the fused lever term as
-a product followed by an ``einsum`` contraction, the kernel's specific
-force rotated by a stacked (3, 3) @ (3, 1) ``matmul``, and the
-translation cost with its residual formed in the B frame by a stacked
-3x3 product per sample. The library builds the lever operator entry by
-entry, checks every rotation of a stack in one pass, evaluates the
-lever term as one product of the rows of w (x) w, rotates the specific
-force by broadcast multiply-adds over the rotation's columns, and forms
-the residual in the R^T frame from the stacked design.
+``skew_lever_matrix``, ``is_rotation``, ``preintegrate_stack`` and
+``translation_cost`` are the forms the library replaced: the lever
+operator as skew-matrix products, a per-matrix rotation check with
+``np.allclose``, the kernel's specific force rotated by a stacked
+(3, 3) @ (3, 1) ``matmul``, and the translation cost with its residual
+formed in the B frame by a stacked 3x3 product per sample. The library
+builds the lever operator entry by entry, checks every rotation of a
+stack in one pass, rotates the specific force by broadcast multiply-adds
+over the rotation's columns, and forms the residual in the R^T frame
+from the stacked design.
 
 ``sample_trajectory``, ``ideal_imu_series`` and ``simulate_imu`` are
 the one-case forms the library dropped: one instant of
@@ -79,8 +81,11 @@ one mount's samples with the library's noise from one seed.
 
 ``ideal_body_measurements``, ``virtual_bias``, ``residual_omega`` and
 ``quat_rotate`` have no caller in the library; the tests keep them as
-references. ``paired_bootstrap_prob`` is the bootstrap behind criterion
-4's orderings; no library code calls it either, nor
+references. ``centred_config`` moves an array's origins to their
+accelerometer-weighted centroid with its own weights, so that tests can
+build valid ``VimuConfig``s from any sensor origins.
+``paired_bootstrap_prob`` is the bootstrap behind criterion 4's
+orderings; no library code calls it either, nor
 ``per_sample_means``, which reads a variant's per-sample means out of a
 report. ``still_trajectory`` and ``rmse_report_from_dict`` build test
 inputs: a motionless trajectory, and a report read back from its
@@ -150,8 +155,8 @@ from mimufusion.vimu import (
     VimuConfig,
     VimuNoise,
     build_fusion,
+    centroid_frame,
     fuse_series,
-    midpoint_frame,
 )
 
 log = logging.getLogger(__name__)
@@ -424,6 +429,18 @@ def single_frame(noise: NoiseSpec, rotation=None, position=None) -> VimuConfig:
     )
 
 
+def centred_config(rotations, positions, noises) -> VimuConfig:
+    """The array with its sensor origins moved so that their
+    accelerometer-weighted centroid, sum_i w_i p_i with w_i proportional
+    to 1/sigma_a_i^2 (equal when every sigma_a is zero), is the origin."""
+    sigmas = np.array([ns.sigma_a for ns in noises])
+    w = np.ones(len(sigmas)) if np.all(sigmas == 0.0) else 1.0 / sigmas**2
+    positions = np.asarray(positions, dtype=float)
+    return VimuConfig(rotations=tuple(rotations),
+                      positions=tuple(positions - w @ positions / w.sum()),
+                      noises=tuple(noises))
+
+
 def array_frame(mounts: list, noises: list) -> tuple:
     """VimuConfig for body-mounted sensors with the virtual frame at the
     centroid of the mount positions, axes aligned with the body.
@@ -470,15 +487,16 @@ def _setup_variant(name: str, plan: ExperimentPlan, mounts, believed,
 def _setup_calibrated(plan: ExperimentPlan, mounts, series_by_idx,
                       truth_samples):
     """Calibrate the sensor pair from the trial data and anchor the
-    resulting midpoint frame at sensor A's true mount."""
+    resulting centroid frame at sensor A's true mount."""
     ia, ib = _PAIR
     result = calibrate(CalibrationInput(
         series_a=series_by_idx[ia], series_b=series_by_idx[ib],
         noise_a=plan.noise, noise_b=plan.noise))
     ext = result.extrinsic
-    cfg = midpoint_frame(ext, plan.noise, plan.noise)
+    cfg = centroid_frame(ext, plan.noise, plan.noise)
     R_ba_body = rotation_from_quat(mounts[ia].q).T
-    frame_pos = mounts[ia].p + R_ba_body @ (0.5 * ext.p)
+    # sensor A sits at positions[0] in the frame, which has A's axes
+    frame_pos = mounts[ia].p - R_ba_body @ cfg.positions[0]
     truth = [true_vimu_state(ts, R_ba_body, frame_pos) for ts in truth_samples]
     return _VariantSetup(indices=_PAIR, fm=build_fusion(cfg), truth=truth)
 
@@ -488,7 +506,7 @@ def _score_variant(setup: _VariantSetup, series_by_idx, plan: ExperimentPlan,
     fused = fuse_series(setup.fm, [series_by_idx[i] for i in setup.indices])
     state = setup.truth[0]
     predicted = []
-    for delta in preintegrate_windows(fused, state, setup.fm, step):
+    for delta in preintegrate_windows(fused, state, step):
         state = predict_state(state, delta, plan.sim.gravity)
         predicted.append(state)
     return rmse_metrics(predicted, setup.truth[1:])
@@ -718,18 +736,6 @@ def is_rotation(R, tol: float = 1e-9) -> bool:
         np.allclose(R.T @ R, np.eye(3), atol=tol)
         and abs(float(np.linalg.det(R)) - 1.0) < tol
     )
-
-
-def lever_term(fm: FusionMatrices, omega, omega_dot=None) -> np.ndarray:
-    """The fused lever term Q:(w w^T) - D wdot as one product of the rate
-    rows with Q's (9, 3) rows, then an einsum contraction with w."""
-    omega = np.asarray(omega, dtype=float)
-    Q = fm.lever_Q.reshape(fm.lever_Q.shape[:-3] + (9, 3))
-    Qw = (omega @ np.swapaxes(Q, -1, -2)).reshape(omega.shape + (3,))
-    out = np.einsum("...aj,...j->...a", Qw, omega)
-    if omega_dot is not None:
-        out -= omega_dot @ np.swapaxes(fm.lever_D, -1, -2)
-    return out
 
 
 def preintegrate_stack(gyro, accel, freq: float) -> tuple:

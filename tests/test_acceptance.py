@@ -204,7 +204,7 @@ def _end_state_errors(traj: TrajectoryParams, freq: float) -> tuple:
     t_start = virtual.start_ns * 1e-9
     start = true_vimu_state(sample_trajectory(cfg, t_start),
                             np.eye(3), np.zeros(3))
-    delta = preintegrate_windows(virtual, start, fm, len(virtual))[0]
+    delta = preintegrate_windows(virtual, start, len(virtual))[0]
     end = predict_state(start, delta, cfg.gravity)
     truth = true_vimu_state(sample_trajectory(cfg, t_start + delta.duration),
                             np.eye(3), np.zeros(3))
@@ -248,7 +248,7 @@ def test_criterion_6_preintegration_covariance_is_consistent():
     t_start = clean.start_ns * 1e-9
     start = true_vimu_state(sample_trajectory(cfg, t_start),
                             np.eye(3), np.zeros(3))
-    reference = preintegrate_windows(clean, start, fm, len(clean),
+    reference = preintegrate_windows(clean, start, len(clean),
                                      virtual_covariances(fm, vcfg.noises))[0]
     info = np.linalg.inv(reference.covariance)
 
@@ -261,7 +261,7 @@ def test_criterion_6_preintegration_covariance_is_consistent():
             wn, an = apply_measurement_noise(w, a, spec, freq, rng)
             noisy.append(ImuSeries(freq=freq, start_ns=0, gyro=wn, accel=an))
         virtual = fuse_series(fm, noisy)
-        delta = preintegrate_windows(virtual, start, fm, len(virtual))[0]
+        delta = preintegrate_windows(virtual, start, len(virtual))[0]
         err = np.concatenate([
             log_so3(reference.rotation.T @ delta.rotation),
             delta.velocity - reference.velocity,

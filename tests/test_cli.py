@@ -405,7 +405,6 @@ def test_preintegrate_matches_per_window_loop(workspace, fused, tmp_path):
     from mimufusion.csvio import read_imu_csv, read_vimu_sidecar
     from mimufusion.preintegration import VimuState, preintegrate_windows
     from mimufusion.types import ImuSeries
-    from mimufusion.vimu import build_fusion
 
     out = tmp_path / "deltas.jsonl"
     code = main(["preintegrate",
@@ -417,8 +416,7 @@ def test_preintegrate_matches_per_window_loop(workspace, fused, tmp_path):
     got = [json.loads(l) for l in out.read_text().strip().split("\n")]
 
     series = read_imu_csv(fused)
-    cfg, noise, _ = read_vimu_sidecar(fused.with_suffix(".json"))
-    fm = build_fusion(cfg)
+    _, noise, _ = read_vimu_sidecar(fused.with_suffix(".json"))
     step = int(round(0.35 * series.freq))
     assert len(series) % step != 0
     want = []
@@ -427,7 +425,7 @@ def test_preintegrate_matches_per_window_loop(workspace, fused, tmp_path):
             freq=series.freq, start_ns=0,
             gyro=series.gyro[j * step:(j + 1) * step],
             accel=series.accel[j * step:(j + 1) * step])
-        delta = preintegrate_windows(window, VimuState.identity(), fm, step,
+        delta = preintegrate_windows(window, VimuState.identity(), step,
                                      noise)[0]
         want.append({
             "window": j,
@@ -732,6 +730,54 @@ def test_fuse_rejects_calibration_that_is_not_a_mapping(workspace, tmp_path,
     assert payload["error"] == "FormatError"
     assert str(calib) in payload["message"]
     assert not (tmp_path / "virtual.csv").exists()
+
+
+@pytest.mark.parametrize("change", ["missing-q_BA", "missing-p_AB_m", "unknown-key"])
+def test_fuse_reads_calibration_through_its_key_table(workspace, calibrated, tmp_path,
+                                                      capsys, change):
+    """calib.json's q_BA and p_AB_m are both required: a missing one is
+    named, never replaced by the identity, and a key besides them and
+    the stage blocks is refused, each as a FormatError naming the file.
+    The calib.json that calibrate writes, stage blocks included, fuses."""
+    d = read_json(calibrated)
+    assert {"rotation", "translation"} <= set(d)
+    if change == "unknown-key":
+        d["q_AB"] = d["q_BA"]
+        want = "unknown calibration keys: ['q_AB']"
+    else:
+        key = change.removeprefix("missing-")
+        del d[key]
+        want = f"calibration: missing key `{key}`"
+    calib = tmp_path / "calib.json"
+    calib.write_text(json.dumps(d))
+    code = main(["fuse",
+                 "--imu-a", str(workspace / "data" / "imu_a.csv"),
+                 "--imu-b", str(workspace / "data" / "imu_b.csv"),
+                 "--calib", str(calib),
+                 "--noise", str(workspace / "noise.yaml"),
+                 "--out", str(tmp_path / "virtual.csv")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "FormatError"
+    assert payload["message"] == f"{calib}: {want}"
+    assert not (tmp_path / "virtual.csv").exists()
+
+
+def test_preintegrate_rejects_sidecar_off_the_accel_centroid(fused, tmp_path, capsys):
+    """Moving one sensor of the fused pair's sidecar by 1 mm takes its
+    virtual origin off the accel-weighted centroid: preintegrate exits 1
+    with a FormatError naming the sidecar and positions_m."""
+    sidecar = read_json(fused.with_suffix(".json"))
+    sidecar["config"]["positions_m"][0][1] += 1e-3
+    path = tmp_path / "virtual.json"
+    path.write_text(json.dumps(sidecar))
+    code = main(["preintegrate", "--vimu", str(fused), "--vimu-config", str(path),
+                 "--out", str(tmp_path / "deltas.jsonl")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "FormatError"
+    assert str(path) in payload["message"] and "positions_m" in payload["message"]
+    assert not (tmp_path / "deltas.jsonl").exists()
 
 
 @pytest.mark.parametrize("field", ["config", "noise-entry", "covariances", "negative-Q_gV"])

@@ -40,7 +40,7 @@ from mimufusion.simulation import (
     trajectory_samples,
 )
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
-from mimufusion.vimu import FusionMatrices, build_fusion, midpoint_frame
+from mimufusion.vimu import FusionMatrices, build_fusion, centroid_frame
 
 
 def random_states(rng, n):
@@ -264,8 +264,8 @@ def assert_fusions_match(got, want, trial):
 
 def test_setup_of_a_pair_matches_the_midpoint_frame():
     """A pair believed at (I, 0) and (R, p) is, trial by trial, the
-    midpoint fusion of Extrinsic(q, p), and its truth origin is the
-    midpoint p / 2."""
+    centroid fusion of Extrinsic(q, p), and with the plan's one noise
+    spec its truth origin is the midpoint p / 2."""
     rng = np.random.default_rng(71)
     plan = ExperimentPlan()
     keyframes = trajectory_samples(plan.sim, np.array([0.005, 0.505, 1.005]))
@@ -280,7 +280,7 @@ def test_setup_of_a_pair_matches_the_midpoint_frame():
         np.testing.assert_allclose(getattr(truth, f), getattr(want_truth, f),
                                    rtol=0, atol=1e-12)
     for s in range(5):
-        want = build_fusion(midpoint_frame(Extrinsic(q[s], p[s]), plan.noise, plan.noise))
+        want = build_fusion(centroid_frame(Extrinsic(q[s], p[s]), plan.noise, plan.noise))
         assert_fusions_match(fm, want, s)
 
 

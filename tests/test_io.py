@@ -39,8 +39,8 @@ from mimufusion.simulation import SimConfig, TrajectoryParams
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
     build_fusion,
+    centroid_frame,
     fuse_series,
-    midpoint_frame,
     virtual_covariances,
 )
 
@@ -147,7 +147,7 @@ def test_virtual_csv_rejects_non_finite(tmp_path):
 def test_virtual_csv_round_trip(tmp_path):
     cfg = SimConfig(freq=200.0, duration=1.0)
     ext = Extrinsic(p=np.array([0.1, 0.0, 0.0]))
-    vcfg = midpoint_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
+    vcfg = centroid_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
     from mimufusion.geometry import quat_from_rotation
 
     series = fuse_series(build_fusion(vcfg), [
@@ -201,7 +201,7 @@ def test_property_fused_csv_round_trip(series):
     """A fused stream goes through the same writer and reader as a raw
     one: one of fewer than 2 samples is refused before any file exists,
     and every longer one reads back bit for bit."""
-    cfg = midpoint_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.1, 0.0]),
+    cfg = centroid_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.1, 0.0]),
                                    p=np.array([0.1, 0.02, 0.0])),
                          NoiseSpec(), NoiseSpec(sigma_a=4e-3))
     other = ImuSeries(series.freq, series.start_ns, series.gyro[::-1],
@@ -482,7 +482,7 @@ def test_imu_series_window_clips_huge_bounds():
 
 def test_sidecar_round_trip(tmp_path):
     ext = Extrinsic(p=np.array([0.12, 0.0, 0.0]))
-    cfg = midpoint_frame(ext, NoiseSpec(), NoiseSpec(sigma_g=3e-4))
+    cfg = centroid_frame(ext, NoiseSpec(), NoiseSpec(sigma_g=3e-4))
     noise = virtual_covariances(build_fusion(cfg), cfg.noises)
     path = tmp_path / "virtual.json"
     write_vimu_sidecar(path, cfg, noise, 200.0)
@@ -515,7 +515,7 @@ def test_sidecar_rejects_bad_values(tmp_path, key, value):
     """A Q_* that is not a finite, symmetric positive semi-definite 3x3
     matrix, or a freq that is not finite and positive, fails with a
     FormatError naming the file and the key."""
-    cfg = midpoint_frame(Extrinsic(p=np.array([0.12, 0.0, 0.0])), NoiseSpec(), NoiseSpec())
+    cfg = centroid_frame(Extrinsic(p=np.array([0.12, 0.0, 0.0])), NoiseSpec(), NoiseSpec())
     path = tmp_path / "virtual.json"
     write_vimu_sidecar(path, cfg, virtual_covariances(build_fusion(cfg), cfg.noises),
                        200.0)
@@ -531,7 +531,7 @@ def test_sidecar_rejects_bad_values(tmp_path, key, value):
 def test_sidecar_accepts_covariances(tmp_path, zero):
     """The covariances that fuse writes, symmetric only to round-off, and
     all-zero ones (exact data) are read back as written."""
-    cfg = midpoint_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.087, 0.0]),
+    cfg = centroid_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.087, 0.0]),
                                    p=np.array([0.1, 0.0, 0.0])),
                          NoiseSpec(), NoiseSpec(sigma_a=5e-3))
     noise = virtual_covariances(build_fusion(cfg), cfg.noises)
@@ -548,7 +548,7 @@ def test_sidecar_accepts_covariances(tmp_path, zero):
 
 
 def test_sidecar_rejects_non_finite_position(tmp_path):
-    cfg = midpoint_frame(Extrinsic(p=np.array([0.12, 0.0, 0.0])), NoiseSpec(), NoiseSpec())
+    cfg = centroid_frame(Extrinsic(p=np.array([0.12, 0.0, 0.0])), NoiseSpec(), NoiseSpec())
     path = tmp_path / "virtual.json"
     write_vimu_sidecar(path, cfg, virtual_covariances(build_fusion(cfg), cfg.noises),
                        200.0)
@@ -624,7 +624,7 @@ def _config_blocks():
                           sequences_per_sample=4, sigma_rot=0.02, sigma_trans=0.002,
                           keyframe_interval=0.25, grid_pitch=0.04, master_seed=9,
                           sim=sim, noise=noise)
-    vimu = midpoint_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.1, 0.05]),
+    vimu = centroid_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.1, 0.05]),
                                     p=np.array([0.1, -0.02, 0.0])), noise, NoiseSpec())
     return [noise, trajectory, sim, plan, vimu,
             virtual_covariances(build_fusion(vimu), vimu.noises)]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from oracle import (
     array_frame,
+    centred_config,
     ideal_imu_series,
     identity_delta,
     log_so3,
@@ -43,11 +44,9 @@ from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
     VimuConfig,
     build_fusion,
-    build_fusion_stack,
+    centroid_frame,
     fuse_series,
     fuse_stack,
-    lever_jacobian,
-    midpoint_frame,
     virtual_covariances,
 )
 
@@ -80,7 +79,7 @@ def still_series(duration=1.0, freq=200.0):
 
 def test_bias_correct_zero_bias_is_identity():
     series, vcfg, fm = still_series()
-    w, a = bias_correct(series, VimuState.identity(), fm)
+    w, a = bias_correct(series, VimuState.identity())
     np.testing.assert_array_equal(w, series.gyro)
     np.testing.assert_array_equal(a, series.accel)
 
@@ -94,25 +93,19 @@ def test_bias_correct_removes_full_rate():
     biased = ImuSeries(freq=series.freq, start_ns=series.start_ns,
                        gyro=series.gyro + state.bias_gyro,
                        accel=series.accel)
-    w, _ = bias_correct(biased, state, fm)
+    w, _ = bias_correct(biased, state)
     np.testing.assert_allclose(w, series.gyro, atol=1e-15)
 
 
-def check_bias_correct_restores_lever_consistency(shift):
-    """A constant gyro bias consistently injected into every sensor skews
-    the fused accel through the lever subtraction; correcting with the
-    matching virtual bias must recover the unbiased fusion exactly.
-
-    ``shift`` moves both sensors off the symmetric midpoint pair; at the
-    midpoint the lever-arm correction is exactly zero. Returns the
-    largest correction applied to the accelerometer."""
+def test_bias_correct_restores_lever_consistency():
+    """A constant gyro bias consistently injected into every sensor of an
+    unequal pair, fused at its accel-weighted centroid, leaves the fused
+    accel as it is: correcting with the matching virtual bias recovers
+    the unbiased fusion exactly."""
     cfg_sim = SimConfig(freq=200.0, duration=1.0)
     ext = Extrinsic(q=quat_from_rotvec([0.0, np.deg2rad(5.0), 0.0]),
                     p=np.array([0.12, 0.0, 0.0]))
-    mid = midpoint_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
-    vcfg = VimuConfig(rotations=mid.rotations,
-                      positions=tuple(p + shift for p in mid.positions),
-                      noises=mid.noises)
+    vcfg = centroid_frame(ext, MEMS, NoiseSpec(sigma_a=4 * MEMS.sigma_a))
     fm = build_fusion(vcfg)
     b_v = np.array([0.03, -0.02, 0.04])
 
@@ -133,28 +126,17 @@ def check_bias_correct_restores_lever_consistency(shift):
     state = VimuState(rotation=np.eye(3), position=np.zeros(3),
                       velocity=np.zeros(3), bias_gyro=b_v,
                       bias_accel=np.zeros(3))
-    w_hat, a_hat = bias_correct(fused_biased, state, fm)
+    w_hat, a_hat = bias_correct(fused_biased, state)
     np.testing.assert_allclose(w_hat, fused_clean.gyro, atol=1e-12)
     np.testing.assert_allclose(a_hat, fused_clean.accel, atol=1e-12)
-    return np.abs(a_hat - fused_biased.accel).max()
-
-
-def test_bias_correct_restores_lever_consistency():
-    check_bias_correct_restores_lever_consistency(np.zeros(3))
-
-
-def test_bias_correct_restores_lever_consistency_off_centroid():
-    correction = check_bias_correct_restores_lever_consistency(
-        np.array([0.03, -0.02, 0.01]))
-    # the correction is really applied, far above the 1e-12 tolerance
-    assert correction > 1e-3
+    np.testing.assert_array_equal(fused_biased.accel, fused_clean.accel)
 
 
 def test_preintegrate_static():
     T = 1.0
     series, vcfg, fm = still_series(duration=T + 2.0 / 200.0)
     assert series.duration == pytest.approx(T)
-    delta = preintegrate_windows(series, VimuState.identity(), fm, len(series))[0]
+    delta = preintegrate_windows(series, VimuState.identity(), len(series))[0]
     np.testing.assert_allclose(delta.rotation, np.eye(3), atol=1e-12)
     assert np.linalg.norm(delta.velocity) == pytest.approx(9.81 * T, rel=1e-9)
     assert np.linalg.norm(delta.position) == pytest.approx(
@@ -171,7 +153,7 @@ def test_preintegrate_constant_rate_exact_rotation():
                        accel=np.zeros((k, 3)))
     vcfg = single_frame(NoiseSpec.zero())
     fm = build_fusion(vcfg)
-    delta = preintegrate_windows(series, VimuState.identity(), fm, len(series))[0]
+    delta = preintegrate_windows(series, VimuState.identity(), len(series))[0]
     # same-axis increments compose exactly: Exp(z dt)^k = Exp(z k dt)
     assert geodesic_angle(delta.rotation, exp_so3([0.0, 0.0, 1.0])) < 1e-12
     np.testing.assert_allclose(delta.velocity, np.zeros(3), atol=1e-15)
@@ -183,9 +165,9 @@ def test_preintegrate_matches_propagate_step():
     series, vcfg, fm = virtual_from_body(cfg_sim, noise=MEMS, seed=50)
     noise_v = virtual_covariances(fm, vcfg.noises)
     state = VimuState.identity()
-    batched = preintegrate_windows(series, state, fm, len(series), noise_v)[0]
+    batched = preintegrate_windows(series, state, len(series), noise_v)[0]
 
-    w_hat, a_hat = bias_correct(series, state, fm)
+    w_hat, a_hat = bias_correct(series, state)
     delta = identity_delta()
     for t in range(len(series)):
         delta = propagate_step(delta, w_hat[t], a_hat[t], vcfg, fm, noise_v,
@@ -210,7 +192,7 @@ def test_first_order_error_halves_with_rate():
         start = VimuState(rotation=start_true.rotation,
                           position=start_true.position,
                           velocity=start_true.velocity)
-        delta = preintegrate_windows(series, start, fm, len(series))[0]
+        delta = preintegrate_windows(series, start, len(series))[0]
         end = predict_state(start, delta, cfg_sim.gravity)
         end_true = sample_trajectory(cfg_sim, t0 + delta.duration)
         errors[freq] = np.linalg.norm(end.position - end_true.position)
@@ -227,7 +209,7 @@ def test_covariance_single_step_is_input_mapping():
     w = np.array([0.2, -0.1, 0.4])
     a = np.array([0.5, 0.1, 9.6])
     delta = propagate_step(identity_delta(), w, a, vcfg, fm, noise_v, freq)
-    cov = preintegrate_stack(w[None, None], a[None, None], freq, fm, noise_v)[3][0]
+    cov = preintegrate_stack(w[None, None], a[None, None], freq, noise_v)[3][0]
     B = scalar_step_matrices(np.eye(3), exp_so3(w * dt), w, a, vcfg, fm, dt).b
     s_eta = np.zeros((6, 6))
     s_eta[:3, :3] = noise_v.gyro * freq
@@ -240,7 +222,7 @@ def test_covariance_single_step_is_input_mapping():
 def test_covariance_zero_noise_stays_zero():
     cfg_sim = SimConfig(freq=200.0, duration=0.5)
     series, vcfg, fm = virtual_from_body(cfg_sim)
-    delta = preintegrate_windows(series, VimuState.identity(), fm, len(series),
+    delta = preintegrate_windows(series, VimuState.identity(), len(series),
                                  zero_vimu_noise())[0]
     np.testing.assert_array_equal(delta.covariance, np.zeros((9, 9)))
 
@@ -248,7 +230,7 @@ def test_covariance_zero_noise_stays_zero():
 def test_covariance_symmetric_psd_along_trajectory():
     cfg_sim = SimConfig(freq=200.0, duration=2.0)
     ext = Extrinsic(p=np.array([0.1, 0.0, 0.0]))
-    vcfg = midpoint_frame(ext, MEMS, MEMS)
+    vcfg = centroid_frame(ext, MEMS, MEMS)
     fm = build_fusion(vcfg)
     noise_v = virtual_covariances(fm, vcfg.noises)
     from mimufusion.geometry import quat_from_rotation
@@ -259,7 +241,7 @@ def test_covariance_symmetric_psd_along_trajectory():
         for i, (r, p, n) in enumerate(zip(vcfg.rotations, vcfg.positions,
                                           vcfg.noises))
     ])
-    delta = preintegrate_windows(series, VimuState.identity(), fm, len(series),
+    delta = preintegrate_windows(series, VimuState.identity(), len(series),
                                  noise_v)[0]
     cov = delta.covariance
     np.testing.assert_allclose(cov, cov.T, atol=1e-30)
@@ -271,7 +253,7 @@ def test_covariance_symmetric_psd_along_trajectory():
 def test_covariance_matches_hand_rolled_single_imu():
     """Co-located equal pair behaves like one IMU with halved variances;
     the recursion is re-implemented here from scratch."""
-    vcfg = midpoint_frame(Extrinsic.identity(), MEMS, MEMS)
+    vcfg = centroid_frame(Extrinsic.identity(), MEMS, MEMS)
     fm = build_fusion(vcfg)
     noise_v = virtual_covariances(fm, vcfg.noises)
     freq = 200.0
@@ -281,7 +263,7 @@ def test_covariance_matches_hand_rolled_single_imu():
     w = rng.normal(size=(k, 3)) * 0.5
     a = rng.normal(size=(k, 3)) * 2.0
     series = ImuSeries(freq=freq, start_ns=0, gyro=w, accel=a)
-    delta = preintegrate_windows(series, VimuState.identity(), fm, len(series),
+    delta = preintegrate_windows(series, VimuState.identity(), len(series),
                                  noise_v)[0]
 
     q_g = 0.5 * MEMS.sigma_g**2 * freq
@@ -309,14 +291,14 @@ def test_covariance_matches_hand_rolled_single_imu():
 
 
 def test_psi_colocated_zero():
-    vcfg = midpoint_frame(Extrinsic.identity(), MEMS, MEMS)
+    vcfg = centroid_frame(Extrinsic.identity(), MEMS, MEMS)
     out = psi_matrix(vcfg, np.array([0.3, -0.2, 0.5]))
     np.testing.assert_array_equal(out, np.zeros((6, 3)))
 
 
 def test_psi_zero_rate():
     ext = Extrinsic(p=np.array([0.1, 0.0, 0.0]))
-    vcfg = midpoint_frame(ext, MEMS, MEMS)
+    vcfg = centroid_frame(ext, MEMS, MEMS)
     out = psi_matrix(vcfg, np.zeros(3))
     # at w=0 only the [w x p] part could survive, and it is zero too
     np.testing.assert_array_equal(out, np.zeros((6, 3)))
@@ -328,7 +310,7 @@ def test_psi_is_lever_stack_jacobian():
 
     ext = Extrinsic(q=quat_from_rotvec([0.1, 0.2, -0.1]),
                     p=np.array([0.08, -0.03, 0.05]))
-    vcfg = midpoint_frame(ext, MEMS, NoiseSpec(sigma_a=3e-3))
+    vcfg = centroid_frame(ext, MEMS, NoiseSpec(sigma_a=3e-3))
     w = np.array([0.4, -0.7, 0.2])
     wd = np.array([1.0, 0.5, -0.3])
     psi = psi_matrix(vcfg, w)
@@ -343,19 +325,18 @@ def test_psi_is_lever_stack_jacobian():
 
 
 def test_midpoint_psi_coupling_cancels():
-    """The accel-solve contraction of psi vanishes for a symmetric pair,
-    which is what makes the midpoint placement special."""
+    """The accel-solve contraction of psi vanishes for an equal pair at
+    its midpoint, which is its accel-weighted centroid: the covariance
+    kernel has no gyro-to-position block to fill."""
     ext = Extrinsic(q=quat_from_rotvec([0.0, np.deg2rad(5.0), 0.0]),
                     p=np.array([0.12, 0.0, 0.0]))
-    vcfg = midpoint_frame(ext, MEMS, MEMS)
+    vcfg = centroid_frame(ext, MEMS, MEMS)
     fm = build_fusion(vcfg)
     rng = np.random.default_rng(52)
     for _ in range(10):
         w = rng.normal(size=3)
         coupled = fm.accel_solve @ psi_matrix(vcfg, w)
         np.testing.assert_allclose(coupled, np.zeros((3, 3)), atol=1e-12)
-    np.testing.assert_allclose(lever_jacobian(fm, rng.normal(size=(10, 3))),
-                               np.zeros((10, 3, 3)), atol=1e-12)
 
 
 def test_predict_state_identity_delta():
@@ -372,7 +353,7 @@ def test_predict_state_identity_delta():
 def test_predict_state_static_equilibrium():
     T = 1.0
     series, vcfg, fm = still_series(duration=T + 2.0 / 200.0)
-    delta = preintegrate_windows(series, VimuState.identity(), fm, len(series))[0]
+    delta = preintegrate_windows(series, VimuState.identity(), len(series))[0]
     out = predict_state(VimuState.identity(), delta, GRAVITY)
     np.testing.assert_allclose(out.velocity, np.zeros(3), atol=1e-9)
     np.testing.assert_allclose(out.position, np.zeros(3), atol=1e-9)
@@ -388,8 +369,8 @@ def test_delta_independent_of_start_pose():
     s2 = VimuState(rotation=exp_so3([0.3, -0.2, 0.9]),
                    position=np.array([5.0, -2.0, 1.0]),
                    velocity=np.array([1.0, 1.0, -1.0]))
-    d1 = preintegrate_windows(series, s1, fm, len(series))[0]
-    d2 = preintegrate_windows(series, s2, fm, len(series))[0]
+    d1 = preintegrate_windows(series, s1, len(series))[0]
+    d2 = preintegrate_windows(series, s2, len(series))[0]
     np.testing.assert_array_equal(d1.rotation, d2.rotation)
     np.testing.assert_array_equal(d1.velocity, d2.velocity)
     np.testing.assert_array_equal(d1.position, d2.position)
@@ -410,16 +391,16 @@ def test_predict_state_composes_chain():
                       position=start_true.position,
                       velocity=start_true.velocity)
 
-    d_full = preintegrate_windows(series, start, fm, len(series))[0]
+    d_full = preintegrate_windows(series, start, len(series))[0]
     end_full = predict_state(start, d_full, cfg_sim.gravity)
 
-    d1 = preintegrate_windows(first, start, fm, len(first))[0]
+    d1 = preintegrate_windows(first, start, len(first))[0]
     mid = predict_state(start, d1, cfg_sim.gravity)
     second = ImuSeries(
         freq=series.freq,
         start_ns=series.start_ns + round(half * 1e9 / series.freq),
         gyro=series.gyro[half:], accel=series.accel[half:])
-    d2 = preintegrate_windows(second, mid, fm, len(second))[0]
+    d2 = preintegrate_windows(second, mid, len(second))[0]
     end_chained = predict_state(mid, d2, cfg_sim.gravity)
 
     np.testing.assert_allclose(end_chained.position, end_full.position,
@@ -438,20 +419,19 @@ BIASED = VimuState(rotation=np.eye(3), position=np.zeros(3),
 
 
 def window_configs():
-    """1-, 2- and 4-sensor arrays whose virtual frame is off every
-    sensor, so the gyro-bias lever correction and the psi leak term in
-    the covariance are both nonzero."""
+    """1-, 2- and 4-sensor arrays at their accel-weighted centroids. The
+    2- and 4-sensor frames are off every sensor and weigh them unequally,
+    so the oracle's per-sensor psi blocks are nonzero and only their
+    fused sum vanishes."""
     rot = exp_so3([0.05, -0.1, 0.2])
-    one = single_frame(MEMS, rotation=rot, position=np.array([0.03, -0.02, 0.01]))
-    two = midpoint_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.1, 0.05]),
+    one = single_frame(MEMS, rotation=rot)
+    two = centroid_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.1, 0.05]),
                                    p=np.array([0.1, 0.02, -0.01])),
                          MEMS, NoiseSpec(sigma_a=4e-3))
-    corners = [np.array([x, y, 0.0]) for x in (-0.05, 0.05) for y in (-0.05, 0.05)]
-    four = VimuConfig(
-        rotations=tuple(exp_so3(0.05 * np.array([i, -i, 0.5 * i]))
-                        for i in range(4)),
-        positions=tuple(c + np.array([0.01, -0.02, 0.005]) for c in corners),
-        noises=(MEMS, NoiseSpec(sigma_a=3e-3), MEMS, NoiseSpec(sigma_a=2.5e-3)),
+    four = centred_config(
+        rotations=[exp_so3(0.05 * np.array([i, -i, 0.5 * i])) for i in range(4)],
+        positions=[np.array([x, y, 0.0]) for x in (-0.05, 0.05) for y in (-0.05, 0.05)],
+        noises=[MEMS, NoiseSpec(sigma_a=3e-3), MEMS, NoiseSpec(sigma_a=2.5e-3)],
     )
     return {"1-sensor": one, "2-sensor": two, "4-sensor": four}
 
@@ -473,7 +453,7 @@ def window_of(series, j, step):
 def fold_window(window, state, cfg, fm, noise):
     """Independent oracle: propagate_step over one window, sample by
     sample."""
-    w_hat, a_hat = bias_correct(window, state, fm)
+    w_hat, a_hat = bias_correct(window, state)
     delta = identity_delta()
     for t in range(len(window)):
         delta = propagate_step(delta, w_hat[t], a_hat[t], cfg, fm, noise,
@@ -498,12 +478,7 @@ def test_windows_match_propagate_step_fold(name):
     noise_v = virtual_covariances(fm, cfg.noises)
     step, n_windows, remainder = 40, 6, 17
     series = random_virtual_series(n_windows * step + remainder, seed=60)
-    # the bias correction really moves the accelerometer through the
-    # lever arms, so the lever term is exercised, not skipped
-    _, a_hat = bias_correct(series, BIASED, fm)
-    assert np.abs(a_hat - (series.accel - BIASED.bias_accel)).max() > 1e-4
-
-    deltas = preintegrate_windows(series, BIASED, fm, step, noise_v)
+    deltas = preintegrate_windows(series, BIASED, step, noise_v)
     assert len(deltas) == n_windows
     for j, delta in enumerate(deltas):
         want = fold_window(window_of(series, j, step), BIASED, cfg, fm, noise_v)
@@ -512,7 +487,7 @@ def test_windows_match_propagate_step_fold(name):
 
     # without a noise model the increments are the same and the deltas
     # carry no covariance
-    plain = preintegrate_windows(series, BIASED, fm, step)
+    plain = preintegrate_windows(series, BIASED, step)
     for got, want in zip(plain, deltas):
         np.testing.assert_array_equal(got.rotation, want.rotation)
         np.testing.assert_array_equal(got.velocity, want.velocity)
@@ -536,8 +511,8 @@ def test_windows_ignore_remainder_samples():
     # an ImuSeries refuses NaN samples, so poison the built one
     padded.gyro[-(step - 1):] = np.nan
     padded.accel[-(step - 1):] = np.nan
-    got = preintegrate_windows(padded, BIASED, fm, step, noise_v)
-    want = preintegrate_windows(whole, BIASED, fm, step, noise_v)
+    got = preintegrate_windows(padded, BIASED, step, noise_v)
+    want = preintegrate_windows(whole, BIASED, step, noise_v)
     assert len(got) == len(want) == n_windows
     for g, w in zip(got, want):
         assert np.all(np.isfinite(g.covariance))
@@ -549,52 +524,44 @@ def test_windows_series_shorter_than_one_window():
     fm = build_fusion(cfg)
     noise_v = virtual_covariances(fm, cfg.noises)
     series = random_virtual_series(39, seed=62)
-    assert preintegrate_windows(series, BIASED, fm, 40, noise_v) == []
-    exact = preintegrate_windows(series, BIASED, fm, 39, noise_v)
+    assert preintegrate_windows(series, BIASED, 40, noise_v) == []
+    exact = preintegrate_windows(series, BIASED, 39, noise_v)
     assert len(exact) == 1
     assert_delta_close(exact[0], fold_window(series, BIASED, cfg, fm, noise_v))
 
 
 def test_windows_argument_checks():
-    cfg = window_configs()["1-sensor"]
-    fm = build_fusion(cfg)
     series = random_virtual_series(50, seed=63)
     with pytest.raises(ValueError):
-        preintegrate_windows(series, BIASED, fm, 0)
+        preintegrate_windows(series, BIASED, 0)
 
 
-def two_trial_fusion():
-    """Two 2-sensor arrays as the trial axis of one stacked fusion: their
-    configs, the FusionMatrices with a leading axis of 2 and the first
-    array's virtual noise model."""
-    cfgs = [window_configs()["2-sensor"], midpoint_frame(
+def two_trial_configs():
+    """Two 2-sensor arrays, one per trial, and the first array's virtual
+    noise model."""
+    cfgs = [window_configs()["2-sensor"], centroid_frame(
         Extrinsic(q=quat_from_rotvec([0.02, -0.1, 0.0]), p=np.array([-0.05, 0.1, 0.02])),
         MEMS, NoiseSpec(sigma_a=4e-3))]
-    fm, errors = build_fusion_stack([c.rotations for c in cfgs],
-                                    [c.positions for c in cfgs], cfgs[0].noises)
-    assert errors == [None, None]
-    return cfgs, fm, virtual_covariances(build_fusion(cfgs[0]), cfgs[0].noises)
+    return cfgs, virtual_covariances(build_fusion(cfgs[0]), cfgs[0].noises)
 
 
 def test_stack_over_trials_matches_windows_per_series():
-    """One preintegrate_stack call over a trial axis, each trial with
-    its own fusion (for the lever Jacobian of the covariance), equals
-    a preintegrate_windows call per series: the list wrapper is the
+    """One preintegrate_stack call over a trial axis equals a
+    preintegrate_windows call per series: the list wrapper is the
     kernel's one-series case."""
-    cfgs, fm, noise_v = two_trial_fusion()
+    cfgs, noise_v = two_trial_configs()
     step, n_windows = 30, 4
     series = [random_virtual_series(n_windows * step, seed=64 + k) for k in range(2)]
     shape = (2, n_windows, step, 3)
     dR, dv, dp, cov = preintegrate_stack(
         np.stack([s.gyro for s in series]).reshape(shape),
-        np.stack([s.accel for s in series]).reshape(shape), 200.0, fm, noise_v)
+        np.stack([s.accel for s in series]).reshape(shape), 200.0, noise_v)
     assert dR.shape == (2, n_windows, 3, 3) and cov.shape == (2, n_windows, 9, 9)
     plain = preintegrate_stack(np.stack([s.gyro for s in series]).reshape(shape),
                                np.stack([s.accel for s in series]).reshape(shape), 200.0)
     assert plain[3] is None
-    for k, (cfg, one) in enumerate(zip(cfgs, series)):
-        deltas = preintegrate_windows(one, VimuState.identity(), build_fusion(cfg),
-                                      step, noise_v)
+    for k, one in enumerate(series):
+        deltas = preintegrate_windows(one, VimuState.identity(), step, noise_v)
         for j, want in enumerate(deltas):
             np.testing.assert_allclose(dR[k, j], want.rotation, rtol=0, atol=1e-15)
             np.testing.assert_allclose(dv[k, j], want.velocity, rtol=0, atol=1e-14)
@@ -611,15 +578,15 @@ def test_stack_over_trials_matches_windows_per_series():
 @pytest.mark.parametrize("with_noise", [False, True], ids=["plain", "covariance"])
 def test_stack_blocks_match_per_sample_fold(step, with_noise):
     """Windows shorter than, as long as and longer than one block of
-    preintegrate_stack, over a trial axis with each trial's own fusion,
-    equal the oracle's per-sample fold within 1e-12."""
-    cfgs, fm, noise_v = two_trial_fusion()
+    preintegrate_stack, over a trial axis, equal the oracle's per-sample
+    fold at each trial's own array within 1e-12."""
+    cfgs, noise_v = two_trial_configs()
     n_windows = 3
     series = [random_virtual_series(n_windows * step, seed=70 + k) for k in range(2)]
     shape = (2, n_windows, step, 3)
     dR, dv, dp, cov = preintegrate_stack(
         np.stack([s.gyro for s in series]).reshape(shape),
-        np.stack([s.accel for s in series]).reshape(shape), 200.0, fm,
+        np.stack([s.accel for s in series]).reshape(shape), 200.0,
         noise_v if with_noise else None)
     assert (cov is None) == (not with_noise)
     for k, (cfg, one) in enumerate(zip(cfgs, series)):
@@ -651,7 +618,7 @@ def test_stack_peak_memory_below_two_rotation_arrays(with_noise):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        deltas = preintegrate_windows(series, VimuState.identity(), fm, 100, noise_v)
+        deltas = preintegrate_windows(series, VimuState.identity(), 100, noise_v)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -669,18 +636,24 @@ PAIR = (Extrinsic(p=np.array([-0.05, 0.0, 0.0])),
 WHITE = NoiseSpec(sigma_bg=0.0, sigma_ba=0.0)
 
 
-def body_frame(mounts, noises, origin=np.zeros(3)) -> VimuConfig:
-    """Virtual frame with the body's axes at ``origin`` (body coords)."""
-    return VimuConfig(rotations=tuple(rotation_from_quat(m.q) for m in mounts),
-                      positions=tuple(m.p - origin for m in mounts),
-                      noises=tuple(noises))
+# A third sensor mirrors B about A, so that A's origin is the centroid
+# of an equal-noise triple.
+TRIPLE = PAIR + (Extrinsic(q=quat_from_rotvec([0.0, np.deg2rad(-5.0), 0.0]),
+                           p=np.array([-0.15, 0.0, 0.0])),)
+
+
+def body_frame(mounts, noises) -> VimuConfig:
+    """Virtual frame with the body's axes at the mounts' accel-weighted
+    centroid."""
+    return centred_config([rotation_from_quat(m.q) for m in mounts],
+                          [m.p for m in mounts], noises)
 
 
 NEES_CASES = {
     "unequal-sigma-a": (PAIR, lambda: body_frame(
         PAIR, (NoiseSpec(sigma_a=2e-3, sigma_bg=0.0, sigma_ba=0.0),
                NoiseSpec(sigma_a=8e-3, sigma_bg=0.0, sigma_ba=0.0)))),
-    "frame-at-sensor-a": (PAIR, lambda: body_frame(PAIR, (WHITE,) * 2, PAIR[0].p)),
+    "frame-at-sensor-a": (TRIPLE, lambda: body_frame(TRIPLE, (WHITE,) * 3)),
     "4-corner-sensors": ([grid_mounts()[i] for i in (0, 2, 6, 8)],
                          lambda: array_frame([grid_mounts()[i] for i in (0, 2, 6, 8)],
                                              [WHITE] * 4)[0]),
@@ -700,7 +673,7 @@ def mean_nees(mounts, cfg: VimuConfig, trials: int, seed: int,
     ideal = np.array([ideal_imu_series(sim, m) for m in mounts])  # (m, 2, n, 3)
     fm = build_fusion(cfg)
     clean = fuse_series(fm, [ImuSeries(freq, 0, w, a) for w, a in ideal])
-    reference = preintegrate_windows(clean, VimuState.identity(), fm, len(clean),
+    reference = preintegrate_windows(clean, VimuState.identity(), len(clean),
                                      virtual_covariances(fm, cfg.noises))[0]
     info = np.linalg.inv(reference.covariance)
     rng = np.random.default_rng(seed)
@@ -711,7 +684,7 @@ def mean_nees(mounts, cfg: VimuConfig, trials: int, seed: int,
             rows = np.broadcast_to(ideal[j][:, :, None], (2, raw.shape[2], batch, 3))
             raw[:, :, :, j] = apply_measurement_noise_stack(
                 rows, spec, freq, rng).transpose(2, 0, 1, 3)
-        w, a = fuse_stack(fm, raw[:, 0], raw[:, 1], freq)
+        w, a = fuse_stack(fm, raw[:, 0, 1:-1], raw[:, 1, 1:-1])
         dR, dv, dp, _ = preintegrate_stack(w[:, None], a[:, None], freq)
         err = np.concatenate([log_so3(reference.rotation.T @ dR[:, 0]),
                               dv[:, 0] - reference.velocity,
@@ -741,8 +714,8 @@ def test_preintegrate_stack_matches_matmul_rotation_oracle():
 @pytest.mark.parametrize("case", list(NEES_CASES))
 def test_nees_consistent_beyond_criterion_6(case):
     """Criterion 6's band for the 9x9 covariance, on the configurations
-    it does not cover: unequal noise, an off-centre frame, larger arrays
-    and a live bias walk."""
+    it does not cover: unequal noise, a frame on one sensor of a triple,
+    larger arrays and a live bias walk."""
     mounts, make_cfg = NEES_CASES[case]
     nees = mean_nees(mounts, make_cfg(), trials=600, seed=2024)
     assert 7.5 <= nees <= 10.5, f"{case}: mean NEES {nees:.2f}"

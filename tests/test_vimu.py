@@ -4,28 +4,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
     array_frame,
+    centred_config,
+    identity_delta,
     ideal_body_measurements,
     lever_arm_stack,
+    propagate_step,
     sample_trajectory,
     simulate_imu,
     single_frame,
     virtual_bias,
 )
 
-from mimufusion.errors import LengthMismatch, RateMismatch, SingularFusion
-from mimufusion.geometry import exp_so3, quat_from_rotvec, rotation_from_quat
-from mimufusion.simulation import SimConfig, transfer_measurement
+from mimufusion.errors import FormatError, LengthMismatch, RateMismatch, SingularFusion
+from mimufusion.geometry import exp_so3, quat_from_rotation, quat_from_rotvec, rotation_from_quat
+from mimufusion.preintegration import preintegrate_stack
+from mimufusion.simulation import (
+    SimConfig,
+    apply_measurement_noise,
+    ideal_imu_series_stack,
+    transfer_measurement,
+)
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
     VimuConfig,
     VimuNoise,
+    accel_centroid,
     build_fusion,
     build_fusion_stack,
+    centroid_frame,
     fuse_series,
     fuse_stack,
-    lever_jacobian,
-    lever_term,
-    midpoint_frame,
     virtual_covariances,
 )
 
@@ -34,21 +42,14 @@ MEMS = NoiseSpec()
 FREQ = 200.0
 
 
-def fuse_one(cfg, omegas, accels=None, omega_dot=None):
+def fuse_one(cfg, omegas, accels=None):
     """Fuse one instant of per-sensor readings (n, 3) through
-    fuse_series: three samples whose middle one carries the readings.
-    The gyro rows ramp so that the central difference equals the
-    sensor-frame image of ``omega_dot`` (constant when it is None).
-    Returns the fused (gyro, accel) of the middle sample."""
+    fuse_series: three equal samples, of which it keeps the middle one.
+    Returns the fused (gyro, accel) of that sample."""
     omegas = np.asarray(omegas, dtype=float)
     accels = np.zeros_like(omegas) if accels is None else np.asarray(accels, dtype=float)
-    wd = np.zeros(3) if omega_dot is None else np.asarray(omega_dot, dtype=float)
-    series = []
-    for rot, w, a in zip(cfg.rotations, omegas, accels):
-        ramp = rot @ wd / FREQ
-        series.append(ImuSeries(freq=FREQ, start_ns=0,
-                                gyro=np.array([w - ramp, w, w + ramp]),
-                                accel=np.tile(a, (3, 1))))
+    series = [ImuSeries(freq=FREQ, start_ns=0, gyro=np.tile(w, (3, 1)),
+                        accel=np.tile(a, (3, 1))) for w, a in zip(omegas, accels)]
     fused = fuse_series(build_fusion(cfg), series)
     assert len(fused) == 1
     return fused.gyro[0], fused.accel[0]
@@ -65,7 +66,7 @@ def colocated_pair(sigma_g_a=1.7e-4, sigma_g_b=1.7e-4,
 
 
 def test_midpoint_identity_extrinsic():
-    cfg = midpoint_frame(Extrinsic.identity(), MEMS, MEMS)
+    cfg = centroid_frame(Extrinsic.identity(), MEMS, MEMS)
     np.testing.assert_array_equal(cfg.positions[0], np.zeros(3))
     np.testing.assert_array_equal(cfg.positions[1], np.zeros(3))
     np.testing.assert_array_equal(cfg.rotations[0], np.eye(3))
@@ -73,10 +74,49 @@ def test_midpoint_identity_extrinsic():
 
 
 def test_midpoint_splits_lever():
+    """An equal noise pair's centroid frame is the midpoint."""
     ext = Extrinsic(p=np.array([0.12, 0.0, 0.0]))
-    cfg = midpoint_frame(ext, MEMS, MEMS)
+    cfg = centroid_frame(ext, MEMS, MEMS)
     np.testing.assert_allclose(cfg.positions[0], [-0.06, 0.0, 0.0])
     np.testing.assert_allclose(cfg.positions[1], [0.06, 0.0, 0.0])
+
+
+def test_centroid_frame_weights_the_pair_by_inverse_accel_variance():
+    """With B's sigma_a four times A's, A weighs 16/17 and B 1/17: the
+    frame sits 1/17 of the way from A to B, with A's axes and B's full
+    relative rotation."""
+    ext = Extrinsic(q=quat_from_rotvec([0.0, 0.1, 0.05]), p=np.array([0.1, 0.02, -0.01]))
+    cfg = centroid_frame(ext, MEMS, NoiseSpec(sigma_a=4 * MEMS.sigma_a))
+    np.testing.assert_allclose(cfg.positions[0], -ext.p / 17, rtol=1e-14)
+    np.testing.assert_allclose(cfg.positions[1], 16 * ext.p / 17, rtol=1e-14)
+    np.testing.assert_array_equal(cfg.rotations[0], np.eye(3))
+    np.testing.assert_allclose(cfg.rotations[1], ext.rotation(), atol=1e-15)
+    np.testing.assert_allclose(accel_centroid(cfg.positions, cfg.noises), np.zeros(3),
+                               atol=1e-17)
+
+
+def test_accel_centroid_weights_exact_sensors_equally():
+    positions = np.array([[0.1, 0.0, 0.0], [0.0, 0.3, 0.0]])
+    np.testing.assert_array_equal(
+        accel_centroid(positions, (NoiseSpec.zero(), NoiseSpec.zero())), [0.05, 0.15, 0.0])
+
+
+@pytest.mark.parametrize("shift", [1e-6, 0.01])
+def test_config_rejects_positions_off_the_accel_centroid(shift):
+    """Positions whose weighted centroid is not the origin are rejected,
+    and a sidecar block holding them fails with a FormatError naming
+    positions_m; round-off of the centroid itself passes."""
+    cfg = centroid_frame(Extrinsic(p=np.array([0.1, 0.0, 0.0])), MEMS,
+                         NoiseSpec(sigma_a=4 * MEMS.sigma_a))
+    moved = (cfg.positions[0] + [0.0, shift, 0.0], cfg.positions[1])
+    with pytest.raises(ValueError, match="positions_m must have their"):
+        VimuConfig(rotations=cfg.rotations, positions=moved, noises=cfg.noises)
+    d = cfg.to_dict()
+    d["positions_m"][0][1] += shift
+    with pytest.raises(FormatError, match="positions_m"):
+        VimuConfig.from_dict(d)
+    VimuConfig(rotations=cfg.rotations, noises=cfg.noises,
+               positions=(cfg.positions[0] * (1 + 1e-15), cfg.positions[1]))
 
 
 def test_midpoint_random_extrinsics_consistent():
@@ -84,9 +124,9 @@ def test_midpoint_random_extrinsics_consistent():
     for _ in range(100):
         ext = Extrinsic(q=quat_from_rotvec(rng.normal(size=3)),
                         p=rng.normal(size=3) * 0.3)
-        cfg = midpoint_frame(ext, MEMS, MEMS)
+        cfg = centroid_frame(ext, MEMS, MEMS)
         # sensor B's frame relative to the virtual frame is the full
-        # relative rotation; the two sensors sit at +-p/2
+        # relative rotation; with equal noise the two sensors sit at +-p/2
         np.testing.assert_allclose(cfg.rotations[1], ext.rotation(),
                                    atol=1e-12)
         np.testing.assert_allclose(cfg.positions[1] - cfg.positions[0],
@@ -110,7 +150,7 @@ def test_config_rejects_bad_rotation():
 def test_config_dict_round_trip():
     ext = Extrinsic(q=quat_from_rotvec([0.0, 0.1, 0.0]),
                     p=np.array([0.1, 0.0, 0.0]))
-    cfg = midpoint_frame(ext, MEMS, NoiseSpec(sigma_g=3e-4))
+    cfg = centroid_frame(ext, MEMS, NoiseSpec(sigma_g=3e-4))
     back = VimuConfig.from_dict(cfg.to_dict())
     assert len(back.rotations) == 2
     np.testing.assert_allclose(back.rotations[1], cfg.rotations[1])
@@ -141,12 +181,12 @@ def test_fusion_matrices_left_inverse():
     rng = np.random.default_rng(41)
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        cfg = VimuConfig(
-            rotations=tuple(exp_so3(rng.normal(size=3)) for _ in range(n)),
-            positions=tuple(rng.normal(size=3) * 0.1 for _ in range(n)),
-            noises=tuple(NoiseSpec(sigma_g=float(rng.uniform(1e-4, 1e-3)),
-                                   sigma_a=float(rng.uniform(1e-3, 1e-2)))
-                         for _ in range(n)),
+        cfg = centred_config(
+            rotations=[exp_so3(rng.normal(size=3)) for _ in range(n)],
+            positions=[rng.normal(size=3) * 0.1 for _ in range(n)],
+            noises=[NoiseSpec(sigma_g=float(rng.uniform(1e-4, 1e-3)),
+                              sigma_a=float(rng.uniform(1e-3, 1e-2)))
+                    for _ in range(n)],
         )
         fm = build_fusion(cfg)
         design = np.concatenate(cfg.rotations)
@@ -178,11 +218,13 @@ def test_zero_sigma_all_exact_is_allowed():
 
 
 def test_mixed_zero_sigma_rejected():
-    cfg = VimuConfig(rotations=(np.eye(3), np.eye(3)),
-                     positions=(np.zeros(3), np.zeros(3)),
-                     noises=(NoiseSpec.zero(), MEMS))
-    with pytest.raises(SingularFusion):
-        build_fusion(cfg)
+    """Mixing exact and noisy accels has no weighted centroid, and mixed
+    gyros admit no whitening either, so the config itself is rejected."""
+    for odd in (NoiseSpec.zero(), NoiseSpec(sigma_g=0.0)):
+        with pytest.raises(SingularFusion):
+            VimuConfig(rotations=(np.eye(3), np.eye(3)),
+                       positions=(np.zeros(3), np.zeros(3)),
+                       noises=(odd, MEMS))
 
 
 def test_lever_stack_colocated_zero():
@@ -194,7 +236,7 @@ def test_lever_stack_colocated_zero():
 
 def test_lever_stack_centripetal_block():
     ext = Extrinsic(p=np.array([0.12, 0.0, 0.0]))
-    cfg = midpoint_frame(ext, MEMS, MEMS)
+    cfg = centroid_frame(ext, MEMS, MEMS)
     out = lever_arm_stack(cfg, np.array([0.0, 0.0, 1.0]), np.zeros(3))
     # sensor A sits at (-0.06, 0, 0); spinning about z pulls it toward
     # the center: +0.06 m/s^2 on x
@@ -209,7 +251,7 @@ def test_fuse_accel_colocated_average():
 
 def test_fuse_accel_static_gravity():
     ext = Extrinsic(p=np.array([0.1, 0.0, 0.0]))
-    cfg = midpoint_frame(ext, MEMS, MEMS)
+    cfg = centroid_frame(ext, MEMS, MEMS)
     g_reading = np.array([0.0, 0.0, 9.81])
     _, out = fuse_one(cfg, np.zeros((2, 3)), [g_reading, g_reading])
     np.testing.assert_allclose(out, g_reading, atol=1e-12)
@@ -221,7 +263,7 @@ def test_fuse_accel_dynamic_matches_virtual_ideal():
     cfg_sim = SimConfig(freq=200.0, duration=1.0)
     ext = Extrinsic(q=quat_from_rotvec([0.0, np.deg2rad(5.0), 0.0]),
                     p=np.array([0.12, 0.0, 0.0]))
-    vcfg = midpoint_frame(ext, MEMS, MEMS)
+    vcfg = centroid_frame(ext, MEMS, MEMS)
     for t in [0.1, 0.45, 0.9]:
         s = sample_trajectory(cfg_sim, t)
         w_v, f_v = ideal_body_measurements(s, cfg_sim.gravity)
@@ -234,7 +276,7 @@ def test_fuse_accel_dynamic_matches_virtual_ideal():
             wi, ai = transfer_measurement(w_v, s.omega_dot, f_v, mount)
             readings_w.append(wi)
             readings_a.append(ai)
-        fused_w, fused_a = fuse_one(vcfg, readings_w, readings_a, s.omega_dot)
+        fused_w, fused_a = fuse_one(vcfg, readings_w, readings_a)
         np.testing.assert_allclose(fused_w, w_v, atol=1e-9)
         np.testing.assert_allclose(fused_a, f_v, atol=1e-9)
 
@@ -285,7 +327,7 @@ def test_virtual_covariance_monte_carlo():
     within 5%."""
     ext = Extrinsic(q=quat_from_rotvec([0.0, 0.0, 0.4]),
                     p=np.array([0.1, 0.0, 0.0]))
-    cfg = midpoint_frame(ext, NoiseSpec(sigma_g=1.7e-4, sigma_bg=0.0),
+    cfg = centroid_frame(ext, NoiseSpec(sigma_g=1.7e-4, sigma_bg=0.0),
                          NoiseSpec(sigma_g=3e-4, sigma_bg=0.0))
     fm = build_fusion(cfg)
     noise = virtual_covariances(fm, cfg.noises)
@@ -298,6 +340,39 @@ def test_virtual_covariance_monte_carlo():
     sample_cov = np.cov(fused.T) / freq
     scale = np.max(np.abs(np.diag(noise.gyro)))
     np.testing.assert_allclose(sample_cov, noise.gyro, atol=0.05 * scale)
+
+
+def test_fused_accel_noise_matches_q_av_for_unequal_pair():
+    """The sidecar's Q_aV is the per-sample covariance of the fused accel
+    error, Q_aV * freq, for an unequal pair on a moving trajectory: B's
+    white sigmas 4x A's, B rotated and 0.1 m from A, fused at the
+    centroid frame. Gyro noise is on and does not reach the fused accel
+    there. With the frame at the lever arm's midpoint and lever terms
+    computed from the noisy gyro, the y and z ratios read 1.27 and 1.29
+    on these draws. Each ratio is bound by 5 standard errors of a
+    variance over its draws, 5 sqrt(2 / draws)."""
+    sim = SimConfig(freq=FREQ, duration=5.0)
+    ext = Extrinsic(q=quat_from_rotvec([0.1, 0.3, -0.2]), p=np.array([0.1, 0.0, 0.0]))
+    white = NoiseSpec(sigma_bg=0.0, sigma_ba=0.0)
+    cfg = centroid_frame(ext, white, NoiseSpec(sigma_g=4 * white.sigma_g,
+                                               sigma_a=4 * white.sigma_a,
+                                               sigma_bg=0.0, sigma_ba=0.0))
+    fm = build_fusion(cfg)
+    q_av = virtual_covariances(fm, cfg.noises).accel
+    mounts = [Extrinsic(q=quat_from_rotation(r), p=p)
+              for r, p in zip(cfg.rotations, cfg.positions)]
+    ideal = ideal_imu_series_stack(sim, mounts)
+    clean = fuse_series(fm, [ImuSeries(FREQ, 0, w, a) for w, a in ideal])
+    rng = np.random.default_rng(3)
+    errors = []
+    for _ in range(60):
+        noisy = [ImuSeries(FREQ, 0, *apply_measurement_noise(w, a, spec, FREQ, rng))
+                 for (w, a), spec in zip(ideal, cfg.noises)]
+        errors.append(fuse_series(fm, noisy).accel - clean.accel)
+    errors = np.concatenate(errors)
+    ratio = np.mean(errors**2, axis=0) / (np.diag(q_av) * FREQ)
+    bound = 5.0 * np.sqrt(2.0 / len(errors))
+    assert np.all(np.abs(ratio - 1.0) < bound), (ratio, bound)
 
 
 def test_virtual_bias_average():
@@ -326,7 +401,7 @@ def make_rigid_series(cfg_sim, vcfg, seeds=None):
 def test_fuse_series_trims_endpoints():
     cfg_sim = SimConfig(freq=200.0, duration=1.0)
     ext = Extrinsic(p=np.array([0.1, 0.0, 0.0]))
-    vcfg = midpoint_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
+    vcfg = centroid_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
     series = make_rigid_series(cfg_sim, vcfg)
     fused = fuse_series(build_fusion(vcfg), series)
     assert len(fused) == len(series[0]) - 2
@@ -338,7 +413,7 @@ def test_fuse_series_zero_noise_recovers_virtual_truth():
     cfg_sim = SimConfig(freq=200.0, duration=1.0)
     ext = Extrinsic(q=quat_from_rotvec([0.0, np.deg2rad(5.0), 0.0]),
                     p=np.array([0.12, 0.0, 0.0]))
-    vcfg = midpoint_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
+    vcfg = centroid_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
     series = make_rigid_series(cfg_sim, vcfg)
     fused = fuse_series(build_fusion(vcfg), series)
     ts = cfg_sim.times()[1:-1]
@@ -346,8 +421,8 @@ def test_fuse_series_zero_noise_recovers_virtual_truth():
         s = sample_trajectory(cfg_sim, ts[k])
         w_v, f_v = ideal_body_measurements(s, cfg_sim.gravity)
         np.testing.assert_allclose(fused.gyro[k], w_v, atol=1e-10)
-        # the accel pays for the O(dt^2) angular-acceleration estimate
-        np.testing.assert_allclose(fused.accel[k], f_v, atol=1e-5)
+        # at the centroid no angular-acceleration estimate enters the accel
+        np.testing.assert_allclose(fused.accel[k], f_v, atol=1e-10)
 
 
 def test_fuse_series_validates_inputs():
@@ -355,7 +430,7 @@ def test_fuse_series_validates_inputs():
     with the same messages."""
     cfg_sim = SimConfig(freq=200.0, duration=1.0)
     ext = Extrinsic(p=np.array([0.1, 0.0, 0.0]))
-    vcfg = midpoint_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
+    vcfg = centroid_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
     series = make_rigid_series(cfg_sim, vcfg)
     fm = build_fusion(vcfg)
     with pytest.raises(LengthMismatch):
@@ -416,9 +491,9 @@ def test_property_fusion_invariant_to_sensor_order(data, n, seed):
                         rng.normal(scale=5.0, size=(12, 3))) for _ in range(n)]
 
     def fuse(order):
-        cfg = VimuConfig(rotations=tuple(rotations[i] for i in order),
-                         positions=tuple(positions[i] for i in order),
-                         noises=tuple(noises[i] for i in order))
+        cfg = centred_config(rotations=[rotations[i] for i in order],
+                             positions=[positions[i] for i in order],
+                             noises=[noises[i] for i in order])
         return fuse_series(build_fusion(cfg), [series[i] for i in order])
 
     want, got = fuse(range(n)), fuse(perm)
@@ -428,22 +503,21 @@ def test_property_fusion_invariant_to_sensor_order(data, n, seed):
 
 
 def perturbed_grid(seed=70):
-    """Nine sensors of a 3x3 grid with tilted axes, unequal sigma_a and
-    the virtual frame moved off the centroid: nothing in the lever terms
-    cancels."""
+    """Nine sensors of a 3x3 grid with tilted axes and unequal sigma_a,
+    around their accel-weighted centroid, which is off the grid's
+    centre: no sensor's lever term vanishes, only their fused sum."""
     rng = np.random.default_rng(seed)
-    return VimuConfig(
-        rotations=tuple(exp_so3(rng.normal(scale=0.05, size=3)) for _ in range(9)),
-        positions=tuple(np.array([0.05 * (i % 3 - 1), 0.05 * (i // 3 - 1), 0.0])
-                        + np.array([0.013, -0.021, 0.007]) for i in range(9)),
-        noises=tuple(NoiseSpec(sigma_a=s) for s in rng.uniform(1e-3, 8e-3, 9)),
+    return centred_config(
+        rotations=[exp_so3(rng.normal(scale=0.05, size=3)) for _ in range(9)],
+        positions=[np.array([0.05 * (i % 3 - 1), 0.05 * (i // 3 - 1), 0.0])
+                   for i in range(9)],
+        noises=[NoiseSpec(sigma_a=s) for s in rng.uniform(1e-3, 8e-3, 9)],
     )
 
 
-LEVER_CONFIGS = {
-    "1-sensor": lambda: single_frame(MEMS, rotation=exp_so3([0.1, -0.2, 0.05]),
-                                     position=np.array([0.03, -0.02, 0.01])),
-    "2-sensor": lambda: midpoint_frame(
+CENTROID_CONFIGS = {
+    "1-sensor": lambda: single_frame(MEMS, rotation=exp_so3([0.1, -0.2, 0.05])),
+    "2-sensor": lambda: centroid_frame(
         Extrinsic(q=quat_from_rotvec([0.0, 0.1, 0.05]),
                   p=np.array([0.1, 0.02, -0.01])),
         MEMS, NoiseSpec(sigma_a=4e-3)),
@@ -451,64 +525,43 @@ LEVER_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LEVER_CONFIGS))
+@pytest.mark.parametrize("name", sorted(CENTROID_CONFIGS))
 def test_lever_term_and_jacobian_match_per_sensor_oracle(name):
-    """The quadratic form built once per fusion equals accel_solve
-    applied to the per-sensor lever stack, and its Jacobian equals
-    accel_solve applied to the per-sensor psi blocks."""
-    from oracle import psi_matrix
-
-    cfg = LEVER_CONFIGS[name]()
+    """The lever term and its rate Jacobian, which the library drops at
+    the accel-weighted centroid, are zero there in the per-sensor general
+    form too: the fused accel equals accel_solve applied to the stack
+    with the lever terms R_i (w x (w x p_i) + wdot x p_i) subtracted, and
+    the preintegrated covariance equals the oracle's step fold that
+    routes gyro noise into position through psi."""
+    cfg = CENTROID_CONFIGS[name]()
     fm = build_fusion(cfg)
     rng = np.random.default_rng(71)
     w = rng.normal(scale=1.5, size=(50, 3))
     wd = rng.normal(scale=3.0, size=(50, 3))
-    want = lever_arm_stack(cfg, w, wd) @ fm.accel_solve.T
-    scale = np.abs(want).max()
-    np.testing.assert_allclose(lever_term(fm, w, wd), want, rtol=0, atol=1e-13 * scale)
-    np.testing.assert_allclose(lever_term(fm, w),
-                               lever_arm_stack(cfg, w, np.zeros(3)) @ fm.accel_solve.T,
-                               rtol=0, atol=1e-13 * scale)
-    want_jac = fm.accel_solve @ psi_matrix(cfg, w)
-    np.testing.assert_allclose(lever_jacobian(fm, w), want_jac, rtol=0,
-                               atol=1e-13 * np.abs(want_jac).max())
+    f = rng.normal(scale=5.0, size=(50, 3))
+    levers = lever_arm_stack(cfg, w, wd)
+    accel = np.concatenate([f @ r.T for r in cfg.rotations], axis=-1) + levers
+    n = len(cfg.rotations)
+    gyro = np.concatenate([w @ r.T for r in cfg.rotations], axis=-1)
+    fused_w, fused_a = fuse_stack(fm, gyro.reshape(50, n, 3), accel.reshape(50, n, 3))
+    want = (accel - levers) @ fm.accel_solve.T
+    np.testing.assert_allclose(fused_a, want, rtol=0, atol=1e-13 * np.abs(levers).max())
+    np.testing.assert_allclose(fused_w, w, rtol=0, atol=1e-13)
 
-
-def test_lever_term_matches_einsum_oracle():
-    """One product of the w (x) w rows with Q's (9, 3) block gives the
-    product-then-einsum form within 1e-15 of the largest term, for a
-    shared fusion and for one fusion per trial."""
-    import oracle
-
-    rng = np.random.default_rng(72)
-    w = rng.normal(scale=1.5, size=(3, 200, 3))
-    wd = rng.normal(scale=3.0, size=(3, 200, 3))
-    shared = build_fusion(perturbed_grid())
-    per_trial, _ = build_fusion_stack(
-        np.stack([np.eye(3)[None].repeat(2, 0)] * 3),
-        rng.normal(scale=0.05, size=(3, 2, 3)), (MEMS, NoiseSpec(sigma_a=4e-3)))
-    for fm in (shared, per_trial):
-        for args in ((w, wd), (w,)):
-            want = oracle.lever_term(fm, *args)
-            np.testing.assert_allclose(lever_term(fm, *args), want, rtol=0,
-                                       atol=1e-15 * np.abs(want).max())
-
-
-def test_lever_jacobian_is_lever_term_derivative():
-    fm = build_fusion(perturbed_grid())
-    w = np.array([[0.4, -0.7, 0.2]])
-    wd = np.array([[1.0, 0.5, -0.3]])
-    eps = 1e-6
-    fd = np.stack([(lever_term(fm, w + dw, wd) - lever_term(fm, w - dw, wd))[0]
-                   for dw in eps * np.eye(3)[:, None, :]], axis=-1) / (2 * eps)
-    np.testing.assert_allclose(lever_jacobian(fm, w)[0], fd, atol=1e-6)
+    noise = virtual_covariances(fm, cfg.noises)
+    delta = identity_delta()
+    for t in range(50):
+        delta = propagate_step(delta, fused_w[t], fused_a[t], cfg, fm, noise, FREQ)
+    cov = preintegrate_stack(fused_w[None, None], fused_a[None, None], FREQ, noise)[3][0, 0]
+    np.testing.assert_allclose(cov, delta.covariance, rtol=0,
+                               atol=1e-12 * np.abs(delta.covariance).max())
 
 
 def test_fuse_stack_trials_match_fuse_series():
     """One fuse_stack call over a trial axis, with one fusion per trial
     or one shared fusion, and reading its sensors in place out of a
     wider array, equals a fuse_series call per trial."""
-    cfgs = [midpoint_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.02 * k, 0.05]),
+    cfgs = [centroid_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.02 * k, 0.05]),
                                      p=np.array([0.1, 0.01 * k, -0.01])),
                            MEMS, NoiseSpec(sigma_a=4e-3)) for k in range(3)]
     fms = [build_fusion(c) for c in cfgs]
@@ -522,15 +575,16 @@ def test_fuse_stack_trials_match_fuse_series():
     for fm, per_trial, columns in ((stacked, fms, None), (fms[1], [fms[1]] * 3, None),
                                    (stacked, fms, [3, 1])):
         if columns is None:
-            w, a = fuse_stack(fm, gyro, accel, FREQ)
+            w, a = fuse_stack(fm, gyro, accel)
         else:
-            w, a = fuse_stack(fm, wide[0], wide[1], FREQ, columns)
-        assert w.shape == a.shape == (3, 38, 3)
+            w, a = fuse_stack(fm, wide[0], wide[1], columns)
+        assert w.shape == a.shape == (3, 40, 3)
         for k, one in enumerate(per_trial):
+            # fuse_series keeps the interior rows
             fused = fuse_series(one, [ImuSeries(FREQ, 0, gyro[k, :, i], accel[k, :, i])
                                       for i in range(2)])
-            np.testing.assert_allclose(w[k], fused.gyro, rtol=1e-13, atol=1e-15)
-            np.testing.assert_allclose(a[k], fused.accel, rtol=1e-13, atol=1e-12)
+            np.testing.assert_allclose(w[k, 1:-1], fused.gyro, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(a[k, 1:-1], fused.accel, rtol=1e-13, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 9])
@@ -542,22 +596,19 @@ def test_build_fusion_stack_matches_per_config_builds(n):
     rng = np.random.default_rng(80 + n)
     noises = tuple(NoiseSpec(sigma_g=1.7e-4 * (1 + 0.2 * i), sigma_a=2e-3 * (1 + 0.3 * i))
                    for i in range(n))
-    cfgs = [VimuConfig(rotations=tuple(exp_so3(rng.normal(scale=0.3, size=3))
-                                       for _ in range(n)),
-                       positions=tuple(rng.normal(scale=0.05, size=3) for _ in range(n)),
-                       noises=noises) for _ in range(3)]
+    cfgs = [centred_config(rotations=[exp_so3(rng.normal(scale=0.3, size=3))
+                                      for _ in range(n)],
+                           positions=[rng.normal(scale=0.05, size=3) for _ in range(n)],
+                           noises=noises) for _ in range(3)]
     rotations = [c.rotations for c in cfgs]
-    positions = [c.positions for c in cfgs]
     # every sensor blind along z: the Gram of both designs is singular
     rotations.insert(2, np.tile(np.diag([1.0, 1.0, 0.0]), (n, 1, 1)))
-    positions.insert(2, np.zeros((n, 3)))
-    fm, errors = build_fusion_stack(np.reshape(rotations, (2, 2, n, 3, 3)),
-                                    np.reshape(positions, (2, 2, n, 3)), noises)
+    fm, errors = build_fusion_stack(np.reshape(rotations, (2, 2, n, 3, 3)), noises)
     assert [type(e) for e in errors] == [type(None)] * 2 + [SingularFusion, type(None)]
     assert "ill-conditioned" in str(errors[2])
-    _, (alone,) = build_fusion_stack(rotations[2], positions[2], noises)
+    _, (alone,) = build_fusion_stack(rotations[2], noises)
     assert isinstance(alone, SingularFusion)
-    assert fm.gyro_solve.shape == (2, 2, 3, 3 * n) and fm.lever_Q.shape == (2, 2, 3, 3, 3)
+    assert fm.gyro_solve.shape == fm.accel_solve.shape == (2, 2, 3, 3 * n)
     for name in fm.__dataclass_fields__:
         assert np.all(np.isfinite(getattr(fm, name)))
     for (a, b), cfg in zip([(0, 0), (0, 1), (1, 1)], cfgs):
@@ -570,8 +621,7 @@ def test_build_fusion_stack_matches_per_config_builds(n):
 
 def test_build_fusion_stack_rejects_mixed_exact_and_noisy_sensors():
     with pytest.raises(SingularFusion):
-        build_fusion_stack(np.tile(np.eye(3), (3, 2, 1, 1)), np.zeros((3, 2, 3)),
-                           (MEMS, NoiseSpec.zero()))
+        build_fusion_stack(np.tile(np.eye(3), (3, 2, 1, 1)), (MEMS, NoiseSpec.zero()))
 
 
 
@@ -592,21 +642,21 @@ def test_raw_sample_solves_match_whitened_least_squares(exact):
                    for g, a, bg, ba in scales.T)
     rotations = exp_so3(rng.normal(size=(trials, n, 3)))
     positions = rng.normal(scale=0.05, size=(trials, n, 3))
-    fm, errors = build_fusion_stack(rotations, positions, noises)
+    fm, errors = build_fusion_stack(rotations, noises)
     assert errors == [None] * trials
     gyro = rng.normal(size=(trials, 20, n, 3))
-    fused_w, _ = fuse_stack(fm, gyro, rng.normal(size=gyro.shape), FREQ)
+    fused_w, _ = fuse_stack(fm, gyro, rng.normal(size=gyro.shape))
 
     def whitening(sigmas):
         eff = np.ones(n) if exact else np.asarray(sigmas)
         return np.diag(np.repeat(1.0 / eff, 3))
 
     for k in range(trials):
-        cfg = VimuConfig(tuple(rotations[k]), tuple(positions[k]), noises)
+        cfg = centred_config(rotations[k], positions[k], noises)
         D = np.concatenate(cfg.rotations)
         W_g = whitening([ns.sigma_g for ns in noises])
         W_a = whitening([ns.sigma_a for ns in noises])
-        y = gyro[k, 1:-1].reshape(-1, 3 * n).T
+        y = gyro[k].reshape(-1, 3 * n).T
         want = np.linalg.lstsq(W_g @ D, W_g @ y, rcond=None)[0].T
         np.testing.assert_allclose(fused_w[k], want, rtol=0, atol=1e-12)
         noise = virtual_covariances(build_fusion(cfg), cfg.noises)
