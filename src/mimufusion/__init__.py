@@ -32,10 +32,8 @@ from .simulation import (
 )
 from .types import Extrinsic, ImuSeries, NoiseSpec
 from .vimu import (
-    FusionMatrices,
     VimuConfig,
     VimuNoise,
-    build_fusion,
     centroid_frame,
     fuse_series,
     virtual_covariances,
@@ -51,7 +49,6 @@ __all__ = [
     "ExperimentPlan",
     "Extrinsic",
     "FormatError",
-    "FusionMatrices",
     "ImuSeries",
     "LengthMismatch",
     "MimuError",
@@ -66,7 +63,6 @@ __all__ = [
     "VimuConfig",
     "VimuNoise",
     "VimuState",
-    "build_fusion",
     "calibrate",
     "centroid_frame",
     "estimate_angular_accel",

@@ -33,7 +33,7 @@ from .harness import (
 from .preintegration import VimuState, preintegrate_windows
 from .simulation import apply_measurement_noise, ideal_imu_series_stack
 from .types import Extrinsic, ImuSeries, _check_keys, _finite_floats, _read
-from .vimu import build_fusion, centroid_frame, fuse_series, virtual_covariances
+from .vimu import centroid_frame, fuse_series, virtual_covariances
 
 log = logging.getLogger(__name__)
 
@@ -141,13 +141,12 @@ def cmd_fuse(args) -> int:
     noise_a, noise_b = csvio.load_noise_pair(args.noise)
     series = ingest_csv([args.imu_a, args.imu_b])
     cfg = centroid_frame(ext, noise_a, noise_b)
-    fm = build_fusion(cfg)
-    fused = fuse_series(fm, series)
+    fused = fuse_series(cfg, series)
+    noise = virtual_covariances(cfg.noises)
     out = Path(args.out)
     csvio.write_imu_csv(out, fused)
     sidecar = out.with_suffix(".json")
-    csvio.write_vimu_sidecar(sidecar, cfg, virtual_covariances(fm, cfg.noises),
-                             fused.freq)
+    csvio.write_vimu_sidecar(sidecar, cfg, noise, fused.freq)
     print(f"fused {len(fused)} samples at {fused.freq:g} Hz -> {out} "
           f"(+ {sidecar.name})")
     return 0

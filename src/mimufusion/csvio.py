@@ -25,7 +25,7 @@ from typing import NoReturn
 import numpy as np
 import yaml
 
-from .errors import FormatError, RateMismatch
+from .errors import FormatError, RateMismatch, SingularFusion
 from .simulation import SimConfig
 from .types import (Extrinsic, ImuSeries, NoiseSpec, _check_keys, _finite_floats, _integral,
                     _number, _read, non_finite_sample)
@@ -228,8 +228,9 @@ def write_vimu_sidecar(path, cfg: VimuConfig, noise: VimuNoise, freq: float):
 def read_vimu_sidecar(path):
     """The (VimuConfig, VimuNoise, freq) of a sidecar JSON; a missing or
     malformed entry, a Q_* that is not a finite, symmetric positive
-    semi-definite 3x3 matrix or a freq that is not finite and positive
-    raises FormatError naming path and key."""
+    semi-definite 3x3 matrix, a freq that is not finite and positive or
+    noises that mix exact and noisy sensors raise FormatError naming path
+    and key."""
     d = read_json(path)
     try:
         _check_keys(d, _SIDECAR_KEYS, "sidecar")
@@ -243,6 +244,8 @@ def read_vimu_sidecar(path):
                 VimuNoise.from_dict(d["covariances"]), freq)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    except SingularFusion as exc:
+        raise FormatError(f"{path}: config.noises: {exc}") from exc
 
 
 def load_noise_pair(path) -> tuple:

@@ -18,7 +18,8 @@ class DegenerateMotion(MimuError):
 
 
 class SingularFusion(MimuError):
-    """Fusion design matrices cannot be inverted with the given geometry/noise."""
+    """Exact (sigma 0) and noisy sensors mixed in one category (the gyros or
+    the accelerometers) give no fusion weights, or a virtual density overflows."""
 
 
 class SingularNormalEquations(MimuError):

@@ -45,7 +45,7 @@ from .simulation import (
     trajectory_samples,
 )
 from .types import ImuSeries, NoiseSpec, _Block, _integral, _number, _read
-from .vimu import accel_centroid, build_fusion_stack, fuse_stack
+from .vimu import accel_centroid, fuse_stack
 
 log = logging.getLogger(__name__)
 
@@ -288,12 +288,11 @@ def _setup(rotations, positions, plan: ExperimentPlan, keyframes) -> tuple:
     rotations (..., n, 3, 3) and sensor origins (..., n, 3) in body
     coordinates, any leading axes being trials. The virtual frame has
     body axes and sits at the accel-weighted centroid of the origins.
-    Returns the FusionMatrices, the true states of the frame (keyframe,
-    trials...) and a SingularFusion or None per trial."""
+    Returns the rotations, which fuse_stack fuses, and the true states of
+    the frame (keyframe, trials...)."""
     noises = (plan.noise,) * rotations.shape[-3]
-    fm, errors = build_fusion_stack(rotations, noises)
-    return fm, true_vimu_state(keyframes, np.eye(3),
-                               accel_centroid(positions, noises)), errors
+    return rotations, true_vimu_state(keyframes, np.eye(3),
+                                      accel_centroid(positions, noises))
 
 
 def _calibrated_poses(plan: ExperimentPlan, mounts, gyro, accel, cols) -> tuple:
@@ -333,16 +332,15 @@ def _score_chunk(plan: ExperimentPlan, setups, mounts, gyro, accel, keyframes,
     for j, v in enumerate(plan.variants):
         cols = list(_variant_indices(v))
         if v == "2-imu-calibrated":
-            *poses, fit_errors = _calibrated_poses(plan, mounts, gyro, accel, cols)
-            fm, truth_v, errs = _setup(*poses, plan, keyframes)
-            errs = [f or e for f, e in zip(fit_errors, errs)]
+            *poses, errs = _calibrated_poses(plan, mounts, gyro, accel, cols)
+            rotations, truth_v = _setup(*poses, plan, keyframes)
         else:
-            fm, truth_v, errs = setups[v]
-            errs = errs * S  # one set-up for all trials
+            rotations, truth_v = setups[v]
+            errs = [None] * S
         rows = slice(j * S, (j + 1) * S)
         # fused row t is raw row t + 1, as in fuse_series
         fused_w[rows], fused_a[rows] = fuse_stack(
-            fm, gyro[:, 1:k + 1], accel[:, 1:k + 1], cols)
+            rotations, (plan.noise,) * len(cols), gyro[:, 1:k + 1], accel[:, 1:k + 1], cols)
         errors += errs
         for f in ("rotation", "position", "velocity"):
             getattr(truth, f)[:, rows] = getattr(truth_v, f)

@@ -1,18 +1,17 @@
 """Virtual-IMU construction: fuse n rigidly mounted IMUs into a single
 equivalent sensor at the array's accelerometer-weighted centroid.
 
-build_fusion reduces an array (VimuConfig) to the two FusionMatrices
-that fusion applies: whitened stacked least-squares solves, kept as
-left inverses that act on the raw stacked gyro (gyro_solve) and
-accelerometer (accel_solve) samples. Every NoiseSpec is isotropic, so
-sensor i's block of the fused accel is w_i I, w_i its normalized
-1/sigma_a^2 weight, and the sensors' lever accelerations
+The paper's virtual IMU is the whitened stacked least-squares fit of the
+sensors' samples. Every NoiseSpec is isotropic, so the whitened Gram
+sum_i R_i^T R_i / sigma_i^2 is (sum_i sigma_i^-2) I for any rotations
+R_i, and the fit is the weighted mean sum_i w_i R_i^T y_i, w_i the
+normalized 1/sigma_i^2 weights of the sensors' gyros or accelerometers
+(fuse_stack, fuse_series). The sensors' lever accelerations
 R_i (w x (w x p_i) + wdot x p_i) fuse to zero at the weighted centroid
 sum_i w_i p_i, where VimuConfig puts the virtual origin (accel_centroid,
-centroid_frame). fuse_series(fm, series) fuses one series per sensor.
-The same solves give the virtual noise and bias random-walk covariances
-in closed form (virtual_covariances), which the fuse subcommand stores
-as the Q_* of its sidecar.
+centroid_frame). Every virtual noise and bias random-walk density is
+sum_i (w_i sigma_i)^2 I (virtual_covariances), which the fuse
+subcommand stores as the Q_* of its sidecar.
 """
 from __future__ import annotations
 
@@ -35,8 +34,8 @@ class VimuConfig(_Block):
     The virtual origin is the accelerometer-weighted centroid: positions
     whose accel_centroid is further from zero than round-off, 1e-12 of
     the largest |positions[i]| in m and at least 1e-12 m, are rejected,
-    and noises that admit no whitening (see _effective_sigmas) raise
-    SingularFusion, so that every config builds.
+    and noises that mix exact and noisy gyros or accelerometers (see
+    _weights) raise SingularFusion, so that every config fuses.
     """
 
     rotations: tuple
@@ -63,7 +62,7 @@ class VimuConfig(_Block):
         for p in positions:
             if p.shape != (3,) or not np.isfinite(p).all():
                 raise ValueError("positions must be finite 3-vectors")
-        _effective_sigmas([ns.sigma_g for ns in noises])  # the gyros must whiten too
+        _weights([ns.sigma_g for ns in noises])  # the gyros must have weights too
         offset = np.linalg.norm(accel_centroid(positions, noises))
         if offset > 1e-12 * max(1.0, *(np.linalg.norm(p) for p in positions)):
             raise ValueError(f"positions_m must have their accelerometer-weighted "
@@ -87,17 +86,20 @@ def centroid_frame(ext: Extrinsic, noise_a: NoiseSpec,
     )
 
 
-def _effective_sigmas(values) -> np.ndarray:
-    """Whitening scales: the true sigmas, or all-ones when every sigma in
-    the category is zero (exact data). Mixing zero and positive sigma has
-    no finite whitening and is rejected."""
-    v = np.asarray(values, dtype=float)
+def _weights(sigmas) -> np.ndarray:
+    """Normalized 1/sigma^2 weights of one category's sensors, taken as
+    (sigma_min / sigma_i)^2 so that every finite positive sigma gives
+    finite weights, and exactly 1/n for equal sigmas; equal weights when
+    every sigma is zero (exact data). Mixing zero and positive sigmas
+    gives no weights and raises SingularFusion."""
+    v = np.asarray(sigmas, dtype=float)
     if np.all(v > 0.0):
-        return v
-    if np.all(v == 0.0):
-        return np.ones_like(v)
-    raise SingularFusion(
-        "cannot fuse exact (sigma=0) and noisy sensors in one stack")
+        r = (v.min() / v) ** 2
+    elif np.all(v == 0.0):
+        r = np.ones_like(v)
+    else:
+        raise SingularFusion("cannot fuse exact (sigma=0) and noisy sensors in one category")
+    return r / r.sum()
 
 
 def accel_centroid(positions, noises) -> np.ndarray:
@@ -105,72 +107,11 @@ def accel_centroid(positions, noises) -> np.ndarray:
     axes being trials, with w_i the normalized 1/sigma_a^2 weights of
     noises: the point where the fused accelerometer sees no lever arm.
     Exact data (every sigma_a zero) weighs the sensors equally."""
-    inv_var = _effective_sigmas([ns.sigma_a for ns in noises]) ** -2.0
+    w = _weights([ns.sigma_a for ns in noises])
     # scaled so that equal noise weighs each sensor by exactly 1: the
     # centroid is then the plain mean of the origins, to the last bit
-    w = inv_var / inv_var.max()
+    w = w / w.max()
     return np.sum(w[:, None] * np.asarray(positions, dtype=float), axis=-2) / w.sum()
-
-
-@dataclass(frozen=True)
-class FusionMatrices:
-    """The two arrays that fusion applies.
-
-    gyro_solve (3, 3n) is the left inverse of the design that stacks
-    rotations[i] / sigma_g_i, with each sensor's 3-column block divided
-    by its sigma once more, so that it maps the raw stacked gyro samples
-    to the weighted least-squares virtual rate; accel_solve likewise
-    with the accelerometer sigmas (see _effective_sigmas for exact
-    data). Both fields may carry leading trial axes, one fusion per
-    trial (build_fusion_stack).
-    """
-
-    gyro_solve: np.ndarray
-    accel_solve: np.ndarray
-
-
-def _design_and_solve(rotations, sigmas):
-    """Left inverse (..., 3, 3n) of the design that stacks rotations
-    (..., n, 3, 3) whitened by sigmas, made to act on raw samples, and a
-    SingularFusion or None per trial; an ill-conditioned Gram is solved
-    as I, so that its trial's left inverse is finite."""
-    design = (rotations / sigmas[:, None, None]).reshape(rotations.shape[:-3] + (-1, 3))
-    design_T = np.swapaxes(design, -1, -2)
-    gram = design_T @ design
-    cond = np.linalg.cond(gram)
-    ok = np.isfinite(cond) & (cond <= 1e12)
-    solve = np.linalg.solve(np.where(ok[..., None, None], gram, np.eye(3)), design_T)
-    errors = [None if good else SingularFusion(
-        f"fusion gram matrix ill-conditioned (cond {c:.3e})")
-        for c, good in zip(np.ravel(cond), np.ravel(ok))]
-    return solve / np.repeat(sigmas, 3), errors
-
-
-def build_fusion_stack(rotations, noises) -> tuple:
-    """Fusion matrices of arrays that share their sensors' noise models:
-    rotations (..., n, 3, 3) as in VimuConfig, any leading axes being
-    trials; the virtual origin is each array's accel_centroid. Returns
-    (FusionMatrices, errors): every field carries the trial axes, and
-    errors holds a SingularFusion or None per trial, row-major (a failed
-    trial's matrices are finite placeholders). Noises that admit no
-    whitening (see _effective_sigmas) raise SingularFusion."""
-    rotations = np.asarray(rotations, dtype=float)
-    gyro_solve, gyro_errors = _design_and_solve(
-        rotations, _effective_sigmas([ns.sigma_g for ns in noises]))
-    accel_solve, accel_errors = _design_and_solve(
-        rotations, _effective_sigmas([ns.sigma_a for ns in noises]))
-    return (FusionMatrices(gyro_solve=gyro_solve, accel_solve=accel_solve),
-            [g or a for g, a in zip(gyro_errors, accel_errors)])
-
-
-def build_fusion(cfg: VimuConfig) -> FusionMatrices:
-    """Assemble the fusion matrices of one array, the one-config case of
-    build_fusion_stack; raises SingularFusion when the geometry/noise
-    combination admits no stable solve."""
-    fm, (error,) = build_fusion_stack(cfg.rotations, cfg.noises)
-    if error is not None:
-        raise error
-    return fm
 
 
 def _covariance(key: str, value) -> np.ndarray:
@@ -202,30 +143,32 @@ class VimuNoise(_Block):
              "Q_aV": ("accel", _covariance), "Q_baV": ("accel_bias", _covariance)}
 
 
-def _propagated(solve, sigmas) -> np.ndarray:
-    """Covariance of solve applied to a stack whose sensor i carries
-    independent noise of std sigmas[i] on each axis."""
-    return (solve * np.repeat(np.asarray(sigmas) ** 2, 3)) @ solve.T
+def virtual_covariances(noises) -> VimuNoise:
+    """Closed-form virtual noise model of an array of sensors with the
+    NoiseSpecs ``noises``.
 
-
-def virtual_covariances(fm: FusionMatrices, noises) -> VimuNoise:
-    """Closed-form virtual noise model of the array that build_fusion
-    reduced to ``fm``, with the sensors' NoiseSpecs ``noises``.
-
-    Each sensor's white-noise and bias walk densities propagate through
-    the solve that fuses its samples; with all sigmas positive the
-    white-noise covariances are the whitened design Gram inverses.
+    Sensor i's samples enter the fused sample rotated and scaled by its
+    weight w_i (see fuse_stack), so each white-noise and bias walk
+    density is sum_i (w_i sigma_i)^2 I, whatever the rotations; the bias
+    walks share the weights of their category's white noise. A density
+    that overflows raises SingularFusion.
     """
-    return VimuNoise(
-        gyro=_propagated(fm.gyro_solve, [n.sigma_g for n in noises]),
-        gyro_bias=_propagated(fm.gyro_solve, [n.sigma_bg for n in noises]),
-        accel=_propagated(fm.accel_solve, [n.sigma_a for n in noises]),
-        accel_bias=_propagated(fm.accel_solve, [n.sigma_ba for n in noises]),
-    )
+    def density(weighted_by: str, sigma: str) -> np.ndarray:
+        w = _weights([getattr(ns, weighted_by) for ns in noises])
+        with np.errstate(over="ignore"):
+            d = np.sum((w * [getattr(ns, sigma) for ns in noises]) ** 2)
+        if not np.isfinite(d):
+            raise SingularFusion(f"the virtual {sigma} density overflows")
+        return d * np.eye(3)
+
+    return VimuNoise(gyro=density("sigma_g", "sigma_g"),
+                     gyro_bias=density("sigma_g", "sigma_bg"),
+                     accel=density("sigma_a", "sigma_a"),
+                     accel_bias=density("sigma_a", "sigma_ba"))
 
 
-def fuse_series(fm: FusionMatrices, series: list) -> ImuSeries:
-    """Fuse synchronized per-sensor series, one per sensor of fm, into
+def fuse_series(cfg: VimuConfig, series: list) -> ImuSeries:
+    """Fuse synchronized per-sensor series, one per sensor of cfg, into
     one virtual IMU series.
 
     All inputs must share rate, start time, and length. The result
@@ -234,12 +177,13 @@ def fuse_series(fm: FusionMatrices, series: list) -> ImuSeries:
     (see fuse_stack); the trim keeps virtual.csv's layout, by which its
     readers count windows and align truth (fused row t is raw row t + 1).
     """
-    n = fm.gyro_solve.shape[-1] // 3
+    n = len(cfg.rotations)
     if len(series) != n:
         raise LengthMismatch(f"expected {n} series, got {len(series)}")
     check_synchronized(series)
     base = series[0]
-    fused_w, fused_a = fuse_stack(fm, np.stack([s.gyro[1:-1] for s in series], axis=1),
+    fused_w, fused_a = fuse_stack(np.stack(cfg.rotations), cfg.noises,
+                                  np.stack([s.gyro[1:-1] for s in series], axis=1),
                                   np.stack([s.accel[1:-1] for s in series], axis=1))
     return ImuSeries(
         freq=base.freq,
@@ -249,23 +193,27 @@ def fuse_series(fm: FusionMatrices, series: list) -> ImuSeries:
     )
 
 
-def fuse_stack(fm: FusionMatrices, gyro, accel, columns=None) -> tuple:
+def fuse_stack(rotations, noises, gyro, accel, columns=None) -> tuple:
     """Fuse per-sensor samples laid out (..., k, m, 3), sample t of the
     sensor in column c at [..., t, c, :], into the virtual gyro and
-    accel of every sample, (..., k, 3) each. ``columns`` lists the
-    column of each of fm's sensors (default: column i holds sensor i,
-    and there are no others), so that a fusion can read its sensors out
-    of a wider array without copying them. Leading axes are trials; fm's
-    fields carry either the same leading axes, one fusion per trial, or
-    none, one fusion for all."""
+    accel of every sample, (..., k, 3) each: sum_i w_i R_i^T y_i, the
+    weighted least-squares fit of the stack, with R_i = rotations[..., i]
+    as in VimuConfig and w_i the normalized 1/sigma^2 weights of noises'
+    gyros or accelerometers. ``columns`` lists the column of each
+    sensor (default: column i holds sensor i, and there are no others),
+    so that a fusion can read its sensors out of a wider array without
+    copying them. Leading axes are trials; rotations (..., n, 3, 3)
+    carry either the same leading axes, one array per trial, or none,
+    one array for all."""
+    rotations = np.asarray(rotations, dtype=float)
     m = np.shape(gyro)[-2]
     columns = range(m) if columns is None else columns
 
-    def solve_t(solve):  # (..., 3m, 3), zero rows for other columns
-        full = np.zeros(solve.shape[:-1] + (m, 3))
-        full[..., columns, :] = solve.reshape(solve.shape[:-1] + (-1, 3))
-        return np.swapaxes(full.reshape(solve.shape[:-1] + (3 * m,)), -1, -2)
+    def stacked(sigmas):  # (..., 3m, 3): w_i R_i, zero rows for other columns
+        full = np.zeros(rotations.shape[:-3] + (m, 3, 3))
+        full[..., columns, :, :] = _weights(sigmas)[:, None, None] * rotations
+        return full.reshape(rotations.shape[:-3] + (3 * m, 3))
 
     shape = np.shape(gyro)[:-2] + (3 * m,)
-    return (np.reshape(gyro, shape) @ solve_t(fm.gyro_solve),
-            np.reshape(accel, shape) @ solve_t(fm.accel_solve))
+    return (np.reshape(gyro, shape) @ stacked([ns.sigma_g for ns in noises]),
+            np.reshape(accel, shape) @ stacked([ns.sigma_a for ns in noises]))

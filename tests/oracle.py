@@ -11,13 +11,16 @@ tests compare the two, so this code must not call the kernel.
 and per-line reader that the library's bulk codec replaced: one
 f-string per value, one ``int()``/``float()`` per field.
 
-``lever_arm_stack`` and ``psi_matrix`` build the lever-arm stack and
-its rate Jacobian sensor by sensor: the virtual IMU in its general form,
-for any virtual frame. ``step_matrices`` routes gyro noise into
-position through ``psi_matrix``. The library fuses at the
-accelerometer-weighted centroid, where the contraction of both with
-``accel_solve`` vanishes, so it computes neither; the tests check the
-library against this general form at that centroid.
+``general_solves``, ``lever_arm_stack`` and ``psi_matrix`` are the
+virtual IMU in its general form, for any virtual frame: the whitened
+stacked least-squares solves (the pseudo-inverse of the whitened
+design), and the lever-arm stack and its rate Jacobian built sensor by
+sensor. ``step_matrices`` routes gyro noise into position through
+``psi_matrix``. The library fuses by the closed-form weighted mean at
+the accelerometer-weighted centroid, where the contraction of both
+lever terms with the accelerometer solve vanishes, so it computes
+neither; the tests check the library against this general form at that
+centroid.
 
 ``run_experiment`` is the Monte-Carlo harness with one trial at a time:
 per trial it calibrates, fuses, preintegrates, predicts and scores
@@ -151,10 +154,8 @@ from mimufusion.simulation import (
 )
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec, _vec3
 from mimufusion.vimu import (
-    FusionMatrices,
     VimuConfig,
     VimuNoise,
-    build_fusion,
     centroid_frame,
     fuse_series,
 )
@@ -168,6 +169,23 @@ class StepMatrices:
 
     a: np.ndarray
     b: np.ndarray
+
+
+def general_solves(cfg: VimuConfig) -> tuple:
+    """The gyro and accelerometer solves (3, 3n) of the whitened stacked
+    least-squares fit: pinv(W D) W, with D the stacked rotations and W
+    the whitening by the category's sigmas (by ones when every sigma of
+    the category is zero), which map the raw stacked samples to the
+    fitted virtual sample."""
+    design = np.concatenate(cfg.rotations)
+
+    def solve(sigmas):
+        sigmas = np.asarray(sigmas, dtype=float)
+        w = np.repeat(1.0 / (sigmas if np.any(sigmas) else np.ones_like(sigmas)), 3)
+        return np.linalg.pinv(w[:, None] * design) * w
+
+    return (solve([ns.sigma_g for ns in cfg.noises]),
+            solve([ns.sigma_a for ns in cfg.noises]))
 
 
 def psi_matrix(cfg: VimuConfig, w_hat) -> np.ndarray:
@@ -193,7 +211,7 @@ def lever_arm_stack(cfg: VimuConfig, omega, omega_dot) -> np.ndarray:
 
 
 def step_matrices(accum_rotation, step_rotation, w_hat, a_hat,
-                  cfg: VimuConfig, fm: FusionMatrices, dt: float) -> StepMatrices:
+                  cfg: VimuConfig, dt: float) -> StepMatrices:
     """Error-state transition and noise-input matrices for one sample.
 
     ``accum_rotation`` is the delta rotation accumulated before this
@@ -213,7 +231,7 @@ def step_matrices(accum_rotation, step_rotation, w_hat, a_hat,
     # Gyro noise leaks into position through the fused accelerometer's
     # lever-arm sensitivity; the corresponding velocity block carries a
     # noise-dependent factor and vanishes at the expectation.
-    t_psi = fm.accel_solve @ psi_matrix(cfg, w_hat)
+    t_psi = general_solves(cfg)[1] @ psi_matrix(cfg, w_hat)
     B[6:9, 0:3] = -0.5 * accum_rotation @ t_psi * dt**2
     B[3:6, 3:6] = accum_rotation * dt
     B[6:9, 3:6] = 0.5 * accum_rotation * dt**2
@@ -227,13 +245,13 @@ def identity_delta() -> PreintDelta:
 
 
 def propagate_step(prev: PreintDelta, w_hat, a_hat, cfg: VimuConfig,
-                   fm: FusionMatrices, noise: VimuNoise, freq: float) -> PreintDelta:
+                   noise: VimuNoise, freq: float) -> PreintDelta:
     """Fold one bias-corrected sample into the running delta."""
     dt = 1.0 / freq
     w_hat = np.asarray(w_hat, dtype=float)
     a_hat = np.asarray(a_hat, dtype=float)
     step_rot = exp_so3(w_hat * dt)
-    sm = step_matrices(prev.rotation, step_rot, w_hat, a_hat, cfg, fm, dt)
+    sm = step_matrices(prev.rotation, step_rot, w_hat, a_hat, cfg, dt)
     zero = np.zeros((3, 3))
     s_eta = np.block([[noise.gyro, zero], [zero, noise.accel]]) * freq
     cov = sm.a @ prev.covariance @ sm.a.T + sm.b @ s_eta @ sm.b.T
@@ -410,13 +428,12 @@ def ideal_body_measurements(sample: TrajectorySample, gravity) -> tuple:
     return sample.omega.copy(), f
 
 
-def virtual_bias(fm: FusionMatrices, gyro_biases, accel_biases) -> tuple:
+def virtual_bias(cfg: VimuConfig, gyro_biases, accel_biases) -> tuple:
     """Virtual-frame biases equivalent to the given per-sensor biases."""
-    bg = np.asarray(gyro_biases, dtype=float)
-    ba = np.asarray(accel_biases, dtype=float)
+    gyro_solve, accel_solve = general_solves(cfg)
     return (
-        fm.gyro_solve @ bg.reshape(-1),
-        fm.accel_solve @ ba.reshape(-1),
+        gyro_solve @ np.ravel(np.asarray(gyro_biases, dtype=float)),
+        accel_solve @ np.ravel(np.asarray(accel_biases, dtype=float)),
     )
 
 
@@ -463,7 +480,7 @@ def array_frame(mounts: list, noises: list) -> tuple:
 @dataclass
 class _VariantSetup:
     indices: tuple
-    fm: object
+    cfg: VimuConfig
     truth: list  # true states of the virtual frame at every keyframe
 
 
@@ -481,7 +498,7 @@ def _setup_variant(name: str, plan: ExperimentPlan, mounts, believed,
     else:
         raise ValueError(f"unknown variant {name}")
     truth = [true_vimu_state(ts, frame_rot, frame_pos) for ts in truth_samples]
-    return _VariantSetup(indices=idx, fm=build_fusion(cfg), truth=truth)
+    return _VariantSetup(indices=idx, cfg=cfg, truth=truth)
 
 
 def _setup_calibrated(plan: ExperimentPlan, mounts, series_by_idx,
@@ -498,12 +515,12 @@ def _setup_calibrated(plan: ExperimentPlan, mounts, series_by_idx,
     # sensor A sits at positions[0] in the frame, which has A's axes
     frame_pos = mounts[ia].p - R_ba_body @ cfg.positions[0]
     truth = [true_vimu_state(ts, R_ba_body, frame_pos) for ts in truth_samples]
-    return _VariantSetup(indices=_PAIR, fm=build_fusion(cfg), truth=truth)
+    return _VariantSetup(indices=_PAIR, cfg=cfg, truth=truth)
 
 
 def _score_variant(setup: _VariantSetup, series_by_idx, plan: ExperimentPlan,
                    step: int):
-    fused = fuse_series(setup.fm, [series_by_idx[i] for i in setup.indices])
+    fused = fuse_series(setup.cfg, [series_by_idx[i] for i in setup.indices])
     state = setup.truth[0]
     predicted = []
     for delta in preintegrate_windows(fused, state, step):

@@ -35,7 +35,7 @@ from mimufusion.preintegration import predict_state, preintegrate_windows
 from mimufusion.simulation import SimConfig, TrajectoryParams, apply_measurement_noise
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
-    VimuConfig, build_fusion, fuse_series, virtual_covariances,
+    VimuConfig, fuse_series, virtual_covariances,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -130,7 +130,7 @@ def test_criterion_3_fused_gyro_noise_covariance():
             accel = rng.standard_normal((n, 3)) * (spec.sigma_a * np.sqrt(freq))
             series.append(ImuSeries(freq=freq, start_ns=0,
                                     gyro=gyro, accel=accel))
-        fused = fuse_series(build_fusion(cfg), series)
+        fused = fuse_series(cfg, series)
         assert len(fused) == 100_000
         measured = np.cov(fused.gyro.T) / freq  # back to continuous density
         expected = sg_a ** 2 * sg_b ** 2 / (sg_a ** 2 + sg_b ** 2)
@@ -186,8 +186,7 @@ def _body_pair_vimu(traj: TrajectoryParams, freq: float, duration: float,
         if rng is not None:
             w, a = apply_measurement_noise(w, a, spec, freq, rng)
         series.append(ImuSeries(freq=freq, start_ns=0, gyro=w, accel=a))
-    fm = build_fusion(vcfg)
-    return cfg, vcfg, fm, fuse_series(fm, series)
+    return cfg, vcfg, fuse_series(vcfg, series)
 
 
 def _truncate(virtual, seconds: float):
@@ -199,7 +198,7 @@ def _truncate(virtual, seconds: float):
 def _end_state_errors(traj: TrajectoryParams, freq: float) -> tuple:
     """Integrate 1 s of the noise-free fused pair and compare the
     predicted end state against the trajectory ground truth."""
-    cfg, vcfg, fm, virtual = _body_pair_vimu(traj, freq, 1.5)
+    cfg, vcfg, virtual = _body_pair_vimu(traj, freq, 1.5)
     virtual = _truncate(virtual, 1.0)
     t_start = virtual.start_ns * 1e-9
     start = true_vimu_state(sample_trajectory(cfg, t_start),
@@ -244,12 +243,12 @@ def test_criterion_6_preintegration_covariance_is_consistent():
     n_trials = 2000
     # 202 raw samples so the fused series spans exactly one second
     duration = (int(round(freq)) + 2) / freq
-    cfg, vcfg, fm, clean = _body_pair_vimu(TrajectoryParams(), freq, duration)
+    cfg, vcfg, clean = _body_pair_vimu(TrajectoryParams(), freq, duration)
     t_start = clean.start_ns * 1e-9
     start = true_vimu_state(sample_trajectory(cfg, t_start),
                             np.eye(3), np.zeros(3))
     reference = preintegrate_windows(clean, start, len(clean),
-                                     virtual_covariances(fm, vcfg.noises))[0]
+                                     virtual_covariances(vcfg.noises))[0]
     info = np.linalg.inv(reference.covariance)
 
     ideal = [ideal_imu_series(cfg, m) for m in (MOUNT_A, MOUNT_B)]
@@ -260,7 +259,7 @@ def test_criterion_6_preintegration_covariance_is_consistent():
         for (w, a), spec in zip(ideal, vcfg.noises):
             wn, an = apply_measurement_noise(w, a, spec, freq, rng)
             noisy.append(ImuSeries(freq=freq, start_ns=0, gyro=wn, accel=an))
-        virtual = fuse_series(fm, noisy)
+        virtual = fuse_series(vcfg, noisy)
         delta = preintegrate_windows(virtual, start, len(virtual))[0]
         err = np.concatenate([
             log_so3(reference.rotation.T @ delta.rotation),

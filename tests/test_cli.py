@@ -780,6 +780,45 @@ def test_preintegrate_rejects_sidecar_off_the_accel_centroid(fused, tmp_path, ca
     assert not (tmp_path / "deltas.jsonl").exists()
 
 
+def test_preintegrate_rejects_sidecar_mixing_exact_and_noisy_sensors(fused, tmp_path,
+                                                                     capsys):
+    """A sidecar whose noises give sensor A an exact accelerometer
+    (sigma_a 0) beside B's noisy one has no fusion weights: preintegrate
+    exits 1 with a FormatError naming the sidecar and noises."""
+    sidecar = read_json(fused.with_suffix(".json"))
+    sidecar["config"]["noises"][0]["sigma_a"] = 0.0
+    path = tmp_path / "virtual.json"
+    path.write_text(json.dumps(sidecar))
+    code = main(["preintegrate", "--vimu", str(fused), "--vimu-config", str(path),
+                 "--out", str(tmp_path / "deltas.jsonl")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "FormatError"
+    assert str(path) in payload["message"] and "noises" in payload["message"]
+    assert not (tmp_path / "deltas.jsonl").exists()
+
+
+@pytest.mark.parametrize("spec", ["a:\n  sigma_a: 0.0\nb:\n  sigma_a: 2.0e-3\n",
+                                  "sigma_g: 1.0e200\n"], ids=["mixed", "overflow"])
+def test_fuse_rejects_noise_pair_without_finite_fusion(workspace, calibrated, tmp_path,
+                                                       capsys, spec):
+    """A noise YAML that makes one accelerometer exact and the other
+    noisy, or whose sigmas give a virtual density beyond the float
+    range, fails fuse with a typed error and writes nothing."""
+    noise = tmp_path / "noise.yaml"
+    noise.write_text(spec)
+    code = main(["fuse",
+                 "--imu-a", str(workspace / "data" / "imu_a.csv"),
+                 "--imu-b", str(workspace / "data" / "imu_b.csv"),
+                 "--calib", str(calibrated),
+                 "--noise", str(noise),
+                 "--out", str(tmp_path / "virtual.csv")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "SingularFusion"
+    assert not (tmp_path / "virtual.csv").exists()
+
+
 @pytest.mark.parametrize("field", ["config", "noise-entry", "covariances", "negative-Q_gV"])
 def test_preintegrate_rejects_sidecar_with_wrong_types(workspace, fused,
                                                        tmp_path, capsys, field):

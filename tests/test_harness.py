@@ -40,7 +40,7 @@ from mimufusion.simulation import (
     trajectory_samples,
 )
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
-from mimufusion.vimu import FusionMatrices, build_fusion, centroid_frame
+from mimufusion.vimu import centroid_frame
 
 
 def random_states(rng, n):
@@ -253,13 +253,10 @@ def test_plan_rejects_unknown_sim_keys():
         ExperimentPlan.from_dict({"sim": {"durration": 9}})
 
 
-def assert_fusions_match(got, want, trial):
-    """Every FusionMatrices field of ``want`` against trial ``trial`` of
-    ``got``, to 1e-12 of its scale."""
-    for f in dataclasses.fields(FusionMatrices):
-        g, w = getattr(got, f.name)[trial], getattr(want, f.name)
-        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * max(1.0, np.abs(w).max()),
-                                   err_msg=f.name)
+def assert_fuses_as(rotations, trial, cfg):
+    """Trial ``trial`` of a set-up's ``rotations`` fuses as ``cfg``: with
+    the plan's one noise spec, its rotations are cfg's to 1e-12."""
+    np.testing.assert_allclose(rotations[trial], np.stack(cfg.rotations), rtol=0, atol=1e-12)
 
 
 def test_setup_of_a_pair_matches_the_midpoint_frame():
@@ -272,16 +269,15 @@ def test_setup_of_a_pair_matches_the_midpoint_frame():
     q = np.array([quat_from_rotvec(v) for v in rng.normal(scale=0.5, size=(5, 3))])
     p = rng.normal(scale=0.05, size=(5, 3))
     R = rotation_from_quat(q)
-    fm, truth, errors = _setup(np.stack([np.broadcast_to(np.eye(3), R.shape), R], axis=-3),
-                               np.stack([np.zeros_like(p), p], axis=-2), plan, keyframes)
-    assert errors == [None] * 5
+    rotations, truth = _setup(np.stack([np.broadcast_to(np.eye(3), R.shape), R], axis=-3),
+                              np.stack([np.zeros_like(p), p], axis=-2), plan, keyframes)
     want_truth = true_vimu_state(keyframes, np.eye(3), 0.5 * p)
     for f in ("rotation", "position", "velocity"):
         np.testing.assert_allclose(getattr(truth, f), getattr(want_truth, f),
                                    rtol=0, atol=1e-12)
     for s in range(5):
-        want = build_fusion(centroid_frame(Extrinsic(q[s], p[s]), plan.noise, plan.noise))
-        assert_fusions_match(fm, want, s)
+        assert_fuses_as(rotations, s, centroid_frame(Extrinsic(q[s], p[s]), plan.noise,
+                                                     plan.noise))
 
 
 def test_setup_of_one_mount_matches_the_single_frame():
@@ -290,17 +286,16 @@ def test_setup_of_one_mount_matches_the_single_frame():
     plan = ExperimentPlan()
     keyframes = trajectory_samples(plan.sim, np.array([0.005, 0.505]))
     mounts = grid_mounts(pitch=plan.grid_pitch)
-    fm, truth, errors = _setup(*_poses(mounts, (_CENTER,)), plan, keyframes)
-    assert errors == [None]
-    assert_fusions_match(fm, build_fusion(single_frame(plan.noise)), 0)
+    rotations, truth = _setup(*_poses(mounts, (_CENTER,)), plan, keyframes)
+    assert_fuses_as(rotations, 0, single_frame(plan.noise))
     want_truth = true_vimu_state(keyframes, np.eye(3), mounts[_CENTER].p)
     np.testing.assert_array_equal(truth.position[:, 0], want_truth.position)
 
     rng = np.random.default_rng(72)
     R = exp_so3(rng.normal(size=(4, 3)))
-    fm, _, _ = _setup(R[:, None], rng.normal(size=(4, 1, 3)), plan, keyframes)
+    rotations, _ = _setup(R[:, None], rng.normal(size=(4, 1, 3)), plan, keyframes)
     for s in range(4):
-        assert_fusions_match(fm, build_fusion(single_frame(plan.noise, rotation=R[s])), s)
+        assert_fuses_as(rotations, s, single_frame(plan.noise, rotation=R[s]))
 
 
 TINY_PLAN = ExperimentPlan(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from oracle import (
     array_frame,
     centred_config,
+    general_solves,
     identity_delta,
     ideal_body_measurements,
     lever_arm_stack,
@@ -28,9 +29,8 @@ from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
     VimuConfig,
     VimuNoise,
+    _weights,
     accel_centroid,
-    build_fusion,
-    build_fusion_stack,
     centroid_frame,
     fuse_series,
     fuse_stack,
@@ -50,7 +50,7 @@ def fuse_one(cfg, omegas, accels=None):
     accels = np.zeros_like(omegas) if accels is None else np.asarray(accels, dtype=float)
     series = [ImuSeries(freq=FREQ, start_ns=0, gyro=np.tile(w, (3, 1)),
                         accel=np.tile(a, (3, 1))) for w, a in zip(omegas, accels)]
-    fused = fuse_series(build_fusion(cfg), series)
+    fused = fuse_series(cfg, series)
     assert len(fused) == 1
     return fused.gyro[0], fused.accel[0]
 
@@ -178,48 +178,60 @@ def test_fuse_gyro_weights_follow_noise():
 
 
 def test_fusion_matrices_left_inverse():
+    """fuse_stack recovers x from the stacked samples R_i x of any
+    rotated array with unequal noise."""
     rng = np.random.default_rng(41)
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        cfg = centred_config(
-            rotations=[exp_so3(rng.normal(size=3)) for _ in range(n)],
-            positions=[rng.normal(size=3) * 0.1 for _ in range(n)],
-            noises=[NoiseSpec(sigma_g=float(rng.uniform(1e-4, 1e-3)),
-                              sigma_a=float(rng.uniform(1e-3, 1e-2)))
-                    for _ in range(n)],
-        )
-        fm = build_fusion(cfg)
-        design = np.concatenate(cfg.rotations)
-        np.testing.assert_allclose(fm.gyro_solve @ design, np.eye(3), atol=1e-10)
-        np.testing.assert_allclose(fm.accel_solve @ design, np.eye(3), atol=1e-10)
+        rotations = exp_so3(rng.normal(size=(n, 3)))
+        noises = [NoiseSpec(sigma_g=float(rng.uniform(1e-4, 1e-3)),
+                            sigma_a=float(rng.uniform(1e-3, 1e-2))) for _ in range(n)]
+        x = rng.normal(size=(6, 3))
+        stack = np.einsum("nij,kj->kni", rotations, x)
+        fused_w, fused_a = fuse_stack(rotations, noises, stack, stack)
+        np.testing.assert_allclose(fused_w, x, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(fused_a, x, rtol=0, atol=1e-14)
 
 
-def test_extreme_noise_ratio_conditioning():
-    # a 1e3 sigma ratio must either build cleanly or raise SingularFusion,
-    # never return garbage
-    cfg = colocated_pair(sigma_g_b=1.7e-4 * 1e3, sigma_a_b=2e-3 * 1e3)
-    try:
-        fm = build_fusion(cfg)
-    except SingularFusion:
-        return
-    np.testing.assert_allclose(fm.gyro_solve @ np.concatenate(cfg.rotations), np.eye(3),
-                               atol=1e-6)
+@pytest.mark.parametrize("sigma_a, sigma_b", [(1e-200, 1e-100), (1e150, 1e160),
+                                              (1e-160, 1e160)])
+def test_extreme_noise_ratio_fuses_to_the_quieter_sensor(sigma_a, sigma_b):
+    """However far apart two finite positive sigmas are, their weights
+    and every virtual density stay finite: the fused rate is the quieter
+    sensor A's."""
+    noise_a, noise_b = (NoiseSpec(sigma_g=s, sigma_a=s, sigma_bg=s, sigma_ba=s)
+                        for s in (sigma_a, sigma_b))
+    ext = Extrinsic(q=quat_from_rotvec([0.3, -0.1, 0.2]), p=np.array([0.1, 0.0, 0.0]))
+    cfg = centroid_frame(ext, noise_a, noise_b)
+    w_a = np.array([0.3, -0.2, 0.5])
+    out, _ = fuse_one(cfg, [w_a, ext.rotation() @ [-1.0, 2.0, 0.7]])
+    np.testing.assert_allclose(out, w_a, rtol=0, atol=1e-12)
+    for key, q in virtual_covariances(cfg.noises).to_dict().items():
+        assert np.isfinite(q).all(), key
+
+
+def test_equal_noise_weighs_each_sensor_exactly_one_over_n():
+    """Equal sigmas give weights of exactly 1/n, and their accel centroid
+    is the plain mean of the origins, to the last bit."""
+    rng = np.random.default_rng(44)
+    for n in range(1, 10):
+        np.testing.assert_array_equal(_weights([2e-3] * n), np.full(n, 1.0 / n))
+        positions = rng.normal(size=(n, 3))
+        np.testing.assert_array_equal(accel_centroid(positions, (MEMS,) * n),
+                                      positions.sum(axis=0) / n)
 
 
 def test_zero_sigma_all_exact_is_allowed():
     cfg = VimuConfig(rotations=(np.eye(3), np.eye(3)),
                      positions=(np.zeros(3), np.zeros(3)),
                      noises=(NoiseSpec.zero(), NoiseSpec.zero()))
-    fm = build_fusion(cfg)
-    np.testing.assert_allclose(fm.gyro_solve, np.hstack([np.eye(3)] * 2) / 2,
-                               atol=1e-15)
-    out, _ = fuse_one(cfg, [[0.2, 0.0, 0.0], [0.2, 0.0, 0.0]])
-    np.testing.assert_allclose(out, [0.2, 0.0, 0.0], atol=1e-14)
+    out, _ = fuse_one(cfg, [[0.2, 0.0, 0.0], [0.4, 0.0, 0.0]])
+    np.testing.assert_allclose(out, [0.3, 0.0, 0.0], atol=1e-15)
 
 
 def test_mixed_zero_sigma_rejected():
     """Mixing exact and noisy accels has no weighted centroid, and mixed
-    gyros admit no whitening either, so the config itself is rejected."""
+    gyros have no weights either, so the config itself is rejected."""
     for odd in (NoiseSpec.zero(), NoiseSpec(sigma_g=0.0)):
         with pytest.raises(SingularFusion):
             VimuConfig(rotations=(np.eye(3), np.eye(3)),
@@ -289,7 +301,7 @@ def quat_from_rotation_matrix(R):
 
 def test_virtual_covariance_equal_pair_halves():
     cfg = colocated_pair()
-    noise = virtual_covariances(build_fusion(cfg), cfg.noises)
+    noise = virtual_covariances(cfg.noises)
     np.testing.assert_allclose(noise.gyro, 0.5 * 1.7e-4**2 * np.eye(3),
                                atol=1e-20)
     np.testing.assert_allclose(noise.accel, 0.5 * 2e-3**2 * np.eye(3),
@@ -299,7 +311,7 @@ def test_virtual_covariance_equal_pair_halves():
 def test_virtual_covariance_product_formula():
     sa, sb = 1.7e-4, 4.1e-4
     cfg = colocated_pair(sigma_g_a=sa, sigma_g_b=sb)
-    noise = virtual_covariances(build_fusion(cfg), cfg.noises)
+    noise = virtual_covariances(cfg.noises)
     expected = sa**2 * sb**2 / (sa**2 + sb**2)
     np.testing.assert_allclose(noise.gyro, expected * np.eye(3), rtol=1e-12)
 
@@ -307,7 +319,7 @@ def test_virtual_covariance_product_formula():
 def test_virtual_covariance_extreme_ratio():
     sa = 1.7e-4
     cfg = colocated_pair(sigma_g_a=sa, sigma_g_b=sa * 1e6)
-    noise = virtual_covariances(build_fusion(cfg), cfg.noises)
+    noise = virtual_covariances(cfg.noises)
     np.testing.assert_allclose(noise.gyro, sa**2 * np.eye(3), rtol=1e-6)
 
 
@@ -317,7 +329,7 @@ def test_virtual_covariance_never_exceeds_best_sensor():
         sa = float(rng.uniform(1e-4, 1e-3))
         sb = float(rng.uniform(1e-4, 1e-3))
         cfg = colocated_pair(sigma_g_a=sa, sigma_g_b=sb)
-        noise = virtual_covariances(build_fusion(cfg), cfg.noises)
+        noise = virtual_covariances(cfg.noises)
         eigs = np.linalg.eigvalsh(noise.gyro)
         assert eigs[-1] <= min(sa, sb) ** 2 + 1e-18
 
@@ -329,14 +341,14 @@ def test_virtual_covariance_monte_carlo():
                     p=np.array([0.1, 0.0, 0.0]))
     cfg = centroid_frame(ext, NoiseSpec(sigma_g=1.7e-4, sigma_bg=0.0),
                          NoiseSpec(sigma_g=3e-4, sigma_bg=0.0))
-    fm = build_fusion(cfg)
-    noise = virtual_covariances(fm, cfg.noises)
+    noise = virtual_covariances(cfg.noises)
     freq = 200.0
     n = 100_000
     rng = np.random.default_rng(43)
     draws_a = rng.standard_normal((n, 3)) * (1.7e-4 * np.sqrt(freq))
     draws_b = rng.standard_normal((n, 3)) * (3e-4 * np.sqrt(freq))
-    fused = np.hstack([draws_a, draws_b]) @ fm.gyro_solve.T
+    fused, _ = fuse_stack(np.stack(cfg.rotations), cfg.noises,
+                          np.stack([draws_a, draws_b], axis=1), np.zeros((n, 2, 3)))
     sample_cov = np.cov(fused.T) / freq
     scale = np.max(np.abs(np.diag(noise.gyro)))
     np.testing.assert_allclose(sample_cov, noise.gyro, atol=0.05 * scale)
@@ -357,18 +369,17 @@ def test_fused_accel_noise_matches_q_av_for_unequal_pair():
     cfg = centroid_frame(ext, white, NoiseSpec(sigma_g=4 * white.sigma_g,
                                                sigma_a=4 * white.sigma_a,
                                                sigma_bg=0.0, sigma_ba=0.0))
-    fm = build_fusion(cfg)
-    q_av = virtual_covariances(fm, cfg.noises).accel
+    q_av = virtual_covariances(cfg.noises).accel
     mounts = [Extrinsic(q=quat_from_rotation(r), p=p)
               for r, p in zip(cfg.rotations, cfg.positions)]
     ideal = ideal_imu_series_stack(sim, mounts)
-    clean = fuse_series(fm, [ImuSeries(FREQ, 0, w, a) for w, a in ideal])
+    clean = fuse_series(cfg, [ImuSeries(FREQ, 0, w, a) for w, a in ideal])
     rng = np.random.default_rng(3)
     errors = []
     for _ in range(60):
         noisy = [ImuSeries(FREQ, 0, *apply_measurement_noise(w, a, spec, FREQ, rng))
                  for (w, a), spec in zip(ideal, cfg.noises)]
-        errors.append(fuse_series(fm, noisy).accel - clean.accel)
+        errors.append(fuse_series(cfg, noisy).accel - clean.accel)
     errors = np.concatenate(errors)
     ratio = np.mean(errors**2, axis=0) / (np.diag(q_av) * FREQ)
     bound = 5.0 * np.sqrt(2.0 / len(errors))
@@ -377,8 +388,7 @@ def test_fused_accel_noise_matches_q_av_for_unequal_pair():
 
 def test_virtual_bias_average():
     cfg = colocated_pair()
-    fm = build_fusion(cfg)
-    bg, ba = virtual_bias(fm, [[0.01, 0.0, 0.0], [0.03, 0.0, 0.0]],
+    bg, ba = virtual_bias(cfg, [[0.01, 0.0, 0.0], [0.03, 0.0, 0.0]],
                           [[0.1, 0.0, 0.0], [0.0, 0.2, 0.0]])
     np.testing.assert_allclose(bg, [0.02, 0.0, 0.0], atol=1e-14)
     np.testing.assert_allclose(ba, [0.05, 0.1, 0.0], atol=1e-14)
@@ -403,7 +413,7 @@ def test_fuse_series_trims_endpoints():
     ext = Extrinsic(p=np.array([0.1, 0.0, 0.0]))
     vcfg = centroid_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
     series = make_rigid_series(cfg_sim, vcfg)
-    fused = fuse_series(build_fusion(vcfg), series)
+    fused = fuse_series(vcfg, series)
     assert len(fused) == len(series[0]) - 2
     assert fused.start_ns == series[0].start_ns + round(series[0].period_ns)
     assert fused.freq == 200.0
@@ -415,7 +425,7 @@ def test_fuse_series_zero_noise_recovers_virtual_truth():
                     p=np.array([0.12, 0.0, 0.0]))
     vcfg = centroid_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
     series = make_rigid_series(cfg_sim, vcfg)
-    fused = fuse_series(build_fusion(vcfg), series)
+    fused = fuse_series(vcfg, series)
     ts = cfg_sim.times()[1:-1]
     for k in [0, 57, len(fused) - 1]:
         s = sample_trajectory(cfg_sim, ts[k])
@@ -432,24 +442,23 @@ def test_fuse_series_validates_inputs():
     ext = Extrinsic(p=np.array([0.1, 0.0, 0.0]))
     vcfg = centroid_frame(ext, NoiseSpec.zero(), NoiseSpec.zero())
     series = make_rigid_series(cfg_sim, vcfg)
-    fm = build_fusion(vcfg)
     with pytest.raises(LengthMismatch):
-        fuse_series(fm, series[:1])
+        fuse_series(vcfg, series[:1])
     from dataclasses import replace
 
     slow = replace(series[1], freq=100.0)
     with pytest.raises(RateMismatch, match="sample rates differ: 200.0 vs 100.0"):
-        fuse_series(fm, [series[0], slow])
+        fuse_series(vcfg, [series[0], slow])
     t0 = series[1].start_ns
     shifted = replace(series[1], start_ns=t0 + 1)
     with pytest.raises(LengthMismatch, match=f"start times differ: {t0} ns vs {t0 + 1} ns"):
-        fuse_series(fm, [series[0], shifted])
+        fuse_series(vcfg, [series[0], shifted])
     short = replace(series[1], gyro=series[1].gyro[:-1], accel=series[1].accel[:-1])
     with pytest.raises(LengthMismatch, match="sample counts differ: 200 vs 199"):
-        fuse_series(fm, [series[0], short])
+        fuse_series(vcfg, [series[0], short])
     two = [replace(s, gyro=s.gyro[:2], accel=s.accel[:2]) for s in series]
     with pytest.raises(LengthMismatch, match="need at least 3 samples, got 2"):
-        fuse_series(fm, two)
+        fuse_series(vcfg, two)
 
 
 def test_array_frame_centroid():
@@ -463,14 +472,14 @@ def test_array_frame_centroid():
     positions = np.array(cfg.positions)
     np.testing.assert_allclose(positions.mean(axis=0), np.zeros(3),
                                atol=1e-15)
-    fm = build_fusion(cfg)
-    np.testing.assert_allclose(fm.gyro_solve @ np.concatenate(cfg.rotations), np.eye(3),
-                               atol=1e-12)
+    w = np.array([0.3, -0.1, 0.7])
+    np.testing.assert_allclose(fuse_one(cfg, [r @ w for r in cfg.rotations])[0], w,
+                               atol=1e-14)
 
 
 def test_vimu_noise_dict_round_trip():
     cfg = colocated_pair()
-    noise = virtual_covariances(build_fusion(cfg), cfg.noises)
+    noise = virtual_covariances(cfg.noises)
     back = VimuNoise.from_dict(noise.to_dict())
     np.testing.assert_allclose(back.gyro, noise.gyro)
     np.testing.assert_allclose(back.accel_bias, noise.accel_bias)
@@ -494,7 +503,7 @@ def test_property_fusion_invariant_to_sensor_order(data, n, seed):
         cfg = centred_config(rotations=[rotations[i] for i in order],
                              positions=[positions[i] for i in order],
                              noises=[noises[i] for i in order])
-        return fuse_series(build_fusion(cfg), [series[i] for i in order])
+        return fuse_series(cfg, [series[i] for i in order])
 
     want, got = fuse(range(n)), fuse(perm)
     assert (got.freq, got.start_ns) == (want.freq, want.start_ns)
@@ -529,12 +538,12 @@ CENTROID_CONFIGS = {
 def test_lever_term_and_jacobian_match_per_sensor_oracle(name):
     """The lever term and its rate Jacobian, which the library drops at
     the accel-weighted centroid, are zero there in the per-sensor general
-    form too: the fused accel equals accel_solve applied to the stack
-    with the lever terms R_i (w x (w x p_i) + wdot x p_i) subtracted, and
-    the preintegrated covariance equals the oracle's step fold that
-    routes gyro noise into position through psi."""
+    form too: the fused accel equals the general-form accelerometer solve
+    applied to the stack with the lever terms
+    R_i (w x (w x p_i) + wdot x p_i) subtracted, and the preintegrated
+    covariance equals the oracle's step fold that routes gyro noise into
+    position through psi."""
     cfg = CENTROID_CONFIGS[name]()
-    fm = build_fusion(cfg)
     rng = np.random.default_rng(71)
     w = rng.normal(scale=1.5, size=(50, 3))
     wd = rng.normal(scale=3.0, size=(50, 3))
@@ -543,96 +552,122 @@ def test_lever_term_and_jacobian_match_per_sensor_oracle(name):
     accel = np.concatenate([f @ r.T for r in cfg.rotations], axis=-1) + levers
     n = len(cfg.rotations)
     gyro = np.concatenate([w @ r.T for r in cfg.rotations], axis=-1)
-    fused_w, fused_a = fuse_stack(fm, gyro.reshape(50, n, 3), accel.reshape(50, n, 3))
-    want = (accel - levers) @ fm.accel_solve.T
-    np.testing.assert_allclose(fused_a, want, rtol=0, atol=1e-13 * np.abs(levers).max())
+    fused_w, fused_a = fuse_stack(np.stack(cfg.rotations), cfg.noises,
+                                  gyro.reshape(50, n, 3), accel.reshape(50, n, 3))
+    want = (accel - levers) @ general_solves(cfg)[1].T
+    # two computations of one fit: round-off scales with the samples
+    np.testing.assert_allclose(fused_a, want, rtol=0, atol=1e-13 * np.abs(accel).max())
     np.testing.assert_allclose(fused_w, w, rtol=0, atol=1e-13)
 
-    noise = virtual_covariances(fm, cfg.noises)
+    noise = virtual_covariances(cfg.noises)
     delta = identity_delta()
     for t in range(50):
-        delta = propagate_step(delta, fused_w[t], fused_a[t], cfg, fm, noise, FREQ)
+        delta = propagate_step(delta, fused_w[t], fused_a[t], cfg, noise, FREQ)
     cov = preintegrate_stack(fused_w[None, None], fused_a[None, None], FREQ, noise)[3][0, 0]
     np.testing.assert_allclose(cov, delta.covariance, rtol=0,
                                atol=1e-12 * np.abs(delta.covariance).max())
 
 
 def test_fuse_stack_trials_match_fuse_series():
-    """One fuse_stack call over a trial axis, with one fusion per trial
-    or one shared fusion, and reading its sensors in place out of a
+    """One fuse_stack call over a trial axis, with one array per trial
+    or one shared array, and reading its sensors in place out of a
     wider array, equals a fuse_series call per trial."""
     cfgs = [centroid_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.02 * k, 0.05]),
                                      p=np.array([0.1, 0.01 * k, -0.01])),
                            MEMS, NoiseSpec(sigma_a=4e-3)) for k in range(3)]
-    fms = [build_fusion(c) for c in cfgs]
-    stacked = type(fms[0])(*(np.stack([getattr(fm, f) for fm in fms])
-                             for f in fms[0].__dataclass_fields__))
+    noises = cfgs[0].noises
+    stacked = np.stack([c.rotations for c in cfgs])
     rng = np.random.default_rng(72)
     gyro = rng.normal(scale=0.5, size=(3, 40, 2, 3))
     accel = rng.normal(scale=5.0, size=(3, 40, 2, 3))
     wide = rng.normal(size=(2, 3, 40, 4, 3))  # sensors in columns 3 and 1
     wide[:, :, :, [3, 1]] = gyro, accel
-    for fm, per_trial, columns in ((stacked, fms, None), (fms[1], [fms[1]] * 3, None),
-                                   (stacked, fms, [3, 1])):
+    for rotations, per_trial, columns in ((stacked, cfgs, None),
+                                          (stacked[1], [cfgs[1]] * 3, None),
+                                          (stacked, cfgs, [3, 1])):
         if columns is None:
-            w, a = fuse_stack(fm, gyro, accel)
+            w, a = fuse_stack(rotations, noises, gyro, accel)
         else:
-            w, a = fuse_stack(fm, wide[0], wide[1], columns)
+            w, a = fuse_stack(rotations, noises, wide[0], wide[1], columns)
         assert w.shape == a.shape == (3, 40, 3)
-        for k, one in enumerate(per_trial):
+        for k, cfg in enumerate(per_trial):
             # fuse_series keeps the interior rows
-            fused = fuse_series(one, [ImuSeries(FREQ, 0, gyro[k, :, i], accel[k, :, i])
+            fused = fuse_series(cfg, [ImuSeries(FREQ, 0, gyro[k, :, i], accel[k, :, i])
                                       for i in range(2)])
             np.testing.assert_allclose(w[k, 1:-1], fused.gyro, rtol=1e-13, atol=1e-15)
             np.testing.assert_allclose(a[k, 1:-1], fused.accel, rtol=1e-13, atol=1e-12)
 
 
+def rotated_unequal_array(n, rng):
+    """An array of n sensors with random axes and unequal sigmas."""
+    return centred_config(
+        rotations=[exp_so3(rng.normal(scale=0.3, size=3)) for _ in range(n)],
+        positions=[rng.normal(scale=0.05, size=3) for _ in range(n)],
+        noises=[NoiseSpec(sigma_g=1.7e-4 * (1 + 0.2 * i), sigma_a=2e-3 * (1 + 0.3 * i),
+                          sigma_bg=1e-5 * (1 + 0.5 * i), sigma_ba=3e-4 * (1 + 0.1 * i))
+                for i in range(n)])
+
+
 @pytest.mark.parametrize("n", [1, 2, 9])
 def test_build_fusion_stack_matches_per_config_builds(n):
-    """One build_fusion_stack call over two trial axes gives every trial
-    what build_fusion gives its config alone, and a trial whose Gram is
-    singular reports SingularFusion with finite placeholders while the
-    others build."""
+    """One fuse_stack call over two trial axes of rotations fuses every
+    trial as fuse_series fuses that trial's config alone."""
     rng = np.random.default_rng(80 + n)
-    noises = tuple(NoiseSpec(sigma_g=1.7e-4 * (1 + 0.2 * i), sigma_a=2e-3 * (1 + 0.3 * i))
-                   for i in range(n))
-    cfgs = [centred_config(rotations=[exp_so3(rng.normal(scale=0.3, size=3))
-                                      for _ in range(n)],
-                           positions=[rng.normal(scale=0.05, size=3) for _ in range(n)],
-                           noises=noises) for _ in range(3)]
-    rotations = [c.rotations for c in cfgs]
-    # every sensor blind along z: the Gram of both designs is singular
-    rotations.insert(2, np.tile(np.diag([1.0, 1.0, 0.0]), (n, 1, 1)))
-    fm, errors = build_fusion_stack(np.reshape(rotations, (2, 2, n, 3, 3)), noises)
-    assert [type(e) for e in errors] == [type(None)] * 2 + [SingularFusion, type(None)]
-    assert "ill-conditioned" in str(errors[2])
-    _, (alone,) = build_fusion_stack(rotations[2], noises)
-    assert isinstance(alone, SingularFusion)
-    assert fm.gyro_solve.shape == fm.accel_solve.shape == (2, 2, 3, 3 * n)
-    for name in fm.__dataclass_fields__:
-        assert np.all(np.isfinite(getattr(fm, name)))
-    for (a, b), cfg in zip([(0, 0), (0, 1), (1, 1)], cfgs):
-        want = build_fusion(cfg)
-        for name in fm.__dataclass_fields__:
-            got = getattr(fm, name)[a, b]
-            w = getattr(want, name)
-            np.testing.assert_allclose(got, w, rtol=1e-13, atol=1e-13 * np.abs(w).max())
+    cfgs = [rotated_unequal_array(n, rng) for _ in range(4)]
+    noises = cfgs[0].noises
+    cfgs = [VimuConfig(c.rotations, c.positions, noises) for c in cfgs]
+    gyro, accel = rng.normal(size=(2, 2, 2, 30, n, 3))
+    w, a = fuse_stack(np.reshape([c.rotations for c in cfgs], (2, 2, n, 3, 3)), noises,
+                      gyro, accel)
+    assert w.shape == a.shape == (2, 2, 30, 3)
+    for (i, j), cfg in zip(np.ndindex(2, 2), cfgs):
+        fused = fuse_series(cfg, [ImuSeries(FREQ, 0, gyro[i, j, :, k], accel[i, j, :, k])
+                                  for k in range(n)])
+        np.testing.assert_allclose(w[i, j, 1:-1], fused.gyro, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(a[i, j, 1:-1], fused.accel, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_virtual_covariances_are_isotropic_weighted_sums(n):
+    """For rotated arrays with unequal noise, every virtual density is
+    sum_i (w_i sigma_i)^2 I, w_i the normalized 1/sigma^2 weights of its
+    category, with off-diagonals exactly 0."""
+    cfg = rotated_unequal_array(n, np.random.default_rng(90 + n))
+    noise = virtual_covariances(cfg.noises)
+    for got, weighted_by, field in ((noise.gyro, "sigma_g", "sigma_g"),
+                                    (noise.gyro_bias, "sigma_g", "sigma_bg"),
+                                    (noise.accel, "sigma_a", "sigma_a"),
+                                    (noise.accel_bias, "sigma_a", "sigma_ba")):
+        inv_var = np.array([getattr(ns, weighted_by) ** -2.0 for ns in cfg.noises])
+        w = inv_var / inv_var.sum()
+        want = np.sum((w * [getattr(ns, field) for ns in cfg.noises]) ** 2)
+        np.testing.assert_allclose(np.diag(got), want, rtol=1e-15, atol=0, err_msg=field)
+        np.testing.assert_array_equal(got - np.diag(np.diag(got)), np.zeros((3, 3)))
 
 
 def test_build_fusion_stack_rejects_mixed_exact_and_noisy_sensors():
+    """Fusing or modelling the noise of an exact and a noisy sensor in
+    one category raises SingularFusion, and so does a virtual density
+    that overflows."""
+    mixed = (MEMS, NoiseSpec.zero())
+    samples = np.zeros((3, 5, 2, 3))
     with pytest.raises(SingularFusion):
-        build_fusion_stack(np.tile(np.eye(3), (3, 2, 1, 1)), (MEMS, NoiseSpec.zero()))
-
+        fuse_stack(np.tile(np.eye(3), (3, 2, 1, 1)), mixed, samples, samples)
+    with pytest.raises(SingularFusion):
+        virtual_covariances(mixed)
+    with pytest.raises(SingularFusion, match="sigma_bg density overflows"):
+        virtual_covariances((NoiseSpec(sigma_bg=1e200),) * 2)
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["noisy", "exact"])
 def test_raw_sample_solves_match_whitened_least_squares(exact):
     """Over stacked trials, fuse_stack's gyro is the least-squares fit of
     the whitened stack W y = W D x, with D the stacked rotations and W
-    the diagonal whitening by the effective sigmas, and
-    virtual_covariances propagates each sensor's noise through that fit:
-    pinv(W D) W diag(sigma^2) W pinv(W D)^T. Exact sensors (every white
-    sigma zero) are whitened by ones and still carry their bias walks."""
+    the diagonal whitening by the sigmas, and virtual_covariances
+    propagates each sensor's noise through that fit:
+    pinv(W D) W diag(sigma^2) W pinv(W D)^T, whatever the rotations.
+    Exact sensors (every white sigma zero) are whitened by ones and
+    still carry their bias walks."""
     rng = np.random.default_rng(95 + exact)
     n, trials = 4, 3
     scales = rng.uniform(0.2, 5.0, size=(4, n))  # heterogeneous per sensor
@@ -641,25 +676,21 @@ def test_raw_sample_solves_match_whitened_least_squares(exact):
                              sigma_bg=1e-5 * bg, sigma_ba=3e-4 * ba)
                    for g, a, bg, ba in scales.T)
     rotations = exp_so3(rng.normal(size=(trials, n, 3)))
-    positions = rng.normal(scale=0.05, size=(trials, n, 3))
-    fm, errors = build_fusion_stack(rotations, noises)
-    assert errors == [None] * trials
     gyro = rng.normal(size=(trials, 20, n, 3))
-    fused_w, _ = fuse_stack(fm, gyro, rng.normal(size=gyro.shape))
+    fused_w, _ = fuse_stack(rotations, noises, gyro, rng.normal(size=gyro.shape))
+    noise = virtual_covariances(noises)
 
     def whitening(sigmas):
         eff = np.ones(n) if exact else np.asarray(sigmas)
         return np.diag(np.repeat(1.0 / eff, 3))
 
     for k in range(trials):
-        cfg = centred_config(rotations[k], positions[k], noises)
-        D = np.concatenate(cfg.rotations)
+        D = np.concatenate(rotations[k])
         W_g = whitening([ns.sigma_g for ns in noises])
         W_a = whitening([ns.sigma_a for ns in noises])
         y = gyro[k].reshape(-1, 3 * n).T
         want = np.linalg.lstsq(W_g @ D, W_g @ y, rcond=None)[0].T
         np.testing.assert_allclose(fused_w[k], want, rtol=0, atol=1e-12)
-        noise = virtual_covariances(build_fusion(cfg), cfg.noises)
         for got, W, field in ((noise.gyro, W_g, "sigma_g"), (noise.gyro_bias, W_g, "sigma_bg"),
                               (noise.accel, W_a, "sigma_a"), (noise.accel_bias, W_a, "sigma_ba")):
             P = np.linalg.pinv(W @ D)
