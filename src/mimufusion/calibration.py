@@ -1,22 +1,22 @@
-"""Two-stage gyro-pair extrinsic calibration.
+"""Two-stage gyro-pair extrinsic calibration by plain least squares.
 
 Stage one estimates the relative orientation from paired angular-rate
-measurements by weighted least squares on the rotation manifold. The
-weights are scalars per sample, so this is Wahba's problem and the
-weighted orthogonal-Procrustes (SVD) fit is its exact minimizer
-(Markley, "Attitude determination using vector observations and the
-singular value decomposition", J. Astronaut. Sci. 1988). Stage two holds
-the orientation fixed and solves a weighted linear least-squares problem
-for the lever arm using rigid-body accelerometer residuals, with angular
-accelerations estimated from the two gyros by a central difference.
-Both stage kernels (fit_rotation, fit_translation) take any leading
-trial axes and report a failure per trial instead of raising; calibrate
-runs them on one pair and raises the first failure.
+measurements: this is Wahba's problem, and the orthogonal-Procrustes
+(SVD) fit is its exact minimizer (Markley, "Attitude determination using
+vector observations and the singular value decomposition", J. Astronaut.
+Sci. 1988). Stage two holds the orientation fixed and solves the normal
+equations of a linear least-squares problem for the lever arm, using
+rigid-body accelerometer residuals with angular accelerations estimated
+from the two gyros by a central difference. Both stage kernels
+(fit_rotation, fit_translation) take any leading trial axes, weigh every
+sample alike, return their residual sum of squares and report a failure
+per trial instead of raising; calibrate runs them on one pair and raises
+the first failure.
 
-Each kernel weights its samples by the inverse of an isotropic variance
-schedule of the pair's noise specs and rate, which grows linearly with
-the sample index, modeling bias random walk accumulated since the window
-start (t is 1-based in the schedules; Python sample k maps to t = k + 1).
+The estimate does not depend on the noise specs. calibrate is their
+only reader: it divides each stage's sum of squares by the pair's
+white-noise variance per axis, (sigma_A^2 + sigma_B^2) freq, so that the
+reported cost is a chi-square figure, about 3n for a white-noise fit.
 """
 from __future__ import annotations
 
@@ -67,75 +67,31 @@ class CalibrationResult:
     elapsed_trans_ms: float
 
     def to_dict(self) -> dict:
+        """The calib.json data; a cost that overflowed is None (null)."""
+        rot_cost, trans_cost = (c if np.isfinite(c) else None
+                                for c in (self.final_rot_cost, self.final_trans_cost))
         return {
             "q_BA": self.extrinsic.q.tolist(),
             "p_AB_m": self.extrinsic.p.tolist(),
-            "rotation": {"cost": self.final_rot_cost,
-                         "elapsed_ms": self.elapsed_rot_ms},
-            "translation": {"cost": self.final_trans_cost,
+            "rotation": {"cost": rot_cost, "elapsed_ms": self.elapsed_rot_ms},
+            "translation": {"cost": trans_cost,
                             "elapsed_ms": self.elapsed_trans_ms},
         }
 
 
-def sigma_omega(t, noise_a: NoiseSpec, noise_b: NoiseSpec, dt: float):
-    """Isotropic gyro-residual variance at 1-based sample index t:
-    white-noise floor plus bias random walk grown since the window start.
-    """
-    t = np.asarray(t, dtype=float)
-    white = (noise_a.sigma_g**2 + noise_b.sigma_g**2) / dt
-    walk = (noise_a.sigma_bg**2 + noise_b.sigma_bg**2) * dt
-    return white + walk * t
-
-
-def sigma_accel(t, noise_a: NoiseSpec, noise_b: NoiseSpec, dt: float):
-    """Isotropic accel-residual variance at 1-based sample index t.
-
-    The first term is the virtual-gyro contribution (fused white noise
-    plus propagated gyro bias walk), squared as published; with MEMS
-    densities it is ~1e-11 of the accelerometer terms, so the weights
-    are insensitive to its units.
-    """
-    t = np.asarray(t, dtype=float)
-    ga2 = noise_a.sigma_g**2
-    gb2 = noise_b.sigma_g**2
-    gsum = ga2 + gb2
-    if gsum > 0.0:
-        virt = ga2 * gb2 / (gsum * dt) + (
-            gb2**2 * noise_a.sigma_bg**2 + ga2**2 * noise_b.sigma_bg**2
-        ) / gsum**2 * dt * t
-    else:
-        virt = np.zeros_like(t)
-    white = (noise_a.sigma_a**2 + noise_b.sigma_a**2) / dt
-    walk = (noise_a.sigma_ba**2 + noise_b.sigma_ba**2) * dt
-    return virt**2 + white + walk * t
-
-
-def _weights(variance, first: int, last: int, noise_a: NoiseSpec,
-             noise_b: NoiseSpec, freq: float) -> np.ndarray:
-    """1 / variance(t) (sigma_omega or sigma_accel) at t = first..last.
-    Zero variance means exact data; any uniform weight recovers the same
-    optimum, so it gets weight 1."""
-    var = variance(np.arange(first, last + 1, dtype=float), noise_a, noise_b,
-                   1.0 / freq)
-    return np.where(var > 0.0, 1.0 / np.where(var > 0.0, var, 1.0), 1.0)
-
-
-def fit_rotation(gyro_a, gyro_b, noise_a: NoiseSpec, noise_b: NoiseSpec,
-                 freq: float) -> tuple:
-    """Stage-one kernel: the weighted Procrustes rotation R minimizing
-    sum_t w_t |wB_t - R wA_t|^2, for gyro rows (..., n, 3) sampled at
-    freq, with w_t = 1 / sigma_omega(t) from the two noise specs.
-    Returns (q (..., 4), cost (...), errors): q is R as a canonical unit
-    quaternion, the cost is taken at R, and errors holds a
-    DegenerateMotion or None per trial, row-major over the leading axes.
+def fit_rotation(gyro_a, gyro_b) -> tuple:
+    """Stage-one kernel: the Procrustes rotation R minimizing
+    sum_t |wB_t - R wA_t|^2, for gyro rows (..., n, 3). Returns
+    (q (..., 4), cost (...), errors): q is R as a canonical unit
+    quaternion, the cost is the residual sum of squares at R, and errors
+    holds a DegenerateMotion or None per trial, row-major over the
+    leading axes.
     """
     wa = np.asarray(gyro_a, dtype=float)
     wb = np.asarray(gyro_b, dtype=float)
-    weights = _weights(sigma_omega, 1, wa.shape[-2], noise_a, noise_b, freq)
     moment = np.swapaxes(wa, -1, -2) @ wa / wa.shape[-2]
     smallest = np.linalg.eigvalsh(moment)[..., 0]
-    # sum_t w_t wB_t wA_t^T as one matrix product
-    U, _, VT = np.linalg.svd(np.swapaxes(wb, -1, -2) * weights @ wa)
+    U, _, VT = np.linalg.svd(np.swapaxes(wb, -1, -2) @ wa)
     U[..., 2] *= np.sign(np.linalg.det(U) * np.linalg.det(VT))[..., None]
     R = U @ VT
     r = wb - wa @ np.swapaxes(R, -1, -2)
@@ -143,8 +99,7 @@ def fit_rotation(gyro_a, gyro_b, noise_a: NoiseSpec, noise_b: NoiseSpec,
         "gyro second moment too weak for orientation estimation "
         f"(smallest eigenvalue {e:.3e} < {GYRO_EXCITATION_MIN:.0e})")
         for e in np.ravel(smallest)]
-    return (quat_from_rotation(R), np.einsum("t,...ti,...ti->...", weights, r, r),
-            errors)
+    return quat_from_rotation(R), np.einsum("...ti,...ti->...", r, r), errors
 
 
 def estimate_angular_accel(q, series_a: ImuSeries,
@@ -170,39 +125,39 @@ def _angular_accel(R, gyro_a, gyro_b, freq: float) -> np.ndarray:
     return (freq / 4.0) * (total[..., 2:, :] - total[..., :-2, :])
 
 
-def fit_translation(q, gyro_a, accel_a, gyro_b, accel_b, noise_a: NoiseSpec,
-                    noise_b: NoiseSpec, freq: float) -> tuple:
+def fit_translation(q, gyro_a, accel_a, gyro_b, accel_b, freq: float) -> tuple:
     """Stage-two kernel: the lever arm p minimizing
-    sum_t w_t |b_t - R M_t p|^2 over the interior samples, with R the
-    rotation of the unit quaternions q (..., 4), b_t = aB_t - R aA_t,
-    M_t = [w]x^2 + [wdot]x and w_t = 1 / sigma_accel(t) from the two
-    noise specs, for sample rows (..., n, 3) sampled at freq. The
-    residual is affine in p, so the weighted normal equations are solved
-    directly. Returns (p (..., 3), cost (...), errors): errors holds a
-    DegenerateMotion, SingularNormalEquations or None per trial,
-    row-major over the leading axes.
+    sum_t |b_t - R M_t p|^2 over the interior samples, with R the
+    rotation of the unit quaternions q (..., 4), b_t = aB_t - R aA_t and
+    M_t = [w]x^2 + [wdot]x, for sample rows (..., n, 3) sampled at freq.
+    The residual is affine in p, so the normal equations are solved
+    directly. Returns (p (..., 3), cost (...), errors): the cost is the
+    residual sum of squares at p, and errors holds a DegenerateMotion,
+    SingularNormalEquations or None per trial, row-major over the
+    leading axes.
     """
     R = rotation_from_quat(q)
-    n = np.shape(gyro_a)[-2]
-    weights = _weights(sigma_accel, 2, n - 1, noise_a, noise_b, freq)
     wa = gyro_a[..., 1:-1, :]
     wdot = _angular_accel(R, gyro_a, gyro_b, freq)
     M = lever_matrix(wa, wdot)  # (..., n - 2, 3, 3)
-    # The Grams as matrix products over the stacked (..., 3(n - 2), 3)
-    # design, row 3t + k holding row k of M_t.
+    # The Gram as a matrix product over the stacked (..., 3(n - 2), 3)
+    # design, row 3t + k holding row k of M_t. Its eigenvalues give both
+    # checks: the smallest per sample is the excitation, and the largest
+    # over the smallest the condition number (a smallest <= 0 is singular).
     stacked = M.reshape(M.shape[:-3] + (-1, 3))
     stacked_T = np.swapaxes(stacked, -1, -2)
-    smallest = np.linalg.eigvalsh(stacked_T @ stacked / M.shape[-3])[..., 0]
+    H = stacked_T @ stacked
+    eig = np.linalg.eigvalsh(H)
+    smallest = eig[..., 0] / M.shape[-3]
+    cond = np.divide(eig[..., -1], eig[..., 0], out=np.full(smallest.shape, np.inf),
+                     where=eig[..., 0] > 0.0)
+    solvable = cond <= 1e12
 
     b = accel_b[..., 1:-1, :] - accel_a[..., 1:-1, :] @ np.swapaxes(R, -1, -2)
     bR = b @ R  # R^T b, row-wise
-    weighted_T = stacked_T * np.repeat(weights, 3)
-    H = weighted_T @ stacked
-    g = (weighted_T @ bR.reshape(bR.shape[:-2] + (-1, 1)))[..., 0]
-    cond = np.linalg.cond(H)
-    solvable = np.isfinite(cond) & (cond <= 1e12)
+    g = stacked_T @ bR.reshape(bR.shape[:-2] + (-1, 1))
     p = np.linalg.solve(np.where(solvable[..., None, None], H, np.eye(3)),
-                        g[..., None])[..., 0]
+                        g)[..., 0]
     r = bR - (stacked @ p[..., None])[..., 0].reshape(bR.shape)  # R^T (b - R M p)
     errors = [
         DegenerateMotion("rotational excitation too weak for lever-arm "
@@ -210,36 +165,48 @@ def fit_translation(q, gyro_a, accel_a, gyro_b, accel_b, noise_a: NoiseSpec,
         if e < TRANSLATION_EXCITATION_MIN else None if ok else
         SingularNormalEquations(f"normal equations ill-conditioned (cond {c:.3e})")
         for e, c, ok in zip(np.ravel(smallest), np.ravel(cond), np.ravel(solvable))]
-    return p, np.einsum("t,...ti,...ti->...", weights, r, r), errors
+    return p, np.einsum("...ti,...ti->...", r, r), errors
+
+
+def _normalized(cost, sigma_a: float, sigma_b: float, freq: float) -> float:
+    """cost over the white-noise variance per axis of a difference of two
+    samples, (sigma_a^2 + sigma_b^2) freq, taken as 1 when it is 0 (exact
+    data). No finite sigma >= 0 raises or warns: the result may be inf."""
+    with np.errstate(over="ignore", under="ignore"):
+        var = (np.float64(sigma_a) ** 2 + np.float64(sigma_b) ** 2) * freq
+        return float(cost / (var if var > 0.0 else 1.0))
 
 
 def calibrate(inp: CalibrationInput) -> CalibrationResult:
     """Calibrate one pair: fit_rotation, then fit_translation at the
     rotation of the reported unit quaternion. The orientation never
-    depends on p, so one pass of each stage is the whole solve.
+    depends on p, so one pass of each stage is the whole solve. Each
+    stage's cost is its sum of squares over the pair's white-noise
+    variance per axis (gyro, then accel), a chi-square figure.
 
     Raises the first stage error met: DegenerateMotion when the
     trajectory does not excite enough rotation, SingularNormalEquations
     when the lever-arm design is ill-conditioned.
     """
-    a, b = inp.series_a, inp.series_b
+    a, b, na, nb = inp.series_a, inp.series_b, inp.noise_a, inp.noise_b
     t0 = time.perf_counter()
-    q, rot_cost, (error,) = fit_rotation(a.gyro, b.gyro, inp.noise_a, inp.noise_b,
-                                         a.freq)
+    q, rot_cost, (error,) = fit_rotation(a.gyro, b.gyro)
     if error is not None:
         raise error
     t1 = time.perf_counter()
     p, trans_cost, (error,) = fit_translation(q, a.gyro, a.accel, b.gyro, b.accel,
-                                              inp.noise_a, inp.noise_b, a.freq)
+                                              a.freq)
     if error is not None:
         raise error
     t2 = time.perf_counter()
+    rot_cost = _normalized(rot_cost, na.sigma_g, nb.sigma_g, a.freq)
+    trans_cost = _normalized(trans_cost, na.sigma_a, nb.sigma_a, a.freq)
     log.debug("calibration costs: rotation %.6e, translation %.6e",
               rot_cost, trans_cost)
     return CalibrationResult(
         extrinsic=Extrinsic(q=q, p=p),
-        final_rot_cost=float(rot_cost),
-        final_trans_cost=float(trans_cost),
+        final_rot_cost=rot_cost,
+        final_trans_cost=trans_cost,
         elapsed_rot_ms=(t1 - t0) * 1e3,
         elapsed_trans_ms=(t2 - t1) * 1e3,
     )

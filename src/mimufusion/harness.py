@@ -302,9 +302,8 @@ def _calibrated_poses(plan: ExperimentPlan, mounts, gyro, accel, cols) -> tuple:
     R R_A and origin p_A + R_A^T p. Returns the rotations (S, 2, 3, 3),
     the origins (S, 2, 3) and a MimuError or None per trial."""
     (ga, gb), (aa, ab) = ([x[:, :, c] for c in cols] for x in (gyro, accel))
-    q, _, rot_errors = fit_rotation(ga, gb, plan.noise, plan.noise, plan.sim.freq)
-    p, _, trans_errors = fit_translation(q, ga, aa, gb, ab, plan.noise, plan.noise,
-                                         plan.sim.freq)
+    q, _, rot_errors = fit_rotation(ga, gb)
+    p, _, trans_errors = fit_translation(q, ga, aa, gb, ab, plan.sim.freq)
     R = rotation_from_quat(q)
     R_a, p_a = rotation_from_quat(mounts[_PAIR[0]].q), mounts[_PAIR[0]].p
     rotations = np.stack([np.broadcast_to(R_a, R.shape), R @ R_a], axis=-3)

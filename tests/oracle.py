@@ -44,11 +44,12 @@ the grid's identity-oriented mounts, with the plan's one noise spec,
 the frames are the same.
 
 ``fit_rotation`` and ``fit_translation`` form the calibration Grams with
-three-operand ``einsum`` contractions over the samples; the library
-forms them as matrix products over the stacked design. They take the
-per-sample weights and a rotation matrix where the library's kernels
-take the noise specs and the rate that the weights come from, and a
-unit quaternion.
+``einsum`` contractions over the samples; the library forms them as
+matrix products over the stacked design. They take a rotation matrix
+where the library's kernels take a unit quaternion, and
+``fit_translation`` judges the conditioning of its normal equations by
+``np.linalg.cond`` (an SVD), where the library reads it off the Gram's
+eigenvalues.
 
 ``log_so3`` extracts the rotation vector, axis included; the library
 reads only the angle (``geometry.geodesic_angle``), and the tests use
@@ -679,17 +680,16 @@ def residual_omega(q, omega_a, omega_b) -> np.ndarray:
     return np.asarray(omega_b, dtype=float) - quat_rotate(q, omega_a)
 
 
-def fit_rotation(gyro_a, gyro_b, weights) -> tuple:
-    """Stage-one kernel: the weighted Procrustes rotation R minimizing
-    sum_t w_t |wB_t - R wA_t|^2, for gyro rows (..., n, 3) and weights
-    (n,). Returns (R (..., 3, 3), cost (...), errors): errors holds a
+def fit_rotation(gyro_a, gyro_b) -> tuple:
+    """Stage-one kernel: the Procrustes rotation R minimizing
+    sum_t |wB_t - R wA_t|^2, for gyro rows (..., n, 3). Returns (R (..., 3, 3), cost (...), errors): errors holds a
     DegenerateMotion or None per trial, row-major over the leading axes.
     """
     wa = np.asarray(gyro_a, dtype=float)
     wb = np.asarray(gyro_b, dtype=float)
     moment = np.swapaxes(wa, -1, -2) @ wa / wa.shape[-2]
     smallest = np.linalg.eigvalsh(moment)[..., 0]
-    U, _, VT = np.linalg.svd(np.einsum("t,...ti,...tj->...ij", weights, wb, wa))
+    U, _, VT = np.linalg.svd(np.einsum("...ti,...tj->...ij", wb, wa))
     U[..., 2] *= np.sign(np.linalg.det(U) * np.linalg.det(VT))[..., None]
     R = U @ VT
     r = wb - wa @ np.swapaxes(R, -1, -2)
@@ -697,19 +697,18 @@ def fit_rotation(gyro_a, gyro_b, weights) -> tuple:
         "gyro second moment too weak for orientation estimation "
         f"(smallest eigenvalue {e:.3e} < {GYRO_EXCITATION_MIN:.0e})")
         for e in np.ravel(smallest)]
-    return R, np.einsum("t,...ti,...ti->...", weights, r, r), errors
+    return R, np.einsum("...ti,...ti->...", r, r), errors
 
 
-def fit_translation(R, gyro_a, accel_a, gyro_b, accel_b, freq: float,
-                    weights) -> tuple:
+def fit_translation(R, gyro_a, accel_a, gyro_b, accel_b, freq: float) -> tuple:
     """Stage-two kernel: the lever arm p minimizing
-    sum_t w_t |b_t - R M_t p|^2 over the interior samples, with
+    sum_t |b_t - R M_t p|^2 over the interior samples, with
     b_t = aB_t - R aA_t and M_t = [w]x^2 + [wdot]x, for sample rows
-    (..., n, 3), rotations R (..., 3, 3) and weights (n - 2,). The
-    residual is affine in p, so the weighted normal equations are solved
-    directly. Returns (p (..., 3), cost (...), errors): errors holds a
-    DegenerateMotion, SingularNormalEquations or None per trial,
-    row-major over the leading axes.
+    (..., n, 3) and rotations R (..., 3, 3). The residual is affine in
+    p, so the normal equations are solved directly. Returns
+    (p (..., 3), cost (...), errors): errors holds a DegenerateMotion,
+    SingularNormalEquations or None per trial, row-major over the leading
+    axes.
     """
     R = np.asarray(R, dtype=float)
     wa = gyro_a[..., 1:-1, :]
@@ -720,8 +719,8 @@ def fit_translation(R, gyro_a, accel_a, gyro_b, accel_b, freq: float,
 
     b = accel_b[..., 1:-1, :] - accel_a[..., 1:-1, :] @ np.swapaxes(R, -1, -2)
     bR = b @ R  # R^T b, row-wise
-    H = np.einsum("t,...tki,...tkj->...ij", weights, M, M)
-    g = np.einsum("t,...tki,...tk->...i", weights, M, bR)
+    H = np.einsum("...tki,...tkj->...ij", M, M)
+    g = np.einsum("...tki,...tk->...i", M, bR)
     cond = np.linalg.cond(H)
     solvable = np.isfinite(cond) & (cond <= 1e12)
     p = np.linalg.solve(np.where(solvable[..., None, None], H, np.eye(3)),
@@ -733,7 +732,7 @@ def fit_translation(R, gyro_a, accel_a, gyro_b, accel_b, freq: float,
         if e < TRANSLATION_EXCITATION_MIN else None if ok else
         SingularNormalEquations(f"normal equations ill-conditioned (cond {c:.3e})")
         for e, c, ok in zip(np.ravel(smallest), np.ravel(cond), np.ravel(solvable))]
-    return p, np.einsum("t,...ti,...ti->...", weights, r, r), errors
+    return p, np.einsum("...ti,...ti->...", r, r), errors
 
 
 def skew_lever_matrix(omega, omega_dot) -> np.ndarray:
@@ -775,16 +774,16 @@ def preintegrate_stack(gyro, accel, freq: float) -> tuple:
     return dR, dv_dp[..., 0, :], dv_dp[..., 1, :]
 
 
-def translation_cost(R, gyro_a, accel_a, gyro_b, accel_b, freq: float, weights,
+def translation_cost(R, gyro_a, accel_a, gyro_b, accel_b, freq: float,
                      p) -> np.ndarray:
-    """fit_translation's cost sum_t w_t |b_t - R M_t p|^2 at a given lever
+    """fit_translation's cost sum_t |b_t - R M_t p|^2 at a given lever
     arm p, with the residual formed in the B frame: a stacked 3x3
     product M_t p per sample, rotated by R."""
     R = np.asarray(R, dtype=float)
     M = lever_matrix(gyro_a[..., 1:-1, :], _angular_accel(R, gyro_a, gyro_b, freq))
     b = accel_b[..., 1:-1, :] - accel_a[..., 1:-1, :] @ np.swapaxes(R, -1, -2)
     r = b - (M @ p[..., None, :, None])[..., 0] @ np.swapaxes(R, -1, -2)
-    return np.einsum("t,...ti,...ti->...", weights, r, r)
+    return np.einsum("...ti,...ti->...", r, r)
 
 
 def paired_bootstrap_prob(a, b, n_boot: int = 2000, seed: int = 0) -> float:

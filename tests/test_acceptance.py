@@ -303,8 +303,7 @@ def test_criterion_8_stage_estimates_match_independent_oracles():
     zero = NoiseSpec.zero()
     sa = simulate_imu(cfg, MOUNT_A, zero)
     sb = simulate_imu(cfg, MOUNT_B, zero)
-    # zeroed noise makes every weight 1
-    q, _, _ = fit_rotation(sa.gyro, sb.gyro, zero, zero, 200.0)
+    q, _, _ = fit_rotation(sa.gyro, sb.gyro)
     correlation = sb.gyro.T @ sa.gyro
     U, _, VT = np.linalg.svd(correlation)
     d = np.sign(np.linalg.det(U) * np.linalg.det(VT))
@@ -321,7 +320,7 @@ def test_criterion_8_stage_estimates_match_independent_oracles():
     lever = np.cross(w, np.cross(w, p_true)) + np.cross(wd, p_true)
     accel_a = np.zeros((n, 3))
     q_identity = np.array([1.0, 0.0, 0.0, 0.0])
-    p, _, _ = fit_translation(q_identity, w, accel_a, w, lever, zero, zero, 200.0)
+    p, _, _ = fit_translation(q_identity, w, accel_a, w, lever, 200.0)
     rows = []
     rhs = []
     for k in range(1, n - 1):

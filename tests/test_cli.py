@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from mimufusion.cli import main
 from mimufusion.csvio import read_json
 from mimufusion.geometry import geodesic_angle, rotation_from_quat
-from mimufusion.types import Extrinsic
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 SIM_YAML = """\
@@ -311,6 +313,44 @@ def test_calibrate_rejects_non_finite_window(workspace, tmp_path, capsys, value)
     assert payload["message"].startswith("--window-secs: ")
     assert "not finite" in payload["message"]
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def sim_pair_5s(tmp_path_factory):
+    """configs/sim_pair.yaml simulated for 5 s and calibrated with
+    configs/noise_mems.yaml: (the data directory, the calib.json data)."""
+    root = tmp_path_factory.mktemp("sim_pair")
+    assert main(["simulate", "--config", str(CONFIG_DIR / "sim_pair.yaml"),
+                 "--out", str(root / "data"), "--duration", "5"]) == 0
+    assert main(["calibrate", "--imu-a", str(root / "data" / "imu_a.csv"),
+                 "--imu-b", str(root / "data" / "imu_b.csv"),
+                 "--noise", str(CONFIG_DIR / "noise_mems.yaml"),
+                 "--out", str(root / "calib.json")]) == 0
+    return root / "data", read_json(root / "calib.json")
+
+
+@pytest.mark.parametrize("sigma", ["0", "1.0e-200", "1.0e-160", "1.0e+200"])
+def test_calibrate_estimate_does_not_read_noise_sigmas(sim_pair_5s, tmp_path, sigma):
+    """Any finite sigma >= 0 calibrates to the MEMS run's extrinsic bit
+    for bit, and calib.json stays strict JSON: a cost whose division by
+    a subnormal variance overflows (sigma 1e-160) is null."""
+    data, mems = sim_pair_5s
+    (tmp_path / "noise.yaml").write_text(f"sigma_g: {sigma}\nsigma_a: {sigma}\n")
+    code = main(["calibrate", "--imu-a", str(data / "imu_a.csv"),
+                 "--imu-b", str(data / "imu_b.csv"),
+                 "--noise", str(tmp_path / "noise.yaml"),
+                 "--out", str(tmp_path / "calib.json")])
+    assert code == 0
+
+    def strict(token):
+        raise AssertionError(f"non-strict JSON token {token}")
+    d = json.loads((tmp_path / "calib.json").read_text(), parse_constant=strict)
+    assert (d["q_BA"], d["p_AB_m"]) == (mems["q_BA"], mems["p_AB_m"])
+    costs = [d[stage]["cost"] for stage in ("rotation", "translation")]
+    if sigma == "1.0e-160":
+        assert costs == [None, None]
+    else:
+        assert all(np.isfinite(c) and c >= 0.0 for c in costs), costs
 
 
 def test_fuse_outputs(workspace, fused):

@@ -1,5 +1,5 @@
-"""Every name a library module imports is referenced in that module,
-every parameter of a library function is named in its body, and every
+"""Every name a library or test module imports is referenced in that
+module, every parameter of a library function is named in its body, and every
 module-level function or class of the library has a caller.
 
 The checks walk the syntax tree with the standard library's ``ast``: a
@@ -27,6 +27,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "mimufusion"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -90,6 +91,11 @@ def test_modules_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_library_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 

@@ -15,12 +15,7 @@ from oracle import (
 )
 
 from mimufusion.csvio import load_yaml
-from mimufusion.geometry import (
-    exp_so3,
-    quat_conjugate,
-    quat_multiply,
-    rotation_from_quat,
-)
+from mimufusion.geometry import quat_conjugate, quat_multiply, rotation_from_quat
 from mimufusion.simulation import (
     SimConfig,
     TrajectoryParams,

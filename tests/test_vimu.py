@@ -17,7 +17,7 @@ from oracle import (
 )
 
 from mimufusion.errors import FormatError, LengthMismatch, RateMismatch, SingularFusion
-from mimufusion.geometry import exp_so3, quat_from_rotation, quat_from_rotvec, rotation_from_quat
+from mimufusion.geometry import exp_so3, quat_from_rotation, quat_from_rotvec
 from mimufusion.preintegration import preintegrate_stack
 from mimufusion.simulation import (
     SimConfig,
