@@ -145,41 +145,6 @@ def rotation_from_quat(q) -> np.ndarray:
     ], axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
-def quat_multiply(a, b) -> np.ndarray:
-    """Hamilton product a * b (composition: rotate by b, then by a)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
-
-
-def quat_conjugate(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
-def quat_from_rotvec(phi) -> np.ndarray:
-    """Unit quaternion for a rotation vector (canonical sign)."""
-    phi = np.asarray(phi, dtype=float)
-    angle = float(np.linalg.norm(phi))
-    if angle < SMALL_ANGLE:
-        # sin(a/2)/a ~ 1/2 - a^2/48
-        factor = 0.5 - angle**2 / 48.0
-        q = np.concatenate(([np.cos(angle / 2.0)], factor * phi))
-    else:
-        q = np.concatenate((
-            [np.cos(angle / 2.0)],
-            (np.sin(angle / 2.0) / angle) * phi,
-        ))
-    return _canonical(q)
-
-
 def geodesic_angle(Ra, Rb):
     """Angle (rad) of the relative rotation rel between two matrices, or
     between the paired matrices of two (n, 3, 3) stacks: the norm of its

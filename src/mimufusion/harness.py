@@ -127,6 +127,10 @@ class ExperimentPlan(_Block):
         unknown = set(self.variants) - set(VARIANTS)
         if unknown or not self.variants:
             raise ValueError(f"unknown or empty variants: {sorted(unknown)}")
+        if len(set(self.variants)) < len(self.variants):
+            raise ValueError(f"variants repeat a name: {list(self.variants)}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         for name in ("extrinsic_samples", "sequences_per_sample"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -276,11 +280,11 @@ def _variant_indices(name: str) -> tuple:
     return indices[name]
 
 
-def _poses(mounts, indices) -> tuple:
-    """The body poses of mounts[indices] as one trial: body-to-sensor
-    rotations (1, n, 3, 3) and sensor origins (1, n, 3)."""
-    return (rotation_from_quat([mounts[i].q for i in indices])[None],
-            np.array([[mounts[i].p for i in indices]]))
+def _poses(rotations, positions, indices) -> tuple:
+    """The body poses of the mounts at indices of body-to-sensor
+    rotations (m, 3, 3) and sensor origins (m, 3), as one trial:
+    rotations (1, n, 3, 3) and origins (1, n, 3)."""
+    return rotations[None, list(indices)], positions[None, list(indices)]
 
 
 def _setup(rotations, positions, plan: ExperimentPlan, keyframes) -> tuple:
@@ -295,23 +299,24 @@ def _setup(rotations, positions, plan: ExperimentPlan, keyframes) -> tuple:
                                       accel_centroid(positions, noises))
 
 
-def _calibrated_poses(plan: ExperimentPlan, mounts, gyro, accel, cols) -> tuple:
+def _calibrated_poses(plan: ExperimentPlan, grid, gyro, accel, cols) -> tuple:
     """Calibrate each trial's sensor pair, in columns cols of the chunk's
     samples (S, n, m, 3). Sensor A sits on its true mount, sensor B at A
     composed with the trial's estimated extrinsic (R, p): rotation
     R R_A and origin p_A + R_A^T p. Returns the rotations (S, 2, 3, 3),
-    the origins (S, 2, 3) and a MimuError or None per trial."""
+    the origins (S, 2, 3) and a MimuError or None per trial. ``grid``
+    holds the true mounts' rotations (9, 3, 3) and origins (9, 3)."""
     (ga, gb), (aa, ab) = ([x[:, :, c] for c in cols] for x in (gyro, accel))
     q, _, rot_errors = fit_rotation(ga, gb)
     p, _, trans_errors = fit_translation(q, ga, aa, gb, ab, plan.sim.freq)
     R = rotation_from_quat(q)
-    R_a, p_a = rotation_from_quat(mounts[_PAIR[0]].q), mounts[_PAIR[0]].p
+    R_a, p_a = (x[_PAIR[0]] for x in grid)
     rotations = np.stack([np.broadcast_to(R_a, R.shape), R @ R_a], axis=-3)
     positions = np.stack([np.broadcast_to(p_a, p.shape), p_a + p @ R_a], axis=-2)
     return rotations, positions, [r or t for r, t in zip(rot_errors, trans_errors)]
 
 
-def _score_chunk(plan: ExperimentPlan, setups, mounts, gyro, accel, keyframes,
+def _score_chunk(plan: ExperimentPlan, setups, grid, gyro, accel, keyframes,
                  n_windows: int, step: int) -> dict:
     """Per variant, the (position, orientation, velocity) RMSE or the
     MimuError of each trial of a chunk of raw samples (S, n, 9, 3), one
@@ -331,7 +336,7 @@ def _score_chunk(plan: ExperimentPlan, setups, mounts, gyro, accel, keyframes,
     for j, v in enumerate(plan.variants):
         cols = list(_variant_indices(v))
         if v == "2-imu-calibrated":
-            *poses, errs = _calibrated_poses(plan, mounts, gyro, accel, cols)
+            *poses, errs = _calibrated_poses(plan, grid, gyro, accel, cols)
             rotations, truth_v = _setup(*poses, plan, keyframes)
         else:
             rotations, truth_v = setups[v]
@@ -375,6 +380,8 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     ``trials.jsonl`` as they complete, so long runs stream to disk.
     """
     mounts = grid_mounts(pitch=plan.grid_pitch)
+    # the true body-to-sensor rotations (9, 3, 3) and origins (9, 3)
+    grid = rotation_from_quat([m.q for m in mounts]), np.array([m.p for m in mounts])
     # (gyro/accel, sample, grid sensor, axis), the layout of a trial's
     # raw samples
     ideal = np.ascontiguousarray(
@@ -389,7 +396,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     keyframes = trajectory_samples(plan.sim, kf_times)
     # once per run: the noise weights and the variant on true mounts
     noise_weights = innovation_weights(plan.noise, plan.sim.freq, n_total)
-    setups = {v: _setup(*_poses(mounts, (_CENTER,)), plan, keyframes)
+    setups = {v: _setup(*_poses(*grid, (_CENTER,)), plan, keyframes)
               for v in plan.variants if v == "1-imu-true"}
 
     acc = {v: {m: np.zeros((plan.extrinsic_samples, plan.sequences_per_sample))
@@ -419,9 +426,9 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
             perturb_seq, *trial_seqs = sample_seqs[s].spawn(
                 1 + plan.sequences_per_sample)
             perturb_rng = np.random.default_rng(perturb_seq)
-            believed = [perturb_extrinsics(m, plan.sigma_rot, plan.sigma_trans,
-                                           perturb_rng) for m in mounts]
-            setups.update({v: _setup(*_poses(believed, _variant_indices(v)), plan,
+            believed = perturb_extrinsics(*grid, plan.sigma_rot, plan.sigma_trans,
+                                          perturb_rng)
+            setups.update({v: _setup(*_poses(*believed, _variant_indices(v)), plan,
                                      keyframes)
                            for v in plan.variants if v.endswith("-perturbed")})
             for r0 in range(0, plan.sequences_per_sample, chunk):
@@ -435,7 +442,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                 if not (np.isfinite(gyro).all() and np.isfinite(accel).all()):
                     for c, j in np.ndindex(len(seqs), len(mounts)):
                         ImuSeries(plan.sim.freq, 0, gyro[c, :, j], accel[c, :, j])
-                results = _score_chunk(plan, setups, mounts, gyro, accel, keyframes,
+                results = _score_chunk(plan, setups, grid, gyro, accel, keyframes,
                                        n_windows, step)
                 for c, r in enumerate(seqs):
                     for v in plan.variants:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import lever_matrix, quat_from_rotvec, quat_multiply
+from .geometry import exp_so3, lever_matrix
 from .types import Extrinsic, NoiseSpec, _Block, _finite_floats, _number, _read, _vec3
 
 
@@ -78,6 +78,8 @@ class SimConfig(_Block):
     }
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name, v in (("freq", self.freq), ("duration", self.duration)):
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
@@ -319,17 +321,19 @@ def apply_measurement_noise_stack(ideal, noise: NoiseSpec, freq: float, rng,
     return z
 
 
-def perturb_extrinsics(ext: Extrinsic, sigma_rot: float, sigma_trans: float,
-                       rng: np.random.Generator) -> Extrinsic:
-    """Draw a perturbed extrinsic from rng: rotation right-multiplied by
-    the exponential of a N(0, sigma_rot^2 I) tangent, translation
-    shifted by N(0, sigma_trans^2 I)."""
+def perturb_extrinsics(rotations, positions, sigma_rot: float, sigma_trans: float,
+                       rng: np.random.Generator) -> tuple:
+    """Perturbed copies of m body poses, body-to-sensor rotations
+    (m, 3, 3) and sensor origins (m, 3), from one (m, 2, 3) draw of rng:
+    each rotation right-multiplied by the exponential of a
+    N(0, sigma_rot^2 I) tangent, each origin shifted by
+    N(0, sigma_trans^2 I). Mount by mount the draw takes the tangent's
+    three normals, then the shift's."""
     if sigma_rot < 0 or sigma_trans < 0:
         raise ValueError("perturbation sigmas must be >= 0")
-    delta_rot = rng.standard_normal(3) * sigma_rot
-    delta_p = rng.standard_normal(3) * sigma_trans
-    return Extrinsic(q=quat_multiply(ext.q, quat_from_rotvec(delta_rot)),
-                     p=ext.p + delta_p)
+    delta = rng.standard_normal((len(rotations), 2, 3))
+    return (rotations @ exp_so3(sigma_rot * delta[:, 0]),
+            positions + sigma_trans * delta[:, 1])
 
 
 def grid_mounts(pitch: float = 0.05) -> list[Extrinsic]:

@@ -94,6 +94,14 @@ orderings; no library code calls it either, nor
 report. ``still_trajectory`` and ``rmse_report_from_dict`` build test
 inputs: a motionless trajectory, and a report read back from its
 ``report.json``.
+
+``quat_multiply``, ``quat_conjugate`` and ``quat_from_rotvec`` are the
+scalar quaternion algebra, and ``perturb_extrinsic`` perturbs one mount
+with it: two ``standard_normal(3)`` draws, the rotation composed as
+``q * q{delta}``. The library perturbs every mount of the grid in one
+stacked draw, ``R Exp(delta)`` on rotation matrices
+(``simulation.perturb_extrinsics``); the two are the same map, and the
+tests check that they agree to round-off and use the generator alike.
 """
 import itertools
 import json
@@ -150,7 +158,6 @@ from mimufusion.simulation import (
     TrajectorySample,
     grid_mounts,
     ideal_imu_series_stack,
-    perturb_extrinsics,
     trajectory_samples,
 )
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec, _vec3
@@ -568,8 +575,8 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
             perturb_seq, *trial_seqs = sample_seqs[s].spawn(
                 1 + plan.sequences_per_sample)
             perturb_rng = np.random.default_rng(perturb_seq)
-            believed = [perturb_extrinsics(m, plan.sigma_rot, plan.sigma_trans,
-                                           perturb_rng) for m in mounts]
+            believed = [perturb_extrinsic(m, plan.sigma_rot, plan.sigma_trans,
+                                          perturb_rng) for m in mounts]
             static_setups = {
                 v: _setup_variant(v, plan, mounts, believed, truth_samples)
                 for v in plan.variants if v != "2-imu-calibrated"
@@ -663,6 +670,48 @@ def log_so3(R) -> np.ndarray:
     axis *= np.where(np.sum(w * axis, axis=-1) < 0.0, -1.0, 1.0)[..., None]
     return np.where((np.pi - angle < 1e-6)[..., None], angle[..., None] * axis,
                     scale[..., None] * w)
+
+
+def quat_multiply(a, b) -> np.ndarray:
+    """Hamilton product a * b (composition: rotate by b, then by a)."""
+    aw, ax, ay, az = np.asarray(a, dtype=float)
+    bw, bx, by, bz = np.asarray(b, dtype=float)
+    return np.array([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ])
+
+
+def quat_conjugate(q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    return np.array([q[0], -q[1], -q[2], -q[3]])
+
+
+def quat_from_rotvec(phi) -> np.ndarray:
+    """Unit quaternion (w >= 0) of a rotation vector (3,)."""
+    phi = np.asarray(phi, dtype=float)
+    angle = float(np.linalg.norm(phi))
+    # sin(a/2)/a ~ 1/2 - a^2/48 below SMALL_ANGLE
+    factor = (0.5 - angle**2 / 48.0 if angle < SMALL_ANGLE
+              else np.sin(angle / 2.0) / angle)
+    q = np.concatenate(([np.cos(angle / 2.0)], factor * phi))
+    q /= np.linalg.norm(q)
+    return -q if q[0] < 0.0 else q
+
+
+def perturb_extrinsic(ext: Extrinsic, sigma_rot: float, sigma_trans: float,
+                      rng) -> Extrinsic:
+    """One mount's perturbed extrinsic: q composed with the quaternion of
+    a N(0, sigma_rot^2 I) rotation vector, then p shifted by
+    N(0, sigma_trans^2 I), each drawn by one standard_normal(3) call."""
+    if sigma_rot < 0 or sigma_trans < 0:
+        raise ValueError("perturbation sigmas must be >= 0")
+    delta_rot = rng.standard_normal(3) * sigma_rot
+    delta_p = rng.standard_normal(3) * sigma_trans
+    return Extrinsic(q=quat_multiply(ext.q, quat_from_rotvec(delta_rot)),
+                     p=ext.p + delta_p)
 
 
 def quat_rotate(q, v) -> np.ndarray:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from oracle import (
     ideal_imu_series, log_so3, paired_bootstrap_prob, per_sample_means,
-    sample_trajectory, simulate_imu,
+    quat_from_rotvec, sample_trajectory, simulate_imu,
 )
 
 from mimufusion.calibration import (
@@ -25,8 +25,7 @@ from mimufusion.calibration import (
 )
 from mimufusion.csvio import load_yaml
 from mimufusion.geometry import (
-    exp_so3, geodesic_angle, quat_from_rotvec,
-    rotation_from_quat, skew,
+    exp_so3, geodesic_angle, rotation_from_quat, skew,
 )
 from mimufusion.harness import (
     METRICS, ExperimentPlan, run_experiment, true_vimu_state,

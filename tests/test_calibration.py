@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 import oracle
-from oracle import residual_omega, simulate_imu, still_trajectory
+from oracle import quat_from_rotvec, residual_omega, simulate_imu, still_trajectory
 
 from mimufusion.calibration import (
     CalibrationInput,
@@ -20,7 +20,6 @@ from mimufusion.errors import (
 )
 from mimufusion.geometry import (
     geodesic_angle,
-    quat_from_rotvec,
     rotation_from_quat,
     skew,
 )
@@ -40,11 +39,11 @@ def make_pair(ext, duration=10.0, freq=200.0, noise_a=None, noise_b=None,
     na = NoiseSpec.zero() if noise_a is None else noise_a
     nb = NoiseSpec.zero() if noise_b is None else noise_b
     if seed is None:
-        sa = simulate_imu(cfg, Extrinsic.identity(), na, seed=1)
+        sa = simulate_imu(cfg, Extrinsic(), na, seed=1)
         sb = simulate_imu(cfg, Extrinsic(q=ext.q, p=ext.p), nb, seed=2)
     else:
         ss = np.random.SeedSequence(seed).spawn(2)
-        sa = simulate_imu(cfg, Extrinsic.identity(), na, seed=ss[0])
+        sa = simulate_imu(cfg, Extrinsic(), na, seed=ss[0])
         sb = simulate_imu(cfg, Extrinsic(q=ext.q, p=ext.p), nb, seed=ss[1])
     return CalibrationInput(series_a=sa, series_b=sb, noise_a=na, noise_b=nb)
 
@@ -100,7 +99,7 @@ def test_residual_omega_rows():
 def test_residual_accel_colocated_zero():
     a = np.array([0.1, 9.7, -0.3])
     out = a - transfer_measurement(np.array([0.2, 0.0, 0.1]), np.zeros(3), a,
-                                   Extrinsic.identity())[1]
+                                   Extrinsic())[1]
     np.testing.assert_allclose(out, np.zeros(3), atol=1e-15)
 
 
@@ -151,7 +150,7 @@ def test_estimate_rotation_matches_procrustes_oracle():
 
 
 def test_estimate_rotation_degenerate_on_static():
-    inp = make_pair(Extrinsic.identity(),
+    inp = make_pair(Extrinsic(),
                     trajectory=still_trajectory(), duration=2.0)
     with pytest.raises(DegenerateMotion, match="gyro second moment"):
         calibrate(inp)
@@ -261,7 +260,7 @@ def test_estimate_translation_degenerate_on_constant_aligned_rate():
 
 def test_calibrate_identical_series_gives_identity():
     cfg = SimConfig(freq=200.0, duration=5.0)
-    s = simulate_imu(cfg, Extrinsic.identity(), NoiseSpec.zero(), seed=0)
+    s = simulate_imu(cfg, Extrinsic(), NoiseSpec.zero(), seed=0)
     inp = CalibrationInput(series_a=s, series_b=s,
                            noise_a=NoiseSpec.zero(), noise_b=NoiseSpec.zero())
     res = calibrate(inp)
@@ -313,7 +312,7 @@ def test_whitened_residual_variances_near_unity():
 
 def test_input_validation():
     cfg = SimConfig(freq=200.0, duration=1.0)
-    s = simulate_imu(cfg, Extrinsic.identity(), NoiseSpec.zero())
+    s = simulate_imu(cfg, Extrinsic(), NoiseSpec.zero())
     other = ImuSeries(freq=100.0, start_ns=0, gyro=s.gyro, accel=s.accel)
     with pytest.raises(RateMismatch):
         CalibrationInput(series_a=s, series_b=other,
@@ -334,7 +333,7 @@ def test_input_rate_mismatch_is_rate_error():
     """Equal-length series at different rates are a rate problem, not a
     length problem; the check precedes the length checks."""
     cfg = SimConfig(freq=200.0, duration=1.0)
-    s = simulate_imu(cfg, Extrinsic.identity(), NoiseSpec.zero())
+    s = simulate_imu(cfg, Extrinsic(), NoiseSpec.zero())
     for freq in (100.0, 200.0 * (1 + 1e-6)):
         other = ImuSeries(freq=freq, start_ns=0, gyro=s.gyro[:-5],
                           accel=s.accel[:-5])
@@ -347,7 +346,7 @@ def test_input_rejects_series_that_start_at_different_times():
     """Equal-length series offset in time would be paired sample by
     sample, so their start times must agree."""
     cfg = SimConfig(freq=200.0, duration=1.0)
-    s = simulate_imu(cfg, Extrinsic.identity(), NoiseSpec.zero())
+    s = simulate_imu(cfg, Extrinsic(), NoiseSpec.zero())
     late = ImuSeries(freq=200.0, start_ns=25_000_000, gyro=s.gyro, accel=s.accel)
     with pytest.raises(LengthMismatch,
                        match="start times differ: 0 ns vs 25000000 ns"):

@@ -653,11 +653,13 @@ def plan_with(key, value):
     ("grid_pitch_m", "-.inf"),
     ("grid_pitch_m", "null"),
     ("variants", "1-imu-true"),
+    ("variants", "[1-imu-true, 2-imu-perturbed, 1-imu-true]"),
 ])
 def test_evaluate_rejects_bad_plan_value(tmp_path, capsys, key, value):
     """A count or seed that is not an integer, a sigma that is not finite
     and >= 0, a pitch that is not finite, or variants that are not a list
-    fail with a FormatError naming the key, before any trial runs."""
+    of distinct names fail with a FormatError naming the key, before any
+    trial runs."""
     (tmp_path / "plan.yaml").write_text(plan_with(key, value))
     code = main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
                  "--out", str(tmp_path / "report")])
@@ -732,6 +734,48 @@ def test_simulate_rejects_non_integral_seed(tmp_path, capsys, value):
     assert payload["error"] == "FormatError"
     assert "seed must be an integer" in payload["message"]
     assert not (tmp_path / "data").exists()
+
+
+# A negative seed, in a file or as --seed: (command, config name, config
+# text, extra arguments, error class, the key that the message names)
+NEGATIVE_SEEDS = {
+    "simulate-file": ("simulate", "sim.yaml", SIM_YAML.replace("seed: 11\n", "seed: -1\n"),
+                      [], "FormatError", "seed"),
+    "simulate-flag": ("simulate", "sim.yaml", SIM_YAML, ["--seed", "-1"], "ValueError", "seed"),
+    "evaluate-file": ("evaluate", "plan.yaml", plan_with("master_seed", "-1"), [],
+                      "FormatError", "master_seed"),
+    "evaluate-flag": ("evaluate", "plan.yaml", PLAN_YAML, ["--seed", "-1"], "ValueError",
+                      "master_seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_SEEDS))
+def test_negative_seed_fails_naming_its_key(tmp_path, capsys, case):
+    """A negative seed exits 1, as a FormatError from a file and as a
+    ValueError from --seed, with a message that names its key, before
+    any output is created."""
+    command, name, text, extra, error, key = NEGATIVE_SEEDS[case]
+    (tmp_path / name).write_text(text)
+    assert main([command, "--config", str(tmp_path / name),
+                 "--out", str(tmp_path / "out"), *extra]) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == error
+    assert f"{key} must be >= 0" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_rejects_repeated_variant_flag(tmp_path, capsys):
+    """A variant named twice in --variants exits 1 with a ValueError
+    naming variants, before any output is created, instead of scoring
+    and writing every trial of it twice."""
+    (tmp_path / "plan.yaml").write_text(PLAN_YAML)
+    assert main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
+                 "--out", str(tmp_path / "report"),
+                 "--variants", "1-imu-true,1-imu-true"]) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ValueError"
+    assert "variants repeat a name" in payload["message"]
+    assert not (tmp_path / "report").exists()
 
 
 @pytest.mark.parametrize("block", ["sim", "noise", "trajectory"])

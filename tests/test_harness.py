@@ -7,6 +7,7 @@ import pytest
 from oracle import (
     paired_bootstrap_prob,
     per_sample_means,
+    quat_from_rotvec,
     rmse_report_from_dict,
     sample_trajectory,
     simulate_imu,
@@ -19,7 +20,6 @@ from mimufusion.errors import EmptyOverlap, FormatError, LengthMismatch, RateMis
 from mimufusion.geometry import (
     exp_so3,
     geodesic_angle,
-    quat_from_rotvec,
     rotation_from_quat,
 )
 from mimufusion.harness import (
@@ -132,7 +132,7 @@ def test_true_vimu_state_velocity_lever():
 
 def write_series(path, start_ns, duration, freq=200.0, seed=0):
     cfg = SimConfig(freq=freq, duration=duration, seed=seed)
-    s = simulate_imu(cfg, Extrinsic.identity(), NoiseSpec())
+    s = simulate_imu(cfg, Extrinsic(), NoiseSpec())
     shifted = ImuSeries(freq=freq, start_ns=start_ns, gyro=s.gyro,
                         accel=s.accel)
     write_imu_csv(path, shifted)
@@ -286,7 +286,9 @@ def test_setup_of_one_mount_matches_the_single_frame():
     plan = ExperimentPlan()
     keyframes = trajectory_samples(plan.sim, np.array([0.005, 0.505]))
     mounts = grid_mounts(pitch=plan.grid_pitch)
-    rotations, truth = _setup(*_poses(mounts, (_CENTER,)), plan, keyframes)
+    rotations, truth = _setup(*_poses(rotation_from_quat([m.q for m in mounts]),
+                                      np.array([m.p for m in mounts]), (_CENTER,)),
+                              plan, keyframes)
     assert_fuses_as(rotations, 0, single_frame(plan.noise))
     want_truth = true_vimu_state(keyframes, np.eye(3), mounts[_CENTER].p)
     np.testing.assert_array_equal(truth.position[:, 0], want_truth.position)
@@ -440,8 +442,8 @@ def test_calibrated_poses_match_calibrate():
                                                   np.random.default_rng(seed))
                     for seed in (0, 1)])
     gyro, accel = raw[:, 0], raw[:, 1]
-    rotations, positions, errors = _calibrated_poses(plan, mounts, gyro, accel,
-                                                     list(_PAIR))
+    grid = rotation_from_quat([m.q for m in mounts]), np.array([m.p for m in mounts])
+    rotations, positions, errors = _calibrated_poses(plan, grid, gyro, accel, list(_PAIR))
     assert errors == [None, None]
     R_a, p_a = rotation_from_quat(mounts[_PAIR[0]].q), mounts[_PAIR[0]].p
     for c in range(2):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracle import parse_csv as oracle_parse_csv
-from oracle import simulate_imu
+from oracle import quat_from_rotvec, simulate_imu
 from oracle import write_imu_csv as oracle_write_imu_csv
 
 from mimufusion.csvio import (
@@ -33,7 +33,6 @@ from mimufusion.csvio import (
     write_vimu_sidecar,
 )
 from mimufusion.errors import FormatError, RateMismatch
-from mimufusion.geometry import quat_from_rotvec
 from mimufusion.harness import ExperimentPlan
 from mimufusion.simulation import SimConfig, TrajectoryParams
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec

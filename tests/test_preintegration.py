@@ -12,6 +12,7 @@ from oracle import (
     log_so3,
     propagate_step,
     psi_matrix,
+    quat_from_rotvec,
     sample_trajectory,
     simulate_imu,
     single_frame,
@@ -23,7 +24,6 @@ from mimufusion.csvio import load_sim_setup
 from mimufusion.geometry import (
     exp_so3,
     geodesic_angle,
-    quat_from_rotvec,
     right_jacobian,
     rotation_from_quat,
     skew,
@@ -66,7 +66,7 @@ def virtual_from_body(cfg_sim, noise=None, seed=None):
     """Noise-free (or noisy) single-sensor virtual series of the body."""
     n = NoiseSpec.zero() if noise is None else noise
     vcfg = single_frame(n)
-    s = simulate_imu(cfg_sim, Extrinsic.identity(), n, seed=seed)
+    s = simulate_imu(cfg_sim, Extrinsic(), n, seed=seed)
     return fuse_series(vcfg, [s]), vcfg
 
 
@@ -248,7 +248,7 @@ def test_covariance_symmetric_psd_along_trajectory():
 def test_covariance_matches_hand_rolled_single_imu():
     """Co-located equal pair behaves like one IMU with halved variances;
     the recursion is re-implemented here from scratch."""
-    vcfg = centroid_frame(Extrinsic.identity(), MEMS, MEMS)
+    vcfg = centroid_frame(Extrinsic(), MEMS, MEMS)
     noise_v = virtual_covariances(vcfg.noises)
     freq = 200.0
     dt = 1.0 / freq
@@ -285,7 +285,7 @@ def test_covariance_matches_hand_rolled_single_imu():
 
 
 def test_psi_colocated_zero():
-    vcfg = centroid_frame(Extrinsic.identity(), MEMS, MEMS)
+    vcfg = centroid_frame(Extrinsic(), MEMS, MEMS)
     out = psi_matrix(vcfg, np.array([0.3, -0.2, 0.5]))
     np.testing.assert_array_equal(out, np.zeros((6, 3)))
 

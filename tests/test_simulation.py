@@ -8,6 +8,9 @@ from oracle import (
     ideal_body_measurements,
     ideal_imu_series,
     log_so3,
+    quat_conjugate,
+    quat_from_rotvec,
+    quat_multiply,
     quat_rotate,
     sample_trajectory,
     simulate_imu,
@@ -15,7 +18,7 @@ from oracle import (
 )
 
 from mimufusion.csvio import load_yaml
-from mimufusion.geometry import quat_conjugate, quat_multiply, rotation_from_quat
+from mimufusion.geometry import quat_from_rotation, rotation_from_quat
 from mimufusion.simulation import (
     SimConfig,
     TrajectoryParams,
@@ -130,7 +133,7 @@ def test_transfer_identity_passthrough():
     w = rng.normal(size=3)
     wd = rng.normal(size=3)
     a = rng.normal(size=3)
-    wb, ab = transfer_measurement(w, wd, a, Extrinsic.identity())
+    wb, ab = transfer_measurement(w, wd, a, Extrinsic())
     np.testing.assert_allclose(wb, w, atol=1e-15)
     np.testing.assert_allclose(ab, a, atol=1e-15)
 
@@ -177,8 +180,6 @@ def test_mounted_series_consistent_with_transfer():
 
 
 def quat_from_random(rng):
-    from mimufusion.geometry import quat_from_rotvec
-
     return quat_from_rotvec(rng.normal(size=3))
 
 
@@ -227,7 +228,7 @@ def test_ideal_stack_matches_per_mount_series():
 
 
 def test_static_noiseless_series():
-    series = simulate_imu(STILL, Extrinsic.identity(), NoiseSpec.zero(), seed=0)
+    series = simulate_imu(STILL, Extrinsic(), NoiseSpec.zero(), seed=0)
     np.testing.assert_allclose(series.gyro, np.zeros_like(series.gyro),
                                atol=1e-15)
     np.testing.assert_allclose(series.accel,
@@ -439,25 +440,23 @@ def test_simulate_seed_reproducible():
 
 
 def test_perturb_zero_sigma_is_identity_map():
-    ext = Extrinsic(q=np.array([0.9689124217106447, 0.0, 0.0,
-                                0.2474039592545229]),
-                    p=np.array([0.1, -0.2, 0.3]))
-    out = perturb_extrinsics(ext, 0.0, 0.0, np.random.default_rng(5))
-    np.testing.assert_allclose(out.q, ext.q, atol=1e-15)
-    np.testing.assert_array_equal(out.p, ext.p)
+    q = np.array([[0.9689124217106447, 0.0, 0.0, 0.2474039592545229]])
+    positions = np.array([[0.1, -0.2, 0.3]])
+    R, p = perturb_extrinsics(rotation_from_quat(q), positions, 0.0, 0.0,
+                              np.random.default_rng(5))
+    np.testing.assert_allclose(quat_from_rotation(R), q, atol=1e-15)
+    np.testing.assert_array_equal(p, positions)
 
 
 def test_perturb_statistics():
     sigma_rot = 0.01
     sigma_trans = 0.001
     rng = np.random.default_rng(26)
-    ext = Extrinsic(p=np.array([0.05, 0.0, 0.0]))
-    rots = np.empty((10_000, 3))
-    trans = np.empty((10_000, 3))
-    for i in range(10_000):
-        out = perturb_extrinsics(ext, sigma_rot, sigma_trans, rng)
-        rots[i] = log_so3(rotation_from_quat(out.q))
-        trans[i] = out.p - ext.p
+    positions = np.broadcast_to([0.05, 0.0, 0.0], (10_000, 3))
+    R, p = perturb_extrinsics(np.broadcast_to(np.eye(3), (10_000, 3, 3)), positions,
+                              sigma_rot, sigma_trans, rng)
+    rots = log_so3(R)
+    trans = p - positions
     np.testing.assert_allclose(rots.std(axis=0), sigma_rot, rtol=0.05)
     np.testing.assert_allclose(trans.std(axis=0), sigma_trans, rtol=0.05)
     np.testing.assert_allclose(rots.mean(axis=0), 0.0, atol=5e-4)
@@ -465,7 +464,24 @@ def test_perturb_statistics():
 
 def test_perturb_rejects_negative_sigma():
     with pytest.raises(ValueError):
-        perturb_extrinsics(Extrinsic.identity(), -0.01, 0.0, np.random.default_rng(0))
+        perturb_extrinsics(np.eye(3)[None], np.zeros((1, 3)), -0.01, 0.0,
+                           np.random.default_rng(0))
+
+
+def test_perturb_matches_per_mount_quaternion_composition():
+    """The stacked draw over the grid is the oracle's mount-by-mount
+    composition q * q{delta}, two standard_normal(3) draws per mount:
+    rotations to 1e-15, origins bit for bit, and the generator is left
+    in the same state."""
+    mounts = grid_mounts()
+    stacked, per_mount = np.random.default_rng(27), np.random.default_rng(27)
+    R, p = perturb_extrinsics(rotation_from_quat([m.q for m in mounts]),
+                              np.array([m.p for m in mounts]), 0.01, 0.001, stacked)
+    want = [oracle.perturb_extrinsic(m, 0.01, 0.001, per_mount) for m in mounts]
+    np.testing.assert_allclose(R, rotation_from_quat([w.q for w in want]),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(p, [w.p for w in want])
+    assert stacked.standard_normal() == per_mount.standard_normal()
 
 
 def test_grid_mounts_layout():
