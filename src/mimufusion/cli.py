@@ -66,7 +66,8 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     streams = np.random.SeedSequence(cfg.seed).spawn(len(imus))
-    ideal = ideal_imu_series_stack(cfg, [mount for _, mount, _ in imus])
+    ideal = ideal_imu_series_stack(cfg, np.array([m.rotation() for _, m, _ in imus]),
+                                   np.array([m.p for _, m, _ in imus]))
     created = [d for d in (out, *out.parents) if not d.exists()]
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -188,7 +189,11 @@ def cmd_preintegrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    plan = ExperimentPlan.from_dict(csvio.load_yaml(args.config))
+    d = csvio.load_yaml(args.config)
+    try:
+        plan = ExperimentPlan.from_dict(d)
+    except FormatError as exc:
+        raise FormatError(f"{args.config}: {exc}") from exc
     overrides = {}
     if args.variants is not None:
         overrides["variants"] = tuple(v.strip() for v in args.variants.split(",")

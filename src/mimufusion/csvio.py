@@ -307,4 +307,10 @@ def sim_setup_from_dict(d: dict):
 
 
 def load_sim_setup(path):
-    return sim_setup_from_dict(load_yaml(path))
+    """sim_setup_from_dict of the YAML file at path; its FormatError
+    names the path."""
+    d = load_yaml(path)
+    try:
+        return sim_setup_from_dict(d)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

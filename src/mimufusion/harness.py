@@ -33,7 +33,7 @@ import numpy as np
 from . import csvio
 from .calibration import fit_rotation, fit_translation
 from .errors import EmptyOverlap, FormatError, LengthMismatch, MimuError, RateMismatch
-from .geometry import geodesic_angle, rotation_from_quat
+from .geometry import geodesic_angle
 from .preintegration import PreintDelta, VimuState, predict_state, preintegrate_stack
 from .simulation import (
     SimConfig,
@@ -307,13 +307,17 @@ def _calibrated_poses(plan: ExperimentPlan, grid, gyro, accel, cols) -> tuple:
     the origins (S, 2, 3) and a MimuError or None per trial. ``grid``
     holds the true mounts' rotations (9, 3, 3) and origins (9, 3)."""
     (ga, gb), (aa, ab) = ([x[:, :, c] for c in cols] for x in (gyro, accel))
-    q, _, rot_errors = fit_rotation(ga, gb)
-    p, _, trans_errors = fit_translation(q, ga, aa, gb, ab, plan.sim.freq)
-    R = rotation_from_quat(q)
+    R, _, rot_errors = fit_rotation(ga, gb)
+    p, _, trans_errors = fit_translation(R, ga, aa, gb, ab, plan.sim.freq)
     R_a, p_a = (x[_PAIR[0]] for x in grid)
+    errors = [r or t for r, t in zip(rot_errors, trans_errors)]
+    # a failed trial's estimate need not be finite: it is set up at A's
+    # pose instead, which keeps the shared scoring pass finite
+    failed = [i for i, e in enumerate(errors) if e is not None]
+    R[failed], p[failed] = np.eye(3), 0.0
     rotations = np.stack([np.broadcast_to(R_a, R.shape), R @ R_a], axis=-3)
     positions = np.stack([np.broadcast_to(p_a, p.shape), p_a + p @ R_a], axis=-2)
-    return rotations, positions, [r or t for r, t in zip(rot_errors, trans_errors)]
+    return rotations, positions, errors
 
 
 def _score_chunk(plan: ExperimentPlan, setups, grid, gyro, accel, keyframes,
@@ -379,13 +383,12 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     When ``out_dir`` is given, per-trial metrics are appended to
     ``trials.jsonl`` as they complete, so long runs stream to disk.
     """
-    mounts = grid_mounts(pitch=plan.grid_pitch)
     # the true body-to-sensor rotations (9, 3, 3) and origins (9, 3)
-    grid = rotation_from_quat([m.q for m in mounts]), np.array([m.p for m in mounts])
+    grid = grid_mounts(pitch=plan.grid_pitch)
     # (gyro/accel, sample, grid sensor, axis), the layout of a trial's
     # raw samples
     ideal = np.ascontiguousarray(
-        ideal_imu_series_stack(plan.sim, mounts).transpose(1, 2, 0, 3))
+        ideal_imu_series_stack(plan.sim, *grid).transpose(1, 2, 0, 3))
 
     n_total = plan.sim.sample_count
     n_windows, step = _keyframe_layout(n_total - 2, plan.sim.freq,
@@ -395,7 +398,16 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     kf_times = (1 + step * np.arange(n_windows + 1)) / plan.sim.freq
     keyframes = trajectory_samples(plan.sim, kf_times)
     # once per run: the noise weights and the variant on true mounts
-    noise_weights = innovation_weights(plan.noise, plan.sim.freq, n_total)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        noise_weights = innovation_weights(plan.noise, plan.sim.freq, n_total)
+    for row, (white, walk) in enumerate((("sigma_g", "sigma_bg"), ("sigma_a", "sigma_ba"))):
+        if not np.isfinite(noise_weights[:, row]).all():
+            # name the sigma of the larger variance, sigma^2 freq or sigma_b^2 / freq
+            sigma, sigma_b = getattr(plan.noise, white), getattr(plan.noise, walk)
+            key, value = ((white, sigma) if sigma * plan.sim.freq >= sigma_b
+                          else (walk, sigma_b))
+            raise FormatError(f"plan.noise.{key} {value:g} makes the noise overflow at "
+                              f"{plan.sim.freq:g} Hz")
     setups = {v: _setup(*_poses(*grid, (_CENTER,)), plan, keyframes)
               for v in plan.variants if v == "1-imu-true"}
 
@@ -404,7 +416,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     ok = {v: np.zeros((plan.extrinsic_samples, plan.sequences_per_sample),
                       dtype=bool) for v in plan.variants}
     failures: list[str] = []
-    trial_bytes = 8 * (6 * len(mounts) * n_total
+    trial_bytes = 8 * (6 * ideal.shape[2] * n_total
                        + len(plan.variants) * 6 * n_windows * step)
     chunk = min(plan.sequences_per_sample, max(1, _CHUNK_BYTES // trial_bytes))
     # (trial, gyro/accel, sample, grid sensor, axis), and the noise's
@@ -440,7 +452,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                         level=level, weights=noise_weights)
                 gyro, accel = raw[:len(seqs), 0], raw[:len(seqs), 1]
                 if not (np.isfinite(gyro).all() and np.isfinite(accel).all()):
-                    for c, j in np.ndindex(len(seqs), len(mounts)):
+                    for c, j in np.ndindex(len(seqs), ideal.shape[2]):
                         ImuSeries(plan.sim.freq, 0, gyro[c, :, j], accel[c, :, j])
                 results = _score_chunk(plan, setups, grid, gyro, accel, keyframes,
                                        n_windows, step)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .geometry import exp_so3, lever_matrix
-from .types import Extrinsic, NoiseSpec, _Block, _finite_floats, _number, _read, _vec3
+from .types import NoiseSpec, _Block, _finite_floats, _number, _read, _vec3
 
 
 @dataclass(frozen=True)
@@ -191,35 +191,34 @@ def trajectory_samples(cfg: SimConfig, ts) -> TrajectorySample:
                             *_body_rates(ang, ang_d1, ang_d2))
 
 
-def transfer_measurement(omega, omega_dot, accel, ext: Extrinsic) -> tuple:
-    """Rigid-body transfer of gyro/specific-force readings between frames.
-
-    Inputs are source-frame (A) quantities; ``ext`` carries the target
-    frame's pose (rotation B-from-A, lever arm: B origin in A coords):
+def transfer_measurement(omega, omega_dot, accel, rotations, positions) -> tuple:
+    """Rigid-body transfer of gyro/specific-force rows (n, 3) of a source
+    frame A to m target frames B at once, as gyro and accel rows
+    (m, n, 3): rotations (m, 3, 3) hold each R_BA, which rotates A
+    coords into B, and positions (m, 3) each B origin in A coords:
 
         w_B = R_BA w_A
         a_B = R_BA (a_A + [w_A]x^2 p + [wdot_A]x p)
-
-    Accepts (3,) vectors or (n, 3) batches.
     """
-    R = ext.rotation()
-    omega = np.asarray(omega, dtype=float)
-    lever = lever_matrix(omega, omega_dot) @ ext.p
-    return omega @ R.T, (np.asarray(accel, dtype=float) + lever) @ R.T
+    R_T = np.swapaxes(np.asarray(rotations, dtype=float), -1, -2)
+    p = np.asarray(positions, dtype=float)[:, None, :, None]
+    lever = (lever_matrix(omega, omega_dot) @ p)[..., 0]
+    lever += accel
+    return omega @ R_T, lever @ R_T
 
 
-def ideal_imu_series_stack(cfg: SimConfig, mounts) -> np.ndarray:
-    """Noise-free (gyro, accel) rows of IMUs rigidly mounted on the body,
-    (m, 2, n, 3) for m mounts, from one evaluation of the trajectory.
-    Each mount follows the Extrinsic convention with the body as source:
-    q rotates body coords into the sensor frame, p is the sensor origin
-    in body coordinates.
+def ideal_imu_series_stack(cfg: SimConfig, rotations, positions) -> np.ndarray:
+    """Noise-free (gyro, accel) rows of m IMUs rigidly mounted on the
+    body, (m, 2, n, 3), from one evaluation of the trajectory: rotations
+    (m, 3, 3) rotate body coords into each sensor frame, and positions
+    (m, 3) are the sensor origins in body coordinates.
     """
     s = trajectory_samples(cfg, cfg.times())
     # specific force at the body origin, in body coords
     f = np.einsum("nij,nj->ni", s.rotation.transpose(0, 2, 1),
                   s.acceleration - cfg.gravity)
-    return np.array([transfer_measurement(s.omega, s.omega_dot, f, m) for m in mounts])
+    return np.stack(transfer_measurement(s.omega, s.omega_dot, f, rotations, positions),
+                    axis=1)
 
 
 def apply_measurement_noise(gyro, accel, noise: NoiseSpec, freq: float, rng):
@@ -336,8 +335,10 @@ def perturb_extrinsics(rotations, positions, sigma_rot: float, sigma_trans: floa
             positions + sigma_trans * delta[:, 1])
 
 
-def grid_mounts(pitch: float = 0.05) -> list[Extrinsic]:
+def grid_mounts(pitch: float = 0.05) -> tuple:
     """Planar IMU array on the body: 3x3 grid, identity orientations,
-    centered on the body origin, row-major order."""
-    return [Extrinsic(p=np.array([c * pitch, r * pitch, 0.0]))
-            for r in (-1, 0, 1) for c in (-1, 0, 1)]
+    centered on the body origin, row-major order. Returns the
+    body-to-sensor rotations (9, 3, 3) and the sensor origins (9, 3)."""
+    steps = pitch * np.array([-1.0, 0.0, 1.0])
+    positions = np.array([[x, y, 0.0] for y in steps for x in steps])
+    return np.tile(np.eye(3), (9, 1, 1)), positions

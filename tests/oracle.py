@@ -24,10 +24,12 @@ centroid.
 
 ``run_experiment`` is the Monte-Carlo harness with one trial at a time:
 per trial it calibrates, fuses, preintegrates, predicts and scores
-through the library's one-trial calls (``calibrate``, ``fuse_series``,
-``preintegrate_windows``, ``predict_state``), where the library's
-harness runs each stage once per chunk of trials. It draws a trial's
-standard normals for the whole grid in one block, as the library does,
+through the library's one-trial calls (the stage kernels on one pair,
+``fuse_series``, ``preintegrate_windows``, ``predict_state``), where the
+library's harness runs each stage once per chunk of trials. Like the
+harness, it frames the calibrated pair with the fitted rotation matrix,
+not with the rotation of ``calibrate``'s rounded quaternion. It draws a
+trial's standard normals for the whole grid in one block, as the library does,
 and adds each sensor's noise from its slice of the block with the
 library's one-sensor ``apply_measurement_noise`` (through ``Replay``),
 which the noise tests tie to ``innovations_noise`` below: a report's
@@ -45,11 +47,10 @@ the frames are the same.
 
 ``fit_rotation`` and ``fit_translation`` form the calibration Grams with
 ``einsum`` contractions over the samples; the library forms them as
-matrix products over the stacked design. They take a rotation matrix
-where the library's kernels take a unit quaternion, and
-``fit_translation`` judges the conditioning of its normal equations by
-``np.linalg.cond`` (an SVD), where the library reads it off the Gram's
-eigenvalues.
+matrix products over the stacked design. Both pass the rotation as a
+matrix, as the library's kernels do, and ``fit_translation`` judges the
+conditioning of its normal equations by ``np.linalg.cond`` (an SVD),
+where the library reads it off the Gram's eigenvalues.
 
 ``log_so3`` extracts the rotation vector, axis included; the library
 reads only the angle (``geometry.geodesic_angle``), and the tests use
@@ -81,7 +82,10 @@ from the stacked design.
 ``sample_trajectory``, ``ideal_imu_series`` and ``simulate_imu`` are
 the one-case forms the library dropped: one instant of
 ``trajectory_samples``, one mount of ``ideal_imu_series_stack``, and
-one mount's samples with the library's noise from one seed.
+one mount's samples with the library's noise from one seed. Each takes
+its mount as an ``Extrinsic``; ``grid_extrinsics`` gives the grid's
+mounts in that form, for the per-trial ``run_experiment`` and the tests
+that walk the grid mount by mount.
 
 ``ideal_body_measurements``, ``virtual_bias``, ``residual_omega`` and
 ``quat_rotate`` have no caller in the library; the tests keep them as
@@ -106,7 +110,7 @@ tests check that they agree to round-off and use the generator alike.
 import itertools
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,9 +118,7 @@ import numpy as np
 from mimufusion.calibration import (
     GYRO_EXCITATION_MIN,
     TRANSLATION_EXCITATION_MIN,
-    CalibrationInput,
     _angular_accel,
-    calibrate,
 )
 from mimufusion.csvio import IMU_CSV_HEADER, atomic_write_text
 from mimufusion.errors import (
@@ -130,6 +132,7 @@ from mimufusion.geometry import (
     SMALL_ANGLE,
     exp_so3,
     lever_matrix,
+    quat_from_rotation,
     right_jacobian,
     rotation_from_quat,
     skew,
@@ -146,7 +149,7 @@ from mimufusion.harness import (
     rmse_metrics,
     true_vimu_state,
 )
-from mimufusion import simulation
+from mimufusion import calibration, simulation
 from mimufusion.preintegration import (
     PreintDelta,
     predict_state,
@@ -412,7 +415,12 @@ def sample_trajectory(cfg: SimConfig, t: float) -> TrajectorySample:
 def ideal_imu_series(cfg: SimConfig, mount: Extrinsic) -> tuple:
     """Noise-free gyro/accel arrays of one mounted IMU: the one-mount
     case of ideal_imu_series_stack."""
-    return tuple(ideal_imu_series_stack(cfg, [mount])[0])
+    return tuple(ideal_imu_series_stack(cfg, mount.rotation()[None], mount.p[None])[0])
+
+
+def grid_extrinsics(pitch: float = 0.05) -> list:
+    """The mounts of grid_mounts as one Extrinsic each, in its order."""
+    return [Extrinsic(q=quat_from_rotation(R), p=p) for R, p in zip(*grid_mounts(pitch))]
 
 
 def simulate_imu(cfg: SimConfig, mount: Extrinsic, noise: NoiseSpec,
@@ -511,14 +519,20 @@ def _setup_variant(name: str, plan: ExperimentPlan, mounts, believed,
 
 def _setup_calibrated(plan: ExperimentPlan, mounts, series_by_idx,
                       truth_samples):
-    """Calibrate the sensor pair from the trial data and anchor the
-    resulting centroid frame at sensor A's true mount."""
+    """Calibrate the sensor pair from the trial data with the library's
+    stage kernels on that one pair, raising the first error as calibrate
+    does, and anchor the centroid frame of the fitted rotation matrix
+    and lever arm at sensor A's true mount."""
     ia, ib = _PAIR
-    result = calibrate(CalibrationInput(
-        series_a=series_by_idx[ia], series_b=series_by_idx[ib],
-        noise_a=plan.noise, noise_b=plan.noise))
-    ext = result.extrinsic
-    cfg = centroid_frame(ext, plan.noise, plan.noise)
+    a, b = series_by_idx[ia], series_by_idx[ib]
+    R, _, (error,) = calibration.fit_rotation(a.gyro, b.gyro)
+    if error is None:
+        p, _, (error,) = calibration.fit_translation(R, a.gyro, a.accel, b.gyro,
+                                                     b.accel, a.freq)
+    if error is not None:
+        raise error
+    cfg = replace(centroid_frame(Extrinsic(p=p), plan.noise, plan.noise),
+                  rotations=(np.eye(3), R))
     R_ba_body = rotation_from_quat(mounts[ia].q).T
     # sensor A sits at positions[0] in the frame, which has A's axes
     frame_pos = mounts[ia].p - R_ba_body @ cfg.positions[0]
@@ -543,7 +557,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     When ``out_dir`` is given, per-trial metrics are appended to
     ``trials.jsonl`` as they complete, so long runs stream to disk.
     """
-    mounts = grid_mounts(pitch=plan.grid_pitch)
+    mounts = grid_extrinsics(pitch=plan.grid_pitch)
     needed = sorted({i for v in plan.variants
                      for i in _variant_indices(v)})
     ideal = {i: ideal_imu_series(plan.sim, mounts[i]) for i in needed}

@@ -281,7 +281,7 @@ def test_criterion_7_angular_accel_estimator_converges_second_order():
         cfg = SimConfig(freq=freq, duration=4.0)
         sa = simulate_imu(cfg, MOUNT_A, zero)
         sb = simulate_imu(cfg, MOUNT_B, zero)
-        estimates = estimate_angular_accel(Q_TRUE, sa, sb)
+        estimates = estimate_angular_accel(rotation_from_quat(Q_TRUE), sa, sb)
         err = 0.0
         for t in range(1, len(sa) - 1, 7):
             estimate = estimates[t - 1]  # row j is sample j + 1
@@ -302,12 +302,12 @@ def test_criterion_8_stage_estimates_match_independent_oracles():
     zero = NoiseSpec.zero()
     sa = simulate_imu(cfg, MOUNT_A, zero)
     sb = simulate_imu(cfg, MOUNT_B, zero)
-    q, _, _ = fit_rotation(sa.gyro, sb.gyro)
+    R, _, _ = fit_rotation(sa.gyro, sb.gyro)
     correlation = sb.gyro.T @ sa.gyro
     U, _, VT = np.linalg.svd(correlation)
     d = np.sign(np.linalg.det(U) * np.linalg.det(VT))
     R_svd = U @ np.diag([1.0, 1.0, d]) @ VT
-    rot_gap = geodesic_angle(rotation_from_quat(q), R_svd)
+    rot_gap = geodesic_angle(R, R_svd)
 
     # translation stage vs one stacked least-squares solve; a rate that
     # is affine in time makes the central differences exact
@@ -318,8 +318,7 @@ def test_criterion_8_stage_estimates_match_independent_oracles():
     wd = np.tile([0.1, 0.8, 0.6], (n, 1))
     lever = np.cross(w, np.cross(w, p_true)) + np.cross(wd, p_true)
     accel_a = np.zeros((n, 3))
-    q_identity = np.array([1.0, 0.0, 0.0, 0.0])
-    p, _, _ = fit_translation(q_identity, w, accel_a, w, lever, 200.0)
+    p, _, _ = fit_translation(np.eye(3), w, accel_a, w, lever, 200.0)
     rows = []
     rhs = []
     for k in range(1, n - 1):

@@ -17,9 +17,11 @@ from mimufusion.errors import (
     DegenerateMotion,
     LengthMismatch,
     RateMismatch,
+    SingularNormalEquations,
 )
 from mimufusion.geometry import (
     geodesic_angle,
+    quat_from_rotation,
     rotation_from_quat,
     skew,
 )
@@ -54,10 +56,10 @@ def rotation_stage(inp):
     return fit_rotation(a.gyro, b.gyro)
 
 
-def translation_stage(inp, q=np.array([1.0, 0.0, 0.0, 0.0])):
-    """fit_translation on one pair at quaternion q, as calibrate calls it."""
+def translation_stage(inp, R=np.eye(3)):
+    """fit_translation on one pair at rotation R, as calibrate calls it."""
     a, b = inp.series_a, inp.series_b
-    return fit_translation(q, a.gyro, a.accel, b.gyro, b.accel, a.freq)
+    return fit_translation(R, a.gyro, a.accel, b.gyro, b.accel, a.freq)
 
 
 def white_variance(sigma, freq=200.0):
@@ -98,17 +100,17 @@ def test_residual_omega_rows():
 
 def test_residual_accel_colocated_zero():
     a = np.array([0.1, 9.7, -0.3])
-    out = a - transfer_measurement(np.array([0.2, 0.0, 0.1]), np.zeros(3), a,
-                                   Extrinsic())[1]
+    out = a - transfer_measurement([[0.2, 0.0, 0.1]], np.zeros((1, 3)), [a],
+                                   [np.eye(3)], [np.zeros(3)])[1][0, 0]
     np.testing.assert_allclose(out, np.zeros(3), atol=1e-15)
 
 
 def test_residual_accel_centripetal():
     # B on the x axis, body spinning about z, both accels read zero:
     # the residual is minus the predicted centripetal acceleration.
-    ext = Extrinsic(p=np.array([1.0, 0.0, 0.0]))
-    out = np.zeros(3) - transfer_measurement(np.array([0.0, 0.0, 1.0]),
-                                             np.zeros(3), np.zeros(3), ext)[1]
+    out = np.zeros(3) - transfer_measurement([[0.0, 0.0, 1.0]], np.zeros((1, 3)),
+                                             np.zeros((1, 3)), [np.eye(3)],
+                                             [[1.0, 0.0, 0.0]])[1][0, 0]
     np.testing.assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-15)
 
 
@@ -122,16 +124,15 @@ def test_residual_accel_vanishes_on_rigid_pair():
     aa = rng.normal(size=(60, 3))
     lever = np.cross(w, np.cross(w, ext.p)) + np.cross(wd, ext.p)
     ab = (aa + lever) @ R.T
-    out = ab - transfer_measurement(w, wd, aa, ext)[1]
+    out = ab - transfer_measurement(w, wd, aa, R[None], ext.p[None])[1][0]
     np.testing.assert_allclose(out, np.zeros((60, 3)), atol=1e-10)
 
 
 def test_estimate_rotation_noiseless():
     inp = make_pair(Extrinsic(q=Q_5DEG_Y, p=np.array([0.1, 0.0, 0.0])))
-    q, _, errors = rotation_stage(inp)
+    R, _, errors = rotation_stage(inp)
     assert errors == [None]
-    assert geodesic_angle(rotation_from_quat(q),
-                          rotation_from_quat(Q_5DEG_Y)) < 1e-6
+    assert geodesic_angle(R, rotation_from_quat(Q_5DEG_Y)) < 1e-6
 
 
 def test_estimate_rotation_matches_procrustes_oracle():
@@ -140,7 +141,7 @@ def test_estimate_rotation_matches_procrustes_oracle():
     inp = make_pair(Extrinsic(q=Q_5DEG_Y, p=np.zeros(3)),
                     noise_a=MEMS_NOISE, noise_b=MEMS_NOISE)
     wa, wb = inp.series_a.gyro, inp.series_b.gyro
-    R = rotation_from_quat(rotation_stage(inp)[0])
+    R = rotation_stage(inp)[0]
 
     B = wb.T @ wa
     U, _, VT = np.linalg.svd(B)
@@ -162,9 +163,8 @@ def constant_rate_series(freq, n, omega):
 
 
 def test_angular_accel_zero_for_constant_rate():
-    q = np.array([1.0, 0.0, 0.0, 0.0])
     s = constant_rate_series(200.0, 50, np.array([0.4, -0.2, 0.9]))
-    out = estimate_angular_accel(q, s, s)
+    out = estimate_angular_accel(np.eye(3), s, s)
     assert out.shape == (48, 3)
     np.testing.assert_allclose(out, np.zeros((48, 3)), atol=1e-15)
 
@@ -180,13 +180,12 @@ def sinusoid_series(freq, duration, f_hz=0.5):
 def test_angular_accel_second_order_convergence():
     """Max error against the analytic derivative drops ~4x when the step
     halves."""
-    q = np.array([1.0, 0.0, 0.0, 0.0])
     f_hz = 0.5
     errors = {}
     for freq in (200.0, 400.0):
         s, ts = sinusoid_series(freq, 4.0, f_hz)
         true = 2 * np.pi * f_hz * np.cos(2 * np.pi * f_hz * ts)
-        est = estimate_angular_accel(q, s, s)
+        est = estimate_angular_accel(np.eye(3), s, s)
         # row j is sample j + 1; check every 7th sample as before
         err = 0.0
         for t in range(1, len(ts) - 1, 7):
@@ -375,9 +374,9 @@ def test_stage_kernels_over_trials_match_per_pair_calls():
     stack = {k: np.stack([getattr(getattr(inp, f"series_{k[-1]}"), k[:-2])
                           for inp in inps])
              for k in ("gyro_a", "gyro_b", "accel_a", "accel_b")}
-    q, rot_cost, rot_errors = fit_rotation(stack["gyro_a"], stack["gyro_b"])
+    R, rot_cost, rot_errors = fit_rotation(stack["gyro_a"], stack["gyro_b"])
     p, trans_cost, trans_errors = fit_translation(
-        q, stack["gyro_a"], stack["accel_a"], stack["gyro_b"], stack["accel_b"],
+        R, stack["gyro_a"], stack["accel_a"], stack["gyro_b"], stack["accel_b"],
         200.0)
     assert isinstance(rot_errors[1], DegenerateMotion)
     with pytest.raises(DegenerateMotion, match=re.escape(str(rot_errors[1]))):
@@ -385,7 +384,8 @@ def test_stage_kernels_over_trials_match_per_pair_calls():
     for k in (0, 2):
         assert rot_errors[k] is None and trans_errors[k] is None
         res = calibrate(inps[k])
-        np.testing.assert_allclose(q[k], res.extrinsic.q, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(quat_from_rotation(R[k]), res.extrinsic.q, rtol=0,
+                                   atol=1e-15)
         assert rot_cost[k] / white_variance(MEMS_NOISE.sigma_g) == pytest.approx(
             res.final_rot_cost, rel=1e-12)
         np.testing.assert_allclose(p[k], res.extrinsic.p, rtol=1e-12, atol=1e-15)
@@ -410,15 +410,14 @@ def test_stage_kernels_match_einsum_oracle():
              for k in ("gyro_a", "gyro_b", "accel_a", "accel_b")}
     got = fit_rotation(stack["gyro_a"], stack["gyro_b"])
     want = oracle.fit_rotation(stack["gyro_a"], stack["gyro_b"])
-    np.testing.assert_allclose(rotation_from_quat(got[0]), want[0], rtol=0,
-                               atol=1e-12)
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0)
     assert [type(e) for e in got[2]] == [type(e) for e in want[2]]
     assert isinstance(got[2][1], DegenerateMotion)
-    q = got[0]
+    R = got[0]
     args = (stack["gyro_a"], stack["accel_a"], stack["gyro_b"], stack["accel_b"])
-    got = fit_translation(q, *args, 200.0)
-    want = oracle.fit_translation(rotation_from_quat(q), *args, 200.0)
+    got = fit_translation(R, *args, 200.0)
+    want = oracle.fit_translation(R, *args, 200.0)
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12,
                                atol=1e-12 * np.abs(want[0]).max())
     np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0)
@@ -439,10 +438,41 @@ def test_translation_cost_matches_b_frame_residual_oracle():
     stack = {k: np.stack([getattr(getattr(inp, f"series_{k[-1]}"), k[:-2])
                           for inp in inps]).reshape(2, 2, -1, 3)
              for k in ("gyro_a", "gyro_b", "accel_a", "accel_b")}
-    q, _, _ = fit_rotation(stack["gyro_a"], stack["gyro_b"])
+    R, _, _ = fit_rotation(stack["gyro_a"], stack["gyro_b"])
     args = (stack["gyro_a"], stack["accel_a"], stack["gyro_b"], stack["accel_b"])
-    p, cost, errors = fit_translation(q, *args, 200.0)
+    p, cost, errors = fit_translation(R, *args, 200.0)
     assert errors == [None] * 4
     np.testing.assert_allclose(
-        cost, oracle.translation_cost(rotation_from_quat(q), *args, 200.0, p),
+        cost, oracle.translation_cost(R, *args, 200.0, p),
         rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("stage, scale", [("translation", 1e80), ("rotation", 1e160)])
+def test_stage_kernels_type_a_gram_that_overflows(stage, scale):
+    """Rates of about 1e80 rad/s overflow the translation Gram, and of
+    about 1e160 rad/s the rotation's moment matrices: that trial of a
+    stack gets a SingularNormalEquations from the stage, without a numpy
+    warning, and the other trials keep their estimates bit for bit."""
+    ext = Extrinsic(q=Q_5DEG_Y, p=np.array([0.1, 0.02, -0.03]))
+    inps = [make_pair(ext, duration=2.0, noise_a=MEMS_NOISE, noise_b=MEMS_NOISE,
+                      seed=seed) for seed in (14, 15, 16)]
+    stack = {k: np.stack([getattr(getattr(inp, f"series_{k[-1]}"), k[:-2])
+                          for inp in inps])
+             for k in ("gyro_a", "accel_a", "gyro_b", "accel_b")}
+
+    def stages(s):
+        R, _, rot_errors = fit_rotation(s["gyro_a"], s["gyro_b"])
+        p, _, trans_errors = fit_translation(R, *s.values(), 200.0)
+        return R, p, {"rotation": rot_errors, "translation": trans_errors}
+
+    R, p, errors = stages(stack)
+    assert errors == {"rotation": [None] * 3, "translation": [None] * 3}
+    for k in ("gyro_a", "gyro_b"):
+        stack[k][1] *= scale
+    R_big, p_big, errors = stages(stack)
+    assert isinstance(errors[stage][1], SingularNormalEquations)
+    assert str(errors[stage][1]) == (f"{stage} Gram is not finite: the rates "
+                                     "overflow its products")
+    for k in (0, 2):
+        assert errors["rotation"][k] is None and errors["translation"][k] is None
+        assert np.array_equal(R_big[k], R[k]) and np.array_equal(p_big[k], p[k])

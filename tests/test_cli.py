@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from mimufusion.cli import main
-from mimufusion.csvio import read_json
+from mimufusion.csvio import load_yaml, read_json
 from mimufusion.geometry import geodesic_angle, rotation_from_quat
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -206,7 +207,7 @@ def test_simulate_rejects_imu_name_that_is_not_a_plain_file_name(tmp_path, capsy
     assert code == 1
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload == {"error": "FormatError",
-                       "message": f"simulation config: {message}"}
+                       "message": f"{tmp_path / 'sim.yaml'}: simulation config: {message}"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.yaml"]
 
 
@@ -351,6 +352,28 @@ def test_calibrate_estimate_does_not_read_noise_sigmas(sim_pair_5s, tmp_path, si
         assert costs == [None, None]
     else:
         assert all(np.isfinite(c) and c >= 0.0 for c in costs), costs
+
+
+def test_calibrate_fails_typed_when_the_gram_overflows(tmp_path, capsys):
+    """configs/sim_pair.yaml with sigma_g 1e150 gives finite CSVs whose
+    rates overflow the translation Gram: calibrate exits 1 with a
+    SingularNormalEquations payload, without a numpy warning, and writes
+    no calib.json."""
+    sim = (CONFIG_DIR / "sim_pair.yaml").read_text()
+    assert sim.count("sigma_g: 1.7e-4") == 1
+    (tmp_path / "sim.yaml").write_text(sim.replace("sigma_g: 1.7e-4", "sigma_g: 1.0e+150"))
+    assert main(["simulate", "--config", str(tmp_path / "sim.yaml"),
+                 "--out", str(tmp_path / "data"), "--duration", "2"]) == 0
+    capsys.readouterr()
+    code = main(["calibrate", "--imu-a", str(tmp_path / "data" / "imu_a.csv"),
+                 "--imu-b", str(tmp_path / "data" / "imu_b.csv"),
+                 "--noise", str(CONFIG_DIR / "noise_mems.yaml"),
+                 "--out", str(tmp_path / "calib.json")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload == {"error": "SingularNormalEquations", "message":
+                       "translation Gram is not finite: the rates overflow its products"}
+    assert not (tmp_path / "calib.json").exists()
 
 
 def test_fuse_outputs(workspace, fused):
@@ -545,6 +568,51 @@ def test_evaluate_report_is_strict_json_without_completed_trials(tmp_path):
             assert row[key] == "" if want is None else float(row[key]) == want
 
 
+def desk_plan(**noise) -> str:
+    """configs/plan_desk.yaml cut to 2 extrinsic samples x 3 sequences,
+    with the noise values given, as YAML text."""
+    plan = load_yaml(CONFIG_DIR / "plan_desk.yaml")
+    plan.update(extrinsic_samples=2, sequences_per_sample=3)
+    plan["noise"].update(noise)
+    return yaml.safe_dump(plan)
+
+
+def test_evaluate_lists_calibrations_whose_gram_overflows(tmp_path, capsys):
+    """With sigma_g 1e150 every calibrated trial's translation Gram
+    overflows: evaluate exits 0 without a numpy warning, lists those
+    trials in failures.log and scores every other variant's trials."""
+    (tmp_path / "plan.yaml").write_text(desk_plan(sigma_g=1e150))
+    out = tmp_path / "report"
+    assert main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
+                 "--out", str(out)]) == 0
+    report = read_json(out / "report.json")
+    assert report["completed"] == {"1-imu-true": 6, "2-imu-perturbed": 6,
+                                   "4-imu-perturbed": 6, "9-imu-perturbed": 6,
+                                   "2-imu-calibrated": 0}
+    failures = (out / "failures.log").read_text().splitlines()
+    assert failures == [
+        f"sample={s} seq={r} variant=2-imu-calibrated: SingularNormalEquations: "
+        "translation Gram is not finite: the rates overflow its products"
+        for s in range(2) for r in range(3)]
+    assert len((out / "trials.jsonl").read_text().splitlines()) == 24
+    assert "6 trial(s) failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["sigma_g", "sigma_a", "sigma_bg", "sigma_ba"])
+def test_evaluate_rejects_noise_sigma_that_overflows(tmp_path, capsys, key):
+    """A plan noise sigma of 1e200 overflows the noise: evaluate exits 1
+    with a FormatError naming the noise block and the sigma, without a
+    numpy warning and before any output exists."""
+    (tmp_path / "plan.yaml").write_text(desk_plan(**{key: 1e200}))
+    code = main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
+                 "--out", str(tmp_path / "report")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload == {"error": "FormatError", "message":
+                       f"plan.noise.{key} 1e+200 makes the noise overflow at 200 Hz"}
+    assert not (tmp_path / "report").exists()
+
+
 def test_evaluate_rejects_unknown_variant(tmp_path, capsys):
     (tmp_path / "plan.yaml").write_text(PLAN_YAML)
     code = main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
@@ -609,7 +677,8 @@ def test_bad_value_fails_alike_in_plan_and_simulation_yaml(tmp_path, capsys, cas
     """A value that a config type's constructor rejects exits 1 with a
     FormatError that names its key or field, before any output is
     written, in a plan and, where the key exists there, in a simulation
-    YAML; past the name of the block, both messages read the same."""
+    YAML; each message starts with its file's path, and past the path
+    and the name of the block, both read the same."""
     plan_old, plan_new, sim_old, sim_new, name = BAD_IN_EITHER_FORMAT[case]
     assert PLAN_YAML.count(plan_old) == 1
     (tmp_path / "plan.yaml").write_text(PLAN_YAML.replace(plan_old, plan_new))
@@ -618,6 +687,7 @@ def test_bad_value_fails_alike_in_plan_and_simulation_yaml(tmp_path, capsys, cas
     plan_error = json.loads(capsys.readouterr().err.strip())
     assert plan_error["error"] == "FormatError"
     assert name in plan_error["message"]
+    assert plan_error["message"].startswith(f"{tmp_path / 'plan.yaml'}: ")
     assert not (tmp_path / "report").exists()
     if sim_old is None:
         return
@@ -627,8 +697,9 @@ def test_bad_value_fails_alike_in_plan_and_simulation_yaml(tmp_path, capsys, cas
                  "--out", str(tmp_path / "data")]) == 1
     sim_error = json.loads(capsys.readouterr().err.strip())
     assert sim_error["error"] == "FormatError"
-    assert (sim_error["message"].split(": ", 1)[1]
-            == plan_error["message"].split(": ", 1)[1])
+    assert sim_error["message"].startswith(f"{tmp_path / 'sim.yaml'}: ")
+    assert (sim_error["message"].split(": ", 2)[2]
+            == plan_error["message"].split(": ", 2)[2])
     assert not (tmp_path / "data").exists()
 
 

@@ -285,12 +285,10 @@ def test_setup_of_one_mount_matches_the_single_frame():
     mount, and so is any single believed pose, trial by trial."""
     plan = ExperimentPlan()
     keyframes = trajectory_samples(plan.sim, np.array([0.005, 0.505]))
-    mounts = grid_mounts(pitch=plan.grid_pitch)
-    rotations, truth = _setup(*_poses(rotation_from_quat([m.q for m in mounts]),
-                                      np.array([m.p for m in mounts]), (_CENTER,)),
-                              plan, keyframes)
+    grid = grid_mounts(pitch=plan.grid_pitch)
+    rotations, truth = _setup(*_poses(*grid, (_CENTER,)), plan, keyframes)
     assert_fuses_as(rotations, 0, single_frame(plan.noise))
-    want_truth = true_vimu_state(keyframes, np.eye(3), mounts[_CENTER].p)
+    want_truth = true_vimu_state(keyframes, np.eye(3), grid[1][_CENTER])
     np.testing.assert_array_equal(truth.position[:, 0], want_truth.position)
 
     rng = np.random.default_rng(72)
@@ -426,32 +424,35 @@ CHUNK_CAPS = {"one-trial": ONE_TRIAL, "default": None, "whole-sample": 1 << 40}
 
 def test_calibrated_poses_match_calibrate():
     """For a chunk of two desk trials, the sensor-B pose that the
-    harness builds from its stacked calibration equals, bit for bit,
-    sensor A's mount composed with the extrinsic that calibrate gives
-    on the same columns."""
-    from mimufusion.calibration import CalibrationInput, calibrate
+    harness builds from its stacked calibration is sensor A's mount
+    composed with the extrinsic that calibrate gives on the same
+    columns: the origin bit for bit, and the rotation bit for bit with
+    the matrix that fit_rotation gives the pair alone, and to round-off
+    with the rotation of calibrate's quaternion."""
+    from mimufusion.calibration import CalibrationInput, calibrate, fit_rotation
     from mimufusion.harness import _PAIR, _calibrated_poses
     from mimufusion.simulation import (apply_measurement_noise_stack,
                                        ideal_imu_series_stack)
 
     plan = ExperimentPlan.from_dict(load_yaml(
         Path(__file__).resolve().parents[1] / "configs" / "plan_desk.yaml"))
-    mounts = grid_mounts(pitch=plan.grid_pitch)
-    ideal = ideal_imu_series_stack(plan.sim, mounts).transpose(1, 2, 0, 3)
+    grid = grid_mounts(pitch=plan.grid_pitch)
+    ideal = ideal_imu_series_stack(plan.sim, *grid).transpose(1, 2, 0, 3)
     raw = np.stack([apply_measurement_noise_stack(ideal, plan.noise, plan.sim.freq,
                                                   np.random.default_rng(seed))
                     for seed in (0, 1)])
     gyro, accel = raw[:, 0], raw[:, 1]
-    grid = rotation_from_quat([m.q for m in mounts]), np.array([m.p for m in mounts])
     rotations, positions, errors = _calibrated_poses(plan, grid, gyro, accel, list(_PAIR))
     assert errors == [None, None]
-    R_a, p_a = rotation_from_quat(mounts[_PAIR[0]].q), mounts[_PAIR[0]].p
+    R_a, p_a = (x[_PAIR[0]] for x in grid)
     for c in range(2):
         a, b = (ImuSeries(plan.sim.freq, 0, gyro[c, :, j], accel[c, :, j])
                 for j in _PAIR)
         ext = calibrate(CalibrationInput(a, b, plan.noise, plan.noise)).extrinsic
         np.testing.assert_array_equal(rotations[c, 1],
-                                      rotation_from_quat(ext.q) @ R_a)
+                                      fit_rotation(a.gyro, b.gyro)[0] @ R_a)
+        np.testing.assert_allclose(rotations[c, 1], rotation_from_quat(ext.q) @ R_a,
+                                   rtol=0, atol=1e-15)
         np.testing.assert_array_equal(positions[c, 1], p_a + ext.p @ R_a)
 
 
@@ -463,7 +464,7 @@ def smallest_gyro_eigenvalues(plan):
     from mimufusion.simulation import (apply_measurement_noise_stack,
                                        ideal_imu_series_stack)
 
-    ideal = ideal_imu_series_stack(plan.sim, grid_mounts(pitch=plan.grid_pitch))
+    ideal = ideal_imu_series_stack(plan.sim, *grid_mounts(pitch=plan.grid_pitch))
     ideal = ideal.transpose(1, 2, 0, 3)  # (gyro/accel, sample, grid sensor, axis)
     out = []
     for sample_seq in np.random.SeedSequence(plan.master_seed).spawn(

@@ -7,6 +7,7 @@ from oracle import (
     array_frame,
     centred_config,
     general_solves,
+    grid_extrinsics,
     ideal_imu_series,
     identity_delta,
     log_so3,
@@ -39,7 +40,6 @@ from mimufusion.preintegration import (
 from mimufusion.simulation import (
     SimConfig,
     apply_measurement_noise_stack,
-    grid_mounts,
 )
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
@@ -642,10 +642,11 @@ NEES_CASES = {
         PAIR, (NoiseSpec(sigma_a=2e-3, sigma_bg=0.0, sigma_ba=0.0),
                NoiseSpec(sigma_a=8e-3, sigma_bg=0.0, sigma_ba=0.0)))),
     "frame-at-sensor-a": (TRIPLE, lambda: body_frame(TRIPLE, (WHITE,) * 3)),
-    "4-corner-sensors": ([grid_mounts()[i] for i in (0, 2, 6, 8)],
-                         lambda: array_frame([grid_mounts()[i] for i in (0, 2, 6, 8)],
+    "4-corner-sensors": ([grid_extrinsics()[i] for i in (0, 2, 6, 8)],
+                         lambda: array_frame([grid_extrinsics()[i] for i in (0, 2, 6, 8)],
                                              [WHITE] * 4)[0]),
-    "9-sensor-grid": (grid_mounts(), lambda: array_frame(grid_mounts(), [WHITE] * 9)[0]),
+    "9-sensor-grid": (grid_extrinsics(),
+                      lambda: array_frame(grid_extrinsics(), [WHITE] * 9)[0]),
     "bias-walk-on": (PAIR, lambda: body_frame(PAIR, (MEMS,) * 2)),
 }
 
@@ -687,7 +688,7 @@ def test_preintegrate_stack_matches_matmul_rotation_oracle():
     import oracle
 
     sim = SimConfig(freq=200.0, duration=3.0)
-    ideal = np.array([ideal_imu_series(sim, m) for m in grid_mounts()[:3]])
+    ideal = np.array([ideal_imu_series(sim, m) for m in grid_extrinsics()[:3]])
     noisy = apply_measurement_noise_stack(ideal.transpose(1, 2, 0, 3), MEMS, 200.0,
                                           np.random.default_rng(0))
     gyro, accel = (noisy[j, :500].swapaxes(0, 1).reshape(3, 5, 100, 3) for j in (0, 1))

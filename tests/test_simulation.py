@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import oracle
 from oracle import (
+    grid_extrinsics,
     ideal_body_measurements,
     ideal_imu_series,
     log_so3,
@@ -133,26 +134,24 @@ def test_transfer_identity_passthrough():
     w = rng.normal(size=3)
     wd = rng.normal(size=3)
     a = rng.normal(size=3)
-    wb, ab = transfer_measurement(w, wd, a, Extrinsic())
-    np.testing.assert_allclose(wb, w, atol=1e-15)
-    np.testing.assert_allclose(ab, a, atol=1e-15)
+    wb, ab = transfer_measurement(w[None], wd[None], a[None], [np.eye(3)], [np.zeros(3)])
+    np.testing.assert_allclose(wb, [[w]], atol=1e-15)
+    np.testing.assert_allclose(ab, [[a]], atol=1e-15)
 
 
 def test_transfer_centripetal_lever():
     # spin about z, sensor 1 m out on x: reads -1 m/s^2 on x
-    ext = Extrinsic(p=np.array([1.0, 0.0, 0.0]))
-    wb, ab = transfer_measurement(np.array([0.0, 0.0, 1.0]), np.zeros(3),
-                                  np.zeros(3), ext)
-    np.testing.assert_allclose(wb, [0.0, 0.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(ab, [-1.0, 0.0, 0.0], atol=1e-15)
+    wb, ab = transfer_measurement([[0.0, 0.0, 1.0]], np.zeros((1, 3)), np.zeros((1, 3)),
+                                  [np.eye(3)], [[1.0, 0.0, 0.0]])
+    np.testing.assert_allclose(wb, [[[0.0, 0.0, 1.0]]], atol=1e-15)
+    np.testing.assert_allclose(ab, [[[-1.0, 0.0, 0.0]]], atol=1e-15)
 
 
 def test_transfer_tangential_term():
     # pure angular acceleration: a_B = wdot x p
-    ext = Extrinsic(p=np.array([0.0, 0.5, 0.0]))
-    _, ab = transfer_measurement(np.zeros(3), np.array([0.0, 0.0, 2.0]),
-                                 np.zeros(3), ext)
-    np.testing.assert_allclose(ab, [-1.0, 0.0, 0.0], atol=1e-15)
+    _, ab = transfer_measurement(np.zeros((1, 3)), [[0.0, 0.0, 2.0]], np.zeros((1, 3)),
+                                 [np.eye(3)], [[0.0, 0.5, 0.0]])
+    np.testing.assert_allclose(ab, [[[-1.0, 0.0, 0.0]]], atol=1e-15)
 
 
 def test_mounted_series_consistent_with_transfer():
@@ -174,9 +173,10 @@ def test_mounted_series_consistent_with_transfer():
                     p=quat_rotate(qa, pb - pa))
     samples = trajectory_samples(cfg, cfg.times())
     wdot_a = np.array([quat_rotate(qa, s.omega_dot) for s in samples])
-    wb_pred, ab_pred = transfer_measurement(wa, wdot_a, aa, rel)
-    np.testing.assert_allclose(wb_pred, wb, atol=1e-10)
-    np.testing.assert_allclose(ab_pred, ab, atol=1e-10)
+    wb_pred, ab_pred = transfer_measurement(wa, wdot_a, aa, rel.rotation()[None],
+                                            rel.p[None])
+    np.testing.assert_allclose(wb_pred[0], wb, atol=1e-10)
+    np.testing.assert_allclose(ab_pred[0], ab, atol=1e-10)
 
 
 def quat_from_random(rng):
@@ -220,10 +220,12 @@ def test_ideal_stack_matches_per_mount_series():
     mount the same bits as evaluating it for that mount alone."""
     cfg = SimConfig(freq=200.0, duration=3.0)
     rng = np.random.default_rng(5)
-    mounts = grid_mounts() + [Extrinsic(q=quat_from_random(rng), p=rng.normal(size=3))]
-    stack = ideal_imu_series_stack(cfg, mounts)
-    assert stack.shape == (len(mounts), 2, cfg.sample_count, 3)
-    for i, mount in enumerate(mounts):
+    extra = Extrinsic(q=quat_from_random(rng), p=rng.normal(size=3))
+    rotations, positions = (np.concatenate([x, y[None]]) for x, y in
+                            zip(grid_mounts(), (extra.rotation(), extra.p)))
+    stack = ideal_imu_series_stack(cfg, rotations, positions)
+    assert stack.shape == (10, 2, cfg.sample_count, 3)
+    for i, mount in enumerate(grid_extrinsics() + [extra]):
         assert np.array_equal(stack[i], np.array(ideal_imu_series(cfg, mount)))
 
 
@@ -473,11 +475,9 @@ def test_perturb_matches_per_mount_quaternion_composition():
     composition q * q{delta}, two standard_normal(3) draws per mount:
     rotations to 1e-15, origins bit for bit, and the generator is left
     in the same state."""
-    mounts = grid_mounts()
     stacked, per_mount = np.random.default_rng(27), np.random.default_rng(27)
-    R, p = perturb_extrinsics(rotation_from_quat([m.q for m in mounts]),
-                              np.array([m.p for m in mounts]), 0.01, 0.001, stacked)
-    want = [oracle.perturb_extrinsic(m, 0.01, 0.001, per_mount) for m in mounts]
+    R, p = perturb_extrinsics(*grid_mounts(), 0.01, 0.001, stacked)
+    want = [oracle.perturb_extrinsic(m, 0.01, 0.001, per_mount) for m in grid_extrinsics()]
     np.testing.assert_allclose(R, rotation_from_quat([w.q for w in want]),
                                rtol=0, atol=1e-15)
     np.testing.assert_array_equal(p, [w.p for w in want])
@@ -485,9 +485,8 @@ def test_perturb_matches_per_mount_quaternion_composition():
 
 
 def test_grid_mounts_layout():
-    mounts = grid_mounts()
-    assert len(mounts) == 9
-    positions = np.array([m.p for m in mounts])
+    rotations, positions = grid_mounts()
+    assert positions.shape == (9, 3)
     np.testing.assert_allclose(positions.mean(axis=0), np.zeros(3), atol=1e-15)
     # row-major: first row spans x at fixed lowest y
     np.testing.assert_allclose(positions[0], [-0.05, -0.05, 0.0])
@@ -495,8 +494,7 @@ def test_grid_mounts_layout():
     np.testing.assert_allclose(positions[2], [0.05, -0.05, 0.0])
     np.testing.assert_allclose(positions[4], [0.0, 0.0, 0.0])
     np.testing.assert_allclose(positions[8], [0.05, 0.05, 0.0])
-    for m in mounts:
-        np.testing.assert_array_equal(m.q, [1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(rotations, np.broadcast_to(np.eye(3), (9, 3, 3)))
     # neighbours in a row are one pitch apart
     assert np.linalg.norm(positions[1] - positions[0]) == pytest.approx(0.05)
 

@@ -6,6 +6,7 @@ from oracle import (
     array_frame,
     centred_config,
     general_solves,
+    grid_extrinsics,
     identity_delta,
     ideal_body_measurements,
     lever_arm_stack,
@@ -282,22 +283,11 @@ def test_fuse_accel_dynamic_matches_virtual_ideal():
         w_v, f_v = ideal_body_measurements(s, cfg_sim.gravity)
         # the virtual frame is at -p/2 relative to sensor A; mount both
         # sensors relative to it
-        readings_w = []
-        readings_a = []
-        for rot, pos in zip(vcfg.rotations, vcfg.positions):
-            mount = Extrinsic(q=quat_from_rotation_matrix(rot), p=pos)
-            wi, ai = transfer_measurement(w_v, s.omega_dot, f_v, mount)
-            readings_w.append(wi)
-            readings_a.append(ai)
-        fused_w, fused_a = fuse_one(vcfg, readings_w, readings_a)
+        readings_w, readings_a = transfer_measurement(
+            w_v[None], s.omega_dot[None], f_v[None], vcfg.rotations, vcfg.positions)
+        fused_w, fused_a = fuse_one(vcfg, readings_w[:, 0], readings_a[:, 0])
         np.testing.assert_allclose(fused_w, w_v, atol=1e-9)
         np.testing.assert_allclose(fused_a, f_v, atol=1e-9)
-
-
-def quat_from_rotation_matrix(R):
-    from mimufusion.geometry import quat_from_rotation
-
-    return quat_from_rotation(R)
 
 
 def test_virtual_covariance_equal_pair_halves():
@@ -371,9 +361,7 @@ def test_fused_accel_noise_matches_q_av_for_unequal_pair():
                                                sigma_a=4 * white.sigma_a,
                                                sigma_bg=0.0, sigma_ba=0.0))
     q_av = virtual_covariances(cfg.noises).accel
-    mounts = [Extrinsic(q=quat_from_rotation(r), p=p)
-              for r, p in zip(cfg.rotations, cfg.positions)]
-    ideal = ideal_imu_series_stack(sim, mounts)
+    ideal = ideal_imu_series_stack(sim, cfg.rotations, cfg.positions)
     clean = fuse_series(cfg, [ImuSeries(FREQ, 0, w, a) for w, a in ideal])
     rng = np.random.default_rng(3)
     errors = []
@@ -463,10 +451,7 @@ def test_fuse_series_validates_inputs():
 
 
 def test_array_frame_centroid():
-    from mimufusion.simulation import grid_mounts
-
-    mounts = grid_mounts()
-    cfg, rot, pos = array_frame(mounts, [MEMS] * 9)
+    cfg, rot, pos = array_frame(grid_extrinsics(), [MEMS] * 9)
     np.testing.assert_array_equal(rot, np.eye(3))
     np.testing.assert_allclose(pos, np.zeros(3), atol=1e-15)
     assert len(cfg.rotations) == 9
