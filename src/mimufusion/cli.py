@@ -161,6 +161,14 @@ def cmd_preintegrate(args) -> int:
         raise RateMismatch(
             f"{args.vimu}: rate {series.freq:.3f} Hz does not match the "
             f"sidecar's {freq:.3f} Hz")
+    # the right Jacobian cubes each sample's rotation angle |w| / freq
+    with np.errstate(over="ignore"):
+        angle = np.linalg.norm(series.gyro * (1.0 / series.freq), axis=-1)
+        overflow = np.flatnonzero(np.isinf(angle**3))
+    if overflow.size:
+        raise FormatError(
+            f"{args.vimu}: sample {overflow[0]} turns {angle[overflow[0]]:.3g} rad in "
+            "one period, an angle whose cube overflows")
     if not (np.isfinite(args.interval) and args.interval > 0):
         raise ValueError(
             f"--interval must be finite and positive, got {args.interval}")

@@ -2,26 +2,24 @@
 first-order covariance propagation.
 
 Between two keyframes the bias-corrected samples are folded into
-relative motion increments
+relative motion increments, independent of the start state,
 
     dR = prod Exp((w - b_g) dt),   dv = sum dR_k a_k dt,
     dp = sum (dv_k dt + 1/2 dR_k a_k dt^2)
 
-independent of the start state. The 9x9 covariance over the error state
-(phi, v, p) propagates per step as A S A^T + B S_eta B^T, where B routes
-the virtual gyro noise into orientation through the right Jacobian and
-the virtual accel noise into velocity and position. The fused accel
-sits at the array's accelerometer-weighted centroid (see vimu), so it
-does not depend on the angular rate: gyro noise does not reach velocity
-or position through it.
+with errors dR_meas = dR Exp(e_phi), e_v = dv_meas - dv and e_p =
+dp_meas - dp. The fused accel sits at the array's accelerometer-weighted
+centroid (see vimu), so gyro noise reaches v and p only through e_phi.
 
-Error-state conventions (matching A/B): dR_meas = dR Exp(e_phi),
-e_v = dv_meas - dv, e_p = dp_meas - dp.
-
-The kernel (preintegrate_stack) advances many windows at once and walks
-their samples in blocks, so that what it holds besides its inputs and
-outputs is sized by the block, not by the window: no rotation is kept
-per integrated sample.
+The 9x9 covariance over (phi, v, p) sums the samples' noise carried to
+the window's end k by Phi(k, j) = L(k) F_j: F_j stacks E_j, [dv_j]x E_j
+and [dp_j - j dt dv_j]x E_j (E_j = dR_j Jr_{j-1}); L(k) holds only dR_k,
+dv_k, dp_k and k. The gyro noise gives L(k) (sum_j F_j Q_g F_j^T dt)
+L(k)^T, the accel noise sums of dR_i Q_a dR_i^T dt weighted by 1,
+(i + 1/2) dt and ((i + 1/2) dt)^2. The rotation block keeps the
+recurrence P <- Exp^T P Exp + Jr Q_g Jr^T dt, and each accel term its
+own product: entries that an isotropic Q leaves near zero then round at
+their own size, not at eps times a sum rotated by dR_k.
 """
 from __future__ import annotations
 
@@ -120,16 +118,11 @@ def preintegrate_stack(gyro, accel, freq: float,
     (..., windows, step, 3), any leading axes being trials, into every
     window's (dR (..., windows, 3, 3), dv, dp (..., windows, 3), cov).
     With the virtual noise model ``noise``, cov (..., windows, 9, 9) is
-    propagated; without it, cov is None.
+    propagated (see the module docstring); without it, cov is None.
 
-    One loop over the sample positions advances every window's rotation
-    (and covariance, by the per-sample A and B of the module docstring)
-    together. A and B are allocated once, with their constant blocks, and
-    the loop refills the rest in place. The positions pass in blocks of
-    _BLOCK: per block, Exp and the rate-only blocks of B are evaluated
-    for all its samples at once, and its rotated samples are reduced
-    into the velocity and position sums by weights, without a loop. So
-    the working memory grows with the block, not with the window.
+    Every window advances at once, a sample position per loop pass, in
+    blocks of _BLOCK whose Exp, Jr, rotated samples and noise terms are
+    evaluated and summed without a loop: no rotation is kept per sample.
     """
     w_hat = np.asarray(gyro, dtype=float)
     a_hat = np.asarray(accel, dtype=float)
@@ -141,43 +134,67 @@ def preintegrate_stack(gyro, accel, freq: float,
     # rotated by the accumulation before it: one product per block gives both
     weights = np.array([np.full(k, dt), (k - 0.5 - np.arange(k)) * dt**2])
     dv_dp = np.zeros(lead + (2, 3))
-    cov = None
-    if noise is not None:
-        # discrete per-sample covariance of the stacked (gyro, accel) noise
-        s_eta = np.zeros((6, 6))
-        s_eta[:3, :3] = noise.gyro * freq
-        s_eta[3:, 3:] = noise.accel * freq
-        cov = np.zeros(lead + (9, 9))
-        A = np.zeros(lead + (9, 9))
-        A[..., 3:6, 3:6] = A[..., 6:9, 6:9] = np.eye(3)
-        A[..., 6:9, 3:6] = dt * np.eye(3)
-        B = np.zeros(lead + (9, 6))
+    if noise is not None:  # the rotation block, the sum L(k) maps, (dv_j, dp_j - j dt dv_j)
+        rot_block, sums = np.zeros(lead + (3, 3)), np.zeros(lead + (9, 9))
+        prefix = np.zeros(lead + (2, 3, 1))
     for b in range(0, k, _BLOCK):
         w, a = w_hat[..., b:b + _BLOCK, :], a_hat[..., b:b + _BLOCK, :]
+        n = w.shape[-2]
+        rot = exp_so3(w * dt)
+        if noise is not None:  # transposes are copied: matmul is slow on views
+            jr = right_jacobian(w * dt) * dt
+            jr_t = np.ascontiguousarray(np.swapaxes(jr, -1, -2))
+            jrq = (jr.reshape(-1, 3) @ (noise.gyro * freq)).reshape(jr.shape) @ jr_t
+            exp_t = np.ascontiguousarray(np.moveaxis(np.swapaxes(rot, -1, -2), -3, 0))
         # rot[..., i, :, :] holds Exp(w_i dt) until pass i overwrites it
         # with the rotation accumulated before sample i
-        rot = exp_so3(w * dt)
-        if cov is not None:
-            jr_dt = right_jacobian(w * dt) * dt
-        for i in range(w.shape[-2]):
-            if cov is not None:
-                R_sa = dR @ skew(a[..., i, :])
-                A[..., 0:3, 0:3] = np.swapaxes(rot[..., i, :, :], -1, -2)
-                A[..., 3:6, 0:3] = -R_sa * dt
-                A[..., 6:9, 0:3] = -0.5 * R_sa * dt**2
-                B[..., 0:3, 0:3] = jr_dt[..., i, :, :]
-                B[..., 3:6, 3:6] = dR * dt
-                B[..., 6:9, 3:6] = 0.5 * dR * dt**2
-                cov = (A @ cov @ np.swapaxes(A, -1, -2)
-                       + B @ s_eta @ np.swapaxes(B, -1, -2))
-                cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+        for i in range(n):
+            if noise is not None:
+                rot_block = exp_t[i] @ rot_block @ rot[..., i, :, :] + jrq[..., i, :, :]
             before, dR = dR, dR @ rot[..., i, :, :]
             rot[..., i, :, :] = before
         accel_world = rot[..., 0] * a[..., :1]  # R a, column by column
         accel_world += rot[..., 1] * a[..., 1:2]
         accel_world += rot[..., 2] * a[..., 2:]
         dv_dp += weights[:, b:b + _BLOCK] @ accel_world
-    return dR, dv_dp[..., 0, :], dv_dp[..., 1, :], cov
+        if noise is None:
+            continue
+        del jr, jrq, exp_t
+        # the prefix after each sample, components first, by triangular weights
+        c = (b + 0.5 + np.arange(n)) * dt
+        tri = np.tril(np.full((n, n), dt))
+        steps = (np.concatenate([tri, -c * tri]) @ accel_world).reshape(lead + (2, n, 3))
+        prefix = prefix[..., -1:] + np.swapaxes(steps, -1, -2)
+        # each sample's (dR_i dt) Q_a freq (dR_i dt)^T, weighted by 1, -c, -c, c^2
+        rot_dt = rot * dt
+        acc = (rot_dt.reshape(-1, 3) @ (noise.accel * freq)).reshape(rot.shape)
+        acc = np.array([np.ones(n), -c, -c, c * c]) @ (
+            acc @ np.ascontiguousarray(np.swapaxes(rot_dt, -1, -2))).reshape(lead + (n, 9))
+        sums[..., 3:, 3:] += np.swapaxes(acc.reshape(lead + (2, 2, 3, 3)), -3, -2).reshape(
+            lead + (6, 6))
+        del rot_dt, acc
+        # f[..., g, r, :, i] is row r of block g of F_{i+1} dt, which carries
+        # sample i's gyro noise: E_{i+1} = dR_i Exp_i Jr_i = dR_i Jr_i^T
+        f = np.empty(lead + (3, 3, 3, n))
+        f[..., 0, :, :, :] = np.moveaxis(rot @ jr_t, -3, -1)
+        del jr_t, rot
+        for r in range(3):  # row r of [u]x E from rows r + 1 and r + 2 of E
+            r1, r2 = (r + 1) % 3, (r + 2) % 3
+            f[..., 1:, r, :, :] = (prefix[..., r1, None, :] * f[..., :1, r2, :, :]
+                                   - prefix[..., r2, None, :] * f[..., :1, r1, :, :])
+        flat = f.reshape(lead + (9, 3 * n))
+        sums += (noise.gyro * freq @ f).reshape(flat.shape) @ np.swapaxes(flat, -1, -2)
+        del f, flat
+    dv, dp = dv_dp[..., 0, :], dv_dp[..., 1, :]
+    if noise is None:
+        return dR, dv, dp, None
+    # L(k), the window end's factor of every Phi(k, j) = L(k) F_j
+    eye, zero = np.broadcast_to(np.eye(3), dR.shape), np.zeros_like(dR)
+    L = np.block([[np.swapaxes(dR, -1, -2), zero, zero], [-skew(dv), eye, zero],
+                  [-skew(dp), k * dt * eye, eye]])
+    cov = L @ sums @ np.swapaxes(L, -1, -2)
+    cov[..., :3, :3] = rot_block
+    return dR, dv, dp, 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
 def predict_state(start: VimuState, delta: PreintDelta, gravity) -> VimuState:

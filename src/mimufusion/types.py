@@ -19,7 +19,10 @@ def _vec3(x) -> np.ndarray:
 
 
 def non_finite_sample(gyro, accel):
-    """Index of the first NaN or infinite sample (row), or None."""
+    """Index of the first NaN or infinite sample (row), or None. The rows
+    are scanned only when a whole-array check finds such a value."""
+    if np.isfinite(gyro).all() and np.isfinite(accel).all():
+        return None
     finite = np.isfinite(gyro).all(axis=-1) & np.isfinite(accel).all(axis=-1)
     return None if finite.all() else int(np.argmin(finite))
 

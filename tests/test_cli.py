@@ -376,6 +376,35 @@ def test_calibrate_fails_typed_when_the_gram_overflows(tmp_path, capsys):
     assert not (tmp_path / "calib.json").exists()
 
 
+def test_preintegrate_fails_typed_when_the_angle_overflows(sim_pair_5s, tmp_path, capsys):
+    """configs/sim_pair.yaml with sigma_g 1e150, fused with the MEMS run's
+    calib.json, gives finite rates near 1e151 rad/s: each sample's angle
+    per period overflows when the right Jacobian cubes it. preintegrate
+    exits 1 with a FormatError payload naming the file and the first such
+    sample, without a numpy warning, and writes no deltas."""
+    data, _ = sim_pair_5s
+    sim = (CONFIG_DIR / "sim_pair.yaml").read_text()
+    (tmp_path / "sim.yaml").write_text(sim.replace("sigma_g: 1.7e-4", "sigma_g: 1.0e+150"))
+    assert main(["simulate", "--config", str(tmp_path / "sim.yaml"),
+                 "--out", str(tmp_path / "data"), "--duration", "2"]) == 0
+    assert main(["fuse", "--imu-a", str(tmp_path / "data" / "imu_a.csv"),
+                 "--imu-b", str(tmp_path / "data" / "imu_b.csv"),
+                 "--calib", str(data.parent / "calib.json"),
+                 "--noise", str(CONFIG_DIR / "noise_mems.yaml"),
+                 "--out", str(tmp_path / "virtual.csv")]) == 0
+    capsys.readouterr()
+    code = main(["preintegrate", "--vimu", str(tmp_path / "virtual.csv"),
+                 "--vimu-config", str(tmp_path / "virtual.json"), "--interval", "0.5",
+                 "--out", str(tmp_path / "deltas.jsonl")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "FormatError"
+    message = payload["message"]
+    assert message.startswith(f"{tmp_path / 'virtual.csv'}: sample 0 turns "), message
+    assert message.endswith(" rad in one period, an angle whose cube overflows"), message
+    assert not (tmp_path / "deltas.jsonl").exists()
+
+
 def test_fuse_outputs(workspace, fused):
     sidecar = read_json(fused.with_suffix(".json"))
     assert sidecar["freq"] == pytest.approx(200.0, rel=1e-6)

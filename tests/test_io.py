@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -15,6 +16,7 @@ from oracle import parse_csv as oracle_parse_csv
 from oracle import quat_from_rotvec, simulate_imu
 from oracle import write_imu_csv as oracle_write_imu_csv
 
+from mimufusion import csvio
 from mimufusion.csvio import (
     _BLOCK_ROWS,
     IMU_CSV_HEADER,
@@ -731,6 +733,25 @@ def test_load_yaml_parse_error(tmp_path):
     path.write_text("a: [unclosed\n")
     with pytest.raises(FormatError):
         load_yaml(path)
+
+
+def test_load_yaml_loaders_agree(tmp_path, monkeypatch):
+    """load_yaml parses with libyaml's CSafeLoader when PyYAML was built
+    with it, and with SafeLoader otherwise. Forced to each, it loads every
+    file under configs/ to the same dict, and a malformed file fails
+    with a FormatError naming its path."""
+    assert csvio._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("a: [unclosed\n")
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+    assert len(configs) >= 3
+    loaded = []
+    for loader in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        monkeypatch.setattr(csvio, "_YAML_LOADER", loader)
+        loaded.append([load_yaml(path) for path in configs])
+        with pytest.raises(FormatError, match=re.escape(str(broken))):
+            load_yaml(broken)
+    assert loaded[0] == loaded[1]
 
 
 def test_load_yaml_requires_mapping(tmp_path):

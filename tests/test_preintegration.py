@@ -44,6 +44,7 @@ from mimufusion.simulation import (
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
     VimuConfig,
+    VimuNoise,
     centroid_frame,
     fuse_series,
     fuse_stack,
@@ -56,8 +57,6 @@ GRAVITY = np.array([0.0, 0.0, -9.81])
 
 
 def zero_vimu_noise():
-    from mimufusion.vimu import VimuNoise
-
     z = np.zeros((3, 3))
     return VimuNoise(gyro=z, gyro_bias=z, accel=z, accel_bias=z)
 
@@ -564,13 +563,26 @@ def test_stack_over_trials_matches_windows_per_series():
 
 # --- the blocked kernel -----------------------------------------------------
 
+def anisotropic_noise():
+    """A virtual noise model whose Q_g and Q_a are PSD but not multiples
+    of I, as a sidecar may hold: the fused models are always isotropic."""
+    rng = np.random.default_rng(75)
+    a_g, a_a = rng.normal(size=(3, 3)) * 1e-4, rng.normal(size=(3, 3)) * 3e-3
+    z = np.zeros((3, 3))
+    return VimuNoise(gyro=a_g @ a_g.T, gyro_bias=z, accel=a_a @ a_a.T, accel_bias=z)
+
+
 @pytest.mark.parametrize("step", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
-@pytest.mark.parametrize("with_noise", [False, True], ids=["plain", "covariance"])
-def test_stack_blocks_match_per_sample_fold(step, with_noise):
+@pytest.mark.parametrize("model", ["plain", "covariance", "anisotropic"])
+def test_stack_blocks_match_per_sample_fold(step, model):
     """Windows shorter than, as long as and longer than one block of
     preintegrate_stack, over a trial axis, equal the oracle's per-sample
-    fold at each trial's own array within 1e-12."""
+    fold at each trial's own array within 1e-12, under the fused
+    (isotropic) noise model and an anisotropic one."""
     cfgs, noise_v = two_trial_configs()
+    if model == "anisotropic":
+        noise_v = anisotropic_noise()
+    with_noise = model != "plain"
     n_windows = 3
     series = [random_virtual_series(n_windows * step, seed=70 + k) for k in range(2)]
     shape = (2, n_windows, step, 3)
