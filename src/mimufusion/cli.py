@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -71,8 +72,8 @@ def cmd_simulate(args) -> int:
     created = [d for d in (out, *out.parents) if not d.exists()]
     try:
         out.mkdir(parents=True, exist_ok=True)
-        # each CSV is staged in a temp file; all are renamed into place
-        # only once every IMU has been written
+        # write_imu_csv stages each CSV; all are renamed into place only
+        # once every IMU has been written
         with contextlib.ExitStack() as staged:
             for (name, _, noise), (w, a), seq in zip(imus, ideal, streams):
                 path = out / f"{name}.csv"
@@ -84,8 +85,7 @@ def cmd_simulate(args) -> int:
                     series = ImuSeries(cfg.freq, 0, *noisy)
                 except FormatError as exc:
                     raise FormatError(f"{path}: {exc}") from None
-                csvio.write_imu_csv(path, series,
-                                    staged.enter_context(csvio._atomic_open(path)))
+                csvio.write_imu_csv(path, series, stage=staged)
                 log.info("wrote %s.csv (%d samples)", name, len(series))
     except BaseException:
         for d in created:  # deepest first; rmdir keeps any that is not empty
@@ -161,14 +161,6 @@ def cmd_preintegrate(args) -> int:
         raise RateMismatch(
             f"{args.vimu}: rate {series.freq:.3f} Hz does not match the "
             f"sidecar's {freq:.3f} Hz")
-    # the right Jacobian cubes each sample's rotation angle |w| / freq
-    with np.errstate(over="ignore"):
-        angle = np.linalg.norm(series.gyro * (1.0 / series.freq), axis=-1)
-        overflow = np.flatnonzero(np.isinf(angle**3))
-    if overflow.size:
-        raise FormatError(
-            f"{args.vimu}: sample {overflow[0]} turns {angle[overflow[0]]:.3g} rad in "
-            "one period, an angle whose cube overflows")
     if not (np.isfinite(args.interval) and args.interval > 0):
         raise ValueError(
             f"--interval must be finite and positive, got {args.interval}")
@@ -176,7 +168,10 @@ def cmd_preintegrate(args) -> int:
     step = int(round(min(args.interval * series.freq, len(series) + 1)))
     if step < 1:
         raise ValueError("interval below one sample period")
-    deltas = preintegrate_windows(series, VimuState.identity(), step, noise)
+    try:
+        deltas = preintegrate_windows(series, VimuState.identity(), step, noise)
+    except FormatError as exc:
+        raise FormatError(f"{args.vimu}: {exc}") from None
     if not deltas:
         raise ValueError("series shorter than one keyframe interval")
     with csvio._atomic_open(args.out) as fh:
@@ -227,7 +222,10 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The mimu argument parser, built once per process. It parses the
+    command's name, and main picks the cmd_* function that runs it."""
     parser = argparse.ArgumentParser(
         prog="mimu",
         description="Multi-IMU calibration, fusion, and preintegration.")
@@ -239,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--freq", type=float, help="override the sample rate (Hz)")
     p.add_argument("--duration", type=float, help="override the span (s)")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("calibrate",
                        help="estimate the extrinsic between two IMU CSVs")
@@ -249,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="calibration JSON path")
     p.add_argument("--window-secs", type=float,
                    help="use only the first N seconds")
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("fuse",
                        help="fuse two IMU CSVs into a virtual-IMU CSV")
@@ -259,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", required=True)
     p.add_argument("--out", required=True,
                    help="virtual CSV path (sidecar JSON written alongside)")
-    p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("preintegrate",
                        help="integrate a virtual-IMU CSV into keyframe deltas")
@@ -268,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=float, default=0.5,
                    help="keyframe interval in seconds (default 0.5)")
     p.add_argument("--out", required=True, help="deltas JSONL path")
-    p.set_defaults(func=cmd_preintegrate)
 
     p = sub.add_parser("evaluate",
                        help="run the Monte-Carlo variant comparison")
@@ -279,16 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the master seed")
     p.add_argument("--full-scale", action="store_true",
                    help="100 extrinsic samples x 5000 sequences")
-    p.set_defaults(func=cmd_evaluate)
     return parser
 
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so that a cmd_* that was wrapped or replaced
+    # after the parser was built still runs
+    command = {"simulate": cmd_simulate, "calibrate": cmd_calibrate, "fuse": cmd_fuse,
+               "preintegrate": cmd_preintegrate, "evaluate": cmd_evaluate}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except MimuError as exc:
         print(json.dumps(exc.payload()), file=sys.stderr)
         return 1

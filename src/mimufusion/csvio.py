@@ -6,10 +6,20 @@ so a failing invocation never leaves partial output behind.
 
 The IMU CSV codec streams. The writer formats ``_BLOCK_ROWS`` rows per
 ``%`` operation straight into the temp file. The reader checks the
-header line and hands the remaining lines to one ``np.loadtxt`` call.
+header line and hands the open file to one ``np.loadtxt`` call.
 Neither holds the file's text, so the memory either needs is about that
 of the samples. Only a rejected file is read whole, by ``_diagnose_csv``,
 to name the line at fault.
+
+Beside each CSV the writer puts its binary twin, ``.<name>.rows``: the
+same samples as little-endian records, headed by a SHA-256 over the
+CSV's bytes followed by the records. Parsing 17-digit decimals costs
+most of a read, so the reader takes the records from the twin instead,
+but only while that digest still matches the CSV on disk. A CSV that
+was edited, converted or copied, or whose twin is missing, truncated
+or corrupt, is parsed as text, and either way the same checks follow.
+The twin is a cache, as a hash-checked ``.pyc`` is (PEP 552): deleting
+it costs only speed.
 """
 from __future__ import annotations
 
@@ -17,6 +27,7 @@ import contextlib
 import json
 import os
 import re
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -37,6 +48,13 @@ _ROW_FORMAT = "%d," + ",".join(["%.17g"] * 6) + "\n"
 _ROW_DTYPE = np.dtype([("t_ns", np.int64), ("values", np.float64, (6,))])
 # rows that write_imu_csv formats per % operation
 _BLOCK_ROWS = 1024
+# an IMU CSV's binary twin: this header (magic, record count, SHA-256 of
+# the CSV's bytes followed by the records), then the records
+_TWIN_HEADER = struct.Struct("<8sQ32s")
+_TWIN_MAGIC = b"MIMUROW1"
+_TWIN_DTYPE = _ROW_DTYPE.newbyteorder("<")
+# bytes of the CSV that _read_twin hashes per read
+_HASH_CHUNK = 1 << 20
 # a line that str.strip() would empty, with the newline before it (so
 # never the first line, the header)
 _WHITESPACE_LINE = re.compile(r"\n[^\S\n]+(?=\n|\Z)")
@@ -51,14 +69,15 @@ _MOUNT_KEYS = {"rotation_wxyz": ("q", _finite_floats), "position_m": ("p", _fini
 
 
 @contextlib.contextmanager
-def _atomic_open(path):
-    """A text file open for writing on a temp file in path's directory.
-    A clean exit renames it to path; an exception removes it."""
+def _atomic_open(path, mode="w"):
+    """A file open for writing, in text or (mode "wb") binary mode, on a
+    temp file in path's directory. A clean exit renames it to path; an
+    exception removes it."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
                                prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, mode) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -103,35 +122,95 @@ def load_yaml(path) -> dict:
     return data
 
 
-def write_imu_csv(path, series: ImuSeries, fh=None):
+def _twin_path(path) -> Path:
+    """Where the binary twin of the IMU CSV at path lives."""
+    path = Path(path)
+    return path.with_name(f".{path.name}.rows")
+
+
+def _sha256():
+    """A new SHA-256 hash. hashlib is imported on first use: its import
+    costs about 4 ms, and only the twin of an IMU CSV needs it."""
+    import hashlib
+
+    return hashlib.sha256()
+
+
+def write_imu_csv(path, series: ImuSeries, stage=None):
     """Write a raw or fused series, one row per sample at its implicit
     timestamp, every value to 17 significant digits so that it reads
-    back bit for bit. A series that read_imu_csv would reject, with
-    fewer than 2 samples or a non-finite one, raises FormatError before
-    any file is created. Given ``fh``, an open text file, the rows go
-    there instead and ``path`` only names the file in errors."""
+    back bit for bit, and its binary twin beside it (see the module
+    docstring). A series that read_imu_csv would reject, with fewer
+    than 2 samples or a non-finite one, raises FormatError before any
+    file is created. Given ``stage``, a contextlib.ExitStack, both files
+    stay in temp files until the stack closes, which renames them into
+    place, or removes them if it closes on an exception."""
     if len(series) < 2:
         raise FormatError(f"{path}: need at least 2 samples to derive a rate")
     bad = non_finite_sample(series.gyro, series.accel)
     if bad is not None:
         raise FormatError(f"{path}: sample {bad} is not finite")
-    times = series.times_ns()
-    rows = np.empty((min(len(series), _BLOCK_ROWS), 7), dtype=object)
-    with _atomic_open(path) if fh is None else contextlib.nullcontext(fh) as out:
-        out.write(f"{IMU_CSV_HEADER}\n")
-        for start in range(0, len(series), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            n = len(times[block])
-            rows[:n, 0] = times[block].tolist()
-            rows[:n, 1:4] = series.gyro[block]
-            rows[:n, 4:] = series.accel[block]
-            out.write((_ROW_FORMAT * n) % tuple(rows[:n].ravel()))
+    records = np.empty(len(series), _TWIN_DTYPE)
+    records["t_ns"] = series.times_ns()
+    records["values"][:, :3] = series.gyro
+    records["values"][:, 3:] = series.accel
+    digest = _sha256()
+    with contextlib.ExitStack() if stage is None else contextlib.nullcontext(stage) as staged:
+        out = staged.enter_context(_atomic_open(path, "wb"))
+        twin = staged.enter_context(_atomic_open(_twin_path(path), "wb"))
+        for text in _csv_text(records):
+            data = text.encode()
+            digest.update(data)
+            out.write(data)
+        digest.update(records)
+        twin.write(_TWIN_HEADER.pack(_TWIN_MAGIC, len(records), digest.digest()))
+        twin.write(records)
+
+
+def _csv_text(records):
+    """The IMU CSV of _ROW_DTYPE records in pieces: the header line, then
+    _BLOCK_ROWS rows per piece, each formatted by one % operation."""
+    yield f"{IMU_CSV_HEADER}\n"
+    rows = np.empty((min(len(records), _BLOCK_ROWS), 7), dtype=object)
+    for start in range(0, len(records), _BLOCK_ROWS):
+        block = records[start:start + _BLOCK_ROWS]
+        n = len(block)
+        rows[:n, 0] = block["t_ns"].tolist()
+        rows[:n, 1:] = block["values"]
+        yield (_ROW_FORMAT * n) % tuple(rows[:n].ravel())
+
+
+def _read_twin(path):
+    """The _ROW_DTYPE records of the binary twin of the IMU CSV at path,
+    or None unless the twin holds whole records and its digest matches
+    the CSV's bytes on disk followed by those records. A missing twin
+    costs one failed open; any OSError gives None too."""
+    try:
+        with open(_twin_path(path), "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size < _TWIN_HEADER.size:
+                return None
+            magic, count, want = _TWIN_HEADER.unpack(fh.read(_TWIN_HEADER.size))
+            body = size - _TWIN_HEADER.size
+            if magic != _TWIN_MAGIC or body != count * _TWIN_DTYPE.itemsize:
+                return None
+            records = np.empty(count, _TWIN_DTYPE)
+            if fh.readinto(records.view(np.uint8)) != records.nbytes:
+                return None
+        digest = _sha256()
+        with open(path, "rb") as fh:
+            while chunk := fh.read(_HASH_CHUNK):
+                digest.update(chunk)
+    except OSError:
+        return None
+    digest.update(records)
+    return records.astype(_ROW_DTYPE, copy=False) if digest.digest() == want else None
 
 
 def _load_rows(lines) -> np.ndarray:
-    """Parse CSV data lines into _ROW_DTYPE records; empty lines are
-    skipped, any other line that is not an integer and 6 numbers raises
-    ValueError."""
+    """Parse CSV data lines, or an open text file's remaining lines, into
+    _ROW_DTYPE records; empty lines are skipped, any other line that is
+    not an integer and 6 numbers raises ValueError."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         return np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",",
@@ -153,19 +232,35 @@ def _first_bad_line(lines) -> int:
     return lo
 
 
-def _parse_csv(path):
-    """Timestamps and values of an IMU CSV's data rows, parsed as the
-    file streams past. A file that fails the header, UTF-8 decoding,
-    the parse or the finiteness check goes to _diagnose_csv, which
-    raises the error that names its line."""
+def _parse_text(path) -> np.ndarray:
+    """The _ROW_DTYPE records of an IMU CSV's data rows, parsed as the
+    file streams past. A file that fails the header, UTF-8 decoding or
+    the parse goes to _diagnose_csv, which raises the error that names
+    its line."""
     try:  # universal newlines: CRLF reads as LF
         with open(path, encoding="utf-8") as fh:
             if fh.readline().removesuffix("\n") != IMU_CSV_HEADER:
                 _diagnose_csv(path)
-            # a whitespace-only line is a blank line, which np.loadtxt skips
-            rows = _load_rows("" if line.isspace() else line for line in fh)
+            try:
+                return _load_rows(fh)
+            except ValueError:
+                # np.loadtxt rejects a whitespace-only line, which is a
+                # blank line here: parse again with such lines emptied
+                fh.seek(0)
+                fh.readline()
+                return _load_rows("" if line.isspace() else line for line in fh)
     except ValueError:  # UnicodeDecodeError included
         _diagnose_csv(path)
+
+
+def _parse_csv(path):
+    """Timestamps and values of an IMU CSV's data rows: its binary
+    twin's records when they match the CSV (see _read_twin), else its
+    text parsed. Either way fewer than 2 samples raise FormatError, and
+    a non-finite one goes to _diagnose_csv, which names its line."""
+    rows = _read_twin(path)
+    if rows is None:
+        rows = _parse_text(path)
     if len(rows) < 2:
         raise FormatError(f"{path}: need at least 2 samples to derive a rate")
     values = rows["values"]

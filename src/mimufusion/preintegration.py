@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import FormatError
 from .geometry import exp_so3, right_jacobian, skew
 from .types import ImuSeries
 from .vimu import VimuNoise
@@ -123,11 +124,25 @@ def preintegrate_stack(gyro, accel, freq: float,
     Every window advances at once, a sample position per loop pass, in
     blocks of _BLOCK whose Exp, Jr, rotated samples and noise terms are
     evaluated and summed without a loop: no rotation is kept per sample.
+
+    The covariance needs the right Jacobian, which cubes each sample's
+    angle |w| / freq: with ``noise``, a sample whose cube overflows
+    raises FormatError naming it by its index over the windows and
+    step axes.
     """
     w_hat = np.asarray(gyro, dtype=float)
     a_hat = np.asarray(accel, dtype=float)
     dt = 1.0 / freq
     lead, k = w_hat.shape[:-2], w_hat.shape[-2]
+    if noise is not None:
+        with np.errstate(over="ignore"):
+            angle = np.linalg.norm(w_hat * dt, axis=-1)
+            overflow = np.flatnonzero(np.isinf(angle**3))
+        if overflow.size:
+            i = overflow[0]
+            raise FormatError(
+                f"sample {i % (angle.shape[-2] * k)} turns {angle.flat[i]:.3g} rad in "
+                "one period, an angle whose cube overflows")
     dR = np.tile(np.eye(3), lead + (1, 1))
     # dv = sum_t a_t dt; dp = sum_t (v_t dt + a_t dt^2 / 2), v_t the velocity
     # before sample t, is sum_t (k - 1/2 - t) a_t dt^2, where a_t is sample t

@@ -234,6 +234,19 @@ def test_simulate_writes_all_csvs_or_none(tmp_path, capsys, recwarn, existing):
     assert [str(w.message) for w in recwarn] == []
 
 
+def test_main_runs_a_command_replaced_after_the_parser_was_built(monkeypatch):
+    """The parser is built once per process, and main still runs a
+    cmd_* function that was wrapped or replaced after that."""
+    import mimufusion.cli as cli
+
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_fuse", lambda args: seen.append(args.out) or 7)
+    assert main(["fuse", "--imu-a", "a.csv", "--imu-b", "b.csv", "--calib", "calib.json",
+                 "--noise", "noise.yaml", "--out", "virtual.csv"]) == 7
+    assert seen == ["virtual.csv"]
+
+
 def test_simulate_seed_reproducible(workspace, tmp_path):
     code = main(["simulate", "--config", str(workspace / "sim.yaml"),
                  "--out", str(tmp_path / "rerun"), "--seed", "11"])

@@ -402,7 +402,8 @@ def test_imu_csv_diagnosis_never_returns(tmp_path):
 def test_imu_csv_codec_peak_memory_below_file_size(tmp_path):
     """Neither the writer nor the reader holds the file's text: on a
     100,000-row series each one's traced peak stays below the size of
-    the file (about 14 MB)."""
+    the file (about 14 MB), the reader's with the binary twin and, once
+    the twin is deleted, without it."""
     rng = np.random.default_rng(3)
     series = ImuSeries(200.0, 1_700_000_000_000_000_000,
                        rng.standard_normal((100_000, 3)),
@@ -413,17 +414,124 @@ def test_imu_csv_codec_peak_memory_below_file_size(tmp_path):
         base = tracemalloc.get_traced_memory()[0]
         write_imu_csv(path, series)
         write_peak = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        back = read_imu_csv(path)
-        read_peak = tracemalloc.get_traced_memory()[1] - base
+        read_peaks, backs = [], []
+        for twin in (True, False):
+            if not twin:
+                csvio._twin_path(path).unlink()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            backs.append(read_imu_csv(path))
+            read_peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
     size = path.stat().st_size
     assert size > 12e6
     assert write_peak < size
-    assert read_peak < size
-    assert_same_series(back, series)
+    assert max(read_peaks) < size
+    for back in backs:
+        assert_same_series(back, series)
+
+
+def assert_same_bits(got, want):
+    assert got.freq == want.freq and got.start_ns == want.start_ns
+    assert got.gyro.tobytes() == want.gyro.tobytes()
+    assert got.accel.tobytes() == want.accel.tobytes()
+
+
+def read_parsed(path, monkeypatch):
+    """read_imu_csv of path as its text parses, whatever its twin holds."""
+    with monkeypatch.context() as m:
+        m.setattr(csvio, "_read_twin", lambda path: None)
+        return read_imu_csv(path)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_imu_csv_twin_reads_what_the_text_parses_bit_for_bit(tmp_path, seed):
+    """Over codec_series, 620 decades with subnormals, plus a sample of
+    -0.0 in every column, a read through the binary twin equals a read of
+    the text once the twin is deleted: every bit of every value, the rate
+    and the start."""
+    series = codec_series(seed)
+    series.gyro[1] = series.accel[1] = -0.0
+    path = tmp_path / "imu.csv"
+    write_imu_csv(path, series)
+    twin = csvio._twin_path(path)
+    assert twin.name == ".imu.csv.rows"
+    assert twin.stat().st_size == csvio._TWIN_HEADER.size + 56 * len(series)
+    with_twin = read_imu_csv(path)
+    twin.unlink()
+    assert_same_bits(with_twin, read_imu_csv(path))
+    assert with_twin.gyro.tobytes() == series.gyro.tobytes()
+    assert with_twin.accel.tobytes() == series.accel.tobytes()
+
+
+def test_imu_csv_twin_is_read_instead_of_the_text(tmp_path, monkeypatch):
+    """A CSV just written reads with the text parser broken: its records
+    come from the twin."""
+    series = noisy_series(duration=0.2)
+    path = tmp_path / "imu.csv"
+    write_imu_csv(path, series)
+
+    def broken(lines):
+        raise AssertionError("the text was parsed")
+
+    monkeypatch.setattr(csvio, "_load_rows", broken)
+    assert_same_series(read_imu_csv(path), series)
+
+
+def edit_one_byte(path, other):
+    text = path.read_bytes()
+    at = text.rindex(b",") + 1  # the leading digit of the last value
+    at += text[at:at + 1] == b"-"
+    digit = b"7" if text[at:at + 1] != b"7" else b"3"
+    path.write_bytes(text[:at] + digit + text[at + 1:])
+
+
+def crlf_copy(path, other):
+    copy = path.with_name("copy.csv")
+    copy.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    csvio._twin_path(copy).write_bytes(csvio._twin_path(path).read_bytes())
+    return copy
+
+
+def truncate_twin(path, other):
+    twin = csvio._twin_path(path)
+    twin.write_bytes(twin.read_bytes()[:-1])
+
+
+def flip_a_record_byte(path, other):
+    twin = csvio._twin_path(path)
+    data = bytearray(twin.read_bytes())
+    data[csvio._TWIN_HEADER.size + 100] ^= 0x01
+    twin.write_bytes(bytes(data))
+
+
+def twin_of_another_csv(path, other):
+    csvio._twin_path(path).write_bytes(csvio._twin_path(other).read_bytes())
+
+
+STALE_TWINS = {f.__name__: f for f in (edit_one_byte, crlf_copy, truncate_twin,
+                                       flip_a_record_byte, twin_of_another_csv)}
+
+
+@pytest.mark.parametrize("case", sorted(STALE_TWINS))
+def test_imu_csv_twin_that_does_not_match_is_ignored(tmp_path, monkeypatch, case):
+    """A CSV edited by one byte or copied with CRLF line ends, beside its
+    old twin, and a CSV whose twin is truncated, has a record byte
+    flipped or is another CSV's twin: the twin is refused and the read
+    gives exactly what parsing the text gives."""
+    path, other = tmp_path / "imu.csv", tmp_path / "other.csv"
+    series = noisy_series(duration=0.2)
+    write_imu_csv(path, series)
+    write_imu_csv(other, noisy_series(seed=1, duration=0.2))
+    path = STALE_TWINS[case](path, other) or path
+    assert csvio._read_twin(path) is None
+    back = read_imu_csv(path)
+    assert_same_bits(back, read_parsed(path, monkeypatch))
+    if case == "edit_one_byte":
+        assert back.accel[-1, 2] != series.accel[-1, 2]
+    else:
+        assert_same_series(back, series)
 
 
 @pytest.mark.parametrize("row, column", [(0, 0), (3, 2), (9, 5)])

@@ -22,6 +22,7 @@ from oracle import (
 from oracle import step_matrices as scalar_step_matrices
 
 from mimufusion.csvio import load_sim_setup
+from mimufusion.errors import FormatError
 from mimufusion.geometry import (
     exp_so3,
     geodesic_angle,
@@ -523,6 +524,23 @@ def test_windows_argument_checks():
     series = random_virtual_series(50, seed=63)
     with pytest.raises(ValueError):
         preintegrate_windows(series, BIASED, 0)
+
+
+def test_windows_reject_an_angle_whose_cube_overflows_under_a_noise_model():
+    """From sample 30 on the stream turns at 1e150 rad/s, 5e147 rad per
+    period at 200 Hz, whose cube overflows in the right Jacobian. With a
+    noise model preintegrate_windows raises FormatError naming sample 30
+    instead of a numpy overflow warning and a covariance computed through
+    it; without one the deltas carry no covariance and are integrated."""
+    noise_v = virtual_covariances(window_configs()["2-sensor"].noises)
+    series = random_virtual_series(50, seed=64)
+    series.gyro[30:] = [1e150, -2e149, 0.0]
+    with pytest.raises(FormatError) as info:
+        preintegrate_windows(series, BIASED, 25, noise_v)
+    assert str(info.value) == ("sample 30 turns 5.1e+147 rad in one period, "
+                               "an angle whose cube overflows")
+    deltas = preintegrate_windows(series, BIASED, 25)
+    assert len(deltas) == 2 and all(d.covariance is None for d in deltas)
 
 
 def two_trial_configs():
