@@ -4,12 +4,16 @@ YAML configs.
 All writers go through an atomic temp-file + rename (``_atomic_open``)
 so a failing invocation never leaves partial output behind.
 
-The IMU CSV codec streams. The writer formats ``_BLOCK_ROWS`` rows per
-``%`` operation straight into the temp file. The reader checks the
-header line and hands the open file to one ``np.loadtxt`` call.
-Neither holds the file's text, so the memory either needs is about that
-of the samples. Only a rejected file is read whole, by ``_diagnose_csv``,
-to name the line at fault.
+The IMU CSV codec streams. The writer forms the text of ``_BLOCK_ROWS``
+rows at a time with whole-array operations (``_RowText``) and writes it
+straight into the temp file. The bytes are exactly those of ``%d`` for a
+timestamp and ``%.17g`` for a value: Dekker's error-free product gives
+each value's 17 correctly rounded digits, and only values outside
+1e-6 < |v| < 1e17 and negative timestamps are left to Python's own
+formatting, one by one. The reader checks the header line and hands the
+open file to one ``np.loadtxt`` call. Neither holds the file's text, so
+the memory either needs is about that of the samples. Only a rejected
+file is read whole, by ``_diagnose_csv``, to name the line at fault.
 
 Beside each CSV the writer puts its binary twin, ``.<name>.rows``: the
 same samples as little-endian records, headed by a SHA-256 over the
@@ -24,6 +28,7 @@ it costs only speed.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import re
@@ -43,10 +48,8 @@ from .types import (Extrinsic, ImuSeries, NoiseSpec, _check_keys, _finite_floats
 from .vimu import VimuConfig, VimuNoise
 
 IMU_CSV_HEADER = "t_ns,wx,wy,wz,ax,ay,az"
-# one CSV row: an exact integer timestamp, then 6 values that round-trip
-_ROW_FORMAT = "%d," + ",".join(["%.17g"] * 6) + "\n"
 _ROW_DTYPE = np.dtype([("t_ns", np.int64), ("values", np.float64, (6,))])
-# rows that write_imu_csv formats per % operation
+# rows that write_imu_csv formats per block
 _BLOCK_ROWS = 1024
 # an IMU CSV's binary twin: this header (magic, record count, SHA-256 of
 # the CSV's bytes followed by the records), then the records
@@ -158,8 +161,7 @@ def write_imu_csv(path, series: ImuSeries, stage=None):
     with contextlib.ExitStack() if stage is None else contextlib.nullcontext(stage) as staged:
         out = staged.enter_context(_atomic_open(path, "wb"))
         twin = staged.enter_context(_atomic_open(_twin_path(path), "wb"))
-        for text in _csv_text(records):
-            data = text.encode()
+        for data in _csv_text(records):
             digest.update(data)
             out.write(data)
         digest.update(records)
@@ -167,17 +169,215 @@ def write_imu_csv(path, series: ImuSeries, stage=None):
         twin.write(records)
 
 
-def _csv_text(records):
-    """The IMU CSV of _ROW_DTYPE records in pieces: the header line, then
-    _BLOCK_ROWS rows per piece, each formatted by one % operation."""
-    yield f"{IMU_CSV_HEADER}\n"
-    rows = np.empty((min(len(records), _BLOCK_ROWS), 7), dtype=object)
-    for start in range(0, len(records), _BLOCK_ROWS):
-        block = records[start:start + _BLOCK_ROWS]
+# The IMU CSV text: exact "%d" timestamps and "%.17g" values, formed by
+# whole-array operations on blocks of _BLOCK_ROWS records (see _RowText).
+# Each field of a row fills a 24-byte slot padded with NULs, and one
+# bytes.translate per block deletes the NULs. A slot opens with the
+# separator that comes before its field: the newline that ends the line
+# above for a timestamp, a comma for a value.
+
+# the first 4-byte group of each slot of a row: a newline, then "0000"
+_FIRST_GROUPS = np.frombuffer(b"\n\0\0\0" + b"0000" * 6, "<u4")
+# the decimal exponents E = floor(log10|v|) of the values that _RowText
+# formats itself, those of 1e-6 < |v| < 1e17: for them 10**(16 - E) is
+# an exact double. Python formats the others one by one.
+_EXP_MIN, _EXP_MAX = -6, 16
+_SPLITTER = 2.0**27 + 1
+# 10**1 to 10**18: a timestamp t >= 0 has 1 + searchsorted(..., t, "right") digits
+_TS_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+# the byte that stands in a slot for a field that Python formats
+_SPLICE = b"\x01"
+
+
+def _split(a):
+    """Dekker's split of doubles: hi + lo == a, each of hi and lo with at
+    most 26 significant bits, so that their products are exact."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10**k) for k in range(_EXP_MAX - _EXP_MIN + 1)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _scaled(mag, exp10):
+    """Dekker's two-product: p + e == mag * 10**(16 - exp10) exactly,
+    with p the product rounded to a double."""
+    j = 16 - exp10
+    a_hi, a_lo = _split(mag)
+    b_hi, b_lo = np.take(_POW10_HI, j), np.take(_POW10_LO, j)
+    p = mag * np.take(_POW10, j)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+@functools.cache
+def _text_tables():
+    """The read-only tables of _RowText, built on first use: they take a
+    few ms, and only a CSV write needs them.
+
+    - digits: the 4-byte ASCII groups "0000" to "9999" read as
+      little-endian uint32;
+    - trailing_zeros: of each 4-digit group, 4 for "0000";
+    - moved, in_place, const: for the key (sign, E, kept digits k) of a
+      value, 24-byte slots as (keys, 3) little-endian uint64: the mask of
+      the digit text moved down one byte, the mask of the digit text in
+      place, and the bytes every such value has (the comma, the sign,
+      the decimal point and an exponent suffix);
+    - ts_masks: for a timestamp of w digits, the mask that keeps the
+      newline and the last w bytes of its slot."""
+    k = np.arange(10_000)
+    groups = (np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], 1)
+              + ord("0")).astype(np.uint8)
+    trailing_zeros = (k[:, None] % [10, 100, 1000, 10_000] == 0).sum(axis=1)
+
+    neg, exp10, kept = (a.ravel() for a in np.meshgrid(
+        [0, 1], np.arange(_EXP_MIN, _EXP_MAX + 1), np.arange(1, 18), indexing="ij"))
+    sci = exp10 < -4  # %g's exponent notation
+    point = np.where(sci, 3, 7 + exp10)[:, None]
+    first = np.where(sci, 2, 6 + np.minimum(exp10, 0))[:, None]
+    last = (np.where(sci, 2, 6) + kept)[:, None]
+    frac = (kept > np.where(sci, 1, exp10 + 1))[:, None]
+    j = np.arange(24)
+    const = np.where(frac & (j == point), ord("."), 0)
+    const[:, 0] = ord(",")
+    const[:, 1] = np.where(neg, ord("-"), 0)
+    for i in np.flatnonzero(sci):
+        const[i, 20:] = list(f"e{exp10[i]:+03d}".encode())
+    width = np.arange(21)[:, None]
+    slots = [((first <= j) & (j < point)) * 0xFF, (frac & (point < j) & (j <= last)) * 0xFF,
+             const, ((j == 0) | (j >= 24 - width)) * 0xFF]
+    tables = [groups.view("<u4")[:, 0], trailing_zeros,
+              *(np.ascontiguousarray(t, np.uint8).view("<u8") for t in slots)]
+    for t in tables:
+        t.flags.writeable = False
+    return tuple(tables)
+
+
+class _RowText:
+    """The CSV rows of blocks of up to ``size`` records, each row as
+    ``"\\n%d" % t`` followed by ``",%.17g" % v`` per value, in arrays
+    allocated once.
+
+    A value with 1e-6 < |v| < 1e17 is formatted here. Its decimal
+    exponent E is floor(log10|v|), corrected by one where the exact
+    product |v| * 10**(16 - E) (Dekker) falls outside [1e16, 1e17). That
+    product rounds half to even to the 17-digit significand N, which %g
+    shows with its trailing zeros stripped, keeping k digits. N's digits
+    d0..d16 are written as 4-digit groups, "0000" then d0 as "000d"
+    (d_i lands in byte 7 + i), or, for %g's exponent notation
+    (E = -5, -6), one group earlier (byte 3 + i). A slot takes the bytes
+    before the decimal point from that text moved down one byte and the
+    rest from the text in place, so the point costs no shuffle: the key
+    (sign, E, k) picks two masks and the constant bytes. Zeros take the
+    same path with N = 0 and E = 0. Other values and negative timestamps
+    are marked with _SPLICE and spliced in after Python formats them."""
+
+    def __init__(self, size):
+        (self.digits, self.trailing_zeros, self.moved_mask, self.in_place_mask,
+         self.const, self.ts_masks) = _text_tables()
+        self.numbers = np.empty((size, 7), np.int64)
+        self.slots = np.empty((size, 7, 3), "<u8")
+        self.moved = np.empty(size * 21, "<u8")
+        self.mask = np.empty((size, 6, 3), "<u8")
+
+    def __call__(self, block) -> bytes:
         n = len(block)
-        rows[:n, 0] = block["t_ns"].tolist()
-        rows[:n, 1:] = block["values"]
-        yield (_ROW_FORMAT * n) % tuple(rows[:n].ravel())
+        t, x = block["t_ns"], block["values"]
+        numbers, slots, mask = self.numbers[:n], self.slots[:n], self.mask[:n]
+        splice = np.empty((n, 7), bool)
+        splice[:, 0] = t < 0
+        np.maximum(t, 0, out=numbers[:, 0])
+        width = np.searchsorted(_TS_POW10, numbers[:, 0], side="right") + 1
+
+        mag = np.abs(x)
+        zero = mag == 0
+        fast = (1e-6 < mag) & (mag < 1e17)
+        np.logical_not(fast | zero, out=splice[:, 1:])
+        mag[~fast] = 1.0  # keeps the arithmetic below in range
+        exp10 = np.floor(np.log10(mag)).astype(np.intp)
+        np.maximum(exp10, _EXP_MIN, out=exp10)
+        np.minimum(exp10, _EXP_MAX, out=exp10)
+        p, e = _scaled(mag, exp10)
+        below = (p < 1e16) | ((p == 1e16) & (e < 0))
+        above = (p > 1e17) | ((p == 1e17) & (e >= 0))
+        wrong = below | above
+        if wrong.any():
+            exp10 += above
+            exp10 -= below
+            p[wrong], e[wrong] = _scaled(mag[wrong], exp10[wrong])
+        # p >= 2**53 is an integer, so rounding e rounds p + e half to even.
+        # N never rounds up to 10**17: no double in range lies within
+        # 5e-18 (relative) below a power of ten.
+        digits = numbers[:, 1:]
+        np.copyto(digits, p, casting="unsafe")
+        digits += np.rint(e).astype(np.int64)
+        digits[zero] = 0
+        exp10[zero] = 0
+
+        # every number as 4-digit groups, the slot's first group fixed
+        quads = slots.view("<u4")
+        quads[:, :, 0] = _FIRST_GROUPS
+        groups = []
+        for i, scale in enumerate((10**16, 10**12, 10**8, 10**4)):
+            groups.append(numbers // scale)
+            numbers -= scale * groups[-1]
+            quads[..., i + 1] = np.take(self.digits, groups[-1])
+        quads[..., 5] = np.take(self.digits, numbers)
+        groups.append(numbers)
+        # the trailing zeros of N, counted on to the left past groups of "0000"
+        zeros = np.take(self.trailing_zeros, groups[4][:, 1:])
+        at = np.nonzero(zeros == 4)
+        for g in groups[3:0:-1]:
+            more = np.take(self.trailing_zeros, g[:, 1:][at])
+            zeros[at] += more
+            at = tuple(i[more == 4] for i in at)
+        # exponent notation: the digits move one group down
+        row, col = np.nonzero(exp10 < -4)
+        shifted = quads[:, 1:]
+        shifted[row, col, :5] = shifted[row, col, 1:]
+        shifted[row, col, 5] = 0
+        key = np.signbit(x) * (17 * (_EXP_MAX - _EXP_MIN + 1))
+        key += 17 * (exp10 - _EXP_MIN) + 16
+        key -= zeros
+
+        flat = slots.view(np.uint8).reshape(-1)
+        self.moved.view(np.uint8)[:len(flat) - 1] = flat[1:]
+        moved = self.moved[:n * 21].reshape(n, 7, 3)[:, 1:]
+        values = slots[:, 1:]
+        moved &= np.take(self.moved_mask, key, axis=0, out=mask, mode="clip")
+        values &= np.take(self.in_place_mask, key, axis=0, out=mask, mode="clip")
+        values |= moved
+        values |= np.take(self.const, key, axis=0, out=mask, mode="clip")
+        slots[:, 0] &= np.take(self.ts_masks, width, axis=0)
+
+        fields = np.flatnonzero(splice)
+        if len(fields):
+            marked = slots.reshape(n * 7, 3).view(np.uint8)
+            marked[fields, 1:] = 0
+            marked[fields, 1] = _SPLICE[0]
+        text = slots.tobytes().translate(None, b"\0")
+        if not len(fields):
+            return text
+        row, col = np.divmod(fields, 7)
+        stamps, floats = t[row].tolist(), x[row, col - 1].tolist()
+        pieces = [None] * (2 * len(fields) + 1)
+        pieces[::2] = text.split(_SPLICE)
+        pieces[1::2] = [b"%.17g" % v if c else b"%d" % s
+                        for s, v, c in zip(stamps, floats, col.tolist())]
+        return b"".join(pieces)
+
+
+def _csv_text(records):
+    """The IMU CSV of _ROW_DTYPE records in pieces: the header without
+    its newline, the rows of _BLOCK_ROWS records per piece, each row
+    opening with the newline that ends the line before it, and the last
+    newline."""
+    yield IMU_CSV_HEADER.encode()
+    row_text = _RowText(min(len(records), _BLOCK_ROWS))
+    for start in range(0, len(records), _BLOCK_ROWS):
+        yield row_text(records[start:start + _BLOCK_ROWS])
+    yield b"\n"
 
 
 def _read_twin(path):

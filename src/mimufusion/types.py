@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import FormatError, LengthMismatch, RateMismatch
-from .geometry import quat_from_rotation, rotation_from_quat
+from .geometry import rotation_from_quat
 
 
 def _vec3(x) -> np.ndarray:
@@ -208,11 +208,6 @@ class Extrinsic:
     def rotation(self) -> np.ndarray:
         """Rotation matrix R_BA mapping source coords into the target frame."""
         return rotation_from_quat(self.q)
-
-    def inverse(self) -> "Extrinsic":
-        """The same transform seen from the target frame."""
-        R = self.rotation()
-        return Extrinsic(q=quat_from_rotation(R.T), p=-(R @ self.p))
 
 
 @dataclass

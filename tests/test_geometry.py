@@ -18,7 +18,6 @@ from mimufusion.geometry import (
     skew,
     vee,
 )
-from mimufusion.types import Extrinsic
 
 
 def exp_series(phi, terms=30):
@@ -236,24 +235,6 @@ def test_quat_conjugate_inverts():
     q = quat_from_rotation(exp_so3(rng.normal(size=3)))
     qq = quat_multiply(q, quat_conjugate(q))
     np.testing.assert_allclose(qq, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_extrinsic_inverse_flips_the_transform():
-    """Extrinsic.inverse rotates B coordinates back into A, by the
-    conjugate quaternion, and puts A's origin at -R p in B coordinates;
-    a point maps back to itself, and inverting twice gives the
-    extrinsic back."""
-    rng = np.random.default_rng(21)
-    for _ in range(50):
-        ext = Extrinsic(q=quat_from_rotvec(rng.normal(size=3)), p=rng.normal(size=3))
-        inv = ext.inverse()
-        np.testing.assert_allclose(inv.q, quat_conjugate(ext.q), rtol=0, atol=1e-15)
-        x_a = rng.normal(size=3)
-        x_b = ext.rotation() @ (x_a - ext.p)
-        np.testing.assert_allclose(inv.rotation() @ (x_b - inv.p), x_a, rtol=0, atol=1e-14)
-        twice = inv.inverse()
-        np.testing.assert_allclose(twice.q, ext.q, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(twice.p, ext.p, rtol=0, atol=1e-14)
 
 
 def test_quat_from_rotvec_matches_exp():

@@ -246,6 +246,79 @@ def test_property_imu_csv_writer_matches_oracle(series):
                 == (Path(tmp) / "oracle.csv").read_bytes())
 
 
+def neighbours(x):
+    """x and the doubles just below and above it."""
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+
+# values at which the writer's %.17g changes path (Python formats
+# |v| <= 1e-6, |v| >= 1e17 and subnormals), notation (exponent form
+# below 1e-4 and from 1e17), exponent or rounding; each case is written
+# with both signs
+EDGE_VALUES = {
+    "zero": [0.0],
+    "subnormal": [5e-324, 1e-310],
+    "dbl-min-and-max": [np.finfo(float).tiny, np.finfo(float).max],
+    **{f"next-to-{x:g}": neighbours(x) for x in (1e-6, 1e-5, 1e-4, 1e16, 1e17)},
+    "next-to-other-powers-of-ten": [v for k in range(-3, 16) for v in neighbours(10.0**k)],
+    "largest-below-1e17": [9.999999999999999e16],
+    "half-even-ties": [1e15 + 0.25, 1e15 + 0.75],
+    "integers": [1.0, 2.0, 10.0, 100.0, 12345678.0, 2.0**53, 2.0**53 + 2, 1e15, 1e16],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_VALUES))
+def test_imu_csv_writer_matches_oracle_bytes_on_edge_values(tmp_path, case):
+    """Every value of the case, and its negative, in every column."""
+    values = np.array(EDGE_VALUES[case])
+    values = np.concatenate([values, -values])
+    grid = np.stack([np.roll(values, j) for j in range(6)], axis=1)
+    series = ImuSeries(200.0, 0, grid[:, :3], grid[:, 3:])
+    write_imu_csv(tmp_path / "bulk.csv", series)
+    oracle_write_imu_csv(tmp_path / "oracle.csv", series)
+    assert ((tmp_path / "bulk.csv").read_bytes()
+            == (tmp_path / "oracle.csv").read_bytes())
+
+
+def test_imu_csv_writer_matches_oracle_bytes_on_fuzzed_values(tmp_path):
+    """About 200,000 values: log-uniform magnitudes from 1e-320 to 1e300
+    with random signs, and a third of them short decimals (np.round to
+    0-17 places)."""
+    rng = np.random.default_rng(28)
+    n = 33_334
+    values = (rng.choice([-1.0, 1.0], size=(n, 6))
+              * 10.0 ** rng.uniform(-320.0, 300.0, size=(n, 6)))
+    short = values[: n // 3]
+    for places in range(18):
+        rows = short[places::18]
+        rows[:] = np.round(rng.uniform(-1.0, 1.0, rows.shape)
+                           * 10.0 ** rng.uniform(-8.0, 17.0, rows.shape), places)
+    series = ImuSeries(200.0, 1_700_000_000_000_000_000, values[:, :3], values[:, 3:])
+    write_imu_csv(tmp_path / "bulk.csv", series)
+    oracle_write_imu_csv(tmp_path / "oracle.csv", series)
+    assert ((tmp_path / "bulk.csv").read_bytes()
+            == (tmp_path / "oracle.csv").read_bytes())
+
+
+@pytest.mark.parametrize("start_ns", [-1_000_000_000, 2**63 - 1 - 399 * 5_000_000],
+                         ids=["negative", "near-int64-max"])
+def test_imu_csv_timestamps_read_back_from_the_text(tmp_path, start_ns):
+    """Timestamps that cross zero, or end at the largest int64, are
+    written as the oracle writes them and parse back exactly once the
+    binary twin is deleted."""
+    series = codec_series(4, n=400, start_ns=start_ns)
+    series.freq = 200.0
+    path = tmp_path / "imu.csv"
+    write_imu_csv(path, series)
+    oracle_write_imu_csv(tmp_path / "oracle.csv", series)
+    assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    csvio._twin_path(path).unlink()
+    times, values = _parse_csv(path)
+    np.testing.assert_array_equal(times, series.times_ns())
+    assert times[-1] == start_ns + 399 * 5_000_000
+    assert values.tobytes() == np.hstack([series.gyro, series.accel]).tobytes()
+
+
 SPELLINGS = ("{!r}", "{:.17g}", "{:.3e}", "{:+.6f}", " {:.9G} ", "{:.0f}.")
 
 
