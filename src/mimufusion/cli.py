@@ -75,12 +75,15 @@ def cmd_simulate(args) -> int:
         # write_imu_csv stages each CSV; all are renamed into place only
         # once every IMU has been written
         with contextlib.ExitStack() as staged:
-            for (name, _, noise), (w, a), seq in zip(imus, ideal, streams):
+            for i, ((name, _, noise), (w, a), seq) in enumerate(zip(imus, ideal, streams)):
                 path = out / f"{name}.csv"
-                # a huge sigma overflows to inf, which ImuSeries rejects
-                with np.errstate(over="ignore", invalid="ignore"):
-                    noisy = apply_measurement_noise(w, a, noise, cfg.freq,
-                                                    np.random.default_rng(seq))
+                # a huge initial bias overflows to inf, which ImuSeries rejects
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        noisy = apply_measurement_noise(w, a, noise, cfg.freq,
+                                                        np.random.default_rng(seq))
+                except FormatError as exc:  # a sigma whose noise overflows
+                    raise FormatError(f"{args.config}: imus[{i}].noise.{exc}") from None
                 try:
                     series = ImuSeries(cfg.freq, 0, *noisy)
                 except FormatError as exc:

@@ -144,10 +144,11 @@ def write_imu_csv(path, series: ImuSeries, stage=None):
     timestamp, every value to 17 significant digits so that it reads
     back bit for bit, and its binary twin beside it (see the module
     docstring). A series that read_imu_csv would reject, with fewer
-    than 2 samples or a non-finite one, raises FormatError before any
-    file is created. Given ``stage``, a contextlib.ExitStack, both files
-    stay in temp files until the stack closes, which renames them into
-    place, or removes them if it closes on an exception."""
+    than 2 samples, a non-finite one or stamps that do not increase,
+    raises FormatError before any file is created. Given ``stage``, a
+    contextlib.ExitStack, both files stay in temp files until the stack
+    closes, which renames them into place, or removes them if it closes
+    on an exception."""
     if len(series) < 2:
         raise FormatError(f"{path}: need at least 2 samples to derive a rate")
     bad = non_finite_sample(series.gyro, series.accel)
@@ -155,6 +156,9 @@ def write_imu_csv(path, series: ImuSeries, stage=None):
         raise FormatError(f"{path}: sample {bad} is not finite")
     records = np.empty(len(series), _TWIN_DTYPE)
     records["t_ns"] = series.times_ns()
+    t = records["t_ns"]
+    if np.any(t[1:] <= t[:-1]):  # a rate above 1 GHz, or a start moved past int64
+        raise FormatError(f"{path}: timestamps must be strictly increasing")
     records["values"][:, :3] = series.gyro
     records["values"][:, 3:] = series.accel
     digest = _sha256()
@@ -505,16 +509,21 @@ def read_imu_csv(path) -> ImuSeries:
     """Parse and validate one IMU CSV; the rate comes from the median
     timestamp spacing and every spacing must agree within 1%."""
     times, values = _parse_csv(path)
-    diffs = np.diff(times)
-    if np.any(diffs <= 0):
+    # compared, not subtracted: a difference of int64 stamps can wrap
+    if np.any(times[1:] <= times[:-1]):
         raise FormatError(f"{path}: timestamps must be strictly increasing")
+    # the spacings of increasing int64 stamps, exact as uint64
+    diffs = np.diff(times).view(np.uint64)
     period = float(np.median(diffs))
     if np.max(np.abs(diffs - period)) > RATE_JITTER_TOL * period:
         raise RateMismatch(
             f"{path}: timestamp jitter exceeds {RATE_JITTER_TOL:.0%} of the "
             f"nominal period {period:.0f} ns")
-    return ImuSeries(freq=1e9 / period, start_ns=int(times[0]),
-                     gyro=values[:, :3], accel=values[:, 3:])
+    try:
+        return ImuSeries(freq=1e9 / period, start_ns=int(times[0]),
+                         gyro=values[:, :3], accel=values[:, 3:])
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_vimu_sidecar(path, cfg: VimuConfig, noise: VimuNoise, freq: float):

@@ -2,14 +2,11 @@
 fusion variants, preintegrate at keyframe rate, and score dead-reckoned
 states against ground truth.
 
-Variant naming (grid indices are row-major on the 3x3 array):
-
-* ``1-imu-true``       center sensor with its exact mount
-* ``2-imu-perturbed``  first-row ends (0, 2), perturbed extrinsics
-* ``4-imu-perturbed``  corners (0, 2, 6, 8), perturbed extrinsics
-* ``9-imu-perturbed``  whole grid, perturbed extrinsics
-* ``2-imu-calibrated`` first-row ends, extrinsics estimated from the
-  trial's own data by the two-stage calibrator
+Each variant is one row of ``_VARIANTS``: the grid sensors it fuses
+(row-major indices on the 3x3 array) and where their believed poses
+come from, the ``true`` mounts, the extrinsic sample's ``perturbed``
+mounts, or the trial's own ``calibrated`` pair, whose sensor B the
+two-stage calibrator places from sensor A's true mount.
 
 Every variant is evaluated against the true world motion of the body
 -fixed frame it believes it estimates, so extrinsic error enters through
@@ -49,21 +46,20 @@ from .vimu import accel_centroid, fuse_stack
 
 log = logging.getLogger(__name__)
 
-VARIANTS = (
-    "1-imu-true",
-    "2-imu-perturbed",
-    "4-imu-perturbed",
-    "9-imu-perturbed",
-    "2-imu-calibrated",
-)
+# name -> (grid sensors, pose source). The perturbed subsets nest (pair
+# inside the corner quad inside the full grid), so the perturbation
+# draws are shared along the 2 -> 4 -> 9 chain; paired comparisons then
+# isolate the marginal benefit of adding sensors.
+_VARIANTS = {
+    "1-imu-true": ((4,), "true"),
+    "2-imu-perturbed": ((0, 2), "perturbed"),
+    "4-imu-perturbed": ((0, 2, 6, 8), "perturbed"),
+    "9-imu-perturbed": (tuple(range(9)), "perturbed"),
+    "2-imu-calibrated": ((0, 2), "calibrated"),
+}
+VARIANTS = tuple(_VARIANTS)
 METRICS = ("position", "orientation", "velocity")
 
-_CENTER = 4
-# Nested subsets (pair inside the corner quad inside the full grid) so
-# the perturbation draws are shared along the 2 -> 4 -> 9 chain; paired
-# comparisons then isolate the marginal benefit of adding sensors.
-_PAIR = (0, 2)
-_QUAD = (0, 2, 6, 8)
 # Bytes of one chunk of trials as run_experiment counts them: per trial
 # its raw samples, and per variant its fused rows, 379,200 B for a desk
 # trial of 9 sensors and 5 variants. That count leaves out the per-chunk
@@ -263,40 +259,13 @@ def ingest_csv(paths) -> list:
     return out
 
 
-def _keyframe_layout(n_samples: int, freq: float, interval: float):
-    """Number of whole keyframe windows in a virtual series plus the
-    per-window sample count."""
-    step = int(round(interval * freq))
-    if step < 1:
-        raise ValueError("keyframe interval below one sample period")
-    return n_samples // step, step
-
-
-def _variant_indices(name: str) -> tuple:
-    indices = {"1-imu-true": (_CENTER,), "2-imu-perturbed": _PAIR, "2-imu-calibrated": _PAIR,
-               "4-imu-perturbed": _QUAD, "9-imu-perturbed": tuple(range(9))}
-    if name not in indices:
-        raise ValueError(f"unknown variant {name}")
-    return indices[name]
-
-
-def _poses(rotations, positions, indices) -> tuple:
-    """The body poses of the mounts at indices of body-to-sensor
-    rotations (m, 3, 3) and sensor origins (m, 3), as one trial:
-    rotations (1, n, 3, 3) and origins (1, n, 3)."""
-    return rotations[None, list(indices)], positions[None, list(indices)]
-
-
-def _setup(rotations, positions, plan: ExperimentPlan, keyframes) -> tuple:
-    """Fusion and truth of arrays at believed body poses: body-to-sensor
-    rotations (..., n, 3, 3) and sensor origins (..., n, 3) in body
-    coordinates, any leading axes being trials. The virtual frame has
-    body axes and sits at the accel-weighted centroid of the origins.
-    Returns the rotations, which fuse_stack fuses, and the true states of
-    the frame (keyframe, trials...)."""
-    noises = (plan.noise,) * rotations.shape[-3]
-    return rotations, true_vimu_state(keyframes, np.eye(3),
-                                      accel_centroid(positions, noises))
+def _truth(positions, plan: ExperimentPlan, keyframes) -> VimuState:
+    """True states (keyframe, trials...) of the virtual frame of sensor
+    origins (..., n, 3) in body coordinates, any leading axes being
+    trials: body axes, at the accel-weighted centroid of the origins,
+    where the fusion of their rotations puts it."""
+    noises = (plan.noise,) * positions.shape[-2]
+    return true_vimu_state(keyframes, np.eye(3), accel_centroid(positions, noises))
 
 
 def _calibrated_poses(plan: ExperimentPlan, grid, gyro, accel, cols) -> tuple:
@@ -309,7 +278,7 @@ def _calibrated_poses(plan: ExperimentPlan, grid, gyro, accel, cols) -> tuple:
     (ga, gb), (aa, ab) = ([x[:, :, c] for c in cols] for x in (gyro, accel))
     R, _, rot_errors = fit_rotation(ga, gb)
     p, _, trans_errors = fit_translation(R, ga, aa, gb, ab, plan.sim.freq)
-    R_a, p_a = (x[_PAIR[0]] for x in grid)
+    R_a, p_a = (x[cols[0]] for x in grid)
     errors = [r or t for r, t in zip(rot_errors, trans_errors)]
     # a failed trial's estimate need not be finite: it is set up at A's
     # pose instead, which keeps the shared scoring pass finite
@@ -324,9 +293,9 @@ def _score_chunk(plan: ExperimentPlan, setups, grid, gyro, accel, keyframes,
                  n_windows: int, step: int) -> dict:
     """Per variant, the (position, orientation, velocity) RMSE or the
     MimuError of each trial of a chunk of raw samples (S, n, 9, 3), one
-    column per grid sensor. ``setups`` holds the _setup of every
-    variant but 2-imu-calibrated, whose every trial is calibrated and
-    set up here. Calibration reads every sample; only the
+    column per grid sensor. ``setups`` holds the rotations and _truth of
+    every variant but the calibrated ones, whose every trial is
+    calibrated and set up here. Calibration reads every sample; only the
     n_windows * step rows that the windows integrate are fused. The fused
     rows of every variant and trial, variant-major, are dead-reckoned
     from their first truth state and scored in one pass."""
@@ -338,10 +307,11 @@ def _score_chunk(plan: ExperimentPlan, setups, grid, gyro, accel, keyframes,
                         for shape in ((3, 3), (3,), (3,))))
     errors = []
     for j, v in enumerate(plan.variants):
-        cols = list(_variant_indices(v))
-        if v == "2-imu-calibrated":
-            *poses, errs = _calibrated_poses(plan, grid, gyro, accel, cols)
-            rotations, truth_v = _setup(*poses, plan, keyframes)
+        cols, source = _VARIANTS[v]
+        cols = list(cols)
+        if source == "calibrated":
+            rotations, positions, errs = _calibrated_poses(plan, grid, gyro, accel, cols)
+            truth_v = _truth(positions, plan, keyframes)
         else:
             rotations, truth_v = setups[v]
             errs = [None] * S
@@ -391,25 +361,18 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
         ideal_imu_series_stack(plan.sim, *grid).transpose(1, 2, 0, 3))
 
     n_total = plan.sim.sample_count
-    n_windows, step = _keyframe_layout(n_total - 2, plan.sim.freq,
-                                       plan.keyframe_interval)
+    step = int(round(plan.keyframe_interval * plan.sim.freq))
+    if step < 1:
+        raise ValueError("keyframe interval below one sample period")
+    n_windows = (n_total - 2) // step
     if n_windows < 1:
         raise ValueError("duration too short for one keyframe window")
     kf_times = (1 + step * np.arange(n_windows + 1)) / plan.sim.freq
     keyframes = trajectory_samples(plan.sim, kf_times)
-    # once per run: the noise weights and the variant on true mounts
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    try:  # once per run
         noise_weights = innovation_weights(plan.noise, plan.sim.freq, n_total)
-    for row, (white, walk) in enumerate((("sigma_g", "sigma_bg"), ("sigma_a", "sigma_ba"))):
-        if not np.isfinite(noise_weights[:, row]).all():
-            # name the sigma of the larger variance, sigma^2 freq or sigma_b^2 / freq
-            sigma, sigma_b = getattr(plan.noise, white), getattr(plan.noise, walk)
-            key, value = ((white, sigma) if sigma * plan.sim.freq >= sigma_b
-                          else (walk, sigma_b))
-            raise FormatError(f"plan.noise.{key} {value:g} makes the noise overflow at "
-                              f"{plan.sim.freq:g} Hz")
-    setups = {v: _setup(*_poses(*grid, (_CENTER,)), plan, keyframes)
-              for v in plan.variants if v == "1-imu-true"}
+    except FormatError as exc:
+        raise FormatError(f"plan.noise.{exc}") from None
 
     acc = {v: {m: np.zeros((plan.extrinsic_samples, plan.sequences_per_sample))
                for m in METRICS} for v in plan.variants}
@@ -440,9 +403,13 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
             perturb_rng = np.random.default_rng(perturb_seq)
             believed = perturb_extrinsics(*grid, plan.sigma_rot, plan.sigma_trans,
                                           perturb_rng)
-            setups.update({v: _setup(*_poses(*believed, _variant_indices(v)), plan,
-                                     keyframes)
-                           for v in plan.variants if v.endswith("-perturbed")})
+            poses = {"true": grid, "perturbed": believed}
+            setups = {}
+            for v in plan.variants:
+                cols, source = _VARIANTS[v]
+                if source in poses:
+                    rotations, positions = (x[None, list(cols)] for x in poses[source])
+                    setups[v] = rotations, _truth(positions, plan, keyframes)
             for r0 in range(0, plan.sequences_per_sample, chunk):
                 seqs = range(r0, min(r0 + chunk, plan.sequences_per_sample))
                 for c, r in enumerate(seqs):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .errors import FormatError
 from .geometry import exp_so3, lever_matrix
 from .types import NoiseSpec, _Block, _finite_floats, _number, _read, _vec3
 
@@ -265,17 +266,24 @@ def innovation_weights(noise: NoiseSpec, freq: float, n: int) -> np.ndarray:
     = var_w / sqrt(S_k), each for the gyro and the accel row, where S_k
     = P_k + var_w and K_k = P_k / S_k are the innovation variance and
     gain of the row's white noise, var_w = sigma^2 freq, and bias walk,
-    q = sigma_b^2 / freq. Computed in numpy, so a sigma that overflows
-    gives non-finite weights instead of an exception."""
-    var_w = np.square([noise.sigma_g, noise.sigma_a]) * freq
-    q = np.square([noise.sigma_bg, noise.sigma_ba]) / freq
+    q = sigma_b^2 / freq. A row whose weights overflow raises FormatError
+    naming the sigma of the larger variance, without a numpy warning."""
     weights = np.empty((2, 2, n, 1))
-    for a, b, v, s in zip(weights[0, ..., 0], weights[1, ..., 0], var_w, q):
-        P = _level_variances(v, s, out=a)
-        np.sqrt(np.add(P, v, out=b), out=b)  # sqrt(S_k)
-        nonzero = b != 0.0  # P_k = 0 too where S_k is; NaN stays NaN
-        np.divide(P, b, out=a, where=nonzero)
-        np.divide(v, b, out=b, where=nonzero)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        var_w = np.square([noise.sigma_g, noise.sigma_a]) * freq
+        q = np.square([noise.sigma_bg, noise.sigma_ba]) / freq
+        for a, b, v, s in zip(weights[0, ..., 0], weights[1, ..., 0], var_w, q):
+            P = _level_variances(v, s, out=a)
+            np.sqrt(np.add(P, v, out=b), out=b)  # sqrt(S_k)
+            nonzero = b != 0.0  # P_k = 0 too where S_k is; NaN stays NaN
+            np.divide(P, b, out=a, where=nonzero)
+            np.divide(v, b, out=b, where=nonzero)
+    for row, (white, walk) in enumerate((("sigma_g", "sigma_bg"), ("sigma_a", "sigma_ba"))):
+        if not np.isfinite(weights[:, row]).all():
+            # sigma^2 freq >= sigma_b^2 / freq: the white noise's is larger
+            sigma, sigma_b = getattr(noise, white), getattr(noise, walk)
+            key, value = (white, sigma) if sigma * freq >= sigma_b else (walk, sigma_b)
+            raise FormatError(f"{key} {value:g} makes the noise overflow at {freq:g} Hz")
     return weights
 
 

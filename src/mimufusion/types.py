@@ -10,6 +10,8 @@ import numpy as np
 from .errors import FormatError, LengthMismatch, RateMismatch
 from .geometry import rotation_from_quat
 
+_INT64 = np.iinfo(np.int64)
+
 
 def _vec3(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
@@ -215,8 +217,9 @@ class ImuSeries:
     """Fixed-rate gyro + accelerometer samples.
 
     Timestamps are implicit: sample k is at ``start_ns + round(k * 1e9 / freq)``.
-    Gyro in rad/s, specific force in m/s^2, both (n, 3) and finite: a NaN
-    or infinite sample raises FormatError.
+    Gyro in rad/s, specific force in m/s^2, both (n, 3) and finite. A
+    NaN or infinite sample raises FormatError, and so do a first or last
+    stamp, or a span between them, that does not fit int64.
     """
 
     freq: float
@@ -235,6 +238,11 @@ class ImuSeries:
             raise ValueError(f"gyro must be (n, 3), got {self.gyro.shape}")
         if self.accel.shape != self.gyro.shape:
             raise ValueError("gyro and accel must have matching shapes")
+        last = self.start_ns + int(np.rint(max(len(self) - 1, 0) * self.period_ns))
+        # times_ns adds int64 offsets to start_ns, so the span must fit too
+        if not (_INT64.min <= self.start_ns and last <= _INT64.max
+                and last - self.start_ns <= _INT64.max):
+            raise FormatError(f"timestamps {self.start_ns} to {last} ns do not fit int64")
         bad = non_finite_sample(self.gyro, self.accel)
         if bad is not None:
             raise FormatError(f"sample {bad} is not finite")

@@ -139,13 +139,9 @@ from mimufusion.geometry import (
     vee,
 )
 from mimufusion.harness import (
-    _CENTER,
-    _PAIR,
     METRICS,
     ExperimentPlan,
     RmseReport,
-    _keyframe_layout,
-    _variant_indices,
     rmse_metrics,
     true_vimu_state,
 )
@@ -493,6 +489,20 @@ def array_frame(mounts: list, noises: list) -> tuple:
     return cfg, np.eye(3), centroid
 
 
+# The grid sensors of each variant, row-major on the 3x3 array, declared
+# here and not read from the harness, so that a wrong set there shows:
+# the centre, the first-row ends, the corners and the whole grid.
+CENTER = 4
+PAIR = (0, 2)
+VARIANT_SENSORS = {
+    "1-imu-true": (CENTER,),
+    "2-imu-perturbed": PAIR,
+    "4-imu-perturbed": (0, 2, 6, 8),
+    "9-imu-perturbed": tuple(range(9)),
+    "2-imu-calibrated": PAIR,
+}
+
+
 @dataclass
 class _VariantSetup:
     indices: tuple
@@ -502,9 +512,9 @@ class _VariantSetup:
 
 def _setup_variant(name: str, plan: ExperimentPlan, mounts, believed,
                    truth_samples):
-    idx = _variant_indices(name)
+    idx = VARIANT_SENSORS[name]
     if name == "1-imu-true":
-        m = mounts[_CENTER]
+        m = mounts[CENTER]
         cfg = single_frame(plan.noise)
         frame_rot = rotation_from_quat(m.q).T
         frame_pos = m.p
@@ -523,7 +533,7 @@ def _setup_calibrated(plan: ExperimentPlan, mounts, series_by_idx,
     stage kernels on that one pair, raising the first error as calibrate
     does, and anchor the centroid frame of the fitted rotation matrix
     and lever arm at sensor A's true mount."""
-    ia, ib = _PAIR
+    ia, ib = PAIR
     a, b = series_by_idx[ia], series_by_idx[ib]
     R, _, (error,) = calibration.fit_rotation(a.gyro, b.gyro)
     if error is None:
@@ -537,7 +547,7 @@ def _setup_calibrated(plan: ExperimentPlan, mounts, series_by_idx,
     # sensor A sits at positions[0] in the frame, which has A's axes
     frame_pos = mounts[ia].p - R_ba_body @ cfg.positions[0]
     truth = [true_vimu_state(ts, R_ba_body, frame_pos) for ts in truth_samples]
-    return _VariantSetup(indices=_PAIR, cfg=cfg, truth=truth)
+    return _VariantSetup(indices=PAIR, cfg=cfg, truth=truth)
 
 
 def _score_variant(setup: _VariantSetup, series_by_idx, plan: ExperimentPlan,
@@ -559,12 +569,14 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     """
     mounts = grid_extrinsics(pitch=plan.grid_pitch)
     needed = sorted({i for v in plan.variants
-                     for i in _variant_indices(v)})
+                     for i in VARIANT_SENSORS[v]})
     ideal = {i: ideal_imu_series(plan.sim, mounts[i]) for i in needed}
 
     n_total = plan.sim.sample_count
-    n_windows, step = _keyframe_layout(n_total - 2, plan.sim.freq,
-                                       plan.keyframe_interval)
+    step = int(round(plan.keyframe_interval * plan.sim.freq))
+    if step < 1:
+        raise ValueError("keyframe interval below one sample period")
+    n_windows = (n_total - 2) // step
     if n_windows < 1:
         raise ValueError("duration too short for one keyframe window")
     kf_times = (1 + step * np.arange(n_windows + 1)) / plan.sim.freq

@@ -214,8 +214,9 @@ def test_simulate_rejects_imu_name_that_is_not_a_plain_file_name(tmp_path, capsy
 @pytest.mark.parametrize("existing", [False, True])
 def test_simulate_writes_all_csvs_or_none(tmp_path, capsys, recwarn, existing):
     """imu_b's noise overflows after imu_a was simulated: the error names
-    imu_b.csv, no CSV is left behind, an --out directory that existed
-    keeps only what it held, and no numpy warning is printed."""
+    the YAML file and imu_b's sigma, as evaluate names a plan's, no CSV
+    is left behind, an --out directory that existed keeps only what it
+    held, and no numpy warning is printed."""
     (tmp_path / "sim.yaml").write_text(SIM_YAML + "    noise: {sigma_g: 1.0e+308}\n")
     out = tmp_path / "data"
     if existing:
@@ -225,8 +226,8 @@ def test_simulate_writes_all_csvs_or_none(tmp_path, capsys, recwarn, existing):
                  "--out", str(out), "--duration", "1"])
     assert code == 1
     payload = json.loads(capsys.readouterr().err.strip())
-    assert payload == {"error": "FormatError",
-                       "message": f"{out / 'imu_b.csv'}: sample 0 is not finite"}
+    assert payload == {"error": "FormatError", "message": f"{tmp_path / 'sim.yaml'}: "
+                       "imus[1].noise.sigma_g 1e+308 makes the noise overflow at 200 Hz"}
     if existing:
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
     else:

@@ -5,13 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracle import (
+    PAIR,
+    VARIANT_SENSORS,
     paired_bootstrap_prob,
     per_sample_means,
     quat_from_rotvec,
     rmse_report_from_dict,
     sample_trajectory,
     simulate_imu,
-    single_frame,
     still_trajectory,
 )
 
@@ -23,10 +24,10 @@ from mimufusion.geometry import (
     rotation_from_quat,
 )
 from mimufusion.harness import (
-    _CENTER,
+    _VARIANTS,
+    VARIANTS,
     ExperimentPlan,
-    _poses,
-    _setup,
+    _truth,
     emit_report,
     ingest_csv,
     rmse_metrics,
@@ -253,49 +254,61 @@ def test_plan_rejects_unknown_sim_keys():
         ExperimentPlan.from_dict({"sim": {"durration": 9}})
 
 
-def assert_fuses_as(rotations, trial, cfg):
-    """Trial ``trial`` of a set-up's ``rotations`` fuses as ``cfg``: with
-    the plan's one noise spec, its rotations are cfg's to 1e-12."""
-    np.testing.assert_allclose(rotations[trial], np.stack(cfg.rotations), rtol=0, atol=1e-12)
+def test_variant_table_pins_each_sensor_set_and_pose_source():
+    """Each variant fuses the oracle's grid sensors for it, from the pose
+    source its name gives, in the order VARIANTS lists."""
+    assert _VARIANTS == {
+        "1-imu-true": ((4,), "true"),
+        "2-imu-perturbed": ((0, 2), "perturbed"),
+        "4-imu-perturbed": ((0, 2, 6, 8), "perturbed"),
+        "9-imu-perturbed": ((0, 1, 2, 3, 4, 5, 6, 7, 8), "perturbed"),
+        "2-imu-calibrated": ((0, 2), "calibrated"),
+    }
+    assert VARIANTS == tuple(_VARIANTS)
+    assert {v: cols for v, (cols, _) in _VARIANTS.items()} == VARIANT_SENSORS
 
 
-def test_setup_of_a_pair_matches_the_midpoint_frame():
-    """A pair believed at (I, 0) and (R, p) is, trial by trial, the
-    centroid fusion of Extrinsic(q, p), and with the plan's one noise
-    spec its truth origin is the midpoint p / 2."""
+def test_truth_of_a_pair_is_at_the_origin_of_its_centroid_frame():
+    """For a pair believed at (I, 0) and (R, p), trial by trial, _truth
+    gives the true states of the frame at the midpoint p / 2 with body
+    axes, the origin that the centroid fusion of Extrinsic(q, p) puts
+    its sensors about, for the plan's one noise spec."""
     rng = np.random.default_rng(71)
     plan = ExperimentPlan()
     keyframes = trajectory_samples(plan.sim, np.array([0.005, 0.505, 1.005]))
     q = np.array([quat_from_rotvec(v) for v in rng.normal(scale=0.5, size=(5, 3))])
     p = rng.normal(scale=0.05, size=(5, 3))
-    R = rotation_from_quat(q)
-    rotations, truth = _setup(np.stack([np.broadcast_to(np.eye(3), R.shape), R], axis=-3),
-                              np.stack([np.zeros_like(p), p], axis=-2), plan, keyframes)
+    positions = np.stack([np.zeros_like(p), p], axis=-2)
+    truth = _truth(positions, plan, keyframes)
     want_truth = true_vimu_state(keyframes, np.eye(3), 0.5 * p)
     for f in ("rotation", "position", "velocity"):
         np.testing.assert_allclose(getattr(truth, f), getattr(want_truth, f),
                                    rtol=0, atol=1e-12)
     for s in range(5):
-        assert_fuses_as(rotations, s, centroid_frame(Extrinsic(q[s], p[s]), plan.noise,
-                                                     plan.noise))
+        cfg = centroid_frame(Extrinsic(q[s], p[s]), plan.noise, plan.noise)
+        np.testing.assert_allclose(np.stack(cfg.positions), positions[s] - 0.5 * p[s],
+                                   rtol=0, atol=1e-15)
 
 
-def test_setup_of_one_mount_matches_the_single_frame():
-    """The centre mount alone is the one-sensor passthrough at that
-    mount, and so is any single believed pose, trial by trial."""
+def test_truth_of_one_mount_is_the_state_at_its_origin():
+    """The centre mount alone, and any single believed origin, trial by
+    trial, has the true states of the body frame moved to that origin."""
     plan = ExperimentPlan()
     keyframes = trajectory_samples(plan.sim, np.array([0.005, 0.505]))
     grid = grid_mounts(pitch=plan.grid_pitch)
-    rotations, truth = _setup(*_poses(*grid, (_CENTER,)), plan, keyframes)
-    assert_fuses_as(rotations, 0, single_frame(plan.noise))
-    want_truth = true_vimu_state(keyframes, np.eye(3), grid[1][_CENTER])
+    truth = _truth(grid[1][None, [4]], plan, keyframes)
+    want_truth = true_vimu_state(keyframes, np.eye(3), grid[1][4])
     np.testing.assert_array_equal(truth.position[:, 0], want_truth.position)
 
-    rng = np.random.default_rng(72)
-    R = exp_so3(rng.normal(size=(4, 3)))
-    rotations, _ = _setup(R[:, None], rng.normal(size=(4, 1, 3)), plan, keyframes)
+    positions = np.random.default_rng(72).normal(size=(4, 1, 3))
+    truth = _truth(positions, plan, keyframes)
     for s in range(4):
-        assert_fuses_as(rotations, s, single_frame(plan.noise, rotation=R[s]))
+        want_truth = true_vimu_state(keyframes, np.eye(3), positions[s, 0])
+        for f in ("position", "velocity"):
+            np.testing.assert_allclose(getattr(truth, f)[:, s], getattr(want_truth, f),
+                                       rtol=0, atol=1e-15)
+        # the frame has body axes wherever it sits: one rotation for all
+        np.testing.assert_array_equal(truth.rotation[:, 0], want_truth.rotation)
 
 
 TINY_PLAN = ExperimentPlan(
@@ -430,7 +443,7 @@ def test_calibrated_poses_match_calibrate():
     the matrix that fit_rotation gives the pair alone, and to round-off
     with the rotation of calibrate's quaternion."""
     from mimufusion.calibration import CalibrationInput, calibrate, fit_rotation
-    from mimufusion.harness import _PAIR, _calibrated_poses
+    from mimufusion.harness import _calibrated_poses
     from mimufusion.simulation import (apply_measurement_noise_stack,
                                        ideal_imu_series_stack)
 
@@ -442,12 +455,12 @@ def test_calibrated_poses_match_calibrate():
                                                   np.random.default_rng(seed))
                     for seed in (0, 1)])
     gyro, accel = raw[:, 0], raw[:, 1]
-    rotations, positions, errors = _calibrated_poses(plan, grid, gyro, accel, list(_PAIR))
+    rotations, positions, errors = _calibrated_poses(plan, grid, gyro, accel, list(PAIR))
     assert errors == [None, None]
-    R_a, p_a = (x[_PAIR[0]] for x in grid)
+    R_a, p_a = (x[PAIR[0]] for x in grid)
     for c in range(2):
         a, b = (ImuSeries(plan.sim.freq, 0, gyro[c, :, j], accel[c, :, j])
-                for j in _PAIR)
+                for j in PAIR)
         ext = calibrate(CalibrationInput(a, b, plan.noise, plan.noise)).extrinsic
         np.testing.assert_array_equal(rotations[c, 1],
                                       fit_rotation(a.gyro, b.gyro)[0] @ R_a)
@@ -460,7 +473,6 @@ def smallest_gyro_eigenvalues(plan):
     """Smallest eigenvalue of the mean gyro second moment of sensor A of
     the calibrated pair, per (sample, sequence), drawn from the trial's
     own random stream as the harness draws it."""
-    from mimufusion.harness import _PAIR
     from mimufusion.simulation import (apply_measurement_noise_stack,
                                        ideal_imu_series_stack)
 
@@ -472,7 +484,7 @@ def smallest_gyro_eigenvalues(plan):
         for trial_seq in sample_seq.spawn(1 + plan.sequences_per_sample)[1:]:
             noisy = apply_measurement_noise_stack(ideal, plan.noise, plan.sim.freq,
                                                   np.random.default_rng(trial_seq))
-            w = noisy[0, :, _PAIR[0]]
+            w = noisy[0, :, PAIR[0]]
             out.append(np.linalg.eigvalsh(w.T @ w / len(w))[0])
     return np.array(out)
 

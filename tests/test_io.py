@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -317,6 +318,64 @@ def test_imu_csv_timestamps_read_back_from_the_text(tmp_path, start_ns):
     np.testing.assert_array_equal(times, series.times_ns())
     assert times[-1] == start_ns + 399 * 5_000_000
     assert values.tobytes() == np.hstack([series.gyro, series.accel]).tobytes()
+
+
+def test_imu_series_refuses_stamps_past_int64():
+    """A series whose last implicit stamp passes the largest int64, or
+    whose first is below the smallest, is refused; one that ends at the
+    largest is not."""
+    zeros = np.zeros((2, 3))
+    for start_ns in (2**63 - 1, 2**63, -(2**63) - 1):
+        with pytest.raises(FormatError, match="do not fit int64"):
+            ImuSeries(200.0, start_ns, zeros, zeros)
+    assert ImuSeries(200.0, 2**63 - 1 - 5_000_000, zeros, zeros).times_ns()[-1] == 2**63 - 1
+
+
+@pytest.mark.parametrize("case", ["moved-past-int64", "above-1-GHz"])
+def test_imu_csv_writer_refuses_stamps_that_do_not_increase(tmp_path, case):
+    """A series moved past the int64 range after it was built, whose
+    stamps wrap, and one at 2 GHz, whose stamps round to repeats, are
+    refused before any file exists."""
+    zeros = np.zeros((3, 3))
+    if case == "above-1-GHz":
+        series = ImuSeries(2e9, 0, zeros, zeros)
+    else:
+        series = ImuSeries(200.0, 0, zeros, zeros)
+        series.start_ns = 2**63 - 1
+    with pytest.raises(FormatError, match="strictly increasing"):
+        write_imu_csv(tmp_path / "imu.csv", series)
+    assert list(tmp_path.iterdir()) == []
+
+
+# (stamps, the FormatError's message): the first plus 5 ms wrapped to a
+# negative int64, and two increasing stamps 2**64 - 2 ns apart, whose
+# spacing as an int64 difference wraps and whose series does not fit int64
+WRAPPED_STAMPS = {
+    "wrapped": ([2**63 - 1, 2**63 - 1 + 5_000_000 - 2**64], "strictly increasing"),
+    "span-past-int64": ([-(2**63) + 1, 2**63 - 1], "do not fit int64"),
+}
+
+
+@pytest.mark.parametrize("twin", [True, False], ids=["twin", "text"])
+@pytest.mark.parametrize("case", sorted(WRAPPED_STAMPS))
+def test_imu_csv_reader_rejects_stamps_whose_difference_wraps(tmp_path, case, twin):
+    """A hand-written CSV whose stamps differ by more than int64 holds
+    is rejected with a FormatError naming it, read from a matching
+    binary twin or as text."""
+    stamps, message = WRAPPED_STAMPS[case]
+    path = tmp_path / "imu.csv"
+    times = np.array(stamps, dtype=np.int64)
+    path.write_text(f"{IMU_CSV_HEADER}\n" + "".join(f"{t},0,0,0,0,0,9.81\n" for t in stamps))
+    if twin:
+        records = np.zeros(2, csvio._TWIN_DTYPE)
+        records["t_ns"] = times
+        records["values"][:, 5] = 9.81
+        digest = hashlib.sha256(path.read_bytes() + records.tobytes()).digest()
+        csvio._twin_path(path).write_bytes(
+            csvio._TWIN_HEADER.pack(csvio._TWIN_MAGIC, 2, digest) + records.tobytes())
+        assert csvio._read_twin(path) is not None
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*{message}"):
+        read_imu_csv(path)
 
 
 SPELLINGS = ("{!r}", "{:.17g}", "{:.3e}", "{:+.6f}", " {:.9G} ", "{:.0f}.")
