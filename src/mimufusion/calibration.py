@@ -46,9 +46,11 @@ GYRO_EXCITATION_MIN = 1e-4
 TRANSLATION_EXCITATION_MIN = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class CalibrationInput:
-    """A synchronized pair of IMU series plus their noise models."""
+    """A synchronized pair of IMU series plus their noise models, frozen
+    so that the pair stays synchronized; dataclasses.replace checks it
+    again."""
 
     series_a: ImuSeries
     series_b: ImuSeries

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import csvio
 from .calibration import CalibrationInput, calibrate
-from .errors import FormatError, MimuError, RateMismatch
+from .errors import FormatError, MimuError, RateMismatch, _naming
 from .geometry import geodesic_angle
 from .harness import (
     VARIANTS,
@@ -77,17 +77,14 @@ def cmd_simulate(args) -> int:
         with contextlib.ExitStack() as staged:
             for i, ((name, _, noise), (w, a), seq) in enumerate(zip(imus, ideal, streams)):
                 path = out / f"{name}.csv"
-                # a huge initial bias overflows to inf, which ImuSeries rejects
-                try:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        noisy = apply_measurement_noise(w, a, noise, cfg.freq,
-                                                        np.random.default_rng(seq))
-                except FormatError as exc:  # a sigma whose noise overflows
-                    raise FormatError(f"{args.config}: imus[{i}].noise.{exc}") from None
-                try:
+                # a sigma whose noise overflows raises FormatError; a huge
+                # initial bias overflows to inf, which ImuSeries rejects
+                with (_naming(f"{args.config}: imus[{i}].noise."),
+                      np.errstate(over="ignore", invalid="ignore")):
+                    noisy = apply_measurement_noise(w, a, noise, cfg.freq,
+                                                    np.random.default_rng(seq))
+                with _naming(f"{path}: "):
                     series = ImuSeries(cfg.freq, 0, *noisy)
-                except FormatError as exc:
-                    raise FormatError(f"{path}: {exc}") from None
                 csvio.write_imu_csv(path, series, stage=staged)
                 log.info("wrote %s.csv (%d samples)", name, len(series))
     except BaseException:
@@ -129,15 +126,13 @@ def _load_extrinsic(path) -> Extrinsic:
     """The Extrinsic of a calib.json; a missing, unknown or malformed key
     raises FormatError naming path and key."""
     d = csvio.read_json(path)
-    try:
+    with _naming(f"{path}: "):
         _check_keys(d, (*_CALIB_KEYS, *_CALIB_STAGES), "calibration")
         missing = [k for k in _CALIB_KEYS if k not in d]
         if missing:
             raise FormatError(f"calibration: missing key `{missing[0]}`")
         return _read(Extrinsic, {k: d[k] for k in _CALIB_KEYS}, "calibration",
                      table=_CALIB_KEYS)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 def cmd_fuse(args) -> int:
@@ -171,10 +166,8 @@ def cmd_preintegrate(args) -> int:
     step = int(round(min(args.interval * series.freq, len(series) + 1)))
     if step < 1:
         raise ValueError("interval below one sample period")
-    try:
+    with _naming(f"{args.vimu}: "):
         deltas = preintegrate_windows(series, VimuState.identity(), step, noise)
-    except FormatError as exc:
-        raise FormatError(f"{args.vimu}: {exc}") from None
     if not deltas:
         raise ValueError("series shorter than one keyframe interval")
     with csvio._atomic_open(args.out) as fh:
@@ -196,10 +189,8 @@ def cmd_preintegrate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     d = csvio.load_yaml(args.config)
-    try:
+    with _naming(f"{args.config}: "):
         plan = ExperimentPlan.from_dict(d)
-    except FormatError as exc:
-        raise FormatError(f"{args.config}: {exc}") from exc
     overrides = {}
     if args.variants is not None:
         overrides["variants"] = tuple(v.strip() for v in args.variants.split(",")

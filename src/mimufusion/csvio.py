@@ -12,8 +12,10 @@ each value's 17 correctly rounded digits, and only values outside
 1e-6 < |v| < 1e17 and negative timestamps are left to Python's own
 formatting, one by one. The reader checks the header line and hands the
 open file to one ``np.loadtxt`` call. Neither holds the file's text, so
-the memory either needs is about that of the samples. Only a rejected
-file is read whole, by ``_diagnose_csv``, to name the line at fault.
+the memory either needs is about that of the samples. A file that call
+or the checks after it refuse is read whole once, by ``_parse_whole``,
+which returns its rows if it is good after all (one with whitespace-only
+lines) and otherwise names the line at fault.
 
 Beside each CSV the writer puts its binary twin, ``.<name>.rows``: the
 same samples as little-endian records, headed by a SHA-256 over the
@@ -36,15 +38,14 @@ import struct
 import tempfile
 import warnings
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 import yaml
 
-from .errors import FormatError, RateMismatch, SingularFusion
+from .errors import FormatError, RateMismatch, SingularFusion, _naming
 from .simulation import SimConfig
 from .types import (Extrinsic, ImuSeries, NoiseSpec, _check_keys, _finite_floats, _integral,
-                    _number, _read, non_finite_sample)
+                    _number, _read)
 from .vimu import VimuConfig, VimuNoise
 
 IMU_CSV_HEADER = "t_ns,wx,wy,wz,ax,ay,az"
@@ -102,11 +103,8 @@ def write_json(path, obj):
 
 
 def read_json(path) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+    with open(path) as fh, _naming(f"{path}: ", kinds=(json.JSONDecodeError,)):
+        return json.load(fh)
 
 
 # libyaml's parser when PyYAML was built with it, about 8 times faster on
@@ -115,11 +113,8 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_yaml(path) -> dict:
-    with open(path) as fh:
-        try:
-            data = yaml.load(fh, Loader=_YAML_LOADER)
-        except yaml.YAMLError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+    with open(path) as fh, _naming(f"{path}: ", kinds=(yaml.YAMLError,)):
+        data = yaml.load(fh, Loader=_YAML_LOADER)
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a mapping at the top level")
     return data
@@ -143,22 +138,16 @@ def write_imu_csv(path, series: ImuSeries, stage=None):
     """Write a raw or fused series, one row per sample at its implicit
     timestamp, every value to 17 significant digits so that it reads
     back bit for bit, and its binary twin beside it (see the module
-    docstring). A series that read_imu_csv would reject, with fewer
-    than 2 samples, a non-finite one or stamps that do not increase,
-    raises FormatError before any file is created. Given ``stage``, a
+    docstring). ImuSeries guarantees finite samples and increasing
+    stamps; one with fewer than 2 samples, which read_imu_csv would
+    reject, raises FormatError before any file is created. Given ``stage``, a
     contextlib.ExitStack, both files stay in temp files until the stack
     closes, which renames them into place, or removes them if it closes
     on an exception."""
     if len(series) < 2:
         raise FormatError(f"{path}: need at least 2 samples to derive a rate")
-    bad = non_finite_sample(series.gyro, series.accel)
-    if bad is not None:
-        raise FormatError(f"{path}: sample {bad} is not finite")
     records = np.empty(len(series), _TWIN_DTYPE)
     records["t_ns"] = series.times_ns()
-    t = records["t_ns"]
-    if np.any(t[1:] <= t[:-1]):  # a rate above 1 GHz, or a start moved past int64
-        raise FormatError(f"{path}: timestamps must be strictly increasing")
     records["values"][:, :3] = series.gyro
     records["values"][:, 3:] = series.accel
     digest = _sha256()
@@ -439,44 +428,35 @@ def _first_bad_line(lines) -> int:
 def _parse_text(path) -> np.ndarray:
     """The _ROW_DTYPE records of an IMU CSV's data rows, parsed as the
     file streams past. A file that fails the header, UTF-8 decoding or
-    the parse goes to _diagnose_csv, which raises the error that names
-    its line."""
+    the parse goes to _parse_whole."""
     try:  # universal newlines: CRLF reads as LF
         with open(path, encoding="utf-8") as fh:
-            if fh.readline().removesuffix("\n") != IMU_CSV_HEADER:
-                _diagnose_csv(path)
-            try:
+            if fh.readline().removesuffix("\n") == IMU_CSV_HEADER:
                 return _load_rows(fh)
-            except ValueError:
-                # np.loadtxt rejects a whitespace-only line, which is a
-                # blank line here: parse again with such lines emptied
-                fh.seek(0)
-                fh.readline()
-                return _load_rows("" if line.isspace() else line for line in fh)
     except ValueError:  # UnicodeDecodeError included
-        _diagnose_csv(path)
+        pass
+    return _parse_whole(path)
 
 
 def _parse_csv(path):
     """Timestamps and values of an IMU CSV's data rows: its binary
     twin's records when they match the CSV (see _read_twin), else its
-    text parsed. Either way fewer than 2 samples raise FormatError, and
-    a non-finite one goes to _diagnose_csv, which names its line."""
+    text parsed. Rows that are fewer than 2 or hold a non-finite value
+    go to _parse_whole, which raises the FormatError that says why."""
     rows = _read_twin(path)
     if rows is None:
         rows = _parse_text(path)
-    if len(rows) < 2:
-        raise FormatError(f"{path}: need at least 2 samples to derive a rate")
-    values = rows["values"]
-    if not np.isfinite(values).all():
-        _diagnose_csv(path)
-    return rows["t_ns"], values
+    if len(rows) < 2 or not np.isfinite(rows["values"]).all():
+        rows = _parse_whole(path)
+    return rows["t_ns"], rows["values"]
 
 
-def _diagnose_csv(path) -> NoReturn:
-    """Raise the FormatError that says why the IMU CSV at path is
-    rejected and, where it applies, on which line. It reads the whole
-    file, so only the error path calls it, and it never returns."""
+def _parse_whole(path) -> np.ndarray:
+    """The _ROW_DTYPE records of the IMU CSV at path, read whole: the one
+    parser that says why a file is rejected and, where it applies, on
+    which line. A whitespace-only line is a blank line, which is
+    skipped. A bad header, a line that is not an integer and 6 numbers,
+    fewer than 2 rows and a non-finite value raise FormatError."""
     try:  # universal newlines: CRLF reads as LF
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -497,12 +477,14 @@ def _diagnose_csv(path) -> NoReturn:
         reason = ("expected 7 columns" if lines[bad].count(",") != 6 else
                   f"expected an integer and 6 numbers, got {lines[bad]!r}")
         raise FormatError(f"{path}:{bad + 1}: {reason}") from None
+    if len(rows) < 2:
+        raise FormatError(f"{path}: need at least 2 samples to derive a rate")
     finite = np.isfinite(rows["values"]).all(axis=1)
     if not finite.all():
         data_lines = [k for k, line in enumerate(lines) if line]
         lineno = data_lines[int(np.argmin(finite))] + 1
         raise FormatError(f"{path}:{lineno}: non-finite sample value")
-    raise FormatError(f"{path}: changed while it was read")
+    return rows
 
 
 def read_imu_csv(path) -> ImuSeries:
@@ -519,11 +501,9 @@ def read_imu_csv(path) -> ImuSeries:
         raise RateMismatch(
             f"{path}: timestamp jitter exceeds {RATE_JITTER_TOL:.0%} of the "
             f"nominal period {period:.0f} ns")
-    try:
+    with _naming(f"{path}: "):
         return ImuSeries(freq=1e9 / period, start_ns=int(times[0]),
                          gyro=values[:, :3], accel=values[:, 3:])
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_vimu_sidecar(path, cfg: VimuConfig, noise: VimuNoise, freq: float):
@@ -541,7 +521,7 @@ def read_vimu_sidecar(path):
     noises that mix exact and noisy sensors raise FormatError naming path
     and key."""
     d = read_json(path)
-    try:
+    with _naming(f"{path}: "), _naming("config.noises: ", kinds=(SingularFusion,)):
         _check_keys(d, _SIDECAR_KEYS, "sidecar")
         missing = [k for k in _SIDECAR_KEYS if k not in d]
         if missing:
@@ -551,10 +531,6 @@ def read_vimu_sidecar(path):
             raise FormatError(f"freq must be finite and positive, got {freq}")
         return (VimuConfig.from_dict(d["config"]),
                 VimuNoise.from_dict(d["covariances"]), freq)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    except SingularFusion as exc:
-        raise FormatError(f"{path}: config.noises: {exc}") from exc
 
 
 def load_noise_pair(path) -> tuple:
@@ -563,7 +539,7 @@ def load_noise_pair(path) -> tuple:
     pair that lacks ``a`` or ``b`` raises FormatError naming the missing
     block; any other error is NoiseSpec.from_dict's, with path."""
     d = load_yaml(path)
-    try:
+    with _naming(f"{path}: "):
         if "a" not in d and "b" not in d:
             spec = NoiseSpec.from_dict(d)
             return spec, spec
@@ -573,8 +549,6 @@ def load_noise_pair(path) -> tuple:
             raise FormatError(f"noise pair has no {missing!r} block; give both "
                               "'a' and 'b', or one flat spec")
         return _read(NoiseSpec, d["a"], "a"), _read(NoiseSpec, d["b"], "b")
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 def sim_setup_from_dict(d: dict):
@@ -619,7 +593,5 @@ def load_sim_setup(path):
     """sim_setup_from_dict of the YAML file at path; its FormatError
     names the path."""
     d = load_yaml(path)
-    try:
+    with _naming(f"{path}: "):
         return sim_setup_from_dict(d)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc

@@ -5,6 +5,8 @@ Every failure the library can diagnose maps to one subclass so callers
 """
 from __future__ import annotations
 
+import contextlib
+
 
 class MimuError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -40,3 +42,14 @@ class EmptyOverlap(MimuError):
 
 class LengthMismatch(MimuError):
     """Paired sequences have different lengths."""
+
+
+@contextlib.contextmanager
+def _naming(prefix: str, kinds=(FormatError,)):
+    """Re-raise an exception of ``kinds`` raised in the block as a
+    FormatError whose message is ``prefix`` followed by the original's,
+    so that a message names the file, key or block it came from."""
+    try:
+        yield
+    except kinds as exc:
+        raise FormatError(f"{prefix}{exc}") from exc

@@ -84,6 +84,9 @@ class SimConfig(_Block):
         for name, v in (("freq", self.freq), ("duration", self.duration)):
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
+        if not np.isfinite(self.freq * self.duration):
+            raise ValueError(f"freq * duration must be finite, got {self.freq} * "
+                             f"{self.duration}")
         object.__setattr__(self, "gravity", _vec3(self.gravity))
 
     @property

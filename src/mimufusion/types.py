@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FormatError, LengthMismatch, RateMismatch
+from .errors import FormatError, LengthMismatch, RateMismatch, _naming
 from .geometry import rotation_from_quat
 
 _INT64 = np.iinfo(np.int64)
@@ -18,15 +18,6 @@ def _vec3(x) -> np.ndarray:
     if v.shape != (3,):
         raise ValueError(f"expected 3-vector, got shape {v.shape}")
     return v
-
-
-def non_finite_sample(gyro, accel):
-    """Index of the first NaN or infinite sample (row), or None. The rows
-    are scanned only when a whole-array check finds such a value."""
-    if np.isfinite(gyro).all() and np.isfinite(accel).all():
-        return None
-    finite = np.isfinite(gyro).all(axis=-1) & np.isfinite(accel).all(axis=-1)
-    return None if finite.all() else int(np.argmin(finite))
 
 
 def check_synchronized(series) -> None:
@@ -68,11 +59,9 @@ def _read(cls, d, what: str, base=None, table=None):
     FormatError naming the block or the key."""
     table = cls._KEYS if table is None else table
     _check_keys(d, table, what)
-    try:
+    with _naming(f"{what}: ", kinds=(TypeError, ValueError)):
         fields = {table[k][0]: table[k][1](f"{what}.{k}", v) for k, v in d.items()}
         return cls(**fields) if base is None else replace(base, **fields)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{what}: {exc}") from exc
 
 
 def _plain(value):
@@ -212,14 +201,18 @@ class Extrinsic:
         return rotation_from_quat(self.q)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImuSeries:
-    """Fixed-rate gyro + accelerometer samples.
+    """Fixed-rate gyro + accelerometer samples, frozen: the checks below
+    hold for the life of the series, and dataclasses.replace, which
+    builds a new one, makes them again.
 
     Timestamps are implicit: sample k is at ``start_ns + round(k * 1e9 / freq)``.
-    Gyro in rad/s, specific force in m/s^2, both (n, 3) and finite. A
-    NaN or infinite sample raises FormatError, and so do a first or last
-    stamp, or a span between them, that does not fit int64.
+    Gyro in rad/s, specific force in m/s^2, both (n, 3) and finite, kept
+    as read-only views of the arrays given (the caller's array keeps its
+    own flag). A NaN or infinite sample raises FormatError, and so do a
+    first or last stamp, or a span between them, that does not fit int64,
+    and stamps that do not strictly increase.
     """
 
     freq: float
@@ -228,24 +221,33 @@ class ImuSeries:
     accel: np.ndarray
 
     def __post_init__(self):
-        self.freq = float(self.freq)
-        if not np.isfinite(self.freq) or self.freq <= 0.0:
-            raise ValueError(f"freq must be positive, got {self.freq}")
-        self.start_ns = int(self.start_ns)
-        self.gyro = np.asarray(self.gyro, dtype=float)
-        self.accel = np.asarray(self.accel, dtype=float)
-        if self.gyro.ndim != 2 or self.gyro.shape[1] != 3:
-            raise ValueError(f"gyro must be (n, 3), got {self.gyro.shape}")
-        if self.accel.shape != self.gyro.shape:
+        freq, start_ns = float(self.freq), int(self.start_ns)
+        if not np.isfinite(freq) or freq <= 0.0:
+            raise ValueError(f"freq must be positive, got {freq}")
+        gyro, accel = (np.asarray(x, dtype=float).view() for x in (self.gyro, self.accel))
+        if gyro.ndim != 2 or gyro.shape[1] != 3:
+            raise ValueError(f"gyro must be (n, 3), got {gyro.shape}")
+        if accel.shape != gyro.shape:
             raise ValueError("gyro and accel must have matching shapes")
-        last = self.start_ns + int(np.rint(max(len(self) - 1, 0) * self.period_ns))
+        for name, value in (("freq", freq), ("start_ns", start_ns),
+                            ("gyro", gyro), ("accel", accel)):
+            object.__setattr__(self, name, value)
+        gyro.flags.writeable = accel.flags.writeable = False
+        last = start_ns + int(np.rint(max(len(self) - 1, 0) * self.period_ns))
         # times_ns adds int64 offsets to start_ns, so the span must fit too
-        if not (_INT64.min <= self.start_ns and last <= _INT64.max
-                and last - self.start_ns <= _INT64.max):
-            raise FormatError(f"timestamps {self.start_ns} to {last} ns do not fit int64")
-        bad = non_finite_sample(self.gyro, self.accel)
-        if bad is not None:
-            raise FormatError(f"sample {bad} is not finite")
+        if not (_INT64.min <= start_ns and last <= _INT64.max
+                and last - start_ns <= _INT64.max):
+            raise FormatError(f"timestamps {start_ns} to {last} ns do not fit int64")
+        # Compared, not argued from the period: above 1 GHz the stamps
+        # round to repeats, and a period just over 1 ns can still repeat
+        # one far into a series through the rounding of k * period_ns
+        # (at 1.0000000167 ns, samples 268,987,619 and 268,987,620).
+        t = self.times_ns()
+        if np.any(t[1:] <= t[:-1]):
+            raise FormatError("timestamps must be strictly increasing")
+        if not (np.isfinite(gyro).all() and np.isfinite(accel).all()):
+            finite = np.isfinite(gyro).all(axis=1) & np.isfinite(accel).all(axis=1)
+            raise FormatError(f"sample {int(np.argmin(finite))} is not finite")
 
     def __len__(self) -> int:
         return self.gyro.shape[0]
@@ -272,6 +274,8 @@ class ImuSeries:
                   for t in (t0, t1))
         if k1 <= k0:
             raise ValueError(f"window [{t0}, {t1}) selects no samples")
+        # copies: the calibration kernels run faster on contiguous rows
+        # than on the strided views read_imu_csv gives (see harness.ingest_csv)
         return ImuSeries(
             freq=self.freq,
             start_ns=self.start_ns + int(np.rint(k0 * self.period_ns)),

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import time
 
@@ -48,6 +49,30 @@ def make_pair(ext, duration=10.0, freq=200.0, noise_a=None, noise_b=None,
         sa = simulate_imu(cfg, Extrinsic(), na, seed=ss[0])
         sb = simulate_imu(cfg, Extrinsic(q=ext.q, p=ext.p), nb, seed=ss[1])
     return CalibrationInput(series_a=sa, series_b=sb, noise_a=na, noise_b=nb)
+
+
+@pytest.mark.parametrize("name", ["series_a", "series_b", "noise_a", "noise_b"])
+def test_calibration_input_fields_cannot_be_assigned(name):
+    inp = make_pair(Extrinsic(), duration=0.1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(inp, name, getattr(inp, name))
+
+
+# a desynchronized sensor B for a pair at 200 Hz, and the error replace raises
+DESYNCHRONIZED = {
+    "rate": (lambda s: dataclasses.replace(s, freq=201.0), RateMismatch),
+    "start": (lambda s: dataclasses.replace(s, start_ns=s.start_ns + 5_000_000),
+              LengthMismatch),
+    "length": (lambda s: s.window(0.0, 0.05), LengthMismatch),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DESYNCHRONIZED))
+def test_calibration_input_replace_checks_synchronization(case):
+    desync, error = DESYNCHRONIZED[case]
+    inp = make_pair(Extrinsic(), duration=0.1)
+    with pytest.raises(error):
+        dataclasses.replace(inp, series_b=desync(inp.series_b))
 
 
 def rotation_stage(inp):

@@ -157,6 +157,28 @@ def test_simulate_rejects_non_finite_override(workspace, tmp_path, capsys, flag,
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("source", ["flags", "yaml"])
+def test_simulate_rejects_sample_count_that_overflows(workspace, tmp_path, capsys, source):
+    """freq and duration of 1e200 each are finite, but their product, the
+    sample count, is not: one payload line names both keys, and no
+    output directory is made."""
+    if source == "flags":
+        config, error = workspace / "sim.yaml", "ValueError"
+        flags = ["--freq", "1e200", "--duration", "1e200"]
+    else:
+        config, error, flags = tmp_path / "sim.yaml", "FormatError", []
+        config.write_text(SIM_YAML.replace("freq: 200\n", "freq: 1.0e+200\n")
+                          .replace("duration: 10\n", "duration: 1.0e+200\n"))
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "data"),
+                 *flags])
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == error
+    assert "freq * duration must be finite" in payload["message"]
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.mark.parametrize("duration", ["0.001", "0.005"])
 def test_simulate_rejects_series_shorter_than_two_samples(workspace, tmp_path,
                                                           capsys, duration):
@@ -689,6 +711,21 @@ def test_evaluate_rejects_non_finite_keyframe_interval(tmp_path, capsys, value):
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "FormatError"
     assert "keyframe_interval must be finite and positive" in payload["message"]
+
+
+def test_evaluate_rejects_keyframe_interval_whose_sample_count_overflows(tmp_path, capsys):
+    """A keyframe interval of 1e308 s is finite, but not its sample count
+    at 200 Hz: one FormatError payload line names the key, and no report
+    directory is made."""
+    (tmp_path / "plan.yaml").write_text(plan_with("keyframe_interval_s", "1.0e+308"))
+    code = main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
+                 "--out", str(tmp_path / "report")])
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "FormatError"
+    assert "keyframe_interval * sim.freq must be finite" in payload["message"]
+    assert not (tmp_path / "report").exists()
 
 
 # A value that a constructor rejects, as a plan and a simulation YAML

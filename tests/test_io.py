@@ -21,8 +21,8 @@ from mimufusion import csvio
 from mimufusion.csvio import (
     _BLOCK_ROWS,
     IMU_CSV_HEADER,
-    _diagnose_csv,
     _parse_csv,
+    _parse_whole,
     atomic_write_text,
     load_noise_pair,
     load_sim_setup,
@@ -307,8 +307,7 @@ def test_imu_csv_timestamps_read_back_from_the_text(tmp_path, start_ns):
     """Timestamps that cross zero, or end at the largest int64, are
     written as the oracle writes them and parse back exactly once the
     binary twin is deleted."""
-    series = codec_series(4, n=400, start_ns=start_ns)
-    series.freq = 200.0
+    series = dataclasses.replace(codec_series(4, n=400, start_ns=start_ns), freq=200.0)
     path = tmp_path / "imu.csv"
     write_imu_csv(path, series)
     oracle_write_imu_csv(tmp_path / "oracle.csv", series)
@@ -331,20 +330,57 @@ def test_imu_series_refuses_stamps_past_int64():
     assert ImuSeries(200.0, 2**63 - 1 - 5_000_000, zeros, zeros).times_ns()[-1] == 2**63 - 1
 
 
-@pytest.mark.parametrize("case", ["moved-past-int64", "above-1-GHz"])
+@pytest.mark.parametrize("case", ["above-1-GHz"])
 def test_imu_csv_writer_refuses_stamps_that_do_not_increase(tmp_path, case):
-    """A series moved past the int64 range after it was built, whose
-    stamps wrap, and one at 2 GHz, whose stamps round to repeats, are
-    refused before any file exists."""
+    """A series at 2 GHz, whose stamps round to repeats, cannot be built,
+    so no file is ever written for it."""
     zeros = np.zeros((3, 3))
-    if case == "above-1-GHz":
-        series = ImuSeries(2e9, 0, zeros, zeros)
-    else:
-        series = ImuSeries(200.0, 0, zeros, zeros)
-        series.start_ns = 2**63 - 1
     with pytest.raises(FormatError, match="strictly increasing"):
-        write_imu_csv(tmp_path / "imu.csv", series)
+        write_imu_csv(tmp_path / "imu.csv", ImuSeries(2e9, 0, zeros, zeros))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["freq", "start_ns", "gyro", "accel"])
+def test_imu_series_fields_cannot_be_assigned(name):
+    series = ImuSeries(200.0, 0, np.zeros((3, 3)), np.zeros((3, 3)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(series, name, getattr(series, name))
+
+
+@pytest.mark.parametrize("name", ["gyro", "accel"])
+def test_imu_series_arrays_are_read_only_views_of_the_callers(name):
+    """The series cannot be written through its arrays; they view the
+    caller's arrays, which stay writable."""
+    given = {"gyro": np.zeros((3, 3)), "accel": np.zeros((3, 3))}
+    series = ImuSeries(200.0, 0, **given)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(series, name)[0, 0] = 1.0
+    assert np.shares_memory(getattr(series, name), given[name])
+    assert given[name].flags.writeable
+    given[name][0, 0] = 1.0
+
+
+# a change to a built series, and the FormatError that replace raises for it
+BAD_REPLACEMENTS = {
+    "nan-sample": ({"gyro": [[0.0, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, 0.0]]},
+                   r"^sample 1 is not finite$"),
+    "2-GHz": ({"freq": 2e9}, r"^timestamps must be strictly increasing$"),
+    "start-past-int64": ({"start_ns": 2**63 - 1}, "do not fit int64"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REPLACEMENTS))
+def test_imu_series_replace_checks_again(case):
+    change, message = BAD_REPLACEMENTS[case]
+    series = ImuSeries(200.0, 0, np.zeros((3, 3)), np.zeros((3, 3)))
+    with pytest.raises(FormatError, match=message):
+        dataclasses.replace(series, **change)
+
+
+def test_imu_series_at_1_ghz_has_increasing_stamps():
+    series = dataclasses.replace(
+        ImuSeries(200.0, 5, np.zeros((1000, 3)), np.zeros((1000, 3))), freq=1e9)
+    np.testing.assert_array_equal(series.times_ns(), 5 + np.arange(1000))
 
 
 # (stamps, the FormatError's message): the first plus 5 ms wrapped to a
@@ -522,13 +558,22 @@ def test_imu_csv_rejects_invalid_utf8_past_the_first_block(tmp_path, row):
         read_imu_csv(path)
 
 
-def test_imu_csv_diagnosis_never_returns(tmp_path):
-    """The error path re-reads the file; if the file it finds is valid
-    (it changed between the two reads), it still raises."""
+def test_imu_csv_whole_file_parse_matches_oracle_bits(tmp_path):
+    """_parse_whole, the parser a file with whitespace-only lines falls
+    back to, returns the oracle's parse of such a file, with CRLF line
+    ends, bit for bit."""
+    series = codec_series(5)
     path = tmp_path / "imu.csv"
-    write_imu_csv(path, noisy_series(duration=0.05))
-    with pytest.raises(FormatError, match=r"imu\.csv: changed while it was read"):
-        _diagnose_csv(path)
+    write_imu_csv(path, series)
+    lines = path.read_bytes().split(b"\n")
+    lines[3:3] = [b" \t ", b""]
+    lines[-1:-1] = [b"   "]
+    path.write_bytes(b"\r\n".join(lines))
+    rows = _parse_whole(path)
+    times, values = oracle_parse_csv(path)
+    np.testing.assert_array_equal(rows["t_ns"], times)
+    assert rows["values"].tobytes() == values.tobytes()
+    np.testing.assert_array_equal(times, series.times_ns())
 
 
 def test_imu_csv_codec_peak_memory_below_file_size(tmp_path):
@@ -584,7 +629,9 @@ def test_imu_csv_twin_reads_what_the_text_parses_bit_for_bit(tmp_path, seed):
     the text once the twin is deleted: every bit of every value, the rate
     and the start."""
     series = codec_series(seed)
-    series.gyro[1] = series.accel[1] = -0.0
+    gyro, accel = series.gyro.copy(), series.accel.copy()
+    gyro[1] = accel[1] = -0.0
+    series = dataclasses.replace(series, gyro=gyro, accel=accel)
     path = tmp_path / "imu.csv"
     write_imu_csv(path, series)
     twin = csvio._twin_path(path)
@@ -668,14 +715,14 @@ def test_imu_csv_twin_that_does_not_match_is_ignored(tmp_path, monkeypatch, case
 
 @pytest.mark.parametrize("row, column", [(0, 0), (3, 2), (9, 5)])
 def test_imu_csv_writer_refuses_non_finite(tmp_path, row, column):
+    """A non-finite sample cannot be built into a series, so no file is
+    ever written for it."""
     series = noisy_series(duration=0.05)
-    # an ImuSeries refuses non-finite samples, so poison the built one
-    bad = ImuSeries(series.freq, series.start_ns, series.gyro.copy(),
-                    series.accel.copy())
-    values = bad.gyro if column < 3 else bad.accel
-    values[row, column % 3] = np.nan if column % 2 else -np.inf
+    values = np.hstack([series.gyro, series.accel])
+    values[row, column] = np.nan if column % 2 else -np.inf
     with pytest.raises(FormatError, match=rf"sample {row} is not finite"):
-        write_imu_csv(tmp_path / "imu.csv", bad)
+        write_imu_csv(tmp_path / "imu.csv", ImuSeries(series.freq, series.start_ns,
+                                                      values[:, :3], values[:, 3:]))
     assert os.listdir(tmp_path) == []
 
 
