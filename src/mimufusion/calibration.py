@@ -29,11 +29,13 @@ import numpy as np
 
 from .errors import (
     DegenerateMotion,
+    FormatError,
     LengthMismatch,
     SingularNormalEquations,
 )
 from .geometry import lever_matrix, quat_from_rotation
-from .types import Extrinsic, ImuSeries, NoiseSpec, check_synchronized
+from .types import (Extrinsic, ImuSeries, NoiseSpec, _check_keys, _finite_floats, _read,
+                    check_synchronized)
 
 log = logging.getLogger(__name__)
 
@@ -44,6 +46,11 @@ GYRO_EXCITATION_MIN = 1e-4
 # stage; units are mixed ((rad/s)^4 and (rad/s^2)^2), the guard only has
 # to reject near-singular geometry.
 TRANSLATION_EXCITATION_MIN = 1e-6
+
+# calib.json: the extrinsic's keys, each required, and the per-stage
+# blocks that calibrate writes beside them, which fuse does not read
+_CALIB_KEYS = {"q_BA": ("q", _finite_floats), "p_AB_m": ("p", _finite_floats)}
+_CALIB_STAGES = ("rotation", "translation")
 
 
 @dataclass(frozen=True)
@@ -71,15 +78,24 @@ class CalibrationResult:
 
     def to_dict(self) -> dict:
         """The calib.json data; a cost that overflowed is None (null)."""
-        rot_cost, trans_cost = (c if np.isfinite(c) else None
-                                for c in (self.final_rot_cost, self.final_trans_cost))
+        stages = ((self.final_rot_cost, self.elapsed_rot_ms),
+                  (self.final_trans_cost, self.elapsed_trans_ms))
         return {
-            "q_BA": self.extrinsic.q.tolist(),
-            "p_AB_m": self.extrinsic.p.tolist(),
-            "rotation": {"cost": rot_cost, "elapsed_ms": self.elapsed_rot_ms},
-            "translation": {"cost": trans_cost,
-                            "elapsed_ms": self.elapsed_trans_ms},
+            **{key: getattr(self.extrinsic, name).tolist()
+               for key, (name, _) in _CALIB_KEYS.items()},
+            **{stage: {"cost": cost if np.isfinite(cost) else None, "elapsed_ms": ms}
+               for stage, (cost, ms) in zip(_CALIB_STAGES, stages)},
         }
+
+
+def _extrinsic_from_dict(d) -> Extrinsic:
+    """The Extrinsic of calib.json data as to_dict writes it; a missing,
+    unknown or malformed key raises FormatError naming the key."""
+    _check_keys(d, (*_CALIB_KEYS, *_CALIB_STAGES), "calibration")
+    missing = [k for k in _CALIB_KEYS if k not in d]
+    if missing:
+        raise FormatError(f"calibration: missing key `{missing[0]}`")
+    return _read(Extrinsic, {k: d[k] for k in _CALIB_KEYS}, "calibration", table=_CALIB_KEYS)
 
 
 def fit_rotation(gyro_a, gyro_b) -> tuple:

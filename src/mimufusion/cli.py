@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
-from .calibration import CalibrationInput, calibrate
-from .errors import FormatError, MimuError, RateMismatch, _naming
+from .calibration import CalibrationInput, _extrinsic_from_dict, calibrate
+from .errors import MimuError, RateMismatch, _naming
 from .geometry import geodesic_angle
 from .harness import (
     VARIANTS,
@@ -33,15 +33,10 @@ from .harness import (
 )
 from .preintegration import VimuState, preintegrate_windows
 from .simulation import apply_measurement_noise, ideal_imu_series_stack
-from .types import Extrinsic, ImuSeries, _check_keys, _finite_floats, _read
+from .types import ImuSeries
 from .vimu import centroid_frame, fuse_series, virtual_covariances
 
 log = logging.getLogger(__name__)
-
-# calib.json: the extrinsic's keys, each required, and the per-stage
-# blocks that calibrate writes beside them, which fuse does not read
-_CALIB_KEYS = {"q_BA": ("q", _finite_floats), "p_AB_m": ("p", _finite_floats)}
-_CALIB_STAGES = ("rotation", "translation")
 
 
 def _configure_logging():
@@ -122,21 +117,10 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _load_extrinsic(path) -> Extrinsic:
-    """The Extrinsic of a calib.json; a missing, unknown or malformed key
-    raises FormatError naming path and key."""
-    d = csvio.read_json(path)
-    with _naming(f"{path}: "):
-        _check_keys(d, (*_CALIB_KEYS, *_CALIB_STAGES), "calibration")
-        missing = [k for k in _CALIB_KEYS if k not in d]
-        if missing:
-            raise FormatError(f"calibration: missing key `{missing[0]}`")
-        return _read(Extrinsic, {k: d[k] for k in _CALIB_KEYS}, "calibration",
-                     table=_CALIB_KEYS)
-
-
 def cmd_fuse(args) -> int:
-    ext = _load_extrinsic(args.calib)
+    calib = csvio.read_json(args.calib)
+    with _naming(f"{args.calib}: "):
+        ext = _extrinsic_from_dict(calib)
     noise_a, noise_b = csvio.load_noise_pair(args.noise)
     series = ingest_csv([args.imu_a, args.imu_b])
     cfg = centroid_frame(ext, noise_a, noise_b)

@@ -236,7 +236,7 @@ def ingest_csv(paths) -> list:
         raise ValueError("no input files")
     f0 = series[0].freq
     for p, s in zip(paths, series):
-        if abs(s.freq - f0) > 0.01 * f0:
+        if abs(s.freq - f0) > csvio.RATE_JITTER_TOL * f0:
             raise RateMismatch(f"{p}: rate {s.freq:.3f} Hz vs {f0:.3f} Hz")
     period = 1e9 / f0
     t0 = max(s.start_ns for s in series)
@@ -248,7 +248,7 @@ def ingest_csv(paths) -> list:
     for p, s in zip(paths, series):
         k0 = int(np.rint((t0 - s.start_ns) / period))
         misalign = abs((t0 - s.start_ns) - k0 * period)
-        if misalign > 0.01 * period:
+        if misalign > csvio.RATE_JITTER_TOL * period:
             raise RateMismatch(
                 f"{p}: sample grid offset {misalign:.0f} ns does not align "
                 "with the common window")
@@ -257,12 +257,8 @@ def ingest_csv(paths) -> list:
             raise RateMismatch(
                 f"{p}: rate {s.freq:.3f} Hz vs {f0:.3f} Hz drifts "
                 f"{drift * 1e-9:.4f} s over the common window")
-        # copies: the calibration kernels run faster on contiguous rows
-        # than on the strided views read_imu_csv gives (2.4 vs 2.9 ms for
-        # a 12,000-row pair on one Xeon core)
         out.append(type(s)(freq=f0, start_ns=t0,
-                           gyro=s.gyro[k0:k0 + count].copy(),
-                           accel=s.accel[k0:k0 + count].copy()))
+                           gyro=s.gyro[k0:k0 + count], accel=s.accel[k0:k0 + count]))
     return out
 
 

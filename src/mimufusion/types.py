@@ -13,8 +13,16 @@ from .geometry import rotation_from_quat
 _INT64 = np.iinfo(np.int64)
 
 
+def _frozen(x) -> np.ndarray:
+    """A read-only, C-contiguous float64 copy of ``x``: how every validated
+    type stores an array, so that no later write by the caller gets past it."""
+    v = np.array(x, dtype=float, order="C")
+    v.flags.writeable = False
+    return v
+
+
 def _vec3(x) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
+    v = _frozen(x)
     if v.shape != (3,):
         raise ValueError(f"expected 3-vector, got shape {v.shape}")
     return v
@@ -193,7 +201,7 @@ class Extrinsic:
         p = _vec3(self.p)
         if not np.isfinite(p).all():
             raise ValueError(f"lever arm must be finite, got {p.tolist()}")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _frozen(q))
         object.__setattr__(self, "p", p)
 
     def rotation(self) -> np.ndarray:
@@ -209,10 +217,10 @@ class ImuSeries:
 
     Timestamps are implicit: sample k is at ``start_ns + round(k * 1e9 / freq)``.
     Gyro in rad/s, specific force in m/s^2, both (n, 3) and finite, kept
-    as read-only views of the arrays given (the caller's array keeps its
-    own flag). A NaN or infinite sample raises FormatError, and so do a
-    first or last stamp, or a span between them, that does not fit int64,
-    and stamps that do not strictly increase.
+    as read-only copies of the arrays given (the caller's arrays stay
+    writable and untouched). A NaN or infinite sample raises FormatError,
+    and so do a first or last stamp, or a span between them, that does
+    not fit int64, and stamps that do not strictly increase.
     """
 
     freq: float
@@ -224,7 +232,7 @@ class ImuSeries:
         freq, start_ns = float(self.freq), int(self.start_ns)
         if not np.isfinite(freq) or freq <= 0.0:
             raise ValueError(f"freq must be positive, got {freq}")
-        gyro, accel = (np.asarray(x, dtype=float).view() for x in (self.gyro, self.accel))
+        gyro, accel = _frozen(self.gyro), _frozen(self.accel)
         if gyro.ndim != 2 or gyro.shape[1] != 3:
             raise ValueError(f"gyro must be (n, 3), got {gyro.shape}")
         if accel.shape != gyro.shape:
@@ -232,7 +240,6 @@ class ImuSeries:
         for name, value in (("freq", freq), ("start_ns", start_ns),
                             ("gyro", gyro), ("accel", accel)):
             object.__setattr__(self, name, value)
-        gyro.flags.writeable = accel.flags.writeable = False
         last = start_ns + int(np.rint(max(len(self) - 1, 0) * self.period_ns))
         # times_ns adds int64 offsets to start_ns, so the span must fit too
         if not (_INT64.min <= start_ns and last <= _INT64.max
@@ -274,11 +281,5 @@ class ImuSeries:
                   for t in (t0, t1))
         if k1 <= k0:
             raise ValueError(f"window [{t0}, {t1}) selects no samples")
-        # copies: the calibration kernels run faster on contiguous rows
-        # than on the strided views read_imu_csv gives (see harness.ingest_csv)
-        return ImuSeries(
-            freq=self.freq,
-            start_ns=self.start_ns + int(np.rint(k0 * self.period_ns)),
-            gyro=self.gyro[k0:k1].copy(),
-            accel=self.accel[k0:k1].copy(),
-        )
+        return replace(self, start_ns=self.start_ns + int(np.rint(k0 * self.period_ns)),
+                       gyro=self.gyro[k0:k1], accel=self.accel[k0:k1])

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FormatError, LengthMismatch, SingularFusion
 from .geometry import is_rotation
-from .types import (Extrinsic, ImuSeries, NoiseSpec, _Block, _finite_floats, _read,
+from .types import (Extrinsic, ImuSeries, NoiseSpec, _Block, _finite_floats, _frozen, _read,
                     check_synchronized)
 
 
@@ -51,8 +51,8 @@ class VimuConfig(_Block):
     }
 
     def __post_init__(self):
-        rotations = tuple(np.asarray(r, dtype=float) for r in self.rotations)
-        positions = tuple(np.asarray(p, dtype=float) for p in self.positions)
+        rotations = tuple(_frozen(r) for r in self.rotations)
+        positions = tuple(_frozen(p) for p in self.positions)
         noises = tuple(self.noises)
         if not (len(rotations) == len(positions) == len(noises)) or not rotations:
             raise ValueError("need matching, non-empty geometry and noise lists")

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 import time
 
@@ -8,6 +9,7 @@ import oracle
 from oracle import quat_from_rotvec, residual_omega, simulate_imu, still_trajectory
 
 from mimufusion.calibration import (
+    _extrinsic_from_dict,
     CalibrationInput,
     calibrate,
     estimate_angular_accel,
@@ -384,6 +386,9 @@ def test_result_dict_round_trip():
     res = calibrate(inp)
     d = res.to_dict()
     assert set(d) == {"q_BA", "p_AB_m", "rotation", "translation"}
+    back = _extrinsic_from_dict(json.loads(json.dumps(d)))
+    np.testing.assert_allclose(back.q, res.extrinsic.q, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(back.p, res.extrinsic.p)
 
 
 def test_stage_kernels_over_trials_match_per_pair_calls():

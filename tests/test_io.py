@@ -40,6 +40,7 @@ from mimufusion.harness import ExperimentPlan
 from mimufusion.simulation import SimConfig, TrajectoryParams
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
+    VimuConfig,
     centroid_frame,
     fuse_series,
     virtual_covariances,
@@ -347,17 +348,81 @@ def test_imu_series_fields_cannot_be_assigned(name):
         setattr(series, name, getattr(series, name))
 
 
-@pytest.mark.parametrize("name", ["gyro", "accel"])
-def test_imu_series_arrays_are_read_only_views_of_the_callers(name):
-    """The series cannot be written through its arrays; they view the
-    caller's arrays, which stay writable."""
-    given = {"gyro": np.zeros((3, 3)), "accel": np.zeros((3, 3))}
-    series = ImuSeries(200.0, 0, **given)
+def _vimu_pair(rotations=(np.eye(3),) * 2, positions=([-0.1, 0.0, 0.0], [0.1, 0.0, 0.0])):
+    return VimuConfig(rotations=rotations, positions=positions, noises=(NoiseSpec(),) * 2)
+
+
+# a validated type built from caller arrays: (its constructor over those
+# arrays, the getter of one stored array, the caller's arrays, the index
+# of the one it was built from, and (index, value) of a NaN or
+# out-of-range write into that one)
+OWNED_ARRAYS = {
+    "ImuSeries.gyro": (lambda g, a: ImuSeries(200.0, 0, g, a), lambda s: s.gyro,
+                       [np.zeros((3, 3)), np.zeros((3, 3))], 0, ((1, 0), np.nan)),
+    "ImuSeries.accel": (lambda g, a: ImuSeries(200.0, 0, g, a), lambda s: s.accel,
+                        [np.zeros((3, 3)), np.zeros((3, 3))], 1, ((2, 2), np.inf)),
+    "Extrinsic.q": (lambda q: Extrinsic(q=q), lambda e: e.q,
+                    [np.array([1.0, 0.0, 0.0, 0.0])], 0, ((0,), np.nan)),
+    "Extrinsic.p": (lambda p: Extrinsic(p=p), lambda e: e.p,
+                    [np.array([0.05, 0.0, 0.0])], 0, ((0,), np.nan)),
+    "NoiseSpec.initial_bias_g": (lambda b: NoiseSpec(initial_bias_g=b),
+                                 lambda n: n.initial_bias_g, [np.zeros(3)], 0, ((1,), np.nan)),
+    "TrajectoryParams.euler_amplitude": (
+        lambda e: TrajectoryParams(euler_amplitude=e), lambda t: t.euler_amplitude,
+        [np.array([0.5, 0.4, 0.6])], 0, ((1,), 2.0)),
+    "SimConfig.gravity": (lambda g: SimConfig(gravity=g), lambda c: c.gravity,
+                          [np.array([0.0, 0.0, -9.81])], 0, ((2,), np.nan)),
+    "VimuConfig.rotations[0]": (lambda r0, r1: _vimu_pair(rotations=(r0, r1)),
+                                lambda c: c.rotations[0], [np.eye(3), np.eye(3)], 0,
+                                ((0, 0), 2.0)),
+    "VimuConfig.positions[0]": (lambda p0, p1: _vimu_pair(positions=(p0, p1)),
+                                lambda c: c.positions[0],
+                                [np.array([-0.1, 0.0, 0.0]), np.array([0.1, 0.0, 0.0])], 0,
+                                ((0,), 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(OWNED_ARRAYS))
+def test_validated_types_keep_read_only_copies_of_the_callers_arrays(case):
+    """A NaN or out-of-range write into the caller's array after
+    construction leaves the built object as it was: the object keeps a
+    read-only copy that shares no memory with the caller's, and the
+    caller's array stays writable."""
+    build, stored, given, i, (at, value) = OWNED_ARRAYS[case]
+    obj = build(*given)
+    before = stored(obj).copy()
+    given[i][at] = value
+    np.testing.assert_array_equal(stored(obj), before)
     with pytest.raises(ValueError, match="read-only"):
-        getattr(series, name)[0, 0] = 1.0
-    assert np.shares_memory(getattr(series, name), given[name])
-    assert given[name].flags.writeable
-    given[name][0, 0] = 1.0
+        stored(obj)[at] = value
+    assert not np.shares_memory(stored(obj), given[i])
+
+
+def test_imu_csv_ignores_writes_to_the_callers_arrays_after_construction(tmp_path):
+    """A NaN written into the caller's gyro after the series is built
+    reaches neither the CSV text nor what is read back."""
+    gyro = np.zeros((3, 3))
+    series = ImuSeries(200.0, 0, gyro, np.zeros((3, 3)))
+    gyro[1, 0] = np.nan
+    path = tmp_path / "x.csv"
+    write_imu_csv(path, series)
+    assert "nan" not in path.read_text()
+    back = read_imu_csv(path)
+    np.testing.assert_array_equal(back.gyro, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("twin", [True, False], ids=["twin", "text"])
+def test_imu_csv_reader_returns_contiguous_arrays_of_its_own(tmp_path, twin):
+    """read_imu_csv's arrays are C-contiguous and own their data, read
+    from a binary twin or as text, so that no caller has to copy them
+    for the kernels."""
+    path = tmp_path / "imu.csv"
+    write_imu_csv(path, noisy_series(duration=0.05))
+    if not twin:
+        csvio._twin_path(path).unlink()
+    series = read_imu_csv(path)
+    for x in (series.gyro, series.accel):
+        assert x.flags.c_contiguous and x.flags.owndata
 
 
 # a change to a built series, and the FormatError that replace raises for it
