@@ -43,7 +43,7 @@ from .simulation import (
     trajectory_samples,
 )
 from .types import ImuSeries, NoiseSpec, _Block, _integral, _number, _read
-from .vimu import accel_centroid, fuse_stack
+from .vimu import _fusion_matrices, accel_centroid
 
 log = logging.getLogger(__name__)
 
@@ -61,14 +61,16 @@ _VARIANTS = {
 VARIANTS = tuple(_VARIANTS)
 METRICS = ("position", "orientation", "velocity")
 
-# Bytes of one chunk of trials as run_experiment counts them: per trial
+# Bytes of one chunk of trials as _chunk_trials counts them: per trial
 # its raw samples, and per variant its fused rows, 379,200 B for a desk
-# trial of 9 sensors and 5 variants. That count leaves out the per-chunk
-# fusion, truth and dead-reckoning temporaries of _score_chunk, so the
-# traced peak grows by about 0.53 MB per desk trial, not 0.38 MB; 2 MiB
-# of count is 5 desk trials. Batching pays from a few trials on, more
-# only adds memory.
-_CHUNK_BYTES = 2 << 20
+# trial of 9 sensors and 5 variants; 4 MiB of count is 11 desk trials.
+# The traced peak (tracemalloc, chunks of 2 to 11 desk trials) grows by
+# 0.53 MB per trial, not 0.38 MB: the count leaves out the calibration,
+# truth and dead-reckoning temporaries of _score_chunk. On a 2 x 44 desk
+# plan, chunks of 2, 5, 11 and 22 trials (1, 2, 4 and 8 MiB) ran 2,544,
+# 3,216, 3,409 and 3,302 trials per CPU second (medians of 15 runs on a
+# shared 2-vCPU host): past 4 MiB a chunk only adds memory.
+_CHUNK_BYTES = 4 << 20
 
 
 def _finite(key: str, value, low: float = -np.inf) -> float:
@@ -302,10 +304,13 @@ def _score_chunk(plan: ExperimentPlan, setups, grid, gyro, accel, keyframes,
     n_windows * step rows that the windows integrate are fused. The fused
     rows of every variant and trial, variant-major, are dead-reckoned
     from their first truth state and scored in one pass."""
-    S = gyro.shape[0]
+    S, m = gyro.shape[0], gyro.shape[2]
     rows_all, k = len(plan.variants) * S, n_windows * step
     fused_w = np.empty((rows_all, k, 3))
     fused_a = np.empty_like(fused_w)
+    # fused row t is raw row t + 1, as in fuse_series; each instant's
+    # sensors as one row of 3m, the layout the fusion matrices take
+    rows_w, rows_a = (x[:, 1:k + 1].reshape(S, k, 3 * m) for x in (gyro, accel))
     truth = VimuState(*(np.empty((n_windows + 1, rows_all) + shape)
                         for shape in ((3, 3), (3,), (3,))))
     errors = []
@@ -318,10 +323,10 @@ def _score_chunk(plan: ExperimentPlan, setups, grid, gyro, accel, keyframes,
         else:
             rotations, truth_v = setups[v]
             errs = [None] * S
+        w_g, w_a = _fusion_matrices(rotations, (plan.noise,) * len(cols), m, cols)
         rows = slice(j * S, (j + 1) * S)
-        # fused row t is raw row t + 1, as in fuse_series
-        fused_w[rows], fused_a[rows] = fuse_stack(
-            rotations, (plan.noise,) * len(cols), gyro[:, 1:k + 1], accel[:, 1:k + 1], cols)
+        np.matmul(rows_w, w_g, out=fused_w[rows])
+        np.matmul(rows_a, w_a, out=fused_a[rows])
         errors += errs
         for f in ("rotation", "position", "velocity"):
             getattr(truth, f)[:, rows] = getattr(truth_v, f)
@@ -350,6 +355,29 @@ def _score_chunk(plan: ExperimentPlan, setups, grid, gyro, accel, keyframes,
             for j, v in enumerate(plan.variants)}
 
 
+def _windows(plan: ExperimentPlan) -> tuple:
+    """Samples per keyframe window, and the whole windows of a trial:
+    window w integrates fused rows w * step to (w + 1) * step."""
+    step = int(round(plan.keyframe_interval * plan.sim.freq))
+    if step < 1:
+        raise ValueError("keyframe interval below one sample period")
+    n_windows = (plan.sim.sample_count - 2) // step
+    if n_windows < 1:
+        raise ValueError("duration too short for one keyframe window")
+    return step, n_windows
+
+
+def _chunk_trials(plan: ExperimentPlan) -> int:
+    """Trials per chunk: as many as _CHUNK_BYTES holds when a trial
+    counts its raw samples (every sample of every grid sensor) and, per
+    variant, the fused rows of its windows; at least one, at most the
+    sequences of one extrinsic sample."""
+    step, n_windows = _windows(plan)
+    trial_bytes = 8 * 6 * (len(grid_mounts()[0]) * plan.sim.sample_count
+                           + len(plan.variants) * n_windows * step)
+    return min(plan.sequences_per_sample, max(1, _CHUNK_BYTES // trial_bytes))
+
+
 def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     """Execute the plan; deterministic for a fixed master seed.
 
@@ -364,12 +392,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
         ideal_imu_series_stack(plan.sim, *grid).transpose(1, 2, 0, 3))
 
     n_total = plan.sim.sample_count
-    step = int(round(plan.keyframe_interval * plan.sim.freq))
-    if step < 1:
-        raise ValueError("keyframe interval below one sample period")
-    n_windows = (n_total - 2) // step
-    if n_windows < 1:
-        raise ValueError("duration too short for one keyframe window")
+    step, n_windows = _windows(plan)
     kf_times = (1 + step * np.arange(n_windows + 1)) / plan.sim.freq
     keyframes = trajectory_samples(plan.sim, kf_times)
     with _naming("plan.noise."):  # once per run
@@ -380,9 +403,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     ok = {v: np.zeros((plan.extrinsic_samples, plan.sequences_per_sample),
                       dtype=bool) for v in plan.variants}
     failures: list[str] = []
-    trial_bytes = 8 * (6 * ideal.shape[2] * n_total
-                       + len(plan.variants) * 6 * n_windows * step)
-    chunk = min(plan.sequences_per_sample, max(1, _CHUNK_BYTES // trial_bytes))
+    chunk = _chunk_trials(plan)
     # (trial, gyro/accel, sample, grid sensor, axis), and the noise's
     # bias level of one trial
     raw = np.empty((chunk,) + ideal.shape)

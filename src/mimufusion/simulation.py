@@ -52,7 +52,7 @@ class TrajectoryParams(_Block):
 
     def __post_init__(self):
         for name, _ in self._KEYS.values():
-            object.__setattr__(self, name, _vec3(getattr(self, name)))
+            object.__setattr__(self, name, _vec3(getattr(self, name), name))
         if np.abs(self.euler_amplitude[1]) >= np.pi / 2:
             raise ValueError("euler_amplitude[1] (pitch) must stay below pi/2 in "
                              f"magnitude, got {self.euler_amplitude[1]}")
@@ -87,7 +87,7 @@ class SimConfig(_Block):
         if not np.isfinite(self.freq * self.duration):
             raise ValueError(f"freq * duration must be finite, got {self.freq} * "
                              f"{self.duration}")
-        object.__setattr__(self, "gravity", _vec3(self.gravity))
+        object.__setattr__(self, "gravity", _vec3(self.gravity, "gravity"))
 
     @property
     def sample_count(self) -> int:
@@ -129,9 +129,10 @@ def _sinusoids(amp, freq, phase, ts):
     """
     w = 2.0 * np.pi * np.asarray(freq)
     arg = np.outer(ts, w) + np.asarray(phase)
-    val = amp * np.sin(arg)
+    sin = np.sin(arg)
+    val = amp * sin
     d1 = amp * w * np.cos(arg)
-    d2 = -amp * w**2 * np.sin(arg)
+    d2 = -amp * w**2 * sin
     return val, d1, d2
 
 

@@ -21,10 +21,14 @@ def _frozen(x) -> np.ndarray:
     return v
 
 
-def _vec3(x) -> np.ndarray:
+def _vec3(x, name: str) -> np.ndarray:
+    """x as a frozen 3-vector; another shape, or an entry that is not
+    finite, raises ValueError naming the field."""
     v = _frozen(x)
     if v.shape != (3,):
         raise ValueError(f"expected 3-vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite, got {v.tolist()}")
     return v
 
 
@@ -167,7 +171,7 @@ class NoiseSpec(_Block):
                 if not np.isfinite(v) or v < 0.0:
                     raise ValueError(f"{name} must be finite and >= 0, got {v}")
             else:
-                v = _vec3(getattr(self, name))
+                v = _vec3(getattr(self, name), name)
             object.__setattr__(self, name, v)
 
     @classmethod
@@ -198,11 +202,8 @@ class Extrinsic:
         q = q / norm
         if q[0] < 0.0:
             q = -q
-        p = _vec3(self.p)
-        if not np.isfinite(p).all():
-            raise ValueError(f"lever arm must be finite, got {p.tolist()}")
         object.__setattr__(self, "q", _frozen(q))
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _vec3(self.p, "lever arm"))
 
     def rotation(self) -> np.ndarray:
         """Rotation matrix R_BA mapping source coords into the target frame."""

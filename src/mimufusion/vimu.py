@@ -205,8 +205,18 @@ def fuse_stack(rotations, noises, gyro, accel, columns=None) -> tuple:
     copying them. Leading axes are trials; rotations (..., n, 3, 3)
     carry either the same leading axes, one array per trial, or none,
     one array for all."""
-    rotations = np.asarray(rotations, dtype=float)
     m = np.shape(gyro)[-2]
+    w_g, w_a = _fusion_matrices(rotations, noises, m, columns)
+    shape = np.shape(gyro)[:-2] + (3 * m,)
+    return np.reshape(gyro, shape) @ w_g, np.reshape(accel, shape) @ w_a
+
+
+def _fusion_matrices(rotations, noises, m: int, columns=None) -> tuple:
+    """The gyro and accel matrices (..., 3m, 3) of fuse_stack: the
+    samples of one instant, m columns of 3 flattened to a row of 3m,
+    times a matrix give its fused sample. Rows of columns that hold no
+    sensor are zero. Built once, they fuse any number of instants."""
+    rotations = np.asarray(rotations, dtype=float)
     columns = range(m) if columns is None else columns
 
     def stacked(sigmas):  # (..., 3m, 3): w_i R_i, zero rows for other columns
@@ -214,6 +224,5 @@ def fuse_stack(rotations, noises, gyro, accel, columns=None) -> tuple:
         full[..., columns, :, :] = _weights(sigmas)[:, None, None] * rotations
         return full.reshape(rotations.shape[:-3] + (3 * m, 3))
 
-    shape = np.shape(gyro)[:-2] + (3 * m,)
-    return (np.reshape(gyro, shape) @ stacked([ns.sigma_g for ns in noises]),
-            np.reshape(accel, shape) @ stacked([ns.sigma_a for ns in noises]))
+    return (stacked([ns.sigma_g for ns in noises]),
+            stacked([ns.sigma_a for ns in noises]))

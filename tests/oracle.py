@@ -435,7 +435,7 @@ def ideal_body_measurements(sample: TrajectorySample, gravity) -> tuple:
     Specific force is R_wb^T (a_world - g): a stationary, level body reads
     (0, 0, +9.81) with gravity (0, 0, -9.81).
     """
-    g = _vec3(gravity)
+    g = _vec3(gravity, "gravity")
     f = sample.rotation.T @ (sample.acceleration - g)
     return sample.omega.copy(), f
 

@@ -27,6 +27,7 @@ from mimufusion.harness import (
     _VARIANTS,
     VARIANTS,
     ExperimentPlan,
+    _chunk_trials,
     _truth,
     emit_report,
     ingest_csv,
@@ -396,18 +397,18 @@ def test_perturbed_variants_degrade_with_fewer_sensors():
 
 # --- chunked harness against the per-trial oracle ------------------------
 
+# three variants of 1.5 s trials, as many sequences as chunks may need
+RAGGED = ExperimentPlan(variants=("1-imu-true", "9-imu-perturbed", "2-imu-calibrated"),
+                        extrinsic_samples=1, sequences_per_sample=1 << 20, master_seed=12,
+                        sim=SimConfig(freq=200.0, duration=1.5))
 DIFF_PLANS = {
     # every variant, two extrinsic samples
     "all-variants": ExperimentPlan(extrinsic_samples=2, sequences_per_sample=5,
                                    master_seed=11,
                                    sim=SimConfig(freq=200.0, duration=1.5)),
-    # 14 sequences: the default chunk (13 trials of 1.5 s and three
-    # variants) leaves 1 over
-    "ragged-chunks": ExperimentPlan(variants=("1-imu-true", "9-imu-perturbed",
-                                              "2-imu-calibrated"),
-                                    extrinsic_samples=1, sequences_per_sample=14,
-                                    master_seed=12,
-                                    sim=SimConfig(freq=200.0, duration=1.5)),
+    # one sequence more than the default chunk holds: it leaves 1 over
+    "ragged-chunks": dataclasses.replace(RAGGED,
+                                         sequences_per_sample=_chunk_trials(RAGGED) + 1),
     # a subset in non-default order: every variant's rows of the shared
     # dead-reckoning pass must come back to that variant and trial
     "reordered-subset": ExperimentPlan(variants=("2-imu-calibrated", "1-imu-true",
@@ -433,6 +434,39 @@ MIXED_FAILURES = {"mixed-failures": "all-variants",
 # than one trial's working set in every plan above: chunks of one trial
 ONE_TRIAL = 9 * 300 * 6 * 8
 CHUNK_CAPS = {"one-trial": ONE_TRIAL, "default": None, "whole-sample": 1 << 40}
+
+
+def chunk_caps():
+    """Each CHUNK_CAPS name, with _CHUNK_BYTES set to its cap while the
+    caller's block for it runs."""
+    from mimufusion import harness
+
+    for cap, nbytes in CHUNK_CAPS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            if nbytes is not None:
+                mp.setattr(harness, "_CHUNK_BYTES", nbytes)
+            yield cap
+
+
+def test_chunk_caps_give_one_trial_a_ragged_default_and_the_whole_sample():
+    chunks = {cap: {name: _chunk_trials(plan) for name, plan in DIFF_PLANS.items()}
+              for cap in chunk_caps()}
+    assert set(chunks["one-trial"].values()) == {1}
+    assert chunks["whole-sample"] == {name: plan.sequences_per_sample
+                                      for name, plan in DIFF_PLANS.items()}
+    ragged = chunks["default"]["ragged-chunks"]
+    assert ragged > 1 and DIFF_PLANS["ragged-chunks"].sequences_per_sample % ragged == 1
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_PLANS))
+def test_chunk_size_leaves_report_and_trials_bit_for_bit(tmp_path, name):
+    """The chunk budget trades memory for speed and nothing else: every
+    cap gives the same report and the same trials.jsonl bytes."""
+    runs = {}
+    for cap in chunk_caps():
+        report = run_experiment(DIFF_PLANS[name], out_dir=tmp_path / cap)
+        runs[cap] = report.to_dict(), (tmp_path / cap / "trials.jsonl").read_bytes()
+    assert runs["one-trial"] == runs["default"] == runs["whole-sample"]
 
 
 def test_calibrated_poses_match_calibrate():
@@ -538,9 +572,13 @@ def test_trial_noise_does_not_depend_on_the_variant_list(tmp_path):
     """Every trial draws the noise of the whole grid, so a plan with
     every variant and one with 1-imu-true and 9-imu-perturbed alone, on
     one seed, score the same trials for those two. Their chunks differ
-    (11 + 1 trials against 12), so the agreement is to round-off."""
-    full = dataclasses.replace(DIFF_PLANS["exact-windows"], sequences_per_sample=12)
+    (the full plan's default chunk and 1 more, against one chunk of
+    all), so the agreement is to round-off."""
+    base = DIFF_PLANS["exact-windows"]
+    seqs = _chunk_trials(dataclasses.replace(base, sequences_per_sample=1 << 20)) + 1
+    full = dataclasses.replace(base, sequences_per_sample=seqs)
     subset = dataclasses.replace(full, variants=("1-imu-true", "9-imu-perturbed"))
+    assert _chunk_trials(full) == seqs - 1 and _chunk_trials(subset) == seqs
     for plan, name in ((full, "full"), (subset, "subset")):
         run_experiment(plan, out_dir=tmp_path / name)
     got, want = ({(t["sample"], t["seq"], t["variant"]): t
@@ -548,7 +586,7 @@ def test_trial_noise_does_not_depend_on_the_variant_list(tmp_path):
                                (tmp_path / name / "trials.jsonl").read_text().splitlines())
                   if t["variant"] in subset.variants}
                  for name in ("subset", "full"))
-    assert got.keys() == want.keys() and len(got) == 12 * len(subset.variants)
+    assert got.keys() == want.keys() and len(got) == seqs * len(subset.variants)
     for key, w in want.items():
         for m in ("position", "orientation", "velocity"):
             assert got[key][m] == pytest.approx(w[m], rel=1e-12, abs=0)

@@ -398,6 +398,40 @@ def test_validated_types_keep_read_only_copies_of_the_callers_arrays(case):
     assert not np.shares_memory(stored(obj), given[i])
 
 
+# every 3-vector field that the library path leaves to _vec3: (the type,
+# and an entry that is not finite at one index)
+VECTOR_FIELDS = {
+    "initial_bias_g": (NoiseSpec, 0, np.nan),
+    "initial_bias_a": (NoiseSpec, 2, -np.inf),
+    "gravity": (SimConfig, 0, np.inf),
+    "pos_amplitude": (TrajectoryParams, 1, np.nan),
+    "pos_frequency": (TrajectoryParams, 2, np.inf),
+    "pos_phase": (TrajectoryParams, 0, -np.inf),
+    "euler_amplitude": (TrajectoryParams, 1, np.nan),
+    "euler_frequency": (TrajectoryParams, 0, np.nan),
+    "euler_phase": (TrajectoryParams, 2, np.inf),
+}
+
+
+@pytest.mark.parametrize("name", list(VECTOR_FIELDS))
+def test_vector_fields_built_in_the_library_reject_entries_that_are_not_finite(name):
+    """A NaN or infinite entry fails the constructor with a ValueError
+    naming the field, as the YAML path's FormatError does, instead of a
+    simulation failing later on a sample that is not finite (a NaN pitch
+    amplitude would also pass the pitch bound)."""
+    cls, i, value = VECTOR_FIELDS[name]
+    v = np.ones(3)
+    v[i] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        cls(**{name: v})
+
+
+def test_extrinsic_rejects_a_lever_arm_that_is_not_finite():
+    with pytest.raises(ValueError,
+                       match=re.escape("lever arm must be finite, got [0.0, nan, 0.0]")):
+        Extrinsic(p=[0.0, np.nan, 0.0])
+
+
 def test_imu_csv_ignores_writes_to_the_callers_arrays_after_construction(tmp_path):
     """A NaN written into the caller's gyro after the series is built
     reaches neither the CSV text nor what is read back."""
