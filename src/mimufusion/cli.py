@@ -139,7 +139,7 @@ def cmd_preintegrate(args) -> int:
     series = csvio.read_imu_csv(args.vimu)
     # reading the sidecar checks its array, the virtual origin included
     _, noise, freq = csvio.read_vimu_sidecar(args.vimu_config)
-    if abs(series.freq - freq) > 0.01 * freq:
+    if abs(series.freq - freq) > csvio.RATE_JITTER_TOL * freq:
         raise RateMismatch(
             f"{args.vimu}: rate {series.freq:.3f} Hz does not match the "
             f"sidecar's {freq:.3f} Hz")

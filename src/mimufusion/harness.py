@@ -13,9 +13,14 @@ Every variant is evaluated against the true world motion of the body
 measurement fusion rather than through the scoring frame.
 
 The sequences of one extrinsic sample run in chunks of trials, one call
-per stage and chunk; every trial keeps its own random stream, which
-draws the noise of the whole grid whatever the variants, and its own
-failures, so the report does not depend on the chunk size.
+per stage and chunk. Each chunk sets every variant up by one path: its
+believed poses, the sample's ``true`` or ``perturbed`` mounts or each
+trial's calibrated pair, give its fusion matrices and the centroid of
+its truth. The fused rows of all variants come from one product per
+category, and their truths from one true_vimu_state call. Every trial
+keeps its own random stream, which draws the noise of the whole grid
+whatever the variants, and its own failures, so the report does not
+depend on the chunk size.
 """
 from __future__ import annotations
 
@@ -73,15 +78,6 @@ METRICS = ("position", "orientation", "velocity")
 _CHUNK_BYTES = 4 << 20
 
 
-def _finite(key: str, value, low: float = -np.inf) -> float:
-    """value as a finite float >= low, or FormatError naming key."""
-    v = _number(key, value)
-    if not (np.isfinite(v) and v >= low):
-        bound = "" if low == -np.inf else f" and >= {low:g}"
-        raise FormatError(f"{key} must be finite{bound}, got {value!r}")
-    return v
-
-
 def _variant_list(key: str, value) -> tuple:
     """A YAML sequence of variant names as a tuple; a single string is
     not a list of its characters."""
@@ -112,10 +108,10 @@ class ExperimentPlan(_Block):
         "variants": ("variants", _variant_list),
         "extrinsic_samples": ("extrinsic_samples", _integral),
         "sequences_per_sample": ("sequences_per_sample", _integral),
-        "sigma_rot_rad": ("sigma_rot", lambda k, v: _finite(k, v, 0.0)),
-        "sigma_trans_m": ("sigma_trans", lambda k, v: _finite(k, v, 0.0)),
+        "sigma_rot_rad": ("sigma_rot", _number),
+        "sigma_trans_m": ("sigma_trans", _number),
         "keyframe_interval_s": ("keyframe_interval", _number),
-        "grid_pitch_m": ("grid_pitch", _finite),
+        "grid_pitch_m": ("grid_pitch", _number),
         "master_seed": ("master_seed", _integral),
         "sim": ("sim", lambda k, d: _read(SimConfig, d, k, ExperimentPlan().sim)),
         "noise": ("noise", lambda k, d: _read(NoiseSpec, d, k)),
@@ -133,6 +129,13 @@ class ExperimentPlan(_Block):
         for name in ("extrinsic_samples", "sequences_per_sample"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # named by their file keys, which the field names do not spell out
+        for key, low in (("sigma_rot_rad", 0.0), ("sigma_trans_m", 0.0),
+                         ("grid_pitch_m", -np.inf)):
+            v = getattr(self, self._KEYS[key][0])
+            if not (np.isfinite(v) and v >= low):
+                bound = "" if low == -np.inf else f" and >= {low:g}"
+                raise ValueError(f"{key} must be finite{bound}, got {v}")
         if not (np.isfinite(self.keyframe_interval) and self.keyframe_interval > 0):
             raise ValueError("keyframe_interval must be finite and positive, "
                              f"got {self.keyframe_interval}")
@@ -264,15 +267,6 @@ def ingest_csv(paths) -> list:
     return out
 
 
-def _truth(positions, plan: ExperimentPlan, keyframes) -> VimuState:
-    """True states (keyframe, trials...) of the virtual frame of sensor
-    origins (..., n, 3) in body coordinates, any leading axes being
-    trials: body axes, at the accel-weighted centroid of the origins,
-    where the fusion of their rotations puts it."""
-    noises = (plan.noise,) * positions.shape[-2]
-    return true_vimu_state(keyframes, np.eye(3), accel_centroid(positions, noises))
-
-
 def _calibrated_poses(plan: ExperimentPlan, grid, gyro, accel, cols) -> tuple:
     """Calibrate each trial's sensor pair, in columns cols of the chunk's
     samples (S, n, m, 3). Sensor A sits on its true mount, sensor B at A
@@ -294,42 +288,43 @@ def _calibrated_poses(plan: ExperimentPlan, grid, gyro, accel, cols) -> tuple:
     return rotations, positions, errors
 
 
-def _score_chunk(plan: ExperimentPlan, setups, grid, gyro, accel, keyframes,
+def _score_chunk(plan: ExperimentPlan, poses, gyro, accel, keyframes,
                  n_windows: int, step: int) -> dict:
     """Per variant, the (position, orientation, velocity) RMSE or the
     MimuError of each trial of a chunk of raw samples (S, n, 9, 3), one
-    column per grid sensor. ``setups`` holds the rotations and _truth of
-    every variant but the calibrated ones, whose every trial is
-    calibrated and set up here. Calibration reads every sample; only the
-    n_windows * step rows that the windows integrate are fused. The fused
-    rows of every variant and trial, variant-major, are dead-reckoned
-    from their first truth state and scored in one pass."""
-    S, m = gyro.shape[0], gyro.shape[2]
-    rows_all, k = len(plan.variants) * S, n_windows * step
-    fused_w = np.empty((rows_all, k, 3))
-    fused_a = np.empty_like(fused_w)
-    # fused row t is raw row t + 1, as in fuse_series; each instant's
-    # sensors as one row of 3m, the layout the fusion matrices take
-    rows_w, rows_a = (x[:, 1:k + 1].reshape(S, k, 3 * m) for x in (gyro, accel))
-    truth = VimuState(*(np.empty((n_windows + 1, rows_all) + shape)
-                        for shape in ((3, 3), (3,), (3,))))
-    errors = []
-    for j, v in enumerate(plan.variants):
+    column per grid sensor. ``poses`` maps the ``true`` and ``perturbed``
+    pose sources to rotations (9, 3, 3) and origins (9, 3); the
+    calibrated variants calibrate every trial here. Calibration reads
+    every sample; only the n_windows * step rows that the windows
+    integrate are fused. The fused rows of every variant and trial,
+    variant-major, are dead-reckoned from their first truth state and
+    scored in one pass; a trial whose fused rows or metrics are not
+    finite fails."""
+    S, m, k = gyro.shape[0], gyro.shape[2], n_windows * step
+    matrices, centroids, errors = [], [], []
+    for v in plan.variants:
         cols, source = _VARIANTS[v]
         cols = list(cols)
+        noises = (plan.noise,) * len(cols)
         if source == "calibrated":
-            rotations, positions, errs = _calibrated_poses(plan, grid, gyro, accel, cols)
-            truth_v = _truth(positions, plan, keyframes)
+            rotations, positions, errs = _calibrated_poses(plan, poses["true"], gyro,
+                                                           accel, cols)
         else:
-            rotations, truth_v = setups[v]
+            rotations, positions = (x[cols] for x in poses[source])
             errs = [None] * S
-        w_g, w_a = _fusion_matrices(rotations, (plan.noise,) * len(cols), m, cols)
-        rows = slice(j * S, (j + 1) * S)
-        np.matmul(rows_w, w_g, out=fused_w[rows])
-        np.matmul(rows_a, w_a, out=fused_a[rows])
+        matrices.append([np.broadcast_to(w, (S, 3 * m, 3))
+                         for w in _fusion_matrices(rotations, noises, m, cols)])
+        centroids.append(np.broadcast_to(accel_centroid(positions, noises), (S, 3)))
         errors += errs
-        for f in ("rotation", "position", "velocity"):
-            getattr(truth, f)[:, rows] = getattr(truth_v, f)
+    # fused row t is raw row t + 1, as in fuse_series; each instant's
+    # sensors as one row of 3m, the layout the fusion matrices take:
+    # (S, k, 3m) @ (V, S, 3m, 3) gives (V, S, k, 3)
+    fused_w, fused_a = (
+        (x[:, 1:k + 1].reshape(S, k, 3 * m) @ np.stack(w)).reshape(-1, k, 3)
+        for x, w in zip((gyro, accel), zip(*matrices)))
+    # each centroid frame has body axes
+    truth = true_vimu_state(keyframes, np.broadcast_to(np.eye(3), (len(errors), 3, 3)),
+                            np.concatenate(centroids))
     finite = (np.isfinite(fused_w) & np.isfinite(fused_a)).all(axis=(1, 2))
     for r in np.flatnonzero(~finite):
         try:  # what an ImuSeries of the trial's fused samples raises
@@ -340,16 +335,23 @@ def _score_chunk(plan: ExperimentPlan, setups, grid, gyro, accel, keyframes,
     fused_w[failed] = fused_a[failed] = 0.0  # keeps the pass free of inf and NaN
     # The truth start states carry no bias, so the deltas do not depend
     # on them: the rows go to the kernel as they are, viewed as windows.
-    shape = (rows_all, n_windows, step, 3)
+    shape = (len(errors), n_windows, step, 3)
     dR, dv, dp, _ = preintegrate_stack(fused_w.reshape(shape),
                                        fused_a.reshape(shape), plan.sim.freq)
     duration = step * (1.0 / plan.sim.freq)
     states = [VimuState(truth.rotation[0], truth.position[0], truth.velocity[0])]
-    for w in range(n_windows):
-        states.append(predict_state(states[-1], PreintDelta(
-            dR[:, w], dv[:, w], dp[:, w], None, duration, step), plan.sim.gravity))
-    metrics = rmse_metrics(_stack_states(states[1:]), VimuState(
-        truth.rotation[1:], truth.position[1:], truth.velocity[1:]))
+    # finite samples can still dead-reckon to an error whose square
+    # overflows; such a trial fails below instead of scoring inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in range(n_windows):
+            states.append(predict_state(states[-1], PreintDelta(
+                dR[:, w], dv[:, w], dp[:, w], None, duration, step), plan.sim.gravity))
+        metrics = rmse_metrics(_stack_states(states[1:]), VimuState(
+            truth.rotation[1:], truth.position[1:], truth.velocity[1:]))
+    for r in np.flatnonzero(~np.isfinite(metrics).all(axis=0)):
+        bad = [name for name, x in zip(METRICS, metrics) if not np.isfinite(x[r])]
+        errors[r] = errors[r] or FormatError(
+            f"the {' and '.join(bad)} RMSE of the dead-reckoned states is not finite")
     return {v: [errors[r] or tuple(float(m[r]) for m in metrics)
                 for r in range(j * S, (j + 1) * S)]
             for j, v in enumerate(plan.variants)}
@@ -426,12 +428,6 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
             believed = perturb_extrinsics(*grid, plan.sigma_rot, plan.sigma_trans,
                                           perturb_rng)
             poses = {"true": grid, "perturbed": believed}
-            setups = {}
-            for v in plan.variants:
-                cols, source = _VARIANTS[v]
-                if source in poses:
-                    rotations, positions = (x[None, list(cols)] for x in poses[source])
-                    setups[v] = rotations, _truth(positions, plan, keyframes)
             for r0 in range(0, plan.sequences_per_sample, chunk):
                 seqs = range(r0, min(r0 + chunk, plan.sequences_per_sample))
                 for c, r in enumerate(seqs):
@@ -443,7 +439,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                 if not (np.isfinite(gyro).all() and np.isfinite(accel).all()):
                     for c, j in np.ndindex(len(seqs), ideal.shape[2]):
                         ImuSeries(plan.sim.freq, 0, gyro[c, :, j], accel[c, :, j])
-                results = _score_chunk(plan, setups, grid, gyro, accel, keyframes,
+                results = _score_chunk(plan, poses, gyro, accel, keyframes,
                                        n_windows, step)
                 for c, r in enumerate(seqs):
                     for v in plan.variants:

@@ -340,8 +340,9 @@ def perturb_extrinsics(rotations, positions, sigma_rot: float, sigma_trans: floa
     N(0, sigma_rot^2 I) tangent, each origin shifted by
     N(0, sigma_trans^2 I). Mount by mount the draw takes the tangent's
     three normals, then the shift's."""
-    if sigma_rot < 0 or sigma_trans < 0:
-        raise ValueError("perturbation sigmas must be >= 0")
+    if not all(0 <= s < np.inf for s in (sigma_rot, sigma_trans)):  # NaN fails too
+        raise ValueError(f"perturbation sigmas must be finite and >= 0, got "
+                         f"{sigma_rot} and {sigma_trans}")
     delta = rng.standard_normal((len(rotations), 2, 3))
     return (rotations @ exp_so3(sigma_rot * delta[:, 0]),
             positions + sigma_trans * delta[:, 1])

@@ -193,20 +193,17 @@ def fuse_series(cfg: VimuConfig, series: list) -> ImuSeries:
     )
 
 
-def fuse_stack(rotations, noises, gyro, accel, columns=None) -> tuple:
-    """Fuse per-sensor samples laid out (..., k, m, 3), sample t of the
-    sensor in column c at [..., t, c, :], into the virtual gyro and
-    accel of every sample, (..., k, 3) each: sum_i w_i R_i^T y_i, the
-    weighted least-squares fit of the stack, with R_i = rotations[..., i]
-    as in VimuConfig and w_i the normalized 1/sigma^2 weights of noises'
-    gyros or accelerometers. ``columns`` lists the column of each
-    sensor (default: column i holds sensor i, and there are no others),
-    so that a fusion can read its sensors out of a wider array without
-    copying them. Leading axes are trials; rotations (..., n, 3, 3)
+def fuse_stack(rotations, noises, gyro, accel) -> tuple:
+    """Fuse per-sensor samples laid out (..., k, n, 3), sample t of
+    sensor i at [..., t, i, :], into the virtual gyro and accel of every
+    sample, (..., k, 3) each: sum_i w_i R_i^T y_i, the weighted
+    least-squares fit of the stack, with R_i = rotations[..., i] as in
+    VimuConfig and w_i the normalized 1/sigma^2 weights of noises' gyros
+    or accelerometers. Leading axes are trials; rotations (..., n, 3, 3)
     carry either the same leading axes, one array per trial, or none,
     one array for all."""
     m = np.shape(gyro)[-2]
-    w_g, w_a = _fusion_matrices(rotations, noises, m, columns)
+    w_g, w_a = _fusion_matrices(rotations, noises, m)
     shape = np.shape(gyro)[:-2] + (3 * m,)
     return np.reshape(gyro, shape) @ w_g, np.reshape(accel, shape) @ w_a
 
@@ -214,8 +211,11 @@ def fuse_stack(rotations, noises, gyro, accel, columns=None) -> tuple:
 def _fusion_matrices(rotations, noises, m: int, columns=None) -> tuple:
     """The gyro and accel matrices (..., 3m, 3) of fuse_stack: the
     samples of one instant, m columns of 3 flattened to a row of 3m,
-    times a matrix give its fused sample. Rows of columns that hold no
-    sensor are zero. Built once, they fuse any number of instants."""
+    times a matrix give its fused sample. ``columns`` lists the column
+    of each sensor (default: column i holds sensor i, and there are no
+    others), so that a fusion can read its sensors out of a wider array
+    without copying them; rows of columns that hold no sensor are zero.
+    Built once, they fuse any number of instants."""
     rotations = np.asarray(rotations, dtype=float)
     columns = range(m) if columns is None else columns
 

@@ -663,6 +663,37 @@ def test_evaluate_lists_calibrations_whose_gram_overflows(tmp_path, capsys):
     assert "6 trial(s) failed" in capsys.readouterr().err
 
 
+def test_evaluate_lists_trials_whose_score_overflows(tmp_path, capsys):
+    """An accel turn-on bias of 1e160 is finite, and so is every sample,
+    but every trial's dead-reckoned position and velocity errors square
+    to inf: evaluate exits 0 without a numpy warning, lists every trial
+    in failures.log, and writes trials.jsonl and report.json as strict
+    JSON, with null means."""
+    (tmp_path / "plan.yaml").write_text(desk_plan(initial_bias_a=[1e160, 0.0, 0.0]))
+    out = tmp_path / "report"
+    assert main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
+                 "--out", str(out)]) == 0
+
+    def reject(token):
+        raise AssertionError(f"non-strict JSON token {token}")
+
+    variants = load_yaml(CONFIG_DIR / "plan_desk.yaml")["variants"]
+    failures = (out / "failures.log").read_text().splitlines()
+    assert failures == [
+        f"sample={s} seq={r} variant={v}: FormatError: the position and velocity "
+        "RMSE of the dead-reckoned states is not finite"
+        for s in range(2) for r in range(3) for v in variants]
+    assert [json.loads(line, parse_constant=reject)
+            for line in (out / "trials.jsonl").read_text().splitlines()] == []
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["completed"] == {v: 0 for v in variants}
+    for v in variants:
+        for m in ("position", "orientation", "velocity"):
+            assert report["metrics"][v][m] == {
+                "mean": None, "std": None, "per_sample_means": [None, None]}
+    assert "30 trial(s) failed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["sigma_g", "sigma_a", "sigma_bg", "sigma_ba"])
 def test_evaluate_rejects_noise_sigma_that_overflows(tmp_path, capsys, key):
     """A plan noise sigma of 1e200 overflows the noise: evaluate exits 1

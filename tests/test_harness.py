@@ -28,7 +28,6 @@ from mimufusion.harness import (
     VARIANTS,
     ExperimentPlan,
     _chunk_trials,
-    _truth,
     emit_report,
     ingest_csv,
     rmse_metrics,
@@ -42,7 +41,7 @@ from mimufusion.simulation import (
     trajectory_samples,
 )
 from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
-from mimufusion.vimu import centroid_frame
+from mimufusion.vimu import accel_centroid, centroid_frame
 
 
 def random_states(rng, n):
@@ -225,6 +224,23 @@ def test_plan_validation():
         ExperimentPlan(keyframe_interval=0.0)
 
 
+@pytest.mark.parametrize("field, key, value", [
+    ("sigma_rot", "sigma_rot_rad", np.nan),
+    ("sigma_rot", "sigma_rot_rad", -0.01),
+    ("sigma_trans", "sigma_trans_m", np.inf),
+    ("sigma_trans", "sigma_trans_m", -1e-3),
+    ("grid_pitch", "grid_pitch_m", np.nan),
+    ("grid_pitch", "grid_pitch_m", -np.inf),
+])
+def test_plan_rejects_value_out_of_range(field, key, value):
+    """A plan built in the library checks the ranges that its file keys
+    do: a sigma that is not finite and >= 0, or a pitch that is not
+    finite, raises ValueError naming the file key, before any trial
+    runs."""
+    with pytest.raises(ValueError, match=key):
+        ExperimentPlan(**{field: value})
+
+
 def test_plan_dict_round_trip():
     plan = ExperimentPlan(extrinsic_samples=3, sequences_per_sample=4,
                           sigma_rot=0.02, master_seed=9,
@@ -270,17 +286,19 @@ def test_variant_table_pins_each_sensor_set_and_pose_source():
 
 
 def test_truth_of_a_pair_is_at_the_origin_of_its_centroid_frame():
-    """For a pair believed at (I, 0) and (R, p), trial by trial, _truth
-    gives the true states of the frame at the midpoint p / 2 with body
-    axes, the origin that the centroid fusion of Extrinsic(q, p) puts
-    its sensors about, for the plan's one noise spec."""
+    """For a pair believed at (I, 0) and (R, p), trial by trial, the
+    truth that the harness takes at the pair's accel_centroid is the true
+    states of the frame at the midpoint p / 2 with body axes, the origin
+    that the centroid fusion of Extrinsic(q, p) puts its sensors about,
+    for the plan's one noise spec."""
     rng = np.random.default_rng(71)
     plan = ExperimentPlan()
     keyframes = trajectory_samples(plan.sim, np.array([0.005, 0.505, 1.005]))
     q = np.array([quat_from_rotvec(v) for v in rng.normal(scale=0.5, size=(5, 3))])
     p = rng.normal(scale=0.05, size=(5, 3))
     positions = np.stack([np.zeros_like(p), p], axis=-2)
-    truth = _truth(positions, plan, keyframes)
+    truth = true_vimu_state(keyframes, np.eye(3),
+                            accel_centroid(positions, (plan.noise,) * 2))
     want_truth = true_vimu_state(keyframes, np.eye(3), 0.5 * p)
     for f in ("rotation", "position", "velocity"):
         np.testing.assert_allclose(getattr(truth, f), getattr(want_truth, f),
@@ -297,12 +315,13 @@ def test_truth_of_one_mount_is_the_state_at_its_origin():
     plan = ExperimentPlan()
     keyframes = trajectory_samples(plan.sim, np.array([0.005, 0.505]))
     grid = grid_mounts(pitch=plan.grid_pitch)
-    truth = _truth(grid[1][None, [4]], plan, keyframes)
+    truth = true_vimu_state(keyframes, np.eye(3),
+                            accel_centroid(grid[1][None, [4]], (plan.noise,)))
     want_truth = true_vimu_state(keyframes, np.eye(3), grid[1][4])
     np.testing.assert_array_equal(truth.position[:, 0], want_truth.position)
 
     positions = np.random.default_rng(72).normal(size=(4, 1, 3))
-    truth = _truth(positions, plan, keyframes)
+    truth = true_vimu_state(keyframes, np.eye(3), accel_centroid(positions, (plan.noise,)))
     for s in range(4):
         want_truth = true_vimu_state(keyframes, np.eye(3), positions[s, 0])
         for f in ("position", "velocity"):

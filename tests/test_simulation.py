@@ -470,6 +470,14 @@ def test_perturb_rejects_negative_sigma():
                            np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("sigmas", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0),
+                                    (0.0, -np.inf)])
+def test_perturb_rejects_non_finite_sigma(sigmas):
+    with pytest.raises(ValueError, match="finite"):
+        perturb_extrinsics(np.eye(3)[None], np.zeros((1, 3)), *sigmas,
+                           np.random.default_rng(0))
+
+
 def test_perturb_matches_per_mount_quaternion_composition():
     """The stacked draw over the grid is the oracle's mount-by-mount
     composition q * q{delta}, two standard_normal(3) draws per mount:

@@ -31,6 +31,7 @@ from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
     VimuConfig,
     VimuNoise,
+    _fusion_matrices,
     _weights,
     accel_centroid,
     centroid_frame,
@@ -556,8 +557,9 @@ def test_lever_term_and_jacobian_match_per_sensor_oracle(name):
 
 def test_fuse_stack_trials_match_fuse_series():
     """One fuse_stack call over a trial axis, with one array per trial
-    or one shared array, and reading its sensors in place out of a
-    wider array, equals a fuse_series call per trial."""
+    or one shared array, and the fusion matrices of _fusion_matrices
+    reading their sensors in place out of a wider array, equal a
+    fuse_series call per trial."""
     cfgs = [centroid_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.02 * k, 0.05]),
                                      p=np.array([0.1, 0.01 * k, -0.01])),
                            MEMS, NoiseSpec(sigma_a=4e-3)) for k in range(3)]
@@ -574,7 +576,8 @@ def test_fuse_stack_trials_match_fuse_series():
         if columns is None:
             w, a = fuse_stack(rotations, noises, gyro, accel)
         else:
-            w, a = fuse_stack(rotations, noises, wide[0], wide[1], columns)
+            w_g, w_a = _fusion_matrices(rotations, noises, 4, columns)
+            w, a = (x.reshape(3, 40, 12) @ m for x, m in zip(wide, (w_g, w_a)))
         assert w.shape == a.shape == (3, 40, 3)
         for k, cfg in enumerate(per_trial):
             # fuse_series keeps the interior rows
