@@ -266,7 +266,8 @@ def main(argv=None) -> int:
     except MimuError as exc:
         print(json.dumps(exc.payload()), file=sys.stderr)
         return 1
-    except (FileNotFoundError, NotADirectoryError, IsADirectoryError) as exc:
+    except (FileNotFoundError, FileExistsError, NotADirectoryError,
+            IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

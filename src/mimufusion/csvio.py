@@ -76,10 +76,15 @@ _MOUNT_KEYS = {"rotation_wxyz": ("q", _finite_floats), "position_m": ("p", _fini
 def _atomic_open(path, mode="w"):
     """A file open for writing, in text or (mode "wb") binary mode, on a
     temp file in path's directory. A clean exit renames it to path; an
-    exception removes it."""
+    exception removes it. A parent of path that is missing or is not a
+    directory raises FileNotFoundError or NotADirectoryError naming that
+    parent, not the temp file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
-                               prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                                   suffix=".tmp")
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise type(exc)(exc.errno, exc.strerror, str(path.parent)) from None
     try:
         with os.fdopen(fd, mode) as fh:
             yield fh

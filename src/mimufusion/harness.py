@@ -142,6 +142,7 @@ class ExperimentPlan(_Block):
         if not np.isfinite(self.keyframe_interval * self.sim.freq):
             raise ValueError(f"keyframe_interval * sim.freq must be finite, got "
                              f"{self.keyframe_interval} * {self.sim.freq}")
+        _windows(self)  # a trial holds at least one whole keyframe window
 
 
 @dataclass
@@ -289,17 +290,17 @@ def _calibrated_poses(plan: ExperimentPlan, grid, gyro, accel, cols) -> tuple:
 
 
 def _score_chunk(plan: ExperimentPlan, poses, gyro, accel, keyframes,
-                 n_windows: int, step: int) -> dict:
-    """Per variant, the (position, orientation, velocity) RMSE or the
-    MimuError of each trial of a chunk of raw samples (S, n, 9, 3), one
-    column per grid sensor. ``poses`` maps the ``true`` and ``perturbed``
-    pose sources to rotations (9, 3, 3) and origins (9, 3); the
-    calibrated variants calibrate every trial here. Calibration reads
-    every sample; only the n_windows * step rows that the windows
-    integrate are fused. The fused rows of every variant and trial,
-    variant-major, are dead-reckoned from their first truth state and
-    scored in one pass; a trial whose fused rows or metrics are not
-    finite fails."""
+                 n_windows: int, step: int) -> tuple:
+    """The (variant, metric, trial) RMSEs of a chunk of raw samples
+    (S, n, 9, 3), one column per grid sensor, in METRICS order and NaN
+    where a trial failed, and the (variant, trial) MimuError or None of
+    each trial. ``poses`` maps the ``true`` and ``perturbed`` pose
+    sources to rotations (9, 3, 3) and origins (9, 3); the calibrated
+    variants calibrate every trial here. Calibration reads every sample;
+    only the n_windows * step rows that the windows integrate are fused.
+    The fused rows of every variant and trial, variant-major, are
+    dead-reckoned from their first truth state and scored in one pass; a
+    trial whose fused rows or metrics are not finite fails."""
     S, m, k = gyro.shape[0], gyro.shape[2], n_windows * step
     matrices, centroids, errors = [], [], []
     for v in plan.variants:
@@ -352,9 +353,10 @@ def _score_chunk(plan: ExperimentPlan, poses, gyro, accel, keyframes,
         bad = [name for name, x in zip(METRICS, metrics) if not np.isfinite(x[r])]
         errors[r] = errors[r] or FormatError(
             f"the {' and '.join(bad)} RMSE of the dead-reckoned states is not finite")
-    return {v: [errors[r] or tuple(float(m[r]) for m in metrics)
-                for r in range(j * S, (j + 1) * S)]
-            for j, v in enumerate(plan.variants)}
+    scores = np.stack(metrics)
+    scores[:, [r for r, err in enumerate(errors) if err is not None]] = np.nan
+    return (scores.reshape(len(METRICS), -1, S).swapaxes(0, 1),
+            np.array(errors, dtype=object).reshape(-1, S))
 
 
 def _windows(plan: ExperimentPlan) -> tuple:
@@ -362,10 +364,10 @@ def _windows(plan: ExperimentPlan) -> tuple:
     window w integrates fused rows w * step to (w + 1) * step."""
     step = int(round(plan.keyframe_interval * plan.sim.freq))
     if step < 1:
-        raise ValueError("keyframe interval below one sample period")
+        raise ValueError("keyframe_interval_s is below one sample period")
     n_windows = (plan.sim.sample_count - 2) // step
     if n_windows < 1:
-        raise ValueError("duration too short for one keyframe window")
+        raise ValueError("keyframe_interval_s leaves no whole window in sim.duration")
     return step, n_windows
 
 
@@ -400,10 +402,11 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     with _naming("plan.noise."):  # once per run
         noise_weights = innovation_weights(plan.noise, plan.sim.freq, n_total)
 
-    acc = {v: {m: np.zeros((plan.extrinsic_samples, plan.sequences_per_sample))
-               for m in METRICS} for v in plan.variants}
-    ok = {v: np.zeros((plan.extrinsic_samples, plan.sequences_per_sample),
-                      dtype=bool) for v in plan.variants}
+    # the (variant, metric, sequence) RMSEs of one extrinsic sample, NaN
+    # where a trial failed, and each sample's means once it ends
+    scores = np.empty((len(plan.variants), len(METRICS), plan.sequences_per_sample))
+    means = np.empty((len(plan.variants), len(METRICS), plan.extrinsic_samples))
+    completed = np.zeros(len(plan.variants), dtype=int)
     failures: list[str] = []
     chunk = _chunk_trials(plan)
     # (trial, gyro/accel, sample, grid sensor, axis), and the noise's
@@ -439,24 +442,23 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                 if not (np.isfinite(gyro).all() and np.isfinite(accel).all()):
                     for c, j in np.ndindex(len(seqs), ideal.shape[2]):
                         ImuSeries(plan.sim.freq, 0, gyro[c, :, j], accel[c, :, j])
-                results = _score_chunk(plan, poses, gyro, accel, keyframes,
-                                       n_windows, step)
+                scores[..., seqs], errors = _score_chunk(plan, poses, gyro, accel,
+                                                         keyframes, n_windows, step)
                 for c, r in enumerate(seqs):
-                    for v in plan.variants:
-                        res = results[v][c]
-                        if isinstance(res, MimuError):
-                            failures.append(
-                                f"sample={s} seq={r} variant={v}: "
-                                f"{type(res).__name__}: {res}")
-                            continue
-                        for m, x in zip(METRICS, res):
-                            acc[v][m][s, r] = x
-                        ok[v][s, r] = True
-                        if stream is not None:
+                    for v, err, x in zip(plan.variants, errors[:, c],
+                                         scores[..., r].tolist()):
+                        if err is not None:
+                            failures.append(f"sample={s} seq={r} variant={v}: "
+                                            f"{type(err).__name__}: {err}")
+                        elif stream is not None:
                             stream.write(json.dumps({"sample": s, "seq": r, "variant": v,
-                                                     **dict(zip(METRICS, res))}) + "\n")
+                                                     **dict(zip(METRICS, x))}) + "\n")
                 if stream is not None:
                     stream.flush()
+            ok = ~np.isnan(scores[:, 0])
+            completed += ok.sum(axis=1)
+            for j, i in np.ndindex(means.shape[:2]):
+                means[j, i, s] = scores[j, i][ok[j]].mean() if ok[j].any() else np.nan
             # a trial is one (sequence, variant), as in the benchmark
             elapsed = perf_counter() - start
             log.info("extrinsic sample %d/%d done, %.0f trials/s, ETA %.0f s",
@@ -468,19 +470,15 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
             stream.close()
 
     metrics = {}
-    completed = {}
-    for v in plan.variants:
-        completed[v] = int(ok[v].sum())
+    for v, rows in zip(plan.variants, means):
         metrics[v] = {}
-        for m in METRICS:
-            means = np.array([
-                acc[v][m][s][ok[v][s]].mean() if ok[v][s].any() else np.nan
-                for s in range(plan.extrinsic_samples)])
-            std = float(np.std(means, ddof=1)) if len(means) > 1 else 0.0
-            metrics[v][m] = {"mean": float(np.mean(means)), "std": std,
-                             "per_sample_means": means.tolist()}
+        for m, x in zip(METRICS, rows):
+            std = float(np.std(x, ddof=1)) if len(x) > 1 else 0.0
+            metrics[v][m] = {"mean": float(np.mean(x)), "std": std,
+                             "per_sample_means": x.tolist()}
     return RmseReport(plan=plan.to_dict(), metrics=metrics,
-                      completed=completed, failures=failures)
+                      completed=dict(zip(plan.variants, completed.tolist())),
+                      failures=failures)
 
 
 def emit_report(report: RmseReport, out_dir):

@@ -642,6 +642,38 @@ def desk_plan(**noise) -> str:
     return yaml.safe_dump(plan)
 
 
+@pytest.mark.parametrize("noise", [{}, {"sigma_g": 1.0e+150}],
+                         ids=["ragged-chunk", "calibrated-trials-fail"])
+def test_report_means_are_the_means_of_the_trial_lines(tmp_path, noise):
+    """Each per_sample_means entry of report.json is, bit for bit, the
+    mean of its sample's, variant's and metric's trials.jsonl values in
+    sequence order (null where there are none), and completed counts
+    each variant's lines. The desk plan cut to 2 x 12 runs chunks of 11
+    and 1 trials; with sigma_g 1e150 every 2-imu-calibrated trial fails."""
+    plan = load_yaml(CONFIG_DIR / "plan_desk.yaml")
+    plan.update(extrinsic_samples=2, sequences_per_sample=12)
+    plan["noise"].update(noise)
+    (tmp_path / "plan.yaml").write_text(yaml.safe_dump(plan))
+    out = tmp_path / "report"
+    assert main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
+                 "--out", str(out)]) == 0
+    report = read_json(out / "report.json")
+    lines = {}  # (variant, sample) -> that sample's trial lines, in file order
+    for line in (out / "trials.jsonl").read_text().splitlines():
+        trial = json.loads(line)
+        lines.setdefault((trial["variant"], trial["sample"]), []).append(trial)
+    assert all(seqs == sorted(seqs) for seqs in
+               ([t["seq"] for t in trials] for trials in lines.values()))
+    if noise:
+        assert report["completed"]["2-imu-calibrated"] == 0
+    for v, per_metric in report["metrics"].items():
+        assert report["completed"][v] == sum(len(lines.get((v, s), [])) for s in range(2))
+        for m, stats in per_metric.items():
+            want = [np.array([t[m] for t in lines[v, s]]).mean() if (v, s) in lines
+                    else None for s in range(2)]
+            assert stats["per_sample_means"] == want, (v, m)
+
+
 def test_evaluate_lists_calibrations_whose_gram_overflows(tmp_path, capsys):
     """With sigma_g 1e150 every calibrated trial's translation Gram
     overflows: evaluate exits 0 without a numpy warning, lists those
@@ -756,6 +788,27 @@ def test_evaluate_rejects_keyframe_interval_whose_sample_count_overflows(tmp_pat
     payload = json.loads(line)
     assert payload["error"] == "FormatError"
     assert "keyframe_interval * sim.freq must be finite" in payload["message"]
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("value", ["1.0e-9", "10"])
+def test_evaluate_rejects_keyframe_interval_that_holds_no_window(tmp_path, capsys, value):
+    """A keyframe interval below one sample period, or too long for one
+    whole window of the desk plan's 3 s simulation, fails when the plan
+    is read: one FormatError payload line names the file and
+    keyframe_interval_s, and no report directory is made."""
+    text = (CONFIG_DIR / "plan_desk.yaml").read_text()
+    assert text.count("keyframe_interval_s: 0.5\n") == 1
+    (tmp_path / "plan.yaml").write_text(
+        text.replace("keyframe_interval_s: 0.5\n", f"keyframe_interval_s: {value}\n"))
+    code = main(["evaluate", "--config", str(tmp_path / "plan.yaml"),
+                 "--out", str(tmp_path / "report")])
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "FormatError"
+    assert payload["message"].startswith(f"{tmp_path / 'plan.yaml'}: ")
+    assert "keyframe_interval_s" in payload["message"]
     assert not (tmp_path / "report").exists()
 
 
@@ -1126,6 +1179,44 @@ def test_output_to_missing_directory(workspace, capsys):
                  "--out", str(workspace / "no_such_dir" / "calib.json")])
     assert code == 2
     assert not (workspace / "no_such_dir").exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "fuse", "preintegrate"])
+def test_output_to_missing_directory_names_that_directory(workspace, calibrated, fused,
+                                                          tmp_path, capsys, command):
+    """--out in a directory that does not exist exits 2 with one error:
+    line that names that directory, not the hidden temp file the write
+    would have staged there, and makes no directory."""
+    data, noise = workspace / "data", str(workspace / "noise.yaml")
+    pair = ["--imu-a", str(data / "imu_a.csv"), "--imu-b", str(data / "imu_b.csv")]
+    inputs = {"calibrate": pair + ["--noise", noise],
+              "fuse": pair + ["--calib", str(calibrated), "--noise", noise],
+              "preintegrate": ["--vimu", str(fused),
+                               "--vimu-config", str(fused.with_suffix(".json"))]}
+    missing = tmp_path / "no_such_dir"
+    capsys.readouterr()
+    code = main([command, *inputs[command], "--out", str(missing / "out")])
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and line.endswith(f"'{missing}'"), line
+    assert ".tmp" not in line
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("command, config", [("evaluate", "plan_desk.yaml"),
+                                             ("simulate", "sim_pair.yaml")])
+def test_out_naming_an_existing_file_exits_2(tmp_path, capsys, command, config):
+    """--out naming an existing regular file, where a directory is
+    wanted, exits 2 with one error: line naming it, and leaves the file
+    as it was."""
+    out = tmp_path / "x.json"
+    out.write_text("kept\n")
+    code = main([command, "--config", str(CONFIG_DIR / config), "--out", str(out)])
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(out) in line, line
+    assert out.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_console_script_installed():

@@ -241,6 +241,15 @@ def test_plan_rejects_value_out_of_range(field, key, value):
         ExperimentPlan(**{field: value})
 
 
+@pytest.mark.parametrize("keyframe_interval", [1.0e-9, 10.0])
+def test_plan_rejects_keyframe_interval_that_holds_no_window(keyframe_interval):
+    """A keyframe interval below one sample period, or too long for one
+    whole window of the default 3 s simulation, raises ValueError naming
+    keyframe_interval_s when the plan is built, before any trial runs."""
+    with pytest.raises(ValueError, match="keyframe_interval_s"):
+        ExperimentPlan(keyframe_interval=keyframe_interval)
+
+
 def test_plan_dict_round_trip():
     plan = ExperimentPlan(extrinsic_samples=3, sequences_per_sample=4,
                           sigma_rot=0.02, master_seed=9,
