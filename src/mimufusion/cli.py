@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import functools
 import json
 import logging
@@ -61,6 +62,12 @@ def cmd_simulate(args) -> int:
         cfg = dataclasses.replace(cfg, **overrides)
 
     out = Path(args.out)
+    paths = [out / f"{name}.csv" for name, _, _ in imus]
+    # a target that is a directory would fail its rename after others had
+    # taken their place: every one is checked before the first write
+    for path in (*paths, *map(csvio._twin_path, paths), out / "manifest.json"):
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     streams = np.random.SeedSequence(cfg.seed).spawn(len(imus))
     ideal = ideal_imu_series_stack(cfg, np.array([m.rotation() for _, m, _ in imus]),
                                    np.array([m.p for _, m, _ in imus]))
@@ -70,8 +77,8 @@ def cmd_simulate(args) -> int:
         # write_imu_csv stages each CSV; all are renamed into place only
         # once every IMU has been written
         with contextlib.ExitStack() as staged:
-            for i, ((name, _, noise), (w, a), seq) in enumerate(zip(imus, ideal, streams)):
-                path = out / f"{name}.csv"
+            for i, ((name, _, noise), (w, a), seq, path) in enumerate(
+                    zip(imus, ideal, streams, paths)):
                 # a sigma whose noise overflows raises FormatError; a huge
                 # initial bias overflows to inf, which ImuSeries rejects
                 with (_naming(f"{args.config}: imus[{i}].noise."),

@@ -78,7 +78,8 @@ def _atomic_open(path, mode="w"):
     temp file in path's directory. A clean exit renames it to path; an
     exception removes it. A parent of path that is missing or is not a
     directory raises FileNotFoundError or NotADirectoryError naming that
-    parent, not the temp file."""
+    parent, and a failed rename (path is a directory, say) raises its
+    error naming path, never the temp file."""
     path = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
@@ -88,7 +89,10 @@ def _atomic_open(path, mode="w"):
     try:
         with os.fdopen(fd, mode) as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
@@ -157,8 +161,10 @@ def write_imu_csv(path, series: ImuSeries, stage=None):
     records["values"][:, 3:] = series.accel
     digest = _sha256()
     with contextlib.ExitStack() if stage is None else contextlib.nullcontext(stage) as staged:
-        out = staged.enter_context(_atomic_open(path, "wb"))
+        # the stack renames last in first out: the CSV before its twin, so
+        # a CSV that cannot take its place leaves no twin behind
         twin = staged.enter_context(_atomic_open(_twin_path(path), "wb"))
+        out = staged.enter_context(_atomic_open(path, "wb"))
         for data in _csv_text(records):
             digest.update(data)
             out.write(data)

@@ -21,11 +21,19 @@ category, and their truths from one true_vimu_state call. Every trial
 keeps its own random stream, which draws the noise of the whole grid
 whatever the variants, and its own failures, so the report does not
 depend on the chunk size.
+
+When the process may run on a second CPU, two chunk buffers are live: a
+worker thread adds the next chunk's noise into one while this thread
+scores the chunk in the other (the normal draws release the GIL). On
+one CPU the noise is added inline, chunk by chunk, in one buffer. Each
+trial keeps its stream and its slot, so the outputs are the same bytes
+either way.
 """
 from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -71,10 +79,13 @@ METRICS = ("position", "orientation", "velocity")
 # trial of 9 sensors and 5 variants; 4 MiB of count is 11 desk trials.
 # The traced peak (tracemalloc, chunks of 2 to 11 desk trials) grows by
 # 0.53 MB per trial, not 0.38 MB: the count leaves out the calibration,
-# truth and dead-reckoning temporaries of _score_chunk. On a 2 x 44 desk
-# plan, chunks of 2, 5, 11 and 22 trials (1, 2, 4 and 8 MiB) ran 2,544,
-# 3,216, 3,409 and 3,302 trials per CPU second (medians of 15 runs on a
-# shared 2-vCPU host): past 4 MiB a chunk only adds memory.
+# truth and dead-reckoning temporaries of _score_chunk. With a second
+# CPU a second buffer of raw samples is live, 2.85 MB for 11 desk
+# trials. On a 2 x 44 desk plan with the noise added ahead, chunks of 2,
+# 5, 11 and 22 trials (1, 2, 4 and 8 MiB) ran 2,816, 4,677, 5,456 and
+# 5,097 trials per wall second (medians of 15 runs on a shared 2-vCPU
+# host), against 2,715, 3,642, 4,076 and 4,116 with it added inline:
+# past 4 MiB a chunk only adds memory.
 _CHUNK_BYTES = 4 << 20
 
 
@@ -382,6 +393,48 @@ def _chunk_trials(plan: ExperimentPlan) -> int:
     return min(plan.sequences_per_sample, max(1, _CHUNK_BYTES // trial_bytes))
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+def _chunks(plan: ExperimentPlan, chunk: int):
+    """Each chunk of the run in order, as its extrinsic sample, the
+    seed of that sample's perturbation, and its sequences, a range, with
+    their seeds. A sample's seeds are spawned when its first chunk comes
+    up."""
+    n = plan.sequences_per_sample
+    for s, sample_seq in enumerate(
+            np.random.SeedSequence(plan.master_seed).spawn(plan.extrinsic_samples)):
+        perturb_seq, *trial_seqs = sample_seq.spawn(1 + n)
+        for r0 in range(0, n, chunk):
+            seqs = range(r0, min(r0 + chunk, n))
+            yield (s, perturb_seq, seqs), trial_seqs[r0:seqs.stop]
+
+
+def _noisy_chunks(chunks, fill, raws, pool):
+    """Each (chunk, trial seeds) of ``chunks`` as (chunk, its raw
+    samples), which fill(buffer, trial seeds) adds into one of ``raws``.
+    Without a pool each chunk is filled here, when it is asked for. With
+    one, its worker fills the next chunk in the other buffer while the
+    caller scores this one, and is handed a buffer again only when the
+    caller asks for the chunk after it; the worker's exception is raised
+    here."""
+    if pool is None:
+        for key, trial_seqs in chunks:
+            yield key, fill(raws[0], trial_seqs)
+        return
+    ahead = None
+    for i, (key, trial_seqs) in enumerate(chunks):
+        filling = key, pool.submit(fill, raws[i % 2], trial_seqs)
+        if ahead is not None:
+            yield ahead[0], ahead[1].result()
+        ahead = filling
+    if ahead is not None:
+        yield ahead[0], ahead[1].result()
+
+
 def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     """Execute the plan; deterministic for a fixed master seed.
 
@@ -409,10 +462,26 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     completed = np.zeros(len(plan.variants), dtype=int)
     failures: list[str] = []
     chunk = _chunk_trials(plan)
+    # with a second CPU, a worker adds the next chunk's noise while this
+    # thread scores the current one, each in its own buffer
+    pool = None
+    if _cpus() > 1:
+        # imported on first use: it would add about 10 ms to the import of
+        # mimufusion, which every command pays
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(1)
     # (trial, gyro/accel, sample, grid sensor, axis), and the noise's
-    # bias level of one trial
-    raw = np.empty((chunk,) + ideal.shape)
+    # bias level of one trial, which only the filling thread uses
+    raws = [np.empty((chunk,) + ideal.shape) for _ in range(1 + (pool is not None))]
     level = np.empty(ideal.shape)
+
+    def fill(raw, trial_seqs):
+        for out, seq in zip(raw, trial_seqs):
+            apply_measurement_noise_stack(ideal, plan.noise, plan.sim.freq,
+                                          np.random.default_rng(seq), out=out,
+                                          level=level, weights=noise_weights)
+        return raw[:len(trial_seqs)]
 
     stream = None
     if out_dir is not None:
@@ -421,40 +490,32 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
         stream = open(out_dir / "trials.jsonl", "w")
 
     try:
-        root = np.random.SeedSequence(plan.master_seed)
-        sample_seqs = root.spawn(plan.extrinsic_samples)
         start = perf_counter()
-        for s in range(plan.extrinsic_samples):
-            perturb_seq, *trial_seqs = sample_seqs[s].spawn(
-                1 + plan.sequences_per_sample)
-            perturb_rng = np.random.default_rng(perturb_seq)
-            believed = perturb_extrinsics(*grid, plan.sigma_rot, plan.sigma_trans,
-                                          perturb_rng)
-            poses = {"true": grid, "perturbed": believed}
-            for r0 in range(0, plan.sequences_per_sample, chunk):
-                seqs = range(r0, min(r0 + chunk, plan.sequences_per_sample))
-                for c, r in enumerate(seqs):
-                    apply_measurement_noise_stack(
-                        ideal, plan.noise, plan.sim.freq,
-                        np.random.default_rng(trial_seqs[r]), out=raw[c],
-                        level=level, weights=noise_weights)
-                gyro, accel = raw[:len(seqs), 0], raw[:len(seqs), 1]
-                if not (np.isfinite(gyro).all() and np.isfinite(accel).all()):
-                    for c, j in np.ndindex(len(seqs), ideal.shape[2]):
-                        ImuSeries(plan.sim.freq, 0, gyro[c, :, j], accel[c, :, j])
-                scores[..., seqs], errors = _score_chunk(plan, poses, gyro, accel,
-                                                         keyframes, n_windows, step)
-                for c, r in enumerate(seqs):
-                    for v, err, x in zip(plan.variants, errors[:, c],
-                                         scores[..., r].tolist()):
-                        if err is not None:
-                            failures.append(f"sample={s} seq={r} variant={v}: "
-                                            f"{type(err).__name__}: {err}")
-                        elif stream is not None:
-                            stream.write(json.dumps({"sample": s, "seq": r, "variant": v,
-                                                     **dict(zip(METRICS, x))}) + "\n")
-                if stream is not None:
-                    stream.flush()
+        for (s, perturb_seq, seqs), raw in _noisy_chunks(_chunks(plan, chunk), fill,
+                                                         raws, pool):
+            if seqs.start == 0:
+                believed = perturb_extrinsics(*grid, plan.sigma_rot, plan.sigma_trans,
+                                              np.random.default_rng(perturb_seq))
+                poses = {"true": grid, "perturbed": believed}
+            gyro, accel = raw[:, 0], raw[:, 1]
+            if not (np.isfinite(gyro).all() and np.isfinite(accel).all()):
+                for c, j in np.ndindex(len(seqs), ideal.shape[2]):
+                    ImuSeries(plan.sim.freq, 0, gyro[c, :, j], accel[c, :, j])
+            scores[..., seqs], errors = _score_chunk(plan, poses, gyro, accel,
+                                                     keyframes, n_windows, step)
+            for c, r in enumerate(seqs):
+                for v, err, x in zip(plan.variants, errors[:, c],
+                                     scores[..., r].tolist()):
+                    if err is not None:
+                        failures.append(f"sample={s} seq={r} variant={v}: "
+                                        f"{type(err).__name__}: {err}")
+                    elif stream is not None:
+                        stream.write(json.dumps({"sample": s, "seq": r, "variant": v,
+                                                 **dict(zip(METRICS, x))}) + "\n")
+            if stream is not None:
+                stream.flush()
+            if seqs.stop < plan.sequences_per_sample:
+                continue
             ok = ~np.isnan(scores[:, 0])
             completed += ok.sum(axis=1)
             for j, i in np.ndindex(means.shape[:2]):
@@ -466,6 +527,8 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                      (s + 1) * plan.sequences_per_sample * len(plan.variants) / elapsed,
                      (plan.extrinsic_samples - s - 1) * elapsed / (s + 1))
     finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         if stream is not None:
             stream.close()
 

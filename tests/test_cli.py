@@ -1203,6 +1203,45 @@ def test_output_to_missing_directory_names_that_directory(workspace, calibrated,
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("command", ["calibrate", "fuse", "preintegrate"])
+def test_out_naming_an_existing_directory_names_it(workspace, calibrated, fused,
+                                                   tmp_path, capsys, command):
+    """--out naming an existing directory, whose rename fails, exits 2
+    with one error: line that names that directory, not the hidden temp
+    file the write staged beside it, and leaves nothing beside it: no
+    temp file, and for fuse neither the CSV's twin nor its sidecar."""
+    data, noise = workspace / "data", str(workspace / "noise.yaml")
+    pair = ["--imu-a", str(data / "imu_a.csv"), "--imu-b", str(data / "imu_b.csv")]
+    inputs = {"calibrate": pair + ["--noise", noise],
+              "fuse": pair + ["--calib", str(calibrated), "--noise", noise],
+              "preintegrate": ["--vimu", str(fused),
+                               "--vimu-config", str(fused.with_suffix(".json"))]}
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    capsys.readouterr()
+    code = main([command, *inputs[command], "--out", str(adir)])
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and line.endswith(f"'{adir}'"), line
+    assert ".tmp" not in line
+    assert list(tmp_path.rglob("*")) == [adir]
+
+
+def test_simulate_refuses_a_csv_target_that_is_a_directory(workspace, tmp_path, capsys):
+    """An --out directory whose imu_a.csv is a directory exits 2 naming
+    it before anything is written: imu_b's CSV and both binary twins
+    would otherwise be renamed into place before imu_a's rename failed."""
+    out = tmp_path / "d"
+    (out / "imu_a.csv").mkdir(parents=True)
+    before = sorted(out.rglob("*"))
+    code = main(["simulate", "--config", str(workspace / "sim.yaml"), "--out", str(out),
+                 "--duration", "2"])
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: [Errno 21] Is a directory: '{out / 'imu_a.csv'}'", line
+    assert sorted(out.rglob("*")) == before
+
+
 @pytest.mark.parametrize("command, config", [("evaluate", "plan_desk.yaml"),
                                              ("simulate", "sim_pair.yaml")])
 def test_out_naming_an_existing_file_exits_2(tmp_path, capsys, command, config):

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -486,15 +488,69 @@ def test_chunk_caps_give_one_trial_a_ragged_default_and_the_whole_sample():
     assert ragged > 1 and DIFF_PLANS["ragged-chunks"].sequences_per_sample % ragged == 1
 
 
+def cpus(monkeypatch, n: int):
+    """Make the harness see n CPUs: with two, a worker thread adds the
+    next chunk's noise; with one, each chunk's noise is added inline."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
 @pytest.mark.parametrize("name", sorted(DIFF_PLANS))
-def test_chunk_size_leaves_report_and_trials_bit_for_bit(tmp_path, name):
-    """The chunk budget trades memory for speed and nothing else: every
-    cap gives the same report and the same trials.jsonl bytes."""
-    runs = {}
-    for cap in chunk_caps():
-        report = run_experiment(DIFF_PLANS[name], out_dir=tmp_path / cap)
-        runs[cap] = report.to_dict(), (tmp_path / cap / "trials.jsonl").read_bytes()
-    assert runs["one-trial"] == runs["default"] == runs["whole-sample"]
+def test_chunk_size_leaves_report_and_trials_bit_for_bit(tmp_path, monkeypatch, name):
+    """The chunk budget and the CPU count trade memory for speed and
+    nothing else: every cap, on two CPUs and on one, gives the same
+    report and the same trials.jsonl bytes."""
+    runs = []
+    for n in (2, 1):
+        cpus(monkeypatch, n)
+        for cap in chunk_caps():
+            out = tmp_path / f"{cap}-{n}"
+            report = run_experiment(DIFF_PLANS[name], out_dir=out)
+            runs.append((report.to_dict(), (out / "trials.jsonl").read_bytes()))
+    assert len(runs) == 6 and all(run == runs[0] for run in runs)
+
+
+def test_noise_worker_error_reaches_the_caller(tmp_path, monkeypatch):
+    """A MimuError raised while the worker adds the noise of a chunk
+    ahead (the third of three one-trial chunks, while the second is
+    scored) is raised by run_experiment. trials.jsonl is closed and
+    holds the lines of the two chunks scored before it, and the worker
+    thread is gone."""
+    from mimufusion import harness
+
+    plan = DIFF_PLANS["exact-windows"]
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", ONE_TRIAL)
+    run_experiment(plan, out_dir=tmp_path / "clean")
+    want = [line for line in (tmp_path / "clean" / "trials.jsonl").read_bytes()
+            .splitlines(keepends=True) if json.loads(line)["seq"] < 2]
+
+    fill = harness.apply_measurement_noise_stack
+    fillers = []
+
+    def fail_third(*args, **kwargs):
+        fillers.append(threading.current_thread())
+        if len(fillers) == 3:
+            raise FormatError("noise of the third trial")
+        return fill(*args, **kwargs)
+
+    opened = []
+
+    def tracked_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(harness, "apply_measurement_noise_stack", fail_third)
+    monkeypatch.setattr(harness, "open", tracked_open, raising=False)
+    threads = threading.active_count()
+    with pytest.raises(FormatError, match="noise of the third trial"):
+        run_experiment(plan, out_dir=tmp_path / "failed")
+    assert len(fillers) == 3 and threading.main_thread() not in fillers
+    assert threading.active_count() == threads
+    [stream] = opened
+    assert stream.closed
+    assert (tmp_path / "failed" / "trials.jsonl").read_bytes() == b"".join(want)
+    assert len(want) == 2 * len(plan.variants)
 
 
 def test_calibrated_poses_match_calibrate():
