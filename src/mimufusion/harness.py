@@ -22,18 +22,15 @@ keeps its own random stream, which draws the noise of the whole grid
 whatever the variants, and its own failures, so the report does not
 depend on the chunk size.
 
-When the process may run on a second CPU, two chunk buffers are live: a
-worker thread adds the next chunk's noise into one while this thread
-scores the chunk in the other (the normal draws release the GIL). On
-one CPU the noise is added inline, chunk by chunk, in one buffer. Each
-trial keeps its stream and its slot, so the outputs are the same bytes
-either way.
+Two chunk buffers are live: a worker thread adds the next chunk's noise
+into one while this thread scores the chunk in the other (the normal
+draws release the GIL). Each trial keeps its stream and its slot, so
+the outputs depend neither on the chunk size nor on when the worker runs.
 """
 from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -79,13 +76,13 @@ METRICS = ("position", "orientation", "velocity")
 # trial of 9 sensors and 5 variants; 4 MiB of count is 11 desk trials.
 # The traced peak (tracemalloc, chunks of 2 to 11 desk trials) grows by
 # 0.53 MB per trial, not 0.38 MB: the count leaves out the calibration,
-# truth and dead-reckoning temporaries of _score_chunk. With a second
-# CPU a second buffer of raw samples is live, 2.85 MB for 11 desk
+# truth and dead-reckoning temporaries of _score_chunk. A second buffer
+# of raw samples, which the worker fills ahead, adds 2.85 MB for 11 desk
 # trials. On a 2 x 44 desk plan with the noise added ahead, chunks of 2,
 # 5, 11 and 22 trials (1, 2, 4 and 8 MiB) ran 2,816, 4,677, 5,456 and
 # 5,097 trials per wall second (medians of 15 runs on a shared 2-vCPU
-# host), against 2,715, 3,642, 4,076 and 4,116 with it added inline:
-# past 4 MiB a chunk only adds memory.
+# host), against 2,715, 3,642, 4,076 and 4,116 when the noise was added
+# inline before scoring: past 4 MiB a chunk only adds memory.
 _CHUNK_BYTES = 4 << 20
 
 
@@ -393,12 +390,6 @@ def _chunk_trials(plan: ExperimentPlan) -> int:
     return min(plan.sequences_per_sample, max(1, _CHUNK_BYTES // trial_bytes))
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
-
-
 def _chunks(plan: ExperimentPlan, chunk: int):
     """Each chunk of the run in order, as its extrinsic sample, the
     seed of that sample's perturbation, and its sequences, a range, with
@@ -415,16 +406,11 @@ def _chunks(plan: ExperimentPlan, chunk: int):
 
 def _noisy_chunks(chunks, fill, raws, pool):
     """Each (chunk, trial seeds) of ``chunks`` as (chunk, its raw
-    samples), which fill(buffer, trial seeds) adds into one of ``raws``.
-    Without a pool each chunk is filled here, when it is asked for. With
-    one, its worker fills the next chunk in the other buffer while the
-    caller scores this one, and is handed a buffer again only when the
-    caller asks for the chunk after it; the worker's exception is raised
-    here."""
-    if pool is None:
-        for key, trial_seqs in chunks:
-            yield key, fill(raws[0], trial_seqs)
-        return
+    samples), which fill(buffer, trial seeds) adds into one of the two
+    ``raws``. The pool's worker fills the next chunk in the other buffer
+    while the caller scores this one, and is handed a buffer again only
+    when the caller asks for the chunk after it; the worker's exception
+    is raised here."""
     ahead = None
     for i, (key, trial_seqs) in enumerate(chunks):
         filling = key, pool.submit(fill, raws[i % 2], trial_seqs)
@@ -462,18 +448,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
     completed = np.zeros(len(plan.variants), dtype=int)
     failures: list[str] = []
     chunk = _chunk_trials(plan)
-    # with a second CPU, a worker adds the next chunk's noise while this
-    # thread scores the current one, each in its own buffer
-    pool = None
-    if _cpus() > 1:
-        # imported on first use: it would add about 10 ms to the import of
-        # mimufusion, which every command pays
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(1)
-    # (trial, gyro/accel, sample, grid sensor, axis), and the noise's
-    # bias level of one trial, which only the filling thread uses
-    raws = [np.empty((chunk,) + ideal.shape) for _ in range(1 + (pool is not None))]
+    # the noise's bias level of one trial, which only the worker uses
     level = np.empty(ideal.shape)
 
     def fill(raw, trial_seqs):
@@ -489,6 +464,15 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
         out_dir.mkdir(parents=True, exist_ok=True)
         stream = open(out_dir / "trials.jsonl", "w")
 
+    # two buffers of (trial, gyro/accel, sample, grid sensor, axis): a
+    # worker adds the next chunk's noise into one while this thread
+    # scores the current chunk in the other. Imported on first use: it
+    # would add about 10 ms to the import of mimufusion, which every
+    # command pays.
+    from concurrent.futures import ThreadPoolExecutor
+
+    raws = [np.empty((chunk,) + ideal.shape) for _ in range(2)]
+    pool = ThreadPoolExecutor(1)
     try:
         start = perf_counter()
         for (s, perturb_seq, seqs), raw in _noisy_chunks(_chunks(plan, chunk), fill,
@@ -527,8 +511,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> RmseReport:
                      (s + 1) * plan.sequences_per_sample * len(plan.variants) / elapsed,
                      (plan.extrinsic_samples - s - 1) * elapsed / (s + 1))
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
         if stream is not None:
             stream.close()
 

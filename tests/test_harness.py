@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import os
 import threading
 from pathlib import Path
 
@@ -488,26 +487,15 @@ def test_chunk_caps_give_one_trial_a_ragged_default_and_the_whole_sample():
     assert ragged > 1 and DIFF_PLANS["ragged-chunks"].sequences_per_sample % ragged == 1
 
 
-def cpus(monkeypatch, n: int):
-    """Make the harness see n CPUs: with two, a worker thread adds the
-    next chunk's noise; with one, each chunk's noise is added inline."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-
-
 @pytest.mark.parametrize("name", sorted(DIFF_PLANS))
-def test_chunk_size_leaves_report_and_trials_bit_for_bit(tmp_path, monkeypatch, name):
-    """The chunk budget and the CPU count trade memory for speed and
-    nothing else: every cap, on two CPUs and on one, gives the same
-    report and the same trials.jsonl bytes."""
-    runs = []
-    for n in (2, 1):
-        cpus(monkeypatch, n)
-        for cap in chunk_caps():
-            out = tmp_path / f"{cap}-{n}"
-            report = run_experiment(DIFF_PLANS[name], out_dir=out)
-            runs.append((report.to_dict(), (out / "trials.jsonl").read_bytes()))
-    assert len(runs) == 6 and all(run == runs[0] for run in runs)
+def test_chunk_size_leaves_report_and_trials_bit_for_bit(tmp_path, name):
+    """The chunk budget trades memory for speed and nothing else: every
+    cap gives the same report and the same trials.jsonl bytes."""
+    runs = {}
+    for cap in chunk_caps():
+        report = run_experiment(DIFF_PLANS[name], out_dir=tmp_path / cap)
+        runs[cap] = report.to_dict(), (tmp_path / cap / "trials.jsonl").read_bytes()
+    assert runs["one-trial"] == runs["default"] == runs["whole-sample"]
 
 
 def test_noise_worker_error_reaches_the_caller(tmp_path, monkeypatch):
@@ -519,7 +507,6 @@ def test_noise_worker_error_reaches_the_caller(tmp_path, monkeypatch):
     from mimufusion import harness
 
     plan = DIFF_PLANS["exact-windows"]
-    cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "_CHUNK_BYTES", ONE_TRIAL)
     run_experiment(plan, out_dir=tmp_path / "clean")
     want = [line for line in (tmp_path / "clean" / "trials.jsonl").read_bytes()
