@@ -63,11 +63,12 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     paths = [out / f"{name}.csv" for name, _, _ in imus]
-    # a target that is a directory would fail its rename after others had
-    # taken their place: every one is checked before the first write
-    for path in (*paths, *map(csvio._twin_path, paths), out / "manifest.json"):
-        if path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    # every CSV and twin is staged, and refused if its target is a
+    # directory, before the first rename; manifest.json follows the
+    # renames, so a directory in its place is refused before any write
+    if (out / "manifest.json").is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                str(out / "manifest.json"))
     streams = np.random.SeedSequence(cfg.seed).spawn(len(imus))
     ideal = ideal_imu_series_stack(cfg, np.array([m.rotation() for _, m, _ in imus]),
                                    np.array([m.p for _, m, _ in imus]))

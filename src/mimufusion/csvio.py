@@ -30,12 +30,13 @@ it costs only speed.
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
+import io
 import json
 import os
 import re
 import struct
-import tempfile
 import warnings
 from pathlib import Path
 
@@ -76,16 +77,25 @@ _MOUNT_KEYS = {"rotation_wxyz": ("q", _finite_floats), "position_m": ("p", _fini
 def _atomic_open(path, mode="w"):
     """A file open for writing, in text or (mode "wb") binary mode, on a
     temp file in path's directory. A clean exit renames it to path; an
-    exception removes it. A parent of path that is missing or is not a
-    directory raises FileNotFoundError or NotADirectoryError naming that
-    parent, and a failed rename (path is a directory, say) raises its
-    error naming path, never the temp file."""
+    exception removes it. The temp file is created with mode 0o666, so
+    that the file gets the mode the umask gives, as a plain open would.
+    A path that is a directory raises IsADirectoryError before any file
+    is created, a parent of path that is missing or is not a directory
+    raises FileNotFoundError or NotADirectoryError naming that parent,
+    and a failed rename raises its error naming path, never the temp
+    file."""
     path = Path(path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
-                                   suffix=".tmp")
-    except (FileNotFoundError, NotADirectoryError) as exc:
-        raise type(exc)(exc.errno, exc.strerror, str(path.parent)) from None
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    while True:
+        tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except (FileNotFoundError, NotADirectoryError) as exc:
+            raise type(exc)(exc.errno, exc.strerror, str(path.parent)) from None
     try:
         with os.fdopen(fd, mode) as fh:
             yield fh
@@ -111,9 +121,22 @@ def write_json(path, obj):
                                        allow_nan=False) + "\n")
 
 
+def _read_text(path) -> str:
+    """The text of the file at path, decoded as UTF-8 with universal
+    newlines (CRLF reads as LF). Bytes that are not UTF-8 raise
+    FormatError naming path and the line they are on."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
+
+
 def read_json(path) -> dict:
-    with open(path) as fh, _naming(f"{path}: ", kinds=(json.JSONDecodeError,)):
-        return json.load(fh)
+    text = _read_text(path)
+    with _naming(f"{path}: ", kinds=(json.JSONDecodeError,)):
+        return json.loads(text)
 
 
 # libyaml's parser when PyYAML was built with it, about 8 times faster on
@@ -122,8 +145,10 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_yaml(path) -> dict:
-    with open(path) as fh, _naming(f"{path}: ", kinds=(yaml.YAMLError,)):
-        data = yaml.load(fh, Loader=_YAML_LOADER)
+    stream = io.StringIO(_read_text(path))
+    stream.name = str(path)  # the name the parser's error marks give
+    with _naming(f"{path}: ", kinds=(yaml.YAMLError,)):
+        data = yaml.load(stream, Loader=_YAML_LOADER)
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a mapping at the top level")
     return data
@@ -466,14 +491,10 @@ def _parse_whole(path) -> np.ndarray:
     """The _ROW_DTYPE records of the IMU CSV at path, read whole: the one
     parser that says why a file is rejected and, where it applies, on
     which line. A whitespace-only line is a blank line, which is
-    skipped. A bad header, a line that is not an integer and 6 numbers,
-    fewer than 2 rows and a non-finite value raise FormatError."""
-    try:  # universal newlines: CRLF reads as LF
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise FormatError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
+    skipped. Text that is not UTF-8, a bad header, a line that is not an
+    integer and 6 numbers, fewer than 2 rows and a non-finite value raise
+    FormatError."""
+    text = _read_text(path)
     # Emptied whitespace-only lines are blank lines, which np.loadtxt
     # skips. lines[k] is line k + 1 of the file.
     lines = _WHITESPACE_LINE.sub("\n", text).split("\n")

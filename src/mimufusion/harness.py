@@ -53,7 +53,7 @@ from .simulation import (
     trajectory_samples,
 )
 from .types import ImuSeries, NoiseSpec, _Block, _integral, _number, _read
-from .vimu import _fusion_matrices, accel_centroid
+from .vimu import _fused_rows, _fusion_matrices, accel_centroid
 
 log = logging.getLogger(__name__)
 
@@ -325,12 +325,9 @@ def _score_chunk(plan: ExperimentPlan, poses, gyro, accel, keyframes,
                          for w in _fusion_matrices(rotations, noises, m, cols)])
         centroids.append(np.broadcast_to(accel_centroid(positions, noises), (S, 3)))
         errors += errs
-    # fused row t is raw row t + 1, as in fuse_series; each instant's
-    # sensors as one row of 3m, the layout the fusion matrices take:
-    # (S, k, 3m) @ (V, S, 3m, 3) gives (V, S, k, 3)
-    fused_w, fused_a = (
-        (x[:, 1:k + 1].reshape(S, k, 3 * m) @ np.stack(w)).reshape(-1, k, 3)
-        for x, w in zip((gyro, accel), zip(*matrices)))
+    # one product per category: (S, k, 3m) @ (V, S, 3m, 3) gives (V, S, k, 3)
+    fused_w, fused_a = (x.reshape(-1, k, 3) for x in _fused_rows(
+        gyro, accel, [np.stack(w) for w in zip(*matrices)], k))
     # each centroid frame has body axes
     truth = true_vimu_state(keyframes, np.broadcast_to(np.eye(3), (len(errors), 3, 3)),
                             np.concatenate(centroids))

@@ -6,12 +6,13 @@ sensors' samples. Every NoiseSpec is isotropic, so the whitened Gram
 sum_i R_i^T R_i / sigma_i^2 is (sum_i sigma_i^-2) I for any rotations
 R_i, and the fit is the weighted mean sum_i w_i R_i^T y_i, w_i the
 normalized 1/sigma_i^2 weights of the sensors' gyros or accelerometers
-(fuse_stack, fuse_series). The sensors' lever accelerations
-R_i (w x (w x p_i) + wdot x p_i) fuse to zero at the weighted centroid
-sum_i w_i p_i, where VimuConfig puts the virtual origin (accel_centroid,
-centroid_frame). Every virtual noise and bias random-walk density is
-sum_i (w_i sigma_i)^2 I (virtual_covariances), which the fuse
-subcommand stores as the Q_* of its sidecar.
+(_fused_rows, the one product that fuse_series and the evaluate harness
+share). The sensors' lever accelerations R_i (w x (w x p_i) + wdot x p_i)
+fuse to zero at the weighted centroid sum_i w_i p_i, where VimuConfig
+puts the virtual origin (accel_centroid, centroid_frame). Every virtual
+noise and bias random-walk density is sum_i (w_i sigma_i)^2 I
+(virtual_covariances), which the fuse subcommand stores as the Q_* of
+its sidecar.
 """
 from __future__ import annotations
 
@@ -148,7 +149,7 @@ def virtual_covariances(noises) -> VimuNoise:
     NoiseSpecs ``noises``.
 
     Sensor i's samples enter the fused sample rotated and scaled by its
-    weight w_i (see fuse_stack), so each white-noise and bias walk
+    weight w_i (see _fused_rows), so each white-noise and bias walk
     density is sum_i (w_i sigma_i)^2 I, whatever the rotations; the bias
     walks share the weights of their category's white noise. A density
     that overflows raises SingularFusion.
@@ -172,50 +173,47 @@ def fuse_series(cfg: VimuConfig, series: list) -> ImuSeries:
     one virtual IMU series.
 
     All inputs must share rate, start time, and length. The result
-    covers the interior samples: it drops the first and the last, and
-    its start_ns is one period later. Fusion itself needs no neighbour
-    (see fuse_stack); the trim keeps virtual.csv's layout, by which its
-    readers count windows and align truth (fused row t is raw row t + 1).
+    covers the interior samples (see _fused_rows): it drops the first
+    and the last, and its start_ns is one period later.
     """
     n = len(cfg.rotations)
     if len(series) != n:
         raise LengthMismatch(f"expected {n} series, got {len(series)}")
     check_synchronized(series)
     base = series[0]
-    fused_w, fused_a = fuse_stack(np.stack(cfg.rotations), cfg.noises,
-                                  np.stack([s.gyro[1:-1] for s in series], axis=1),
-                                  np.stack([s.accel[1:-1] for s in series], axis=1))
-    return ImuSeries(
-        freq=base.freq,
-        start_ns=base.start_ns + int(np.rint(base.period_ns)),
-        gyro=fused_w,
-        accel=fused_a,
-    )
+    fused = _fused_rows(np.stack([s.gyro for s in series], axis=1),
+                        np.stack([s.accel for s in series], axis=1),
+                        _fusion_matrices(np.stack(cfg.rotations), cfg.noises, n),
+                        len(base) - 2)
+    return ImuSeries(base.freq, base.start_ns + int(np.rint(base.period_ns)), *fused)
 
 
-def fuse_stack(rotations, noises, gyro, accel) -> tuple:
-    """Fuse per-sensor samples laid out (..., k, n, 3), sample t of
-    sensor i at [..., t, i, :], into the virtual gyro and accel of every
-    sample, (..., k, 3) each: sum_i w_i R_i^T y_i, the weighted
-    least-squares fit of the stack, with R_i = rotations[..., i] as in
-    VimuConfig and w_i the normalized 1/sigma^2 weights of noises' gyros
-    or accelerometers. Leading axes are trials; rotations (..., n, 3, 3)
-    carry either the same leading axes, one array per trial, or none,
-    one array for all."""
-    m = np.shape(gyro)[-2]
-    w_g, w_a = _fusion_matrices(rotations, noises, m)
-    shape = np.shape(gyro)[:-2] + (3 * m,)
-    return np.reshape(gyro, shape) @ w_g, np.reshape(accel, shape) @ w_a
+def _fused_rows(gyro, accel, matrices, k: int) -> tuple:
+    """The first k fused gyro and accel rows, (..., k, 3) each, of
+    per-sensor samples (..., n, m, 3), sample t of column i at
+    [..., t, i, :], times ``matrices``, the gyro and accel matrices
+    (..., 3m, 3) of _fusion_matrices; leading (trial) axes broadcast.
+    Each instant's m columns are one row of 3m, which a matrix maps to
+    its fused sample, sum_i w_i R_i^T y_i.
+
+    Fused row t is raw row t + 1: fusion needs no neighbour, but the
+    offset keeps virtual.csv's layout, by which its readers count
+    windows and align truth. harness._windows' ``- 2`` and the ``1 +``
+    of run_experiment's keyframe times follow from it; ROADMAP items 10
+    and 18 change all three together."""
+    m = gyro.shape[-2]
+    return tuple(x[..., 1:k + 1, :, :].reshape(x.shape[:-3] + (k, 3 * m)) @ w
+                 for x, w in zip((gyro, accel), matrices))
 
 
 def _fusion_matrices(rotations, noises, m: int, columns=None) -> tuple:
-    """The gyro and accel matrices (..., 3m, 3) of fuse_stack: the
-    samples of one instant, m columns of 3 flattened to a row of 3m,
-    times a matrix give its fused sample. ``columns`` lists the column
-    of each sensor (default: column i holds sensor i, and there are no
-    others), so that a fusion can read its sensors out of a wider array
-    without copying them; rows of columns that hold no sensor are zero.
-    Built once, they fuse any number of instants."""
+    """The gyro and accel matrices (..., 3m, 3) that _fused_rows applies:
+    w_i R_i in the rows of sensor i's column, R_i from rotations
+    (..., n, 3, 3) as in VimuConfig and w_i the normalized 1/sigma^2
+    weights of noises' gyros or accelerometers. ``columns`` lists the
+    column of each sensor (default: column i holds sensor i, and there
+    are no others), so that a fusion can read its sensors out of a wider
+    array without copying them; rows of other columns are zero."""
     rotations = np.asarray(rotations, dtype=float)
     columns = range(m) if columns is None else columns
 

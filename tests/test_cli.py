@@ -1,11 +1,14 @@
 import csv
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from mimufusion import csvio
 from mimufusion.cli import main
 from mimufusion.csvio import load_yaml, read_json
 from mimufusion.geometry import geodesic_angle, rotation_from_quat
@@ -1240,6 +1243,103 @@ def test_simulate_refuses_a_csv_target_that_is_a_directory(workspace, tmp_path, 
     [line] = capsys.readouterr().err.splitlines()
     assert line == f"error: [Errno 21] Is a directory: '{out / 'imu_a.csv'}'", line
     assert sorted(out.rglob("*")) == before
+
+
+@pytest.mark.parametrize("target", [".imu_b.csv.rows", "manifest.json"])
+def test_simulate_refuses_a_twin_or_manifest_target_that_is_a_directory(
+        workspace, tmp_path, capsys, target):
+    """An --out directory whose .imu_b.csv.rows or manifest.json is a
+    directory exits 2 naming it, and leaves the directory as it was:
+    imu_a's staged CSV and twin are removed with the rest."""
+    out = tmp_path / "d"
+    (out / target).mkdir(parents=True)
+    before = sorted(out.rglob("*"))
+    code = main(["simulate", "--config", str(workspace / "sim.yaml"), "--out", str(out),
+                 "--duration", "2"])
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: [Errno 21] Is a directory: '{out / target}'", line
+    assert sorted(out.rglob("*")) == before
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_outputs_get_the_mode_the_umask_gives(workspace, tmp_path, umask, mode):
+    """Every file the five subcommands write, through a temp file and a
+    rename or straight into place, gets mode 0o666 less the umask, as a
+    plain open gives it."""
+    (tmp_path / "plan.yaml").write_text(PLAN_YAML)
+    sim, noise = tmp_path / "sim", str(workspace / "noise.yaml")
+    pair = ["--imu-a", str(sim / "imu_a.csv"), "--imu-b", str(sim / "imu_b.csv")]
+    commands = [
+        ["simulate", "--config", str(workspace / "sim.yaml"), "--out", str(sim),
+         "--duration", "4"],
+        ["calibrate", *pair, "--noise", noise, "--out", str(tmp_path / "calib.json")],
+        ["fuse", *pair, "--calib", str(tmp_path / "calib.json"), "--noise", noise,
+         "--out", str(tmp_path / "virtual.csv")],
+        ["preintegrate", "--vimu", str(tmp_path / "virtual.csv"),
+         "--vimu-config", str(tmp_path / "virtual.json"),
+         "--out", str(tmp_path / "deltas.jsonl")],
+        ["evaluate", "--config", str(tmp_path / "plan.yaml"),
+         "--out", str(tmp_path / "eval")],
+    ]
+    old = os.umask(umask)
+    try:
+        for argv in commands:
+            assert main(argv) == 0, argv
+    finally:
+        os.umask(old)
+    modes = {p.relative_to(tmp_path).as_posix(): stat.S_IMODE(p.stat().st_mode)
+             for p in tmp_path.rglob("*") if p.is_file() and p.name != "plan.yaml"}
+    assert sorted(modes) == sorted([
+        "sim/imu_a.csv", "sim/.imu_a.csv.rows", "sim/imu_b.csv", "sim/.imu_b.csv.rows",
+        "sim/manifest.json", "calib.json", "virtual.csv", ".virtual.csv.rows",
+        "virtual.json", "deltas.jsonl", "eval/report.json", "eval/trials.jsonl",
+        "eval/plot_data.csv", "eval/failures.log"])
+    assert modes == dict.fromkeys(modes, mode)
+
+
+# each input whose text the CLI reads, as (command, its flag), in the
+# JSON and the YAML (with the loader) that flag names
+NOT_UTF8_CASES = [("fuse", "--calib", None), ("preintegrate", "--vimu-config", None)] + [
+    (command, flag, loader)
+    for command, flag in (("calibrate", "--noise"), ("simulate", "--config"),
+                          ("evaluate", "--config"))
+    for loader in ("SafeLoader", "CSafeLoader")]
+
+
+@pytest.mark.parametrize("command, flag, loader", NOT_UTF8_CASES)
+def test_input_that_is_not_utf8_names_its_file_and_line(
+        workspace, calibrated, fused, tmp_path, capsys, monkeypatch, command, flag, loader):
+    """A JSON or YAML input with a byte that is not UTF-8 on its second
+    line exits 1 with one FormatError line naming the file and that
+    line, under either YAML loader, and writes nothing."""
+    if loader is not None:
+        monkeypatch.setattr(csvio, "_YAML_LOADER", getattr(yaml, loader, yaml.SafeLoader))
+    data, noise = workspace / "data", workspace / "noise.yaml"
+    pair = ["--imu-a", str(data / "imu_a.csv"), "--imu-b", str(data / "imu_b.csv")]
+    inputs = {
+        "fuse": {"--calib": calibrated, "--noise": noise},
+        "preintegrate": {"--vimu": fused, "--vimu-config": fused.with_suffix(".json")},
+        "calibrate": {"--noise": noise},
+        "simulate": {"--config": workspace / "sim.yaml"},
+        "evaluate": {"--config": CONFIG_DIR / "plan_desk.yaml"},
+    }[command]
+    bad = tmp_path / "input"
+    lines = inputs[flag].read_bytes().split(b"\n")
+    lines[1] += b"\xff"
+    bad.write_bytes(b"\n".join(lines))
+    inputs[flag] = bad
+    argv = [command, *(pair if command in ("fuse", "calibrate") else [])]
+    for key, path in inputs.items():
+        argv += [key, str(path)]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "FormatError",
+        "message": f"{bad}:2: not valid UTF-8 (invalid start byte)"}, line
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 @pytest.mark.parametrize("command, config", [("evaluate", "plan_desk.yaml"),

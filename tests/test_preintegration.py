@@ -47,9 +47,10 @@ from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
     VimuConfig,
     VimuNoise,
+    _fused_rows,
+    _fusion_matrices,
     centroid_frame,
     fuse_series,
-    fuse_stack,
     virtual_covariances,
 )
 
@@ -705,7 +706,8 @@ def mean_nees(mounts, cfg: VimuConfig, trials: int, seed: int,
             rows = np.broadcast_to(ideal[j][:, :, None], (2, raw.shape[2], batch, 3))
             raw[:, :, :, j] = apply_measurement_noise_stack(
                 rows, spec, freq, rng).transpose(2, 0, 1, 3)
-        w, a = fuse_stack(np.stack(cfg.rotations), cfg.noises, raw[:, 0, 1:-1], raw[:, 1, 1:-1])
+        w, a = _fused_rows(raw[:, 0], raw[:, 1], _fusion_matrices(
+            np.stack(cfg.rotations), cfg.noises, len(mounts)), sim.sample_count - 2)
         dR, dv, dp, _ = preintegrate_stack(w[:, None], a[:, None], freq)
         err = np.concatenate([log_so3(reference.rotation.T @ dR[:, 0]),
                               dv[:, 0] - reference.velocity,

@@ -31,12 +31,12 @@ from mimufusion.types import Extrinsic, ImuSeries, NoiseSpec
 from mimufusion.vimu import (
     VimuConfig,
     VimuNoise,
+    _fused_rows,
     _fusion_matrices,
     _weights,
     accel_centroid,
     centroid_frame,
     fuse_series,
-    fuse_stack,
     virtual_covariances,
 )
 
@@ -181,8 +181,8 @@ def test_fuse_gyro_weights_follow_noise():
 
 
 def test_fusion_matrices_left_inverse():
-    """fuse_stack recovers x from the stacked samples R_i x of any
-    rotated array with unequal noise."""
+    """_fused_rows recovers x from the stacked samples R_i x of any
+    rotated array with unequal noise, fused row t from raw row t + 1."""
     rng = np.random.default_rng(41)
     for _ in range(20):
         n = int(rng.integers(1, 5))
@@ -191,9 +191,9 @@ def test_fusion_matrices_left_inverse():
                             sigma_a=float(rng.uniform(1e-3, 1e-2))) for _ in range(n)]
         x = rng.normal(size=(6, 3))
         stack = np.einsum("nij,kj->kni", rotations, x)
-        fused_w, fused_a = fuse_stack(rotations, noises, stack, stack)
-        np.testing.assert_allclose(fused_w, x, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(fused_a, x, rtol=0, atol=1e-14)
+        fused_w, fused_a = _fused_rows(stack, stack, _fusion_matrices(rotations, noises, n), 5)
+        np.testing.assert_allclose(fused_w, x[1:], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(fused_a, x[1:], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("sigma_a, sigma_b", [(1e-200, 1e-100), (1e150, 1e160),
@@ -339,9 +339,9 @@ def test_virtual_covariance_monte_carlo():
     rng = np.random.default_rng(43)
     draws_a = rng.standard_normal((n, 3)) * (1.7e-4 * np.sqrt(freq))
     draws_b = rng.standard_normal((n, 3)) * (3e-4 * np.sqrt(freq))
-    fused, _ = fuse_stack(np.stack(cfg.rotations), cfg.noises,
-                          np.stack([draws_a, draws_b], axis=1), np.zeros((n, 2, 3)))
-    sample_cov = np.cov(fused.T) / freq
+    fused = fuse_series(cfg, [ImuSeries(freq, 0, draws, np.zeros((n, 3)))
+                              for draws in (draws_a, draws_b)])
+    sample_cov = np.cov(fused.gyro.T) / freq
     scale = np.max(np.abs(np.diag(noise.gyro)))
     np.testing.assert_allclose(sample_cov, noise.gyro, atol=0.05 * scale)
 
@@ -539,27 +539,28 @@ def test_lever_term_and_jacobian_match_per_sensor_oracle(name):
     accel = np.concatenate([f @ r.T for r in cfg.rotations], axis=-1) + levers
     n = len(cfg.rotations)
     gyro = np.concatenate([w @ r.T for r in cfg.rotations], axis=-1)
-    fused_w, fused_a = fuse_stack(np.stack(cfg.rotations), cfg.noises,
-                                  gyro.reshape(50, n, 3), accel.reshape(50, n, 3))
-    want = (accel - levers) @ general_solves(cfg)[1].T
+    fused_w, fused_a = _fused_rows(gyro.reshape(50, n, 3), accel.reshape(50, n, 3),
+                                   _fusion_matrices(np.stack(cfg.rotations), cfg.noises, n),
+                                   49)
+    want = (accel[1:] - levers[1:]) @ general_solves(cfg)[1].T
     # two computations of one fit: round-off scales with the samples
     np.testing.assert_allclose(fused_a, want, rtol=0, atol=1e-13 * np.abs(accel).max())
-    np.testing.assert_allclose(fused_w, w, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(fused_w, w[1:], rtol=0, atol=1e-13)
 
     noise = virtual_covariances(cfg.noises)
     delta = identity_delta()
-    for t in range(50):
+    for t in range(49):
         delta = propagate_step(delta, fused_w[t], fused_a[t], cfg, noise, FREQ)
     cov = preintegrate_stack(fused_w[None, None], fused_a[None, None], FREQ, noise)[3][0, 0]
     np.testing.assert_allclose(cov, delta.covariance, rtol=0,
                                atol=1e-12 * np.abs(delta.covariance).max())
 
 
-def test_fuse_stack_trials_match_fuse_series():
-    """One fuse_stack call over a trial axis, with one array per trial
-    or one shared array, and the fusion matrices of _fusion_matrices
-    reading their sensors in place out of a wider array, equal a
-    fuse_series call per trial."""
+def test_fused_rows_trials_match_fuse_series():
+    """One _fused_rows call over a trial axis, with one array per trial
+    or one shared array, and with fusion matrices that read their
+    sensors in place out of a wider array, equals a fuse_series call per
+    trial."""
     cfgs = [centroid_frame(Extrinsic(q=quat_from_rotvec([0.0, 0.02 * k, 0.05]),
                                      p=np.array([0.1, 0.01 * k, -0.01])),
                            MEMS, NoiseSpec(sigma_a=4e-3)) for k in range(3)]
@@ -574,17 +575,15 @@ def test_fuse_stack_trials_match_fuse_series():
                                           (stacked[1], [cfgs[1]] * 3, None),
                                           (stacked, cfgs, [3, 1])):
         if columns is None:
-            w, a = fuse_stack(rotations, noises, gyro, accel)
+            w, a = _fused_rows(gyro, accel, _fusion_matrices(rotations, noises, 2), 38)
         else:
-            w_g, w_a = _fusion_matrices(rotations, noises, 4, columns)
-            w, a = (x.reshape(3, 40, 12) @ m for x, m in zip(wide, (w_g, w_a)))
-        assert w.shape == a.shape == (3, 40, 3)
+            w, a = _fused_rows(*wide, _fusion_matrices(rotations, noises, 4, columns), 38)
+        assert w.shape == a.shape == (3, 38, 3)
         for k, cfg in enumerate(per_trial):
-            # fuse_series keeps the interior rows
             fused = fuse_series(cfg, [ImuSeries(FREQ, 0, gyro[k, :, i], accel[k, :, i])
                                       for i in range(2)])
-            np.testing.assert_allclose(w[k, 1:-1], fused.gyro, rtol=1e-13, atol=1e-15)
-            np.testing.assert_allclose(a[k, 1:-1], fused.accel, rtol=1e-13, atol=1e-12)
+            np.testing.assert_allclose(w[k], fused.gyro, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(a[k], fused.accel, rtol=1e-13, atol=1e-12)
 
 
 def rotated_unequal_array(n, rng):
@@ -599,21 +598,21 @@ def rotated_unequal_array(n, rng):
 
 @pytest.mark.parametrize("n", [1, 2, 9])
 def test_build_fusion_stack_matches_per_config_builds(n):
-    """One fuse_stack call over two trial axes of rotations fuses every
-    trial as fuse_series fuses that trial's config alone."""
+    """One _fused_rows call over two trial axes of fusion matrices fuses
+    every trial as fuse_series fuses that trial's config alone."""
     rng = np.random.default_rng(80 + n)
     cfgs = [rotated_unequal_array(n, rng) for _ in range(4)]
     noises = cfgs[0].noises
     cfgs = [VimuConfig(c.rotations, c.positions, noises) for c in cfgs]
     gyro, accel = rng.normal(size=(2, 2, 2, 30, n, 3))
-    w, a = fuse_stack(np.reshape([c.rotations for c in cfgs], (2, 2, n, 3, 3)), noises,
-                      gyro, accel)
-    assert w.shape == a.shape == (2, 2, 30, 3)
+    w, a = _fused_rows(gyro, accel, _fusion_matrices(
+        np.reshape([c.rotations for c in cfgs], (2, 2, n, 3, 3)), noises, n), 28)
+    assert w.shape == a.shape == (2, 2, 28, 3)
     for (i, j), cfg in zip(np.ndindex(2, 2), cfgs):
         fused = fuse_series(cfg, [ImuSeries(FREQ, 0, gyro[i, j, :, k], accel[i, j, :, k])
                                   for k in range(n)])
-        np.testing.assert_allclose(w[i, j, 1:-1], fused.gyro, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(a[i, j, 1:-1], fused.accel, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w[i, j], fused.gyro, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(a[i, j], fused.accel, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 9])
@@ -639,9 +638,8 @@ def test_build_fusion_stack_rejects_mixed_exact_and_noisy_sensors():
     one category raises SingularFusion, and so does a virtual density
     that overflows."""
     mixed = (MEMS, NoiseSpec.zero())
-    samples = np.zeros((3, 5, 2, 3))
     with pytest.raises(SingularFusion):
-        fuse_stack(np.tile(np.eye(3), (3, 2, 1, 1)), mixed, samples, samples)
+        _fusion_matrices(np.tile(np.eye(3), (3, 2, 1, 1)), mixed, 2)
     with pytest.raises(SingularFusion):
         virtual_covariances(mixed)
     with pytest.raises(SingularFusion, match="sigma_bg density overflows"):
@@ -650,7 +648,7 @@ def test_build_fusion_stack_rejects_mixed_exact_and_noisy_sensors():
 
 @pytest.mark.parametrize("exact", [False, True], ids=["noisy", "exact"])
 def test_raw_sample_solves_match_whitened_least_squares(exact):
-    """Over stacked trials, fuse_stack's gyro is the least-squares fit of
+    """Over stacked trials, _fused_rows' gyro is the least-squares fit of
     the whitened stack W y = W D x, with D the stacked rotations and W
     the diagonal whitening by the sigmas, and virtual_covariances
     propagates each sensor's noise through that fit:
@@ -666,7 +664,8 @@ def test_raw_sample_solves_match_whitened_least_squares(exact):
                    for g, a, bg, ba in scales.T)
     rotations = exp_so3(rng.normal(size=(trials, n, 3)))
     gyro = rng.normal(size=(trials, 20, n, 3))
-    fused_w, _ = fuse_stack(rotations, noises, gyro, rng.normal(size=gyro.shape))
+    fused_w, _ = _fused_rows(gyro, rng.normal(size=gyro.shape),
+                             _fusion_matrices(rotations, noises, n), 19)
     noise = virtual_covariances(noises)
 
     def whitening(sigmas):
@@ -679,7 +678,7 @@ def test_raw_sample_solves_match_whitened_least_squares(exact):
         W_a = whitening([ns.sigma_a for ns in noises])
         y = gyro[k].reshape(-1, 3 * n).T
         want = np.linalg.lstsq(W_g @ D, W_g @ y, rcond=None)[0].T
-        np.testing.assert_allclose(fused_w[k], want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fused_w[k], want[1:], rtol=0, atol=1e-12)
         for got, W, field in ((noise.gyro, W_g, "sigma_g"), (noise.gyro_bias, W_g, "sigma_bg"),
                               (noise.accel, W_a, "sigma_a"), (noise.accel_bias, W_a, "sigma_ba")):
             P = np.linalg.pinv(W @ D)
